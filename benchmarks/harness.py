@@ -182,8 +182,10 @@ SCALING_NODES = (25, 250, 2500, 10_000)
 #: eager all-pairs baseline is only measured up to here (it is the
 #: O(V·(V+E)) precompute the lazy router exists to avoid — ~90 s at 10k)
 EAGER_BASELINE_MAX_NODES = 2500
-#: representative routing workload per tier: distance queries from a
-#: spread of sources, the shape a sweep cell's unicasts actually take
+#: routing workload per tier: distance queries fanning *out* from a
+#: spread of 8 sources.  Protocol traffic mostly fans in (replies to the
+#: HELP origin), which ``Router.distance`` serves with one row per hub;
+#: this stream is the other direction and costs it two rows per source
 SCALING_QUERIES = 64
 
 #: the macro sweep cells run at these tiers in full mode (smoke runs one
@@ -200,6 +202,21 @@ SINGLE_RUN_HORIZON = 4.0
 #: PR-6 tree with the identical cell config.  Same update rule as
 #: ``BASELINE``: only when the cell *workload* changes.
 SCALING_CELL_BASELINE = {2500: 4.030, 10_000: 60.6574}
+
+#: The hot macro cells on the tree before demand-driven routing (PR 11,
+#: this container, identical cell config): every unicast asked the lazy
+#: router for a hop count nothing consumed.  Recorded as each hot cell's
+#: ``before``; same update rule as ``BASELINE``.
+HOT_CELL_BEFORE = {
+    2500: {
+        "seconds": 2.6691, "events_per_second": 9109.3,
+        "rows_computed": 1762, "messages_total": 4481128.0,
+    },
+    10_000: {
+        "seconds": 27.0267, "events_per_second": 3615.8,
+        "rows_computed": 6950, "messages_total": 72505688.0,
+    },
+}
 
 
 def _scaling_query_pairs(n: int) -> list:
@@ -251,9 +268,15 @@ def bench_flood_scaling(topo, floods: int = 20) -> int:
 
 
 def _scaling_cell_config(
-    nodes: int, horizon: float, obs: Optional[object] = None
+    nodes: int, horizon: float, obs: Optional[object] = None, *, hot: bool = False
 ) -> ExperimentConfig:
-    """The tier's REALTOR cell: square torus, offered load 0.5.
+    """The tier's REALTOR cell on the square torus.
+
+    Idle (default): offered load 0.5 against 100 s queues — every task
+    admits locally and no discovery message is sent, so the cell times
+    the kernel, the arrival pump and local admission.  ``hot``: load 0.95
+    against 20 s queues — thresholds are crossed, HELP/PLEDGE rounds and
+    ADMIT unicasts run, so the cell times the transport and protocols.
 
     ``obs`` (an :class:`~repro.obs.config.ObsConfig`) installs the
     metrics registry + flight recorder — the obs-overhead gate's
@@ -262,34 +285,46 @@ def _scaling_cell_config(
     return ExperimentConfig(
         topology="torus",
         nodes=nodes,
-        arrival_rate=0.5 * nodes / 5.0,  # load 0.5 at task_mean 5
+        arrival_rate=(0.95 if hot else 0.5) * nodes / 5.0,  # task_mean 5
+        queue_capacity=20.0 if hot else 100.0,
         horizon=horizon,
         seed=1,
         obs=obs,
     )
 
 
-def bench_scaling_cell(nodes: int, horizon: float = 20.0) -> Dict[str, float]:
+def bench_scaling_cell(
+    nodes: int, horizon: float = 20.0, *, hot: bool = False
+) -> Dict[str, float]:
     """One REALTOR sweep cell at the given tier, run-phase kernel throughput.
 
     Setup (topology + hosts + protocol wiring) is excluded from the
     timing: the wall-clock and events/sec numbers measure the event loop
     itself, which is what the cohort-batching fast path targets.
+    ``rows_computed`` counts BFS rows over both routers (full overlay +
+    live overlay): 0 unless something consumed a hop count.
     """
-    system = build_system(_scaling_cell_config(nodes, horizon))
+    system = build_system(_scaling_cell_config(nodes, horizon, hot=hot))
     t0 = time.perf_counter()
     system.run()
     elapsed = time.perf_counter() - t0
     result = system.result()
     events = system.sim.events_executed
+    transport = system.transport
     return {
         "nodes": float(nodes),
+        "horizon": horizon,
         "seconds": elapsed,
         "sim_rate": horizon / elapsed,
         "events_executed": float(events),
         "events_per_second": events / elapsed,
         "generated": float(result.generated),
         "admission_probability": result.admission_probability,
+        "messages_total": result.messages_total,
+        "rows_computed": float(
+            transport.router.rows_computed
+            + transport.live_router().rows_computed
+        ),
     }
 
 
@@ -306,8 +341,10 @@ def run_scaling_curve(*, smoke: bool, repeats: int) -> Dict[str, dict]:
     2500 nodes), the epoch-flood fan-out, and a short single run whose
     run-phase events/sec is the tier's kernel-throughput column.  Macro
     sweep cells then run at every ``MACRO_CELL_NODES`` tier (smoke: one
-    at its top tier) to prove the tiers complete end to end; the speedup
-    column compares against the pre-cohort-batching wall times.
+    at its top tier) to prove the tiers complete end to end, idle and
+    hot (see :func:`_scaling_cell_config`); the idle speedup column
+    compares against the pre-cohort-batching wall times, the hot one
+    against the tree before demand-driven routing.
     """
     tiers = [n for n in SCALING_NODES if not smoke or n <= 250]
     curve: Dict[str, dict] = {}
@@ -361,27 +398,40 @@ def run_scaling_curve(*, smoke: bool, repeats: int) -> Dict[str, dict]:
         n for n in MACRO_CELL_NODES if n in tiers
     ]
     macro_cells: Dict[str, dict] = {}
+    macro_cells_hot: Dict[str, dict] = {}
     for cell_tier in cell_tiers:
-        cell = bench_scaling_cell(cell_tier, horizon=5.0 if smoke else 20.0)
-        rounded = {k: round(v, 4) for k, v in cell.items()}
-        baseline = SCALING_CELL_BASELINE.get(cell_tier)
-        if not smoke and baseline:
-            rounded["baseline_seconds"] = baseline
-            rounded["speedup_vs_baseline"] = round(
-                baseline / cell["seconds"], 1
+        for hot, cells in ((False, macro_cells), (True, macro_cells_hot)):
+            cell = bench_scaling_cell(
+                cell_tier, horizon=5.0 if smoke else 20.0, hot=hot
             )
-        macro_cells[str(cell_tier)] = rounded
-        print(
-            f"  scaling_cell n={cell_tier}: {cell['seconds']:.2f} s wall "
-            f"({cell['events_per_second']:,.0f} events/s, "
-            f"{cell['generated']:.0f} tasks)"
-            + (
-                f"  ({rounded['speedup_vs_baseline']}x vs pre-batching)"
-                if "speedup_vs_baseline" in rounded
-                else ""
+            rounded = {k: round(v, 4) for k, v in cell.items()}
+            note = ""
+            if not smoke and hot and cell_tier in HOT_CELL_BEFORE:
+                before = HOT_CELL_BEFORE[cell_tier]
+                rounded["before"] = before
+                speedup = round(before["seconds"] / cell["seconds"], 1)
+                rounded["speedup_vs_before"] = speedup
+                note = f"  ({speedup}x vs routing every unicast)"
+            elif not smoke and not hot and cell_tier in SCALING_CELL_BASELINE:
+                baseline = SCALING_CELL_BASELINE[cell_tier]
+                rounded["baseline_seconds"] = baseline
+                speedup = round(baseline / cell["seconds"], 1)
+                rounded["speedup_vs_baseline"] = speedup
+                note = f"  ({speedup}x vs pre-batching)"
+            cells[str(cell_tier)] = rounded
+            print(
+                f"  scaling_cell n={cell_tier} {'hot ' if hot else 'idle'}: "
+                f"{cell['seconds']:.2f} s wall "
+                f"({cell['events_per_second']:,.0f} events/s, "
+                f"{cell['generated']:.0f} tasks, "
+                f"{cell['messages_total']:,.0f} messages, "
+                f"{cell['rows_computed']:.0f} BFS rows)" + note
             )
-        )
-    return {"tiers": curve, "macro_cells": macro_cells}
+    return {
+        "tiers": curve,
+        "macro_cells": macro_cells,
+        "macro_cells_hot": macro_cells_hot,
+    }
 
 
 def _time_best_of(fn: Callable[[], object], repeats: int) -> float:

@@ -161,9 +161,10 @@ class RealtorAgent(DiscoveryAgent):
         trace = self.sim.trace
         if trace.enabled:
             # Span correlation: (organizer, help_id) keys the HELP round;
-            # hop count comes from the (cached) router, latency from the
-            # pledge's own send stamp.  Guarded so disabled runs pay only
-            # the attribute check.
+            # hop count comes from the (cached) router — asked in the
+            # pledge's direction, so a round's pledgers share the
+            # organizer's row — latency from the pledge's own send stamp.
+            # Guarded so disabled runs pay only the attribute check.
             trace.emit(
                 self.sim.now,
                 "pledge-recv",
@@ -171,7 +172,7 @@ class RealtorAgent(DiscoveryAgent):
                 pledger=pledge.pledger,
                 help_id=pledge.in_reply_to,
                 latency=self.sim.now - pledge.sent_at,
-                hops=max(self.transport.router.distance(self.node_id, pledge.pledger), 0),
+                hops=max(self.transport.router.distance(pledge.pledger, self.node_id), 0),
             )
         self.community.on_pledge(pledge, self.sim.now)
         available = pledge.usage < self.config.threshold

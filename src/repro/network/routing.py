@@ -91,9 +91,11 @@ class Router:
     per topology version; a source's distance row is computed by a
     vectorised BFS frontier expansion the first time that source is
     queried and memoised until the next mutation.  Simulations only ever
-    route from the handful of nodes that actually send unicasts in an
-    epoch, so the common case touches a few rows of the V×V space the
-    eager oracle used to precompute in full.
+    route between the handful of nodes that actually exchange unicasts in
+    an epoch (and only when something consumes the hop count — see
+    :class:`~repro.network.transport.Transport`), so the common case
+    touches a few rows of the V×V space the eager oracle used to
+    precompute in full.
     """
 
     def __init__(self, topo: Topology) -> None:
@@ -104,10 +106,18 @@ class Router:
         self._indptr: np.ndarray = np.zeros(1, dtype=np.int64)
         self._indices: np.ndarray = np.zeros(0, dtype=np.int64)
         self._rows: Dict[int, np.ndarray] = {}
+        #: sources whose :meth:`distance` miss was answered by computing
+        #: the destination's row; a second miss computes their own
+        self._missed_sources: set = set()
         self._mean_path: Optional[float] = None
         self._diameter: Optional[int] = None
-        #: rows computed since construction — the scaling benchmarks read
-        #: this to show how little of the V×V space a run actually visits
+        #: BFS rows computed since construction, across topology versions
+        #: and including the discarded rows of large aggregate sweeps.  A
+        #: :meth:`distance` miss computes one row (the destination's, or
+        #: a repeat-miss source's), never both endpoints'; every other
+        #: query computes its source's.  The scaling benchmarks read this
+        #: to show how little of the V×V space a run actually visits — 0
+        #: for a run whose transport never consumes a hop count.
         self.rows_computed = 0
 
     # Cache maintenance ---------------------------------------------------
@@ -135,6 +145,7 @@ class Router:
             np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
         )
         self._rows = {}
+        self._missed_sources = set()
         self._mean_path = None
         self._diameter = None
         self._version = self.topo.version
@@ -206,12 +217,30 @@ class Router:
     # Queries ----------------------------------------------------------------
 
     def distance(self, source: NodeId, dest: NodeId) -> int:
-        """Hop count, or ``UNREACHABLE`` (-1) if disconnected."""
+        """Hop count, or ``UNREACHABLE`` (-1) if disconnected.
+
+        The overlay is undirected, so either endpoint's row answers the
+        query: a cached one is used, the source's first.  With neither
+        cached the *destination's* row is computed — replies fan in to
+        the node that asked (PLEDGE and ADMIT_REP to the HELP origin), so
+        one row serves the round — unless this source already missed
+        once: a source that keeps asking is fanning out, and gets its
+        own row.  Either way a hub costs at most two rows.
+        """
         self._refresh()
         try:
-            return int(self._row(self._index[source])[self._index[dest]])
+            src_idx = self._index[source]
+            dst_idx = self._index[dest]
         except KeyError:
             raise KeyError("endpoint not in topology") from None
+        row = self._rows.get(src_idx)
+        if row is not None:
+            return int(row[dst_idx])
+        if dst_idx not in self._rows:
+            if src_idx in self._missed_sources:
+                return int(self._row(src_idx)[dst_idx])
+            self._missed_sources.add(src_idx)
+        return int(self._row(dst_idx)[src_idx])
 
     def reachable(self, source: NodeId, dest: NodeId) -> bool:
         return self.distance(source, dest) >= 0

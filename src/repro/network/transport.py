@@ -17,6 +17,16 @@ Latency is configurable (per-hop seconds).  The paper's simulation treats
 dissemination as instantaneous relative to task times, so the default is
 zero latency — messages are still delivered via the event queue (never by
 synchronous call) so handler re-entrancy cannot occur.
+
+Hop counts are computed on demand.  A point-to-point send asks the router
+for a route length only when something consumes it — the ``HOPS`` charge,
+a non-zero per-hop latency, or an installed impairment engine (per-link
+loss compounds over the route).  Under the paper's own accounting (fixed
+charge, instantaneous lossless delivery) the only fact a send needs is
+"are both ends in the same live component?", which the liveness epoch's
+component labels answer with a dict lookup; a scoped (``neighbors_only``)
+flood likewise reads its charge from the epoch's per-component link
+count.  A run that charges by message never computes a BFS row.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, TYPE_CHECKING
 # transport); re-exported here for every existing import site.
 from ..runtime.api import Delivery, Priority
 from .impairments import NetworkImpairments
-from .routing import Router, bfs_distances
+from .routing import UNREACHABLE, Router, bfs_distances
 from .topology import NodeId, Topology
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,11 +52,13 @@ class _EpochStructure:
     """Flood spanning structure for one liveness epoch.
 
     Built once per ``(topology version, liveness version)`` key and shared
-    by every flood source until the next epoch: the live overlay, its
+    by every send until the next epoch: the live overlay, its
     connected-component labelling, each component's sorted member tuple
     and link count.  Per-source work inside an epoch collapses to a dict
-    lookup plus a receiver-tuple build — the per-message BFS/component
-    scan that made 2.5k-node floods quadratic is gone.
+    lookup plus — for whole-overlay floods only — a receiver-tuple build;
+    the per-message BFS/component scan that made 2.5k-node floods
+    quadratic is gone.  ``comp_of`` doubles as the reachability oracle of
+    unicasts whose hop count nothing consumes.
     """
 
     __slots__ = ("key", "live", "comp_of", "members", "links")
@@ -89,19 +101,32 @@ class CostModel:
 
     ``flood_cost_override`` lets the cluster emulation model IP multicast
     on a LAN (one wire message regardless of group size).
+
+    Only ``HOPS`` reads a route length; ``FIXED`` and ``MEAN`` price a
+    unicast without one, which is what lets :class:`Transport` skip
+    routing altogether under the paper's fixed charge.
     """
 
     unicast_mode: UnicastCostMode = UnicastCostMode.HOPS
     fixed_unicast_cost: float = 4.0
     flood_cost_override: Optional[float] = None
 
-    def unicast_cost(self, router: Router, src: NodeId, dst: NodeId) -> float:
+    def unicast_cost(
+        self, router: Router, src: NodeId, dst: NodeId, hops: Optional[int] = None
+    ) -> float:
+        """Charge for a delivered unicast.
+
+        ``hops`` is the route length when the caller already holds it
+        (:class:`Transport` does); without it HOPS mode asks ``router``.
+        FIXED and MEAN never read a hop count.
+        """
         if self.unicast_mode is UnicastCostMode.FIXED:
             return self.fixed_unicast_cost
         if self.unicast_mode is UnicastCostMode.MEAN:
             return router.mean_shortest_path()
-        d = router.distance(src, dst)
-        return float(max(d, 0))
+        if hops is None:
+            hops = router.distance(src, dst)
+        return float(max(hops, 0))
 
     def dead_unicast_cost(
         self, router: Router, src: NodeId, dst: NodeId, hops: int
@@ -149,6 +174,9 @@ class Transport:
         See :class:`CostModel`.
     per_hop_latency:
         Seconds of delay per hop (floods use the BFS depth per receiver).
+        Non-zero latency is one of the three consumers that make
+        point-to-point sends compute hop counts (see the module
+        docstring); at zero they are not computed.
     on_cost:
         Callback ``(message kind, cost)`` invoked once per send; the
         metrics collector hooks in here.
@@ -238,18 +266,20 @@ class Transport:
         if not self.topo.has_node(dst):
             raise KeyError(f"no such node: {dst}")
         self.sent_messages += 1
+        need_hops = self._hops_consumed()
         if not self.is_up(dst):
             # Dead destination: the packets still traverse the (full)
             # overlay toward it until dropped; charge the attempted route
-            # through the cost model's mode switch.
-            hops = self.router.distance(src, dst)
+            # through the cost model's mode switch (FIXED and MEAN never
+            # read ``hops``).
+            hops = self.router.distance(src, dst) if need_hops else UNREACHABLE
             self._charge(
                 kind, self.cost_model.dead_unicast_cost(self.router, src, dst, hops)
             )
             self.dropped_messages += 1
             return False
         router = self.live_router()
-        hops = router.distance(src, dst)
+        hops = self._live_hops(router, src, dst, need_hops)
         if hops < 0:
             # Live but unreachable (partition / failed links): same
             # dead-charge path, priced on the live overlay.
@@ -258,7 +288,7 @@ class Transport:
             )
             self.dropped_messages += 1
             return False
-        self._charge(kind, self.cost_model.unicast_cost(router, src, dst))
+        self._charge(kind, self.cost_model.unicast_cost(router, src, dst, hops))
         self._deliver_later(src, dst, kind, payload, hops)
         return True
 
@@ -286,7 +316,11 @@ class Transport:
                 if self.is_up(n) and (link_up is None or link_up(src, n))
             )
             depth: Optional[dict] = None  # every receiver is depth 1
-            _, links = self._flood_structure(src)
+            # only the charge is component-wide: read it off the epoch
+            # labels, never building the component's receiver tuple
+            epoch = self._epoch_structure()
+            ci = epoch.comp_of.get(src)
+            links = 0 if ci is None else epoch.links[ci]
         else:
             receivers, links = self._flood_structure(src)
             # BFS depths are only consulted with per-hop latency or
@@ -411,13 +445,14 @@ class Transport:
         router = self.live_router()
         receivers: List[NodeId] = []
         total = 0.0
+        need_hops = self._hops_consumed()
         for dst in sorted(set(dests)):
             if dst == src or not self.topo.has_node(dst) or not self.is_up(dst):
                 continue
-            hops = router.distance(src, dst)
+            hops = self._live_hops(router, src, dst, need_hops)
             if hops < 0:
                 continue
-            total += self.cost_model.unicast_cost(router, src, dst)
+            total += self.cost_model.unicast_cost(router, src, dst, hops)
             receivers.append(dst)
             self._deliver_later(src, dst, kind, payload, hops)
         self._charge(kind, cost if cost is not None else total)
@@ -450,6 +485,34 @@ class Transport:
         if self._live_router is None:
             self._live_router = Router(epoch.live)
         return self._live_router
+
+    def _hops_consumed(self) -> bool:
+        """Does anything read a point-to-point send's hop count?
+
+        The HOPS charge, per-hop latency and the impairment engine
+        (per-link loss compounds over the route) do.  The paper's own
+        accounting — fixed charge, instantaneous lossless delivery — does
+        not: there a send only needs reachability (:meth:`_live_hops`),
+        and the router never computes a BFS row.
+        """
+        return (
+            self.cost_model.unicast_mode is UnicastCostMode.HOPS
+            or self.per_hop_latency != 0.0
+            or self._impair is not None
+        )
+
+    def _live_hops(
+        self, router: Router, src: NodeId, dst: NodeId, consumed: bool
+    ) -> int:
+        """Route length between two live nodes, ``UNREACHABLE`` if none.
+
+        With no consumer for the length, reachability alone is answered
+        from the epoch's component labels and a reachable pair reads 0.
+        """
+        if consumed:
+            return router.distance(src, dst)
+        comp_of = self._epoch_structure().comp_of
+        return 0 if comp_of[src] == comp_of[dst] else UNREACHABLE
 
     def _charge(self, kind: str, cost: float) -> None:
         if self.on_cost is not None:

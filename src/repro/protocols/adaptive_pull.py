@@ -111,7 +111,7 @@ class AdaptivePullAgent(DiscoveryAgent):
                 self.sim.now, "pledge-recv", node=self.node_id,
                 pledger=pledge.pledger, help_id=pledge.in_reply_to,
                 latency=self.sim.now - pledge.sent_at,
-                hops=max(self.transport.router.distance(self.node_id, pledge.pledger), 0),
+                hops=max(self.transport.router.distance(pledge.pledger, self.node_id), 0),
             )
         available = pledge.usage < self.config.threshold
         self.view.observe_latency(pledge.pledger, self.sim.now - pledge.sent_at)

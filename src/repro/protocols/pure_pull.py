@@ -81,7 +81,7 @@ class PurePullAgent(DiscoveryAgent):
                 self.sim.now, "pledge-recv", node=self.node_id,
                 pledger=pledge.pledger, help_id=pledge.in_reply_to,
                 latency=self.sim.now - pledge.sent_at,
-                hops=max(self.transport.router.distance(self.node_id, pledge.pledger), 0),
+                hops=max(self.transport.router.distance(pledge.pledger, self.node_id), 0),
             )
         self.view.observe_latency(pledge.pledger, self.sim.now - pledge.sent_at)
         self.view.update(

@@ -1,9 +1,16 @@
 """Unit tests for message transport and cost accounting."""
 
+import numpy as np
 import pytest
 
 from repro.network.faults import FaultManager
-from repro.network.generators import mesh, paper_topology
+from repro.network.generators import (
+    mesh,
+    paper_topology,
+    preferential_attachment,
+    torus,
+)
+from repro.network.routing import Router
 from repro.network.transport import CostModel, Transport, UnicastCostMode
 from repro.sim.kernel import Simulator
 
@@ -155,7 +162,7 @@ class TestFlood:
         assert tr.flood(0, "adv", None) == []
 
 
-def make_faulty(topo=None):
+def make_faulty(topo=None, **kwargs):
     """Transport wired to a FaultManager the way the runner does it."""
     sim = Simulator()
     topo = topo or mesh(1, 4)  # line: 0-1-2-3
@@ -168,6 +175,7 @@ def make_faulty(topo=None):
         link_up=faults.link_up,
         liveness_version=lambda: faults.version,
         on_cost=lambda k, c: costs.append((k, c)),
+        **kwargs,
     )
     return sim, topo, faults, tr, costs
 
@@ -318,3 +326,113 @@ class TestLatency:
         tr.unicast(0, 1, "x", None)
         sim.run()
         assert seen == []
+
+
+OVERLAYS = {
+    "mesh": lambda: mesh(4, 5),
+    "torus": lambda: torus(4, 5),
+    "scale-free": lambda: preferential_attachment(
+        20, 2, np.random.default_rng(11)
+    ),
+}
+
+
+def fault_epochs(topo, faults, rng):
+    """Walk the overlay through liveness epochs: pristine, random crashes,
+    random failed links on top, then half of each restored.  Yields after
+    every step."""
+    yield
+    nodes, links = topo.nodes(), topo.links()
+    crashed = [nodes[i] for i in rng.choice(len(nodes), 5, replace=False)]
+    for n in crashed:
+        faults.crash(n)
+    yield
+    failed = [links[i] for i in rng.choice(len(links), 8, replace=False)]
+    for u, v in failed:
+        faults.fail_link(u, v)
+    yield
+    for n in crashed[:3]:
+        faults.recover(n)
+    for u, v in failed[:4]:
+        faults.restore_link(u, v)
+    yield
+
+
+class TestDemandDrivenRouting:
+    """FIXED / MEAN unicasts consume no hop count, so they answer
+    reachability from the epoch's component labels; the decision, the
+    counters and the charge must equal what the live router's distance
+    would have produced."""
+
+    @pytest.mark.parametrize("family", sorted(OVERLAYS))
+    @pytest.mark.parametrize("mode", [UnicastCostMode.FIXED, UnicastCostMode.MEAN])
+    def test_unicast_matches_router_decision_across_epochs(self, family, mode):
+        sim, topo, faults, tr, costs = make_faulty(
+            OVERLAYS[family](),
+            cost_model=CostModel(unicast_mode=mode, fixed_unicast_cost=4.0),
+        )
+        full = Router(topo)
+        fixed = mode is UnicastCostMode.FIXED
+        for _ in fault_epochs(topo, faults, np.random.default_rng(5)):
+            live = Router(faults.live_topology())
+            for src in topo.nodes():
+                for dst in topo.nodes():
+                    before = (tr.sent_messages, tr.dropped_messages, len(costs))
+                    ok = tr.unicast(src, dst, "x", None)
+                    after = (tr.sent_messages, tr.dropped_messages, len(costs))
+                    if not faults.can_communicate(src):
+                        assert not ok and after == before
+                        continue
+                    dead = not faults.can_communicate(dst)
+                    reachable = not dead and live.distance(src, dst) >= 0
+                    assert ok == reachable
+                    assert after == (
+                        before[0] + 1, before[1] + (not reachable), before[2] + 1
+                    )
+                    priced_on = full if dead else live
+                    expected = 4.0 if fixed else priced_on.mean_shortest_path()
+                    assert costs[-1] == ("x", expected)
+            if fixed:
+                # reachability never touched either router
+                assert tr.router.rows_computed == 0
+                assert tr.live_router().rows_computed == 0
+
+    @pytest.mark.parametrize("family", sorted(OVERLAYS))
+    def test_neighbors_only_flood_charge_is_the_component_link_count(self, family):
+        sim, topo, faults, tr, costs = make_faulty(OVERLAYS[family]())
+        rng = np.random.default_rng(5)
+        isolated = topo.nodes()[0]
+        for step, _ in enumerate(fault_epochs(topo, faults, rng)):
+            if step >= 2:  # a live source alone in its component
+                for n in topo.neighbors(isolated):
+                    faults.fail_link(isolated, n)
+                faults.recover(isolated)
+            for src in topo.nodes():
+                if not faults.can_communicate(src):
+                    continue
+                tr.flood(src, "help", None, neighbors_only=True)
+                assert costs[-1] == ("help", float(tr._flood_structure(src)[1]))
+            if step >= 2:
+                tr.flood(isolated, "help", None, neighbors_only=True)
+                assert costs[-1] == ("help", 0.0)
+
+    def test_multicast_skips_unreachable_without_routing(self):
+        sim, topo, faults, tr, costs = make_faulty(
+            cost_model=CostModel(unicast_mode=UnicastCostMode.FIXED)
+        )
+        faults.fail_link(1, 2)  # 0-1 | 2-3
+        assert tr.multicast(0, [1, 2, 3], "m", None) == [1]
+        assert costs == [("m", 4.0)]
+        assert tr.live_router().rows_computed == 0
+
+    def test_hops_mode_routes_once_per_unicast(self):
+        sim, topo, faults, tr, costs = make_faulty(mesh(2, 2))
+        calls = []
+        router = tr.live_router()
+        distance = router.distance
+        router.distance = lambda s, d: calls.append((s, d)) or distance(s, d)
+        assert tr.unicast(0, 3, "x", None)
+        assert calls == [(0, 3)] and costs == [("x", 2.0)]
+        # external callers without a hop count in hand still get one
+        assert tr.cost_model.unicast_cost(router, 0, 3) == 2.0
+        assert calls == [(0, 3), (0, 3)]

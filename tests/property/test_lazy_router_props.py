@@ -98,6 +98,58 @@ class TestLazyEagerEquivalence:
         assert b.mean_shortest_path() == mean_first
 
 
+class TestEitherEndpointRow:
+    """``distance`` answers from whichever endpoint's row is cached and, on
+    a miss, computes only one of the two — legal only because the overlay
+    is undirected, so pin it against the eager matrix."""
+
+    @given(random_topologies(), st.integers(0, 2**16))
+    @settings(max_examples=50, deadline=None)
+    def test_point_queries_match_eager_under_interleaved_mutations(
+        self, topo, seed
+    ):
+        rng = np.random.default_rng(seed)
+        lazy, eager = Router(topo), EagerRouter(topo)
+        for _ in range(60):
+            n = topo.num_nodes
+            u, v = int(rng.integers(n)), int(rng.integers(n))
+            roll = rng.random()
+            if roll < 0.1 and u != v:
+                topo.add_link(u, v)
+            elif roll < 0.2 and topo.has_link(u, v):
+                topo.remove_link(u, v)  # may disconnect: -1 must agree too
+            elif roll < 0.25:
+                topo.add_node(n)
+                topo.add_link(n, u)
+            else:
+                assert lazy.distance(u, v) == eager.distance(u, v)
+                assert lazy.distance(v, u) == eager.distance(v, u)
+
+    @given(random_topologies())
+    @settings(max_examples=30, deadline=None)
+    def test_a_hub_costs_at_most_two_rows(self, topo):
+        """``rows_computed``: a miss computes one row — the destination's,
+        or the source's own once that source has missed before — and a
+        cached row of either endpoint is always used first."""
+        nodes = topo.nodes()
+        hub, others = nodes[-1], nodes[:-1]
+        fan_in = Router(topo)
+        for src in others:  # replies converging on the hub
+            fan_in.distance(src, hub)
+        assert fan_in.rows_computed == 1
+        for dst in others:  # the hub's own sends reuse its row
+            fan_in.distance(hub, dst)
+        assert fan_in.rows_computed == 1
+
+        fan_out = Router(topo)
+        for dst in others:  # first miss: dst's row; second: the hub's own
+            fan_out.distance(hub, dst)
+        assert fan_out.rows_computed == min(2, len(others))
+        for src in others:
+            fan_out.distance(src, hub)
+        assert fan_out.rows_computed == min(2, len(others))
+
+
 class TestSmallestIdPaths:
     @given(random_topologies())
     @settings(max_examples=40, deadline=None)

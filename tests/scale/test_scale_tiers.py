@@ -10,8 +10,11 @@ end-to-end REALTOR cell prove the tier is live all the way up the stack.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import build_system, run_experiment
+from repro.network.impairments import ImpairmentConfig
 from repro.network.generators import square_torus
 from repro.network.routing import Router
 from repro.network.transport import Transport
@@ -103,3 +106,104 @@ class TestEndToEndCellAt2500:
         assert result.params["topology"] == "scale-free"
         assert result.generated > 150
         assert 0.0 < result.admission_probability <= 1.0
+
+
+def hot_cell(**overrides) -> ExperimentConfig:
+    """REALTOR at load 0.95 with 20 s queues: discovery actually runs."""
+    return ExperimentConfig(
+        protocol="realtor",
+        topology="torus",
+        nodes=NODES,
+        arrival_rate=0.95 * NODES / 5.0,
+        queue_capacity=20.0,
+        horizon=10.0,
+        seed=1,
+        **overrides,
+    )
+
+
+def outcome(system) -> dict:
+    """Everything of a finished run that routing could have perturbed."""
+    result, transport = system.result(), system.transport
+    return {
+        "generated": result.generated,
+        "admitted_local": result.admitted_local,
+        "admitted_migrated": result.admitted_migrated,
+        "rejected": result.rejected,
+        "completed": result.completed,
+        "lost": result.lost,
+        "messages_total": result.messages_total,
+        "messages_by_kind": result.messages_by_kind,
+        "response_time_mean": result.response_time_mean,
+        "sent": transport.sent_messages,
+        "delivered": transport.delivered_messages,
+        "dropped": transport.dropped_messages,
+    }
+
+
+#: ``outcome`` of ``hot_cell`` under each hop-count consumer, recorded on
+#: the commit before demand-driven routing
+HOT_CELL_BEFORE = {
+    "hops": (
+        dict(unicast_cost="hops"),
+        {
+            "generated": 4740, "admitted_local": 4523, "admitted_migrated": 184,
+            "rejected": 33, "completed": 2038, "lost": 0,
+            "messages_total": 1591773.0,
+            "messages_by_kind": {"ADMIT_REP": 216.0, "ADMIT_REQ": 216.0,
+                                 "HELP": 1590000.0, "PLEDGE": 1341.0},
+            "response_time_mean": 2.698694552571149,
+            "sent": 2091, "delivered": 3045, "dropped": 0,
+        },
+    ),
+    "latency": (
+        dict(per_hop_latency=0.001),
+        {
+            "generated": 4740, "admitted_local": 4523, "admitted_migrated": 184,
+            "rejected": 33, "completed": 2038, "lost": 0,
+            "messages_total": 1597092.0,
+            "messages_by_kind": {"ADMIT_REP": 864.0, "ADMIT_REQ": 864.0,
+                                 "HELP": 1590000.0, "PLEDGE": 5364.0},
+            "response_time_mean": 2.6986965152796873,
+            "sent": 2091, "delivered": 3045, "dropped": 0,
+        },
+    ),
+    "lossy": (
+        dict(impairments=ImpairmentConfig(loss_rate=0.02)),
+        {
+            "generated": 4740, "admitted_local": 4524, "admitted_migrated": 177,
+            "rejected": 35, "completed": 2042, "lost": 0,
+            "messages_total": 1586900.0,
+            "messages_by_kind": {"ADMIT_REP": 836.0, "ADMIT_REQ": 860.0,
+                                 "HELP": 1580000.0, "PLEDGE": 5204.0},
+            "response_time_mean": 2.699246323899878,
+            "sent": 2041, "delivered": 2933, "dropped": 56,
+        },
+    ),
+}
+
+
+class TestDemandDrivenRoutingAt2500:
+    def test_default_config_never_computes_a_bfs_row(self):
+        """Fixed charge, zero latency, no impairments: ~2000 unicasts and
+        ~800 HELP floods, and neither router is asked for a distance."""
+        system = build_system(hot_cell())
+        system.run()
+        result = system.result()
+        assert result.admitted_migrated == 184
+        assert result.messages_total == 1597092.0
+        transport = system.transport
+        assert transport.sent_messages == 2091
+        assert transport.router.rows_computed == 0
+        assert transport.live_router().rows_computed == 0
+        # HELP floods read the link count off the epoch, not a per-source
+        # receiver tuple
+        assert not transport._flood_cache
+
+    @pytest.mark.parametrize("consumer", sorted(HOT_CELL_BEFORE))
+    def test_hop_consumers_still_route_and_reproduce_their_results(self, consumer):
+        overrides, before = HOT_CELL_BEFORE[consumer]
+        system = build_system(hot_cell(**overrides))
+        system.run()
+        assert outcome(system) == before
+        assert system.transport.live_router().rows_computed > 0
