@@ -14,15 +14,23 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from ..network.impairments import ImpairmentConfig
+from ..network.transport import UnicastCostMode
 from ..obs.config import ObsConfig
 from ..protocols.base import ProtocolConfig
 from ..workload.churn import ChurnConfig
 from ..workload.fleet import FleetConfig
 
-__all__ = ["ExperimentConfig", "paper_config", "PAPER_LAMBDAS"]
+__all__ = ["ExperimentConfig", "paper_config", "PAPER_LAMBDAS", "TOPOLOGIES", "UNICAST_COSTS"]
 
 #: the arrival-rate sweep of Figures 5-8 (tasks/second)
 PAPER_LAMBDAS: Tuple[float, ...] = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0)
+
+#: the overlay families the runner's topology builder dispatches on
+TOPOLOGIES: Tuple[str, ...] = (
+    "mesh", "torus", "ring", "star", "full", "tree", "random", "scale-free",
+)
+#: the unicast charging modes (``UnicastCostMode`` by value)
+UNICAST_COSTS: Tuple[str, ...] = tuple(mode.value for mode in UnicastCostMode)
 
 
 @dataclass(frozen=True)
@@ -72,7 +80,7 @@ class ExperimentConfig:
     churn: Optional[ChurnConfig] = None
 
     # Topology ----------------------------------------------------------------
-    #: mesh | torus | ring | star | full | tree | random | scale-free
+    #: one of :data:`TOPOLOGIES`
     topology: str = "mesh"
     rows: int = 5
     cols: int = 5
@@ -89,7 +97,7 @@ class ExperimentConfig:
     topology_seed: int = 0
 
     # Transport accounting ------------------------------------------------------
-    unicast_cost: str = "fixed"         # fixed | hops | mean  (paper: fixed 4)
+    unicast_cost: str = "fixed"         # one of UNICAST_COSTS (paper: fixed 4)
     fixed_unicast_cost: float = 4.0
     #: override the per-flood charge (LAN IP multicast = 1); None = #links
     flood_cost_override: Optional[float] = None
@@ -141,6 +149,12 @@ class ExperimentConfig:
             raise ValueError("nodes must be >= 2")
         if self.topology_degree < 1:
             raise ValueError("topology_degree must be >= 1")
+        # Checked here, not first inside build_system: a typo in a plan
+        # would otherwise surface in a pool worker after the rest ran.
+        if self.topology not in TOPOLOGIES:
+            raise ValueError(f"unknown topology {self.topology!r}; known: {TOPOLOGIES}")
+        if self.unicast_cost not in UNICAST_COSTS:
+            raise ValueError(f"unknown unicast_cost {self.unicast_cost!r}; known: {UNICAST_COSTS}")
 
     # Derived ------------------------------------------------------------
 

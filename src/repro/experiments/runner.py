@@ -1,18 +1,25 @@
-"""System assembly and single-run execution.
+"""System assembly, for both runtimes, and single-run execution.
 
-:func:`build_system` wires every substrate for one
-:class:`~repro.experiments.config.ExperimentConfig`;
-:func:`run_experiment` drives it to the horizon and returns the
-:class:`~repro.metrics.collector.RunResult`.  The assembled
-:class:`System` is also exposed directly for tests and examples that
-need to poke at internals mid-run.
+The one place under ``src/`` that wires the per-node stack
+(``node_params -> Host -> ProtocolContext -> agent -> AdmissionControl``),
+the migration coordinator, the workload and the registry probes.
+:func:`assemble` takes the two things that differ between the runtimes
+as arguments: :func:`build_system` passes the discrete-event kernel and
+transport, :class:`~repro.live.runtime.LiveRuntime` its wall-clock
+scheduler and socket/mailbox transport.  :meth:`System.add_node` builds
+a churn joiner with the per-node builder the t=0 loop uses.
+
+:func:`run_experiment` drives a simulated system to the horizon and
+returns the :class:`~repro.metrics.collector.RunResult`; the assembled
+:class:`System` is exposed for tests and examples that poke at
+internals mid-run.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional
 
 from ..core.realtor import RealtorAgent
 from ..metrics.collector import MetricsCollector, RunResult
@@ -34,40 +41,32 @@ from ..protocols.base import DiscoveryAgent, ProtocolContext
 from ..protocols.registry import make_agent
 from ..sim.kernel import Simulator
 from ..sim.trace import Tracer
-from ..workload.arrivals import ArrivalGenerator, PoissonArrivals
+from ..workload.arrivals import ArrivalGenerator, DeterministicArrivals, PoissonArrivals
 from ..workload.attack import AttackPlan
 from ..workload.churn import poisson_churn
 from ..workload.fleet import NodeParams, fleet_summary, node_params
 from ..workload.sizes import make_sampler
 from .config import ExperimentConfig
 
-__all__ = ["System", "build_system", "run_experiment"]
+__all__ = ["System", "assemble", "build_system", "run_experiment"]
 
 
 def _build_topology(cfg: ExperimentConfig) -> Topology:
-    n = cfg.num_nodes
-    if cfg.topology == "mesh":
-        if cfg.nodes is not None:
-            return generators.square_mesh(n)
+    n, kind = cfg.num_nodes, cfg.topology
+    if cfg.nodes is None and kind == "mesh":
         return generators.mesh(cfg.rows, cfg.cols)
-    if cfg.topology == "torus":
-        if cfg.nodes is not None:
-            return generators.square_torus(n)
+    if cfg.nodes is None and kind == "torus":
         return generators.torus(cfg.rows, cfg.cols)
-    if cfg.topology == "ring":
-        return generators.ring(n)
-    if cfg.topology == "star":
-        return generators.star(n)
-    if cfg.topology == "full":
-        return generators.full_mesh(n)
-    if cfg.topology == "tree":
-        depth = max(1, (n).bit_length() - 1)
-        return generators.binary_tree(depth)
-    if cfg.topology in ("random", "scale-free"):
-        return generators.scenario_topology(
-            cfg.topology, n, degree=cfg.topology_degree, seed=cfg.topology_seed
-        )
-    raise ValueError(f"unknown topology: {cfg.topology!r}")
+    sized = {"ring": generators.ring, "star": generators.star, "full": generators.full_mesh}
+    if kind in sized:
+        return sized[kind](n)
+    if kind == "tree":
+        return generators.binary_tree(max(1, n.bit_length() - 1))
+    # mesh | torus by node count (most nearly square), random, scale-free;
+    # ExperimentConfig already checked the name
+    return generators.scenario_topology(
+        kind, n, degree=cfg.topology_degree, seed=cfg.topology_seed
+    )
 
 
 def _build_pool(cfg: ExperimentConfig, node_id: int, scale: float = 1.0):
@@ -90,16 +89,10 @@ def _build_pool(cfg: ExperimentConfig, node_id: int, scale: float = 1.0):
     return pool
 
 
-def _cost_model(cfg: ExperimentConfig) -> CostModel:
-    mode = {
-        "fixed": UnicastCostMode.FIXED,
-        "hops": UnicastCostMode.HOPS,
-        "mean": UnicastCostMode.MEAN,
-    }.get(cfg.unicast_cost)
-    if mode is None:
-        raise ValueError(f"unknown unicast_cost: {cfg.unicast_cost!r}")
+def cost_model(cfg: ExperimentConfig) -> CostModel:
+    """The message-charging parameters ``cfg`` asks for."""
     return CostModel(
-        unicast_mode=mode,
+        unicast_mode=UnicastCostMode(cfg.unicast_cost),
         fixed_unicast_cost=cfg.fixed_unicast_cost,
         flood_cost_override=cfg.flood_cost_override,
     )
@@ -107,23 +100,35 @@ def _cost_model(cfg: ExperimentConfig) -> CostModel:
 
 @dataclass
 class System:
-    """A fully wired simulation, ready to run."""
+    """A fully wired system, ready to run.
+
+    The annotations name the simulator's classes; the live runtime holds
+    the same dataclass around its own scheduler and transport (the
+    :mod:`repro.runtime.api` seam) and drives it itself — :meth:`run`
+    and :meth:`result` read the discrete-event kernel.
+    """
 
     cfg: ExperimentConfig
     sim: Simulator
     topo: Topology
     faults: FaultManager
     transport: Transport
-    hosts: Dict[int, Host]
-    agents: Dict[int, DiscoveryAgent]
-    admissions: Dict[int, AdmissionControl]
-    coordinator: MigrationCoordinator
     metrics: MetricsCollector
-    generator: ArrivalGenerator
     #: shared numpy mirror of per-node queue/monitor/liveness state;
     #: hosts built at t=0 write through, later joiners do not (their
     #: scalar state remains authoritative either way)
-    state: Optional[NodeStateArrays] = None
+    state: NodeStateArrays
+    #: every node that ever existed, t=0 nodes then joiners.  ONE list:
+    #: each ``ProtocolContext.all_nodes`` and the random policy hold this
+    #: object (per-agent copies are O(V^2) memory), so an appended joiner
+    #: is at once a network-scope gossip peer and a random-policy target.
+    all_nodes: List[int]
+    hosts: Dict[int, Host] = field(default_factory=dict)
+    agents: Dict[int, DiscoveryAgent] = field(default_factory=dict)
+    admissions: Dict[int, AdmissionControl] = field(default_factory=dict)
+    #: set by :func:`assemble` once every node exists
+    coordinator: MigrationCoordinator = field(init=False)
+    generator: ArrivalGenerator = field(init=False)
     #: run-wide metrics registry + flight recorder, installed only when
     #: ``cfg.obs`` enables them (None keeps the run byte-identical)
     registry: Optional[MetricsRegistry] = None
@@ -149,6 +154,65 @@ class System:
             until=until if until is not None else self.cfg.horizon, profile=profile
         )
 
+    def _build_node(self, node_id: int) -> None:
+        """The full per-node stack, for a t=0 node and a joiner alike.
+
+        A node draws its fleet parameters from its own named stream
+        (seeded by name, not by creation order), so they do not depend
+        on when it is built — part of the churn determinism contract.
+        """
+        cfg, sim, faults = self.cfg, self.sim, self.faults
+        params = node_params(
+            cfg.fleet,
+            sim.streams,
+            node_id,
+            default_capacity=cfg.queue_capacity,
+            default_threshold=cfg.protocol_config.threshold,
+        )
+        if self.fleet_params is not None:
+            self.fleet_params[node_id] = params
+        host = Host(
+            sim,
+            node_id,
+            capacity=params.capacity,
+            threshold=params.threshold,
+            pool=_build_pool(cfg, node_id, params.resource_scale),
+            on_complete=self.metrics.task_completed,
+            speed=params.speed,
+        )
+        if node_id in self.state.index:  # a joiner has no slot
+            host.bind_state(self.state)
+
+        def is_up() -> bool:
+            return faults.is_up(node_id)
+
+        agent = make_agent(
+            cfg.protocol,
+            ProtocolContext(
+                sim=sim,
+                transport=self.transport,
+                host=host,
+                config=cfg.protocol_config,
+                all_nodes=self.all_nodes,
+                is_safe=is_up,
+            ),
+        )
+        pledge_policy = getattr(agent, "pledges", None) or getattr(
+            agent, "pledge_policy", None
+        )
+        self.hosts[node_id] = host
+        self.agents[node_id] = agent
+        self.admissions[node_id] = AdmissionControl(
+            sim,
+            self.transport,
+            host,
+            on_request_observed=(
+                pledge_policy.observe_request if pledge_policy else None
+            ),
+            accepting=is_up,
+        )
+        agent.start()
+
     # Churn (nodes joining/leaving the live system) ---------------------
 
     def add_node(self, node_id: int, attach_to: Optional[List[int]] = None) -> None:
@@ -166,56 +230,9 @@ class System:
         self.topo.add_node(node_id)
         for peer in peers:
             self.topo.add_link(node_id, peer)
-
-        # A joiner draws from the same per-node fleet stream it would
-        # have used at build time (streams are seeded by name, not by
-        # creation order), so a node's parameters do not depend on when
-        # it joins — part of the churn determinism contract.
-        params = node_params(
-            self.cfg.fleet,
-            self.sim.streams,
-            node_id,
-            default_capacity=self.cfg.queue_capacity,
-            default_threshold=self.cfg.protocol_config.threshold,
-        )
-        if self.fleet_params is not None:
-            self.fleet_params[node_id] = params
-        host = Host(
-            self.sim,
-            node_id,
-            capacity=params.capacity,
-            threshold=params.threshold,
-            pool=_build_pool(self.cfg, node_id, params.resource_scale),
-            on_complete=self.metrics.task_completed,
-            speed=params.speed,
-        )
-        ctx = ProtocolContext(
-            sim=self.sim,
-            transport=self.transport,
-            host=host,
-            config=self.cfg.protocol_config,
-            all_nodes=self.topo.nodes(),
-            is_safe=(lambda nid=node_id: self.faults.is_up(nid)),
-        )
-        agent = make_agent(self.cfg.protocol, ctx)
-        from ..migration.admission import AdmissionControl as _AC
-
-        pledge_policy = getattr(agent, "pledges", None) or getattr(
-            agent, "pledge_policy", None
-        )
-        admission = _AC(
-            self.sim,
-            self.transport,
-            host,
-            on_request_observed=(
-                pledge_policy.observe_request if pledge_policy else None
-            ),
-            accepting=(lambda nid=node_id: self.faults.is_up(nid)),
-        )
-        self.hosts[node_id] = host
-        self.agents[node_id] = agent
-        self.admissions[node_id] = admission
-        agent.start()
+        # before the build: a starting agent sizes its phase by the list
+        self.all_nodes.append(node_id)
+        self._build_node(node_id)
         self.sim.trace.emit(self.sim.now, "join", node=node_id, peers=list(peers))
 
     def remove_node(self, node_id: int, *, graceful: bool = True) -> None:
@@ -339,89 +356,48 @@ class System:
         )
 
 
-def build_system(cfg: ExperimentConfig) -> System:
-    """Assemble every component for ``cfg`` (nothing runs yet)."""
-    sim = Simulator(seed=cfg.seed, trace=Tracer(enabled=cfg.trace))
+def assemble(
+    cfg: ExperimentConfig,
+    sim: Simulator,
+    make_transport: Callable[..., Transport],
+    metrics: MetricsCollector,
+) -> System:
+    """Wire every component for ``cfg`` on one runtime (nothing runs yet).
+
+    ``sim`` is the runtime's :class:`~repro.runtime.api.SchedulerAPI`
+    and ``make_transport(topo, faults, on_cost)`` builds its
+    :class:`~repro.runtime.api.TransportAPI`; the rest is the same code
+    whichever runtime calls.
+    """
     topo = _build_topology(cfg)
     faults = FaultManager(sim, topo)
-    metrics = MetricsCollector()
-    # The impairment engine gets its own named substream so lossy runs
-    # share common random numbers (arrivals, sizes...) with clean ones;
-    # when disabled the stream is never even instantiated.
-    impairments = None
-    if cfg.impairments is not None and cfg.impairments.enabled:
-        impairments = NetworkImpairments(
-            cfg.impairments, sim.streams.stream("impairments")
-        )
-    transport = Transport(
-        sim,
-        topo,
-        # the transport's liveness is communication ability: a compromised
-        # node still talks (to evacuate); only crashed nodes fall silent
-        is_up=faults.can_communicate,
-        # failed links drop out of floods and unicast routes alike
-        link_up=faults.link_up,
-        liveness_version=lambda: faults.version,
-        cost_model=_cost_model(cfg),
-        per_hop_latency=cfg.per_hop_latency,
-        on_cost=metrics.on_cost,
-        impairments=impairments,
-    )
+    transport = make_transport(topo, faults, metrics.on_cost)
     nodes = topo.nodes()
-
-    # Heterogeneous fleet: each node's (capacity, speed, threshold,
-    # resource scale) comes from its own named stream; fleet=None keeps
-    # the uniform paper fleet and touches no stream at all.
-    fleet_params: Optional[Dict[int, NodeParams]] = (
-        {} if cfg.fleet is not None else None
-    )
-    hosts: Dict[int, Host] = {}
-    for nid in nodes:
-        params = node_params(
-            cfg.fleet,
-            sim.streams,
-            nid,
-            default_capacity=cfg.queue_capacity,
-            default_threshold=cfg.protocol_config.threshold,
-        )
-        if fleet_params is not None:
-            fleet_params[nid] = params
-        hosts[nid] = Host(
-            sim,
-            nid,
-            capacity=params.capacity,
-            threshold=params.threshold,
-            pool=_build_pool(cfg, nid, params.resource_scale),
-            on_complete=metrics.task_completed,
-            speed=params.speed,
-        )
 
     # Shared numpy mirror of per-node state: every queue/monitor mutation
     # and every liveness transition writes through, so overlay-wide
     # censuses (view priming, availability snapshots) are one array op
     # instead of V Python calls.
     state = NodeStateArrays(nodes)
-    for nid in nodes:
-        hosts[nid].bind_state(state)
     faults.attach_state(state)
 
-    # One shared (never-mutated) node list across all agent contexts —
-    # per-agent copies are O(V^2) memory once the topology axis reaches
-    # thousands of nodes.
-    shared_nodes = list(nodes)
-    agents: Dict[int, DiscoveryAgent] = {}
+    system = System(
+        cfg=cfg,
+        sim=sim,
+        topo=topo,
+        faults=faults,
+        transport=transport,
+        metrics=metrics,
+        state=state,
+        all_nodes=nodes,
+        # Heterogeneous fleet: each node's (capacity, speed, threshold,
+        # resource scale) comes from its own named stream; fleet=None
+        # keeps the uniform paper fleet and touches no stream at all.
+        fleet_params={} if cfg.fleet is not None else None,
+    )
     for nid in nodes:
-        ctx = ProtocolContext(
-            sim=sim,
-            transport=transport,
-            host=hosts[nid],
-            config=cfg.protocol_config,
-            all_nodes=shared_nodes,
-            is_safe=(lambda nid=nid: faults.is_up(nid)),
-        )
-        agent = make_agent(cfg.protocol, ctx)
-        agents[nid] = agent
-        agent.start()
+        system._build_node(nid)
+    hosts, agents, admissions = system.hosts, system.agents, system.admissions
 
     if cfg.prime_views:
         # One vectorized snapshot of every host feeds all V primings —
@@ -436,28 +412,11 @@ def build_system(cfg: ExperimentConfig) -> System:
         for agent in agents.values():
             agent.prime_view(hosts, snapshots=snapshots)
 
-    admissions: Dict[int, AdmissionControl] = {}
-    for nid in nodes:
-        agent = agents[nid]
-        observer = None
-        pledge_policy = getattr(agent, "pledges", None) or getattr(
-            agent, "pledge_policy", None
-        )
-        if pledge_policy is not None:
-            observer = pledge_policy.observe_request
-        admissions[nid] = AdmissionControl(
-            sim,
-            transport,
-            hosts[nid],
-            on_request_observed=observer,
-            accepting=(lambda nid=nid: faults.is_up(nid)),
-        )
-
     rng_streams = sim.streams
     policy = make_policy(
-        cfg.policy, all_nodes=list(nodes), rng=rng_streams.stream("policy")
+        cfg.policy, all_nodes=system.all_nodes, rng=rng_streams.stream("policy")
     )
-    coordinator = MigrationCoordinator(
+    coordinator = system.coordinator = MigrationCoordinator(
         sim,
         hosts,
         agents,
@@ -476,8 +435,6 @@ def build_system(cfg: ExperimentConfig) -> System:
         cap=cfg.queue_capacity if cfg.cap_task_sizes else None,
     )
     if cfg.arrival_process == "deterministic":
-        from ..workload.arrivals import DeterministicArrivals
-
         arrivals: object = DeterministicArrivals(gap=1.0 / cfg.arrival_rate)
     else:
         arrivals = PoissonArrivals(cfg.arrival_rate, rng_streams.stream("arrivals"))
@@ -512,7 +469,7 @@ def build_system(cfg: ExperimentConfig) -> System:
         )
         coordinator.place_task(task)
 
-    generator = ArrivalGenerator(
+    system.generator = ArrivalGenerator(
         sim, arrivals, emit, faults.up_nodes, until=cfg.horizon
     )
 
@@ -520,10 +477,8 @@ def build_system(cfg: ExperimentConfig) -> System:
     # started so the t=0 baseline lands before any event fires.  The
     # registry holds one shared-round heap entry at SAMPLING priority and
     # touches no RNG stream, so enabling it changes no behaviour.
-    registry: Optional[MetricsRegistry] = None
-    recorder: Optional[FlightRecorder] = None
     if cfg.obs is not None and cfg.obs.enabled:
-        registry = MetricsRegistry(
+        registry = system.registry = MetricsRegistry(
             sim, interval=cfg.obs.effective_interval(cfg.horizon)
         )
         install_run_probes(
@@ -537,31 +492,13 @@ def build_system(cfg: ExperimentConfig) -> System:
             stride=cfg.obs.agent_stride,
             usage_bins=cfg.obs.usage_bins,
         )
-        recorder = FlightRecorder(
+        recorder = system.recorder = FlightRecorder(
             max_events=cfg.obs.max_flight_events,
             max_snapshots=cfg.obs.max_flight_snapshots,
         )
         recorder.attach_tracer(sim.trace)
         registry.attach_recorder(recorder)
         registry.start()
-
-    system = System(
-        cfg=cfg,
-        sim=sim,
-        topo=topo,
-        faults=faults,
-        transport=transport,
-        hosts=hosts,
-        agents=agents,
-        admissions=admissions,
-        coordinator=coordinator,
-        metrics=metrics,
-        generator=generator,
-        state=state,
-        registry=registry,
-        recorder=recorder,
-        fleet_params=fleet_params,
-    )
 
     # Continuous churn: the schedule is generated up front from the
     # kernel's named "churn" substream (same seed => same schedule,
@@ -574,6 +511,37 @@ def build_system(cfg: ExperimentConfig) -> System:
         _install_churn(system)
 
     return system
+
+
+def build_system(cfg: ExperimentConfig) -> System:
+    """Assemble ``cfg`` on the discrete-event simulator (nothing runs yet)."""
+    sim = Simulator(seed=cfg.seed, trace=Tracer(enabled=cfg.trace))
+
+    def make_transport(topo: Topology, faults: FaultManager, on_cost) -> Transport:
+        # The impairment engine gets its own named substream so lossy runs
+        # share common random numbers (arrivals, sizes...) with clean ones;
+        # when disabled the stream is never even instantiated.
+        impairments = None
+        if cfg.impairments is not None and cfg.impairments.enabled:
+            impairments = NetworkImpairments(
+                cfg.impairments, sim.streams.stream("impairments")
+            )
+        return Transport(
+            sim,
+            topo,
+            # the transport's liveness is communication ability: a compromised
+            # node still talks (to evacuate); only crashed nodes fall silent
+            is_up=faults.can_communicate,
+            # failed links drop out of floods and unicast routes alike
+            link_up=faults.link_up,
+            liveness_version=lambda: faults.version,
+            cost_model=cost_model(cfg),
+            per_hop_latency=cfg.per_hop_latency,
+            on_cost=on_cost,
+            impairments=impairments,
+        )
+
+    return assemble(cfg, sim, make_transport, MetricsCollector())
 
 
 def _install_churn(system: System) -> None:

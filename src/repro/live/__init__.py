@@ -4,9 +4,12 @@ This package is the other half of the runtime seam
 (:mod:`repro.runtime.api`): a wall-clock scheduler
 (:class:`~repro.live.scheduler.LiveScheduler`), a real message transport
 (:class:`~repro.live.transport.LiveTransport`, in-process mailbox tasks
-or loopback UDP sockets) and a system assembly
-(:class:`~repro.live.runtime.LiveRuntime`) that runs the **unchanged**
-protocol, migration and workload modules against them.
+or loopback UDP sockets) and :class:`~repro.live.runtime.LiveRuntime`,
+which hands those two to the simulator's own system assembly
+(:func:`repro.experiments.runner.assemble`) and adds the live-only
+parts: settlement latency, name service, drain and report.
+:class:`~repro.live.runtime.LiveConfig` is the experiment config plus
+five live-only fields.
 
 Run it from the command line::
 

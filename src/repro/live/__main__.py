@@ -19,6 +19,7 @@ import json
 import math
 import sys
 
+from ..experiments.config import TOPOLOGIES
 from .runtime import LiveConfig, run_live
 from .transport import BACKENDS
 
@@ -29,11 +30,7 @@ def _parse_args(argv) -> argparse.Namespace:
         description="Run the REALTOR protocols on the live asyncio runtime.",
     )
     p.add_argument("--nodes", type=int, default=25, help="overlay size (default 25)")
-    p.add_argument(
-        "--topology",
-        default="mesh",
-        choices=("mesh", "torus", "ring", "star", "full"),
-    )
+    p.add_argument("--topology", default="mesh", choices=TOPOLOGIES)
     p.add_argument("--protocol", default="realtor", help="registry name (default realtor)")
     p.add_argument(
         "--rate", type=float, default=6.0, help="arrivals per virtual second"

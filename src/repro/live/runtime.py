@@ -1,22 +1,23 @@
-"""Live system assembly: the simulated wiring, minus the simulator.
+"""The live runtime: the shared system assembly on a wall clock.
 
-:class:`LiveRuntime` mirrors :func:`~repro.experiments.runner.build_system`
-component for component — topology, fault manager, transport, hosts,
-discovery agents, admission controls, migration coordinator, workload —
-but on the live side of the runtime seam: a
+:class:`LiveRuntime` builds nothing of the system itself.  It hands
+:func:`repro.experiments.runner.assemble` — the one assembly path, which
+:func:`~repro.experiments.runner.build_system` also uses — a
 :class:`~repro.live.scheduler.LiveScheduler` for time and a
-:class:`~repro.live.transport.LiveTransport` for messaging.  Every
-protocol/migration module in between is the **same module object** the
-simulator runs; nothing is subclassed or adapted.
+:class:`~repro.live.transport.LiveTransport` factory for messaging, and
+holds the :class:`~repro.experiments.runner.System` that comes back.
 
-Additions that only make sense live:
+What this module adds, because it only makes sense live:
 
-* the Agile Objects :class:`~repro.cluster.naming.NamingService` is
+* :class:`LiveConfig` — :class:`~repro.experiments.config.ExperimentConfig`
+  plus the five live-only fields, with the defaults that differ live
+  and the axes the live transport cannot honour rejected by name;
+* the Agile Objects :class:`~repro.cluster.naming.NamingService`,
   promoted to the runtime's name service — every node registers itself
   at startup and every admitted task's location is registered through
   the collector's admission observers;
 * per-task **settlement latency** (arrival to admission/rejection, wall
-  milliseconds) feeds a :class:`~repro.obs.registry.Histogram` in the
+  milliseconds) in a :class:`~repro.obs.registry.Histogram` of the
   run's :class:`~repro.obs.registry.MetricsRegistry` plus an exact
   sample list for the report percentiles;
 * graceful drain: after the horizon the runtime keeps the clock running
@@ -28,30 +29,21 @@ Additions that only make sense live:
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
 from ..cluster.naming import NamingService
+from ..experiments.config import ExperimentConfig
+from ..experiments.runner import assemble, cost_model
 from ..metrics.collector import MetricsCollector
-from ..migration.admission import AdmissionControl
-from ..migration.migrator import MigrationCoordinator
-from ..migration.policy import make_policy
-from ..network import generators
-from ..network.faults import FaultManager
-from ..network.topology import Topology
-from ..node.host import Host
-from ..node.state_arrays import NodeStateArrays
 from ..node.task import Task
-from ..obs.registry import MetricsRegistry, install_run_probes
+from ..obs.config import ObsConfig
+from ..obs.registry import Histogram
 from ..obs.telemetry import ProtocolRollup
-from ..protocols.base import DiscoveryAgent, ProtocolConfig, ProtocolContext
-from ..protocols.registry import make_agent
-from ..workload.arrivals import ArrivalGenerator, PoissonArrivals
-from ..workload.fleet import FleetConfig, node_params
-from ..workload.sizes import make_sampler
+from ..sim.trace import Tracer
 
 from .scheduler import LiveScheduler
 from .transport import BACKENDS, LiveTransport
@@ -66,279 +58,152 @@ LATENCY_EDGES_MS = (
 
 
 @dataclass(frozen=True)
-class LiveConfig:
-    """Everything one live run needs (the live analogue of
-    :class:`~repro.experiments.config.ExperimentConfig`)."""
+class LiveConfig(ExperimentConfig):
+    """One live run: an :class:`ExperimentConfig` plus what is live-only.
 
-    #: overlay size and shape
-    nodes: int = 25
-    topology: str = "mesh"
-    #: discovery protocol (any registry name: "realtor", "push-1", ...)
-    protocol: str = "realtor"
-    #: Poisson arrival rate, tasks per *virtual* second
+    Every inherited axis that is node, workload or migration logic
+    (topology family, fleet, policy, retry budget, deadlines, extra
+    resources, arrival process, ...) works live unchanged.  Times
+    (``horizon``, ``arrival_rate``, ``obs.sample_interval``, ...) are in
+    *virtual* seconds.
+    """
+
+    # Inherited fields whose default differs live ---------------------------
+    nodes: Optional[int] = 25
     arrival_rate: float = 6.0
-    #: virtual seconds of load generation
     horizon: float = 30.0
     seed: int = 42
+    #: the LAN accounting of Section 6 (``repro.cluster.rmi.LanCostModel``):
+    #: switched unicast = 1 message, IP-multicast flood = 1 message
+    fixed_unicast_cost: float = 1.0
+    flood_cost_override: Optional[float] = 1.0
+    #: the live report always carries the sampled series
+    obs: Optional[ObsConfig] = ObsConfig(sample_interval=1.0, agent_stride=4)
+
+    # Live-only fields --------------------------------------------------------
     #: virtual seconds per wall second (1 = real time)
     time_scale: float = 1.0
     #: transport backend: "inproc" or "udp"
     backend: str = "inproc"
-    queue_capacity: float = 100.0
-    task_mean: float = 5.0
-    size_dist: str = "exp"
-    policy: str = "one-shot"
-    protocol_config: ProtocolConfig = field(default_factory=ProtocolConfig)
     #: per-message one-way latency in virtual seconds; None = the LAN
     #: default (:class:`~repro.cluster.rmi.LanParameters`, 0.2 ms)
     latency: Optional[float] = None
-    prime_views: bool = True
-    #: metrics-registry sampling cadence, virtual seconds
-    sample_interval: float = 1.0
     #: extra virtual seconds allowed for in-flight tasks to settle
     drain_timeout: float = 30.0
-    #: naming-service propagation delay, virtual seconds
-    naming_delay: float = 0.0
     #: progress-line cadence, virtual seconds (None = silent)
     progress_interval: Optional[float] = None
-    obs_stride: int = 4
-    #: heterogeneous-fleet axis — the *same* ``fleet[n]`` named RNG
-    #: substreams as :func:`~repro.experiments.runner.build_system`, so a
-    #: live run and a sim run with one seed materialise the identical
-    #: fleet.  ``None`` keeps the uniform fleet (no stream touched).
-    #: Continuous churn has no live analogue yet: live overlays change
-    #: only through :class:`~repro.network.faults.FaultManager` scripts.
-    fleet: Optional["FleetConfig"] = None
 
     def __post_init__(self) -> None:
-        if self.nodes < 2:
-            raise ValueError("need at least two nodes")
-        if self.arrival_rate <= 0 or self.horizon <= 0:
-            raise ValueError("arrival_rate and horizon must be positive")
+        super().__post_init__()
         if self.drain_timeout < 0:
             raise ValueError("drain_timeout cannot be negative")
         if self.time_scale <= 0:
             raise ValueError("time_scale must be positive")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; known: {BACKENDS}")
-
-
-def _build_topology(cfg: LiveConfig) -> Topology:
-    n = cfg.nodes
-    if cfg.topology == "mesh":
-        return generators.square_mesh(n)
-    if cfg.topology == "torus":
-        return generators.square_torus(n)
-    if cfg.topology == "ring":
-        return generators.ring(n)
-    if cfg.topology == "star":
-        return generators.star(n)
-    if cfg.topology == "full":
-        return generators.full_mesh(n)
-    raise ValueError(f"unknown topology: {cfg.topology!r}")
+        # Axes LiveTransport cannot honour: refuse them by name rather
+        # than run without them.  It charges a fixed cost per unicast,
+        # delays every message by ``latency`` whatever the route, has no
+        # impairment hook, and brings up one endpoint per t=0 node.
+        if self.unicast_cost != "fixed":
+            raise ValueError("unicast_cost: the live transport charges a fixed cost")
+        if self.per_hop_latency != 0:
+            raise ValueError("per_hop_latency: live message delay is `latency`")
+        if self.impairments is not None and self.impairments.enabled:
+            raise ValueError("impairments: the live transport has no impairment engine")
+        if self.churn is not None and self.churn.active:
+            raise ValueError("churn: a live overlay cannot add endpoints mid-run")
+        if self.obs is None or not self.obs.enabled:
+            raise ValueError("obs: the live report is built on the run registry")
 
 
 class _LiveMetrics(MetricsCollector):
     """The run collector plus live settlement-latency observation.
 
-    Settlement is the admission decision (admitted, rejected, or lost
-    before deciding) — the quantity the paper's admission probability is
-    over — measured in wall milliseconds from the arrival callback.
+    Settlement is a task's first admission decision (admitted, rejected,
+    or lost before deciding) — the quantity the paper's admission
+    probability is over — in wall milliseconds since its arrival.  The
+    virtual clock is the wall clock times ``time_scale``, so the wall
+    latency is the task's virtual age divided by the scale.
     """
 
-    def __init__(self, runtime: "LiveRuntime") -> None:
+    def __init__(self, sim: LiveScheduler) -> None:
         super().__init__()
-        self._runtime = runtime
+        self._sim = sim
+        #: exact settlement latencies, wall ms (report percentiles)
+        self.latencies_ms: List[float] = []
+        #: the same, binned; the runtime files it in the run registry
+        self.latency_hist = Histogram("settlement_latency_ms", LATENCY_EDGES_MS)
+        self._settled_ids: Set[int] = set()
+
+    def _settle(self, task: Task) -> None:
+        # A re-settlement (an admitted task later lost to a crash) keeps
+        # the latency of its first decision.
+        if task.task_id in self._settled_ids:
+            return
+        self._settled_ids.add(task.task_id)
+        ms = (self._sim.now - task.arrival_time) * 1000.0 / self._sim.time_scale
+        self.latencies_ms.append(ms)
+        self.latency_hist.observe(ms)
 
     def task_admitted(self, task: Task) -> None:
-        self._runtime._settled(task)
+        self._settle(task)
         super().task_admitted(task)
 
     def task_rejected(self, task: Task) -> None:
-        self._runtime._settled(task)
+        self._settle(task)
         super().task_rejected(task)
 
     def task_lost(self, task: Task) -> None:
-        # Only a task lost *before* any admission decision still counts
-        # toward the unsettled balance; an admitted-then-lost task was
-        # already settled (and its latency recorded) at admission.
-        if self._runtime._settled(task):
-            self._runtime._lost_unadmitted += 1
+        self._settle(task)
         super().task_lost(task)
 
     @property
     def unsettled(self) -> int:
-        t = self.tasks
-        settled = t.admitted_local + t.admitted_migrated + t.rejected
-        # lost tasks that were never admitted settled through task_lost;
-        # admitted-then-lost ones were already counted at admission
-        return max(0, t.generated - settled - self._runtime._lost_unadmitted)
+        return self.tasks.generated - len(self._settled_ids)
 
 
 class LiveRuntime:
-    """A fully wired live system; drive it with :meth:`run`."""
+    """The shared :class:`~repro.experiments.runner.System` assembled on
+    the live scheduler and transport; drive it with :meth:`run`."""
 
     def __init__(self, cfg: LiveConfig) -> None:
         self.cfg = cfg
-        self.sim = LiveScheduler(seed=cfg.seed, time_scale=cfg.time_scale)
-        self.topo = _build_topology(cfg)
-        self.faults = FaultManager(self.sim, self.topo)
-        self.metrics = _LiveMetrics(self)
-        self.transport = LiveTransport(
-            self.sim,
-            self.topo,
-            backend=cfg.backend,
-            is_up=self.faults.can_communicate,
-            link_up=self.faults.link_up,
-            latency=cfg.latency,
-            on_cost=self.metrics.on_cost,
+        self.sim = LiveScheduler(
+            seed=cfg.seed, trace=Tracer(enabled=cfg.trace), time_scale=cfg.time_scale
         )
-        self.naming = NamingService(self.sim, propagation_delay=cfg.naming_delay)
-        nodes = self.topo.nodes()
-
-        self.hosts: Dict[int, Host] = {}
-        for nid in nodes:
-            params = node_params(
-                cfg.fleet,
-                self.sim.streams,
-                nid,
-                default_capacity=cfg.queue_capacity,
-                default_threshold=cfg.protocol_config.threshold,
-            )
-            self.hosts[nid] = Host(
-                self.sim,
-                nid,
-                capacity=params.capacity,
-                threshold=params.threshold,
-                speed=params.speed,
-                on_complete=self.metrics.task_completed,
-            )
-        self.state = NodeStateArrays(nodes)
-        for nid in nodes:
-            self.hosts[nid].bind_state(self.state)
-        self.faults.attach_state(self.state)
-
-        shared_nodes = list(nodes)
-        self.agents: Dict[int, DiscoveryAgent] = {}
-        for nid in nodes:
-            ctx = ProtocolContext(
-                sim=self.sim,
-                transport=self.transport,
-                host=self.hosts[nid],
-                config=cfg.protocol_config,
-                all_nodes=shared_nodes,
-                is_safe=(lambda nid=nid: self.faults.is_up(nid)),
-            )
-            agent = make_agent(cfg.protocol, ctx)
-            self.agents[nid] = agent
-            agent.start()
-            self.naming.register(f"node/{nid}", nid)
-
-        if cfg.prime_views:
-            for agent in self.agents.values():
-                agent.prime_view(self.hosts)
-
-        self.admissions: Dict[int, AdmissionControl] = {}
-        for nid in nodes:
-            agent = self.agents[nid]
-            pledge_policy = getattr(agent, "pledges", None) or getattr(
-                agent, "pledge_policy", None
-            )
-            self.admissions[nid] = AdmissionControl(
-                self.sim,
-                self.transport,
-                self.hosts[nid],
-                on_request_observed=(
-                    pledge_policy.observe_request if pledge_policy else None
-                ),
-                accepting=(lambda nid=nid: self.faults.is_up(nid)),
-            )
-
-        policy = make_policy(
-            cfg.policy, all_nodes=shared_nodes, rng=self.sim.streams.stream("policy")
-        )
-        self.coordinator = MigrationCoordinator(
+        self.metrics = _LiveMetrics(self.sim)
+        self.system = assemble(
+            cfg,
             self.sim,
-            self.hosts,
-            self.agents,
-            self.admissions,
+            lambda topo, faults, on_cost: LiveTransport(
+                self.sim,
+                topo,
+                backend=cfg.backend,
+                is_up=faults.can_communicate,
+                link_up=faults.link_up,
+                cost_model=cost_model(cfg),
+                latency=cfg.latency,
+                on_cost=on_cost,
+            ),
             self.metrics,
-            policy=policy,
-            is_up=self.faults.is_up,
         )
-        self.faults.on_change(self.coordinator.handle_fault)
+        self.transport: LiveTransport = self.system.transport
+        self.coordinator = self.system.coordinator
+        hist = self.metrics.latency_hist
+        self.system.registry.histograms[hist.name] = hist
 
-        # Name service promotion: admitted components register their
-        # (possibly migrated) location; the admission-observer hook is
-        # the same one the cluster emulation uses.
+        # Name service promotion: every node registers itself; admitted
+        # components register their (possibly migrated) location through
+        # the same admission-observer hook the cluster emulation uses.
+        self.naming = NamingService(self.sim)
+        for nid in self.system.hosts:
+            self.naming.register(f"node/{nid}", nid)
         self.metrics.admission_observers.append(self._register_location)
 
-        # Workload — identical streams and draw order to build_system, so
-        # a live run and a simulated run with the same seed generate the
-        # same (gap, origin, size) sequence.
-        self._sizes = make_sampler(
-            cfg.size_dist,
-            self.sim.streams.stream("sizes"),
-            mean=cfg.task_mean,
-            cap=cfg.queue_capacity,
-        )
-        arrivals = PoissonArrivals(
-            cfg.arrival_rate, self.sim.streams.stream("arrivals")
-        )
-        self._demand_rng = self.sim.streams.stream("demands")
-        self._task_ids = iter(range(1 << 62))
-        self.generator = ArrivalGenerator(
-            self.sim, arrivals, self._emit, self.faults.up_nodes, until=cfg.horizon
-        )
-
-        # Observability: the PR-8 registry sampling over the live clock
-        # through the exact same shared-round seam the simulator uses.
-        self.registry = MetricsRegistry(self.sim, interval=cfg.sample_interval)
-        install_run_probes(
-            self.registry,
-            state=self.state,
-            collector=self.metrics,
-            transport=self.transport,
-            coordinator=self.coordinator,
-            admissions=self.admissions.values(),
-            agents=self.agents.values(),
-            stride=cfg.obs_stride,
-        )
-        self.latency_hist = self.registry.histogram(
-            "settlement_latency_ms", LATENCY_EDGES_MS
-        )
-        #: exact settlement latencies, wall ms (report percentiles)
-        self.latencies_ms: List[float] = []
-        self._arrival_wall: Dict[int, float] = {}
-        self._lost_unadmitted = 0
-        self._progress_handle = None
         self._wall_elapsed = 0.0
         self.clean_shutdown = False
         self.drained = False
-
-    # Workload ----------------------------------------------------------
-
-    def _emit(self, origin: int) -> None:
-        size = self._sizes.sample()
-        task = Task(
-            size=size,
-            arrival_time=self.sim.now,
-            origin=origin,
-            task_id=next(self._task_ids),
-        )
-        self._arrival_wall[task.task_id] = perf_counter()
-        self.coordinator.place_task(task)
-
-    def _settled(self, task: Task) -> bool:
-        """Record one settlement latency; ``False`` on a re-settlement
-        (e.g. the evacuation of an already-admitted task)."""
-        t0 = self._arrival_wall.pop(task.task_id, None)
-        if t0 is None:
-            return False
-        ms = (perf_counter() - t0) * 1000.0
-        self.latencies_ms.append(ms)
-        self.latency_hist.observe(ms)
-        return True
 
     def _register_location(self, task: Task) -> None:
         where = task.admitted_at if task.admitted_at is not None else task.origin
@@ -350,9 +215,9 @@ class LiveRuntime:
         """Generate load to the horizon, drain, shut down, report."""
         cfg = self.cfg
         await self.transport.start()
-        self.registry.start()
+        progress = None
         if cfg.progress_interval is not None:
-            self._progress_handle = self.sim.shared_periodic(
+            progress = self.sim.shared_periodic(
                 cfg.progress_interval, self._progress_line
             )
         wall0 = perf_counter()
@@ -368,12 +233,12 @@ class LiveRuntime:
         self.drained = self.metrics.unsettled == 0
         # Teardown: progress + sampling off, agents stopped, node
         # tasks/endpoints closed.
-        if self._progress_handle is not None:
-            self._progress_handle.stop()
-        self.registry.finish()
-        for agent in self.agents.values():
+        if progress is not None:
+            progress.stop()
+        self.system.registry.finish()
+        for agent in self.system.agents.values():
             agent.stop()
-        self.generator.stop()
+        self.system.generator.stop()
         await self.transport.aclose()
         self.clean_shutdown = (
             self.drained and self.transport.node_task_count == 0
@@ -383,9 +248,10 @@ class LiveRuntime:
     # Reporting ----------------------------------------------------------
 
     def _percentile(self, q: float) -> float:
-        if not self.latencies_ms:
+        latencies = self.metrics.latencies_ms
+        if not latencies:
             return float("nan")
-        return float(np.percentile(np.asarray(self.latencies_ms), q))
+        return float(np.percentile(np.asarray(latencies), q))
 
     def _progress_line(self) -> None:
         t = self.metrics.tasks
@@ -404,15 +270,9 @@ class LiveRuntime:
         t = self.metrics.tasks
         admitted = t.admitted_local + t.admitted_migrated
         wall = self._wall_elapsed
+        latencies = self.metrics.latencies_ms
         result = self.metrics.result(
-            {
-                "protocol": cfg.protocol,
-                "lambda": cfg.arrival_rate,
-                "seed": cfg.seed,
-                "nodes": cfg.nodes,
-                "backend": cfg.backend,
-                "live": True,
-            },
+            {**cfg.params(), "backend": cfg.backend, "live": True},
             self.sim.now,
             None,
         )
@@ -422,7 +282,7 @@ class LiveRuntime:
         rollup.add(result)
         return {
             "config": {
-                "nodes": cfg.nodes,
+                "nodes": cfg.num_nodes,
                 "topology": cfg.topology,
                 "protocol": cfg.protocol,
                 "arrival_rate": cfg.arrival_rate,
@@ -447,13 +307,13 @@ class LiveRuntime:
                 "admission": rollup.admission,
             },
             "latency_ms": {
-                "count": len(self.latencies_ms),
+                "count": len(latencies),
                 "p50": self._percentile(50),
                 "p90": self._percentile(90),
                 "p99": self._percentile(99),
-                "max": max(self.latencies_ms) if self.latencies_ms else float("nan"),
-                "histogram_p50": self.latency_hist.percentile(50),
-                "histogram_p99": self.latency_hist.percentile(99),
+                "max": max(latencies) if latencies else float("nan"),
+                "histogram_p50": self.metrics.latency_hist.percentile(50),
+                "histogram_p99": self.metrics.latency_hist.percentile(99),
             },
             "throughput": {
                 "wall_seconds": wall,
@@ -476,7 +336,7 @@ class LiveRuntime:
             },
             "drained": self.drained,
             "clean_shutdown": self.clean_shutdown,
-            "series": self.registry.to_payload(),
+            "series": self.system.registry.to_payload(),
         }
 
 

@@ -79,7 +79,9 @@ class RandomPolicy(MigrationPolicy):
     ) -> None:
         if k < 1:
             raise ValueError("k must be >= 1")
-        self.all_nodes = list(all_nodes)
+        #: held, not copied: the runner passes its one system-wide node
+        #: list, which grows when a node joins mid-run
+        self.all_nodes = all_nodes
         self.rng = rng
         self.k = k
 

@@ -18,8 +18,9 @@ therefore identical:
 * scalar vs vectorized simulation loops,
 * t=0 nodes vs churn joiners (a node joining mid-run gets exactly the
   parameters it would have had at build time),
-* sim vs live runtime (``LiveRuntime`` materialises hosts through this
-  same function).
+* sim vs live runtime (both are assembled by
+  :func:`repro.experiments.runner.assemble`, whose per-node builder is
+  the only caller of :func:`node_params`).
 
 ``fleet=None`` on the experiment config skips this module entirely —
 the uniform paper fleet touches no new RNG stream and stays

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.experiments.config import PAPER_LAMBDAS, ExperimentConfig, paper_config
+from repro.experiments.config import (
+    PAPER_LAMBDAS,
+    TOPOLOGIES,
+    UNICAST_COSTS,
+    ExperimentConfig,
+    paper_config,
+)
+from repro.experiments.runner import build_system
 from repro.protocols.base import ProtocolConfig
 
 
@@ -42,6 +49,22 @@ class TestExperimentConfig:
             ExperimentConfig(horizon=-1.0)
         with pytest.raises(ValueError):
             ExperimentConfig(rows=0)
+
+    def test_unknown_topology_fails_at_construction(self):
+        # not first inside build_system, i.e. inside a pool worker
+        with pytest.raises(ValueError, match="topology"):
+            ExperimentConfig(topology="moebius")
+        # the accepted names are exactly the ones the builder dispatches on
+        for name in TOPOLOGIES:
+            topo = build_system(ExperimentConfig(topology=name, nodes=16)).topo
+            assert len(topo.nodes()) >= 15, name
+
+    def test_unknown_unicast_cost_fails_at_construction(self):
+        with pytest.raises(ValueError, match="unicast_cost"):
+            ExperimentConfig(unicast_cost="psychic")
+        for mode in UNICAST_COSTS:
+            system = build_system(ExperimentConfig(unicast_cost=mode))
+            assert system.transport.cost_model.unicast_mode.value == mode
 
     def test_paper_lambda_sweep(self):
         assert PAPER_LAMBDAS[0] == 1.0

@@ -4,7 +4,9 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system, run_experiment
+from repro.node.task import Task
 from repro.protocols.base import ProtocolConfig
+from repro.workload.fleet import FleetConfig
 
 
 def short(**overrides):
@@ -44,6 +46,54 @@ class TestBuildSystem:
     def test_unknown_cost_mode_rejected(self):
         with pytest.raises(ValueError):
             build_system(short(unicast_cost="psychic"))
+
+
+def stack(system, nid):
+    """What the per-node builder produced for ``nid``, comparably."""
+    host, agent = system.hosts[nid], system.agents[nid]
+    observer = system.admissions[nid].on_request_observed
+    return (
+        system.fleet_params[nid],
+        host.queue.capacity,
+        host.monitor.threshold,
+        host.queue.speed,
+        type(agent),
+        agent.ctx.all_nodes is system.all_nodes,
+        # the admission layer feeds this agent's own pledge policy
+        observer is not None and observer.__self__ is agent.pledges,
+        agent._started,
+    )
+
+
+class TestAddNode:
+    def test_joiner_stack_equals_the_t0_build_of_the_same_node(self):
+        cfg = short(topology="ring", fleet=FleetConfig.heterogeneous(), seed=11)
+        at_t0 = build_system(cfg.with_(nodes=10))
+        joined = build_system(cfg.with_(nodes=9))
+        joined.add_node(9, attach_to=[0, 8])
+        assert stack(joined, 9) == stack(at_t0, 9)
+        assert stack(joined, 9)[-2:] == (True, True)
+        assert joined.all_nodes == at_t0.all_nodes == list(range(10))
+        # one builder: the old nodes' stacks agree too
+        assert stack(joined, 4) == stack(at_t0, 4)
+
+    def test_joiner_reaches_the_system_wide_node_list(self):
+        # Fails on the frozen t=0 snapshot: a network-scope gossip agent
+        # and the random policy could never target a mid-run joiner.
+        s = build_system(
+            short(
+                protocol="gossip",
+                protocol_config=ProtocolConfig(scope="network"),
+                policy="random-25",  # k >= |others|: select returns them all
+            )
+        )
+        s.run(until=10.0)
+        s.add_node(25)
+        assert 25 in s.agents[0]._peers()
+        picks = s.coordinator.policy.select(Task(size=1.0, arrival_time=10.0, origin=0), [])
+        assert 25 in picks and len(picks) == 25
+        # and the joiner sees everyone, as before
+        assert sorted(s.agents[25]._peers()) == list(range(25))
 
 
 class TestRunExperiment:

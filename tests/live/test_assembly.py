@@ -1,0 +1,132 @@
+"""One assembly path: the live runtime holds the System the simulator builds.
+
+``LiveRuntime`` hands :func:`repro.experiments.runner.assemble` a live
+scheduler and a live transport factory; everything else is the code
+``build_system`` runs.  These tests pin that from the outside: same
+seed, same config axes => the same per-node stacks and the same
+generated workload (arrival *instants* are wall-clock live and are not
+compared), an axis the old hand-written live assembly could not express
+runs to a clean drain, and the axes the live transport cannot honour
+are refused by name.
+"""
+
+import asyncio
+import dataclasses
+
+import pytest
+
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import System, build_system
+from repro.live import LiveConfig, LiveRuntime, run_live
+from repro.network.impairments import ImpairmentConfig
+from repro.workload.churn import ChurnConfig
+from repro.workload.fleet import FleetConfig
+
+AXES = dict(
+    protocol="realtor",
+    nodes=16,
+    topology="torus",
+    arrival_rate=8.0,
+    horizon=40.0,
+    seed=5,
+    policy="2-try",
+    fleet=FleetConfig.heterogeneous(),
+)
+
+
+def node_stacks(system: System) -> dict:
+    out = {}
+    for nid, host in system.hosts.items():
+        agent = system.agents[nid]
+        observer = system.admissions[nid].on_request_observed
+        out[nid] = (
+            host.queue.capacity,
+            host.monitor.threshold,
+            host.queue.speed,
+            type(agent),
+            observer is not None and observer.__self__ is agent.pledges,
+        )
+    return out
+
+
+def first_tasks(system: System, n: int) -> list:
+    """Fire the arrival pump by hand: (task_id, origin, size) of ``n`` tasks."""
+    seen = []
+    system.coordinator.place_task = lambda t: seen.append((t.task_id, t.origin, t.size))
+    for _ in range(n):
+        system.generator._fire()
+    return seen
+
+
+class TestParity:
+    def test_sim_and_live_assemble_the_same_system(self):
+        sim = build_system(ExperimentConfig(**AXES))
+        live = LiveRuntime(LiveConfig(**AXES)).system
+        assert isinstance(live, System)
+        assert node_stacks(live) == node_stacks(sim)
+        assert len({stack[:3] for stack in node_stacks(sim).values()}) > 1
+        assert live.fleet_params == sim.fleet_params
+        assert type(live.coordinator.policy) is type(sim.coordinator.policy)
+        assert live.coordinator.policy.k == sim.coordinator.policy.k == 2
+        assert sorted(live.topo.links()) == sorted(sim.topo.links())
+        assert first_tasks(live, 200) == first_tasks(sim, 200)
+
+    def test_live_config_declares_only_live_fields(self):
+        base = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        own = {f.name for f in dataclasses.fields(LiveConfig)} - base
+        assert own == {
+            "time_scale", "backend", "latency", "drain_timeout", "progress_interval",
+        }
+        # the inherited defaults that differ live, and nothing else
+        sim, live = ExperimentConfig(), LiveConfig()
+        differ = {n for n in base if getattr(sim, n) != getattr(live, n)}
+        assert differ == {
+            "nodes", "arrival_rate", "horizon", "seed",
+            "fixed_unicast_cost", "flood_cost_override", "obs",
+        }
+        assert live.obs.sample_interval == 1.0 and live.obs.agent_stride == 4
+
+
+class TestSharedAxesRunLive:
+    def test_axis_the_old_live_assembly_lacked_drains_clean(self):
+        report = asyncio.run(
+            run_live(
+                LiveConfig(
+                    nodes=16,
+                    topology="scale-free",
+                    policy="3-try",
+                    migration_retry_budget=1,
+                    deadline_factor=10.0,
+                    arrival_rate=60.0,
+                    horizon=5.0,
+                    seed=3,
+                    time_scale=200.0,
+                    latency=0.0,
+                )
+            )
+        )
+        tasks = report["tasks"]
+        assert tasks["generated"] > 100
+        assert tasks["admitted"] + tasks["rejected"] == tasks["generated"]
+        assert tasks["admitted_migrated"] > 0
+        assert report["config"]["topology"] == "scale-free"
+        assert report["drained"] is True and report["clean_shutdown"] is True
+
+
+class TestRejectedAxes:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("churn", ChurnConfig(join_rate=0.1, leave_rate=0.1)),
+            ("impairments", ImpairmentConfig(loss_rate=0.1)),
+            ("unicast_cost", "hops"),
+            ("per_hop_latency", 0.01),
+            ("obs", None),
+        ],
+    )
+    def test_axis_the_live_transport_cannot_honour_is_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LiveConfig(**{field: value})
+
+    def test_inert_values_of_those_axes_pass(self):
+        LiveConfig(churn=ChurnConfig(), impairments=ImpairmentConfig())
