@@ -5,9 +5,12 @@ The one place under ``src/`` that wires the per-node stack
 the migration coordinator, the workload and the registry probes.
 :func:`assemble` takes the two things that differ between the runtimes
 as arguments: :func:`build_system` passes the discrete-event kernel and
-transport, :class:`~repro.live.runtime.LiveRuntime` its wall-clock
-scheduler and socket/mailbox transport.  :meth:`System.add_node` builds
-a churn joiner with the per-node builder the t=0 loop uses.
+:class:`~repro.network.transport.Transport`,
+:class:`~repro.live.runtime.LiveRuntime` its wall-clock scheduler and
+:class:`~repro.live.transport.LiveTransport` with its two wire
+arguments bound — every other transport argument is spelled once, here.
+:meth:`System.add_node` builds a churn joiner with the per-node builder
+the t=0 loop uses.
 
 :func:`run_experiment` drives a simulated system to the horizon and
 returns the :class:`~repro.metrics.collector.RunResult`; the assembled
@@ -359,19 +362,40 @@ class System:
 def assemble(
     cfg: ExperimentConfig,
     sim: Simulator,
-    make_transport: Callable[..., Transport],
+    transport_cls: Callable[..., Transport],
     metrics: MetricsCollector,
 ) -> System:
     """Wire every component for ``cfg`` on one runtime (nothing runs yet).
 
     ``sim`` is the runtime's :class:`~repro.runtime.api.SchedulerAPI`
-    and ``make_transport(topo, faults, on_cost)`` builds its
-    :class:`~repro.runtime.api.TransportAPI`; the rest is the same code
-    whichever runtime calls.
+    and ``transport_cls`` its :class:`~repro.network.transport.Transport`
+    (sub)class, called with the one argument list below; the rest is the
+    same code whichever runtime calls.
     """
     topo = _build_topology(cfg)
     faults = FaultManager(sim, topo)
-    transport = make_transport(topo, faults, metrics.on_cost)
+    # The impairment engine gets its own named substream so lossy runs
+    # share common random numbers (arrivals, sizes...) with clean ones;
+    # when disabled the stream is never even instantiated.
+    impairments = None
+    if cfg.impairments is not None and cfg.impairments.enabled:
+        impairments = NetworkImpairments(
+            cfg.impairments, sim.streams.stream("impairments")
+        )
+    transport = transport_cls(
+        sim,
+        topo,
+        # the transport's liveness is communication ability: a compromised
+        # node still talks (to evacuate); only crashed nodes fall silent
+        is_up=faults.can_communicate,
+        # failed links drop out of floods and unicast routes alike
+        link_up=faults.link_up,
+        liveness_version=lambda: faults.version,
+        cost_model=cost_model(cfg),
+        per_hop_latency=cfg.per_hop_latency,
+        on_cost=metrics.on_cost,
+        impairments=impairments,
+    )
     nodes = topo.nodes()
 
     # Shared numpy mirror of per-node state: every queue/monitor mutation
@@ -516,32 +540,7 @@ def assemble(
 def build_system(cfg: ExperimentConfig) -> System:
     """Assemble ``cfg`` on the discrete-event simulator (nothing runs yet)."""
     sim = Simulator(seed=cfg.seed, trace=Tracer(enabled=cfg.trace))
-
-    def make_transport(topo: Topology, faults: FaultManager, on_cost) -> Transport:
-        # The impairment engine gets its own named substream so lossy runs
-        # share common random numbers (arrivals, sizes...) with clean ones;
-        # when disabled the stream is never even instantiated.
-        impairments = None
-        if cfg.impairments is not None and cfg.impairments.enabled:
-            impairments = NetworkImpairments(
-                cfg.impairments, sim.streams.stream("impairments")
-            )
-        return Transport(
-            sim,
-            topo,
-            # the transport's liveness is communication ability: a compromised
-            # node still talks (to evacuate); only crashed nodes fall silent
-            is_up=faults.can_communicate,
-            # failed links drop out of floods and unicast routes alike
-            link_up=faults.link_up,
-            liveness_version=lambda: faults.version,
-            cost_model=cost_model(cfg),
-            per_hop_latency=cfg.per_hop_latency,
-            on_cost=on_cost,
-            impairments=impairments,
-        )
-
-    return assemble(cfg, sim, make_transport, MetricsCollector())
+    return assemble(cfg, sim, Transport, MetricsCollector())
 
 
 def _install_churn(system: System) -> None:

@@ -4,14 +4,14 @@
 :func:`repro.experiments.runner.assemble` — the one assembly path, which
 :func:`~repro.experiments.runner.build_system` also uses — a
 :class:`~repro.live.scheduler.LiveScheduler` for time and a
-:class:`~repro.live.transport.LiveTransport` factory for messaging, and
+:class:`~repro.live.transport.LiveTransport` for messaging, and
 holds the :class:`~repro.experiments.runner.System` that comes back.
 
 What this module adds, because it only makes sense live:
 
 * :class:`LiveConfig` — :class:`~repro.experiments.config.ExperimentConfig`
   plus the five live-only fields, with the defaults that differ live
-  and the axes the live transport cannot honour rejected by name;
+  and the axes the live runtime cannot honour rejected by name;
 * the Agile Objects :class:`~repro.cluster.naming.NamingService`,
   promoted to the runtime's name service — every node registers itself
   at startup and every admitted task's location is registered through
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from typing import Dict, List, Optional, Set
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from ..cluster.naming import NamingService
 from ..experiments.config import ExperimentConfig
-from ..experiments.runner import assemble, cost_model
+from ..experiments.runner import assemble
 from ..metrics.collector import MetricsCollector
 from ..node.task import Task
 from ..obs.config import ObsConfig
@@ -86,7 +87,7 @@ class LiveConfig(ExperimentConfig):
     #: transport backend: "inproc" or "udp"
     backend: str = "inproc"
     #: per-message one-way latency in virtual seconds; None = the LAN
-    #: default (:class:`~repro.cluster.rmi.LanParameters`, 0.2 ms)
+    #: default (:data:`~repro.live.transport.LAN_LATENCY`, 0.2 ms)
     latency: Optional[float] = None
     #: extra virtual seconds allowed for in-flight tasks to settle
     drain_timeout: float = 30.0
@@ -101,16 +102,11 @@ class LiveConfig(ExperimentConfig):
             raise ValueError("time_scale must be positive")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; known: {BACKENDS}")
-        # Axes LiveTransport cannot honour: refuse them by name rather
-        # than run without them.  It charges a fixed cost per unicast,
-        # delays every message by ``latency`` whatever the route, has no
-        # impairment hook, and brings up one endpoint per t=0 node.
-        if self.unicast_cost != "fixed":
-            raise ValueError("unicast_cost: the live transport charges a fixed cost")
+        # Axes the live runtime cannot honour: refuse them by name rather
+        # than run without them.  The wire's delay is ``latency`` whatever
+        # the route, and one endpoint is brought up per t=0 node.
         if self.per_hop_latency != 0:
             raise ValueError("per_hop_latency: live message delay is `latency`")
-        if self.impairments is not None and self.impairments.enabled:
-            raise ValueError("impairments: the live transport has no impairment engine")
         if self.churn is not None and self.churn.active:
             raise ValueError("churn: a live overlay cannot add endpoints mid-run")
         if self.obs is None or not self.obs.enabled:
@@ -176,16 +172,7 @@ class LiveRuntime:
         self.system = assemble(
             cfg,
             self.sim,
-            lambda topo, faults, on_cost: LiveTransport(
-                self.sim,
-                topo,
-                backend=cfg.backend,
-                is_up=faults.can_communicate,
-                link_up=faults.link_up,
-                cost_model=cost_model(cfg),
-                latency=cfg.latency,
-                on_cost=on_cost,
-            ),
+            partial(LiveTransport, backend=cfg.backend, latency=cfg.latency),
             self.metrics,
         )
         self.transport: LiveTransport = self.system.transport

@@ -1,13 +1,17 @@
-"""Live message transport: the same surface as the simulated one.
+"""Live message transport: one send implementation, two wires.
 
-:class:`LiveTransport` implements :class:`~repro.runtime.api.TransportAPI`
-— ``register``/``unregister``/``unicast``/``flood``/``multicast`` with
-the same cost accounting hooks — over two interchangeable backends:
+:class:`LiveTransport` *is* a :class:`~repro.network.transport.Transport`.
+Who is up, who is reachable, who receives a flood, how many hops a
+unicast travels, what an impairment engine does to it, what it costs and
+which handler finally runs are all decided by the inherited code — the
+same code the simulator runs — so the two runtimes cannot disagree about
+a partitioned overlay or a lossy link.  This module keeps only the wire
+a surviving delivery crosses, in two interchangeable backends:
 
 * ``inproc`` — every node is its **own asyncio task** draining a
-  mailbox queue; a send enqueues onto the destination's mailbox and the
-  node task dispatches to the registered handler.  This is the default:
-  no serialisation, no sockets, deterministic enough for the
+  mailbox queue; a delivery enqueues onto the destination's mailbox and
+  the node task hands it to the inherited ``_deliver``.  This is the
+  default: no serialisation, no sockets, deterministic enough for the
   live-vs-sim equivalence tests.
 * ``udp`` — every node binds a real UDP datagram endpoint on the
   loopback interface; a pickled envelope crosses the kernel socket
@@ -21,38 +25,32 @@ the same cost accounting hooks — over two interchangeable backends:
   and silently break settlement, so the envelope carries only a token
   and object identity is preserved in-process.
 
-Timing defaults come from the cluster emulation's
-:class:`~repro.cluster.rmi.LanParameters` (Section 6's switched-Ethernet
-testbed): the per-message one-way latency is applied in *virtual*
-seconds — divided by the scheduler's ``time_scale`` on the wire — and
-the default cost model is :func:`~repro.cluster.rmi.LanCostModel`
-(IP-multicast flood = 1 message, switched unicast = 1 message).
-
-Counter names (``sent_messages``/``delivered_messages``/
-``dropped_messages``) match the simulated transport so
-:func:`~repro.obs.registry.install_run_probes` wires either one
-untouched.
+A delivery the inherited send path delays (per-hop latency, impairment
+jitter, a duplicate's offset) is put on the wire by the live scheduler
+when the delay is up; an undelayed one goes straight onto it.  On top of
+that the ``inproc`` node task sleeps ``latency`` — Section 6's switched
+Ethernet one-way delay, 0.2 ms unless given — per message, in *virtual*
+seconds divided by the scheduler's ``time_scale``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import pickle
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
-from ..cluster.rmi import LanCostModel, LanParameters
 from ..network.topology import NodeId, Topology
-from ..network.transport import CostModel
-from ..runtime.api import Delivery
+from ..network.transport import Transport
 
 from .scheduler import LiveScheduler
 
 __all__ = ["LiveTransport", "BACKENDS"]
 
-Handler = Callable[[Delivery], None]
-CostSink = Callable[[str, float], None]
-
 BACKENDS = ("inproc", "udp")
+
+#: one-way latency of the Section 6 LAN (100 Mb/s switched Ethernet),
+#: virtual seconds — the default of ``latency``
+LAN_LATENCY = 0.0002
 
 #: mailbox sentinel that terminates a node task
 _SHUTDOWN = object()
@@ -65,7 +63,7 @@ class _NodeEndpoint(asyncio.DatagramProtocol):
         self.ref = transport_ref
         self.node = node
 
-    def datagram_received(self, data: bytes, addr) -> None:  # pragma: no cover - thin
+    def datagram_received(self, data: bytes, addr) -> None:
         try:
             src, kind, token, sent_at = pickle.loads(data)
         except Exception:
@@ -77,32 +75,20 @@ class _NodeEndpoint(asyncio.DatagramProtocol):
             # Duplicate or forged datagram: no payload to deliver.
             self.ref.dropped_messages += 1
             return
-        self.ref._dispatch(self.node, src, kind, payload, sent_at)
+        self.ref._deliver(src, self.node, kind, payload, sent_at)
 
 
-class LiveTransport:
-    """Asynchronous message delivery over the overlay topology.
+class LiveTransport(Transport):
+    """A :class:`~repro.network.transport.Transport` over a real wire.
 
-    Parameters
-    ----------
-    sim:
-        The live scheduler (clock + virtual/wall conversion).
-    topo:
-        Overlay topology; floods honour it exactly like the simulated
-        transport (``neighbors_only`` restricts to direct neighbours).
+    Takes ``Transport``'s parameters (``sim`` is the live scheduler:
+    clock + virtual/wall conversion) plus:
+
     backend:
         ``"inproc"`` (default) or ``"udp"`` — see the module docstring.
-    is_up / link_up:
-        Liveness predicates, defaulting to "always up"; the fault
-        manager supplies the real ones.
-    cost_model:
-        Defaults to :func:`~repro.cluster.rmi.LanCostModel` — the LAN
-        accounting of Section 6, not the WAN hop counting of Section 5.
-    lan:
-        Socket timing defaults; ``lan.latency`` is the per-message
-        one-way delay in virtual seconds.
-    on_cost:
-        ``(kind, cost)`` sink, once per send (metrics collector).
+    latency:
+        One-way delay of the wire itself, virtual seconds (``None`` =
+        the 0.2 ms LAN default).
     """
 
     def __init__(
@@ -111,26 +97,14 @@ class LiveTransport:
         topo: Topology,
         *,
         backend: str = "inproc",
-        is_up: Optional[Callable[[NodeId], bool]] = None,
-        link_up: Optional[Callable[[NodeId, NodeId], bool]] = None,
-        cost_model: Optional[CostModel] = None,
-        lan: Optional[LanParameters] = None,
         latency: Optional[float] = None,
-        on_cost: Optional[CostSink] = None,
+        **transport_kwargs: Any,
     ) -> None:
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
-        self.sim = sim
-        self.topo = topo
+        super().__init__(sim, topo, **transport_kwargs)
         self.backend = backend
-        self.is_up = is_up if is_up is not None else (lambda _n: True)
-        self.link_up = link_up
-        self.lan = lan if lan is not None else LanParameters()
-        self.cost_model = cost_model if cost_model is not None else LanCostModel()
-        #: one-way delivery delay, virtual seconds (LAN default 0.2 ms)
-        self.latency = self.lan.latency if latency is None else float(latency)
-        self.on_cost = on_cost
-        self._handlers: Dict[NodeId, Dict[str, Handler]] = {}
+        self.latency = LAN_LATENCY if latency is None else float(latency)
         self._mailboxes: Dict[NodeId, asyncio.Queue] = {}
         self._node_tasks: Dict[NodeId, asyncio.Task] = {}
         self._endpoints: Dict[NodeId, tuple] = {}  # node -> (transport, addr)
@@ -140,9 +114,14 @@ class LiveTransport:
         self._next_token = 0
         self._started = False
         self._closed = False
-        self.sent_messages = 0
-        self.delivered_messages = 0
-        self.dropped_messages = 0
+
+    # bench/trace.py wraps ``start``, ``aclose`` and these three through
+    # ``vars(LiveTransport)`` so a live run's spans are told apart from a
+    # simulated one's; they are the inherited functions, owned here by
+    # name only.
+    register = Transport.register
+    unicast = Transport.unicast
+    flood = Transport.flood
 
     # Lifecycle -----------------------------------------------------------
 
@@ -192,90 +171,24 @@ class LiveTransport:
         """Live mailbox tasks (diagnostics / clean-shutdown check)."""
         return sum(1 for t in self._node_tasks.values() if not t.done())
 
-    # Registration --------------------------------------------------------
+    # The wire -----------------------------------------------------------
 
-    def register(self, node: NodeId, kind: str, handler: Handler) -> None:
-        if not self.topo.has_node(node):
-            raise KeyError(f"no such node: {node}")
-        self._handlers.setdefault(node, {})[kind] = handler
+    def _wire(self) -> tuple:
+        return self._post_on_wire, self._put
 
-    def unregister(self, node: NodeId) -> None:
-        self._handlers.pop(node, None)
-
-    # Sending -----------------------------------------------------------
-
-    def unicast(self, src: NodeId, dst: NodeId, kind: str, payload: Any) -> bool:
-        """Point-to-point send; ``True`` when dispatched onto the wire."""
-        if not self.is_up(src):
-            return False
-        if not self.topo.has_node(dst):
-            raise KeyError(f"no such node: {dst}")
-        self.sent_messages += 1
-        self._charge(kind, self.cost_model.fixed_unicast_cost)
-        if not self.is_up(dst):
-            self.dropped_messages += 1
-            return False
-        self._send(src, dst, kind, payload)
-        return True
-
-    def flood(
-        self, src: NodeId, kind: str, payload: Any, *, neighbors_only: bool = False
-    ) -> List[NodeId]:
-        """One logical multicast; receivers per the configured scope."""
-        if not self.is_up(src):
-            return []
-        self.sent_messages += 1
-        link_up = self.link_up
-        if neighbors_only:
-            receivers = [
-                n
-                for n in self.topo.neighbors(src)
-                if self.is_up(n) and (link_up is None or link_up(src, n))
-            ]
+    def _post_on_wire(
+        self, delay: float, put: Callable[..., None], *message: Any, priority: int
+    ) -> None:
+        """``sim.after`` for messages, minus the scheduler when undelayed."""
+        if delay > 0:
+            self.sim.after(delay, put, *message, priority=priority)
         else:
-            receivers = [
-                n for n in self.topo.nodes() if n != src and self.is_up(n)
-            ]
-        cost = self.cost_model.flood_cost_override
-        if cost is None:
-            cost = float(self.topo.num_links)
-        self._charge(kind, cost)
-        for dst in receivers:
-            self._send(src, dst, kind, payload)
-        return receivers
+            put(*message)
 
-    def multicast(
-        self,
-        src: NodeId,
-        dests: Iterable[NodeId],
-        kind: str,
-        payload: Any,
-        *,
-        cost: Optional[float] = None,
-    ) -> List[NodeId]:
-        """Send to an explicit receiver set (LAN IP multicast: cost 1)."""
-        if not self.is_up(src):
-            return []
-        self.sent_messages += 1
-        receivers: List[NodeId] = []
-        total = 0.0
-        for dst in sorted(set(dests)):
-            if dst == src or not self.topo.has_node(dst) or not self.is_up(dst):
-                continue
-            total += self.cost_model.fixed_unicast_cost
-            receivers.append(dst)
-            self._send(src, dst, kind, payload)
-        self._charge(kind, cost if cost is not None else total)
-        return receivers
-
-    # Internals ------------------------------------------------------------
-
-    def _charge(self, kind: str, cost: float) -> None:
-        if self.on_cost is not None:
-            self.on_cost(kind, cost)
-
-    def _send(self, src: NodeId, dst: NodeId, kind: str, payload: Any) -> None:
-        sent_at = self.sim.now
+    def _put(
+        self, src: NodeId, dst: NodeId, kind: str, payload: Any, sent_at: float
+    ) -> None:
+        """Put one message on the wire; the far side calls ``_deliver``."""
         if self.backend == "inproc":
             queue = self._mailboxes.get(dst)
             if queue is None:
@@ -313,19 +226,4 @@ class LiveTransport:
             if wall_latency > 0:
                 await asyncio.sleep(wall_latency)
             src, kind, payload, sent_at = item
-            self._dispatch(node, src, kind, payload, sent_at)
-
-    def _dispatch(
-        self, dst: NodeId, src: NodeId, kind: str, payload: Any, sent_at: float
-    ) -> None:
-        """Hand one arrived message to its handler (liveness re-checked)."""
-        if not self.is_up(dst):
-            self.dropped_messages += 1
-            return
-        handlers = self._handlers.get(dst)
-        handler = handlers.get(kind) if handlers is not None else None
-        if handler is None:
-            self.dropped_messages += 1
-            return
-        self.delivered_messages += 1
-        handler(Delivery(src, dst, kind, payload, sent_at, self.sim.now))
+            self._deliver(src, node, kind, payload, sent_at)

@@ -231,6 +231,9 @@ class Transport:
         self.sent_messages = 0
         self.delivered_messages = 0
         self.dropped_messages = 0
+        #: the delivery primitive, resolved once so the fan-out loops bind
+        #: two locals and the simulator pays no call frame for the seam
+        self._post, self._arrive = self._wire()
         # Cohort fast path: a flood fan-out schedules one _deliver event
         # per receiver at the same (time, priority); registering the batch
         # hook lets the kernel hand the whole same-instant run to
@@ -239,6 +242,17 @@ class Transport:
         register = getattr(sim, "register_batch", None)
         if register is not None:
             register(self._deliver, self._deliver_batch)
+
+    def _wire(self) -> tuple:
+        """``(post, arrive)``: how a surviving delivery leaves the transport.
+
+        Every send ends in ``post(delay, arrive, src, dst, kind, payload,
+        sent_at, priority=Priority.MESSAGE)``.  Here that is the
+        scheduler's ``after`` running :meth:`_deliver`; a subclass with a
+        real wire returns its own pair, and whatever ``arrive`` puts on
+        that wire must come back through :meth:`_deliver`.
+        """
+        return self.sim.after, self._deliver
 
     # Registration --------------------------------------------------------
 
@@ -341,8 +355,8 @@ class Transport:
         # depth lookups entirely.  Scheduling order — and therefore the
         # event sequence — matches the generic path exactly.
         now = self.sim.now
-        after = self.sim.after
-        deliver = self._deliver
+        after = self._post
+        deliver = self._arrive
         latency = self.per_hop_latency
         impair = self._impair
         if impair is not None:
@@ -528,13 +542,13 @@ class Transport:
                 self.dropped_messages += 1
                 return  # lost in transit (cost already charged at send)
             for extra in delays:
-                self.sim.after(
-                    delay + extra, self._deliver, src, dst, kind, payload,
+                self._post(
+                    delay + extra, self._arrive, src, dst, kind, payload,
                     self.sim.now, priority=Priority.MESSAGE,
                 )
             return
-        self.sim.after(
-            delay, self._deliver, src, dst, kind, payload, self.sim.now,
+        self._post(
+            delay, self._arrive, src, dst, kind, payload, self.sim.now,
             priority=Priority.MESSAGE,
         )
 

@@ -11,6 +11,9 @@ kernel directly.  Two environments implement it:
   accounting (every published figure runs here);
 * :class:`repro.live.scheduler.LiveScheduler` + :class:`repro.live.transport.LiveTransport`
   — wall-clock asyncio, one task per node, optionally real UDP sockets.
+  The live transport is the simulated one with another wire under it:
+  there is one send implementation, so both environments agree on who
+  receives a message and what it costs.
 
 The contract is structural (:class:`typing.Protocol`): the simulator
 satisfies it without inheriting from anything, so the hot paths carry no
@@ -209,10 +212,12 @@ class SchedulerAPI(Protocol):
 class TransportAPI(Protocol):
     """The unicast/flood/multicast surface agents send through.
 
-    Implemented by :class:`repro.network.transport.Transport` (simulated
-    delivery with the paper's cost accounting) and
-    :class:`repro.live.transport.LiveTransport` (asyncio mailboxes or
-    real UDP datagrams).  ``topo`` exposes at least
+    One send implementation, two wires:
+    :class:`repro.network.transport.Transport` decides receivers, hops,
+    losses and the paper's cost accounting and delivers through the
+    scheduler; :class:`repro.live.transport.LiveTransport` subclasses it
+    and replaces only the delivery (asyncio mailboxes or real UDP
+    datagrams).  ``topo`` exposes at least
     ``neighbors(node)`` / ``has_node(node)`` / ``nodes()`` — the calls
     protocol scoping makes.
     """

@@ -5,9 +5,9 @@ scheduler and a live transport factory; everything else is the code
 ``build_system`` runs.  These tests pin that from the outside: same
 seed, same config axes => the same per-node stacks and the same
 generated workload (arrival *instants* are wall-clock live and are not
-compared), an axis the old hand-written live assembly could not express
-runs to a clean drain, and the axes the live transport cannot honour
-are refused by name.
+compared), axes the old hand-written live assembly and send path could
+not express run to a clean drain, and the axes the live runtime cannot
+honour are refused by name.
 """
 
 import asyncio
@@ -16,9 +16,10 @@ import dataclasses
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import System, build_system
-from repro.live import LiveConfig, LiveRuntime, run_live
+from repro.experiments.runner import System, build_system, run_experiment
+from repro.live import LiveConfig, LiveRuntime
 from repro.network.impairments import ImpairmentConfig
+from repro.protocols.base import ProtocolConfig
 from repro.workload.churn import ChurnConfig
 from repro.workload.fleet import FleetConfig
 
@@ -87,30 +88,76 @@ class TestParity:
         assert live.obs.sample_interval == 1.0 and live.obs.agent_stride == 4
 
 
+DRAIN = dict(
+    nodes=16, arrival_rate=60.0, horizon=5.0, seed=3, time_scale=200.0, latency=0.0
+)
+#: lossy runs wait out 5 s reply timeouts: at this scale one is 200 ms of
+#: wall clock, far beyond a scheduling stall of the test machine
+LOSSY = dict(
+    impairments=ImpairmentConfig(loss_rate=0.05), policy="3-try", time_scale=25.0
+)
+
+
+def migrates(rt, report, charges):
+    assert report["tasks"]["admitted_migrated"] > 0
+    assert report["config"]["topology"] == "scale-free"
+
+
+def charges_whole_hop_counts(rt, report, charges):
+    # floods cost the LAN's 1.0, so only a unicast can exceed it; the
+    # 4x4 mesh has diameter 6
+    assert all(cost == int(cost) and 1 <= cost <= 6 for _kind, cost in charges)
+    assert any(cost > 1 for _kind, cost in charges)
+    assert rt.transport.live_router().rows_computed > 0
+
+
+def loses_messages_like_the_simulator(rt, report, charges):
+    assert report["messages"]["dropped"] > 0
+    shared = {f.name: getattr(rt.cfg, f.name) for f in dataclasses.fields(ExperimentConfig)}
+    assert report["tasks"]["generated"] == run_experiment(ExperimentConfig(**shared)).generated
+
+
+#: (what the input exercises, config axes, what to check beyond a clean drain)
+DRAIN_INPUTS = [
+    (
+        "scale-free overlay, 3-try, retry budget, deadlines",
+        dict(
+            topology="scale-free",
+            policy="3-try",
+            migration_retry_budget=1,
+            deadline_factor=10.0,
+        ),
+        migrates,
+    ),
+    (
+        "hop-count charges",
+        dict(
+            topology="mesh",
+            unicast_cost="hops",
+            protocol_config=ProtocolConfig(scope="network"),
+        ),
+        charges_whole_hop_counts,
+    ),
+    ("5% loss, inproc", dict(LOSSY, backend="inproc"), loses_messages_like_the_simulator),
+    ("5% loss, udp", dict(LOSSY, backend="udp"), loses_messages_like_the_simulator),
+]
+
+
 class TestSharedAxesRunLive:
     def test_axis_the_old_live_assembly_lacked_drains_clean(self):
-        report = asyncio.run(
-            run_live(
-                LiveConfig(
-                    nodes=16,
-                    topology="scale-free",
-                    policy="3-try",
-                    migration_retry_budget=1,
-                    deadline_factor=10.0,
-                    arrival_rate=60.0,
-                    horizon=5.0,
-                    seed=3,
-                    time_scale=200.0,
-                    latency=0.0,
-                )
+        for what, axes, check in DRAIN_INPUTS:
+            rt = LiveRuntime(LiveConfig(**{**DRAIN, **axes}))
+            charges = []
+            charge = rt.transport.on_cost
+            rt.transport.on_cost = lambda kind, cost: (
+                charges.append((kind, cost)), charge(kind, cost)
             )
-        )
-        tasks = report["tasks"]
-        assert tasks["generated"] > 100
-        assert tasks["admitted"] + tasks["rejected"] == tasks["generated"]
-        assert tasks["admitted_migrated"] > 0
-        assert report["config"]["topology"] == "scale-free"
-        assert report["drained"] is True and report["clean_shutdown"] is True
+            report = asyncio.run(rt.run())
+            tasks = report["tasks"]
+            assert tasks["generated"] > 100, what
+            assert tasks["admitted"] + tasks["rejected"] == tasks["generated"], what
+            assert report["drained"] and report["clean_shutdown"], what
+            check(rt, report, charges)
 
 
 class TestRejectedAxes:
@@ -118,8 +165,6 @@ class TestRejectedAxes:
         "field, value",
         [
             ("churn", ChurnConfig(join_rate=0.1, leave_rate=0.1)),
-            ("impairments", ImpairmentConfig(loss_rate=0.1)),
-            ("unicast_cost", "hops"),
             ("per_hop_latency", 0.01),
             ("obs", None),
         ],
@@ -129,4 +174,4 @@ class TestRejectedAxes:
             LiveConfig(**{field: value})
 
     def test_inert_values_of_those_axes_pass(self):
-        LiveConfig(churn=ChurnConfig(), impairments=ImpairmentConfig())
+        LiveConfig(churn=ChurnConfig(), per_hop_latency=0.0)

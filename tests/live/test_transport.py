@@ -4,16 +4,22 @@ The assertions mirror the simulated transport's contract — same scope
 rules, same counter names, same cost hooks — plus the one guarantee the
 live layer adds on top: payload *object identity* survives the trip,
 because the paper's admission protocol settles migrations by mutating a
-shared Task (see the transport module docstring).
+shared Task (see the transport module docstring).  ``TestDifferential``
+holds the two runtimes against each other send by send.
 """
 
 import asyncio
 
+import numpy as np
 import pytest
 
+from repro.cluster.rmi import LanCostModel
 from repro.live.scheduler import LiveScheduler
 from repro.live.transport import LiveTransport
 from repro.network import generators
+from repro.network.faults import FaultManager
+from repro.network.transport import CostModel, Transport
+from repro.sim.kernel import Simulator
 
 
 def go(coro):
@@ -167,7 +173,11 @@ class TestAccounting:
         charges = []
 
         async def run():
-            t = make("inproc", on_cost=lambda kind, cost: charges.append((kind, cost)))
+            t = make(
+                "inproc",
+                cost_model=LanCostModel(),
+                on_cost=lambda kind, cost: charges.append((kind, cost)),
+            )
             t.register(1, "X", lambda d: None)
             await t.start()
             try:
@@ -185,3 +195,118 @@ class TestAccounting:
         sim = LiveScheduler()
         with pytest.raises(ValueError):
             LiveTransport(sim, generators.full_mesh(3), backend="carrier-pigeon")
+
+
+TOPOLOGIES = {
+    "mesh": lambda: generators.mesh(3, 3),
+    "ring": lambda: generators.ring(6),
+    "scale-free": lambda: generators.preferential_attachment(
+        12, 2, np.random.default_rng(7)
+    ),
+}
+
+
+def fault_epochs(topo):
+    """Crash the hub, compromise a node, cut a leaf off, restore one link."""
+    hub = max(topo.nodes(), key=topo.degree)
+    spy = next(n for n in reversed(topo.nodes()) if n != hub)
+    leaf = min((n for n in topo.nodes() if n not in (hub, spy)), key=topo.degree)
+    cut = [link for link in topo.links() if leaf in link]
+    return [
+        lambda f: None,
+        lambda f: f.crash(hub),
+        lambda f: f.compromise(spy),
+        lambda f: [f.fail_link(*link) for link in cut],
+        lambda f: f.restore_link(*cut[-1]),
+    ]
+
+
+def wired(transport_cls, sim, topo, cost_model, **kwargs):
+    """One side of the comparison, wired as ``runner.assemble`` wires it."""
+    faults = FaultManager(sim, topo)
+    charges = []
+    transport = transport_cls(
+        sim,
+        topo,
+        is_up=faults.can_communicate,
+        link_up=faults.link_up,
+        liveness_version=lambda: faults.version,
+        cost_model=cost_model,
+        on_cost=lambda kind, cost: charges.append((kind, cost)),
+        **kwargs,
+    )
+    for n in topo.nodes():
+        for kind in "UFM":
+            transport.register(n, kind, lambda d: None)
+    return transport, faults, charges
+
+
+def probe(t, charges):
+    """Every send shape from every node, with no delivery in between.
+
+    Arrivals land later (kernel run / loop iteration), so the counters
+    read here are the send path's own.
+    """
+    nodes = t.topo.nodes()
+    sent, dropped = t.sent_messages, t.dropped_messages
+    del charges[:]
+    return {
+        "unicast": [t.unicast(s, d, "U", None) for s in nodes for d in nodes if s != d],
+        "flood": [t.flood(s, "F", None) for s in nodes],
+        "scoped": [t.flood(s, "F", None, neighbors_only=True) for s in nodes],
+        "multicast": [t.multicast(s, nodes[::2], "M", None) for s in nodes],
+        "charges": list(charges),
+        "sent": t.sent_messages - sent,
+        "dropped": t.dropped_messages - dropped,
+    }
+
+
+class TestDifferential:
+    """`Transport` and `LiveTransport` decide every send alike."""
+
+    @pytest.mark.parametrize("backend", ["inproc", "udp"])
+    @pytest.mark.parametrize("family", sorted(TOPOLOGIES))
+    @pytest.mark.parametrize("cost_model", [CostModel, LanCostModel])
+    def test_same_verdicts_receivers_charges_and_counters(
+        self, cost_model, family, backend
+    ):
+        sim = Simulator()
+        reference, faults, charges = wired(
+            Transport, sim, TOPOLOGIES[family](), cost_model()
+        )
+        expected, arrived, partitioned = [], [], False
+        for epoch in fault_epochs(reference.topo):
+            epoch(faults)
+            partitioned |= not faults.live_topology().is_connected()
+            expected.append(probe(reference, charges))
+            sim.run()
+            arrived.append(
+                reference.delivered_messages + reference.dropped_messages
+            )
+        assert partitioned  # or the comparison is idle
+
+        async def run():
+            live, faults, charges = wired(
+                LiveTransport, LiveScheduler(time_scale=1000.0),
+                TOPOLOGIES[family](), cost_model(), backend=backend, latency=0.0,
+            )
+            observed = []
+            await live.start()
+            try:
+                for epoch, total in zip(fault_epochs(live.topo), arrived):
+                    epoch(faults)
+                    observed.append(probe(live, charges))
+                    # the next fault must not catch this epoch in flight
+                    for _ in range(1000):
+                        if live.delivered_messages + live.dropped_messages >= total:
+                            break
+                        await asyncio.sleep(0.002)
+            finally:
+                await live.aclose()
+            return live, observed
+
+        live, observed = go(run())
+        for n, (want, got) in enumerate(zip(expected, observed)):
+            assert got == want, f"epoch {n}"
+        assert live.delivered_messages == reference.delivered_messages
+        assert live.dropped_messages == reference.dropped_messages

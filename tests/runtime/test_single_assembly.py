@@ -1,11 +1,13 @@
-"""Structural pin: there is one system assembly, and it is not in ``live/``.
+"""Structural pin: one system assembly and one send path, neither in ``live/``.
 
 ``repro.experiments.runner`` is the only module that constructs hosts,
 agents, admission controls, the migration coordinator, the arrival
 generator and the registry probes; ``LiveRuntime`` receives them
-assembled.  An ``ast`` walk (no import, no execution) over the live
-runtime's source keeps a second hand-written assembly from quietly
-growing back.
+assembled.  ``repro.network.transport`` is the only module that decides
+who receives a message and what it costs; ``LiveTransport`` inherits
+that and keeps the wire.  An ``ast`` walk (no import, no execution)
+over the live sources keeps a second hand-written copy of either from
+quietly growing back.
 """
 
 import ast
@@ -44,3 +46,34 @@ def test_live_runtime_imports_no_assembly_building_block():
 def test_the_walk_sees_the_building_blocks_where_they_belong():
     # guards the guard: the same walk finds every name in the one assembler
     assert _ASSEMBLY_NAMES <= _imported_names(SRC / "experiments" / "runner.py")
+
+
+#: the send path: functions only ``network/transport.py`` may define,
+#: identifiers only it may mention
+_SEND_FUNCTIONS = {"unicast", "flood", "multicast", "register", "unregister"}
+_SEND_NAMES = {"on_cost", "cost_model"}
+
+
+def _functions_and_identifiers(path: Path) -> tuple:
+    functions, identifiers = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions.add(node.name)
+        elif isinstance(node, ast.Name):
+            identifiers.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            identifiers.add(node.attr)
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            identifiers.add(node.arg)
+    return functions, identifiers
+
+
+def test_live_transport_has_no_send_path_of_its_own():
+    functions, identifiers = _functions_and_identifiers(SRC / "live" / "transport.py")
+    assert not functions & _SEND_FUNCTIONS, "live/transport.py sends on its own again"
+    assert not identifiers & _SEND_NAMES, "live/transport.py charges on its own again"
+
+
+def test_the_walk_sees_the_send_path_where_it_belongs():
+    functions, identifiers = _functions_and_identifiers(SRC / "network" / "transport.py")
+    assert _SEND_FUNCTIONS <= functions and _SEND_NAMES <= identifiers
