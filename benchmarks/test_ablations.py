@@ -5,11 +5,7 @@ Each test regenerates an ablation table and asserts its directional
 claims; the timed section is the table's most expensive cell.
 """
 
-from repro.experiments.ablations import (
-    ablate_alpha_beta,
-    ablate_retry_policy,
-    ablate_threshold,
-)
+from repro.experiments.ablations import run_study
 from repro.experiments.config import paper_config
 from repro.experiments.runner import run_experiment
 
@@ -21,7 +17,8 @@ HORIZON = min(BENCH_HORIZON, 2_000.0)
 def test_a1_alpha_beta(benchmark):
     """A1: penalty/reward coefficients trade overhead for reactivity."""
     result = benchmark.pedantic(
-        ablate_alpha_beta,
+        run_study,
+        args=("a1",),
         kwargs=dict(arrival_rate=8.0, horizon=HORIZON),
         rounds=1,
         iterations=1,
@@ -46,7 +43,8 @@ def test_a1_alpha_beta(benchmark):
 def test_a2_threshold(benchmark):
     """A2: the 0.9 threshold balances early discovery vs pledge churn."""
     result = benchmark.pedantic(
-        ablate_threshold,
+        run_study,
+        args=("a2",),
         kwargs=dict(arrival_rate=6.0, horizon=HORIZON),
         rounds=1,
         iterations=1,
@@ -71,7 +69,8 @@ def test_a2_threshold(benchmark):
 def test_a5_retry_policy(benchmark):
     """A5: one-shot vs k-try vs random-target migration."""
     result = benchmark.pedantic(
-        ablate_retry_policy,
+        run_study,
+        args=("a5",),
         kwargs=dict(arrival_rate=7.0, horizon=HORIZON),
         rounds=1,
         iterations=1,

@@ -6,7 +6,7 @@ table and compare REALTOR against the stalest baseline under the same
 attack (common random numbers).
 """
 
-from repro.experiments.ablations import ablate_attack
+from repro.experiments.ablations import run_study
 from repro.experiments.config import paper_config
 from repro.experiments.runner import build_system
 from repro.workload.attack import SweepAttack
@@ -32,7 +32,8 @@ def run_attacked(protocol: str, victims: int = 6, seed: int = 11):
 
 def test_a4_severity_sweep(benchmark):
     result = benchmark.pedantic(
-        ablate_attack,
+        run_study,
+        args=("a4",),
         kwargs=dict(victims_list=(0, 2, 5, 10), arrival_rate=4.0,
                     horizon=HORIZON, dwell=HORIZON * 0.05),
         rounds=1,

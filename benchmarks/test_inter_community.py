@@ -5,7 +5,7 @@ offered load: the hierarchy must hold admission probability while
 cutting the weighted message cost by a large factor.
 """
 
-from repro.experiments.ablations import ablate_inter_community
+from repro.experiments.ablations import run_study
 
 from conftest import BENCH_HORIZON
 
@@ -14,7 +14,8 @@ HORIZON = min(BENCH_HORIZON, 1_000.0)
 
 def test_a6_inter_community(benchmark):
     result = benchmark.pedantic(
-        ablate_inter_community,
+        run_study,
+        args=("a6",),
         kwargs=dict(rows=10, cols=10, load=1.2, horizon=HORIZON),
         rounds=1,
         iterations=1,

@@ -5,7 +5,7 @@ directional findings: migration is worth real admission probability;
 gossip at a relaxed period is cost-competitive with REALTOR.
 """
 
-from repro.experiments.ablations import ablate_modern_baselines
+from repro.experiments.ablations import run_study
 
 from conftest import BENCH_HORIZON
 
@@ -14,7 +14,8 @@ HORIZON = min(BENCH_HORIZON, 1_000.0)
 
 def test_b1_modern_baselines(benchmark):
     result = benchmark.pedantic(
-        ablate_modern_baselines,
+        run_study,
+        args=("b1",),
         kwargs=dict(rates=(6.0, 7.0, 8.0), horizon=HORIZON),
         rounds=1,
         iterations=1,

@@ -7,7 +7,7 @@ activity is driven by local load, so its per-node cost should stay
 within a small factor while pure push's grows with the link count.
 """
 
-from repro.experiments.ablations import ablate_scalability
+from repro.experiments.ablations import run_study
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 
@@ -27,7 +27,8 @@ def per_node_delivered(result, nodes: int) -> float:
 
 def test_a3_realtor_overhead_size_independent(benchmark):
     result = benchmark.pedantic(
-        ablate_scalability,
+        run_study,
+        args=("a3",),
         kwargs=dict(sizes=SIZES, load=1.2, horizon=HORIZON, protocol="realtor"),
         rounds=1,
         iterations=1,

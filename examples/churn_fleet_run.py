@@ -23,7 +23,7 @@ import hashlib
 import json
 import sys
 
-from repro.experiments.ablations import ablate_ranking
+from repro.experiments.ablations import run_study
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system, run_experiment
 from repro.protocols.base import ProtocolConfig
@@ -150,7 +150,8 @@ def check_determinism() -> dict:
 
 def check_ranking_ablation() -> dict:
     print("\n=== 4. ranking-policy ablation ===")
-    study = ablate_ranking(
+    study = run_study(
+        "b4",
         policies=("headroom", "latency", "reliability", "composite"),
         arrival_rate=9.0,
         horizon=600.0,

@@ -17,7 +17,6 @@ from .plan import (
     confidence_plan,
     grid_plan,
     replication_plan,
-    scaling_plan,
     sweep_plan,
 )
 from .runner import System, build_system, run_experiment
@@ -37,7 +36,6 @@ __all__ = [
     "confidence_plan",
     "grid_plan",
     "replication_plan",
-    "scaling_plan",
     "sweep_plan",
     "RunStore",
     "config_digest",

@@ -5,7 +5,8 @@ Usage::
     python -m repro.experiments fig5 [--horizon 10000] [--seed 1] [--parallel]
     python -m repro.experiments fig6 fig7 fig8 fig9
     python -m repro.experiments all --horizon 2000
-    python -m repro.experiments ablations
+    python -m repro.experiments ablations               # studies A1-A8, B1-B4
+    python -m repro.experiments a1 b4 --horizon 500 --parallel
     python -m repro.experiments all --store runs/       # resumable; re-run
     python -m repro.experiments all --store runs/       # ...is 100% cache hits
     python -m repro.experiments fig5 --store runs/ --force
@@ -22,8 +23,8 @@ import argparse
 import sys
 from typing import List
 
-from . import ablations as ab
 from . import figures as fg
+from .ablations import STUDIES, run_study
 
 FIGURES = {
     "fig5": fg.fig5_admission_probability,
@@ -32,19 +33,26 @@ FIGURES = {
     "fig8": fg.fig8_migration_rate,
 }
 
-ABLATIONS = {
-    "a1": ab.ablate_alpha_beta,
-    "a2": ab.ablate_threshold,
-    "a3": ab.ablate_scalability,
-    "a4": ab.ablate_attack,
-    "a5": ab.ablate_retry_policy,
-    "a6": ab.ablate_inter_community,
-    "a7": ab.ablate_multi_resource,
-    "a8": ab.ablate_qos,
-    "b1": ab.ablate_modern_baselines,
-    "b2": ab.ablate_topology,
-    "b3": ab.ablate_latency,
-}
+FIGURE_TARGETS = [*FIGURES, "fig9"]
+GROUPS = {"all": FIGURE_TARGETS, "ablations": list(STUDIES)}
+
+
+def expand_targets(names: List[str]) -> List[str]:
+    """Lower-case ``names`` and expand ``all`` / ``ablations``.
+
+    Raises ``ValueError`` on the first name that is no figure, study or
+    group, so a typo is reported before anything has been simulated.
+    """
+    targets: List[str] = []
+    for name in names:
+        name = name.lower()
+        if name in GROUPS:
+            targets += GROUPS[name]
+        elif name in FIGURE_TARGETS or name in STUDIES:
+            targets.append(name)
+        else:
+            raise ValueError(f"unknown target: {name}")
+    return targets
 
 
 def main(argv: List[str] = None) -> int:
@@ -55,9 +63,9 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument(
         "targets",
         nargs="+",
-        help="fig5 fig6 fig7 fig8 fig9 | a1..a5 | all | ablations",
+        help=f"{' '.join(FIGURE_TARGETS)} | {' '.join(STUDIES)} | all | ablations",
     )
-    parser.add_argument("--horizon", type=float, default=10_000.0,
+    parser.add_argument("--horizon", type=float, default=None,
                         help="simulated seconds per run (default 10000)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--parallel", action="store_true",
@@ -83,6 +91,11 @@ def main(argv: List[str] = None) -> int:
                         help="stream live sweep telemetry (progress, ETA, "
                              "per-protocol message/loss rates) to stderr")
     args = parser.parse_args(argv)
+    try:
+        targets = expand_targets(args.targets)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
     store = None
     if args.resume and args.force:
@@ -94,15 +107,9 @@ def main(argv: List[str] = None) -> int:
 
         store = RunStore(args.store)
 
-    targets: List[str] = []
-    for t in args.targets:
-        t = t.lower()
-        if t == "all":
-            targets += list(FIGURES) + ["fig9"]
-        elif t == "ablations":
-            targets += list(ABLATIONS)
-        else:
-            targets.append(t)
+    # studies keep their own default horizon unless one is given
+    study_horizon = {} if args.horizon is None else {"horizon": args.horizon}
+    horizon = 10_000.0 if args.horizon is None else args.horizon
 
     failed = False
     # Figures 5-8 are projections of one sweep; when several are
@@ -124,7 +131,7 @@ def main(argv: List[str] = None) -> int:
             progress = ProgressReporter(
                 total=len(PAPER_PROTOCOLS) * len(DEFAULT_RATES)
             )
-        base = ExperimentConfig(horizon=args.horizon, seed=args.seed)
+        base = ExperimentConfig(horizon=horizon, seed=args.seed)
         shared_raw = run_sweep(
             PAPER_PROTOCOLS, list(DEFAULT_RATES), base,
             parallel=args.parallel, progress=progress,
@@ -136,7 +143,7 @@ def main(argv: List[str] = None) -> int:
     for target in targets:
         if target in FIGURES:
             kwargs = dict(
-                horizon=args.horizon,
+                horizon=horizon,
                 seed=args.seed,
                 parallel=args.parallel,
                 raw=shared_raw,
@@ -156,22 +163,20 @@ def main(argv: List[str] = None) -> int:
             print()
             failed |= not result.all_passed
         elif target == "fig9":
-            kwargs = dict(horizon=min(args.horizon, 5_000.0), seed=args.seed)
+            kwargs = dict(horizon=min(horizon, 5_000.0), seed=args.seed)
             if store is not None:
                 kwargs.update(store=store, force=args.force)
             result = fg.fig9_testbed_admission(**kwargs)
             print(result.summary())
             print()
             failed |= not result.all_passed
-        elif target in ABLATIONS:
-            if store is not None:
-                print(ABLATIONS[target](store=store).summary())
-            else:
-                print(ABLATIONS[target]().summary())
-            print()
         else:
-            print(f"unknown target: {target}", file=sys.stderr)
-            return 2
+            result = run_study(
+                target, store=store, parallel=args.parallel, force=args.force,
+                seed=args.seed, **study_horizon,
+            )
+            print(result.summary())
+            print()
 
     if args.save and shared_raw is not None:
         from ..metrics.export import save_sweep

@@ -1,26 +1,32 @@
-"""Ablation studies (A1-A6 in DESIGN.md).
+"""Ablation studies (A1-A8, B1-B4 in DESIGN.md) as one table.
 
 The paper leaves several design choices open ("the value of alpha and
 beta are subject to the local resource manager"; the membership scope;
 the one-shot migration policy; Section 7's inter-community future work).
-Each ablation isolates one choice, holding the paper workload fixed.
+Each study isolates one choice, holding the paper workload fixed.
 
-Every study is a thin plan builder: it enumerates its axis as
-``(key, config[, chaos-spec])`` items, expands them with
-:func:`~repro.experiments.plan.grid_plan`, and executes through the
-shared :func:`~repro.experiments.executor.execute_plan` — so ablations
-inherit process-pool dispatch (``parallel=``) and content-addressed
-caching/resume (``store=``) without any driver-local machinery.
+A study is a row of :data:`STUDIES`: its default parameters (the swept
+axis first), a cell builder that enumerates the axis as ``(key,
+config[, chaos-spec])`` items, and the columns of its table.
+:func:`run_study` is the one executor: it expands the items with
+:func:`~repro.experiments.plan.grid_plan` and runs them through the
+shared :func:`~repro.experiments.executor.execute_plan` — so every study
+gets process-pool dispatch (``parallel=``) and content-addressed
+caching/resume (``store=``, ``force=``) without any machinery of its own.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Tuple, Union
 
 from ..metrics.collector import RunResult
 from ..metrics.report import format_table
 from ..protocols.base import ProtocolConfig
+from ..workload.churn import ChurnConfig
+from ..workload.fleet import FleetConfig
 from .chaos import ChaosSpec
 from .config import ExperimentConfig, paper_config
 from .executor import execute_plan
@@ -29,21 +35,7 @@ from .plan import grid_plan
 if TYPE_CHECKING:  # pragma: no cover
     from .store import RunStore
 
-__all__ = [
-    "AblationResult",
-    "ablate_alpha_beta",
-    "ablate_threshold",
-    "ablate_retry_policy",
-    "ablate_scalability",
-    "ablate_attack",
-    "ablate_inter_community",
-    "ablate_multi_resource",
-    "ablate_qos",
-    "ablate_modern_baselines",
-    "ablate_topology",
-    "ablate_latency",
-    "ablate_ranking",
-]
+__all__ = ["AblationResult", "Study", "STUDIES", "METRICS", "run_study"]
 
 
 @dataclass
@@ -63,142 +55,129 @@ class AblationResult:
         return f"=== {self.name} ===\n{self.table}"
 
 
-def _run_grid(
-    name: str,
-    items: Sequence[tuple],
-    *,
-    store: Optional["RunStore"] = None,
-    parallel: bool = False,
-) -> Dict[object, RunResult]:
-    """Execute ``(key, config[, spec])`` items; results keyed like items."""
-    plan = grid_plan(name, items)
-    results = execute_plan(plan, store=store, parallel=parallel)
-    return plan.reduce(results)  # type: ignore[return-value]
+def _per_node_s(count: float, r: RunResult) -> float:
+    return count / (r.params["nodes"] * r.params["horizon"])
 
 
-def ablate_alpha_beta(
-    pairs: Sequence[Tuple[float, float]] = ((0.5, 0.5), (1.0, 0.25), (1.5, 0.2), (2.0, 0.1)),
-    *,
-    arrival_rate: float = 8.0,
-    horizon: float = 2_000.0,
-    seed: int = 1,
-    protocol: str = "realtor",
-    store: Optional["RunStore"] = None,
-    parallel: bool = False,
-) -> AblationResult:
-    """A1: Algorithm H reward/penalty — overhead vs effectiveness trade."""
-    items = [
-        (
-            (alpha, beta),
-            paper_config(
-                protocol, arrival_rate, seed=seed, horizon=horizon,
-                protocol_config=ProtocolConfig(alpha=alpha, beta=beta),
-            ),
-        )
-        for alpha, beta in pairs
-    ]
-    raw = _run_grid("A1-alpha-beta", items, store=store, parallel=parallel)
-    rows: List[List[object]] = []
-    for alpha, beta in pairs:
-        res = raw[(alpha, beta)]
-        rows.append(
-            [
-                alpha,
-                beta,
-                res.admission_probability,
-                res.messages_total,
-                res.messages_per_admitted,
-                res.help_interval_mean if res.help_interval_mean is not None else "-",
+#: column header -> how to read that column off one run
+METRICS: Dict[str, Callable[[RunResult], object]] = {
+    "lambda": lambda r: r.params["lambda"],
+    "protocol": lambda r: r.params["protocol"],
+    "P(admit)": lambda r: r.admission_probability,
+    "mig-rate": lambda r: r.migration_rate,
+    "messages": lambda r: r.messages_total,
+    "weighted-msgs": lambda r: r.messages_total,
+    "msg/task": lambda r: r.messages_per_admitted,
+    "weighted/node/s": lambda r: _per_node_s(r.messages_total, r),
+    "delivered/node/s": lambda r: _per_node_s(r.extra["delivered_messages"], r),
+    "help-interval": lambda r: (
+        r.help_interval_mean if r.help_interval_mean is not None else "-"
+    ),
+    "response-mean": lambda r: r.response_time_mean,
+    "staleness": lambda r: r.extra.get("view_staleness", 0.0),
+    "miss": lambda r: r.extra.get("deadline_miss_rate", 0.0),
+    "misrank": lambda r: r.extra.get("misrank_rate", 0.0),
+    "fb-depth": lambda r: r.extra.get("fallback_depth_mean", 0.0),
+    "evacuations": lambda r: r.evacuations,
+    "evac-success": lambda r: (
+        (r.evacuations - r.evacuation_failures) / r.evacuations
+        if r.evacuations else 1.0
+    ),
+    "tasks-lost": lambda r: r.lost,
+}
+
+
+@dataclass(frozen=True)
+class Study:
+    """One ablation: what it sweeps, what it runs, what it tabulates.
+
+    ``cells`` is the study's definition: its keyword defaults are the
+    study's parameters (the swept axis first), its docstring the
+    rationale, and called with the parameters it yields the ``(key,
+    config[, spec])`` items.  A plain table has one row per cell: the
+    leading ``len(labels)`` components of the cell key, then one
+    :data:`METRICS` column per name in ``columns``.  With ``pivot`` set
+    the cells are keyed ``(series, rate)`` and the table has one row per
+    rate with, per series, one column for each ``(header template,
+    metric)`` pair.
+    """
+
+    key: str  #: CLI target, e.g. ``"a1"``
+    plan: str  #: plan name the cells are recorded under
+    title: Union[str, Callable[[Mapping[str, object]], str]]
+    cells: Callable[..., Iterable[tuple]]
+    labels: Tuple[str, ...]
+    columns: Tuple[str, ...] = ()
+    pivot: Tuple[Tuple[str, str], ...] = ()
+
+    @property
+    def doc(self) -> str:
+        """Why the study exists and what it should show."""
+        return inspect.getdoc(self.cells) or ""
+
+    @property
+    def params(self) -> Dict[str, object]:
+        """Every parameter with its default."""
+        signature = inspect.signature(self.cells)
+        return {name: p.default for name, p in signature.parameters.items()}
+
+    def table(
+        self, keys: Sequence[tuple], results: Sequence[RunResult]
+    ) -> Tuple[List[str], List[List[object]]]:
+        """Headers and rows for plan-ordered ``keys`` / ``results``."""
+        if not self.pivot:
+            shown = len(self.labels)
+            return [*self.labels, *self.columns], [
+                [*key[:shown], *(METRICS[c](res) for c in self.columns)]
+                for key, res in zip(keys, results)
             ]
+        series = dict.fromkeys(key[0] for key in keys)
+        by_rate: Dict[object, List[object]] = {}
+        for (_, rate), res in zip(keys, results):
+            by_rate.setdefault(rate, [rate]).extend(
+                METRICS[metric](res) for _, metric in self.pivot
+            )
+        headers = [t.format(s) for s in series for t, _ in self.pivot]
+        return [*self.labels, *headers], list(by_rate.values())
+
+
+# Cell builders: one per study ---------------------------------------------
+
+
+def _a1_cells(pairs=((0.5, 0.5), (1.0, 0.25), (1.5, 0.2), (2.0, 0.1)),
+              arrival_rate=8.0, horizon=2_000.0, seed=1, protocol="realtor"):
+    """A1: Algorithm H reward/penalty — overhead vs effectiveness trade."""
+    for alpha, beta in pairs:
+        yield (alpha, beta), paper_config(
+            protocol, arrival_rate, seed=seed, horizon=horizon,
+            protocol_config=ProtocolConfig(alpha=alpha, beta=beta),
         )
-    return AblationResult(
-        f"A1 alpha/beta (lambda={arrival_rate:g})",
-        ["alpha", "beta", "P(admit)", "messages", "msg/task", "help-interval"],
-        rows,
-        raw,
-    )
 
 
-def ablate_threshold(
-    thresholds: Sequence[float] = (0.5, 0.7, 0.8, 0.9, 0.95),
-    *,
-    arrival_rate: float = 6.0,
-    horizon: float = 2_000.0,
-    seed: int = 1,
-    protocol: str = "realtor",
-    store: Optional["RunStore"] = None,
-    parallel: bool = False,
-) -> AblationResult:
+def _a2_cells(thresholds=(0.5, 0.7, 0.8, 0.9, 0.95), arrival_rate=6.0,
+              horizon=2_000.0, seed=1, protocol="realtor"):
     """A2: availability threshold — earlier discovery vs pledge churn."""
-    items = [
-        (
-            thr,
-            paper_config(
-                protocol, arrival_rate, seed=seed, horizon=horizon,
-                protocol_config=ProtocolConfig(threshold=thr),
-            ),
+    for thr in thresholds:
+        yield thr, paper_config(
+            protocol, arrival_rate, seed=seed, horizon=horizon,
+            protocol_config=ProtocolConfig(threshold=thr),
         )
-        for thr in thresholds
-    ]
-    raw = _run_grid("A2-threshold", items, store=store, parallel=parallel)
-    rows = [
-        [thr, raw[thr].admission_probability, raw[thr].migration_rate,
-         raw[thr].messages_total, raw[thr].messages_per_admitted]
-        for thr in thresholds
-    ]
-    return AblationResult(
-        f"A2 threshold (lambda={arrival_rate:g})",
-        ["threshold", "P(admit)", "mig-rate", "messages", "msg/task"],
-        rows,
-        raw,
+
+
+def _mesh_at_load(protocol, rows, cols, load, task_mean, horizon, seed):
+    """A ``rows x cols`` mesh whose arrival rate keeps offered load at ``load``."""
+    # n first: load * rows * cols / task_mean re-associates the float
+    # product and would move every recorded A3 digest
+    n = rows * cols
+    return ExperimentConfig(
+        protocol=protocol, arrival_rate=load * n / task_mean, task_mean=task_mean,
+        rows=rows, cols=cols, horizon=horizon, seed=seed,
+        unicast_cost="hops",  # fixed-4 would misprice larger meshes
     )
 
 
-def ablate_retry_policy(
-    policies: Sequence[str] = ("one-shot", "2-try", "3-try", "random"),
-    *,
-    arrival_rate: float = 7.0,
-    horizon: float = 2_000.0,
-    seed: int = 1,
-    protocol: str = "realtor",
-    store: Optional["RunStore"] = None,
-    parallel: bool = False,
-) -> AblationResult:
-    """A5: one-shot vs k-try vs random-target migration."""
-    items = [
-        (
-            pol,
-            paper_config(protocol, arrival_rate, seed=seed, horizon=horizon).with_(
-                policy=pol
-            ),
-        )
-        for pol in policies
-    ]
-    raw = _run_grid("A5-retry-policy", items, store=store, parallel=parallel)
-    rows = [
-        [pol, raw[pol].admission_probability, raw[pol].migration_rate,
-         raw[pol].messages_total, raw[pol].messages_per_admitted]
-        for pol in policies
-    ]
-    return AblationResult(
-        f"A5 migration policy (lambda={arrival_rate:g})",
-        ["policy", "P(admit)", "mig-rate", "messages", "msg/task"],
-        rows,
-        raw,
-    )
-
-
-def ablate_scalability(
-    sizes: Sequence[Tuple[int, int]] = ((3, 3), (5, 5), (7, 7), (10, 10)),
-    *,
-    load: float = 1.2,
-    task_mean: float = 5.0,
-    horizon: float = 2_000.0,
-    seed: int = 1,
-    protocol: str = "realtor",
-    store: Optional["RunStore"] = None,
-    parallel: bool = False,
-) -> AblationResult:
+def _a3_cells(sizes=((3, 3), (5, 5), (7, 7), (10, 10)), load=1.2, task_mean=5.0,
+              horizon=2_000.0, seed=1, protocol="realtor"):
     """A3: per-node overhead vs system size at constant offered load.
 
     The paper's scalability claim: REALTOR's overhead "is system-size
@@ -206,57 +185,14 @@ def ablate_scalability(
     be flat as the mesh grows (floods cost #links, which grows, but their
     *frequency* per node is load-driven, and pledges stay local).
     """
-    grid: List[Tuple[int, float]] = []
-    items = []
-    for rows_, cols_ in sizes:
-        n = rows_ * cols_
-        rate = load * n / task_mean
-        grid.append((n, rate))
-        items.append(
-            (
-                n,
-                ExperimentConfig(
-                    protocol=protocol,
-                    arrival_rate=rate,
-                    task_mean=task_mean,
-                    rows=rows_,
-                    cols=cols_,
-                    horizon=horizon,
-                    seed=seed,
-                    unicast_cost="hops",  # fixed-4 would misprice larger meshes
-                ),
-            )
+    for rows, cols in sizes:
+        yield rows * cols, _mesh_at_load(
+            protocol, rows, cols, load, task_mean, horizon, seed
         )
-    raw = _run_grid("A3-scalability", items, store=store, parallel=parallel)
-    rows: List[List[object]] = []
-    for n, rate in grid:
-        res = raw[n]
-        weighted_per_node_s = res.messages_total / (n * horizon)
-        delivered_per_node_s = res.extra["delivered_messages"] / (n * horizon)
-        rows.append(
-            [n, rate, res.admission_probability, res.messages_total,
-             weighted_per_node_s, delivered_per_node_s]
-        )
-    return AblationResult(
-        f"A3 scalability (offered load {load:g})",
-        ["nodes", "lambda", "P(admit)", "weighted-msgs",
-         "weighted/node/s", "delivered/node/s"],
-        rows,
-        raw,
-    )
 
 
-def ablate_attack(
-    victims_list: Sequence[int] = (0, 2, 5, 10),
-    *,
-    arrival_rate: float = 4.0,
-    horizon: float = 2_000.0,
-    dwell: float = 100.0,
-    seed: int = 1,
-    protocol: str = "realtor",
-    store: Optional["RunStore"] = None,
-    parallel: bool = False,
-) -> AblationResult:
+def _a4_cells(victims_list=(0, 2, 5, 10), arrival_rate=4.0, horizon=2_000.0,
+              dwell=100.0, seed=1, protocol="realtor"):
     """A4: attack survivability — sweep-attack severity vs outcomes.
 
     An attacker compromises ``victims`` nodes in sequence (dwell time
@@ -266,54 +202,27 @@ def ablate_attack(
     Attack randomness draws from the kernel's named "attack" stream
     (``rng_stream="kernel"``), the seeding this study has always used.
     """
-    items = []
+    cfg = paper_config(protocol, arrival_rate, seed=seed, horizon=horizon)
     for victims in victims_list:
-        cfg = paper_config(protocol, arrival_rate, seed=seed, horizon=horizon)
         spec = None
         if victims > 0:
             spec = ChaosSpec(
-                attack="sweep",
-                start=horizon * 0.25,
-                dwell=dwell,
-                victims=victims,
-                rng_stream="kernel",
+                attack="sweep", start=horizon * 0.25, dwell=dwell,
+                victims=victims, rng_stream="kernel",
             )
-        items.append((victims, cfg, spec))
-    raw = _run_grid("A4-attack", items, store=store, parallel=parallel)
-    rows: List[List[object]] = []
-    for victims in victims_list:
-        res = raw[victims]
-        evac_total = res.evacuations
-        evac_ok = evac_total - res.evacuation_failures
-        rows.append(
-            [
-                victims,
-                res.admission_probability,
-                evac_total,
-                (evac_ok / evac_total) if evac_total else 1.0,
-                res.lost,
-            ]
-        )
-    return AblationResult(
-        f"A4 attack survivability (lambda={arrival_rate:g}, dwell={dwell:g}s)",
-        ["victims", "P(admit)", "evacuations", "evac-success", "tasks-lost"],
-        rows,
-        raw,
-    )
+        yield victims, cfg, spec
 
 
-def ablate_inter_community(
-    protocols: Sequence[str] = ("realtor", "realtor-hier", "realtor-hier-25"),
-    *,
-    rows: int = 10,
-    cols: int = 10,
-    load: float = 1.2,
-    task_mean: float = 5.0,
-    horizon: float = 1_000.0,
-    seed: int = 1,
-    store: Optional["RunStore"] = None,
-    parallel: bool = False,
-) -> AblationResult:
+def _a5_cells(policies=("one-shot", "2-try", "3-try", "random"), arrival_rate=7.0,
+              horizon=2_000.0, seed=1, protocol="realtor"):
+    """A5: one-shot vs k-try vs random-target migration."""
+    base = paper_config(protocol, arrival_rate, seed=seed, horizon=horizon)
+    for pol in policies:
+        yield pol, base.with_(policy=pol)
+
+
+def _a6_cells(protocols=("realtor", "realtor-hier", "realtor-hier-25"), rows=10,
+              cols=10, load=1.2, task_mean=5.0, horizon=1_000.0, seed=1):
     """A6: the Section 7 future-work extension — inter-neighbour-group
     discovery on a large mesh.
 
@@ -323,52 +232,22 @@ def ablate_inter_community(
     load the hierarchy should hold admission probability while cutting
     weighted message cost by a large factor.
     """
-    n = rows * cols
-    rate = load * n / task_mean
-    items = [
-        (
-            proto,
-            ExperimentConfig(
-                protocol=proto,
-                arrival_rate=rate,
-                task_mean=task_mean,
-                rows=rows,
-                cols=cols,
-                horizon=horizon,
-                seed=seed,
-                unicast_cost="hops",
-            ),
-        )
-        for proto in protocols
-    ]
-    raw = _run_grid("A6-inter-community", items, store=store, parallel=parallel)
-    rows_out = [
-        [
-            proto,
-            raw[proto].admission_probability,
-            raw[proto].migration_rate,
-            raw[proto].messages_total,
-            raw[proto].messages_per_admitted,
-        ]
-        for proto in protocols
-    ]
-    return AblationResult(
-        f"A6 inter-community discovery ({rows}x{cols} mesh, load {load:g})",
-        ["protocol", "P(admit)", "mig-rate", "messages", "msg/task"],
-        rows_out,
-        raw,
-    )
+    for proto in protocols:
+        yield proto, _mesh_at_load(proto, rows, cols, load, task_mean, horizon, seed)
 
 
-def ablate_multi_resource(
-    rates: Sequence[float] = (4.0, 5.0, 6.0, 7.0, 8.0),
-    *,
-    horizon: float = 1_000.0,
-    seed: int = 1,
-    protocol: str = "realtor",
-    store: Optional["RunStore"] = None,
-    parallel: bool = False,
-) -> AblationResult:
+_A7_SCENARIOS = {
+    "cpu-only": {},
+    "bandwidth": dict(
+        extra_resources=(("bandwidth", 100.0),),
+        demand_means=(("bandwidth", 10.0),),
+    ),
+    "security": dict(security_levels=(0.0, 1.0), secure_task_fraction=0.3),
+}
+
+
+def _a7_cells(rates=(4.0, 5.0, 6.0, 7.0, 8.0), horizon=1_000.0, seed=1,
+              protocol="realtor"):
     """A7: footnote 3 — "more general resource scenarios such as network
     bandwidth, current security level, etc., would give similar results".
 
@@ -379,50 +258,14 @@ def ablate_multi_resource(
     decline; absolute levels shift with how constraining the extra
     resource is.
     """
-    scenarios = {
-        "cpu-only": {},
-        "bandwidth": dict(
-            extra_resources=(("bandwidth", 100.0),),
-            demand_means=(("bandwidth", 10.0),),
-        ),
-        "security": dict(
-            security_levels=(0.0, 1.0),
-            secure_task_fraction=0.3,
-        ),
-    }
-    items = [
-        (
-            (name, rate),
-            paper_config(protocol, rate, seed=seed, horizon=horizon).with_(**extra),
-        )
-        for rate in rates
-        for name, extra in scenarios.items()
-    ]
-    raw = _run_grid("A7-multi-resource", items, store=store, parallel=parallel)
-    rows: List[List[object]] = []
     for rate in rates:
-        row: List[object] = [rate]
-        for name in scenarios:
-            row.append(raw[(name, rate)].admission_probability)
-        rows.append(row)
-    return AblationResult(
-        "A7 multi-resource scenarios (admission probability)",
-        ["lambda", *scenarios.keys()],
-        rows,
-        raw,
-    )
+        base = paper_config(protocol, rate, seed=seed, horizon=horizon)
+        for name, extra in _A7_SCENARIOS.items():
+            yield (name, rate), base.with_(**extra)
 
 
-def ablate_qos(
-    rates: Sequence[float] = (3.0, 4.0, 5.0, 6.0, 7.0),
-    *,
-    deadline_factor: float = 10.0,
-    horizon: float = 1_000.0,
-    seed: int = 1,
-    protocols: Sequence[str] = ("realtor", "pull-100"),
-    store: Optional["RunStore"] = None,
-    parallel: bool = False,
-) -> AblationResult:
+def _a8_cells(rates=(3.0, 4.0, 5.0, 6.0, 7.0), deadline_factor=10.0,
+              horizon=1_000.0, seed=1, protocols=("realtor", "pull-100")):
     """A8: QoS degradation — deadline miss rate vs load.
 
     Section 2's motivation: "overload situations are particularly
@@ -432,45 +275,14 @@ def ablate_qos(
     collapses far earlier and far faster than admission probability —
     admission alone understates overload damage.
     """
-    items = [
-        (
-            (proto, rate),
-            paper_config(proto, rate, seed=seed, horizon=horizon).with_(
-                deadline_factor=deadline_factor
-            ),
-        )
-        for rate in rates
-        for proto in protocols
-    ]
-    raw = _run_grid("A8-qos", items, store=store, parallel=parallel)
-    rows: List[List[object]] = []
     for rate in rates:
-        row: List[object] = [rate]
         for proto in protocols:
-            res = raw[(proto, rate)]
-            row.append(res.admission_probability)
-            row.append(res.extra.get("deadline_miss_rate", 0.0))
-        rows.append(row)
-    headers = ["lambda"]
-    for proto in protocols:
-        headers += [f"P({proto})", f"miss({proto})"]
-    return AblationResult(
-        f"A8 QoS: deadline miss rate (deadline = {deadline_factor:g} x size)",
-        headers,
-        rows,
-        raw,
-    )
+            cfg = paper_config(proto, rate, seed=seed, horizon=horizon)
+            yield (proto, rate), cfg.with_(deadline_factor=deadline_factor)
 
 
-def ablate_modern_baselines(
-    rates: Sequence[float] = (5.0, 6.0, 7.0, 8.0),
-    *,
-    horizon: float = 1_000.0,
-    seed: int = 1,
-    protocols: Sequence[str] = ("none", "gossip", "gossip-5", "realtor", "push-.9"),
-    store: Optional["RunStore"] = None,
-    parallel: bool = False,
-) -> AblationResult:
+def _b1_cells(rates=(5.0, 6.0, 7.0, 8.0), horizon=1_000.0, seed=1,
+              protocols=("none", "gossip", "gossip-5", "realtor", "push-.9")):
     """B1: beyond-paper baselines — the no-migration floor and
     SWIM-style push-pull gossip (the protocol family that, post-2003,
     became the standard answer to this problem: Serf, memberlist,
@@ -481,92 +293,28 @@ def ablate_modern_baselines(
     (the spread among real protocols); and how does 1970s-style
     anti-entropy compare with REALTOR's demand-driven design on cost.
     """
-    items = [
-        ((proto, rate), paper_config(proto, rate, seed=seed, horizon=horizon))
-        for rate in rates
-        for proto in protocols
-    ]
-    raw = _run_grid("B1-modern-baselines", items, store=store, parallel=parallel)
-    rows = [
-        [
-            rate,
-            proto,
-            raw[(proto, rate)].admission_probability,
-            raw[(proto, rate)].messages_total,
-            raw[(proto, rate)].extra.get("view_staleness", 0.0),
-        ]
-        for rate in rates
-        for proto in protocols
-    ]
-    return AblationResult(
-        "B1 modern baselines (no-migration floor, gossip vs REALTOR)",
-        ["lambda", "protocol", "P(admit)", "messages", "staleness"],
-        rows,
-        raw,
-    )
+    for rate in rates:
+        for proto in protocols:
+            yield (proto, rate), paper_config(proto, rate, seed=seed, horizon=horizon)
 
 
-def ablate_topology(
-    topologies: Sequence[str] = ("mesh", "torus", "ring", "tree", "full"),
-    *,
-    arrival_rate: float = 6.0,
-    horizon: float = 1_000.0,
-    seed: int = 1,
-    protocol: str = "realtor",
-    store: Optional["RunStore"] = None,
-    parallel: bool = False,
-) -> AblationResult:
+def _b2_cells(topologies=("mesh", "torus", "ring", "tree", "full"), arrival_rate=6.0,
+              horizon=1_000.0, seed=1, protocol="realtor"):
     """B2: overlay-shape sensitivity.
 
     Neighbour-scoped discovery lives and dies by connectivity: a ring
     (degree 2) gives each node two candidates, the torus four, the full
     mesh twenty-four.  Same 25 nodes, same workload, different overlay.
     """
-    items = [
-        (
-            topo,
-            ExperimentConfig(
-                protocol=protocol,
-                arrival_rate=arrival_rate,
-                topology=topo,
-                rows=5,
-                cols=5,
-                horizon=horizon,
-                seed=seed,
-                unicast_cost="hops",
-            ),
+    for topo in topologies:
+        yield topo, ExperimentConfig(
+            protocol=protocol, arrival_rate=arrival_rate, topology=topo,
+            rows=5, cols=5, horizon=horizon, seed=seed, unicast_cost="hops",
         )
-        for topo in topologies
-    ]
-    raw = _run_grid("B2-topology", items, store=store, parallel=parallel)
-    rows = [
-        [
-            topo,
-            raw[topo].admission_probability,
-            raw[topo].migration_rate,
-            raw[topo].messages_total,
-            raw[topo].extra.get("view_staleness", 0.0),
-        ]
-        for topo in topologies
-    ]
-    return AblationResult(
-        f"B2 topology sensitivity (lambda={arrival_rate:g}, 25 nodes)",
-        ["topology", "P(admit)", "mig-rate", "messages", "staleness"],
-        rows,
-        raw,
-    )
 
 
-def ablate_latency(
-    latencies: Sequence[float] = (0.0, 0.001, 0.01, 0.1, 1.0),
-    *,
-    arrival_rate: float = 7.0,
-    horizon: float = 1_000.0,
-    seed: int = 1,
-    protocol: str = "realtor",
-    store: Optional["RunStore"] = None,
-    parallel: bool = False,
-) -> AblationResult:
+def _b3_cells(latencies=(0.0, 0.001, 0.01, 0.1, 1.0), arrival_rate=7.0,
+              horizon=1_000.0, seed=1, protocol="realtor"):
     """B3: message-latency sensitivity.
 
     The paper's simulation treats dissemination as instantaneous.  Here
@@ -575,45 +323,14 @@ def ablate_latency(
     validating the zero-latency simplification — and beyond that, stale
     one-shot migrations begin to fail.
     """
-    items = [
-        (
-            latency,
-            paper_config(protocol, arrival_rate, seed=seed, horizon=horizon).with_(
-                per_hop_latency=latency
-            ),
-        )
-        for latency in latencies
-    ]
-    raw = _run_grid("B3-latency", items, store=store, parallel=parallel)
-    rows = [
-        [
-            latency,
-            raw[latency].admission_probability,
-            raw[latency].migration_rate,
-            raw[latency].response_time_mean,
-        ]
-        for latency in latencies
-    ]
-    return AblationResult(
-        f"B3 per-hop latency (lambda={arrival_rate:g})",
-        ["latency-s", "P(admit)", "mig-rate", "response-mean"],
-        rows,
-        raw,
-    )
+    base = paper_config(protocol, arrival_rate, seed=seed, horizon=horizon)
+    for latency in latencies:
+        yield latency, base.with_(per_hop_latency=latency)
 
 
-def ablate_ranking(
-    policies: Sequence[str] = ("headroom", "latency", "reliability", "composite"),
-    *,
-    arrival_rate: float = 9.0,
-    horizon: float = 2_000.0,
-    seed: int = 1,
-    protocol: str = "realtor",
-    heterogeneous: bool = True,
-    churn_rate: float = 0.02,
-    store: Optional["RunStore"] = None,
-    parallel: bool = False,
-) -> AblationResult:
+def _b4_cells(policies=("headroom", "latency", "reliability", "composite"),
+              arrival_rate=9.0, horizon=2_000.0, seed=1, protocol="realtor",
+              heterogeneous=True, churn_rate=0.02):
     """B4: candidate-ranking policies under a heterogeneous, churning fleet.
 
     The comparison the ranking seam exists for: headroom (the paper)
@@ -624,9 +341,6 @@ def ablate_ranking(
     next to message cost so the overhead of a smarter ranking is
     visible in the same table.
     """
-    from ..workload.churn import ChurnConfig
-    from ..workload.fleet import FleetConfig
-
     base = paper_config(protocol, arrival_rate, seed=seed, horizon=horizon)
     if heterogeneous:
         base = base.with_(fleet=FleetConfig.heterogeneous())
@@ -634,34 +348,82 @@ def ablate_ranking(
         base = base.with_(
             churn=ChurnConfig(join_rate=churn_rate, leave_rate=churn_rate)
         )
-    items = [
-        (
-            policy,
-            base.with_(
-                protocol_config=base.protocol_config.with_(ranking_policy=policy)
-            ),
-        )
-        for policy in policies
-    ]
-    raw = _run_grid("B4-ranking", items, store=store, parallel=parallel)
-    rows: List[List[object]] = []
     for policy in policies:
-        res = raw[policy]
-        rows.append(
-            [
-                policy,
-                res.admission_probability,
-                res.migration_rate,
-                res.messages_per_admitted,
-                res.extra.get("misrank_rate", 0.0),
-                res.extra.get("fallback_depth_mean", 0.0),
-            ]
+        yield policy, base.with_(
+            protocol_config=base.protocol_config.with_(ranking_policy=policy)
         )
-    return AblationResult(
-        f"B4 ranking policy (lambda={arrival_rate:g}, "
-        f"fleet={'heterogeneous' if heterogeneous else 'uniform'}, "
-        f"churn={churn_rate:g}/s)",
-        ["policy", "P(admit)", "mig-rate", "msg/task", "misrank", "fb-depth"],
-        rows,
-        raw,
-    )
+
+
+def _b4_title(p: Mapping[str, object]) -> str:
+    fleet = "heterogeneous" if p["heterogeneous"] else "uniform"
+    return (f"B4 ranking policy (lambda={p['arrival_rate']:g}, fleet={fleet}, "
+            f"churn={p['churn_rate']:g}/s)")
+
+
+_DISCOVERY = ("P(admit)", "mig-rate", "messages", "msg/task")
+
+STUDIES: Dict[str, Study] = {s.key: s for s in (
+    Study("a1", "A1-alpha-beta", "A1 alpha/beta (lambda={arrival_rate:g})",
+          _a1_cells, ("alpha", "beta"),
+          ("P(admit)", "messages", "msg/task", "help-interval")),
+    Study("a2", "A2-threshold", "A2 threshold (lambda={arrival_rate:g})",
+          _a2_cells, ("threshold",), _DISCOVERY),
+    Study("a3", "A3-scalability", "A3 scalability (offered load {load:g})",
+          _a3_cells, ("nodes",),
+          ("lambda", "P(admit)", "weighted-msgs", "weighted/node/s",
+           "delivered/node/s")),
+    Study("a4", "A4-attack",
+          "A4 attack survivability (lambda={arrival_rate:g}, dwell={dwell:g}s)",
+          _a4_cells, ("victims",),
+          ("P(admit)", "evacuations", "evac-success", "tasks-lost")),
+    Study("a5", "A5-retry-policy", "A5 migration policy (lambda={arrival_rate:g})",
+          _a5_cells, ("policy",), _DISCOVERY),
+    Study("a6", "A6-inter-community",
+          "A6 inter-community discovery ({rows}x{cols} mesh, load {load:g})",
+          _a6_cells, ("protocol",), _DISCOVERY),
+    Study("a7", "A7-multi-resource",
+          "A7 multi-resource scenarios (admission probability)",
+          _a7_cells, ("lambda",), pivot=(("{}", "P(admit)"),)),
+    Study("a8", "A8-qos",
+          "A8 QoS: deadline miss rate (deadline = {deadline_factor:g} x size)",
+          _a8_cells, ("lambda",),
+          pivot=(("P({})", "P(admit)"), ("miss({})", "miss"))),
+    # B1's rows lead with the rate but its cell keys with the protocol, so
+    # both columns are read off the run and no key component is shown
+    Study("b1", "B1-modern-baselines",
+          "B1 modern baselines (no-migration floor, gossip vs REALTOR)",
+          _b1_cells, (),
+          ("lambda", "protocol", "P(admit)", "messages", "staleness")),
+    Study("b2", "B2-topology",
+          "B2 topology sensitivity (lambda={arrival_rate:g}, 25 nodes)",
+          _b2_cells, ("topology",),
+          ("P(admit)", "mig-rate", "messages", "staleness")),
+    Study("b3", "B3-latency", "B3 per-hop latency (lambda={arrival_rate:g})",
+          _b3_cells, ("latency-s",), ("P(admit)", "mig-rate", "response-mean")),
+    Study("b4", "B4-ranking", _b4_title, _b4_cells, ("policy",),
+          ("P(admit)", "mig-rate", "msg/task", "misrank", "fb-depth")),
+)}
+
+
+def run_study(
+    key: str,
+    *,
+    store: Optional["RunStore"] = None,
+    parallel: bool = False,
+    force: bool = False,
+    **overrides: object,
+) -> AblationResult:
+    """Run study ``key`` of :data:`STUDIES` with ``overrides`` on its params."""
+    study = STUDIES[key]
+    defaults = study.params
+    unknown = sorted(set(overrides) - set(defaults))
+    if unknown:
+        raise TypeError(f"study {key!r} has no parameter {unknown}; "
+                        f"it takes: {', '.join(defaults)}")
+    params = {**defaults, **overrides}
+    plan = grid_plan(study.plan, study.cells(**params))
+    results = execute_plan(plan, store=store, parallel=parallel, force=force)
+    headers, rows = study.table(plan.keys(), results)
+    title = study.title
+    title = title(params) if callable(title) else title.format(**params)
+    return AblationResult(title, headers, rows, plan.reduce(results))

@@ -51,7 +51,6 @@ __all__ = [
     "replication_plan",
     "grid_plan",
     "confidence_plan",
-    "scaling_plan",
     "ranking_plan",
     "churn_plan",
     "fleet_plan",
@@ -195,52 +194,6 @@ def grid_plan(
         return out
 
     return ExperimentPlan(name, tuple(cells), reduce)
-
-
-def scaling_plan(
-    protocols: Sequence[str],
-    node_counts: Sequence[int],
-    base: ExperimentConfig,
-    *,
-    offered_load: Optional[float] = None,
-) -> ExperimentPlan:
-    """The (protocol × nodes) grid — the topology scaling axis.
-
-    Each cell runs ``base`` resized to ``nodes=n`` (the topology family
-    comes from ``base.topology``: square mesh/torus, random, scale-free).
-    With ``offered_load`` set, the arrival rate is scaled per size so
-    utilisation ``lambda * E[size] / n`` stays constant across the curve
-    — the apples-to-apples comparison for "does the protocol survive
-    scale"; otherwise every size sees ``base.arrival_rate`` unchanged.
-
-    Reduces to ``[protocol][nodes] -> RunResult``.
-    """
-    protocols = list(protocols)
-    counts = [int(n) for n in node_counts]
-    if not counts:
-        raise ValueError("no node counts given")
-
-    def cell_config(proto: str, n: int) -> ExperimentConfig:
-        cfg = base.with_(protocol=proto, nodes=n)
-        if offered_load is not None:
-            rate = canonical_rate(offered_load * n / base.task_mean)
-            cfg = cfg.with_(arrival_rate=rate)
-        return cfg
-
-    cells = tuple(
-        PlanCell(key=(proto, n), config=cell_config(proto, n))
-        for proto in protocols
-        for n in counts
-    )
-
-    def reduce(plan: ExperimentPlan, results: Sequence[RunResult]) -> object:
-        out: Dict[str, Dict[int, RunResult]] = {proto: {} for proto in protocols}
-        for cell, res in zip(plan.cells, results):
-            proto, n = cell.key
-            out[proto][n] = res
-        return out
-
-    return ExperimentPlan("scaling", cells, reduce)
 
 
 def ranking_plan(

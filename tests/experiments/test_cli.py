@@ -25,9 +25,9 @@ class TestCli:
     def test_ablation_target(self, capsys, monkeypatch):
         from repro.experiments import ablations as ab
 
-        monkeypatch.setitem(
-            cli.ABLATIONS, "a5",
-            lambda: ab.ablate_retry_policy(policies=("one-shot",), horizon=100.0),
+        monkeypatch.setattr(
+            cli, "run_study",
+            lambda key, **kw: ab.run_study(key, policies=("one-shot",), horizon=100.0),
         )
         rc = cli.main(["a5"])
         out = capsys.readouterr().out
@@ -39,12 +39,16 @@ class TestCli:
         assert rc == 2
         assert "unknown target" in capsys.readouterr().err
 
+    def test_unknown_target_rejected_before_anything_runs(self, capsys,
+                                                          monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run_study", lambda key, **kw: ran.append(key))
+        assert cli.main(["a1", "fig99"]) == 2
+        assert ran == []
+        assert "unknown target: fig99" in capsys.readouterr().err
+
     def test_all_expands_to_every_figure(self):
-        # parse-only check of the expansion logic
-        targets = []
-        for t in ["all"]:
-            if t == "all":
-                targets += list(cli.FIGURES) + ["fig9"]
+        targets = cli.expand_targets(["all"])
         assert targets == ["fig5", "fig6", "fig7", "fig8", "fig9"]
 
     def test_store_flag_validation(self, capsys):
@@ -82,8 +86,33 @@ class TestCli:
         assert "1 hits / 0 misses" in err
 
     def test_ablations_expands(self):
-        targets = []
-        for t in ["ablations"]:
-            if t == "ablations":
-                targets += list(cli.ABLATIONS)
-        assert set(targets) == {"a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "b1", "b2", "b3"}
+        targets = cli.expand_targets(["ablations"])
+        assert set(targets) == {"a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "b1", "b2", "b3", "b4"}
+
+    def test_expand_targets_mixes_and_rejects(self):
+        assert cli.expand_targets(["A5", "fig9", "b4"]) == ["a5", "fig9", "b4"]
+        with pytest.raises(ValueError, match="unknown target: a9"):
+            cli.expand_targets(["a1", "a9"])
+
+    def test_flags_reach_study_targets(self, tmp_path, capsys):
+        from repro.experiments.store import RunStore
+
+        argv = ["a5", "--horizon", "50", "--seed", "3", "--store", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert "4 written" in capsys.readouterr().err
+        records = [record for _, record in RunStore(tmp_path).records()]
+        assert len(records) == 4
+        for record in records:
+            params = record["result"]["params"]
+            assert params["horizon"] == 50 and params["seed"] == 3
+
+        assert cli.main(argv) == 0
+        assert "4 hits / 0 misses, 0 written" in capsys.readouterr().err
+        assert cli.main(argv + ["--force"]) == 0
+        assert "4 written" in capsys.readouterr().err
+
+    def test_help_lists_every_study(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "a1 a2 a3 a4 a5 a6 a7 a8 b1 b2 b3 b4 | all | ablations" in out

@@ -58,9 +58,9 @@ class TestMultiResource:
 
     def test_shapes_similar_across_scenarios(self):
         # footnote 3: the curves keep the knee-then-decline shape
-        from repro.experiments.ablations import ablate_multi_resource
+        from repro.experiments.ablations import run_study
 
-        result = ablate_multi_resource(rates=(4.0, 6.0, 8.0), horizon=300.0)
+        result = run_study("a7", rates=(4.0, 6.0, 8.0), horizon=300.0)
         for name in ("cpu-only", "bandwidth", "security"):
             probs = [result.raw[(name, r)].admission_probability
                      for r in (4.0, 6.0, 8.0)]
@@ -193,9 +193,9 @@ class TestDeadlines:
             ExperimentConfig(deadline_factor=0.0)
 
     def test_qos_ablation_runs(self):
-        from repro.experiments.ablations import ablate_qos
+        from repro.experiments.ablations import run_study
 
-        r = ablate_qos(rates=(3.0, 6.0), horizon=200.0,
+        r = run_study("a8", rates=(3.0, 6.0), horizon=200.0,
                        protocols=("realtor",))
         assert len(r.rows) == 2
         miss_low = r.raw[("realtor", 3.0)].extra["deadline_miss_rate"]
