@@ -87,6 +87,9 @@ def _parse_args(argv) -> argparse.Namespace:
         help="fail unless p99 settlement latency is below this (wall ms)",
     )
     p.add_argument(
+        "--max-cpu-util", type=float, default=None, help="fail above this CPU share"
+    )
+    p.add_argument(
         "--require-clean",
         action="store_true",
         help="fail unless every task settled and every node task exited",
@@ -129,6 +132,9 @@ def main(argv=None) -> int:
         math.isnan(p99) or p99 > args.max_p99_ms
     ):
         failures.append(f"p99 latency {p99:.2f} ms above ceiling {args.max_p99_ms:.2f}")
+    cpu_util = report["throughput"]["cpu_util"]
+    if args.max_cpu_util is not None and cpu_util > args.max_cpu_util:
+        failures.append(f"cpu_util {cpu_util:.2f} above ceiling {args.max_cpu_util:.2f}")
     if args.require_clean and not report["clean_shutdown"]:
         failures.append("shutdown was not clean (unsettled tasks or live node tasks)")
     for failure in failures:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import partial
-from time import perf_counter
+from time import perf_counter, process_time
 from typing import Dict, List, Optional, Set
 
 import numpy as np
@@ -103,10 +103,7 @@ class LiveConfig(ExperimentConfig):
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; known: {BACKENDS}")
         # Axes the live runtime cannot honour: refuse them by name rather
-        # than run without them.  The wire's delay is ``latency`` whatever
-        # the route, and one endpoint is brought up per t=0 node.
-        if self.per_hop_latency != 0:
-            raise ValueError("per_hop_latency: live message delay is `latency`")
+        # than run without them.  One endpoint is brought up per t=0 node.
         if self.churn is not None and self.churn.active:
             raise ValueError("churn: a live overlay cannot add endpoints mid-run")
         if self.obs is None or not self.obs.enabled:
@@ -188,7 +185,7 @@ class LiveRuntime:
             self.naming.register(f"node/{nid}", nid)
         self.metrics.admission_observers.append(self._register_location)
 
-        self._wall_elapsed = 0.0
+        self._wall_elapsed = self._cpu_elapsed = 0.0
         self.clean_shutdown = False
         self.drained = False
 
@@ -207,7 +204,7 @@ class LiveRuntime:
             progress = self.sim.shared_periodic(
                 cfg.progress_interval, self._progress_line
             )
-        wall0 = perf_counter()
+        wall0, cpu0 = perf_counter(), process_time()
         await self.sim.run(until=cfg.horizon)
         # Graceful drain: in-flight negotiations settle through their own
         # timers/timeouts; keep the clock running in short slices until
@@ -217,6 +214,7 @@ class LiveRuntime:
         while self.metrics.unsettled > 0 and self.sim.now < deadline:
             await self.sim.run(until=min(self.sim.now + slice_, deadline))
         self._wall_elapsed = perf_counter() - wall0
+        self._cpu_elapsed = process_time() - cpu0
         self.drained = self.metrics.unsettled == 0
         # Teardown: progress + sampling off, agents stopped, node
         # tasks/endpoints closed.
@@ -304,6 +302,8 @@ class LiveRuntime:
             },
             "throughput": {
                 "wall_seconds": wall,
+                "cpu_seconds": self._cpu_elapsed,
+                "cpu_util": (self._cpu_elapsed / wall) if wall > 0 else 0.0,
                 "tasks_per_wall_second": (t.generated / wall) if wall > 0 else 0.0,
                 "virtual_seconds": self.sim.now,
             },
@@ -320,6 +320,8 @@ class LiveRuntime:
             "scheduler": {
                 "events_executed": self.sim.events_executed,
                 "late_events": self.sim.late_events,
+                "wakeups": self.sim.wakeups,
+                "timer": self.sim.timer,
             },
             "drained": self.drained,
             "clean_shutdown": self.clean_shutdown,

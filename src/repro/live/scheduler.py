@@ -11,6 +11,10 @@ against it.  The differences are exactly what "live" means:
   between deadlines instead of jumping the clock.  ``time_scale=1`` is
   real time, larger values compress a long virtual horizon into a short
   wall run (the live-vs-sim equivalence tests use this).
+* **Waits are armed, not spun.**  ``run`` sleeps toward its heap head on
+  a one-shot ``timerfd`` the loop watches, armed :data:`MARGIN` early
+  (the margin is spun) and re-armed only by an earlier insert.  Loop
+  timers round *up* to whole milliseconds: they are the fallback only.
 * **The past is unreachable.**  ``at()`` with a deadline already behind
   the clock cannot raise — the moment has passed; the event fires as
   soon as possible instead and ``late_events`` counts the clamp.
@@ -30,7 +34,11 @@ returns.
 from __future__ import annotations
 
 import asyncio
+import ctypes
+import os
+from contextlib import suppress
 from heapq import heappop, heappush
+from math import inf
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -41,9 +49,61 @@ from ..sim.trace import Tracer
 
 __all__ = ["LiveScheduler", "LiveTimer"]
 
+#: a wait is armed to end this many wall seconds early; the rest is spun
+MARGIN = 60e-6
+
 
 def _noop(*_args: Any) -> None:
     """Replacement callable for cancelled timers."""
+
+
+class _Timerfd:
+    """One-shot monotonic timerfd the loop watches (``os.timerfd_*``: 3.13+)."""
+
+    def __init__(self, loop: asyncio.AbstractEventLoop, wake: Callable[[], None]):
+        libc = ctypes.CDLL(None, use_errno=True)
+        int_, ptr = ctypes.c_int, ctypes.c_void_p
+        self._settime = libc.timerfd_settime  # AttributeError: libc has none
+        self._settime.argtypes, self._settime.restype = (int_, int_, ptr, ptr), int_
+        libc.timerfd_create.argtypes, libc.timerfd_create.restype = (int_, int_), int_
+        # 1 = CLOCK_MONOTONIC; TFD_NONBLOCK / TFD_CLOEXEC are the O_ flags
+        self.fd = libc.timerfd_create(1, os.O_NONBLOCK | os.O_CLOEXEC)
+        if self.fd < 0:
+            raise OSError(ctypes.get_errno(), "timerfd_create failed")
+        self._loop, self._wake = loop, wake
+        loop.add_reader(self.fd, self._expired)
+
+    def arm(self, seconds: float) -> None:
+        """Expire once, ``seconds`` from now, replacing what was armed."""
+        ns = max(1, int(seconds * 1e9))  # an all-zero it_value would disarm
+        # struct itimerspec: it_interval (zero: one-shot), then it_value
+        spec = (ctypes.c_long * 4)(0, 0, *divmod(ns, 10**9))
+        if self._settime(self.fd, 0, spec, None) < 0:
+            raise OSError(ctypes.get_errno(), "timerfd_settime failed")
+
+    def _expired(self) -> None:
+        with suppress(BlockingIOError):  # re-armed since the selector saw it
+            os.read(self.fd, 8)
+            self._wake()
+
+    def close(self) -> None:
+        self._loop.remove_reader(self.fd)
+        os.close(self.fd)
+
+
+class _LoopTimer:
+    """The platform fallback: ``loop.call_at``, millisecond granularity."""
+
+    def __init__(self, loop: asyncio.AbstractEventLoop, wake: Callable[[], None]):
+        self._loop, self._wake, self._handle = loop, wake, None
+
+    def arm(self, seconds: float) -> None:
+        self.close()
+        self._handle = self._loop.call_at(self._loop.time() + seconds, self._wake)
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.cancel()
 
 
 class LiveTimer:
@@ -113,16 +173,17 @@ class LiveScheduler:
         self._round_drivers: Dict[Tuple[float, float, int], RoundDriver] = {}
         #: wall perf_counter() of virtual t=0; None until the first run
         self._anchor_wall: Optional[float] = None
-        self._wakeup: Optional[asyncio.Event] = None
+        #: virtual deadline :meth:`run` sleeps toward (-inf: awake), its future
+        self._armed, self._waiter = -inf, None
         self._running = False
         self._stop_requested = False
         self._events_executed = 0
         #: deadlines that had already passed when scheduled (clamped)
         self.late_events = 0
+        #: armed waits :meth:`run` resumed from; their "timerfd" or "call_at"
+        self.wakeups, self.timer = 0, None
         #: max events executed between cooperative yields (see :meth:`run`)
         self.max_batch = 512
-        #: wall sleeps at or below this spin instead (see :meth:`_sleep`)
-        self.spin_threshold = 0.002
 
     # Clock ------------------------------------------------------------
 
@@ -152,17 +213,9 @@ class LiveScheduler:
         — the live runtime cannot refuse a moment that already passed —
         and counted in :attr:`late_events`.
         """
-        if time != time or time == float("inf"):
-            raise ValueError(f"non-finite deadline: {time!r}")
         if time < self.now:
             self.late_events += 1
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        timer = LiveTimer(time, priority, seq, fn, args)
-        heappush(self._heap, (time, priority, seq, timer))
-        if self._wakeup is not None:
-            self._wakeup.set()
-        return timer
+        return self._push(time, priority, fn, args)
 
     def after(
         self,
@@ -174,7 +227,19 @@ class LiveScheduler:
         """Schedule ``fn(*args)`` after ``delay`` virtual seconds."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay!r}")
-        return self.at(self.now + delay, fn, *args, priority=priority)
+        # one clock read: the deadline cannot be behind it, so never late
+        return self._push(self.now + delay, priority, fn, args)
+
+    def _push(self, time: float, priority: int, fn: Callable, args: tuple) -> LiveTimer:
+        if time != time or time == inf:
+            raise ValueError(f"non-finite deadline: {time!r}")
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        timer = LiveTimer(time, priority, seq, fn, args)
+        heappush(self._heap, (time, priority, seq, timer))
+        if time < self._armed:
+            self._wake()  # run() is asleep toward something later: re-arm
+        return timer
 
     def cancel(self, ev: Optional[LiveTimer]) -> None:
         """Cancel a timer; ``None`` accepted so call sites pass handles
@@ -243,8 +308,11 @@ class LiveScheduler:
             raise RuntimeError("run() is not reentrant")
         if self._anchor_wall is None:
             self._anchor_wall = perf_counter()
-        if self._wakeup is None:
-            self._wakeup = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        try:
+            alarm, self.timer = _Timerfd(loop, self._wake), "timerfd"
+        except (OSError, AttributeError):  # this libc has no timerfd
+            alarm, self.timer = _LoopTimer(loop, self._wake), "call_at"
         self._running = True
         self._stop_requested = False
         heap = self._heap
@@ -253,13 +321,14 @@ class LiveScheduler:
             while not self._stop_requested:
                 # Drain every already-due event as one batch, then yield
                 # once.  A per-event yield costs a full event-loop round
-                # trip (hundreds of microseconds) and caps the scheduler
-                # near 1k events/s wall — the load generator blows
-                # straight past that.  The batch bound keeps mailbox
-                # tasks from starving under a saturated agenda.  The
-                # drain runs *before* the horizon check so an event due
-                # at t <= until still fires even when the wall clock has
-                # already slipped past the horizon.
+                # trip and caps the scheduler near 1k events/s wall — the
+                # load generator blows straight past that.  The batch
+                # bound keeps mailbox tasks from starving under a saturated
+                # agenda; the yield lets what the batch provoked
+                # (deliveries, the sends they make) reach the agenda before
+                # a wait is armed.  The drain runs *before* the horizon
+                # check so an event due at t <= until still fires even
+                # when the wall clock has already slipped past the horizon.
                 executed = 0
                 while heap and not self._stop_requested:
                     head = heap[0]
@@ -282,20 +351,24 @@ class LiveScheduler:
                 now = self.now
                 if until is not None and now >= until:
                     break
-                if not heap:
-                    if until is None:
-                        await self._sleep(None)
-                    else:
-                        await self._sleep((until - now) / scale)
+                # Sleep toward the heap head or the horizon, MARGIN short:
+                # spinning it spends a wake-up's lateness before the deadline.
+                target = heap[0][0] if heap else inf
+                if until is not None and until < target:
+                    target = until
+                wall = (target - now) / scale - MARGIN
+                if wall <= 0:
+                    await asyncio.sleep(0)
                     continue
-                head_time = heap[0][0]
-                if until is not None and head_time > until:
-                    await self._sleep((until - now) / scale)
-                    continue
-                # Sleep toward the deadline, but wake early if a new
-                # earlier event lands; re-evaluate either way.
-                await self._sleep((head_time - now) / scale)
+                self._waiter = loop.create_future()
+                self._armed = target
+                if target != inf:  # nothing to wait for: an insert or stop()
+                    alarm.arm(wall)
+                await self._waiter
+                self.wakeups += 1
         finally:
+            self._armed = -inf  # a cancelled wait leaves it set
+            alarm.close()
             self._running = False
             finalizers = self._finalizers[:]
             self._finalizers.clear()
@@ -303,33 +376,16 @@ class LiveScheduler:
                 fn()
         return self.now
 
-    async def _sleep(self, wall_seconds: Optional[float]) -> None:
-        """Await the wakeup event for at most ``wall_seconds`` (None = forever)."""
-        wakeup = self._wakeup
-        assert wakeup is not None
-        wakeup.clear()
-        if wall_seconds is None:
-            await wakeup.wait()
-            return
-        if wall_seconds <= self.spin_threshold:
-            # The event loop's timer resolution is on the order of a
-            # millisecond, so a timed wait quantises every sub-ms gap up
-            # to it — at high time_scale that throttles chained timers
-            # (each arrival scheduling the next) to ~1k/s wall.  Spin
-            # through plain yields instead: full precision, and sibling
-            # tasks still run on every iteration.
-            await asyncio.sleep(0)
-            return
-        try:
-            await asyncio.wait_for(wakeup.wait(), timeout=wall_seconds)
-        except asyncio.TimeoutError:
-            pass
+    def _wake(self) -> None:
+        """End :meth:`run`'s current wait, if it is in one."""
+        if self._armed != -inf:
+            self._armed = -inf
+            self._waiter.set_result(None)
 
     def stop(self) -> None:
         """Request :meth:`run` to return after the current event."""
         self._stop_requested = True
-        if self._wakeup is not None:
-            self._wakeup.set()
+        self._wake()
 
     @property
     def pending(self) -> int:

@@ -27,10 +27,12 @@ a surviving delivery crosses, in two interchangeable backends:
 
 A delivery the inherited send path delays (per-hop latency, impairment
 jitter, a duplicate's offset) is put on the wire by the live scheduler
-when the delay is up; an undelayed one goes straight onto it.  On top of
-that the ``inproc`` node task sleeps ``latency`` — Section 6's switched
-Ethernet one-way delay, 0.2 ms unless given — per message, in *virtual*
-seconds divided by the scheduler's ``time_scale``.
+when the delay is up, and the ``inproc`` wire's own ``latency`` (Section
+6's switched-Ethernet one-way delay, 0.2 virtual ms unless given) is
+added to that delay — *before* the mailbox, so every wait of the runtime
+is on the scheduler's one agenda and messages to one receiver are
+pipelined behind a propagation delay.  A node task only drains its FIFO
+mailbox: it must never await what the agenda resolves (``aclose`` hangs).
 """
 
 from __future__ import annotations
@@ -87,8 +89,8 @@ class LiveTransport(Transport):
     backend:
         ``"inproc"`` (default) or ``"udp"`` — see the module docstring.
     latency:
-        One-way delay of the wire itself, virtual seconds (``None`` =
-        the 0.2 ms LAN default).
+        One-way delay of the ``inproc`` wire, virtual seconds (``None``
+        = the 0.2 ms LAN default); ``udp`` takes what the sockets take.
     """
 
     def __init__(
@@ -179,7 +181,9 @@ class LiveTransport(Transport):
     def _post_on_wire(
         self, delay: float, put: Callable[..., None], *message: Any, priority: int
     ) -> None:
-        """``sim.after`` for messages, minus the scheduler when undelayed."""
+        """``sim.after`` plus the ``inproc`` wire's latency; no delay, no scheduler."""
+        if self.backend == "inproc":
+            delay += self.latency
         if delay > 0:
             self.sim.after(delay, put, *message, priority=priority)
         else:
@@ -212,18 +216,10 @@ class LiveTransport(Transport):
         sender[0].sendto(data, endpoint[1])
 
     async def _node_loop(self, node: NodeId, queue: asyncio.Queue) -> None:
-        """One node's mailbox task: serialise deliveries like a NIC would.
-
-        The per-message latency sleep is the LAN one-way delay converted
-        to wall time; messages to one node are delivered in FIFO order
-        behind it, so a hot receiver naturally queues.
-        """
-        wall_latency = self.latency / self.sim.time_scale
+        """One node's mailbox task: one delivery at a time, FIFO, like a NIC."""
         while True:
             item = await queue.get()
             if item is _SHUTDOWN:
                 break
-            if wall_latency > 0:
-                await asyncio.sleep(wall_latency)
             src, kind, payload, sent_at = item
             self._deliver(src, node, kind, payload, sent_at)

@@ -6,8 +6,9 @@ scheduler and a live transport factory; everything else is the code
 seed, same config axes => the same per-node stacks and the same
 generated workload (arrival *instants* are wall-clock live and are not
 compared), axes the old hand-written live assembly and send path could
-not express run to a clean drain, and the axes the live runtime cannot
-honour are refused by name.
+not express (and per-hop latency, which needed every wire delay on the
+scheduler's agenda) run to a clean drain, and the axes the live runtime
+cannot honour are refused by name.
 """
 
 import asyncio
@@ -117,6 +118,13 @@ def loses_messages_like_the_simulator(rt, report, charges):
     assert report["tasks"]["generated"] == run_experiment(ExperimentConfig(**shared)).generated
 
 
+def settles_slower_than_the_route(rt, report, charges):
+    # a migration is at least a request and a reply over one hop each,
+    # in wall milliseconds at this input's scale of 100
+    assert report["tasks"]["admitted_migrated"] > 0
+    assert report["latency_ms"]["max"] >= 2 * 0.05 * 1000.0 / 100.0
+
+
 #: (what the input exercises, config axes, what to check beyond a clean drain)
 DRAIN_INPUTS = [
     (
@@ -137,6 +145,16 @@ DRAIN_INPUTS = [
             protocol_config=ProtocolConfig(scope="network"),
         ),
         charges_whole_hop_counts,
+    ),
+    (
+        "per-hop latency on a ring, inproc",
+        dict(topology="ring", per_hop_latency=0.05, time_scale=100.0, latency=None),
+        settles_slower_than_the_route,
+    ),
+    (
+        "per-hop latency on a ring, udp",
+        dict(topology="ring", per_hop_latency=0.05, time_scale=100.0, backend="udp"),
+        settles_slower_than_the_route,
     ),
     ("5% loss, inproc", dict(LOSSY, backend="inproc"), loses_messages_like_the_simulator),
     ("5% loss, udp", dict(LOSSY, backend="udp"), loses_messages_like_the_simulator),
@@ -165,7 +183,6 @@ class TestRejectedAxes:
         "field, value",
         [
             ("churn", ChurnConfig(join_rate=0.1, leave_rate=0.1)),
-            ("per_hop_latency", 0.01),
             ("obs", None),
         ],
     )
@@ -174,4 +191,4 @@ class TestRejectedAxes:
             LiveConfig(**{field: value})
 
     def test_inert_values_of_those_axes_pass(self):
-        LiveConfig(churn=ChurnConfig(), per_hop_latency=0.0)
+        LiveConfig(churn=ChurnConfig())

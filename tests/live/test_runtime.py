@@ -46,6 +46,14 @@ class TestLiveRuntime:
             assert key in report, key
         assert report["config"]["backend"] == "inproc"
         assert report["tasks"]["generated"] > 0
+        # what the sleeping scheduler is accountable for
+        throughput, sched = report["throughput"], report["scheduler"]
+        assert 0.0 < throughput["cpu_seconds"]
+        assert throughput["cpu_util"] == pytest.approx(
+            throughput["cpu_seconds"] / throughput["wall_seconds"]
+        )
+        assert sched["timer"] in ("timerfd", "call_at")
+        assert sched["wakeups"] > 0
 
     def test_naming_service_is_live(self, report):
         # every node registers at startup; every admission re-registers
@@ -103,7 +111,9 @@ class TestCli:
                 "--latency", "0",
                 "--no-series",
                 "--min-throughput", "1e12",  # unreachable floor
+                "--max-cpu-util", "0",  # unreachable ceiling
             ]
         )
         assert code == 1
-        assert "GATE FAILED" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "GATE FAILED: throughput" in err and "GATE FAILED: cpu_util" in err

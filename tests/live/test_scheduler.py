@@ -4,13 +4,18 @@ Everything runs at a large ``time_scale`` so virtual horizons of tens of
 seconds finish in milliseconds of wall time — no test below sleeps for a
 human-perceptible duration, and none asserts on wall-clock values (only
 on event counts, ordering and virtual times), so they cannot flake under
-CI load.
+CI load.  The exceptions are in ``TestWaiting``: generous ``wait_for``
+ceilings that only a hung scheduler reaches, and one precision check
+with a bound three times what a loop timer could meet.
 """
 
 import asyncio
+import os
+import statistics
 
 import pytest
 
+from repro.live import LiveConfig, LiveRuntime, scheduler
 from repro.live.scheduler import LiveScheduler
 from repro.sim.kernel import Simulator
 
@@ -46,6 +51,21 @@ class TestScheduling:
             return fired
 
         assert go(run()) == ["past"]
+
+    def test_after_reads_the_clock_once(self):
+        # a delay shorter than the gap between two clock reads was counted
+        # late although it never was; at() called directly keeps its check
+        async def run():
+            sim = LiveScheduler(time_scale=1000.0)
+            await sim.run(until=0.001)  # anchors the clock: it now moves
+            for _ in range(1000):
+                sim.after(0.0, lambda: None)
+                sim.after(1e-9, lambda: None)
+            late = sim.late_events
+            sim.at(sim.now - 1.0, lambda: None)
+            return late, sim.late_events
+
+        assert go(run()) == (0, 1)
 
     def test_non_finite_deadline_rejected(self):
         sim = LiveScheduler()
@@ -156,6 +176,138 @@ class TestExecution:
             return calls
 
         assert go(run()) == [1]
+
+
+@pytest.fixture
+def no_timerfd(monkeypatch):
+    """A libc without timerfd: the shim raises, ``run`` falls back."""
+
+    def missing(*_args):
+        raise OSError("timerfd_create failed")
+
+    monkeypatch.setattr(scheduler, "_Timerfd", missing)
+
+
+@pytest.mark.usefixtures("no_timerfd")
+class TestSchedulingOnCallAt(TestScheduling):
+    """Every scheduling test again, on the ``loop.call_at`` fallback."""
+
+
+@pytest.mark.usefixtures("no_timerfd")
+class TestExecutionOnCallAt(TestExecution):
+    """Every execution test again, on the ``loop.call_at`` fallback."""
+
+    def test_the_fallback_is_what_ran(self):
+        async def run():
+            sim = LiveScheduler(time_scale=1000.0)
+            await sim.run(until=0.01)
+            return sim.timer
+
+        assert go(run()) == "call_at"
+
+
+class TestWaiting:
+    """The scheduler sleeps toward its heap head instead of spinning."""
+
+    def test_one_armed_wait_per_gap(self):
+        # 0.5 ms gaps: the sleep(0) spin this replaced resumed tens of
+        # times per gap; an armed wait resumes once
+        async def run():
+            sim = LiveScheduler(time_scale=1.0)
+            fired = []
+            for i in range(200):
+                sim.at(0.0005 * (i + 1), fired.append, i)
+            await sim.run(until=0.101)
+            return sim, fired
+
+        sim, fired = go(run())
+        assert fired == list(range(200))
+        assert 1 <= sim.wakeups <= 2 * len(fired)
+
+    def test_earlier_insert_rearms_and_later_insert_does_not_wake(self):
+        async def run():
+            sim = LiveScheduler(time_scale=1.0)
+            fired = []
+            sim.at(1.0, fired.append, "far")
+            task = asyncio.create_task(sim.run())
+            await asyncio.sleep(0.005)  # the scheduler is asleep toward t=1
+            before = sim.wakeups
+            sim.at(2.0, fired.append, "farther")
+            await asyncio.sleep(0.005)
+            unmoved = sim.wakeups == before
+
+            def near():
+                fired.append(("near", sim.now))
+                sim.stop()
+
+            sim.after(0.002, near)  # from another task, 2 ms ahead
+            await asyncio.wait_for(task, 0.5)
+            return unmoved, fired, sim.wakeups - before
+
+        unmoved, fired, woken = go(run())
+        assert unmoved, "an insert behind the armed deadline woke the scheduler"
+        ((name, at),) = fired
+        assert name == "near" and at < 0.5  # not the 1 s the timer was armed for
+        assert woken == 2  # once to re-arm, once when the new deadline came
+
+    def test_empty_heap_returns_at_the_horizon_and_on_stop(self):
+        async def run():
+            sim = LiveScheduler(time_scale=1000.0)
+            t = await asyncio.wait_for(sim.run(until=5.0), 1.0)  # 5 ms of wall
+            task = asyncio.create_task(sim.run())  # nothing to wait for
+            await asyncio.sleep(0.005)
+            idle = not task.done() and sim.wakeups == 1
+            sim.stop()
+            await asyncio.wait_for(task, 1.0)
+            return t, idle
+
+        t, idle = go(run())
+        assert 5.0 <= t < 500.0
+        assert idle
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs procfs")
+    def test_a_runtime_run_leaks_no_fd(self):
+        # one timerfd per scheduler.run(): the horizon plus every drain
+        # slice.  Deep overload and a slow wire leave negotiations in
+        # flight at the horizon, so the drain does run slices.
+        async def run():
+            before = len(os.listdir("/proc/self/fd"))
+            rt = LiveRuntime(LiveConfig(
+                nodes=9, arrival_rate=40.0, horizon=5.0, seed=7,
+                time_scale=200.0, latency=0.5,
+            ))
+            runs = 0
+            inner = rt.sim.run
+
+            def counted(until=None):
+                nonlocal runs
+                runs += 1
+                return inner(until)
+
+            rt.sim.run = counted
+            report = await rt.run()
+            return before, len(os.listdir("/proc/self/fd")), runs, report
+
+        before, after, runs, report = go(run())
+        assert runs > 1 and report["clean_shutdown"]
+        assert report["scheduler"]["timer"] == "timerfd"
+        assert after == before
+
+    def test_sub_millisecond_precision(self):
+        # the one wall-clock assertion: a loop timer overshoots ~1 ms
+        async def run():
+            sim = LiveScheduler(time_scale=1.0)
+            over = []
+            for i in range(1, 101):
+                sim.at(0.0003 * i, lambda due=0.0003 * i: over.append(sim.now - due))
+            await sim.run(until=0.031)
+            return sim.timer, over
+
+        timer, over = go(run())
+        if timer != "timerfd":
+            pytest.skip("loop timers are millisecond-grained")
+        assert len(over) == 100
+        assert statistics.median(over) < 0.0003
 
 
 class TestDeterminism:

@@ -96,6 +96,73 @@ class TestBackends:
         assert go(run()) == 0
 
 
+class TestWireDelay:
+    """Every wire delay — the ``inproc`` latency, per-hop latency — is an
+    event on the scheduler's agenda, ahead of the mailbox or socket."""
+
+    @pytest.mark.parametrize("backend", ["inproc", "udp"])
+    def test_three_hop_unicast_waits_out_per_hop_and_wire_latency(self, backend):
+        async def run():
+            sim = LiveScheduler(time_scale=100.0)
+            t = LiveTransport(
+                sim, generators.ring(8), backend=backend,
+                latency=0.02, per_hop_latency=0.05,
+            )
+            got = []
+            t.register(3, "PING", got.append)
+            await t.start()
+            try:
+                sim.after(0.1, t.unicast, 0, 3, "PING", None)
+                await sim.run(until=1.0)  # 10 ms of wall clock
+                await settle()
+            finally:
+                await t.aclose()
+            return got
+
+        (d,) = go(run())
+        floor = 3 * 0.05 + (0.02 if backend == "inproc" else 0.0)
+        assert d.delivered_at - d.sent_at >= floor
+
+    def test_inproc_latency_keeps_fifo_order_per_receiver(self):
+        async def run():
+            sim = LiveScheduler(time_scale=1000.0)
+            t = LiveTransport(sim, generators.full_mesh(4), latency=0.5)
+            got = []
+            t.register(1, "SEQ", got.append)
+            await t.start()
+            try:
+                for i in range(50):
+                    t.unicast((0, 2, 3)[i % 3], 1, "SEQ", i)
+                await sim.run(until=2.0)
+                await settle()
+            finally:
+                await t.aclose()
+            return got
+
+        got = go(run())
+        assert [d.payload for d in got] == list(range(50))
+        assert all(d.delivered_at - d.sent_at >= 0.5 for d in got)
+
+    def test_close_returns_with_messages_still_on_the_agenda(self):
+        # the agenda only advances inside scheduler.run(): a node task
+        # that waited on it would hang aclose() here
+        async def run():
+            sim = LiveScheduler(time_scale=1000.0)
+            t = LiveTransport(sim, generators.full_mesh(4), latency=0.5)
+            got = []
+            t.register(1, "PING", got.append)
+            await t.start()
+            assert t.unicast(0, 1, "PING", None) is True
+            on_agenda = sim.pending
+            await asyncio.wait_for(t.aclose(), 1.0)
+            await sim.run(until=1.0)  # the late put finds no mailbox
+            return t, got, on_agenda
+
+        t, got, on_agenda = go(run())
+        assert on_agenda == 1 and got == []
+        assert t.node_task_count == 0 and t.dropped_messages == 1
+
+
 class TestScopeAndLiveness:
     def test_unicast_to_down_node_drops(self):
         async def run():
