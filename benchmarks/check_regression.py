@@ -10,8 +10,8 @@ Seven gates, most against the committed ``BENCH_engine.json``:
   paper-scale sweeps tractable.
 
 * **observability overhead gate** — re-measures ``event_throughput``
-  (the kernel schedule+fire loop, the path that carries the
-  ``profile is None`` check and the ``trace.enabled`` guards) and fails
+  (the kernel schedule+fire loop, the path that carries the per-event
+  ``record is None`` test and the ``trace.enabled`` guards) and fails
   when it regresses more than ``--overhead-tolerance`` (default 5%)
   beyond what the machine-speed difference explains.  Machine speed is
   factored out by normalising with the queue benchmark's

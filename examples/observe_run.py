@@ -65,6 +65,10 @@ def main(trace_path: str = "observe_trace.jsonl") -> None:
 
     report = profiler.report()
     assert report.accounted_fraction >= 0.95  # the profiler's contract
+    # -- smoke assertions: the profiler timed the loop that ships — every
+    #    event is in the report and the run still batched its cohorts
+    assert report.events_executed == system.sim.events_executed
+    assert system.sim.cohort_stats()["cohorts"] > 0
     print(report.format(top=8))
     print()
 

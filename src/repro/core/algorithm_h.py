@@ -151,7 +151,7 @@ class HelpScheduler:
 
     def _disarm_timer(self) -> None:
         if self._timer is not None:
-            self._timer.cancel()
+            self.sim.cancel(self._timer)
             self._timer = None
 
     # Feedback path -----------------------------------------------------------

@@ -149,9 +149,10 @@ class System:
     def run(self, until: Optional[float] = None, *, profile=None) -> float:
         """Drive the kernel to the horizon.
 
-        ``profile`` takes a :class:`~repro.obs.profiler.KernelProfiler`
-        and switches the kernel to its instrumented loop — wall time and
-        event counts land in the profiler, per callback and subsystem.
+        ``profile`` takes a :class:`~repro.obs.profiler.KernelProfiler`:
+        the kernel times each dispatch of the same cohort-batched loop,
+        and wall time and event counts land in the profiler, per
+        callback and subsystem.  The run is bit-identical either way.
         """
         return self.sim.run(
             until=until if until is not None else self.cfg.horizon, profile=profile
@@ -326,9 +327,7 @@ class System:
         if self.transport.impairments is not None:
             for key, value in self.transport.impairments.counters().items():
                 self.metrics.extra[f"impairment_{key}"] = float(value)
-        # Fast-path visibility: the profiled loop is always scalar, so
-        # these kernel counters are the only record of what the cohort
-        # batcher actually dispatched in this run.
+        # Fast-path visibility: what the cohort batcher dispatched.
         cohort_stats = self.sim.cohort_stats()
         self.metrics.extra["cohorts"] = float(cohort_stats["cohorts"])
         self.metrics.extra["cohort_batched_events"] = float(

@@ -19,7 +19,7 @@ See ``docs/live.md`` for the seam architecture and the backend matrix.
 """
 
 from .runtime import LiveConfig, LiveRuntime, run_live
-from .scheduler import LiveScheduler, LiveTimer
+from .scheduler import LiveScheduler
 from .transport import BACKENDS, LiveTransport
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "LiveConfig",
     "LiveRuntime",
     "LiveScheduler",
-    "LiveTimer",
     "LiveTransport",
     "run_live",
 ]

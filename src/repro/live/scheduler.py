@@ -23,12 +23,11 @@ against it.  The differences are exactly what "live" means:
   uses — but wall-clock jitter means cross-instant ordering guarantees
   are only as good as the event loop's timer resolution.
 
-The timer-aggregation helpers are *shared with the kernel*:
-:class:`~repro.sim.kernel.PeriodicTimer` and
-:class:`~repro.sim.kernel.RoundDriver` only ever touch the seam
-(``after``/``cancel``/``streams``), so ``periodic`` and
-``shared_periodic`` here return the exact same classes the simulator
-returns.
+The agenda itself is *the kernel's*: the heap, the
+:class:`~repro.sim.events.Event` handles, tracked ``cancel`` with heap
+compaction, ``periodic`` / ``shared_periodic``, finalizers and ``stop``
+are inherited from :class:`~repro.sim.kernel.Agenda`, so a timer means
+one thing on both clocks.  This module holds only the list above.
 """
 
 from __future__ import annotations
@@ -37,24 +36,21 @@ import asyncio
 import ctypes
 import os
 from contextlib import suppress
-from heapq import heappop, heappush
 from math import inf
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from ..runtime.api import Priority
-from ..sim.kernel import PeriodicTimer, RoundDriver, RoundMembership
-from ..sim.rng import RandomStreams
+from ..sim.events import Event
+from ..sim.kernel import Agenda
 from ..sim.trace import Tracer
 
-__all__ = ["LiveScheduler", "LiveTimer"]
+__all__ = ["LiveScheduler"]
 
 #: a wait is armed to end this many wall seconds early; the rest is spun
 MARGIN = 60e-6
-
-
-def _noop(*_args: Any) -> None:
-    """Replacement callable for cancelled timers."""
+#: most events executed between two cooperative yields (see ``run``)
+MAX_BATCH = 512
 
 
 class _Timerfd:
@@ -106,40 +102,9 @@ class _LoopTimer:
             self._handle.cancel()
 
 
-class LiveTimer:
-    """Handle for one scheduled callback (the live analogue of
-    :class:`~repro.sim.events.Event`; satisfies
-    :class:`~repro.runtime.api.TimerHandle`)."""
-
-    __slots__ = ("time", "priority", "seq", "fn", "args", "_cancelled")
-
-    def __init__(
-        self, time: float, priority: int, seq: int, fn: Callable[..., Any], args: tuple
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self._cancelled = False
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing (idempotent, O(1) lazy)."""
-        self._cancelled = True
-        self.fn = _noop
-        self.args = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self._cancelled else "pending"
-        return f"<LiveTimer t={self.time:.6g} p={self.priority} [{state}]>"
-
-
-class LiveScheduler:
-    """Wall-clock :class:`~repro.runtime.api.SchedulerAPI` implementation.
+class LiveScheduler(Agenda):
+    """Wall-clock :class:`~repro.runtime.api.SchedulerAPI` implementation:
+    an :class:`~repro.sim.kernel.Agenda` on a clock that has to be waited for.
 
     Parameters
     ----------
@@ -164,26 +129,16 @@ class LiveScheduler:
     ) -> None:
         if time_scale <= 0:
             raise ValueError("time_scale must be positive")
-        self.streams = RandomStreams(seed)
-        self.trace = trace if trace is not None else Tracer(enabled=False)
+        super().__init__(seed, trace)
         self.time_scale = float(time_scale)
-        self._heap: List[Tuple[float, int, int, LiveTimer]] = []
-        self._next_seq = 0
-        self._finalizers: List[Callable[[], None]] = []
-        self._round_drivers: Dict[Tuple[float, float, int], RoundDriver] = {}
         #: wall perf_counter() of virtual t=0; None until the first run
         self._anchor_wall: Optional[float] = None
         #: virtual deadline :meth:`run` sleeps toward (-inf: awake), its future
         self._armed, self._waiter = -inf, None
-        self._running = False
-        self._stop_requested = False
-        self._events_executed = 0
         #: deadlines that had already passed when scheduled (clamped)
         self.late_events = 0
         #: armed waits :meth:`run` resumed from; their "timerfd" or "call_at"
         self.wakeups, self.timer = 0, None
-        #: max events executed between cooperative yields (see :meth:`run`)
-        self.max_batch = 512
 
     # Clock ------------------------------------------------------------
 
@@ -194,19 +149,13 @@ class LiveScheduler:
             return 0.0
         return (perf_counter() - self._anchor_wall) * self.time_scale
 
-    @property
-    def events_executed(self) -> int:
-        return self._events_executed
-
-    # Scheduling --------------------------------------------------------
-
     def at(
         self,
         time: float,
         fn: Callable[..., Any],
         *args: Any,
         priority: int = Priority.DEFAULT,
-    ) -> LiveTimer:
+    ) -> Event:
         """Schedule ``fn(*args)`` at absolute virtual ``time``.
 
         A deadline behind the clock is clamped to "as soon as possible"
@@ -215,7 +164,7 @@ class LiveScheduler:
         """
         if time < self.now:
             self.late_events += 1
-        return self._push(time, priority, fn, args)
+        return self._push(time, fn, args, priority)
 
     def after(
         self,
@@ -223,76 +172,20 @@ class LiveScheduler:
         fn: Callable[..., Any],
         *args: Any,
         priority: int = Priority.DEFAULT,
-    ) -> LiveTimer:
+    ) -> Event:
         """Schedule ``fn(*args)`` after ``delay`` virtual seconds."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay!r}")
         # one clock read: the deadline cannot be behind it, so never late
-        return self._push(self.now + delay, priority, fn, args)
+        return self._push(self.now + delay, fn, args, priority)
 
-    def _push(self, time: float, priority: int, fn: Callable, args: tuple) -> LiveTimer:
-        if time != time or time == inf:
-            raise ValueError(f"non-finite deadline: {time!r}")
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        timer = LiveTimer(time, priority, seq, fn, args)
-        heappush(self._heap, (time, priority, seq, timer))
+    def _push(
+        self, time: float, fn: Callable[..., Any], args: tuple, priority: int
+    ) -> Event:
+        ev = super()._push(time, fn, args, priority)
         if time < self._armed:
             self._wake()  # run() is asleep toward something later: re-arm
-        return timer
-
-    def cancel(self, ev: Optional[LiveTimer]) -> None:
-        """Cancel a timer; ``None`` accepted so call sites pass handles
-        unguarded (mirrors :meth:`Simulator.cancel
-        <repro.sim.kernel.Simulator.cancel>`)."""
-        if ev is not None:
-            ev.cancel()
-
-    def periodic(
-        self,
-        interval: float,
-        fn: Callable[[], Any],
-        *,
-        phase: float = 0.0,
-        jitter: float = 0.0,
-        jitter_stream: Optional[str] = None,
-        priority: int = Priority.DEFAULT,
-    ) -> PeriodicTimer:
-        """A self-rescheduling timer — the kernel's own
-        :class:`~repro.sim.kernel.PeriodicTimer`, which only ever talks
-        to the seam and therefore runs here unchanged."""
-        return PeriodicTimer(
-            self,  # type: ignore[arg-type]
-            interval,
-            fn,
-            phase=phase,
-            jitter=jitter,
-            jitter_stream=jitter_stream,
-            priority=priority,
-        )
-
-    def shared_periodic(
-        self,
-        interval: float,
-        fn: Callable[[], Any],
-        *,
-        phase: float = 0.0,
-        priority: int = Priority.DEFAULT,
-    ) -> RoundMembership:
-        """Join the shared round for this cadence (kernel's
-        :class:`~repro.sim.kernel.RoundDriver`, reused verbatim)."""
-        key = (float(interval), float(phase), priority)
-        driver = self._round_drivers.get(key)
-        if driver is None:
-            driver = RoundDriver(
-                self, interval, phase=phase, priority=priority  # type: ignore[arg-type]
-            )
-            self._round_drivers[key] = driver
-        return driver.join(fn)
-
-    def add_finalizer(self, fn: Callable[[], None]) -> None:
-        """Run ``fn`` once when the current (or next) :meth:`run` returns."""
-        self._finalizers.append(fn)
+        return ev
 
     # Execution ----------------------------------------------------------
 
@@ -304,8 +197,7 @@ class LiveScheduler:
         Between deadlines the scheduler awaits, so sibling tasks (node
         mailbox loops, UDP endpoints) run freely.
         """
-        if self._running:
-            raise RuntimeError("run() is not reentrant")
+        self._begin_run()
         if self._anchor_wall is None:
             self._anchor_wall = perf_counter()
         loop = asyncio.get_running_loop()
@@ -313,10 +205,9 @@ class LiveScheduler:
             alarm, self.timer = _Timerfd(loop, self._wake), "timerfd"
         except (OSError, AttributeError):  # this libc has no timerfd
             alarm, self.timer = _LoopTimer(loop, self._wake), "call_at"
-        self._running = True
-        self._stop_requested = False
-        heap = self._heap
+        queue = self.queue
         scale = self.time_scale
+        horizon = inf if until is None else until
         try:
             while not self._stop_requested:
                 # Drain every already-due event as one batch, then yield
@@ -330,32 +221,23 @@ class LiveScheduler:
                 # check so an event due at t <= until still fires even
                 # when the wall clock has already slipped past the horizon.
                 executed = 0
-                while heap and not self._stop_requested:
-                    head = heap[0]
-                    if head[3]._cancelled:
-                        heappop(heap)
-                        continue
-                    if head[0] > self.now or (
-                        until is not None and head[0] > until
-                    ):
+                while executed < MAX_BATCH and not self._stop_requested:
+                    ev = queue.pop_until(min(self.now, horizon))
+                    if ev is None:
                         break
-                    timer = heappop(heap)[3]
-                    timer.fn(*timer.args)
+                    ev.fn(*ev.args)
                     self._events_executed += 1
                     executed += 1
-                    if executed >= self.max_batch:
-                        break
                 if executed:
                     await asyncio.sleep(0)
                     continue
                 now = self.now
-                if until is not None and now >= until:
+                if now >= horizon:
                     break
                 # Sleep toward the heap head or the horizon, MARGIN short:
                 # spinning it spends a wake-up's lateness before the deadline.
-                target = heap[0][0] if heap else inf
-                if until is not None and until < target:
-                    target = until
+                head = queue.peek_time()
+                target = horizon if head is None else min(head, horizon)
                 wall = (target - now) / scale - MARGIN
                 if wall <= 0:
                     await asyncio.sleep(0)
@@ -369,11 +251,7 @@ class LiveScheduler:
         finally:
             self._armed = -inf  # a cancelled wait leaves it set
             alarm.close()
-            self._running = False
-            finalizers = self._finalizers[:]
-            self._finalizers.clear()
-            for fn in finalizers:
-                fn()
+            self._end_run()
         return self.now
 
     def _wake(self) -> None:
@@ -383,14 +261,13 @@ class LiveScheduler:
             self._waiter.set_result(None)
 
     def stop(self) -> None:
-        """Request :meth:`run` to return after the current event."""
-        self._stop_requested = True
-        self._wake()
+        super().stop()
+        self._wake()  # a sleeping run() has to come back to see the flag
 
     @property
     def pending(self) -> int:
         """Live (non-cancelled) timers still on the agenda."""
-        return sum(1 for e in self._heap if not e[3]._cancelled)
+        return len(self.queue)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -128,9 +128,7 @@ class AdmissionControl:
 
     def _on_reply(self, delivery: Delivery) -> None:
         rep: AdmitReply = delivery.payload
-        timeout = self._timeouts.pop(rep.negotiation_id, None)
-        if timeout is not None:
-            timeout.cancel()
+        self.sim.cancel(self._timeouts.pop(rep.negotiation_id, None))
         self._resolve(rep.negotiation_id, rep.granted, "granted" if rep.granted else "refused")
 
     def _resolve(self, negotiation_id: int, granted: bool, reason: str) -> None:

@@ -192,9 +192,8 @@ class EdfScheduler:
         assert self._running is not None
         job = self._running
         job.remaining = self._running_residual()
-        if self._completion_event is not None:
-            self._completion_event.cancel()
-            self._completion_event = None
+        self.sim.cancel(self._completion_event)
+        self._completion_event = None
         self._running = None
         if job.remaining > 1e-12:
             self._ready.append(job)

@@ -10,7 +10,8 @@ inspectable after the fact and while they happen:
   JSONL files (buffered, rotating, summary footer), NDJSON callbacks,
   and a counting null sink;
 * :mod:`repro.obs.profiler` — wall-time/event-count attribution per
-  callback and per subsystem, driven by ``Simulator.run(profile=...)``;
+  callback and per subsystem, fed by the kernel's one run loop
+  (``Simulator.run(profile=...)``, cohort dispatches included);
 * :mod:`repro.obs.spans` — HELP→PLEDGE and placement/evacuation
   negotiation chains correlated into span records with latencies and
   hop counts;

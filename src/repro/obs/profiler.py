@@ -1,8 +1,10 @@
 """Kernel profiler — wall-time and event-count attribution.
 
-``Simulator.run(profile=KernelProfiler())`` times every event callback
-with ``perf_counter`` and feeds this profiler, which attributes the time
-two ways:
+``Simulator.run(profile=KernelProfiler())`` brackets every dispatch of
+its one run loop with ``perf_counter`` — a scalar callback, or a whole
+cohort handed to its batch hook and recorded under the scalar
+callback's name with the cohort's event count — and feeds this
+profiler, which attributes the time two ways:
 
 * **per callback** — the scheduled function's qualified name
   (``Transport._deliver``, ``WorkQueue._complete_head``, …), the event
@@ -17,9 +19,11 @@ reported as the named ``kernel`` category, so the report accounts for
 ~100% of the wall time spent inside :meth:`Simulator.run` (the
 acceptance bar is ≥95% into named categories).
 
-Overhead: when no profiler is passed, ``run`` takes the untouched fast
-loop — the disabled path costs one ``is None`` check per *run call*, not
-per event (guarded by ``benchmarks/check_regression.py``).
+The profiled run is the run that ships: same loop, same cohort
+batching, bit-identical trace, result and ``cohort_stats()``.  Overhead:
+without a profiler the loop pays one ``record is None`` test per
+dispatch, which does not measure (guarded by
+``benchmarks/check_regression.py``).
 """
 
 from __future__ import annotations
@@ -115,7 +119,7 @@ class ProfileReport:
 
 
 class KernelProfiler:
-    """Mutable accumulator the kernel's instrumented loop feeds.
+    """Mutable accumulator the kernel's run loop feeds.
 
     One instance profiles one or more ``run`` calls (durations
     accumulate).  Thread the same instance through
@@ -135,8 +139,9 @@ class KernelProfiler:
 
     # Kernel-facing ------------------------------------------------------
 
-    def record(self, fn: Callable, seconds: float) -> None:
-        """Attribute one event callback's duration (kernel hot path)."""
+    def record(self, fn: Callable, seconds: float, events: int = 1) -> None:
+        """Attribute one dispatch: ``events`` events of callback ``fn``
+        (one, or a cohort's worth) took ``seconds`` (kernel hot path)."""
         func = getattr(fn, "__func__", fn)  # unwrap bound methods
         code = getattr(func, "__code__", None)
         key = id(code) if code is not None else id(func)
@@ -151,13 +156,13 @@ class KernelProfiler:
         if entry is None:
             entry = self.by_callback[callback] = ProfileEntry()
         entry.seconds += seconds
-        entry.events += 1
+        entry.events += events
         entry = self.by_subsystem.get(subsystem)
         if entry is None:
             entry = self.by_subsystem[subsystem] = ProfileEntry()
         entry.seconds += seconds
-        entry.events += 1
-        self.events_executed += 1
+        entry.events += events
+        self.events_executed += events
 
     def finish_run(self, wall_seconds: float) -> None:
         """Called once per profiled ``run``: fold in agenda overhead.

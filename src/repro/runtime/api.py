@@ -15,9 +15,10 @@ kernel directly.  Two environments implement it:
   there is one send implementation, so both environments agree on who
   receives a message and what it costs.
 
-The contract is structural (:class:`typing.Protocol`): the simulator
-satisfies it without inheriting from anything, so the hot paths carry no
-abstraction cost, and the agents are byte-shared between both runtimes —
+The contract is structural (:class:`typing.Protocol`): both schedulers
+satisfy it without inheriting from it (what they do inherit is the
+kernel's own :class:`~repro.sim.kernel.Agenda`), so the hot paths carry
+no abstraction cost, and the agents are byte-shared between both runtimes —
 the import-isolation test pins that ``import repro.core`` never pulls in
 ``repro.sim.kernel``.
 

@@ -124,9 +124,8 @@ class EventQueue:
         self._heap: list[tuple] = []
         self._next_seq = 0
         self._live = 0
-        #: tracked-cancelled entries believed still on the heap (advisory:
-        #: raw ``Event.cancel`` calls are invisible, and pops through the
-        #: non-kernel helpers below do not decrement; it only drives the
+        #: tracked-cancelled entries still on the heap (a raw
+        #: ``Event.cancel`` is invisible to it; it only drives the
         #: compaction heuristic, never correctness)
         self._cancelled_pending = 0
 
@@ -158,50 +157,36 @@ class EventQueue:
         self._live += 1
         return ev
 
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest live event, or ``None`` if empty.
-
-        Cancelled records encountered on the way are discarded.
-        """
+    def _drop_cancelled_head(self) -> None:
+        """Discard cancelled records until the head is live (or none is left)."""
         heap = self._heap
-        while heap:
-            ev = heappop(heap)[3]
-            if ev._cancelled:
-                continue
-            self._live -= 1
-            return ev
-        return None
+        while heap and heap[0][3]._cancelled:
+            heappop(heap)
+            if self._cancelled_pending > 0:
+                self._cancelled_pending -= 1
+
+    def pop(self) -> Optional[Event]:
+        """Remove and return the earliest live event, or ``None`` if empty."""
+        return self.pop_until(None)
 
     def pop_until(self, limit: Optional[float]) -> Optional[Event]:
-        """Single-pass pop of the earliest live event with ``time <= limit``.
+        """Pop the earliest live event with ``time <= limit``.
 
         Returns ``None`` when the agenda is empty or the next live event
-        lies beyond ``limit`` (which is left on the heap).  This is the
-        kernel's hot-loop primitive: one heap traversal instead of the
-        ``peek_time`` + ``pop`` pair, with identical pop order.
+        lies beyond ``limit`` (which is left on the heap).  The kernel's
+        hot loop inlines this; the live scheduler calls it.
         """
+        self._drop_cancelled_head()
         heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[3]._cancelled:
-                heappop(heap)
-                continue
-            if limit is not None and entry[0] > limit:
-                return None
-            heappop(heap)
-            self._live -= 1
-            return entry[3]
-        return None
+        if not heap or (limit is not None and heap[0][0] > limit):
+            return None
+        self._live -= 1
+        return heappop(heap)[3]
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest live event without removing it."""
-        heap = self._heap
-        while heap:
-            if heap[0][3]._cancelled:
-                heappop(heap)
-                continue
-            return heap[0][0]
-        return None
+        self._drop_cancelled_head()
+        return self._heap[0][0] if self._heap else None
 
     def cancel_event(self, ev: Event) -> None:
         """Cancel ``ev`` with bookkeeping (preferred over ``ev.cancel()``).
@@ -209,9 +194,9 @@ class EventQueue:
         Same O(1) lazy cancellation, plus the live count stays exact and
         the dead-entry counter feeds the compaction heuristic: once
         tracked-cancelled entries exceed half the heap the whole agenda
-        is rebuilt without them.  Components holding a kernel reference
-        should route cancels through :meth:`Simulator.cancel
-        <repro.sim.kernel.Simulator.cancel>`, which lands here.
+        is rebuilt without them.  Components cancel through
+        :meth:`Agenda.cancel <repro.sim.kernel.Agenda.cancel>`, which
+        lands here.
         """
         if ev._cancelled:
             return
@@ -237,16 +222,6 @@ class EventQueue:
         self._heap[:] = [e for e in self._heap if not e[3]._cancelled]
         heapify(self._heap)
         self._cancelled_pending = 0
-
-    def note_cancelled(self) -> None:
-        """Account for an externally cancelled event.
-
-        :meth:`Event.cancel` does not know its queue; kernels that want an
-        exact live count call this once per cancellation.  The count is
-        advisory (used for ``len``), popping remains correct regardless.
-        """
-        if self._live > 0:
-            self._live -= 1
 
     def clear(self) -> None:
         """Drop every pending event."""

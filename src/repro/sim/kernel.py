@@ -1,11 +1,16 @@
 """The discrete-event simulation kernel.
 
-:class:`Simulator` owns the clock, the event agenda, the random streams and
-an optional trace sink.  Components interact with it through a small
-surface:
+:class:`Agenda` is what a scheduler is on either clock: the event heap
+with its :class:`~repro.sim.events.Event` handles, tracked cancellation,
+the periodic and shared-round timers, finalizers, the random streams and
+an optional trace sink.  :class:`Simulator` adds the virtual clock and
+the run loop that jumps it; :class:`repro.live.scheduler.LiveScheduler`
+adds the wall clock and the run loop that waits for it.  Components
+interact with either through a small surface:
 
-* ``sim.now`` — current simulated time (seconds),
+* ``sim.now`` — current time (seconds),
 * ``sim.at(t, fn, *args)`` / ``sim.after(dt, fn, *args)`` — schedule,
+* ``sim.cancel(handle)`` — tracked cancel,
 * ``sim.periodic(interval, fn)`` — self-rescheduling timer,
 * ``sim.run(until=...)`` — drive the agenda.
 
@@ -26,14 +31,15 @@ time, and events a batch member schedules at the same instant carry
 later seqs (they run after the cohort, exactly as in the scalar path) —
 so the executed sequence, the trace, and ``events_executed`` are
 bit-identical to scalar execution.  That equivalence is pinned by
-``tests/sim/test_cohort_batching.py``; the profiled loop always runs
-scalar (exact per-event attribution), which doubles as the lockstep
-reference.
+``tests/sim/test_cohort_batching.py`` against the scalar lockstep
+reference, ``set_cohort_batching(False)``.  A profiled run is the same
+loop with a ``perf_counter`` bracket around each dispatch.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .events import _INF, Event, EventQueue, Priority
@@ -41,6 +47,7 @@ from .rng import RandomStreams
 from .trace import Tracer
 
 __all__ = [
+    "Agenda",
     "Simulator",
     "PeriodicTimer",
     "RoundDriver",
@@ -69,7 +76,7 @@ class PeriodicTimer:
 
     def __init__(
         self,
-        sim: "Simulator",
+        sim: "Agenda",
         interval: float,
         fn: Callable[[], Any],
         *,
@@ -174,7 +181,7 @@ class RoundDriver:
 
     def __init__(
         self,
-        sim: "Simulator",
+        sim: "Agenda",
         interval: float,
         *,
         phase: float = 0.0,
@@ -238,8 +245,14 @@ class RoundDriver:
             self._event = None
 
 
-class Simulator:
-    """Sequential discrete-event simulator.
+class Agenda:
+    """The event agenda and timers both schedulers share.
+
+    Everything here is clock-agnostic: it reads the subclass's ``now``
+    only through ``after`` (which :class:`PeriodicTimer` and
+    :class:`RoundDriver` call).  A subclass supplies ``now``, ``at``,
+    ``after`` and ``run``, and brackets its run loop with
+    :meth:`_begin_run` / :meth:`_end_run`.
 
     Parameters
     ----------
@@ -254,30 +267,12 @@ class Simulator:
         self.queue = EventQueue()
         self.streams = RandomStreams(seed)
         self.trace = trace if trace is not None else Tracer(enabled=False)
-        self._now = 0.0
         self._running = False
         self._stop_requested = False
         self._events_executed = 0
         self._finalizers: List[Callable[[], None]] = []
-        #: scalar callback -> cohort hook (see :meth:`register_batch`);
-        #: an empty dict keeps the hot loop's batching probe one falsy test
-        self._batch_hooks: Dict[Callable[..., Any], Callable[[List[tuple]], Any]] = {}
-        self._batching = True
-        # Cohort-batching accounting (see :meth:`cohort_stats`): updated
-        # once per *cohort* in the batched dispatch branch only, so the
-        # scalar path — and any run without batch hooks — pays nothing.
-        self._cohorts = 0
-        self._batched_events = 0
-        self._cohort_sizes: Dict[int, int] = {}
         #: (interval, phase, priority) -> shared round driver
         self._round_drivers: Dict[Tuple[float, float, int], RoundDriver] = {}
-
-    # Clock ------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def events_executed(self) -> int:
@@ -286,36 +281,10 @@ class Simulator:
 
     # Scheduling --------------------------------------------------------
 
-    def at(
-        self,
-        time: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = Priority.DEFAULT,
-    ) -> Event:
-        """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time:.6g}, clock already at {self._now:.6g}"
-            )
-        return self._push(time, fn, args, priority)
-
-    def after(
-        self,
-        delay: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = Priority.DEFAULT,
-    ) -> Event:
-        """Schedule ``fn(*args)`` after a non-negative ``delay``."""
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay!r}")
-        return self._push(self._now + delay, fn, args, priority)
-
     def _push(
         self, time: float, fn: Callable[..., Any], args: tuple, priority: int
     ) -> Event:
-        """Scheduling fast path shared by :meth:`at` and :meth:`after`.
+        """Scheduling fast path behind every ``at`` and ``after``.
 
         Equivalent to :meth:`EventQueue.schedule` — same validation, same
         seq allocation, same heap entry — minus one call frame and the
@@ -380,10 +349,10 @@ class Simulator:
     def cancel(self, ev: Optional[Event]) -> None:
         """Tracked cancel: O(1), exact live count, feeds heap compaction.
 
-        Components holding the kernel should prefer this over
-        ``Event.cancel()`` — both prevent the callback from firing, but
-        only the tracked path lets the agenda rebuild itself once
-        cancelled entries dominate (see :meth:`EventQueue.compact
+        Components cancel through this, never ``Event.cancel()`` — both
+        prevent the callback from firing, but only the tracked path
+        keeps ``len(queue)`` exact and lets the agenda rebuild itself
+        once cancelled entries dominate (see :meth:`EventQueue.compact
         <repro.sim.events.EventQueue.compact>`).  ``None`` is accepted so
         call sites can pass an optional handle unguarded.
         """
@@ -391,14 +360,86 @@ class Simulator:
             self.queue.cancel_event(ev)
 
     def add_finalizer(self, fn: Callable[[], None]) -> None:
-        """Register a callback that runs once when :meth:`run` returns.
+        """Register a callback that runs once when ``run`` returns.
 
         Finalizers are run-or-clear: they execute exactly once when the
-        surrounding :meth:`run` call ends, *including* when a callback
+        surrounding ``run`` call ends, *including* when a callback
         raises — and they are always cleared, so a later ``run`` never
         replays finalizers queued for an earlier one.
         """
         self._finalizers.append(fn)
+
+    # Execution ----------------------------------------------------------
+
+    def _begin_run(self) -> None:
+        if self._running:
+            raise SimulationError("run() is not reentrant")
+        self._running = True
+        self._stop_requested = False
+
+    def _end_run(self) -> None:
+        """The ``finally`` of every run loop: run-or-clear the finalizers."""
+        self._running = False
+        finalizers = self._finalizers[:]
+        self._finalizers.clear()
+        for fn in finalizers:
+            fn()
+
+    def stop(self) -> None:
+        """Request ``run`` to return after the current event."""
+        self._stop_requested = True
+
+
+class Simulator(Agenda):
+    """Sequential discrete-event simulator: an :class:`Agenda` on a
+    virtual clock that jumps from event to event (same parameters)."""
+
+    def __init__(self, seed: int = 0, trace: Optional[Tracer] = None) -> None:
+        super().__init__(seed, trace)
+        self._now = 0.0
+        #: scalar callback -> cohort hook (see :meth:`register_batch`);
+        #: an empty dict keeps the hot loop's batching probe one falsy test
+        self._batch_hooks: Dict[Callable[..., Any], Callable[[List[tuple]], Any]] = {}
+        self._batching = True
+        # Cohort-batching accounting (see :meth:`cohort_stats`): updated
+        # once per *cohort* in the batched dispatch branch only, so the
+        # scalar path — and any run without batch hooks — pays nothing.
+        self._cohorts = 0
+        self._batched_events = 0
+        self._cohort_sizes: Dict[int, int] = {}
+
+    # Clock ------------------------------------------------------------
+
+    @property
+    def now(self) -> float:
+        """Current simulated time in seconds."""
+        return self._now
+
+    def at(
+        self,
+        time: float,
+        fn: Callable[..., Any],
+        *args: Any,
+        priority: int = Priority.DEFAULT,
+    ) -> Event:
+        """Schedule ``fn(*args)`` at absolute simulated ``time``."""
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at t={time:.6g}, clock already at {self._now:.6g}"
+            )
+        return self._push(time, fn, args, priority)
+
+    def after(
+        self,
+        delay: float,
+        fn: Callable[..., Any],
+        *args: Any,
+        priority: int = Priority.DEFAULT,
+    ) -> Event:
+        """Schedule ``fn(*args)`` after a non-negative ``delay``."""
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay!r}")
+        return self._push(self._now + delay, fn, args, priority)
 
     # Cohort batching ----------------------------------------------------
 
@@ -420,9 +461,7 @@ class Simulator:
         earlier items may mutate state later items depend on.
 
         ``fn`` is matched by equality, so a bound method registers all
-        schedules of that method on that instance.  Batching applies to
-        the unprofiled loop only; profiled runs stay scalar for exact
-        per-event attribution (and serve as the lockstep reference).
+        schedules of that method on that instance.
 
         One structural requirement: events of ``fn`` must never be
         *cancelled by a same-cohort member* — the cohort's arguments are
@@ -435,7 +474,8 @@ class Simulator:
         self._batch_hooks[fn] = batch_fn
 
     def set_cohort_batching(self, enabled: bool) -> None:
-        """Force the scalar path (``False``) — for equivalence tests."""
+        """Force the scalar path (``False``) — the lockstep reference the
+        equivalence tests compare the batched loop against."""
         self._batching = bool(enabled)
 
     @property
@@ -443,14 +483,12 @@ class Simulator:
         return self._batching
 
     def cohort_stats(self) -> Dict[str, Any]:
-        """Batched-dispatch accounting for the unprofiled fast path.
+        """Batched-dispatch accounting.
 
         Returns cumulative counts since construction: how many cohorts
         were drained, how many events they covered, that count as a
         share of all executed events (0.0 before anything runs), and a
-        ``{cohort size -> occurrences}`` histogram.  The profiled loop
-        is always scalar, so this is the only visibility into what the
-        fast path actually batched.
+        ``{cohort size -> occurrences}`` histogram.
         """
         executed = self._events_executed
         return {
@@ -469,8 +507,7 @@ class Simulator:
         agenda entry with the identical key and an equal callback is
         popped in seq order, up to ``budget`` items total.  Cancelled
         records inside the run are discarded exactly as the scalar pop
-        loop would.  Shared by the plain and (potential future)
-        instrumented loops so the two can never drift.
+        loop would.
         """
         queue = self.queue
         heap = queue._heap
@@ -510,19 +547,15 @@ class Simulator:
         Returns the final clock value.
 
         ``profile`` takes a :class:`~repro.obs.profiler.KernelProfiler`
-        (duck-typed: ``record(fn, seconds)`` + ``finish_run(wall)``);
-        when given, execution switches to an instrumented loop that times
-        every callback.  When omitted the fast loop below runs untouched —
-        the disabled-path cost is this one ``is None`` check per run call.
+        (duck-typed: ``record(fn, seconds, events)`` +
+        ``finish_run(wall)``).  It times this loop, not a copy of it:
+        each scalar dispatch and each cohort dispatch is bracketed with
+        ``perf_counter``, so the shares it reports are those of the run
+        that ships and the run itself is bit-identical either way.
         """
-        if self._running:
-            raise SimulationError("run() is not reentrant")
         if until is not None and until < self._now:
             raise SimulationError("until lies in the past")
-        if profile is not None:
-            return self._run_profiled(until, max_events, profile)
-        self._running = True
-        self._stop_requested = False
+        self._begin_run()
         budget = max_events if max_events is not None else float("inf")
         # Hot loop: the pop is inlined over the queue's heap (same logic as
         # EventQueue.pop_until) with locals bound outside the loop, saving a
@@ -532,7 +565,9 @@ class Simulator:
         queue = self.queue
         heap = queue._heap
         hooks = self._batch_hooks if self._batching else None
+        record = profile.record if profile is not None else None
         executed = 0
+        wall_start = perf_counter()
         try:
             while budget > 0 and not self._stop_requested:
                 while heap and heap[0][3]._cancelled:
@@ -559,8 +594,13 @@ class Simulator:
                         cohort = self._drain_cohort(
                             entry[0], entry[1], ev, budget
                         )
-                        batch_fn(cohort)
                         n = len(cohort)
+                        if record is None:
+                            batch_fn(cohort)
+                        else:
+                            t0 = perf_counter()
+                            batch_fn(cohort)
+                            record(ev.fn, perf_counter() - t0, n)
                         executed += n
                         budget -= n
                         self._cohorts += 1
@@ -568,78 +608,22 @@ class Simulator:
                         sizes = self._cohort_sizes
                         sizes[n] = sizes.get(n, 0) + 1
                         continue
-                ev.fn(*ev.args)
+                if record is None:
+                    ev.fn(*ev.args)
+                else:
+                    t0 = perf_counter()
+                    ev.fn(*ev.args)
+                    record(ev.fn, perf_counter() - t0)
                 executed += 1
                 budget -= 1
             if until is not None and self._now < until and not self._stop_requested:
                 self._now = until
         finally:
+            if profile is not None:
+                profile.finish_run(perf_counter() - wall_start)
             self._events_executed += executed
-            self._running = False
-            # Run-or-clear: finalizers fire exactly once per run() call,
-            # raising callback or not, and never leak into a later run.
-            finalizers = self._finalizers[:]
-            self._finalizers.clear()
-            for fn in finalizers:
-                fn()
+            self._end_run()
         return self._now
-
-    def _run_profiled(
-        self, until: Optional[float], max_events: Optional[int], profile: Any
-    ) -> float:
-        """Instrumented twin of the :meth:`run` hot loop.
-
-        Same pop order, same clock/finalizer semantics — the only
-        difference is a ``perf_counter`` bracket around each callback fed
-        to ``profile.record`` and a wall-time total to
-        ``profile.finish_run``.  Kept as a separate loop so the
-        unprofiled path pays nothing per event.
-        """
-        from time import perf_counter
-
-        self._running = True
-        self._stop_requested = False
-        budget = max_events if max_events is not None else float("inf")
-        queue = self.queue
-        heap = queue._heap
-        executed = 0
-        record = profile.record
-        wall_start = perf_counter()
-        try:
-            while budget > 0 and not self._stop_requested:
-                while heap and heap[0][3]._cancelled:
-                    heappop(heap)
-                    if queue._cancelled_pending > 0:
-                        queue._cancelled_pending -= 1
-                if not heap:
-                    break
-                entry = heap[0]
-                if until is not None and entry[0] > until:
-                    break
-                heappop(heap)
-                queue._live -= 1
-                ev = entry[3]
-                self._now = entry[0]
-                t0 = perf_counter()
-                ev.fn(*ev.args)
-                record(ev.fn, perf_counter() - t0)
-                executed += 1
-                budget -= 1
-            if until is not None and self._now < until and not self._stop_requested:
-                self._now = until
-        finally:
-            profile.finish_run(perf_counter() - wall_start)
-            self._events_executed += executed
-            self._running = False
-            finalizers = self._finalizers[:]
-            self._finalizers.clear()
-            for fn in finalizers:
-                fn()
-        return self._now
-
-    def stop(self) -> None:
-        """Request :meth:`run` to return after the current event."""
-        self._stop_requested = True
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -7,6 +7,12 @@ on event counts, ordering and virtual times), so they cannot flake under
 CI load.  The exceptions are in ``TestWaiting``: generous ``wait_for``
 ceilings that only a hung scheduler reaches, and one precision check
 with a bound three times what a loop timer could meet.
+
+What the live scheduler shares with the kernel (the agenda: order,
+tracked cancel, compaction, periodic helpers, finalizers, ``stop``) is
+stated once for both in ``tests/runtime/test_agenda_contract.py``; the
+cases here are what waiting on a wall clock adds, and each runs on the
+timerfd and again on the ``loop.call_at`` fallback.
 """
 
 import asyncio

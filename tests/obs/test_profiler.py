@@ -31,11 +31,12 @@ class TestRecord:
 
         prof.record(cb, 0.5)
         prof.record(cb, 0.25)
+        prof.record(cb, 0.25, 3)  # one dispatch of a three-event cohort
         rep = prof.report()
-        assert rep.events_executed == 2
+        assert rep.events_executed == 5
         (name, entry), = rep.by_callback.items()
         assert "cb" in name
-        assert entry.seconds == 0.75 and entry.events == 2
+        assert entry.seconds == 1.0 and entry.events == 5
 
     def test_bound_methods_share_one_entry(self):
         class Thing:
@@ -104,15 +105,8 @@ class TestProfiledRun:
         profiled = run_experiment(cfg, profile=KernelProfiler())
         import dataclasses
 
-        d_plain = dataclasses.asdict(plain)
-        d_profiled = dataclasses.asdict(profiled)
-        # cohort_* extras are dispatch accounting, not simulation output:
-        # the profiled loop is always scalar, so its counts are zero
-        for d in (d_plain, d_profiled):
-            for key in list(d["extra"]):
-                if key.startswith("cohort"):
-                    del d["extra"][key]
-        assert d_profiled == d_plain
+        # the cohort* extras included: a profiled run batches the same
+        assert dataclasses.asdict(profiled) == dataclasses.asdict(plain)
 
     def test_profile_respects_until_and_max_events(self):
         sim = Simulator(seed=1)

@@ -33,8 +33,7 @@ class TestEventQueueProperties:
         ]
         for ev, dead in zip(events, cancel_mask):
             if dead:
-                ev.cancel()
-                q.note_cancelled()
+                q.cancel_event(ev)
         survivors = sorted(
             (ev.time, ev.seq) for ev, dead in zip(events, cancel_mask) if not dead
         )

@@ -1,13 +1,15 @@
-"""Structural pin: one system assembly and one send path, neither in ``live/``.
+"""Structural pin: one system assembly, one send path and one agenda, none in ``live/``.
 
 ``repro.experiments.runner`` is the only module that constructs hosts,
 agents, admission controls, the migration coordinator, the arrival
 generator and the registry probes; ``LiveRuntime`` receives them
 assembled.  ``repro.network.transport`` is the only module that decides
 who receives a message and what it costs; ``LiveTransport`` inherits
-that and keeps the wire.  An ``ast`` walk (no import, no execution)
-over the live sources keeps a second hand-written copy of either from
-quietly growing back.
+that and keeps the wire.  ``repro.sim.kernel`` is the only module that
+pushes on the event heap, cancels, builds the periodic helpers and runs
+finalizers; ``LiveScheduler`` inherits that and keeps the wall clock.
+An ``ast`` walk (no import, no execution) over the live sources keeps a
+second hand-written copy of any of them from quietly growing back.
 """
 
 import ast
@@ -77,3 +79,21 @@ def test_live_transport_has_no_send_path_of_its_own():
 def test_the_walk_sees_the_send_path_where_it_belongs():
     functions, identifiers = _functions_and_identifiers(SRC / "network" / "transport.py")
     assert _SEND_FUNCTIONS <= functions and _SEND_NAMES <= identifiers
+
+
+#: the agenda: functions only ``sim/kernel.py`` may define, identifiers
+#: only it may mention
+_AGENDA_FUNCTIONS = {"cancel", "periodic", "shared_periodic", "add_finalizer"}
+_AGENDA_NAMES = {"heappush", "RoundDriver"}
+
+
+def test_live_scheduler_has_no_agenda_of_its_own():
+    functions, identifiers = _functions_and_identifiers(SRC / "live" / "scheduler.py")
+    assert not functions & _AGENDA_FUNCTIONS, "live/scheduler.py keeps its own timers again"
+    assert not identifiers & _AGENDA_NAMES, "live/scheduler.py keeps its own heap again"
+    assert "run" in functions  # bench/trace.py patches vars(LiveScheduler)["run"]
+
+
+def test_the_walk_sees_the_agenda_where_it_belongs():
+    functions, identifiers = _functions_and_identifiers(SRC / "sim" / "kernel.py")
+    assert _AGENDA_FUNCTIONS <= functions and _AGENDA_NAMES <= identifiers

@@ -49,8 +49,7 @@ class TestCancellation:
         q = EventQueue()
         ev = q.schedule(1.0, lambda: None)
         keep = q.schedule(2.0, lambda: None)
-        ev.cancel()
-        q.note_cancelled()
+        q.cancel_event(ev)
         assert q.pop() is keep
         assert q.pop() is None
 
@@ -73,8 +72,7 @@ class TestCancellation:
         a = q.schedule(1.0, lambda: None)
         q.schedule(2.0, lambda: None)
         assert len(q) == 2
-        a.cancel()
-        q.note_cancelled()
+        q.cancel_event(a)
         assert len(q) == 1
 
     def test_peek_time_skips_cancelled(self):

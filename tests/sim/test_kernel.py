@@ -1,4 +1,9 @@
-"""Unit tests for the simulation kernel."""
+"""Unit tests for the simulation kernel: the virtual clock and its run loop.
+
+What the kernel shares with the live scheduler (order, tracked cancel,
+compaction, finalizers on a raising callback, ``stop``) is asserted over
+both in ``tests/runtime/test_agenda_contract.py``.
+"""
 
 import pytest
 
@@ -73,14 +78,6 @@ class TestScheduling:
         sim.run()
         assert count[0] == 5
         assert sim.now == 5.0
-
-    def test_stop_halts_run(self):
-        sim = Simulator()
-        fired = []
-        sim.at(1.0, lambda: (fired.append(1), sim.stop()))
-        sim.at(2.0, fired.append, 2)
-        sim.run()
-        assert fired == [1]
 
     def test_max_events_budget(self):
         sim = Simulator()
