@@ -369,7 +369,10 @@ def run_scaling_curve(*, smoke: bool, repeats: int) -> Dict[str, dict]:
         )
         entry["flood_min_seconds"] = round(flood_best, 6)
         entry["floods"] = floods
-        entry["flood_deliveries"] = floods * (n - 1)
+        # counted, not computed: floods * (n - 1) on the connected torus,
+        # and CI's smoke step holds it to that, so a fan-out that drops
+        # or duplicates a receiver fails there
+        entry["flood_deliveries"] = bench_flood_scaling(topo, floods)
 
         # per-tier single-run kernel throughput (best run-phase events/sec;
         # a fresh system per repetition so no state is warm between runs)

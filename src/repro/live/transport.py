@@ -176,7 +176,9 @@ class LiveTransport(Transport):
     # The wire -----------------------------------------------------------
 
     def _wire(self) -> tuple:
-        return self._post_on_wire, self._put
+        # every live message crosses its own mailbox or datagram, so a
+        # fan-out is posted message by message
+        return self._post_on_wire, self._put, self._post_one_by_one
 
     def _post_on_wire(
         self, delay: float, put: Callable[..., None], *message: Any, priority: int

@@ -78,12 +78,16 @@ class FaultManager:
 
     # Liveness queries -----------------------------------------------------
 
+    # The three predicates read ``_states`` themselves rather than call
+    # ``state()``: they are the hottest calls in the tree (the transport's,
+    # the coordinator's and every agent's liveness test), one frame each.
+
     def state(self, node: NodeId) -> NodeState:
         return self._states.get(node, NodeState.UP)
 
     def is_up(self, node: NodeId) -> bool:
         """Fully operational: accepts work, pledges, hosts components."""
-        return self.state(node) is NodeState.UP
+        return self._states.get(node, NodeState.UP) is NodeState.UP
 
     def can_communicate(self, node: NodeId) -> bool:
         """Able to send/receive messages.
@@ -93,10 +97,10 @@ class FaultManager:
         entire point of survivability) — but it no longer accepts work or
         advertises availability (see ``is_up``).
         """
-        return self.state(node) is not NodeState.CRASHED
+        return self._states.get(node) is not NodeState.CRASHED
 
     def is_compromised(self, node: NodeId) -> bool:
-        return self.state(node) is NodeState.COMPROMISED
+        return self._states.get(node) is NodeState.COMPROMISED
 
     def up_nodes(self) -> List[NodeId]:
         """Sorted ids of fully-operational nodes (amortised O(1)).

@@ -26,7 +26,10 @@ charge, instantaneous lossless delivery) the only fact a send needs is
 "are both ends in the same live component?", which the liveness epoch's
 component labels answer with a dict lookup; a scoped (``neighbors_only``)
 flood likewise reads its charge from the epoch's per-component link
-count.  A run that charges by message never computes a BFS row.
+count, and its receivers from a per-source tuple cached for the epoch.
+A run that charges by message never computes a BFS row, and a flood
+inside an epoch evaluates no liveness or link predicate at send time
+(delivery still re-checks the receiver).
 """
 
 from __future__ import annotations
@@ -55,10 +58,12 @@ class _EpochStructure:
     by every send until the next epoch: the live overlay, its
     connected-component labelling, each component's sorted member tuple
     and link count.  Per-source work inside an epoch collapses to a dict
-    lookup plus — for whole-overlay floods only — a receiver-tuple build;
-    the per-message BFS/component scan that made 2.5k-node floods
-    quadratic is gone.  ``comp_of`` doubles as the reachability oracle of
-    unicasts whose hop count nothing consumes.
+    lookup plus one receiver-tuple build per flooding source and scope
+    (``Transport._flood_cache`` for the whole overlay,
+    ``Transport._scope_cache`` for direct neighbours — both dropped with
+    the epoch); the per-message BFS/component scan that made 2.5k-node
+    floods quadratic is gone.  ``comp_of`` doubles as the reachability
+    oracle of unicasts whose hop count nothing consumes.
     """
 
     __slots__ = ("key", "live", "comp_of", "members", "links")
@@ -170,6 +175,13 @@ class Transport:
         real one so ``fail_link`` severs floods and unicasts (the live
         overlay is the one of
         :meth:`~repro.network.faults.FaultManager.live_topology`).
+    liveness_version:
+        Callable returning a counter that moves whenever ``is_up`` or
+        ``link_up`` would answer differently (the fault model's
+        ``version``).  With ``topo.version`` it keys the liveness epoch
+        under which every flood's receivers and charge are cached, so
+        the two predicates must be functions of that epoch.  Defaults to
+        a constant, which suits the default predicates.
     cost_model:
         See :class:`CostModel`.
     per_hop_latency:
@@ -226,33 +238,50 @@ class Transport:
         self._handlers: Dict[NodeId, Dict[str, Handler]] = {}
         self._epoch: Optional[_EpochStructure] = None
         self._flood_cache: Dict[NodeId, tuple] = {}
+        self._scope_cache: Dict[NodeId, tuple] = {}
         self._depth_cache: Dict[NodeId, dict] = {}
         self._live_router: Optional[Router] = None
         self.sent_messages = 0
         self.delivered_messages = 0
         self.dropped_messages = 0
         #: the delivery primitive, resolved once so the fan-out loops bind
-        #: two locals and the simulator pays no call frame for the seam
-        self._post, self._arrive = self._wire()
-        # Cohort fast path: a flood fan-out schedules one _deliver event
-        # per receiver at the same (time, priority); registering the batch
-        # hook lets the kernel hand the whole same-instant run to
-        # _deliver_batch in one call.  Guarded so a bare kernel without
-        # cohort support still works scalar-per-event.
+        #: locals and the simulator pays no call frame for the seam
+        self._post, self._arrive, self._post_each = self._wire()
+        # Cohort fast path: a flood's deliveries share one (time,
+        # priority) key; registering the batch hook lets the kernel hand
+        # the whole same-instant run — pre-formed by the flood or
+        # discovered on the agenda — to _deliver_batch in one call.
+        # Guarded so a bare kernel without cohort support still works
+        # scalar-per-event.
         register = getattr(sim, "register_batch", None)
         if register is not None:
             register(self._deliver, self._deliver_batch)
 
     def _wire(self) -> tuple:
-        """``(post, arrive)``: how a surviving delivery leaves the transport.
+        """``(post, arrive, post_each)``: how a surviving delivery leaves
+        the transport.
 
         Every send ends in ``post(delay, arrive, src, dst, kind, payload,
-        sent_at, priority=Priority.MESSAGE)``.  Here that is the
-        scheduler's ``after`` running :meth:`_deliver`; a subclass with a
-        real wire returns its own pair, and whatever ``arrive`` puts on
-        that wire must come back through :meth:`_deliver`.
+        sent_at, priority=Priority.MESSAGE)`` or, for a fan-out whose
+        deliveries share one delay, in ``post_each(delay, arrive,
+        messages, Priority.MESSAGE)`` — the same posts in order, handed
+        over as one list of ``(src, dst, kind, payload, sent_at)``.
+        Here those are the scheduler's ``after`` and ``after_each``
+        running :meth:`_deliver`; a subclass with a real wire returns its
+        own, and whatever ``arrive`` puts on that wire must come back
+        through :meth:`_deliver`.
         """
-        return self.sim.after, self._deliver
+        each = getattr(self.sim, "after_each", None)
+        return self.sim.after, self._deliver, each or self._post_one_by_one
+
+    def _post_one_by_one(
+        self, delay: float, arrive: Callable[..., None], messages: List[tuple],
+        priority: int,
+    ) -> None:
+        """``post_each`` of a wire that carries one message at a time."""
+        post = self._post
+        for message in messages:
+            post(delay, arrive, *message, priority=priority)
 
     # Registration --------------------------------------------------------
 
@@ -324,17 +353,8 @@ class Transport:
             return []
         self.sent_messages += 1
         if neighbors_only:
-            link_up = self.link_up
-            receivers = tuple(
-                n for n in self.topo.neighbors(src)
-                if self.is_up(n) and (link_up is None or link_up(src, n))
-            )
+            receivers, links = self._scope_structure(src)
             depth: Optional[dict] = None  # every receiver is depth 1
-            # only the charge is component-wide: read it off the epoch
-            # labels, never building the component's receiver tuple
-            epoch = self._epoch_structure()
-            ci = epoch.comp_of.get(src)
-            links = 0 if ci is None else epoch.links[ci]
         else:
             receivers, links = self._flood_structure(src)
             # BFS depths are only consulted with per-hop latency or
@@ -350,10 +370,12 @@ class Transport:
             cost = float(links)
         if self.on_cost is not None:
             self.on_cost(kind, cost)
-        # Fan-out fast path: one bound-method event per receiver (no
-        # per-message closure), with the zero-latency case skipping the
-        # depth lookups entirely.  Scheduling order — and therefore the
-        # event sequence — matches the generic path exactly.
+        # Fan-out fast path: bound-method deliveries (no per-message
+        # closure).  The zero-latency, unimpaired case — the paper's —
+        # skips the depth lookups and posts its receivers as one
+        # pre-formed cohort: one agenda entry whatever the fan-out.
+        # Scheduling order — and therefore the event sequence — matches
+        # the generic path exactly.
         now = self.sim.now
         after = self._post
         deliver = self._arrive
@@ -374,9 +396,11 @@ class Transport:
                     after(base + extra, deliver, src, dst, kind, payload, now,
                           priority=Priority.MESSAGE)
         elif latency == 0.0:
-            for dst in receivers:
-                after(0.0, deliver, src, dst, kind, payload, now,
-                      priority=Priority.MESSAGE)
+            self._post_each(
+                0.0, deliver,
+                [(src, dst, kind, payload, now) for dst in receivers],
+                Priority.MESSAGE,
+            )
         else:
             for dst in receivers:
                 hops = 1 if depth is None else depth[dst]
@@ -399,6 +423,7 @@ class Transport:
             epoch = _EpochStructure(key, live)
             self._epoch = epoch
             self._flood_cache.clear()
+            self._scope_cache.clear()
             self._depth_cache.clear()
             self._live_router = None
         return epoch
@@ -423,6 +448,30 @@ class Transport:
             result = (receivers, epoch.links[ci])
         self._flood_cache[src] = result
         return result
+
+    def _scope_structure(self, src: NodeId) -> tuple:
+        """(receivers, link count) of a ``neighbors_only`` flood from ``src``.
+
+        The receivers are ``src``'s direct neighbours that are up across
+        an up link; only the charge is component-wide, and it is read off
+        the epoch labels without building the component's receiver tuple.
+        Both are functions of the liveness epoch alone, so the predicates
+        run once per source per epoch, not once per flood.
+        """
+        epoch = self._epoch_structure()
+        cached = self._scope_cache.get(src)
+        if cached is None:
+            is_up = self.is_up
+            link_up = self.link_up
+            ci = epoch.comp_of.get(src)
+            cached = self._scope_cache[src] = (
+                tuple(
+                    n for n in self.topo.neighbors(src)
+                    if is_up(n) and (link_up is None or link_up(src, n))
+                ),
+                0 if ci is None else epoch.links[ci],
+            )
+        return cached
 
     def _flood_depth(self, src: NodeId) -> dict:
         """BFS depths from ``src`` over the live overlay (epoch-cached).

@@ -25,22 +25,33 @@ Cohort batching (the single-run fast path): events sharing the full
 way, so a component may register a batch hook for one of its callbacks
 (:meth:`Simulator.register_batch`) and receive a whole same-instant run
 of that callback's argument tuples in one call — one Python call for a
-10k-receiver flood instead of 10k loop iterations.  Only *consecutive*
-same-callback events are grouped, cancellations are honoured at drain
-time, and events a batch member schedules at the same instant carry
-later seqs (they run after the cohort, exactly as in the scalar path) —
-so the executed sequence, the trace, and ``events_executed`` are
-bit-identical to scalar execution.  That equivalence is pinned by
-``tests/sim/test_cohort_batching.py`` against the scalar lockstep
-reference, ``set_cohort_batching(False)``.  A profiled run is the same
-loop with a ``perf_counter`` bracket around each dispatch.
+10k-receiver flood instead of 10k loop iterations.  A cohort reaches the
+hook one of two ways.  The drain *discovers* it: the run loop pops an
+event of the callback and collects the consecutive same-key entries
+behind it.  Or the sender *pre-forms* it: :meth:`Simulator.after_each`
+posts ``n`` calls as one agenda entry, so a flood that holds its
+receivers in its hand costs one heap push and one pop instead of ``n``
+of each.  A pre-formed entry is indistinguishable from the ``n`` scalar
+events it stands for — it takes their ``n`` seqs, counts ``n`` toward
+``len(sim.queue)``, ``events_executed`` and the ``max_events`` budget
+(a budget ending inside it leaves the rest on the agenda under the
+original keys), and merges with adjacent entries exactly as they would.
+Only *consecutive* same-callback events are grouped, cancellations are
+honoured at drain time, and events a batch member schedules at the same
+instant carry later seqs (they run after the cohort, exactly as in the
+scalar path) — so the executed sequence, the trace, ``events_executed``
+and ``cohort_stats()`` are bit-identical to scalar execution.  That
+equivalence is pinned by ``tests/sim/test_cohort_batching.py`` against
+the scalar lockstep reference, ``set_cohort_batching(False)``, under
+which ``after_each`` is the ``n`` scalar pushes.  A profiled run is the
+same loop with a ``perf_counter`` bracket around each dispatch.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .events import _INF, Event, EventQueue, Priority
 from .rng import RandomStreams
@@ -58,6 +69,29 @@ __all__ = [
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (scheduling in the past, re-running, …)."""
+
+
+class _Cohort:
+    """What the kernel knows about one batched callback.
+
+    ``Simulator._batch_hooks`` maps the scalar callback ``fn`` to this
+    record — and the record to itself, because it is also the
+    ``Event.fn`` of a pre-formed cohort's agenda entry (whose
+    ``Event.args`` is then the list of argument tuples).  The run loop's
+    one ``hooks.get(ev.fn)`` probe therefore finds both kinds, tells a
+    pre-formed entry by ``hook is ev.fn``, and costs a callback without
+    a batch hook nothing new.  Pre-formed entries are the simulator's
+    own: only :meth:`Simulator.run` pops them (``EventQueue.pop`` would
+    count one event where the entry stands for n).
+    """
+
+    __slots__ = ("fn", "batch_fn")
+
+    def __init__(
+        self, fn: Callable[..., Any], batch_fn: Callable[[List[tuple]], Any]
+    ) -> None:
+        self.fn = fn
+        self.batch_fn = batch_fn
 
 
 class PeriodicTimer:
@@ -397,9 +431,10 @@ class Simulator(Agenda):
     def __init__(self, seed: int = 0, trace: Optional[Tracer] = None) -> None:
         super().__init__(seed, trace)
         self._now = 0.0
-        #: scalar callback -> cohort hook (see :meth:`register_batch`);
-        #: an empty dict keeps the hot loop's batching probe one falsy test
-        self._batch_hooks: Dict[Callable[..., Any], Callable[[List[tuple]], Any]] = {}
+        #: scalar callback -> its :class:`_Cohort`, and each ``_Cohort``
+        #: -> itself (see :meth:`register_batch`); an empty dict keeps the
+        #: hot loop's batching probe one falsy test
+        self._batch_hooks: Dict[Any, _Cohort] = {}
         self._batching = True
         # Cohort-batching accounting (see :meth:`cohort_stats`): updated
         # once per *cohort* in the batched dispatch branch only, so the
@@ -443,6 +478,60 @@ class Simulator(Agenda):
 
     # Cohort batching ----------------------------------------------------
 
+    def after_each(
+        self,
+        delay: float,
+        fn: Callable[..., Any],
+        argsets: Iterable[tuple],
+        priority: int = Priority.DEFAULT,
+    ) -> None:
+        """Schedule ``fn(*args)`` for every ``args`` of ``argsets``, in order.
+
+        Means exactly ``for args in argsets: self.after(delay, fn, *args,
+        priority=priority)`` less the handles — and *is* that loop when
+        ``fn`` has no batch hook or batching is off.  Otherwise the whole
+        pre-formed cohort goes on the agenda as one entry that stands for
+        its ``n`` events in every count the kernel keeps (see the module
+        docstring), so the sender pays one heap push and the run loop one
+        pop whatever ``n`` is.  No handle comes back: like the scalar
+        deliveries it replaces, nothing may cancel a member.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay!r}")
+        time = self._now + delay
+        argsets = list(argsets)
+        hook = self._batch_hooks.get(fn) if self._batching else None
+        if hook is None:
+            for args in argsets:
+                self._push(time, fn, args, priority)
+            return
+        if not argsets:
+            return
+        if time != time or time == _INF:  # NaN / inf guard, as in _push
+            raise ValueError(f"non-finite event time: {time!r}")
+        queue = self.queue
+        seq = queue._next_seq
+        queue._next_seq = seq + len(argsets)
+        self._post_cohort(time, priority, seq, hook, argsets)
+
+    def _post_cohort(
+        self, time: float, priority: int, seq: int, hook: _Cohort,
+        argsets: List[tuple],
+    ) -> None:
+        """One agenda entry for the events ``seq .. seq + len(argsets) - 1``.
+
+        A cohort of one is the scalar event itself, so a lone delivery
+        takes the scalar dispatch (and stays out of ``cohort_stats``)
+        exactly as if it had been pushed by ``after``.
+        """
+        if len(argsets) == 1:
+            ev = Event(time, priority, seq, hook.fn, argsets[0])
+        else:
+            ev = Event(time, priority, seq, hook, argsets)
+        queue = self.queue
+        heappush(queue._heap, (time, priority, seq, ev))
+        queue._live += len(argsets)
+
     def register_batch(
         self,
         fn: Callable[..., Any],
@@ -461,7 +550,8 @@ class Simulator(Agenda):
         earlier items may mutate state later items depend on.
 
         ``fn`` is matched by equality, so a bound method registers all
-        schedules of that method on that instance.
+        schedules of that method on that instance.  A sender that already
+        holds such a run posts it whole with :meth:`after_each`.
 
         One structural requirement: events of ``fn`` must never be
         *cancelled by a same-cohort member* — the cohort's arguments are
@@ -471,12 +561,33 @@ class Simulator(Agenda):
         Message deliveries satisfy this trivially: nothing holds their
         event handles.
         """
-        self._batch_hooks[fn] = batch_fn
+        hook = _Cohort(fn, batch_fn)
+        self._batch_hooks[fn] = self._batch_hooks[hook] = hook
 
     def set_cohort_batching(self, enabled: bool) -> None:
         """Force the scalar path (``False``) — the lockstep reference the
-        equivalence tests compare the batched loop against."""
+        equivalence tests compare the batched loop against.
+
+        Pre-formed cohorts already on the agenda become the scalar
+        events they stand for, under the seqs they hold, so the scalar
+        loop never meets one.
+        """
         self._batching = bool(enabled)
+        if self._batching:
+            return
+        heap = self.queue._heap
+        entries = []
+        for entry in heap:
+            time, priority, seq, ev = entry
+            if ev.fn.__class__ is _Cohort:
+                entries.extend(
+                    (time, priority, seq + i, Event(time, priority, seq + i, ev.fn.fn, args))
+                    for i, args in enumerate(ev.args)
+                )
+            else:
+                entries.append(entry)
+        heap[:] = entries  # in place: the run loop aliases the list
+        heapify(heap)
 
     @property
     def cohort_batching(self) -> bool:
@@ -500,20 +611,24 @@ class Simulator(Agenda):
             "size_histogram": dict(sorted(self._cohort_sizes.items())),
         }
 
-    def _drain_cohort(self, time: float, priority: int, ev: Event, budget) -> List[tuple]:
+    def _drain_cohort(self, entry: tuple, hook: _Cohort, budget) -> List[tuple]:
         """Collect the consecutive same-``(time, priority, fn)`` cohort.
 
-        ``ev`` (already popped) leads the cohort; every following live
+        ``entry`` (already popped) leads the cohort; every following live
         agenda entry with the identical key and an equal callback is
-        popped in seq order, up to ``budget`` items total.  Cancelled
+        popped in seq order, up to ``budget`` items total.  A pre-formed
+        entry — leading or following — contributes all the events it
+        stands for, so a cohort is the same list whether the sender
+        posted it whole, event by event, or some of each.  Cancelled
         records inside the run are discarded exactly as the scalar pop
         loop would.
         """
+        time, priority, _seq, ev = entry
         queue = self.queue
         heap = queue._heap
-        fn = ev.fn
-        cohort = [ev.args]
-        n = 1
+        fn = hook.fn
+        cohort = self._open_cohort(entry, budget) if ev.fn is hook else [ev.args]
+        n = len(cohort)
         while heap and n < budget:
             top = heap[0]
             if top[0] != time or top[1] != priority:
@@ -524,6 +639,12 @@ class Simulator(Agenda):
                 if queue._cancelled_pending > 0:
                     queue._cancelled_pending -= 1
                 continue
+            if nxt.fn is hook:
+                heappop(heap)
+                queue._live -= 1
+                cohort += self._open_cohort(top, budget - n)
+                n = len(cohort)
+                continue
             if nxt.fn != fn:
                 break
             heappop(heap)
@@ -531,6 +652,22 @@ class Simulator(Agenda):
             cohort.append(nxt.args)
             n += 1
         return cohort
+
+    def _open_cohort(self, entry: tuple, room) -> List[tuple]:
+        """The argument tuples of a popped pre-formed ``entry``.
+
+        The pop counted one event off ``len(queue)``; the entry stood
+        for ``len(argsets)``.  When only ``room`` of them fit the
+        ``max_events`` budget the rest go back on the agenda under their
+        original keys, to be delivered by the next ``run``.
+        """
+        time, priority, seq, ev = entry
+        argsets = ev.args
+        self.queue._live -= len(argsets) - 1
+        if len(argsets) > room:
+            self._post_cohort(time, priority, seq + room, ev.fn, argsets[room:])
+            argsets = argsets[:room]
+        return argsets
 
     # Execution ----------------------------------------------------------
 
@@ -584,23 +721,23 @@ class Simulator(Agenda):
                 ev = entry[3]
                 self._now = entry[0]
                 if hooks:
-                    batch_fn = hooks.get(ev.fn)
-                    if (
-                        batch_fn is not None
-                        and heap
-                        and heap[0][0] == entry[0]
-                        and heap[0][1] == entry[1]
-                    ):
-                        cohort = self._drain_cohort(
-                            entry[0], entry[1], ev, budget
+                    hook = hooks.get(ev.fn)
+                    if hook is not None and (
+                        hook is ev.fn  # a pre-formed cohort (after_each)
+                        or (
+                            heap
+                            and heap[0][0] == entry[0]
+                            and heap[0][1] == entry[1]
                         )
+                    ):
+                        cohort = self._drain_cohort(entry, hook, budget)
                         n = len(cohort)
                         if record is None:
-                            batch_fn(cohort)
+                            hook.batch_fn(cohort)
                         else:
                             t0 = perf_counter()
-                            batch_fn(cohort)
-                            record(ev.fn, perf_counter() - t0, n)
+                            hook.batch_fn(cohort)
+                            record(hook.fn, perf_counter() - t0, n)
                         executed += n
                         budget -= n
                         self._cohorts += 1

@@ -12,9 +12,13 @@ assertions exploit that split:
   a handful of near-simultaneous admission decisions — so admission
   probabilities match within a tolerance, not bit-for-bit.
 
-Nothing here asserts on wall-clock durations, so CI load cannot flake
-these; the high ``time_scale`` keeps each live run in well under a
-second of wall time.
+Nothing here asserts on wall-clock durations, but the admission side
+does depend on the runtime keeping up with its open loop: driven past
+its capacity it falls behind, virtual time drains the queues while it
+catches up, and it admits more than the simulator does.  Each point's
+``time_scale`` therefore keeps the wall arrival rate inside the capacity
+``docs/live.md`` measured (knee at 4 000-8 000 tasks/s wall), which
+still leaves each live run under a second of wall time.
 """
 
 import asyncio
@@ -25,17 +29,21 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.live import LiveConfig, run_live
 
-#: admission-probability gap allowed between the runtimes.  Measured
-#: gaps are ~0.002 even in deep overload; 0.1 absorbs scheduler jitter
-#: on a loaded CI machine without ever passing a broken runtime.
+#: admission-probability gap allowed between the runtimes.  Inside the
+#: runtime's capacity the measured gap is <= 0.004 even in deep overload
+#: (five runs at 4 000 tasks/s wall: 0.6597-0.6647 against the
+#: simulator's 0.6637); 0.1 absorbs scheduler jitter on a loaded CI
+#: machine without ever passing a broken runtime.  Past capacity the gap
+#: reaches 0.02-0.15 — that is the runtime lagging, not disagreeing.
 TOLERANCE = 0.1
 
 SEED = 42
 
-#: (arrival rate, horizon): one underloaded point (admission ~1.0) and
-#: one deep-overload point (admission well below 1), so the curves are
-#: compared where they are flat *and* where they are steep.
-POINTS = [(4.0, 30.0), (100.0, 10.0)]
+#: (arrival rate, horizon) -> time_scale: one underloaded point
+#: (admission ~1.0) and one deep-overload point (admission well below
+#: 1), so the curves are compared where they are flat *and* where they
+#: are steep.  800 and 4 000 tasks/s wall, 0.15 s and 0.25 s of it.
+POINTS = {(4.0, 30.0): 200.0, (100.0, 10.0): 40.0}
 
 
 def live_run(rate: float, horizon: float) -> dict:
@@ -44,7 +52,7 @@ def live_run(rate: float, horizon: float) -> dict:
         arrival_rate=rate,
         horizon=horizon,
         seed=SEED,
-        time_scale=200.0,
+        time_scale=POINTS[rate, horizon],
         latency=0.0,
         drain_timeout=60.0,
     )
@@ -90,14 +98,16 @@ class TestEquivalence:
 
     def test_curve_shape_preserved(self, curves):
         # underload admits (nearly) everything; overload admits far less
-        # — the live curve must bend the same way the sim curve does
-        (under_sim, under_live) = curves[POINTS[0]]
-        (over_sim, over_live) = curves[POINTS[1]]
+        # — the live curve must bend the same way the sim curve does, and
+        # by at least half of what the simulator's own curve drops
+        (under_sim, under_live), (over_sim, over_live) = curves.values()
         assert under_live["admission_probability"] > 0.9
-        assert over_live["admission_probability"] < 0.7
-        assert (
-            under_live["admission_probability"] > over_live["admission_probability"]
+        sim_drop = under_sim.admission_probability - over_sim.admission_probability
+        live_drop = (
+            under_live["admission_probability"] - over_live["admission_probability"]
         )
+        assert sim_drop > 0.25  # the overload point really is one
+        assert live_drop > 0.5 * sim_drop
 
     def test_live_run_settles_everything(self, curves):
         for _point, (_sim, live) in curves.items():
