@@ -32,6 +32,9 @@ class Binding:
 class NamingService:
     """Name → host registry with propagation delay.
 
+    A binding lives as long as its component: :meth:`register` creates or
+    moves it, :meth:`unregister` ends it and keeps nothing of the name.
+
     Parameters
     ----------
     sim:
@@ -46,7 +49,8 @@ class NamingService:
         self.sim = sim
         self.propagation_delay = float(propagation_delay)
         self._visible: Dict[str, Binding] = {}
-        self._history: Dict[str, List[Binding]] = {}
+        #: ground truth: the newest registered binding of every live name
+        self._newest: Dict[str, Binding] = {}
         self.lookups = 0
         self.stale_lookups = 0
         self.updates = 0
@@ -55,8 +59,7 @@ class NamingService:
 
     def register(self, name: str, host: int) -> None:
         """Bind ``name`` to ``host``; visible after the propagation delay."""
-        binding = Binding(name, host, self.sim.now)
-        self._history.setdefault(name, []).append(binding)
+        binding = self._newest[name] = Binding(name, host, self.sim.now)
         self.updates += 1
         if self.propagation_delay == 0.0:
             self._visible[name] = binding
@@ -64,6 +67,8 @@ class NamingService:
             self.sim.after(self.propagation_delay, self._publish, binding)
 
     def _publish(self, binding: Binding) -> None:
+        if binding.name not in self._newest:
+            return  # unregistered while the update was still propagating
         cur = self._visible.get(binding.name)
         if cur is None or cur.since <= binding.since:
             self._visible[binding.name] = binding
@@ -71,7 +76,7 @@ class NamingService:
     def unregister(self, name: str) -> None:
         """Remove a binding (component destroyed)."""
         self._visible.pop(name, None)
-        self._history.pop(name, None)
+        self._newest.pop(name, None)
 
     # Lookup ----------------------------------------------------------------
 
@@ -88,8 +93,8 @@ class NamingService:
 
     def true_location(self, name: str) -> Optional[int]:
         """Ground truth: the newest registered binding (tests/metrics)."""
-        hist = self._history.get(name)
-        return hist[-1].host if hist else None
+        newest = self._newest.get(name)
+        return newest.host if newest is not None else None
 
     def bindings(self) -> List[Tuple[str, int]]:
         """All visible (name, host) pairs, sorted by name."""

@@ -3,7 +3,8 @@
 Generates a Poisson task load against a live overlay for ``--duration``
 virtual seconds, prints a JSON report (admission probability, wall
 throughput, settlement-latency percentiles, message counters, naming
-stats, shutdown status) and optionally enforces smoke-test floors so CI
+stats — ``bindings`` is nodes plus tasks resident at the drain — and
+shutdown status) and optionally enforces smoke-test floors so CI
 can gate on it::
 
     python -m repro.live --nodes 25 --rate 200 --duration 10 \\

@@ -14,12 +14,12 @@ What this module adds, because it only makes sense live:
   and the axes the live runtime cannot honour rejected by name;
 * the Agile Objects :class:`~repro.cluster.naming.NamingService`,
   promoted to the runtime's name service — every node registers itself
-  at startup and every admitted task's location is registered through
-  the collector's admission observers;
+  at startup, and a task's binding lives as long as the task: registered
+  at its admission, unregistered when it completes or is lost;
 * per-task **settlement latency** (arrival to admission/rejection, wall
   milliseconds) in a :class:`~repro.obs.registry.Histogram` of the
-  run's :class:`~repro.obs.registry.MetricsRegistry` plus an exact
-  sample list for the report percentiles;
+  run's :class:`~repro.obs.registry.MetricsRegistry` plus an exact 8-byte
+  sample: all that is kept of a task that left (``docs/live.md``, "Memory");
 * graceful drain: after the horizon the runtime keeps the clock running
   until every generated task settles (or a drain timeout expires), then
   stops agents, closes the transport and reports whether shutdown was
@@ -29,10 +29,11 @@ What this module adds, because it only makes sense live:
 from __future__ import annotations
 
 import sys
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from time import perf_counter, process_time
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from ..cluster.naming import NamingService
 from ..experiments.config import ExperimentConfig
 from ..experiments.runner import assemble
 from ..metrics.collector import MetricsCollector
-from ..node.task import Task
+from ..node.task import Task, TaskStatus
 from ..obs.config import ObsConfig
 from ..obs.registry import Histogram
 from ..obs.telemetry import ProtocolRollup
@@ -111,49 +112,70 @@ class LiveConfig(ExperimentConfig):
 
 
 class _LiveMetrics(MetricsCollector):
-    """The run collector plus live settlement-latency observation.
+    """The run collector plus what the live runtime keeps per task.
 
     Settlement is a task's first admission decision (admitted, rejected,
     or lost before deciding) — the quantity the paper's admission
     probability is over — in wall milliseconds since its arrival.  The
     virtual clock is the wall clock times ``time_scale``, so the wall
     latency is the task's virtual age divided by the scale.
+
+    Everything else kept for a task — its ``task/<id>`` binding in
+    ``naming``, its id — lasts from admission to completion or loss.
     """
 
-    def __init__(self, sim: LiveScheduler) -> None:
+    def __init__(self, sim: LiveScheduler, naming: NamingService) -> None:
         super().__init__()
         self._sim = sim
-        #: exact settlement latencies, wall ms (report percentiles)
-        self.latencies_ms: List[float] = []
+        self._naming = naming
+        #: exact settlement latencies, wall ms (report percentiles): one
+        #: unboxed double per task, the runtime's only per-task residue
+        self.latencies_ms = array("d")
         #: the same, binned; the runtime files it in the run registry
         self.latency_hist = Histogram("settlement_latency_ms", LATENCY_EDGES_MS)
-        self._settled_ids: Set[int] = set()
+        #: binding name of every task that can still settle again:
+        #: admitted and neither completed nor lost
+        self._settled_ids: Dict[int, str] = {}
 
     def _settle(self, task: Task) -> None:
-        # A re-settlement (an admitted task later lost to a crash) keeps
-        # the latency of its first decision.
-        if task.task_id in self._settled_ids:
-            return
-        self._settled_ids.add(task.task_id)
         ms = (self._sim.now - task.arrival_time) * 1000.0 / self._sim.time_scale
         self.latencies_ms.append(ms)
         self.latency_hist.observe(ms)
 
+    def _leave(self, task: Task) -> bool:
+        """End ``task``'s residency; False if it never was admitted."""
+        name = self._settled_ids.pop(task.task_id, None)
+        if name is not None:
+            self._naming.unregister(name)
+        return name is not None
+
     def task_admitted(self, task: Task) -> None:
-        self._settle(task)
-        super().task_admitted(task)
+        super().task_admitted(task)  # raises on an outcome that admits nothing
+        name = self._settled_ids.get(task.task_id)
+        if name is None:
+            self._settle(task)
+            if task.status is not TaskStatus.QUEUED:
+                return  # an orphaned grant, confirmed after the task completed
+            name = self._settled_ids[task.task_id] = f"task/{task.task_id}"
+        self._naming.register(name, task.admitted_at)
 
     def task_rejected(self, task: Task) -> None:
-        self._settle(task)
+        self._settle(task)  # terminal, and only ever a first decision
         super().task_rejected(task)
 
     def task_lost(self, task: Task) -> None:
-        self._settle(task)
+        # an admitted task lost to a crash keeps its first decision's latency
+        if not self._leave(task):
+            self._settle(task)
         super().task_lost(task)
+
+    def task_completed(self, task: Task) -> None:
+        self._leave(task)
+        super().task_completed(task)
 
     @property
     def unsettled(self) -> int:
-        return self.tasks.generated - len(self._settled_ids)
+        return self.tasks.generated - len(self.latencies_ms)
 
 
 class LiveRuntime:
@@ -165,7 +187,10 @@ class LiveRuntime:
         self.sim = LiveScheduler(
             seed=cfg.seed, trace=Tracer(enabled=cfg.trace), time_scale=cfg.time_scale
         )
-        self.metrics = _LiveMetrics(self.sim)
+        # Name service promotion: every node registers itself; the
+        # collector binds each admitted task for as long as it is resident.
+        self.naming = NamingService(self.sim)
+        self.metrics = _LiveMetrics(self.sim, self.naming)
         self.system = assemble(
             cfg,
             self.sim,
@@ -177,21 +202,12 @@ class LiveRuntime:
         hist = self.metrics.latency_hist
         self.system.registry.histograms[hist.name] = hist
 
-        # Name service promotion: every node registers itself; admitted
-        # components register their (possibly migrated) location through
-        # the same admission-observer hook the cluster emulation uses.
-        self.naming = NamingService(self.sim)
         for nid in self.system.hosts:
             self.naming.register(f"node/{nid}", nid)
-        self.metrics.admission_observers.append(self._register_location)
 
         self._wall_elapsed = self._cpu_elapsed = 0.0
         self.clean_shutdown = False
         self.drained = False
-
-    def _register_location(self, task: Task) -> None:
-        where = task.admitted_at if task.admitted_at is not None else task.origin
-        self.naming.register(f"task/{task.task_id}", where)
 
     # Execution ----------------------------------------------------------
 
@@ -236,7 +252,7 @@ class LiveRuntime:
         latencies = self.metrics.latencies_ms
         if not latencies:
             return float("nan")
-        return float(np.percentile(np.asarray(latencies), q))
+        return float(np.percentile(np.frombuffer(latencies), q))
 
     def _progress_line(self) -> None:
         t = self.metrics.tasks

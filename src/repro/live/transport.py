@@ -133,6 +133,10 @@ class LiveTransport(Transport):
             raise RuntimeError("transport already started")
         self._started = True
         nodes = self.topo.nodes()
+        if nodes and self._hops_consumed():
+            # a process's first hop count costs 10-18 ms (CSR build, numpy's
+            # first use): pay it before the scheduler anchors virtual t=0
+            self.live_router().distance(nodes[0], nodes[0])
         if self.backend == "inproc":
             for nid in nodes:
                 queue: asyncio.Queue = asyncio.Queue()

@@ -75,7 +75,6 @@ class MetricsCollector:
         self._response_sum = 0.0
         self._response_n = 0
         self.extra: Dict[str, float] = {}
-        self._completed_tasks: List[Task] = []
         #: observers fired on every admission (the cluster emulation hooks
         #: component registration / naming updates in here)
         self.admission_observers: List = []

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, TYPE_CHECKING
 
 from ..node.host import Host
-from ..node.task import Task, TaskOutcome
+from ..node.task import Task, TaskOutcome, TaskStatus
 from ..runtime.api import Delivery
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -154,6 +154,10 @@ class AdmissionControl:
         """Speculative admission: reserve now or refuse."""
         if not self.accepting():
             return False  # compromised/unsafe node refuses new work
+        if task.status is TaskStatus.REJECTED:
+            # the request outlived its requester's reply_timeout: enqueuing
+            # a settled task would leave a resident that never completes
+            return False
         if self.host.try_accept(task, outcome) is None:
             return False
         task.migrations += 1

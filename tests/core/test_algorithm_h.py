@@ -1,9 +1,12 @@
 """Unit tests for Algorithm H (adaptive HELP scheduling)."""
 
+import random
+
 import pytest
 
 from repro.core.algorithm_h import HelpScheduler
 from repro.sim.kernel import Simulator
+from repro.sim.trace import Tracer
 
 
 def build(sim=None, **kwargs):
@@ -158,10 +161,56 @@ class TestDynamics:
         assert sched.interval < pinned / 4
 
     def test_mean_interval_time_weighted(self):
-        sim, sched, _ = build()
-        sched.interval_history = [(0.0, 2.0), (10.0, 4.0), (20.0, 4.0)]
-        # 2.0 held for 10s, 4.0 held for 10s
+        sim, sched, _ = build(alpha=1.0, upper_limit=4.0)
+        assert sched.mean_interval() == 1.0  # no adaptation yet: the interval
+        for t in (0.0, 10.0, 20.0):
+            sim.at(t, sched.maybe_send)  # unanswered: penalty at t + 1
+        sim.run(until=5.0)
+        assert sched.mean_interval() == 2.0  # one adaptation: still no span
+        sim.run(until=30.0)
+        # trail (1, 2.0), (11, 4.0), (21, 4.0 capped): 2.0 held for 10 s,
+        # 4.0 held for 10 s
+        assert sched.penalties == 3 and sched.interval == 4.0
         assert sched.mean_interval() == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mean_interval_equals_the_trail_walk_bit_for_bit(self, seed):
+        # mean_interval() used to walk a stored (time, interval) trail;
+        # the running sums must accumulate in the same order.  The trail
+        # is still observable as the "help-interval" trace records.
+        def trail_walk(trail):
+            total = weight = 0.0
+            prev_t, prev_v = trail[0]
+            for t, v in trail[1:]:
+                total += prev_v * (t - prev_t)
+                weight += t - prev_t
+                prev_t, prev_v = t, v
+            return total / weight if weight > 0 else trail[-1][1]
+
+        rng = random.Random(seed)
+        sim, sched, _ = build(
+            Simulator(trace=Tracer()), alpha=0.7, beta=0.3, upper_limit=9.0, owner=0
+        )
+        t = 0.0
+        for _ in range(800):
+            t += rng.expovariate(0.2)
+            sim.at(t, sched.maybe_send)
+            if rng.random() < 0.45:  # answered inside the response window
+                sim.at(t + rng.uniform(0.01, 0.9), sched.on_pledge, True)
+            if rng.random() < 0.1:
+                sim.run(until=t)  # a reading in mid-trail
+                trail = [(r.time, r["interval"])
+                         for r in sim.trace.select("help-interval")]
+                if trail:
+                    assert sched.mean_interval() == trail_walk(trail)
+        sim.run(until=t + 5.0)
+        records = sim.trace.select("help-interval")
+        trail = [(r.time, r["interval"]) for r in records]
+        assert len(trail) == sched.penalties + sched.rewards > 300
+        assert sched.rewards > 100 and sched.penalties > 100
+        assert sum(r["interval"] == 9.0 and r["direction"] == "grow"
+                   for r in records) > 50  # capped at Upper_limit
+        assert sched.mean_interval() == trail_walk(trail)
 
     def test_stop_cancels_pending_timer(self):
         sim, sched, _ = build()

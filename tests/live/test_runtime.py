@@ -5,8 +5,12 @@ import json
 
 import pytest
 
+from repro.cluster.naming import NamingService
 from repro.live import LiveConfig, run_live
 from repro.live.__main__ import main
+from repro.live.runtime import LiveRuntime, _LiveMetrics
+from repro.live.scheduler import LiveScheduler
+from repro.node.task import Task, TaskOutcome, TaskStatus
 
 
 def small_report(**overrides) -> dict:
@@ -56,10 +60,15 @@ class TestLiveRuntime:
         assert sched["wakeups"] > 0
 
     def test_naming_service_is_live(self, report):
-        # every node registers at startup; every admission re-registers
-        # the task's location — the cluster naming layer, promoted
-        assert report["naming"]["bindings"] >= 9
-        assert report["naming"]["updates"] >= report["tasks"]["admitted"]
+        # every node registers at startup and every admission registers
+        # the task's location — the cluster naming layer, promoted — but a
+        # binding lives only as long as its task: what is bound at the
+        # drain is the nodes plus the tasks still resident
+        tasks = report["tasks"]
+        resident = tasks["admitted"] - tasks["completed"] - tasks["lost"]
+        assert tasks["completed"] > 0
+        assert report["naming"]["bindings"] == 9 + resident
+        assert report["naming"]["updates"] >= tasks["admitted"]
 
     def test_metrics_registry_sampled_series(self, report):
         # install_run_probes + MetricsRegistry run unchanged over the
@@ -76,6 +85,90 @@ class TestLiveRuntime:
             LiveConfig(arrival_rate=-1.0)
         with pytest.raises(ValueError):
             LiveConfig(backend="smoke-signals")
+
+
+class TestTaskLifetime:
+    """What the runtime keeps of a task lasts from its admission to its
+    completion or loss, and a task's latency is that of its first decision."""
+
+    def test_evacuated_and_lost_tasks_settle_once_and_leave(self, manual_clock):
+        cfg = LiveConfig(nodes=9, arrival_rate=1.4, horizon=300.0, seed=11)
+        rt = LiveRuntime(cfg)
+        faults = rt.system.faults
+        for i, node in enumerate((4, 1, 7, 3)):  # compromised: they evacuate
+            faults.schedule_window(60.0 + 40.0 * i, 80.0 + 40.0 * i, node)
+        faults.schedule_crash(230.0, 5)  # crashed: its residents are lost
+        faults.schedule_recover(240.0, 5)
+
+        first, seen = {}, []
+        settle, admitted = rt.metrics._settle, rt.metrics.task_admitted
+
+        def recording_settle(task):
+            settle(task)
+            assert task.task_id not in first, "settled twice"
+            first[task.task_id] = rt.metrics.latencies_ms[-1]
+
+        def recording_admitted(task):
+            seen.append(task)
+            admitted(task)
+
+        rt.metrics._settle = recording_settle
+        rt.metrics.task_admitted = recording_admitted
+
+        async def go():
+            report = await rt.run()
+            hosts = rt.system.hosts.values()
+            resident = {t.task_id for h in hosts for t in h.queue.resident_tasks()}
+            # at the drain the set holds the resident ids and only them ...
+            assert set(rt.metrics._settled_ids) == resident
+            assert len(rt.naming) == 9 + len(resident)
+            await rt.sim.run(until=max(h.queue.busy_until for h in hosts) + 0.01)
+            return report
+
+        report = asyncio.run(go())
+        tasks = report["tasks"]
+        assert report["drained"] and tasks["lost"] > 0
+        assert rt.metrics.tasks.evacuations > rt.metrics.tasks.evacuation_failures
+        evacuated = [t for t in seen if t.outcome is TaskOutcome.EVACUATED]
+        lost = [t for t in seen if t.outcome is TaskOutcome.LOST]
+        assert evacuated and lost
+        # one sample per generated task, whatever happened to it afterwards
+        assert report["latency_ms"]["count"] == len(first) == tasks["generated"]
+        assert list(rt.metrics.latencies_ms) == list(first.values())
+        # ... and every id has left once its task completed
+        assert all(t.status is TaskStatus.COMPLETED for t in evacuated)
+        assert not rt.metrics._settled_ids and len(rt.naming) == 9
+
+    def test_a_resettlement_keeps_the_latency_of_the_first_decision(self):
+        sim = LiveScheduler()
+        naming = NamingService(sim)
+        metrics = _LiveMetrics(sim, naming)
+        task = Task(size=1.0, arrival_time=0.0, origin=0)
+        metrics.task_generated()
+        task.mark_admitted(2, 0.0, TaskOutcome.MIGRATED)
+        metrics.task_admitted(task)
+        assert (naming.lookup(f"task/{task.task_id}"), metrics.unsettled) == (2, 0)
+        task.mark_lost()  # its host crashed: a second settlement
+        metrics.task_lost(task)
+        assert len(metrics.latencies_ms) == metrics.latency_hist.total() == 1
+        assert metrics.unsettled == 0 and metrics.tasks.lost == 1
+        assert len(naming) == 0 and not metrics._settled_ids
+
+    def test_an_orphaned_grant_confirmed_after_completion_binds_nothing(self):
+        # the responder admitted and ran the task while the grant was lost;
+        # the origin's give-up confirms an admission that is already over
+        sim = LiveScheduler()
+        naming = NamingService(sim)
+        metrics = _LiveMetrics(sim, naming)
+        task = Task(size=1.0, arrival_time=0.0, origin=0)
+        metrics.task_generated()
+        task.mark_admitted(1, 0.0, TaskOutcome.MIGRATED)
+        task.mark_completed(1.0)
+        metrics.task_completed(task)
+        assert metrics.unsettled == 1
+        metrics.task_admitted(task)
+        assert metrics.unsettled == 0 and len(metrics.latencies_ms) == 1
+        assert len(naming) == 0 and not metrics._settled_ids
 
 
 class TestCli:

@@ -18,7 +18,7 @@ from repro.live.scheduler import LiveScheduler
 from repro.live.transport import LiveTransport
 from repro.network import generators
 from repro.network.faults import FaultManager
-from repro.network.transport import CostModel, Transport
+from repro.network.transport import CostModel, Transport, UnicastCostMode
 from repro.sim.kernel import Simulator
 
 
@@ -100,10 +100,14 @@ class TestWireDelay:
     """Every wire delay — the ``inproc`` latency, per-hop latency — is an
     event on the scheduler's agenda, ahead of the mailbox or socket."""
 
+    # Wall budgets here are >= 10x the worst stall measured on the CI box
+    # (18 ms: a timer expiry that late, or the first hop count of the
+    # process before start() paid it ahead of the clock).
+
     @pytest.mark.parametrize("backend", ["inproc", "udp"])
     def test_three_hop_unicast_waits_out_per_hop_and_wire_latency(self, backend):
         async def run():
-            sim = LiveScheduler(time_scale=100.0)
+            sim = LiveScheduler(time_scale=4.0)
             t = LiveTransport(
                 sim, generators.ring(8), backend=backend,
                 latency=0.02, per_hop_latency=0.05,
@@ -113,7 +117,8 @@ class TestWireDelay:
             await t.start()
             try:
                 sim.after(0.1, t.unicast, 0, 3, "PING", None)
-                await sim.run(until=1.0)  # 10 ms of wall clock
+                # 250 ms of wall clock, 180 of them after the arrival is due
+                await sim.run(until=1.0)
                 await settle()
             finally:
                 await t.aclose()
@@ -123,9 +128,22 @@ class TestWireDelay:
         floor = 3 * 0.05 + (0.02 if backend == "inproc" else 0.0)
         assert d.delivered_at - d.sent_at >= floor
 
+    def test_start_pays_one_time_routing_costs_iff_hop_counts_are_read(self):
+        async def rows_after_start(**kwargs):
+            t = LiveTransport(
+                LiveScheduler(), generators.ring(8),
+                cost_model=CostModel(UnicastCostMode.FIXED), **kwargs,
+            )
+            await t.start()
+            await t.aclose()
+            return t.live_router().rows_computed
+
+        assert go(rows_after_start(per_hop_latency=0.05)) == 1
+        assert go(rows_after_start()) == 0  # the paper's accounting: no routing
+
     def test_inproc_latency_keeps_fifo_order_per_receiver(self):
         async def run():
-            sim = LiveScheduler(time_scale=1000.0)
+            sim = LiveScheduler(time_scale=10.0)  # until=2.0 is 200 ms
             t = LiveTransport(sim, generators.full_mesh(4), latency=0.5)
             got = []
             t.register(1, "SEQ", got.append)

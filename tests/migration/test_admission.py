@@ -110,6 +110,21 @@ class TestFailureModes:
         sim.run(until=10.0)
         assert outcomes == [False]
 
+    def test_request_for_a_task_its_requester_gave_up_on_is_refused(self):
+        # A request delivered after the requester's timeout (a stalled
+        # live scheduler, a slow route) finds the task REJECTED.  Admitting
+        # it enqueued it and *then* raised: a resident that never completes
+        # and blocks every completion behind it.
+        sim, hosts, acs, _ = build()
+        outcomes = []
+        t = task()
+        acs[0].negotiate(t, 1, TaskOutcome.MIGRATED, outcomes.append)
+        t.mark_rejected()  # MigrationCoordinator._give_up, on the timeout
+        sim.run(until=1.0)
+        assert outcomes == [False]
+        assert len(hosts[1].queue) == 0 and acs[1].requests_granted == 0
+        assert t.status is TaskStatus.REJECTED
+
     def test_callback_fires_exactly_once(self):
         sim, hosts, acs, _ = build()
         outcomes = []

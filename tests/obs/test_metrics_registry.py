@@ -84,6 +84,26 @@ class TestPrimitives:
             gen.observe(v)
         assert gen.total() == len(values)
 
+    def test_histogram_observe_bisects_non_uniform_edges_like_accumulate(self):
+        # the scalar path bisects a Python list of the edges; the column
+        # path is numpy.histogram: same bins on, between and outside them
+        edges = [0.0, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 1000.0]
+        between = [(lo + hi) / 2 for lo, hi in zip(edges, edges[1:])]
+        nudged = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+        values = edges + between + nudged + [-7.0, -0.0, 1e-300, 1e9, np.inf, -np.inf]
+        via_observe, via_batch = Histogram("o", edges), Histogram("b", edges)
+        assert not via_observe._uniform
+        for v in values:
+            via_observe.observe(v)
+        via_batch.accumulate(np.array(values))
+        assert via_observe.counts.tolist() == via_batch.counts.tolist()
+        assert via_observe.total() == len(values)
+        # the end bins take what falls outside, and the last one is closed
+        ends = Histogram("e", edges)
+        for v in (-7.0, -np.inf, 1000.0, 1e9, np.inf):
+            ends.observe(v)
+        assert (ends.counts[0], ends.counts[-1], ends.total()) == (2, 3, 5)
+
     def test_histogram_percentile(self):
         h = Histogram("p", np.linspace(0.0, 100.0, 101))  # 1-wide bins
         for v in range(100):
