@@ -24,27 +24,9 @@ BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "1"))
 
 
 @pytest.fixture(scope="session")
-def bench_horizon() -> float:
-    return BENCH_HORIZON
-
-
-@pytest.fixture(scope="session")
 def paper_sweep():
     """The full Section 5 sweep: [protocol][lambda] -> RunResult."""
     base = ExperimentConfig(horizon=BENCH_HORIZON, seed=BENCH_SEED)
     return run_sweep(
         PAPER_PROTOCOLS, list(DEFAULT_RATES), base, parallel=True
     )
-
-
-@pytest.fixture(scope="session")
-def rates():
-    return DEFAULT_RATES
-
-
-def assert_figure(result) -> None:
-    """Print the regenerated table and fail on any shape-check miss."""
-    print()
-    print(result.summary())
-    failed = [c for c in result.checks if not c.passed]
-    assert not failed, "shape checks failed:\n" + "\n".join(map(str, failed))

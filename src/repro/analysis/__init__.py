@@ -1,18 +1,5 @@
-"""Result analysis: curve utilities and paper-vs-measured comparisons."""
+"""Result analysis: curve utilities (and :mod:`.ascii_chart`)."""
 
-from .compare import Comparison, Expectation, evaluate_all, standard_expectations
 from .curves import auc, crossover, is_monotone, knee, normalize, peak, relative_spread
 
-__all__ = [
-    "Comparison",
-    "Expectation",
-    "evaluate_all",
-    "standard_expectations",
-    "auc",
-    "crossover",
-    "is_monotone",
-    "knee",
-    "normalize",
-    "peak",
-    "relative_spread",
-]
+__all__ = ["auc", "crossover", "is_monotone", "knee", "normalize", "peak", "relative_spread"]

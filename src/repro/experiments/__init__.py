@@ -3,14 +3,7 @@
 from .config import PAPER_LAMBDAS, ExperimentConfig, paper_config
 from .confidence import confidence_sweep, confidence_table
 from .executor import CellExecutionError, execute_plan
-from .figures import (
-    FigureResult,
-    fig5_admission_probability,
-    fig6_message_overhead,
-    fig7_cost_per_task,
-    fig8_migration_rate,
-    fig9_testbed_admission,
-)
+from .figures import FIGURES, FigureResult, run_figure
 from .plan import (
     ExperimentPlan,
     PlanCell,
@@ -39,12 +32,9 @@ __all__ = [
     "sweep_plan",
     "RunStore",
     "config_digest",
+    "FIGURES",
     "FigureResult",
-    "fig5_admission_probability",
-    "fig6_message_overhead",
-    "fig7_cost_per_task",
-    "fig8_migration_rate",
-    "fig9_testbed_admission",
+    "run_figure",
     "System",
     "build_system",
     "run_experiment",

@@ -11,7 +11,9 @@ Usage::
     python -m repro.experiments all --store runs/       # ...is 100% cache hits
     python -m repro.experiments fig5 --store runs/ --force
 
-Prints the same rows the paper's figures plot, plus the shape checks.
+A target is a row of ``figures.FIGURES`` or ``ablations.STUDIES``, or a
+group.  A figure prints the rows the paper plots, the gated shape checks
+and the paper's quoted magnitudes next to the measured ones.
 With ``--store DIR`` every completed run persists to a content-addressed
 store: an interrupted invocation resumes where it died, and repeat
 invocations render figures without re-simulating (docs/experiments.md).
@@ -23,18 +25,14 @@ import argparse
 import sys
 from typing import List
 
-from . import figures as fg
+from ..analysis.ascii_chart import render
+from ..metrics.export import save_sweep
+from ..obs.telemetry import ProgressReporter
 from .ablations import STUDIES, run_study
+from .figures import FIGURES, paper_sweep, run_figure
+from .store import RunStore
 
-FIGURES = {
-    "fig5": fg.fig5_admission_probability,
-    "fig6": fg.fig6_message_overhead,
-    "fig7": fg.fig7_cost_per_task,
-    "fig8": fg.fig8_migration_rate,
-}
-
-FIGURE_TARGETS = [*FIGURES, "fig9"]
-GROUPS = {"all": FIGURE_TARGETS, "ablations": list(STUDIES)}
+GROUPS = {"all": list(FIGURES), "ablations": list(STUDIES)}
 
 
 def expand_targets(names: List[str]) -> List[str]:
@@ -43,15 +41,10 @@ def expand_targets(names: List[str]) -> List[str]:
     Raises ``ValueError`` on the first name that is no figure, study or
     group, so a typo is reported before anything has been simulated.
     """
-    targets: List[str] = []
-    for name in names:
-        name = name.lower()
-        if name in GROUPS:
-            targets += GROUPS[name]
-        elif name in FIGURE_TARGETS or name in STUDIES:
-            targets.append(name)
-        else:
-            raise ValueError(f"unknown target: {name}")
+    targets = [t for name in names for t in GROUPS.get(name.lower(), [name.lower()])]
+    for target in targets:
+        if target not in FIGURES and target not in STUDIES:
+            raise ValueError(f"unknown target: {target}")
     return targets
 
 
@@ -60,13 +53,11 @@ def main(argv: List[str] = None) -> int:
         prog="python -m repro.experiments",
         description="Regenerate the paper's figures and the ablation tables.",
     )
-    parser.add_argument(
-        "targets",
-        nargs="+",
-        help=f"{' '.join(FIGURE_TARGETS)} | {' '.join(STUDIES)} | all | ablations",
-    )
+    parser.add_argument("targets", nargs="+",
+                        help=" | ".join([" ".join(FIGURES), " ".join(STUDIES), *GROUPS]))
     parser.add_argument("--horizon", type=float, default=None,
-                        help="simulated seconds per run (default 10000)")
+                        help="simulated seconds per run (default: each row's own; "
+                             "10000 for Figures 5-8)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--parallel", action="store_true",
                         help="fan runs out over a process pool")
@@ -97,91 +88,50 @@ def main(argv: List[str] = None) -> int:
         print(exc, file=sys.stderr)
         return 2
 
-    store = None
     if args.resume and args.force:
         parser.error("--resume and --force are mutually exclusive")
     if (args.resume or args.force) and not args.store:
         parser.error("--resume/--force need --store DIR")
-    if args.store:
-        from .store import RunStore
+    store = RunStore(args.store) if args.store else None
 
-        store = RunStore(args.store)
-
-    # studies keep their own default horizon unless one is given
-    study_horizon = {} if args.horizon is None else {"horizon": args.horizon}
-    horizon = 10_000.0 if args.horizon is None else args.horizon
+    # every row keeps its own default horizon unless one is given
+    horizon = {} if args.horizon is None else {"horizon": args.horizon}
+    run = dict(parallel=args.parallel, store=store, force=args.force)
 
     failed = False
-    # Figures 5-8 are projections of one sweep; when several are
-    # requested, run the sweep once and share it.  --observe forces the
-    # shared path even for a single figure so the telemetry reporter can
-    # watch the sweep's runs stream in.
-    shared_raw = None
-    progress = None
-    figure_targets = sum(1 for t in targets if t in FIGURES)
-    if figure_targets > 1 or (args.observe and figure_targets >= 1):
-        from ..protocols.registry import PAPER_PROTOCOLS
-        from .config import ExperimentConfig
-        from .figures import DEFAULT_RATES
-        from .sweep import run_sweep
-
-        if args.observe:
-            from ..obs.telemetry import ProgressReporter
-
-            progress = ProgressReporter(
-                total=len(PAPER_PROTOCOLS) * len(DEFAULT_RATES)
-            )
-        base = ExperimentConfig(horizon=horizon, seed=args.seed)
-        shared_raw = run_sweep(
-            PAPER_PROTOCOLS, list(DEFAULT_RATES), base,
-            parallel=args.parallel, progress=progress,
-            store=store, force=args.force,
+    # cell source -> its results: Figures 5-8 are projections of one
+    # sweep, so the first of them runs it and the rest reuse it
+    sweeps = {}
+    observed = [FIGURES[t] for t in targets
+                if t in FIGURES and FIGURES[t].cells is paper_sweep]
+    if args.observe and observed:
+        # run the shared sweep up front so the reporter watches it stream in
+        row = observed[0]
+        progress = ProgressReporter(total=len(row.protocols) * len(row.rates))
+        sweeps[paper_sweep] = paper_sweep(
+            list(row.rates), row.protocols, args.horizon or row.horizon,
+            args.seed, None, progress=progress, **run,
         )
-        if progress is not None:
-            print(progress.summary(), file=sys.stderr)
+        print(progress.summary(), file=sys.stderr)
 
     for target in targets:
         if target in FIGURES:
-            kwargs = dict(
-                horizon=horizon,
-                seed=args.seed,
-                parallel=args.parallel,
-                raw=shared_raw,
+            source = FIGURES[target].cells
+            result = run_figure(
+                target, seed=args.seed, raw=sweeps.get(source), **horizon, **run
             )
-            if store is not None:
-                kwargs.update(store=store, force=args.force)
-            result = FIGURES[target](**kwargs)
-            if shared_raw is None:
-                shared_raw = result.raw  # reuse for later figures / --save
-            print(result.summary())
-            if args.chart:
-                from ..analysis.ascii_chart import render
-
-                print()
-                print(render(result.xs, result.series,
-                             title=result.figure, x_label="lambda"))
-            print()
-            failed |= not result.all_passed
-        elif target == "fig9":
-            kwargs = dict(horizon=min(horizon, 5_000.0), seed=args.seed)
-            if store is not None:
-                kwargs.update(store=store, force=args.force)
-            result = fg.fig9_testbed_admission(**kwargs)
-            print(result.summary())
-            print()
+            sweeps.setdefault(source, result.raw)
             failed |= not result.all_passed
         else:
-            result = run_study(
-                target, store=store, parallel=args.parallel, force=args.force,
-                seed=args.seed, **study_horizon,
-            )
-            print(result.summary())
+            result = run_study(target, seed=args.seed, **horizon, **run)
+        print(result.summary())
+        if args.chart and target in FIGURES:
             print()
+            print(render(result.xs, result.series, title=result.figure, x_label="lambda"))
+        print()
 
-    if args.save and shared_raw is not None:
-        from ..metrics.export import save_sweep
-
-        path = save_sweep(shared_raw, args.save)
+    if args.save and paper_sweep in sweeps:
+        path = save_sweep(sweeps[paper_sweep], args.save)
         print(f"sweep results written to {path}")
     if store is not None:
         stats = store.stats()

@@ -10,13 +10,13 @@ class TestCli:
         # shrink the figure so the CLI test stays fast
         import repro.experiments.figures as fg
 
-        def tiny_fig5(horizon, seed, parallel, raw=None):
-            return fg.fig5_admission_probability(
-                (2.0, 6.0), horizon=100.0, seed=seed,
+        def tiny(key, *, seed, **_):
+            return fg.run_figure(
+                key, (2.0, 6.0), horizon=100.0, seed=seed,
                 protocols=("realtor", "push-1"),
             )
 
-        monkeypatch.setitem(cli.FIGURES, "fig5", tiny_fig5)
+        monkeypatch.setattr(cli, "run_figure", tiny)
         rc = cli.main(["fig5"])
         out = capsys.readouterr().out
         assert "Figure 5" in out
@@ -63,16 +63,15 @@ class TestCli:
 
         seen = {}
 
-        def tiny_fig5(horizon, seed, parallel, raw=None, store=None,
-                      force=False):
+        def tiny(key, *, seed, store, force, **_):
             seen["store"] = store
             seen["force"] = force
-            return fg.fig5_admission_probability(
-                (2.0,), horizon=100.0, seed=seed,
+            return fg.run_figure(
+                key, (2.0,), horizon=100.0, seed=seed,
                 protocols=("realtor",), store=store, force=force,
             )
 
-        monkeypatch.setitem(cli.FIGURES, "fig5", tiny_fig5)
+        monkeypatch.setattr(cli, "run_figure", tiny)
         rc = cli.main(["fig5", "--store", str(tmp_path)])
         assert rc in (0, 1)
         assert seen["store"] is not None and seen["force"] is False
