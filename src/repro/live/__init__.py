@@ -3,9 +3,9 @@
 This package is the other half of the runtime seam
 (:mod:`repro.runtime.api`): a wall-clock scheduler
 (:class:`~repro.live.scheduler.LiveScheduler`), a real message transport
-(:class:`~repro.live.transport.LiveTransport`, in-process mailbox tasks
-or loopback UDP sockets) and :class:`~repro.live.runtime.LiveRuntime`,
-which hands those two to the simulator's own system assembly
+(:class:`~repro.live.transport.LiveTransport`, deliveries on the
+scheduler's agenda or over loopback UDP sockets) and
+:class:`~repro.live.runtime.LiveRuntime`, which hands those two to the simulator's own system assembly
 (:func:`repro.experiments.runner.assemble`) and adds the live-only
 parts: settlement latency, name service, drain and report.
 :class:`~repro.live.runtime.LiveConfig` is the experiment config plus

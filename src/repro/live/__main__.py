@@ -93,7 +93,7 @@ def _parse_args(argv) -> argparse.Namespace:
     p.add_argument(
         "--require-clean",
         action="store_true",
-        help="fail unless every task settled and every node task exited",
+        help="fail unless every task settled and every node endpoint closed",
     )
     return p.parse_args(argv)
 
@@ -137,7 +137,7 @@ def main(argv=None) -> int:
     if args.max_cpu_util is not None and cpu_util > args.max_cpu_util:
         failures.append(f"cpu_util {cpu_util:.2f} above ceiling {args.max_cpu_util:.2f}")
     if args.require_clean and not report["clean_shutdown"]:
-        failures.append("shutdown was not clean (unsettled tasks or live node tasks)")
+        failures.append("shutdown was not clean (unsettled tasks or open node endpoints)")
     for failure in failures:
         print(f"[live] GATE FAILED: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -232,8 +232,7 @@ class LiveRuntime:
         self._wall_elapsed = perf_counter() - wall0
         self._cpu_elapsed = process_time() - cpu0
         self.drained = self.metrics.unsettled == 0
-        # Teardown: progress + sampling off, agents stopped, node
-        # tasks/endpoints closed.
+        # Teardown: progress + sampling off, agents stopped, endpoints closed.
         if progress is not None:
             progress.stop()
         self.system.registry.finish()

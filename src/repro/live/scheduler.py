@@ -67,14 +67,16 @@ class _Timerfd:
         if self.fd < 0:
             raise OSError(ctypes.get_errno(), "timerfd_create failed")
         self._loop, self._wake = loop, wake
+        # struct itimerspec: it_interval (zero: one-shot), then it_value
+        self._spec = (ctypes.c_long * 4)()
+        self._spec_ref = ctypes.byref(self._spec)
         loop.add_reader(self.fd, self._expired)
 
     def arm(self, seconds: float) -> None:
         """Expire once, ``seconds`` from now, replacing what was armed."""
         ns = max(1, int(seconds * 1e9))  # an all-zero it_value would disarm
-        # struct itimerspec: it_interval (zero: one-shot), then it_value
-        spec = (ctypes.c_long * 4)(0, 0, *divmod(ns, 10**9))
-        if self._settime(self.fd, 0, spec, None) < 0:
+        self._spec[2], self._spec[3] = divmod(ns, 10**9)
+        if self._settime(self.fd, 0, self._spec_ref, None) < 0:
             raise OSError(ctypes.get_errno(), "timerfd_settime failed")
 
     def _expired(self) -> None:
@@ -194,8 +196,8 @@ class LiveScheduler(Agenda):
 
         Sequential calls resume the same virtual clock — the anchor is
         set once, on the first call.  Returns the final virtual time.
-        Between deadlines the scheduler awaits, so sibling tasks (node
-        mailbox loops, UDP endpoints) run freely.
+        Between deadlines the scheduler awaits, so the loop's other work
+        (UDP endpoints, sibling tasks) runs freely.
         """
         self._begin_run()
         if self._anchor_wall is None:
@@ -214,10 +216,10 @@ class LiveScheduler(Agenda):
                 # once.  A per-event yield costs a full event-loop round
                 # trip and caps the scheduler near 1k events/s wall — the
                 # load generator blows straight past that.  The batch
-                # bound keeps mailbox tasks from starving under a saturated
-                # agenda; the yield lets what the batch provoked
-                # (deliveries, the sends they make) reach the agenda before
-                # a wait is armed.  The drain runs *before* the horizon
+                # bound keeps sockets and sibling tasks from starving under
+                # a saturated agenda; the yield lets what the batch provoked
+                # (datagrams, the sends their receipt makes) reach the agenda
+                # before a wait is armed.  The drain runs *before* the horizon
                 # check so an event due at t <= until still fires even
                 # when the wall clock has already slipped past the horizon.
                 executed = 0

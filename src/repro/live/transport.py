@@ -8,11 +8,15 @@ same code the simulator runs — so the two runtimes cannot disagree about
 a partitioned overlay or a lossy link.  This module keeps only the wire
 a surviving delivery crosses, in two interchangeable backends:
 
-* ``inproc`` — every node is its **own asyncio task** draining a
-  mailbox queue; a delivery enqueues onto the destination's mailbox and
-  the node task hands it to the inherited ``_deliver``.  This is the
-  default: no serialisation, no sockets, deterministic enough for the
-  live-vs-sim equivalence tests.
+* ``inproc`` — the wire is the scheduler's agenda, as in the simulator:
+  every delivery is one event, due after the delay the send path asked
+  for plus ``latency`` (Section 6's switched-Ethernet one-way delay, 0.2
+  virtual ms unless given), whose callback is the inherited ``_deliver``.
+  The default: no serialisation, no sockets and no task besides the one
+  running the scheduler, so per-receiver FIFO and same-instant order are
+  the agenda's ``(time, priority, seq)`` key and a handler that raises
+  stops the run, as it stops ``Simulator.run()``.  A zero delay is still
+  an event: a handler never runs in its sender's stack.
 * ``udp`` — every node binds a real UDP datagram endpoint on the
   loopback interface; a pickled envelope crosses the kernel socket
   layer while the payload object rides a per-message side table.
@@ -23,16 +27,9 @@ a surviving delivery crosses, in two interchangeable backends:
   reservation), a shared-memory contract the simulator provides by
   reference.  Serialising the payload would hand the responder a copy
   and silently break settlement, so the envelope carries only a token
-  and object identity is preserved in-process.
-
-A delivery the inherited send path delays (per-hop latency, impairment
-jitter, a duplicate's offset) is put on the wire by the live scheduler
-when the delay is up, and the ``inproc`` wire's own ``latency`` (Section
-6's switched-Ethernet one-way delay, 0.2 virtual ms unless given) is
-added to that delay — *before* the mailbox, so every wait of the runtime
-is on the scheduler's one agenda and messages to one receiver are
-pipelined behind a propagation delay.  A node task only drains its FIFO
-mailbox: it must never await what the agenda resolves (``aclose`` hangs).
+  and object identity is preserved in-process.  A delay the send path
+  asks for (per-hop latency, impairment jitter, a duplicate's offset)
+  is an agenda event ahead of the ``sendto``.
 """
 
 from __future__ import annotations
@@ -53,9 +50,6 @@ BACKENDS = ("inproc", "udp")
 #: one-way latency of the Section 6 LAN (100 Mb/s switched Ethernet),
 #: virtual seconds — the default of ``latency``
 LAN_LATENCY = 0.0002
-
-#: mailbox sentinel that terminates a node task
-_SHUTDOWN = object()
 
 
 class _NodeEndpoint(asyncio.DatagramProtocol):
@@ -104,18 +98,16 @@ class LiveTransport(Transport):
     ) -> None:
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
-        super().__init__(sim, topo, **transport_kwargs)
+        # read by _wire(), which the inherited constructor calls
         self.backend = backend
         self.latency = LAN_LATENCY if latency is None else float(latency)
-        self._mailboxes: Dict[NodeId, asyncio.Queue] = {}
-        self._node_tasks: Dict[NodeId, asyncio.Task] = {}
+        super().__init__(sim, topo, **transport_kwargs)
         self._endpoints: Dict[NodeId, tuple] = {}  # node -> (transport, addr)
         # udp backend: in-flight payload objects keyed by wire token (see
         # the module docstring for why payloads never get pickled).
         self._payloads: Dict[int, Any] = {}
         self._next_token = 0
         self._started = False
-        self._closed = False
 
     # bench/trace.py wraps ``start``, ``aclose`` and these three through
     # ``vars(LiveTransport)`` so a live run's spans are told apart from a
@@ -128,7 +120,7 @@ class LiveTransport(Transport):
     # Lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Bring up one mailbox task (or UDP endpoint) per overlay node."""
+        """Bring up one UDP endpoint per overlay node (``inproc``: none)."""
         if self._started:
             raise RuntimeError("transport already started")
         self._started = True
@@ -138,12 +130,6 @@ class LiveTransport(Transport):
             # first use): pay it before the scheduler anchors virtual t=0
             self.live_router().distance(nodes[0], nodes[0])
         if self.backend == "inproc":
-            for nid in nodes:
-                queue: asyncio.Queue = asyncio.Queue()
-                self._mailboxes[nid] = queue
-                self._node_tasks[nid] = asyncio.create_task(
-                    self._node_loop(nid, queue), name=f"live-node-{nid}"
-                )
             return
         loop = asyncio.get_running_loop()
         for nid in nodes:
@@ -155,18 +141,10 @@ class LiveTransport(Transport):
             self._endpoints[nid] = (transport, addr)
 
     async def aclose(self) -> None:
-        """Drain and tear down every node task / endpoint (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for queue in self._mailboxes.values():
-            queue.put_nowait(_SHUTDOWN)
-        if self._node_tasks:
-            await asyncio.gather(
-                *self._node_tasks.values(), return_exceptions=True
-            )
-        self._node_tasks.clear()
-        self._mailboxes.clear()
+        """Stop receiving and close every endpoint (idempotent)."""
+        # A closed transport has no receivers: a delivery still on the
+        # agenda is counted dropped by ``_deliver`` when it falls due.
+        self._handlers.clear()
         for transport, _addr in self._endpoints.values():
             transport.close()
         self._endpoints.clear()
@@ -174,38 +152,34 @@ class LiveTransport(Transport):
 
     @property
     def node_task_count(self) -> int:
-        """Live mailbox tasks (diagnostics / clean-shutdown check)."""
-        return sum(1 for t in self._node_tasks.values() if not t.done())
+        """Node endpoints still open (the clean-shutdown check); ``inproc``
+        has none — its nodes are entries of the scheduler's agenda."""
+        return len(self._endpoints)
 
     # The wire -----------------------------------------------------------
 
     def _wire(self) -> tuple:
-        # every live message crosses its own mailbox or datagram, so a
+        # every live message is its own agenda event or datagram, so a
         # fan-out is posted message by message
-        return self._post_on_wire, self._put, self._post_one_by_one
+        arrive = self._deliver if self.backend == "inproc" else self._sendto
+        return self._post_on_wire, arrive, self._post_one_by_one
 
     def _post_on_wire(
-        self, delay: float, put: Callable[..., None], *message: Any, priority: int
+        self, delay: float, arrive: Callable[..., None], *message: Any, priority: int
     ) -> None:
-        """``sim.after`` plus the ``inproc`` wire's latency; no delay, no scheduler."""
+        """``sim.after``: ``inproc`` adds the wire's latency to the delay,
+        a ``udp`` send with no delay needs no scheduler."""
         if self.backend == "inproc":
             delay += self.latency
-        if delay > 0:
-            self.sim.after(delay, put, *message, priority=priority)
-        else:
-            put(*message)
+        elif delay <= 0:
+            arrive(*message)
+            return
+        self.sim.after(delay, arrive, *message, priority=priority)
 
-    def _put(
+    def _sendto(
         self, src: NodeId, dst: NodeId, kind: str, payload: Any, sent_at: float
     ) -> None:
-        """Put one message on the wire; the far side calls ``_deliver``."""
-        if self.backend == "inproc":
-            queue = self._mailboxes.get(dst)
-            if queue is None:
-                self.dropped_messages += 1
-                return
-            queue.put_nowait((src, kind, payload, sent_at))
-            return
+        """Send one datagram; the far side's endpoint calls ``_deliver``."""
         endpoint = self._endpoints.get(dst)
         sender = self._endpoints.get(src)
         if endpoint is None or sender is None:
@@ -220,12 +194,3 @@ class LiveTransport(Transport):
             return
         self._payloads[token] = payload
         sender[0].sendto(data, endpoint[1])
-
-    async def _node_loop(self, node: NodeId, queue: asyncio.Queue) -> None:
-        """One node's mailbox task: one delivery at a time, FIFO, like a NIC."""
-        while True:
-            item = await queue.get()
-            if item is _SHUTDOWN:
-                break
-            src, kind, payload, sent_at = item
-            self._deliver(src, node, kind, payload, sent_at)

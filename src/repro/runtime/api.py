@@ -217,8 +217,8 @@ class TransportAPI(Protocol):
     :class:`repro.network.transport.Transport` decides receivers, hops,
     losses and the paper's cost accounting and delivers through the
     scheduler; :class:`repro.live.transport.LiveTransport` subclasses it
-    and replaces only the delivery (asyncio mailboxes or real UDP
-    datagrams).  ``topo`` exposes at least
+    and replaces only the delivery (the same event a wire latency later,
+    or a real UDP datagram).  ``topo`` exposes at least
     ``neighbors(node)`` / ``has_node(node)`` / ``nodes()`` — the calls
     protocol scoping makes.
     """

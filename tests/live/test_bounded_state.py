@@ -133,6 +133,20 @@ def test_live_runtime_retains_one_sample_per_task(backend, manual_clock):
     assert slope <= SLOPE_CEILING, f"{slope:.0f} B retained per generated task"
 
 
+def test_an_inproc_run_is_one_coroutine(manual_clock):
+    # no task per node: the scheduler's run loop is all there is to interleave
+    rt = LiveRuntime(live_config("inproc", H))
+    running = []
+    rt.sim.at(H / 2, lambda: running.append(len(asyncio.all_tasks())))
+    report = asyncio.run(rt.run())
+    assert running == [1]
+    assert report["drained"] and report["clean_shutdown"]
+    # what the mailbox-task transport counted for this seed on this clock
+    assert report["messages"] == {"sent": 72, "delivered": 102, "dropped": 0}
+    assert report["tasks"]["generated"] == 965
+    assert report["tasks"]["admitted_migrated"] == 7
+
+
 def test_simulator_retains_nothing_per_round():
     # The twin on the simulated clock: the agents' per-round state (the
     # HELP-interval trail was a tuple per adaptation) must not grow with

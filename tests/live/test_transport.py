@@ -26,14 +26,14 @@ def go(coro):
     return asyncio.run(coro)
 
 
-async def settle(rounds: int = 50) -> None:
-    """Yield enough loop iterations for mailbox tasks / UDP reads.
+async def settle(sim: LiveScheduler) -> None:
+    """Fire what is due on the agenda, then poll for UDP reads.
 
-    The non-zero sleeps force real selector polls so loopback datagrams
-    are drained even on a loaded CI machine; total budget stays ~50 ms.
+    A few virtual microseconds of ``sim.run`` fire every ``inproc``
+    delivery that is due; the non-zero sleeps force real selector polls
+    so loopback datagrams are drained even on a loaded CI machine (~20 ms).
     """
-    for _ in range(rounds):
-        await asyncio.sleep(0)
+    await sim.run(until=sim.now + 5e-6)
     for _ in range(10):
         await asyncio.sleep(0.002)
 
@@ -54,7 +54,7 @@ class TestBackends:
             await t.start()
             try:
                 assert t.unicast(0, 1, "PING", {"x": 1}) is True
-                await settle()
+                await settle(t.sim)
             finally:
                 await t.aclose()
             return t, got
@@ -77,7 +77,7 @@ class TestBackends:
             await t.start()
             try:
                 t.unicast(0, 2, "REQ", payload)
-                await settle()
+                await settle(t.sim)
             finally:
                 await t.aclose()
             return payload
@@ -98,7 +98,8 @@ class TestBackends:
 
 class TestWireDelay:
     """Every wire delay — the ``inproc`` latency, per-hop latency — is an
-    event on the scheduler's agenda, ahead of the mailbox or socket."""
+    event on the scheduler's agenda: the delivery itself, or ahead of the
+    socket."""
 
     # Wall budgets here are >= 10x the worst stall measured on the CI box
     # (18 ms: a timer expiry that late, or the first hop count of the
@@ -119,7 +120,7 @@ class TestWireDelay:
                 sim.after(0.1, t.unicast, 0, 3, "PING", None)
                 # 250 ms of wall clock, 180 of them after the arrival is due
                 await sim.run(until=1.0)
-                await settle()
+                await settle(sim)
             finally:
                 await t.aclose()
             return got
@@ -152,7 +153,7 @@ class TestWireDelay:
                 for i in range(50):
                     t.unicast((0, 2, 3)[i % 3], 1, "SEQ", i)
                 await sim.run(until=2.0)
-                await settle()
+                await settle(sim)
             finally:
                 await t.aclose()
             return got
@@ -162,8 +163,8 @@ class TestWireDelay:
         assert all(d.delivered_at - d.sent_at >= 0.5 for d in got)
 
     def test_close_returns_with_messages_still_on_the_agenda(self):
-        # the agenda only advances inside scheduler.run(): a node task
-        # that waited on it would hang aclose() here
+        # the agenda only advances inside scheduler.run(): a close that
+        # waited for what is on it would hang here
         async def run():
             sim = LiveScheduler(time_scale=1000.0)
             t = LiveTransport(sim, generators.full_mesh(4), latency=0.5)
@@ -173,7 +174,7 @@ class TestWireDelay:
             assert t.unicast(0, 1, "PING", None) is True
             on_agenda = sim.pending
             await asyncio.wait_for(t.aclose(), 1.0)
-            await sim.run(until=1.0)  # the late put finds no mailbox
+            await sim.run(until=1.0)  # the late delivery finds no receiver
             return t, got, on_agenda
 
         t, got, on_agenda = go(run())
@@ -191,7 +192,7 @@ class TestScopeAndLiveness:
             try:
                 assert t.unicast(0, 3, "PING", None) is False
                 assert t.unicast(3, 0, "PING", None) is False  # down src
-                await settle()
+                await settle(t.sim)
             finally:
                 await t.aclose()
             return t, got
@@ -210,7 +211,7 @@ class TestScopeAndLiveness:
             try:
                 neighbours = t.flood(0, "ADV", None, neighbors_only=True)
                 everyone = t.flood(0, "ADV", None)
-                await settle()
+                await settle(t.sim)
             finally:
                 await t.aclose()
             return neighbours, everyone, seen
@@ -230,7 +231,7 @@ class TestScopeAndLiveness:
             await t.start()
             try:
                 receivers = t.multicast(0, [2, 3, 0, 2], "M", None)
-                await settle()
+                await settle(t.sim)
             finally:
                 await t.aclose()
             return receivers, seen
@@ -245,7 +246,7 @@ class TestScopeAndLiveness:
             await t.start()
             try:
                 t.unicast(0, 1, "NOBODY-LISTENS", None)
-                await settle()
+                await settle(t.sim)
             finally:
                 await t.aclose()
             return t.dropped_messages
@@ -268,7 +269,7 @@ class TestAccounting:
             try:
                 t.unicast(0, 1, "X", None)
                 t.flood(0, "X", None)
-                await settle()
+                await settle(t.sim)
             finally:
                 await t.aclose()
 
@@ -329,8 +330,8 @@ def wired(transport_cls, sim, topo, cost_model, **kwargs):
 def probe(t, charges):
     """Every send shape from every node, with no delivery in between.
 
-    Arrivals land later (kernel run / loop iteration), so the counters
-    read here are the send path's own.
+    Arrivals land later (the next kernel or scheduler run, a socket
+    read), so the counters read here are the send path's own.
     """
     nodes = t.topo.nodes()
     sent, dropped = t.sent_messages, t.dropped_messages
@@ -385,7 +386,7 @@ class TestDifferential:
                     for _ in range(1000):
                         if live.delivered_messages + live.dropped_messages >= total:
                             break
-                        await asyncio.sleep(0.002)
+                        await settle(live.sim)
             finally:
                 await live.aclose()
             return live, observed

@@ -10,6 +10,11 @@ the late clamp and the armed waits in ``tests/live/test_scheduler.py``.
 
 The live cases run at ``time_scale=1000`` and assert on order and
 counts only, never on wall time.
+
+A message is an agenda event on both clocks as well — ``Transport``
+posts ``_deliver`` through ``sim.after`` and ``LiveTransport``'s
+``inproc`` wire is that same post, one ``latency`` further out — so the
+last cases here hold a delivery to the contract a timer is held to.
 """
 
 import asyncio
@@ -20,6 +25,10 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system
 from repro.live import LiveConfig, LiveRuntime
 from repro.live.scheduler import LiveScheduler
+from repro.live.transport import LiveTransport
+from repro.network import generators
+from repro.network.transport import Transport
+from repro.runtime.api import Priority
 from repro.sim.events import Event
 from repro.sim.kernel import Agenda, PeriodicTimer, RoundMembership, Simulator
 
@@ -162,3 +171,71 @@ def test_live_count_is_exact_after_a_realtor_run(run):
     assert live == heap_entries(sched)[1]
     # scheduled = executed + still live + cancelled: the run did cancel
     assert sched.queue._next_seq - sched.events_executed - live > 10
+
+
+def wired(sched: Agenda, latency: float) -> Transport:
+    """A 4-node full mesh where a message takes ``latency`` on either clock."""
+    topo = generators.full_mesh(4)
+    if isinstance(sched, LiveScheduler):
+        transport = LiveTransport(sched, topo, latency=latency)
+        asyncio.run(transport.start())
+        return transport
+    return Transport(sched, topo, per_hop_latency=latency)  # every route is one hop
+
+
+def test_a_delivery_takes_its_turn_among_same_instant_timers(sched, manual_clock):
+    order = []
+    transport = wired(sched, latency=0.1)
+    transport.register(1, "M", lambda d: order.append(d.payload))
+    sched.at(0.1, order.append, "timer pushed before the send")
+    transport.unicast(0, 1, "M", "delivery")
+    sched.at(0.1, order.append, "timer pushed after it")
+    sched.at(0.1, order.append, "arrival", priority=Priority.ARRIVAL)
+    sched.at(0.1, order.append, "state", priority=Priority.STATE)
+    drive(sched, 1.0)
+    assert order == [
+        "state",
+        "timer pushed before the send",  # Priority.MESSAGE, like the delivery
+        "delivery",
+        "timer pushed after it",
+        "arrival",
+    ]
+
+
+def test_back_to_back_unicasts_arrive_in_send_order_one_latency_later(
+    sched, manual_clock
+):
+    got = []
+    transport = wired(sched, latency=0.5)
+    transport.register(1, "SEQ", got.append)
+
+    def burst():
+        for i in range(50):
+            assert transport.unicast((0, 2, 3)[i % 3], 1, "SEQ", i) is True
+
+    sched.at(0.25, burst)
+    drive(sched, 2.0)
+    assert [d.payload for d in got] == list(range(50))
+    # pipelined behind one propagation delay, not queued behind each other
+    assert all(0.5 <= d.delivered_at - d.sent_at < 0.51 for d in got)
+    assert transport.delivered_messages == 50 and transport.dropped_messages == 0
+
+
+def test_a_raising_handler_stops_the_run_and_deafens_nobody(sched):
+    got = []
+
+    def handler(delivery):
+        if delivery.payload == "poison":
+            raise RuntimeError("handler failure")
+        got.append(delivery.payload)
+
+    transport = wired(sched, latency=0.1)
+    transport.register(1, "M", handler)
+    transport.unicast(0, 1, "M", "poison")
+    with pytest.raises(RuntimeError, match="handler failure"):
+        drive(sched, 1.0)
+    transport.unicast(0, 1, "M", "after")
+    drive(sched, 2.0)  # the node still receives
+    assert got == ["after"]
+    assert transport.sent_messages == transport.delivered_messages == 2
+    assert transport.dropped_messages == 0
