@@ -13,7 +13,6 @@ end-to-end throughput for each workload.
 
 import pytest
 
-from repro.cluster.testbed import TestbedParameters, run_testbed
 from repro.experiments.config import paper_config
 from repro.experiments import figures as fg
 from repro.experiments.runner import run_experiment
@@ -41,8 +40,8 @@ def test_figure_claims_hold(key, benchmark, request):
     else:
         horizon = min(BENCH_HORIZON, 2_000.0)
         result = fg.run_figure(key, horizon=horizon, seed=BENCH_SEED)
-        params = TestbedParameters(horizon=min(horizon, 500.0))
-        run = benchmark.pedantic(run_testbed, args=(4.0, params), rounds=3, iterations=1)
+        cell = fg.TESTBED.with_(arrival_rate=4.0, horizon=min(horizon, 500.0))
+        run = benchmark.pedantic(run_experiment, args=(cell,), rounds=3, iterations=1)
     benchmark.extra_info["timed_cell"] = {
         "admission_probability": run.admission_probability,
         "messages_per_admitted": run.messages_per_admitted,

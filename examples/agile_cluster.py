@@ -1,84 +1,25 @@
 #!/usr/bin/env python
-"""Agile Objects cluster walk-through (Section 6's testbed, Figure 9).
+"""Figure 9 walk-through: the 20-host Agile Objects cluster of Section 6.
 
-Part 1 drives the full 20-host testbed emulation across arrival rates
-and prints the Figure 9 curve (admission probability).
-
-Part 2 exercises the real-time machinery the Agile Objects runtime is
-built on — the Constant Utilization Server admission ledger and the
-static-priority + EDF job scheduler — with a handful of components, the
-way Section 4 describes admission control working.
+The testbed column is REALTOR on ``figures.TESTBED`` — the simulator
+with the LAN's accounting: a full mesh of 20 hosts, 50 s queues, an
+IP-multicast HELP and a UDP/TCP unicast each charged one message, a
+0.2 ms LAN hop.  The simulation column is the Section 5 simulator
+scaled to the same 20 hosts.  The paper claims the two curves have "the
+same type of shape"; the verdicts below are evaluated on this run.
 
 Run:  python examples/agile_cluster.py
 """
 
-from repro.cluster import (
-    AgileComponent,
-    ClusterJobScheduler,
-    TestbedParameters,
-    run_testbed,
-)
-from repro.metrics.report import format_table
-from repro.node.task import Task
-from repro.sim import Simulator
-
-
-def part1_figure9() -> None:
-    print("== Part 1: 20-host testbed (Figure 9) ==")
-    params = TestbedParameters(horizon=1_500.0)
-    rows = []
-    for rate in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0):
-        res = run_testbed(rate, params)
-        rows.append(
-            [
-                rate,
-                res.admission_probability,
-                res.migration_rate,
-                int(res.extra["naming_updates"]),
-                res.extra["migration_time_total"],
-            ]
-        )
-    print(
-        format_table(
-            ["lambda", "P(admit)", "mig-rate", "naming-updates", "migration-secs"],
-            rows,
-            float_fmt="{:.3f}",
-        )
-    )
-    print()
-
-
-def part2_realtime_scheduling() -> None:
-    print("== Part 2: CUS admission + static-priority EDF ==")
-    sim = Simulator(seed=3)
-    sched = ClusterJobScheduler(sim, host_id=0, utilization_bound=0.8)
-
-    # Three rate-guaranteed components: the utilization test admits the
-    # first two, refuses the third (0.3 + 0.4 + 0.2 > 0.8).
-    comps = [
-        AgileComponent(
-            Task(size=2.0, arrival_time=0.0, origin=0, relative_deadline=10.0 * (i + 1)),
-            utilization=u,
-        )
-        for i, u in enumerate((0.3, 0.4, 0.2))
-    ]
-    for comp in comps:
-        if sched.can_admit(comp):
-            sched.register(comp)
-            print(f"admitted {comp.name} (u={comp.utilization}); "
-                  f"free utilization now {sched.cus.available:.2f}")
-        else:
-            print(f"REFUSED  {comp.name} (u={comp.utilization}); "
-                  f"only {sched.cus.available:.2f} free — must migrate")
-
-    sim.run(until=30.0)
-    print(f"jobs completed: {len(sched.edf.completed)}, "
-          f"deadline miss ratio: {sched.miss_ratio():.2f}")
+from repro.experiments.figures import TESTBED, run_figure
 
 
 def main() -> None:
-    part1_figure9()
-    part2_realtime_scheduling()
+    print(f"testbed: {TESTBED.num_nodes} hosts, {TESTBED.topology} mesh, "
+          f"queue {TESTBED.queue_capacity:g} s, flood cost "
+          f"{TESTBED.flood_cost_override:g}, unicast cost {TESTBED.fixed_unicast_cost:g}")
+    result = run_figure("fig9", horizon=1_500.0)
+    print(result.summary())
 
 
 if __name__ == "__main__":

@@ -12,9 +12,11 @@ This package contains the full system: a discrete-event kernel
 the node model (:mod:`repro.node`), REALTOR and its four baselines
 (:mod:`repro.core`, :mod:`repro.protocols`), admission/migration
 (:mod:`repro.migration`), workload and attack generators
-(:mod:`repro.workload`), the Agile Objects cluster emulation
-(:mod:`repro.cluster`), and the experiment harness regenerating every
-figure of the paper (:mod:`repro.experiments`).
+(:mod:`repro.workload`), the experiment harness regenerating every
+figure of the paper (:mod:`repro.experiments`; Section 6's 20-host
+testbed is one of its plan cells), and the live runtime running the
+same system on a wall clock with the Agile Objects naming service
+(:mod:`repro.live`).
 
 Quickstart
 ----------

@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..analysis.curves import is_monotone, peak, relative_spread
 from ..metrics.export import canonical_rate
 from ..metrics.report import figure_table
+from ..protocols.base import ProtocolConfig
 from ..protocols.registry import PAPER_PROTOCOLS
 from .ablations import METRICS
 from .config import PAPER_LAMBDAS, ExperimentConfig
@@ -30,7 +31,7 @@ from .sweep import SweepResults, run_sweep
 
 __all__ = [
     "Claim", "Comparison", "Figure", "FigureResult", "ShapeCheck",
-    "FIGURES", "DEFAULT_RATES", "MATCH_WITHIN", "evaluate", "run_figure",
+    "FIGURES", "DEFAULT_RATES", "MATCH_WITHIN", "TESTBED", "evaluate", "run_figure",
     "fig5_admission_probability", "fig6_message_overhead",
     "fig7_cost_per_task", "fig8_migration_rate", "fig9_testbed_admission",
 ]
@@ -164,26 +165,33 @@ def paper_sweep(rates, protocols, horizon, seed, base, **run) -> SweepResults:
     return run_sweep(protocols, rates, cfg, **run)
 
 
-def cluster_cells(rates, protocols, horizon, seed, base, **run) -> SweepResults:
-    """Section 6: REALTOR on the 20-host cluster emulation (``testbed``)
-    and on the Section 5 simulator scaled to that size (``simulation``),
-    so "the same type of shape as in the simulation" is checkable.  The
-    cluster has its own parameters; ``base`` does not apply.
-    """
-    from ..cluster.testbed import TestbedParameters, run_testbed
+#: Section 6's 20-host Agile Objects cluster as a plan cell: every host
+#: hears every IP multicast (full mesh, network scope), a HELP multicast
+#: and a UDP/TCP unicast each cost one wire message, a LAN hop takes
+#: 0.2 ms, queues hold 50 s of work
+TESTBED = ExperimentConfig(
+    protocol="realtor", protocol_config=ProtocolConfig(scope="network"),
+    topology="full", rows=4, cols=5, queue_capacity=50.0, task_mean=5.0,
+    unicast_cost="fixed", fixed_unicast_cost=1.0, flood_cost_override=1.0,
+    per_hop_latency=0.0002,
+)
 
-    params = TestbedParameters(horizon=horizon, seed=seed)
-    raw: SweepResults = {}
-    if "testbed" in protocols:
-        raw["testbed"] = {canonical_rate(r): run_testbed(r, params) for r in rates}
-    if "simulation" in protocols:
-        rows, cols = params.grid()
-        cfg = ExperimentConfig(
-            protocol="realtor", queue_capacity=params.queue_capacity,
-            topology="full", rows=rows, cols=cols, horizon=horizon, seed=seed,
-        )
-        raw["simulation"] = run_sweep(["realtor"], rates, cfg, **run)["realtor"]
-    return raw
+
+def cluster_cells(rates, protocols, horizon, seed, base, **run) -> SweepResults:
+    """Section 6: REALTOR on :data:`TESTBED` (``testbed``) and on the
+    Section 5 simulator scaled to that size (``simulation``), so "the
+    same type of shape as in the simulation" is checkable.  The cluster
+    has its own parameters; ``base`` does not apply.
+    """
+    reference = ExperimentConfig(
+        protocol="realtor", queue_capacity=TESTBED.queue_capacity,
+        topology="full", rows=TESTBED.rows, cols=TESTBED.cols,
+    )
+    columns = {"testbed": TESTBED, "simulation": reference}
+    return {
+        name: run_sweep(["realtor"], rates, cfg.with_(horizon=horizon, seed=seed), **run)["realtor"]
+        for name, cfg in columns.items() if name in protocols
+    }
 
 
 @dataclass(frozen=True)

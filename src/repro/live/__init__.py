@@ -7,7 +7,8 @@ This package is the other half of the runtime seam
 scheduler's agenda or over loopback UDP sockets) and
 :class:`~repro.live.runtime.LiveRuntime`, which hands those two to the simulator's own system assembly
 (:func:`repro.experiments.runner.assemble`) and adds the live-only
-parts: settlement latency, name service, drain and report.
+parts: settlement latency, name service
+(:class:`~repro.live.naming.NamingService`), drain and report.
 :class:`~repro.live.runtime.LiveConfig` is the experiment config plus
 five live-only fields.
 

@@ -12,8 +12,8 @@ What this module adds, because it only makes sense live:
 * :class:`LiveConfig` — :class:`~repro.experiments.config.ExperimentConfig`
   plus the five live-only fields, with the defaults that differ live
   and the axes the live runtime cannot honour rejected by name;
-* the Agile Objects :class:`~repro.cluster.naming.NamingService`,
-  promoted to the runtime's name service — every node registers itself
+* the Agile Objects :class:`~repro.live.naming.NamingService`, the
+  runtime's name service — every node registers itself
   at startup, and a task's binding lives as long as the task: registered
   at its admission, unregistered when it completes or is lost;
 * per-task **settlement latency** (arrival to admission/rejection, wall
@@ -37,7 +37,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..cluster.naming import NamingService
 from ..experiments.config import ExperimentConfig
 from ..experiments.runner import assemble
 from ..metrics.collector import MetricsCollector
@@ -47,6 +46,7 @@ from ..obs.registry import Histogram
 from ..obs.telemetry import ProtocolRollup
 from ..sim.trace import Tracer
 
+from .naming import NamingService
 from .scheduler import LiveScheduler
 from .transport import BACKENDS, LiveTransport
 
@@ -75,8 +75,9 @@ class LiveConfig(ExperimentConfig):
     arrival_rate: float = 6.0
     horizon: float = 30.0
     seed: int = 42
-    #: the LAN accounting of Section 6 (``repro.cluster.rmi.LanCostModel``):
-    #: switched unicast = 1 message, IP-multicast flood = 1 message
+    #: the LAN accounting of Section 6 (as in Figure 9's
+    #: ``repro.experiments.figures.TESTBED``): switched unicast = 1
+    #: message, IP-multicast flood = 1 message
     fixed_unicast_cost: float = 1.0
     flood_cost_override: Optional[float] = 1.0
     #: the live report always carries the sampled series
@@ -158,6 +159,14 @@ class _LiveMetrics(MetricsCollector):
                 return  # an orphaned grant, confirmed after the task completed
             name = self._settled_ids[task.task_id] = f"task/{task.task_id}"
         self._naming.register(name, task.admitted_at)
+
+    def evacuation(self, task: Task, success: bool) -> None:
+        super().evacuation(task, success)
+        name = self._settled_ids.get(task.task_id)
+        if success and name is not None:
+            # a granted evacuation moves a resident task without passing
+            # through task_admitted: its binding follows it
+            self._naming.register(name, task.admitted_at)
 
     def task_rejected(self, task: Task) -> None:
         self._settle(task)  # terminal, and only ever a first decision

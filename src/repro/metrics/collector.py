@@ -9,7 +9,7 @@ the migration coordinator's outcome reporting, and produces the final
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..node.task import Task, TaskOutcome
 from .counters import MessageCounters, TaskCounters
@@ -75,9 +75,6 @@ class MetricsCollector:
         self._response_sum = 0.0
         self._response_n = 0
         self.extra: Dict[str, float] = {}
-        #: observers fired on every admission (the cluster emulation hooks
-        #: component registration / naming updates in here)
-        self.admission_observers: List = []
         #: QoS accounting for deadline-carrying tasks
         self.deadlines_met = 0
         self.deadlines_missed = 0
@@ -100,8 +97,6 @@ class MetricsCollector:
             self.tasks.admitted_migrated += 1
         else:
             raise ValueError(f"unexpected admission outcome: {task.outcome}")
-        for observer in self.admission_observers:
-            observer(task)
 
     def task_rejected(self, _task: Task) -> None:
         self.tasks.rejected += 1
@@ -126,7 +121,7 @@ class MetricsCollector:
         if not success:
             self.tasks.migration_failures += 1
 
-    def evacuation(self, success: bool) -> None:
+    def evacuation(self, task: Task, success: bool) -> None:
         self.tasks.evacuations += 1
         if not success:
             self.tasks.evacuation_failures += 1

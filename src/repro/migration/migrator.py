@@ -176,7 +176,7 @@ class MigrationCoordinator:
                 # The responder already reserved and admitted the task.
                 self.metrics.task_admitted(task)
                 if outcome is TaskOutcome.EVACUATED:
-                    self.metrics.evacuation(True)
+                    self.metrics.evacuation(task, True)
                 self.sim.trace.emit(
                     self.sim.now,
                     "migration",
@@ -233,7 +233,7 @@ class MigrationCoordinator:
             self.orphaned_grants += 1
             self.metrics.task_admitted(task)
             if outcome is TaskOutcome.EVACUATED:
-                self.metrics.evacuation(True)
+                self.metrics.evacuation(task, True)
             self.sim.trace.emit(
                 self.sim.now,
                 "orphaned-grant",
@@ -249,7 +249,7 @@ class MigrationCoordinator:
         task.mark_rejected()
         self.metrics.task_rejected(task)
         if outcome is TaskOutcome.EVACUATED:
-            self.metrics.evacuation(False)
+            self.metrics.evacuation(task, False)
         self.sim.trace.emit(self.sim.now, "rejection", task=task.task_id, src=task.origin)
 
     def ranking_stats(self) -> Dict[str, float]:
@@ -304,7 +304,7 @@ class MigrationCoordinator:
         attempts = self.policy.select(task, ranked)
         if not attempts:
             task.mark_lost()
-            self.metrics.evacuation(False)
+            self.metrics.evacuation(task, False)
             self.metrics.task_lost(task)
             self.sim.trace.emit(
                 self.sim.now, "evacuation-lost", task=task.task_id, src=task.origin
@@ -329,7 +329,7 @@ class MigrationCoordinator:
             self.first_choice_attempts += 1
             if granted:
                 self.placements_granted += 1
-                self.metrics.evacuation(True)
+                self.metrics.evacuation(task, True)
                 self.sim.trace.emit(
                     self.sim.now,
                     "evacuation",
@@ -340,7 +340,7 @@ class MigrationCoordinator:
             else:
                 self.first_choice_failures += 1
                 task.mark_lost()
-                self.metrics.evacuation(False)
+                self.metrics.evacuation(task, False)
                 self.metrics.task_lost(task)
                 self.sim.trace.emit(
                     self.sim.now, "evacuation-lost",

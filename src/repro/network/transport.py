@@ -104,7 +104,7 @@ class UnicastCostMode(str, Enum):
 class CostModel:
     """Message-cost accounting parameters.
 
-    ``flood_cost_override`` lets the cluster emulation model IP multicast
+    ``flood_cost_override`` lets Figure 9's testbed model IP multicast
     on a LAN (one wire message regardless of group size).
 
     Only ``HOPS`` reads a route length; ``FIXED`` and ``MEAN`` price a
@@ -499,8 +499,8 @@ class Transport:
     ) -> List[NodeId]:
         """Send to an explicit receiver set.
 
-        Default cost is the sum of unicast costs; the cluster emulation
-        passes ``cost=1.0`` to model LAN IP multicast.
+        Default cost is the sum of unicast costs; ``cost=1.0`` models
+        LAN IP multicast.
         """
         if not self.is_up(src):
             return []

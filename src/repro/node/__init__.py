@@ -1,4 +1,4 @@
-"""Node substrate: tasks, work queues, monitors, schedulers, hosts."""
+"""Node substrate: tasks, work queues, monitors, hosts."""
 
 from .host import Host
 from .monitor import ThresholdMonitor
@@ -11,7 +11,6 @@ from .resources import (
     ResourcePool,
     ResourceSpec,
 )
-from .scheduler import ConstantUtilizationServer, EdfScheduler, Job
 from .task import Task, TaskOutcome, TaskStatus
 
 __all__ = [
@@ -25,9 +24,6 @@ __all__ = [
     "ResourceKind",
     "ResourcePool",
     "ResourceSpec",
-    "ConstantUtilizationServer",
-    "EdfScheduler",
-    "Job",
     "Task",
     "TaskOutcome",
     "TaskStatus",

@@ -2,8 +2,8 @@
 
 The simulation's unit of work is a *task*: a sequential CPU demand measured
 in seconds (the paper: "a task with value 2 holds the CPU on the node for
-2 seconds").  Tasks optionally carry a relative deadline (used by the EDF
-scheduler in the cluster emulation) and a multi-resource demand vector
+2 seconds").  Tasks optionally carry a relative deadline (the QoS
+experiments' ``deadline_factor``) and a multi-resource demand vector
 (used by the extension experiments).
 """
 

@@ -45,7 +45,6 @@ _SUBSYSTEM_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("repro.migration", "migration"),
     ("repro.workload", "workload"),
     ("repro.experiments", "workload"),
-    ("repro.cluster", "cluster"),
     ("repro.sim", "kernel"),
 )
 

@@ -1,8 +1,8 @@
-"""Unit tests for the Agile Object naming service."""
+"""Unit tests for the Agile Object naming service (`repro.live.naming`)."""
 
 import pytest
 
-from repro.cluster.naming import NamingService
+from repro.live.naming import NamingService
 from repro.sim.kernel import Simulator
 
 

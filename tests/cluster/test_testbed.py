@@ -1,63 +1,92 @@
-"""Tests for the 20-host testbed emulation (Figure 9 machinery)."""
+"""Figure 9's 20-host cluster testbed: the ``TESTBED`` plan cell.
+
+Section 6's Agile Objects cluster is the simulator with the LAN's
+accounting (``repro.experiments.figures.TESTBED``), and its column of
+Figure 9 runs through ``run_figure("fig9", ...)`` like every other cell.
+"""
+
+import asyncio
+from dataclasses import fields
 
 import pytest
 
-from repro.cluster.testbed import ClusterTestbed, TestbedParameters, run_testbed
+from repro.experiments.figures import TESTBED, run_figure
+from repro.experiments.runner import build_system
+from repro.experiments.store import RunStore
+from repro.live import LiveConfig
+from repro.live.runtime import LiveRuntime
+
+H = 300.0
 
 
-SHORT = TestbedParameters(horizon=300.0)
+@pytest.fixture(scope="module")
+def fig9():
+    """Both columns at light, moderate and heavy load, simulated once."""
+    return run_figure("fig9", (1.0, 2.0, 6.0, 8.0), horizon=H)
 
 
 class TestConstruction:
+    @pytest.fixture(scope="class")
+    def system(self):
+        return build_system(TESTBED.with_(horizon=H))
+
     def test_grid_factorisation(self):
-        assert TestbedParameters(hosts=20).grid() == (4, 5)
-        assert TestbedParameters(hosts=16).grid() == (4, 4)
-        assert TestbedParameters(hosts=7).grid() == (1, 7)
+        assert (TESTBED.rows, TESTBED.cols) == (4, 5)
+        assert TESTBED.num_nodes == 20
 
-    def test_full_mesh_topology(self):
-        tb = ClusterTestbed(SHORT, arrival_rate=1.0)
-        assert tb.system.topo.num_nodes == 20
-        assert tb.system.topo.num_links == 20 * 19 // 2
+    def test_full_mesh_topology(self, system):
+        assert system.topo.num_nodes == 20
+        assert system.topo.num_links == 20 * 19 // 2
 
-    def test_queue_capacity_is_50(self):
-        tb = ClusterTestbed(SHORT, arrival_rate=1.0)
-        assert all(h.queue.capacity == 50.0 for h in tb.system.hosts.values())
+    def test_queue_capacity_is_50(self, system):
+        assert all(h.queue.capacity == 50.0 for h in system.hosts.values())
 
-    def test_lan_costs_wired(self):
-        tb = ClusterTestbed(SHORT, arrival_rate=1.0)
-        cm = tb.system.transport.cost_model
-        assert cm.flood_cost_override == 1.0
-        assert cm.fixed_unicast_cost == 1.0
+    def test_lan_costs_wired(self, system):
+        # an IP-multicast HELP and a switched unicast each cost one message
+        charges = []
+        transport = system.transport
+        on_cost, transport.on_cost = transport.on_cost, lambda k, c: charges.append(c)
+        try:
+            transport.flood(0, "X", None)
+            transport.unicast(0, 7, "X", None)
+        finally:
+            transport.on_cost = on_cost
+        assert charges == [1.0, 1.0]
 
 
 class TestExecution:
-    def test_light_load_admits_everything(self):
-        res = run_testbed(1.0, SHORT)
-        assert res.admission_probability == pytest.approx(1.0, abs=0.01)
+    def test_light_load_admits_everything(self, fig9):
+        assert fig9.series["testbed"][0] == pytest.approx(1.0, abs=0.01)
 
-    def test_overload_degrades(self):
-        light = run_testbed(2.0, SHORT)
-        heavy = run_testbed(8.0, SHORT)
-        assert heavy.admission_probability < light.admission_probability - 0.05
+    def test_overload_degrades(self, fig9):
+        light, heavy = fig9.series["testbed"][1], fig9.series["testbed"][3]
+        assert heavy < light - 0.05
 
-    def test_components_registered_with_naming(self):
-        tb = ClusterTestbed(SHORT, arrival_rate=2.0)
-        res = tb.run()
-        assert tb.naming.updates == res.admitted
-        assert res.extra["naming_updates"] == res.admitted
+    def test_components_registered_with_naming(self, manual_clock):
+        # run live on the testbed's config, every node and every admitted
+        # component registers its location with the naming service once
+        exp = {f.name: getattr(TESTBED, f.name) for f in fields(TESTBED) if f.name != "obs"}
+        cfg = LiveConfig(**{**exp, "arrival_rate": 2.0, "horizon": 50.0, "time_scale": 100.0})
+        rt = LiveRuntime(cfg)
+        report = asyncio.run(rt.run())
+        assert report["config"]["nodes"] == 20 and report["drained"]
+        assert report["naming"]["updates"] == 20 + report["tasks"]["admitted"]
 
-    def test_migrations_cost_transfer_time(self):
-        tb = ClusterTestbed(TestbedParameters(horizon=500.0), arrival_rate=6.0)
-        res = tb.run()
-        if res.admitted_migrated > 0:
-            assert res.extra["migration_time_total"] > 0.0
-            assert tb.rmi.bytes_moved > 0
-
-    def test_multicast_messages_cheap(self):
-        # on the LAN a HELP flood is one message, so totals stay small
-        res = run_testbed(6.0, SHORT)
-        assert res.messages_total < 100_000
+    def test_multicast_messages_cheap(self, fig9):
+        # on the LAN a HELP flood is one message, not one per link
+        testbed, simulation = fig9.raw["testbed"][6.0], fig9.raw["simulation"][6.0]
+        assert testbed.messages_total < 100_000
+        assert testbed.messages_total < simulation.messages_total
 
     def test_overrides_via_kwargs(self):
-        res = run_testbed(1.0, SHORT, seed=9)
-        assert res.params["seed"] == 9
+        r = run_figure("fig9", (1.0,), horizon=100.0, seed=9, protocols=("testbed",))
+        assert set(r.raw) == {"testbed"}
+        params = r.raw["testbed"][1.0].params
+        assert (params["seed"], params["horizon"]) == (9, 100.0)
+
+    def test_a_warm_store_replays_both_columns(self, tmp_path):
+        cold = run_figure("fig9", rates=(2.0, 5.0), horizon=60.0, store=RunStore(tmp_path))
+        store = RunStore(tmp_path)
+        warm = run_figure("fig9", rates=(2.0, 5.0), horizon=60.0, store=store)
+        assert (store.hits, store.misses) == (4, 0)
+        assert warm.series == cold.series

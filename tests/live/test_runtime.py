@@ -5,9 +5,9 @@ import json
 
 import pytest
 
-from repro.cluster.naming import NamingService
 from repro.live import LiveConfig, run_live
 from repro.live.__main__ import main
+from repro.live.naming import NamingService
 from repro.live.runtime import LiveRuntime, _LiveMetrics
 from repro.live.scheduler import LiveScheduler
 from repro.node.task import Task, TaskOutcome, TaskStatus
@@ -138,6 +138,30 @@ class TestTaskLifetime:
         # ... and every id has left once its task completed
         assert all(t.status is TaskStatus.COMPLETED for t in evacuated)
         assert not rt.metrics._settled_ids and len(rt.naming) == 9
+
+    def test_a_granted_evacuation_rebinds_the_task(self, manual_clock):
+        # an evacuation re-admits a resident task without task_admitted;
+        # its binding must follow it to the host that granted
+        cfg = LiveConfig(nodes=9, arrival_rate=1.4, horizon=300.0, seed=11)
+        rt = LiveRuntime(cfg)
+        for i, node in enumerate((4, 1, 7, 3)):
+            rt.system.faults.schedule_window(60.0 + 40.0 * i, 80.0 + 40.0 * i, node)
+        moves, evacuation = [], rt.metrics.evacuation
+
+        def checked_evacuation(task, success):
+            evacuation(task, success)
+            if success:
+                hosts = rt.system.hosts.values()
+                resident = sum(len(h.queue.resident_tasks()) for h in hosts)
+                bound = rt.naming.true_location(f"task/{task.task_id}")
+                moves.append((task.origin, task.admitted_at, bound,
+                              len(rt.naming) - 9 - resident))
+
+        rt.metrics.evacuation = checked_evacuation
+        assert asyncio.run(rt.run())["drained"]
+        assert moves
+        for left, new, bound, unaccounted in moves:
+            assert bound == new != left and unaccounted == 0
 
     def test_a_resettlement_keeps_the_latency_of_the_first_decision(self):
         sim = LiveScheduler()

@@ -9,17 +9,27 @@ holds the two runtimes against each other send by send.
 """
 
 import asyncio
+from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.cluster.rmi import LanCostModel
 from repro.live.scheduler import LiveScheduler
 from repro.live.transport import LiveTransport
 from repro.network import generators
 from repro.network.faults import FaultManager
 from repro.network.transport import CostModel, Transport, UnicastCostMode
 from repro.sim.kernel import Simulator
+
+
+#: Section 6's LAN accounting: a switched unicast and an IP multicast
+#: each cost one wire message
+LAN = partial(
+    CostModel,
+    unicast_mode=UnicastCostMode.FIXED,
+    fixed_unicast_cost=1.0,
+    flood_cost_override=1.0,
+)
 
 
 def go(coro):
@@ -261,7 +271,7 @@ class TestAccounting:
         async def run():
             t = make(
                 "inproc",
-                cost_model=LanCostModel(),
+                cost_model=LAN(),
                 on_cost=lambda kind, cost: charges.append((kind, cost)),
             )
             t.register(1, "X", lambda d: None)
@@ -274,7 +284,7 @@ class TestAccounting:
                 await t.aclose()
 
         go(run())
-        # LanCostModel: switched unicast = 1 message, IP multicast = 1
+        # LAN: switched unicast = 1 message, IP multicast = 1
         assert charges == [("X", 1.0), ("X", 1.0)]
 
     def test_unknown_backend_rejected(self):
@@ -352,7 +362,9 @@ class TestDifferential:
 
     @pytest.mark.parametrize("backend", ["inproc", "udp"])
     @pytest.mark.parametrize("family", sorted(TOPOLOGIES))
-    @pytest.mark.parametrize("cost_model", [CostModel, LanCostModel])
+    @pytest.mark.parametrize(
+        "cost_model", [CostModel, pytest.param(LAN, id="LanCosts")]
+    )
     def test_same_verdicts_receivers_charges_and_counters(
         self, cost_model, family, backend
     ):

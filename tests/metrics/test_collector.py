@@ -46,19 +46,10 @@ class TestCollector:
         mc = MetricsCollector()
         mc.migration_attempt(True)
         mc.migration_attempt(False)
-        mc.evacuation(False)
+        mc.evacuation(task(), False)
         assert mc.tasks.migration_attempts == 2
         assert mc.tasks.migration_failures == 1
         assert mc.tasks.evacuation_failures == 1
-
-    def test_admission_observers_fire(self):
-        mc = MetricsCollector()
-        seen = []
-        mc.admission_observers.append(seen.append)
-        t = task(TaskOutcome.LOCAL)
-        mc.task_generated()
-        mc.task_admitted(t)
-        assert seen == [t]
 
 
 class TestRunResult:
