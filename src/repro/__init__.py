@@ -9,9 +9,9 @@ support proactive component migration under attack and overload.
 
 This package contains the full system: a discrete-event kernel
 (:mod:`repro.sim`), the overlay network substrate (:mod:`repro.network`),
-the node model (:mod:`repro.node`), REALTOR and its four baselines
-(:mod:`repro.core`, :mod:`repro.protocols`), admission/migration
-(:mod:`repro.migration`), workload and attack generators
+the node model (:mod:`repro.node`), REALTOR and its four baselines as
+rows of one protocol table (:mod:`repro.core`, :mod:`repro.protocols`),
+admission/migration (:mod:`repro.migration`), workload and attack generators
 (:mod:`repro.workload`), the experiment harness regenerating every
 figure of the paper (:mod:`repro.experiments`; Section 6's 20-host
 testbed is one of its plan cells), and the live runtime running the

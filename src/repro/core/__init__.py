@@ -1,43 +1,12 @@
-"""The paper's core contribution: the REALTOR community protocol.
+"""The paper's core contribution: Algorithms H and P, community soft
+state and the HELP/PLEDGE wire messages.  REALTOR itself is the
+``realtor`` row of :data:`repro.protocols.registry.PROTOCOLS`, built
+from these parts by :class:`repro.protocols.base.DiscoveryAgent`."""
 
-Lazy re-exports (PEP 562): ``protocols.base`` imports
-:mod:`repro.core.messages`, which initialises this package; an eager
-``from .realtor import ...`` here would re-enter the partially
-initialised ``repro.protocols.base`` (realtor subclasses
-DiscoveryAgent).  Deferring every re-export to first attribute access
-breaks the cycle regardless of which package is imported first.
-"""
-
-_LAZY_EXPORTS = {
-    "HelpScheduler": ("algorithm_h", "HelpScheduler"),
-    "PledgePolicy": ("algorithm_p", "PledgePolicy"),
-    "Community": ("community", "Community"),
-    "MemberRecord": ("community", "MemberRecord"),
-    "MembershipTable": ("community", "MembershipTable"),
-    "KIND_ADV": ("messages", "KIND_ADV"),
-    "KIND_HELP": ("messages", "KIND_HELP"),
-    "KIND_PLEDGE": ("messages", "KIND_PLEDGE"),
-    "Advertisement": ("messages", "Advertisement"),
-    "Help": ("messages", "Help"),
-    "Pledge": ("messages", "Pledge"),
-    "RealtorAgent": ("realtor", "RealtorAgent"),
-}
-
-
-def __getattr__(name: str):
-    entry = _LAZY_EXPORTS.get(name)
-    if entry is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(f".{entry[0]}", __name__), entry[1])
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))
-
+from .algorithm_h import HelpScheduler
+from .algorithm_p import PledgePolicy
+from .community import Community, MemberRecord, MembershipTable
+from .messages import KIND_ADV, KIND_HELP, KIND_PLEDGE, Advertisement, Help, Pledge
 
 __all__ = [
     "HelpScheduler",
@@ -51,5 +20,4 @@ __all__ = [
     "Advertisement",
     "Help",
     "Pledge",
-    "RealtorAgent",
 ]

@@ -24,8 +24,8 @@ keeps the interval positive.
 
 :class:`HelpScheduler` implements exactly this state machine, decoupled
 from messaging: the owning agent supplies a ``send`` callback and feeds
-pledges back in.  The adaptive-PULL baseline reuses it with
-``adaptive=False`` (fixed window — the "time window = 100" variant).
+pledges back in.  The ``window`` pull reuses it with ``adaptive=False``
+(fixed window — the "time window = 100" variant).
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ class HelpScheduler:
     initial_interval, alpha, beta, upper_limit, response_timeout:
         Algorithm H parameters (see module docstring).
     adaptive:
-        ``False`` freezes the interval at ``initial_interval`` — used by
-        the ``Pull-100`` baseline where the window is fixed.
+        ``False`` freezes the interval at ``initial_interval`` — the
+        ``window`` pull of the ``pull-100-fixed`` row.
     min_interval:
         Positivity floor implementing the paper's ``> 0`` reward guard.
     max_retries, retry_backoff:

@@ -36,9 +36,9 @@ from typing import Dict, List, Optional, Sequence
 
 from ..network.topology import Topology
 from ..runtime.api import Delivery
-from ..protocols.base import ProtocolContext
-from .messages import Help
-from .realtor import RealtorAgent
+from ..protocols.base import DiscoveryAgent, ProtocolContext
+from ..protocols.registry import register_protocol
+from .messages import Help, Pledge
 
 __all__ = [
     "partition_groups",
@@ -147,13 +147,11 @@ class GroupDirectory:
         return len(self.groups)
 
 
-class HierarchicalRealtorAgent(RealtorAgent):
-    """REALTOR with the Section 7 inter-group escalation level."""
-
-    name = "realtor-hier"
+class HierarchicalRealtorAgent(DiscoveryAgent):
+    """REALTOR's parts plus the Section 7 inter-group escalation level."""
 
     def __init__(self, ctx: ProtocolContext, directory: GroupDirectory) -> None:
-        super().__init__(ctx)
+        super().__init__(ctx, pull="adaptive", respond="community")
         self.directory = directory
         self.help.on_timeout = self._escalate
         self.escalations = 0
@@ -168,24 +166,17 @@ class HierarchicalRealtorAgent(RealtorAgent):
                    if m != self.node_id]
         return self.transport.multicast(self.node_id, members, kind, payload)
 
-    def prime_view(self, hosts, snapshots=None) -> None:  # noqa: D102 - see base
-        now = self.sim.now
-        for nid in self.directory.members(self.node_id):
-            if nid == self.node_id or nid not in hosts:
-                continue
-            if snapshots is not None:
-                headroom, usage, available = snapshots[nid]
-                self.view.update(nid, headroom, usage, available, now)
-                continue
-            snap = hosts[nid].snapshot()
-            self.view.update(
-                nid, snap.headroom, snap.usage, snap.available, now,
-            )
+    def _prime_scope(self, hosts) -> List[int]:
+        """Level-1 knowledge is group-scoped too."""
+        return [
+            nid for nid in self.directory.members(self.node_id)
+            if nid != self.node_id and nid in hosts
+        ]
 
     # Level-2: escalation ----------------------------------------------------
 
-    def _start_protocol(self) -> None:
-        super()._start_protocol()
+    def start(self) -> None:
+        super().start()
         self.transport.register(self.node_id, KIND_ESCALATE, self._on_escalate)
         self.transport.register(self.node_id, KIND_REMOTE_HELP, self._on_remote_help)
         self.transport.register(
@@ -236,17 +227,10 @@ class HierarchicalRealtorAgent(RealtorAgent):
             # fall back to offering ourselves when we qualify
             snap = self.host.snapshot()
             if self.safe and snap.available and snap.headroom >= help_msg.demand:
-                pledge = self.pledges.make_pledge(
-                    communities=self.memberships.count(), now=self.sim.now
-                )
-                self.transport.unicast(
-                    self.node_id, help_msg.organizer, KIND_REMOTE_PLEDGE, pledge
-                )
+                self._send_pledge(help_msg.organizer, kind=KIND_REMOTE_PLEDGE)
             return
         # forward the best candidate's availability on its behalf (the
         # gateway vouches with the freshest information it holds)
-        from .messages import Pledge
-
         pledge = Pledge(
             pledger=best.node,
             availability=best.availability,
@@ -262,17 +246,12 @@ class HierarchicalRealtorAgent(RealtorAgent):
     def _on_remote_pledge(self, delivery: Delivery) -> None:
         pledge = delivery.payload
         self.remote_pledges += 1
+        available = pledge.usage < self.threshold
         self.view.update(
-            pledge.pledger,
-            pledge.availability,
-            pledge.usage,
-            pledge.usage < self.config.threshold,
-            pledge.sent_at,
+            pledge.pledger, pledge.availability, pledge.usage, available, pledge.sent_at
         )
-        demand = self._pending_demand if self._pending_demand > 0 else 0.0
         self.help.on_pledge(
-            found_node=pledge.availability >= demand
-            and pledge.usage < self.config.threshold
+            found_node=pledge.availability >= self._pending_demand and available
         )
 
     def stats(self) -> Dict[str, float]:
@@ -305,3 +284,7 @@ def make_hierarchical_factory(group_size: int):
         return HierarchicalRealtorAgent(ctx, directory)
 
     return factory
+
+
+register_protocol("realtor-hier", make_hierarchical_factory(9), "hierarchical")
+register_protocol("realtor-hier-25", make_hierarchical_factory(25))

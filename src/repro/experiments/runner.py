@@ -24,7 +24,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..core.realtor import RealtorAgent
 from ..metrics.collector import MetricsCollector, RunResult
 from ..migration.admission import AdmissionControl
 from ..migration.migrator import MigrationCoordinator
@@ -39,7 +38,6 @@ from ..node.state_arrays import NodeStateArrays
 from ..node.task import Task
 from ..obs.recorder import FlightRecorder, cell_identity
 from ..obs.registry import MetricsRegistry, install_run_probes
-from ..protocols.adaptive_pull import AdaptivePullAgent
 from ..protocols.base import DiscoveryAgent, ProtocolContext
 from ..protocols.registry import make_agent
 from ..sim.kernel import Simulator
@@ -201,9 +199,6 @@ class System:
                 is_safe=is_up,
             ),
         )
-        pledge_policy = getattr(agent, "pledges", None) or getattr(
-            agent, "pledge_policy", None
-        )
         self.hosts[node_id] = host
         self.agents[node_id] = agent
         self.admissions[node_id] = AdmissionControl(
@@ -211,7 +206,7 @@ class System:
             self.transport,
             host,
             on_request_observed=(
-                pledge_policy.observe_request if pledge_policy else None
+                agent.pledges.observe_request if agent.pledges is not None else None
             ),
             accepting=is_up,
         )
@@ -254,11 +249,8 @@ class System:
         self.sim.trace.emit(self.sim.now, "leave", node=node_id, graceful=graceful)
 
     def mean_help_interval(self) -> Optional[float]:
-        """Average adaptive HELP interval across agents, if applicable."""
-        intervals: List[float] = []
-        for agent in self.agents.values():
-            if isinstance(agent, (RealtorAgent, AdaptivePullAgent)):
-                intervals.append(agent.help.interval)
+        """Average Algorithm H interval across agents, if they run it."""
+        intervals = [a.help.interval for a in self.agents.values() if a.help is not None]
         if not intervals:
             return None
         return sum(intervals) / len(intervals)
@@ -297,9 +289,7 @@ class System:
         self.metrics.extra["dropped_messages"] = float(self.transport.dropped_messages)
         self.metrics.extra["help_retries"] = float(
             sum(
-                agent.help.retries
-                for agent in self.agents.values()
-                if hasattr(agent, "help")
+                agent.help.retries for agent in self.agents.values() if agent.help is not None
             )
         )
         self.metrics.extra["migration_fallbacks"] = float(

@@ -389,7 +389,7 @@ def install_run_probes(
         raise ValueError("stride must be >= 1")
     tasks = collector.tasks
     by_kind = collector.messages.by_kind
-    helps = [a.help for a in agents if hasattr(a, "help")]
+    helps = [a.help for a in agents if a.help is not None]
     views = [a.view for a in agents if hasattr(a, "view")]
     adms = [a for a in admissions if hasattr(a, "timeouts_fired")]
     usage_hist = registry.histogram(

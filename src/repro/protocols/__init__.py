@@ -1,55 +1,24 @@
-"""Discovery protocols: REALTOR's four baselines plus shared machinery.
+"""Discovery protocols: the one agent, the protocol table and the
+machinery they share (resource view, candidate ranking)."""
 
-Lazy re-exports (PEP 562): :mod:`repro.core.realtor` imports
-``protocols.base`` (the runtime seam), which initialises this package;
-an eager ``from .registry import ...`` here would re-enter the
-partially initialised ``repro.core.realtor`` (the registry registers
-RealtorAgent).  Deferring every re-export to first attribute access
-breaks the cycle regardless of which package is imported first, and
-keeps ``import repro.protocols`` free of the simulation kernel.
-"""
-
-_LAZY_EXPORTS = {
-    "AdaptivePullAgent": ("adaptive_pull", "AdaptivePullAgent"),
-    "AdaptivePushAgent": ("adaptive_push", "AdaptivePushAgent"),
-    "DiscoveryAgent": ("base", "DiscoveryAgent"),
-    "ProtocolConfig": ("base", "ProtocolConfig"),
-    "ProtocolContext": ("base", "ProtocolContext"),
-    "PurePullAgent": ("pure_pull", "PurePullAgent"),
-    "PurePushAgent": ("pure_push", "PurePushAgent"),
-    "PAPER_PROTOCOLS": ("registry", "PAPER_PROTOCOLS"),
-    "make_agent": ("registry", "make_agent"),
-    "protocol_names": ("registry", "protocol_names"),
-    "register_protocol": ("registry", "register_protocol"),
-    "ResourceView": ("view", "ResourceView"),
-    "ViewEntry": ("view", "ViewEntry"),
-}
-
-
-def __getattr__(name: str):
-    entry = _LAZY_EXPORTS.get(name)
-    if entry is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(f".{entry[0]}", __name__), entry[1])
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))
-
+from .base import DiscoveryAgent, ProtocolConfig, ProtocolContext
+from .registry import (
+    PAPER_PROTOCOLS,
+    PROTOCOLS,
+    Protocol,
+    make_agent,
+    protocol_names,
+    register_protocol,
+)
+from .view import ResourceView, ViewEntry
 
 __all__ = [
-    "AdaptivePullAgent",
-    "AdaptivePushAgent",
     "DiscoveryAgent",
     "ProtocolConfig",
     "ProtocolContext",
-    "PurePullAgent",
-    "PurePushAgent",
     "PAPER_PROTOCOLS",
+    "PROTOCOLS",
+    "Protocol",
     "make_agent",
     "protocol_names",
     "register_protocol",

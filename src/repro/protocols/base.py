@@ -1,8 +1,14 @@
-"""Discovery-protocol abstraction.
+"""The discovery agent, built from the parts of its protocol row.
 
-All five evaluated protocols (REALTOR and the four baselines) share one
-interface so the experiment runner, migration layer and figures treat
-them interchangeably:
+The paper defines its protocols as combinations of push and pull,
+periodic and aperiodic (the taxonomy of [Maheswaran 2001]), and REALTOR
+as "adaptive PUSH + adaptive PULL combined".  So one
+:class:`DiscoveryAgent` is built from a pull trigger, a push trigger and
+a responder (:data:`PULLS`, :data:`PUSHES`, :data:`RESPONDERS`), named by
+a row of :data:`repro.protocols.registry.PROTOCOLS`.  It holds only the
+state its parts need (``help``, ``pledges``, ``community`` and
+``memberships`` are ``None`` otherwise) and each handler is one body
+branching on it.  The runner and the migration layer see one interface:
 
 * :meth:`DiscoveryAgent.start` — register transport handlers, start timers;
 * :meth:`DiscoveryAgent.notify_task_arrival` — the pull-side trigger,
@@ -10,26 +16,25 @@ them interchangeably:
 * :meth:`DiscoveryAgent.candidates` — ranked migration targets from the
   agent's (possibly stale) :class:`~repro.protocols.view.ResourceView`.
 
-The taxonomy of [Maheswaran 2001] that the paper adopts — push vs pull,
-periodic vs aperiodic — maps onto which hooks an agent actually uses.
-
 Agents are runtime-agnostic: everything they need from their
 environment is the seam re-exported here from :mod:`repro.runtime.api`
 — a :class:`Clock`/:class:`SchedulerAPI` for time and timers and a
 :class:`TransportAPI` for messaging.  Both the discrete-event simulator
 and the live asyncio runtime (:mod:`repro.live`) implement it, so the
-exact same agent modules drive the published-figure simulations and a
+exact same agent code drives the published-figure simulations and a
 deployed service; the import-isolation test pins that importing this
 package never pulls in ``repro.sim.kernel``.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
-from ..core.messages import KIND_ADV, KIND_HELP, KIND_PLEDGE
+from ..core.algorithm_h import HelpScheduler
+from ..core.algorithm_p import PledgePolicy
+from ..core.community import Community, MembershipTable
+from ..core.messages import KIND_ADV, KIND_HELP, KIND_PLEDGE, Advertisement, Help, Pledge
 from ..node.host import Host
 from ..node.task import Task
 from ..runtime.api import (
@@ -47,6 +52,9 @@ __all__ = [
     "ProtocolConfig",
     "ProtocolContext",
     "DiscoveryAgent",
+    "PULLS",
+    "PUSHES",
+    "RESPONDERS",
     # the sim/live runtime seam, re-exported for agent implementations
     "Clock",
     "Delivery",
@@ -55,6 +63,18 @@ __all__ = [
     "TimerHandle",
     "TransportAPI",
 ]
+
+#: HELP on every arrival that would push usage over the threshold
+#: (Pull-.9), under Algorithm H's adaptive interval (Pull-100, REALTOR),
+#: or under Algorithm H frozen at Upper_limit (the fixed time window)
+PULLS = ("none", "every", "adaptive", "window")
+#: an ADV flood every push_interval (Push-1) or on each threshold
+#: crossing, in either direction (Push-.9)
+PUSHES = ("none", "periodic", "crossing")
+#: Algorithm P trigger 1 — one PLEDGE per HELP while below the threshold
+#: — alone, or with community soft state and trigger 2: a PLEDGE to every
+#: joined community on each threshold crossing (REALTOR)
+RESPONDERS = ("none", "pledge", "community")
 
 
 @dataclass(frozen=True)
@@ -172,65 +192,259 @@ class ProtocolContext:
         return self.host.node_id
 
 
-class DiscoveryAgent(abc.ABC):
-    """Base class of the five discovery protocols."""
+class DiscoveryAgent:
+    """One node's discovery protocol: a pull trigger, a push trigger and a
+    responder (each ``"none"`` when the row has no such part)."""
 
-    #: registry key and figure label, e.g. "realtor", "push-1"
-    name: str = "abstract"
-
-    def __init__(self, ctx: ProtocolContext) -> None:
+    def __init__(
+        self,
+        ctx: ProtocolContext,
+        pull: str = "none",
+        push: str = "none",
+        respond: str = "none",
+    ) -> None:
+        if pull not in PULLS or push not in PUSHES or respond not in RESPONDERS:
+            raise ValueError(f"unknown protocol parts {(pull, push, respond)!r}")
         self.ctx = ctx
         self.sim = ctx.sim
         self.transport = ctx.transport
         self.host = ctx.host
-        self.config = ctx.config
+        cfg = self.config = ctx.config
         self.node_id = ctx.node_id
+        self.pull, self.push, self.respond = pull, push, respond
+        #: the level every part judges availability by: the HELP trigger,
+        #: trigger-1 pledges and the organizer's verdict on a pledge
+        self.threshold = cfg.threshold
         self.view = ResourceView(
-            self.node_id,
-            ttl=ctx.config.view_ttl,
-            policy=make_ranking(ctx.config.ranking_policy),
+            self.node_id, ttl=cfg.view_ttl, policy=make_ranking(cfg.ranking_policy)
         )
         self._started = False
+        #: the periodic timer of a ``periodic`` push (or a subclass's rounds)
+        self._timer: Optional[PeriodicHandle] = None
+        #: demand of the latest qualifying arrival: the HELP's urgency field
+        #: and the bar for Algorithm H's "a node is found for migration"
+        self._pending_demand = 0.0
+        #: Algorithm H, for the ``adaptive`` and ``window`` pulls
+        self.help: Optional[HelpScheduler] = None
+        if pull in ("adaptive", "window"):
+            window = pull == "window"
+            self.help = HelpScheduler(
+                self.sim,
+                self._send_help,
+                initial_interval=cfg.upper_limit if window else cfg.initial_help_interval,
+                alpha=cfg.alpha,
+                beta=cfg.beta,
+                upper_limit=cfg.upper_limit,
+                response_timeout=cfg.response_timeout,
+                adaptive=not window,
+                min_interval=cfg.min_help_interval,
+                max_retries=cfg.help_retry_budget,
+                retry_backoff=cfg.help_retry_backoff,
+                owner=self.node_id,
+            )
+        #: Algorithm P, for either responder
+        self.pledges = None if respond == "none" else PledgePolicy(self.host, self.threshold)
+        self.community: Optional[Community] = None
+        self.memberships: Optional[MembershipTable] = None
+        if respond == "community":
+            self.community = Community(self.node_id, member_ttl=cfg.membership_ttl)
+            self.memberships = MembershipTable(
+                self.node_id, membership_ttl=cfg.membership_ttl
+            )
+        self.helps_sent = 0  # the ``every`` pull's HELPs (Algorithm H counts its own)
+        self.crossing_pledges_sent = 0
+        self.advertisements_sent = 0
+
+    @property
+    def learns(self) -> bool:
+        """Whether anything can ever reach the view.  The ``none`` row's
+        cannot, so it is never primed: it must not migrate on t=0 beliefs."""
+        return (self.pull, self.push, self.respond) != ("none", "none", "none")
 
     # Lifecycle -------------------------------------------------------------
 
     def start(self) -> None:
         """Register message handlers and start timers.  Idempotent guard."""
         if self._started:
-            raise RuntimeError(f"agent {self.name}@{self.node_id} already started")
+            raise RuntimeError(f"agent {self!r} already started")
         self._started = True
         self.transport.register(self.node_id, KIND_HELP, self._on_help)
         self.transport.register(self.node_id, KIND_PLEDGE, self._on_pledge)
         self.transport.register(self.node_id, KIND_ADV, self._on_adv)
-        self._start_protocol()
+        if self.push == "periodic":
+            self._timer = self._every(self.config.push_interval, self._advertise)
+        if self.push == "crossing" or self.memberships is not None:
+            self.host.monitor.on_cross(self._on_cross)
+
+    def _every(self, interval: float, fn: Callable[[], None]) -> PeriodicHandle:
+        """This node's periodic timer.  With ``synchronized_rounds`` every
+        agent joins one shared kernel event per round (agents start in node
+        order, so join order is the canonical node order); otherwise the
+        rounds are phase-staggered by node id so they do not all land on
+        the same instant — the paper's hosts are likewise unsynchronised.
+        The offset is deterministic."""
+        if self.config.synchronized_rounds:
+            return self.sim.shared_periodic(interval, fn)
+        n = max(len(self.ctx.all_nodes), 1)
+        return self.sim.periodic(interval, fn, phase=(self.node_id % n) / n * interval)
 
     def stop(self) -> None:
         """Tear down timers (node crash / end of run)."""
-        self._stop_protocol()
+        if self.help is not None:
+            self.help.stop()
+        if self._timer is not None:
+            self._timer.stop()
+            self._timer = None
         self._started = False
 
-    # Hooks for subclasses ---------------------------------------------------
-
-    @abc.abstractmethod
-    def _start_protocol(self) -> None:
-        """Install timers / monitor listeners."""
-
-    def _stop_protocol(self) -> None:  # pragma: no cover - default no-op
-        pass
+    # Pull: HELP solicitation ---------------------------------------------
 
     def notify_task_arrival(self, task: Task) -> None:
-        """Pull-side trigger; default no-op (push protocols ignore it)."""
+        """Arrival gate: a HELP iff usage including ``task`` would exceed
+        the threshold — every time (``every``), or once the Algorithm H
+        window has passed (``adaptive`` / ``window``)."""
+        if self.pull == "none" or not self.would_exceed_threshold(task):
+            return
+        self._pending_demand = task.size
+        if self.help is not None:
+            self.help.maybe_send()
+        else:
+            self.helps_sent += 1
+            self._send_help()
 
-    # Message handlers (default: ignore) -----------------------------------
+    def _send_help(self) -> None:
+        now = self.sim.now
+        members = 0
+        community = self.community
+        if community is not None:
+            # a HELP is the community's refresh: silent members lapse
+            for nid in community.note_refresh(now):
+                self.view.forget(nid)
+            members = community.size()
+        msg = Help(
+            organizer=self.node_id,
+            members=members,
+            demand=self._pending_demand,
+            sent_at=now,
+            help_id=self.helps_sent - 1 if self.help is None else self.help.last_help_id,
+        )
+        trace = self.sim.trace
+        if trace.enabled:
+            trace.emit(
+                now, "help-sent", node=self.node_id, demand=msg.demand,
+                help_id=msg.help_id,
+            )
+        self.flood(KIND_HELP, msg)
 
-    def _on_help(self, delivery: Delivery) -> None:  # pragma: no cover
-        pass
+    # Respond: Algorithm P ----------------------------------------------------
 
-    def _on_pledge(self, delivery: Delivery) -> None:  # pragma: no cover
-        pass
+    def _on_help(self, delivery: Delivery) -> None:
+        help_msg: Help = delivery.payload
+        org = help_msg.organizer
+        if org == self.node_id or self.pledges is None:
+            return
+        if not self.safe:
+            return  # a compromised node must not attract new work
+        memberships = self.memberships
+        if self.pledges.should_pledge_on_help():
+            # Answer the solicitation regardless (Algorithm P trigger 1) …
+            self._send_pledge(org, in_reply_to=help_msg.help_id)
+            # … but only *join* (committing to crossing updates and
+            # renewals) within the spare-resource membership budget.
+            if memberships is not None and (org in memberships or self._may_join(help_msg)):
+                memberships.on_help(org, self.sim.now)
+        elif memberships is not None and org in memberships:
+            # A known community is alive; renew so a transient overload
+            # does not silently drop the membership.
+            memberships.on_help(org, self.sim.now)
+
+    def _may_join(self, help_msg: Help) -> bool:
+        """Join cap: "as many communities as it is able to without
+        over-allocating its spare resources" — each membership implicitly
+        promises one component of the organizer's demand size."""
+        current = self.memberships.count(self.sim.now)
+        cap = self.config.max_memberships
+        if self.config.dynamic_membership:
+            demand = max(help_msg.demand, 1e-6)
+            dynamic_cap = int(self.host.availability() // demand)
+            cap = dynamic_cap if cap is None else min(cap, dynamic_cap)
+        return cap is None or current < cap
+
+    def _send_pledge(self, organizer: int, in_reply_to: int = -1, kind: str = KIND_PLEDGE) -> None:
+        communities = 0 if self.memberships is None else self.memberships.count()
+        pledge = self.pledges.make_pledge(
+            communities=communities, now=self.sim.now, in_reply_to=in_reply_to
+        )
+        self.transport.unicast(self.node_id, organizer, kind, pledge)
+
+    def _on_pledge(self, delivery: Delivery) -> None:
+        """The organizer's side of a pledge: community, view, Algorithm H."""
+        pledge: Pledge = delivery.payload
+        now = self.sim.now
+        trace = self.sim.trace
+        if trace.enabled:
+            # Span correlation: (organizer, help_id) keys the HELP round;
+            # hop count comes from the (cached) router — asked in the
+            # pledge's direction, so a round's pledgers share the
+            # organizer's row — latency from the pledge's own send stamp.
+            # Guarded so disabled runs pay only the attribute check.
+            trace.emit(
+                now, "pledge-recv", node=self.node_id,
+                pledger=pledge.pledger, help_id=pledge.in_reply_to,
+                latency=now - pledge.sent_at,
+                hops=max(self.transport.router.distance(pledge.pledger, self.node_id), 0),
+            )
+        available = pledge.usage < self.threshold
+        if self.community is not None:
+            self.community.on_pledge(pledge, now)
+            self.community.mark_available(pledge.pledger, available)
+        self.view.observe_latency(pledge.pledger, now - pledge.sent_at)
+        self.view.update(
+            pledge.pledger, pledge.availability, pledge.usage, available, pledge.sent_at
+        )
+        if self.help is not None:
+            # reward iff this pledge could host the pending demand
+            self.help.on_pledge(
+                found_node=available and pledge.availability >= self._pending_demand
+            )
+
+    # Push: advertisements, and trigger 2 --------------------------------------
+
+    def _advertise(self, available: Optional[bool] = None) -> None:
+        """Flood this node's state; a crossing passes its own verdict (at an
+        upward crossing the node is at/over the threshold, at a downward one
+        it just became available again)."""
+        if not self.safe:
+            return
+        snap = self.host.snapshot()
+        adv = Advertisement(
+            origin=self.node_id,
+            availability=snap.headroom,
+            usage=snap.usage,
+            available=snap.available if available is None else available,
+            sent_at=self.sim.now,
+        )
+        self.advertisements_sent += 1
+        self.flood(KIND_ADV, adv)
+
+    def _on_cross(self, direction: str, _usage: float) -> None:
+        """A threshold crossing: the ``crossing`` push floods an ADV, and a
+        community member reports to every organizer (Algorithm P trigger 2)."""
+        if self.push == "crossing":
+            self._advertise(direction == "down")
+        if self.memberships is None or not self.safe:
+            return
+        now = self.sim.now
+        organizers = self.memberships.organizers(now)
+        for org in organizers:
+            self._send_pledge(org)
+            self.crossing_pledges_sent += 1
+        self.sim.trace.emit(
+            now, "crossing-pledge", node=self.node_id, direction=direction,
+            organizers=len(organizers),
+        )
 
     def _on_adv(self, delivery: Delivery) -> None:
-        """Baselines share one ADV handler: update the view."""
         adv = delivery.payload
         self.view.update(
             adv.origin, adv.availability, adv.usage, adv.available, adv.sent_at
@@ -269,11 +483,11 @@ class DiscoveryAgent(abc.ABC):
         """Install perfect information at t=0, within the protocol scope.
 
         All nodes start idle and mutually known; priming removes the
-        cold-start artifact from protocol comparisons (all five protocols
-        are primed identically by the runner).  Under neighbour scope
-        only neighbours are primed — the protocol could never learn about
-        anyone else, and stale never-refreshed beliefs about distant
-        nodes would poison candidate ranking.
+        cold-start artifact from protocol comparisons (every protocol
+        that can learn is primed identically by the runner).  Under
+        neighbour scope only neighbours are primed — the protocol could
+        never learn about anyone else, and stale never-refreshed beliefs
+        about distant nodes would poison candidate ranking.
 
         ``snapshots`` is an optional pre-computed
         ``{node: (headroom, usage, available)}`` table (the runner builds
@@ -281,20 +495,23 @@ class DiscoveryAgent(abc.ABC):
         ``hosts[nid].snapshot()`` — without it each priming re-derives
         every in-scope host's snapshot scalar-wise.
         """
-        if self.config.scope == "neighbors":
-            in_scope = set(self.transport.topo.neighbors(self.node_id))
-        else:
-            in_scope = {nid for nid in hosts if nid != self.node_id}
+        if not self.learns:
+            return
         now = self.sim.now
         update = self.view.update
-        if snapshots is not None:
-            for nid in sorted(in_scope):
+        for nid in self._prime_scope(hosts):
+            if snapshots is not None:
                 headroom, usage, available = snapshots[nid]
-                update(nid, headroom, usage, available, now)
-            return
-        for nid in sorted(in_scope):
-            snap = hosts[nid].snapshot()
-            update(nid, snap.headroom, snap.usage, snap.available, now)
+            else:
+                snap = hosts[nid].snapshot()
+                headroom, usage, available = snap.headroom, snap.usage, snap.available
+            update(nid, headroom, usage, available, now)
+
+    def _prime_scope(self, hosts: Dict[int, Host]) -> List[int]:
+        """The nodes this agent could ever hear from, in id order."""
+        if self.config.scope == "neighbors":
+            return sorted(set(self.transport.topo.neighbors(self.node_id)))
+        return sorted(nid for nid in hosts if nid != self.node_id)
 
     def usage_with(self, task: Task) -> float:
         """Queue usage *as if* ``task`` were admitted — Algorithm H's
@@ -304,13 +521,23 @@ class DiscoveryAgent(abc.ABC):
         return backlog / self.host.queue.capacity
 
     def would_exceed_threshold(self, task: Task) -> bool:
-        return self.usage_with(task) > self.config.threshold
+        return self.usage_with(task) > self.threshold
 
     # Introspection ----------------------------------------------------------
 
     def stats(self) -> Dict[str, float]:
-        """Protocol-specific diagnostics (overridden where meaningful)."""
-        return {"view_size": float(len(self.view))}
+        """Diagnostics of the state this agent's parts hold."""
+        stats = {"view_size": float(len(self.view))}
+        if self.help is not None:
+            stats.update(help_interval=self.help.interval, helps=float(self.help.helps_sent))
+        if self.community is not None:
+            stats.update(
+                community_size=float(self.community.size()),
+                memberships=float(self.memberships.count()),
+                crossing_pledges=float(self.crossing_pledges_sent),
+            )
+        return stats
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<{type(self).__name__} node={self.node_id}>"
+        parts = (self.pull, self.push, self.respond)
+        return f"<{type(self).__name__} node={self.node_id} parts={parts}>"

@@ -22,13 +22,10 @@ terms) but its per-message cost is a single unicast, not a flood.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..runtime.api import Delivery
 from .base import DiscoveryAgent, ProtocolContext
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..runtime.api import PeriodicHandle
 
 __all__ = ["GossipAgent", "KIND_GOSSIP", "KIND_GOSSIP_ACK"]
 
@@ -50,38 +47,26 @@ class Digest:
 class GossipAgent(DiscoveryAgent):
     """Push-pull anti-entropy over the neighbour graph."""
 
-    name = "gossip"
-
     #: default gossip period, seconds (memberlist's default is 1 s)
     DEFAULT_INTERVAL = 1.0
+    #: no row part, but its digests fill the view, so it is primed like a row
+    learns = True
 
     def __init__(self, ctx: ProtocolContext, interval: Optional[float] = None) -> None:
         super().__init__(ctx)
         self.interval = interval if interval is not None else self.DEFAULT_INTERVAL
         if self.interval <= 0:
             raise ValueError("gossip interval must be positive")
-        self._timer: Optional["PeriodicHandle"] = None
         self.rounds = 0
         self.digests_merged = 0
 
     # Lifecycle ------------------------------------------------------------
 
-    def _start_protocol(self) -> None:
+    def start(self) -> None:
+        super().start()
         self.transport.register(self.node_id, KIND_GOSSIP, self._on_gossip)
         self.transport.register(self.node_id, KIND_GOSSIP_ACK, self._on_ack)
-        if self.config.synchronized_rounds:
-            # one shared kernel event per gossip round; join order (= the
-            # runner's node-order agent starts) fixes the in-round order
-            self._timer = self.sim.shared_periodic(self.interval, self._round)
-            return
-        n = max(len(self.ctx.all_nodes), 1)
-        phase = (self.node_id % n) / n * self.interval
-        self._timer = self.sim.periodic(self.interval, self._round, phase=phase)
-
-    def _stop_protocol(self) -> None:
-        if self._timer is not None:
-            self._timer.stop()
-            self._timer = None
+        self._timer = self._every(self.interval, self._round)
 
     # Rounds ------------------------------------------------------------------
 

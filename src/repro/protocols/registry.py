@@ -1,22 +1,31 @@
-"""Protocol registry — name → agent factory.
+"""The protocol table — name → the parts its agent is built from.
 
 Experiments select protocols by the curve names used in the paper's
-figures.  Aliases map both taxonomy names ("pure-push") and curve labels
-("push-1") to the same factory.
+figures.  The paper's protocols, the fixed-window variant and the
+no-discovery floor are rows of :data:`PROTOCOLS`: each names a pull
+trigger, a push trigger and a responder (see :mod:`repro.protocols.base`)
+and :class:`~repro.protocols.base.DiscoveryAgent` builds exactly those.
+Aliases map both taxonomy names ("pure-push") and curve labels
+("push-1") to the same row.  Agents beyond the rows — gossip and the
+Section 7 hierarchy — are subclasses registered by factory.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Tuple
 
-from ..core.realtor import RealtorAgent
-from .adaptive_pull import AdaptivePullAgent
-from .adaptive_push import AdaptivePushAgent
 from .base import DiscoveryAgent, ProtocolContext
-from .pure_pull import PurePullAgent
-from .pure_push import PurePushAgent
+from .gossip import GossipAgent
 
-__all__ = ["make_agent", "protocol_names", "PAPER_PROTOCOLS", "register_protocol"]
+__all__ = [
+    "Protocol",
+    "PROTOCOLS",
+    "make_agent",
+    "protocol_names",
+    "PAPER_PROTOCOLS",
+    "register_protocol",
+]
 
 Factory = Callable[[ProtocolContext], DiscoveryAgent]
 
@@ -25,6 +34,78 @@ _CANONICAL: Dict[str, str] = {}
 
 #: the five curves of Figures 5-8, in the paper's legend order
 PAPER_PROTOCOLS: List[str] = ["pull-.9", "push-1", "push-.9", "pull-100", "realtor"]
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """One row: a protocol as the paper defines it, by its parts."""
+
+    name: str  #: registry key and figure label, e.g. ``"push-1"``
+    aliases: Tuple[str, ...]
+    doc: str  #: what the paper (or this reproduction) says it is
+    pull: str = "none"
+    push: str = "none"
+    respond: str = "none"
+
+    @property
+    def parts(self) -> Tuple[str, str, str]:
+        return (self.pull, self.push, self.respond)
+
+    def agent(self, ctx: ProtocolContext) -> DiscoveryAgent:
+        """This row's agent for one node."""
+        return DiscoveryAgent(ctx, *self.parts)
+
+
+PROTOCOLS: Dict[str, Protocol] = {row.name: row for row in (
+    Protocol(
+        "pull-.9", ("pure-pull", "pull"),
+        "Pure PULL: \"each host solicits PLEDGE from its community members whenever "
+        "1) a task arrives and 2) the resource usage level is beyond a threshold "
+        "level ... (without Upper_limit in Algorithm H)\".  Overhead grows with the "
+        "arrival rate (Figure 6); under overload most hosts cannot pledge.",
+        pull="every", respond="pledge",
+    ),
+    Protocol(
+        "push-1", ("pure-push", "push"),
+        "Pure PUSH: \"each host disseminates its own resource availability "
+        "information to its neighbors unconditionally at every preset interval\" "
+        "(1 s).  Load-independent, hence Figure 6's flat, dominating overhead.",
+        push="periodic",
+    ),
+    Protocol(
+        "push-.9", ("adaptive-push",),
+        "Adaptive PUSH: \"each host disseminates its own resource availability "
+        "information to its neighbors whenever the resource usage changes across a "
+        "threshold level\"; near saturation it crosses most often (Figure 7's peak).",
+        push="crossing",
+    ),
+    Protocol(
+        "pull-100", ("adaptive-pull",),
+        "Adaptive PULL: HELP \"in the same fashion as in REALTOR\", its interval "
+        "capped at 100 time units, but \"it generates PLEDGE exactly once in response "
+        "to each HELP\": the cheapest protocol (Figure 6), with the least timely views.",
+        pull="adaptive", respond="pledge",
+    ),
+    Protocol(
+        "pull-100-fixed", ("adaptive-pull-fixed",),
+        "Adaptive PULL with Algorithm H frozen at Upper_limit: the plain time window "
+        "(\"adaptive pull time window = 100\" in the figure captions).",
+        pull="window", respond="pledge",
+    ),
+    Protocol(
+        "realtor", ("realtor-100",),
+        "REALTOR, \"adaptive PUSH + adaptive PULL combined\": HELPs under Algorithm "
+        "H; below the threshold, a PLEDGE to each HELP and membership in its "
+        "organizer's community; a PLEDGE to every joined community on each threshold "
+        "crossing (Algorithm P).  All of it is soft state.",
+        pull="adaptive", respond="community",
+    ),
+    Protocol(
+        "none", ("null", "no-migration"),
+        "No discovery: a node never communicates or learns, and tasks that do not "
+        "fit locally are rejected — the floor that measures migration itself.",
+    ),
+)}
 
 
 def register_protocol(canonical: str, factory: Factory, *aliases: str) -> None:
@@ -41,43 +122,10 @@ def register_protocol(canonical: str, factory: Factory, *aliases: str) -> None:
         _CANONICAL[a] = key
 
 
-register_protocol("pull-.9", PurePullAgent, "pure-pull", "pull")
-register_protocol("push-1", PurePushAgent, "pure-push", "push")
-register_protocol("push-.9", AdaptivePushAgent, "adaptive-push")
-register_protocol("pull-100", AdaptivePullAgent, "adaptive-pull")
-register_protocol(
-    "pull-100-fixed",
-    lambda ctx: AdaptivePullAgent(ctx, fixed_window=True),
-    "adaptive-pull-fixed",
-)
-register_protocol("realtor", RealtorAgent, "realtor-100")
-
-
-def _register_extras() -> None:
-    """Baselines beyond the paper: no-discovery floor and modern gossip."""
-    from .gossip import GossipAgent
-    from .null import NullAgent
-
-    register_protocol("none", NullAgent, "null", "no-migration")
-    register_protocol("gossip", GossipAgent, "anti-entropy", "swim-like")
-    register_protocol("gossip-5", lambda ctx: GossipAgent(ctx, interval=5.0))
-
-
-_register_extras()
-
-
-def _register_hierarchical() -> None:
-    """Section 7 extension: inter-community discovery at two group sizes.
-
-    Imported lazily to avoid a cycle (hierarchy imports RealtorAgent).
-    """
-    from ..core.hierarchy import make_hierarchical_factory
-
-    register_protocol("realtor-hier", make_hierarchical_factory(9), "hierarchical")
-    register_protocol("realtor-hier-25", make_hierarchical_factory(25))
-
-
-_register_hierarchical()
+for _row in PROTOCOLS.values():
+    register_protocol(_row.name, _row.agent, *_row.aliases)
+register_protocol("gossip", GossipAgent, "anti-entropy", "swim-like")
+register_protocol("gossip-5", lambda ctx: GossipAgent(ctx, interval=5.0))
 
 
 def make_agent(name: str, ctx: ProtocolContext) -> DiscoveryAgent:
@@ -93,3 +141,8 @@ def make_agent(name: str, ctx: ProtocolContext) -> DiscoveryAgent:
 def protocol_names() -> List[str]:
     """All canonical protocol names."""
     return sorted(_REGISTRY)
+
+
+# The Section 7 hierarchy registers realtor-hier*.  Imported last: it
+# subclasses DiscoveryAgent, so it may itself be what is importing this.
+from ..core import hierarchy  # noqa: E402,F401

@@ -1,20 +1,20 @@
-"""Behavioural tests for the REALTOR agent over a real transport."""
+"""Behavioural tests for the REALTOR row over a real transport."""
 
 import pytest
 
 from repro.core.messages import KIND_HELP, KIND_PLEDGE
-from repro.core.realtor import RealtorAgent
 from repro.network.generators import mesh
 from repro.network.transport import Transport
 from repro.node.host import Host
 from repro.node.task import Task, TaskOutcome
 from repro.protocols.base import ProtocolConfig, ProtocolContext
+from repro.protocols.registry import make_agent
 from repro.sim.kernel import Simulator
 from repro.sim.trace import Tracer
 
 
 def build_cluster(n_rows=3, n_cols=3, config=None, seed=1):
-    """A mesh of REALTOR agents on a shared transport."""
+    """A mesh of REALTOR-row agents on a shared transport."""
     sim = Simulator(seed=seed, trace=Tracer(enabled=True))
     topo = mesh(n_rows, n_cols)
     costs = []
@@ -25,7 +25,7 @@ def build_cluster(n_rows=3, n_cols=3, config=None, seed=1):
         hosts[nid] = Host(sim, nid, capacity=100.0, threshold=cfg.threshold)
         ctx = ProtocolContext(sim=sim, transport=transport, host=hosts[nid],
                               config=cfg, all_nodes=list(topo.nodes()))
-        agents[nid] = RealtorAgent(ctx)
+        agents[nid] = make_agent("realtor", ctx)
         agents[nid].start()
     return sim, topo, transport, hosts, agents, costs
 

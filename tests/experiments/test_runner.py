@@ -22,10 +22,12 @@ class TestBuildSystem:
         assert len(s.hosts) == 25
 
     def test_protocol_selected(self):
-        from repro.protocols.pure_push import PurePushAgent
-
         s = build_system(short(protocol="push-1"))
-        assert all(isinstance(a, PurePushAgent) for a in s.agents.values())
+        assert all(
+            (a.pull, a.push, a.respond) == ("none", "periodic", "none")
+            and a.help is None and a.pledges is None
+            for a in s.agents.values()
+        )
 
     def test_views_primed_within_scope(self):
         s = build_system(short())

@@ -12,8 +12,8 @@ class TestSubsystemMapping:
         assert subsystem_of("repro.node.monitor") == "monitor"
         assert subsystem_of("repro.node.host") == "node"
         assert subsystem_of("repro.network.transport") == "transport"
-        assert subsystem_of("repro.protocols.pure_pull") == "protocol"
-        assert subsystem_of("repro.core.realtor") == "protocol"
+        assert subsystem_of("repro.protocols.base") == "protocol"
+        assert subsystem_of("repro.core.algorithm_h") == "protocol"
         assert subsystem_of("repro.migration.migrator") == "migration"
         assert subsystem_of("repro.workload.arrivals") == "workload"
         assert subsystem_of("repro.sim.kernel") == "kernel"

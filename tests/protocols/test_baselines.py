@@ -1,4 +1,4 @@
-"""Behavioural tests for the four baseline protocols."""
+"""Behavioural tests for the four baseline rows of the protocol table."""
 
 import pytest
 
@@ -7,15 +7,12 @@ from repro.network.generators import mesh
 from repro.network.transport import Transport
 from repro.node.host import Host
 from repro.node.task import Task, TaskOutcome
-from repro.protocols.adaptive_pull import AdaptivePullAgent
-from repro.protocols.adaptive_push import AdaptivePushAgent
 from repro.protocols.base import ProtocolConfig, ProtocolContext
-from repro.protocols.pure_pull import PurePullAgent
-from repro.protocols.pure_push import PurePushAgent
+from repro.protocols.registry import make_agent
 from repro.sim.kernel import Simulator
 
 
-def build_cluster(agent_cls, config=None, rows=3, cols=3, **agent_kwargs):
+def build_cluster(protocol, config=None, rows=3, cols=3):
     sim = Simulator(seed=2)
     topo = mesh(rows, cols)
     costs = []
@@ -26,7 +23,7 @@ def build_cluster(agent_cls, config=None, rows=3, cols=3, **agent_kwargs):
         hosts[nid] = Host(sim, nid, capacity=100.0, threshold=cfg.threshold)
         ctx = ProtocolContext(sim=sim, transport=transport, host=hosts[nid],
                               config=cfg, all_nodes=list(topo.nodes()))
-        agents[nid] = agent_cls(ctx, **agent_kwargs)
+        agents[nid] = make_agent(protocol, ctx)
         agents[nid].start()
     return sim, topo, hosts, agents, costs
 
@@ -46,14 +43,14 @@ def count(costs, kind):
 
 class TestPurePush:
     def test_periodic_advertisement(self):
-        sim, topo, _, agents, costs = build_cluster(PurePushAgent)
+        sim, topo, _, agents, costs = build_cluster("push-1")
         sim.run(until=5.0)
         # 9 nodes x ~5 rounds of ADV floods (phases stagger them)
         advs = count(costs, KIND_ADV)
         assert 9 * 4 <= advs <= 9 * 5
 
     def test_load_independent(self):
-        sim, topo, hosts, agents, costs = build_cluster(PurePushAgent)
+        sim, topo, hosts, agents, costs = build_cluster("push-1")
         sim.run(until=3.0)
         quiet = count(costs, KIND_ADV)
         for nid in topo.nodes():
@@ -63,7 +60,7 @@ class TestPurePush:
         assert abs(loaded - quiet) <= 9  # one round of slack
 
     def test_views_track_advertisements(self):
-        sim, _, hosts, agents, _ = build_cluster(PurePushAgent)
+        sim, _, hosts, agents, _ = build_cluster("push-1")
         fill(sim, hosts[4], 0.5)
         sim.run(until=2.0)
         entry = agents[0].view.get(4)
@@ -73,7 +70,7 @@ class TestPurePush:
         assert 50.0 <= entry.availability <= 55.0
 
     def test_ignores_task_arrivals(self):
-        sim, _, hosts, agents, costs = build_cluster(PurePushAgent)
+        sim, _, hosts, agents, costs = build_cluster("push-1")
         fill(sim, hosts[0], 0.95)
         before = count(costs, KIND_HELP)
         arrive(sim, agents[0])
@@ -81,7 +78,7 @@ class TestPurePush:
         assert count(costs, KIND_HELP) == before == 0
 
     def test_stop_halts_timer(self):
-        sim, _, _, agents, costs = build_cluster(PurePushAgent)
+        sim, _, _, agents, costs = build_cluster("push-1")
         for a in agents.values():
             a.stop()
         sim.run(until=5.0)
@@ -90,25 +87,25 @@ class TestPurePush:
 
 class TestAdaptivePush:
     def test_silent_without_crossings(self):
-        sim, _, _, agents, costs = build_cluster(AdaptivePushAgent)
+        sim, _, _, agents, costs = build_cluster("push-.9")
         sim.run(until=10.0)
         assert count(costs, KIND_ADV) == 0
 
     def test_advertises_on_both_crossings(self):
-        sim, _, hosts, agents, costs = build_cluster(AdaptivePushAgent)
+        sim, _, hosts, agents, costs = build_cluster("push-.9")
         fill(sim, hosts[0], 0.95)   # up
         sim.run(until=20.0)         # drains below 0.9 -> down
         assert count(costs, KIND_ADV) == 2
         assert agents[0].advertisements_sent == 2
 
     def test_up_crossing_marks_unavailable(self):
-        sim, _, hosts, agents, _ = build_cluster(AdaptivePushAgent)
+        sim, _, hosts, agents, _ = build_cluster("push-.9")
         fill(sim, hosts[0], 0.95)
         sim.run(until=0.5)
         assert agents[4].view.get(0).available is False
 
     def test_down_crossing_marks_available(self):
-        sim, _, hosts, agents, _ = build_cluster(AdaptivePushAgent)
+        sim, _, hosts, agents, _ = build_cluster("push-.9")
         fill(sim, hosts[0], 0.95)
         sim.run(until=20.0)
         assert agents[4].view.get(0).available is True
@@ -116,7 +113,7 @@ class TestAdaptivePush:
 
 class TestPurePull:
     def test_help_on_every_qualifying_arrival(self):
-        sim, _, hosts, agents, costs = build_cluster(PurePullAgent)
+        sim, _, hosts, agents, costs = build_cluster("pull-.9")
         fill(sim, hosts[0], 0.95)
         for t in (1.0, 2.0, 3.0):
             sim.at(t, arrive, sim, agents[0])
@@ -124,7 +121,7 @@ class TestPurePull:
         assert count(costs, KIND_HELP) == 3  # no rate limit
 
     def test_available_peers_pledge_every_help(self):
-        sim, topo, hosts, agents, costs = build_cluster(PurePullAgent)
+        sim, topo, hosts, agents, costs = build_cluster("pull-.9")
         fill(sim, hosts[0], 0.95)
         sim.at(1.0, arrive, sim, agents[0])
         sim.at(2.0, arrive, sim, agents[0])
@@ -132,13 +129,13 @@ class TestPurePull:
         assert count(costs, KIND_PLEDGE) == 2 * (topo.num_nodes - 1)
 
     def test_no_help_below_threshold(self):
-        sim, _, hosts, agents, costs = build_cluster(PurePullAgent)
+        sim, _, hosts, agents, costs = build_cluster("pull-.9")
         arrive(sim, agents[0])
         sim.run(until=1.0)
         assert count(costs, KIND_HELP) == 0
 
     def test_view_fed_by_pledges(self):
-        sim, _, hosts, agents, _ = build_cluster(PurePullAgent)
+        sim, _, hosts, agents, _ = build_cluster("pull-.9")
         fill(sim, hosts[5], 0.4)
         fill(sim, hosts[0], 0.95)
         arrive(sim, agents[0])
@@ -148,7 +145,7 @@ class TestPurePull:
 
 class TestAdaptivePull:
     def test_interval_gates_helps(self):
-        sim, _, hosts, agents, costs = build_cluster(AdaptivePullAgent)
+        sim, _, hosts, agents, costs = build_cluster("pull-100")
         # make all peers loaded so rounds fail and the interval grows
         for nid in hosts:
             fill(sim, hosts[nid], 0.95)
@@ -159,7 +156,7 @@ class TestAdaptivePull:
         assert 1 <= helps < 8  # strictly fewer than pure pull's 8
 
     def test_one_pledge_per_help(self):
-        sim, topo, hosts, agents, costs = build_cluster(AdaptivePullAgent)
+        sim, topo, hosts, agents, costs = build_cluster("pull-100")
         fill(sim, hosts[0], 0.95)
         arrive(sim, agents[0])
         sim.run(until=1.0)
@@ -171,9 +168,7 @@ class TestAdaptivePull:
 
     def test_fixed_window_variant(self):
         cfg = ProtocolConfig(scope="network", upper_limit=100.0)
-        sim, _, hosts, agents, costs = build_cluster(
-            AdaptivePullAgent, config=cfg, fixed_window=True
-        )
+        sim, _, hosts, agents, costs = build_cluster("pull-100-fixed", config=cfg)
         fill(sim, hosts[0], 0.95)
         arrive(sim, agents[0])                      # sent (first ever)
         sim.at(49.0, fill, sim, hosts[0], 0.5)      # keep the queue loaded
@@ -182,13 +177,14 @@ class TestAdaptivePull:
         sim.at(150.0, arrive, sim, agents[0])       # outside window: sent
         sim.run(until=200.0)
         assert count(costs, KIND_HELP) == 2
+        assert agents[0].help.adaptive is False
         assert agents[0].help.interval == 100.0  # fixed, never adapted
 
 
 class TestNeighborScope:
     def test_neighbor_scope_limits_reach(self):
         cfg = ProtocolConfig(scope="neighbors")
-        sim, topo, hosts, agents, costs = build_cluster(PurePullAgent, config=cfg)
+        sim, topo, hosts, agents, costs = build_cluster("pull-.9", config=cfg)
         fill(sim, hosts[4], 0.95)  # centre node: 4 neighbours
         arrive(sim, agents[4])
         sim.run(until=1.0)

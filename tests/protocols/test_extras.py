@@ -5,14 +5,15 @@ import pytest
 from repro.experiments.config import paper_config
 from repro.experiments.runner import build_system, run_experiment
 from repro.protocols.gossip import GossipAgent
-from repro.protocols.null import NullAgent
 from repro.protocols.registry import make_agent
 
 
 class TestNullAgent:
     def test_registered(self, make_context):
-        assert isinstance(make_agent("none", make_context(0)), NullAgent)
-        assert isinstance(make_agent("no-migration", make_context(1)), NullAgent)
+        for i, name in enumerate(("none", "null", "no-migration")):
+            agent = make_agent(name, make_context(i))
+            assert (agent.pull, agent.push, agent.respond) == ("none", "none", "none")
+            assert agent.help is agent.pledges is agent.community is None
 
     def test_sends_nothing(self):
         res = run_experiment(paper_config("none", 7.0, horizon=200.0))
@@ -24,9 +25,10 @@ class TestNullAgent:
         realtor = run_experiment(paper_config("realtor", 7.0, horizon=400.0))
         assert realtor.admission_probability > floor.admission_probability
 
-    def test_no_candidates_ever(self, make_context, make_task):
+    def test_no_candidates_ever(self, make_context, make_host, make_task):
         agent = make_agent("none", make_context(0))
-        agent.view.update(1, 100.0, 0.0, True, 0.0)  # even with data forced in
+        agent.start()
+        agent.prime_view({n: make_host(n) for n in (1, 5)})
         assert agent.candidates(make_task()) == []
 
     def test_prime_view_is_noop(self, make_context, make_host):

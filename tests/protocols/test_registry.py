@@ -6,14 +6,12 @@ import json
 
 import pytest
 
-from repro.core.realtor import RealtorAgent
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system
-from repro.protocols.adaptive_pull import AdaptivePullAgent
 from repro.protocols.base import ProtocolConfig
-from repro.protocols.pure_push import PurePushAgent
 from repro.protocols.registry import (
     PAPER_PROTOCOLS,
+    PROTOCOLS,
     make_agent,
     protocol_names,
     register_protocol,
@@ -28,14 +26,21 @@ class TestRegistry:
             assert agent is not None
 
     def test_aliases(self, make_context):
-        assert isinstance(make_agent("pure-push", make_context(0)), PurePushAgent)
-        assert isinstance(make_agent("REALTOR-100", make_context(1)), RealtorAgent)
-        assert isinstance(make_agent("adaptive-pull", make_context(2)), AdaptivePullAgent)
+        def parts(agent):
+            return (agent.pull, agent.push, agent.respond)
+
+        assert parts(make_agent("pure-push", make_context(0))) == PROTOCOLS["push-1"].parts
+        assert parts(make_agent("REALTOR-100", make_context(1))) == PROTOCOLS["realtor"].parts
+        assert parts(make_agent("adaptive-pull", make_context(2))) == (
+            "adaptive", "none", "pledge"
+        )
 
     def test_fixed_window_variant_registered(self, make_context):
         agent = make_agent("pull-100-fixed", make_context(3))
-        assert isinstance(agent, AdaptivePullAgent)
-        assert agent.fixed_window
+        assert (agent.pull, agent.respond) == ("window", "pledge")
+        assert agent.help.adaptive is False
+        assert agent.help.interval == agent.config.upper_limit
+        assert agent.community is None
 
     def test_unknown_name_raises(self, make_context):
         with pytest.raises(KeyError):
@@ -79,9 +84,9 @@ def _pinned_run(protocol: str, attacked: bool):
     )
 
 
-#: every registered protocol, plain and (the six rows with parts) attacked,
-#: measured before the protocols became rows of one table; a change to an
-#: agent's handlers that moves any message, trace record or metric fails here
+#: every registered protocol, plain, and the six rows with parts under
+#: attack: a handler change that moves any message, trace record or
+#: metric fails here
 PINNED_RUNS = {
     ('gossip', False): (
         '8513e901dca6d4a2ec18cead1f2bc0bed477360520ebe1ba0b0fd630f1452023',

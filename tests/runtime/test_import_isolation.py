@@ -60,11 +60,12 @@ def test_agent_modules_usable_without_simulator():
     """The classes themselves resolve without any sim module loaded."""
     code = """
 import sys
-from repro.core import RealtorAgent
-from repro.protocols import make_agent, protocol_names, PAPER_PROTOCOLS
+from repro.core import HelpScheduler
+from repro.protocols import PROTOCOLS, make_agent, protocol_names, PAPER_PROTOCOLS
 from repro.protocols.base import ProtocolConfig, ProtocolContext
 from repro.migration import MigrationCoordinator
 assert callable(make_agent) and "realtor" in protocol_names()
+assert PROTOCOLS["realtor"].parts == ("adaptive", "none", "community")
 assert all(p in protocol_names() or True for p in PAPER_PROTOCOLS)
 assert not any(m.startswith("repro.sim") for m in sys.modules), sorted(
     m for m in sys.modules if m.startswith("repro.sim"))
