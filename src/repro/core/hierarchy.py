@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence
 from ..network.topology import Topology
 from ..runtime.api import Delivery
 from ..protocols.base import DiscoveryAgent, ProtocolContext
-from ..protocols.registry import register_protocol
+from ..protocols.registry import PROTOCOLS, register_protocol
 from .messages import Help, Pledge
 
 __all__ = [
@@ -151,7 +151,7 @@ class HierarchicalRealtorAgent(DiscoveryAgent):
     """REALTOR's parts plus the Section 7 inter-group escalation level."""
 
     def __init__(self, ctx: ProtocolContext, directory: GroupDirectory) -> None:
-        super().__init__(ctx, pull="adaptive", respond="community")
+        super().__init__(ctx, *PROTOCOLS["realtor"].parts)
         self.directory = directory
         self.help.on_timeout = self._escalate
         self.escalations = 0

@@ -3,9 +3,22 @@
 The paper defines its protocols as combinations of push and pull,
 periodic and aperiodic (the taxonomy of [Maheswaran 2001]), and REALTOR
 as "adaptive PUSH + adaptive PULL combined".  So one
-:class:`DiscoveryAgent` is built from a pull trigger, a push trigger and
-a responder (:data:`PULLS`, :data:`PUSHES`, :data:`RESPONDERS`), named by
-a row of :data:`repro.protocols.registry.PROTOCOLS`.  It holds only the
+:class:`DiscoveryAgent` is built from three parts, named by a row of
+:data:`repro.protocols.registry.PROTOCOLS`:
+
+* **pull** — ``none``; ``every``: a HELP on every arrival that would push
+  usage over the threshold (Pull-.9); ``adaptive``: the same, under
+  Algorithm H's adaptive interval (Pull-100, REALTOR); ``window``:
+  Algorithm H frozen at Upper_limit (the fixed time window);
+* **push** — ``none``; ``periodic``: an ADV flood every push_interval
+  (Push-1); ``crossing``: an ADV flood on each threshold crossing, in
+  either direction (Push-.9);
+* **respond** — ``none``; ``pledge``: Algorithm P trigger 1, one PLEDGE
+  per HELP while below the threshold; ``community``: trigger 1 with
+  community soft state, plus trigger 2, a PLEDGE to every joined
+  community on each threshold crossing (REALTOR).
+
+It holds only the
 state its parts need (``help``, ``pledges``, ``community`` and
 ``memberships`` are ``None`` otherwise) and each handler is one body
 branching on it.  The runner and the migration layer see one interface:
@@ -52,9 +65,6 @@ __all__ = [
     "ProtocolConfig",
     "ProtocolContext",
     "DiscoveryAgent",
-    "PULLS",
-    "PUSHES",
-    "RESPONDERS",
     # the sim/live runtime seam, re-exported for agent implementations
     "Clock",
     "Delivery",
@@ -63,18 +73,6 @@ __all__ = [
     "TimerHandle",
     "TransportAPI",
 ]
-
-#: HELP on every arrival that would push usage over the threshold
-#: (Pull-.9), under Algorithm H's adaptive interval (Pull-100, REALTOR),
-#: or under Algorithm H frozen at Upper_limit (the fixed time window)
-PULLS = ("none", "every", "adaptive", "window")
-#: an ADV flood every push_interval (Push-1) or on each threshold
-#: crossing, in either direction (Push-.9)
-PUSHES = ("none", "periodic", "crossing")
-#: Algorithm P trigger 1 — one PLEDGE per HELP while below the threshold
-#: — alone, or with community soft state and trigger 2: a PLEDGE to every
-#: joined community on each threshold crossing (REALTOR)
-RESPONDERS = ("none", "pledge", "community")
 
 
 @dataclass(frozen=True)
@@ -203,8 +201,6 @@ class DiscoveryAgent:
         push: str = "none",
         respond: str = "none",
     ) -> None:
-        if pull not in PULLS or push not in PUSHES or respond not in RESPONDERS:
-            raise ValueError(f"unknown protocol parts {(pull, push, respond)!r}")
         self.ctx = ctx
         self.sim = ctx.sim
         self.transport = ctx.transport
@@ -252,13 +248,15 @@ class DiscoveryAgent:
                 self.node_id, membership_ttl=cfg.membership_ttl
             )
         self.helps_sent = 0  # the ``every`` pull's HELPs (Algorithm H counts its own)
+        self.pledges_sent = 0  # trigger-1 pledges, one per answered HELP
         self.crossing_pledges_sent = 0
         self.advertisements_sent = 0
 
     @property
     def learns(self) -> bool:
-        """Whether anything can ever reach the view.  The ``none`` row's
-        cannot, so it is never primed: it must not migrate on t=0 beliefs."""
+        """Whether this agent discovers anything.  The ``none`` row does
+        not: it is never primed and never ranks a candidate, even when a
+        migration outcome has written to its view."""
         return (self.pull, self.push, self.respond) != ("none", "none", "none")
 
     # Lifecycle -------------------------------------------------------------
@@ -349,6 +347,7 @@ class DiscoveryAgent:
         if self.pledges.should_pledge_on_help():
             # Answer the solicitation regardless (Algorithm P trigger 1) …
             self._send_pledge(org, in_reply_to=help_msg.help_id)
+            self.pledges_sent += 1
             # … but only *join* (committing to crossing updates and
             # renewals) within the spare-resource membership budget.
             if memberships is not None and (org in memberships or self._may_join(help_msg)):
@@ -453,7 +452,10 @@ class DiscoveryAgent:
     # Candidate selection -----------------------------------------------------
 
     def candidates(self, task: Task, *, exclude: tuple = (), limit: int = 8) -> List[int]:
-        """Ranked migration targets believed able to host ``task``."""
+        """Ranked migration targets believed able to host ``task``; none
+        for an agent that cannot learn, whatever reached its view."""
+        if not self.learns:
+            return []
         entries = self.view.candidates(
             self.sim.now,
             min_availability=task.size,
@@ -530,6 +532,12 @@ class DiscoveryAgent:
         stats = {"view_size": float(len(self.view))}
         if self.help is not None:
             stats.update(help_interval=self.help.interval, helps=float(self.help.helps_sent))
+        elif self.pull != "none":
+            stats["helps"] = float(self.helps_sent)
+        if self.pledges is not None:
+            stats["pledges"] = float(self.pledges_sent)
+        if self.push != "none":
+            stats["advertisements"] = float(self.advertisements_sent)
         if self.community is not None:
             stats.update(
                 community_size=float(self.community.size()),

@@ -191,3 +191,25 @@ class TestNeighborScope:
         assert count(costs, KIND_PLEDGE) == 4
         # only neighbours learned anything
         assert agents[0].view.get(4) is None or 4 not in agents[0].view
+
+
+@pytest.mark.parametrize("protocol,keys", [
+    ("pull-.9", {"helps", "pledges"}),
+    ("push-1", {"advertisements"}),
+    ("push-.9", {"advertisements"}),
+    ("pull-100", {"helps", "pledges", "help_interval"}),
+    ("realtor", {"helps", "pledges", "help_interval", "community_size",
+                 "memberships", "crossing_pledges"}),
+    ("none", set()),
+])
+def test_stats_report_each_part(protocol, keys):
+    sim, _, hosts, agents, _ = build_cluster(protocol)
+    fill(sim, hosts[0], 0.95)
+    arrive(sim, agents[0])
+    sim.run(until=2.0)
+    stats = agents[0].stats()
+    assert set(stats) == keys | {"view_size"}
+    if "helps" in keys:
+        assert stats["helps"] == 1.0 and agents[1].stats()["pledges"] == 1.0
+    if "advertisements" in keys:
+        assert stats["advertisements"] >= 1.0

@@ -25,10 +25,9 @@ class TestNullAgent:
         realtor = run_experiment(paper_config("realtor", 7.0, horizon=400.0))
         assert realtor.admission_probability > floor.admission_probability
 
-    def test_no_candidates_ever(self, make_context, make_host, make_task):
+    def test_no_candidates_ever(self, make_context, make_task):
         agent = make_agent("none", make_context(0))
-        agent.start()
-        agent.prime_view({n: make_host(n) for n in (1, 5)})
+        agent.view.update(1, 100.0, 0.0, True, 0.0)  # even with data forced in
         assert agent.candidates(make_task()) == []
 
     def test_prime_view_is_noop(self, make_context, make_host):
