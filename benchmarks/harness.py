@@ -303,6 +303,9 @@ def bench_scaling_cell(
     itself, which is what the cohort-batching fast path targets.
     ``rows_computed`` counts BFS rows over both routers (full overlay +
     live overlay): 0 unless something consumed a hop count.
+    ``live_overlay_built`` is 1 when something read a route and the
+    transport copied the live overlay (which a live router is built
+    over) — read off the last epoch, so the reading builds nothing.
     """
     system = build_system(_scaling_cell_config(nodes, horizon, hot=hot))
     t0 = time.perf_counter()
@@ -311,6 +314,8 @@ def bench_scaling_cell(
     result = system.result()
     events = system.sim.events_executed
     transport = system.transport
+    epoch = transport._epoch
+    live_router = epoch.router if epoch is not None else None
     return {
         "nodes": float(nodes),
         "horizon": horizon,
@@ -323,8 +328,9 @@ def bench_scaling_cell(
         "messages_total": result.messages_total,
         "rows_computed": float(
             transport.router.rows_computed
-            + transport.live_router().rows_computed
+            + (live_router.rows_computed if live_router is not None else 0)
         ),
+        "live_overlay_built": float(epoch is not None and epoch.live is not None),
     }
 
 

@@ -30,6 +30,14 @@ count, and its receivers from a per-source tuple cached for the epoch.
 A run that charges by message never computes a BFS row, and a flood
 inside an epoch evaluates no liveness or link predicate at send time
 (delivery still re-checks the receiver).
+
+The live overlay is built on demand too.  The epoch labels components by
+walking the full overlay through the liveness and link predicates; the
+live overlay as a :class:`Topology` of its own (a copy of every up node
+and up link) and the router over it are made only for a consumer that
+reads a route: the HOPS or MEAN charge, per-hop latency, an impairment
+engine, or the per-receiver depths of a whole-overlay flood.  Under the
+paper's accounting a run builds neither.
 """
 
 from __future__ import annotations
@@ -55,32 +63,63 @@ class _EpochStructure:
     """Flood spanning structure for one liveness epoch.
 
     Built once per ``(topology version, liveness version)`` key and shared
-    by every send until the next epoch: the live overlay, its
+    by every send until the next epoch: the live overlay's
     connected-component labelling, each component's sorted member tuple
-    and link count.  Per-source work inside an epoch collapses to a dict
+    and link count, in :meth:`Topology.connected_components` order
+    (largest first, then smallest id).  They are labelled by walking the
+    full overlay through the liveness and link predicates, so no copy of
+    it is made.  Per-source work inside an epoch collapses to a dict
     lookup plus one receiver-tuple build per flooding source and scope
     (``Transport._flood_cache`` for the whole overlay,
     ``Transport._scope_cache`` for direct neighbours — both dropped with
     the epoch); the per-message BFS/component scan that made 2.5k-node
     floods quadratic is gone.  ``comp_of`` doubles as the reachability
     oracle of unicasts whose hop count nothing consumes.
+
+    ``live`` (the live overlay as a :class:`Topology` of its own) and
+    ``router`` (a :class:`Router` over it) stay ``None`` until something
+    reads a route: see :meth:`Transport.live_router`.
     """
 
-    __slots__ = ("key", "live", "comp_of", "members", "links")
+    __slots__ = ("key", "comp_of", "members", "links", "live", "router")
 
-    def __init__(self, key: tuple, live: Topology) -> None:
+    def __init__(
+        self,
+        key: tuple,
+        topo: Topology,
+        is_up: Callable[[NodeId], bool],
+        link_up: Optional[LinkPredicate],
+    ) -> None:
         self.key = key
-        self.live = live
+        self.live: Optional[Topology] = None
+        self.router: Optional[Router] = None
+        seen = set()
+        found = []  # (members, link count), in increasing smallest id
+        for start in topo.nodes():
+            if start in seen or not is_up(start):
+                continue
+            seen.add(start)
+            comp = [start]
+            ends = 0  # live link ends: each link is met from both sides
+            for cur in comp:  # grows while walked
+                for nxt in topo.neighbors(cur):
+                    if is_up(nxt) and (link_up is None or link_up(cur, nxt)):
+                        ends += 1
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            comp.append(nxt)
+            found.append((comp, ends // 2))
+        found.sort(key=lambda c: -len(c[0]))  # stable: ties keep smallest id first
         self.comp_of: Dict[NodeId, int] = {}
         self.members: List[tuple] = []
         self.links: List[int] = []
-        for ci, comp in enumerate(live.connected_components()):
-            self.members.append(tuple(sorted(comp)))
-            self.links.append(0)
+        for ci, (comp, links) in enumerate(found):
+            comp.sort()
+            self.members.append(tuple(comp))
+            self.links.append(links)
             for n in comp:
                 self.comp_of[n] = ci
-        for u, _v in live.links():
-            self.links[self.comp_of[u]] += 1
+
 
 Handler = Callable[["Delivery"], None]
 CostSink = Callable[[str, float], None]
@@ -108,8 +147,9 @@ class CostModel:
     on a LAN (one wire message regardless of group size).
 
     Only ``HOPS`` reads a route length; ``FIXED`` and ``MEAN`` price a
-    unicast without one, which is what lets :class:`Transport` skip
-    routing altogether under the paper's fixed charge.
+    unicast without one, and ``FIXED`` reads no router at all (it may be
+    ``None``), which is what lets :class:`Transport` skip routing — and
+    the live-overlay copy a router needs — under the paper's fixed charge.
     """
 
     unicast_mode: UnicastCostMode = UnicastCostMode.HOPS
@@ -117,7 +157,8 @@ class CostModel:
     flood_cost_override: Optional[float] = None
 
     def unicast_cost(
-        self, router: Router, src: NodeId, dst: NodeId, hops: Optional[int] = None
+        self, router: Optional[Router], src: NodeId, dst: NodeId,
+        hops: Optional[int] = None,
     ) -> float:
         """Charge for a delivered unicast.
 
@@ -134,7 +175,7 @@ class CostModel:
         return float(max(hops, 0))
 
     def dead_unicast_cost(
-        self, router: Router, src: NodeId, dst: NodeId, hops: int
+        self, router: Optional[Router], src: NodeId, dst: NodeId, hops: int
     ) -> float:
         """Charge for a message whose destination is dead or unreachable.
 
@@ -240,7 +281,6 @@ class Transport:
         self._flood_cache: Dict[NodeId, tuple] = {}
         self._scope_cache: Dict[NodeId, tuple] = {}
         self._depth_cache: Dict[NodeId, dict] = {}
-        self._live_router: Optional[Router] = None
         self.sent_messages = 0
         self.delivered_messages = 0
         self.dropped_messages = 0
@@ -321,7 +361,7 @@ class Transport:
             )
             self.dropped_messages += 1
             return False
-        router = self.live_router()
+        router = self._route_reader(need_hops)
         hops = self._live_hops(router, src, dst, need_hops)
         if hops < 0:
             # Live but unreachable (partition / failed links): same
@@ -414,18 +454,16 @@ class Transport:
         Rebuilt — and every per-source cache dropped — exactly when the
         ``(topology version, liveness version)`` key moves; failing or
         restoring a link mid-run therefore repartitions every subsequent
-        flood and invalidates the live router in the same stroke.
+        flood and drops the live overlay and router in the same stroke.
         """
         key = (self.topo.version, self.liveness_version())
         epoch = self._epoch
         if epoch is None or epoch.key != key:
-            live = self.topo if not self._fault_aware else self._live_subgraph()
-            epoch = _EpochStructure(key, live)
+            epoch = _EpochStructure(key, self.topo, self.is_up, self.link_up)
             self._epoch = epoch
             self._flood_cache.clear()
             self._scope_cache.clear()
             self._depth_cache.clear()
-            self._live_router = None
         return epoch
 
     def _flood_structure(self, src: NodeId) -> tuple:
@@ -479,12 +517,10 @@ class Transport:
         Only consulted when per-hop latency or impairments need per-
         receiver hop counts; the zero-latency fast path never builds it.
         """
-        epoch = self._epoch_structure()
+        live = self._live_overlay()
         depth = self._depth_cache.get(src)
         if depth is None:
-            depth = (
-                bfs_distances(epoch.live, src) if epoch.live.has_node(src) else {}
-            )
+            depth = bfs_distances(live, src) if live.has_node(src) else {}
             self._depth_cache[src] = depth
         return depth
 
@@ -505,10 +541,10 @@ class Transport:
         if not self.is_up(src):
             return []
         self.sent_messages += 1
-        router = self.live_router()
         receivers: List[NodeId] = []
         total = 0.0
         need_hops = self._hops_consumed()
+        router = self._route_reader(need_hops)
         for dst in sorted(set(dests)):
             if dst == src or not self.topo.has_node(dst) or not self.is_up(dst):
                 continue
@@ -523,31 +559,46 @@ class Transport:
 
     # Internals ------------------------------------------------------------
 
-    def _live_subgraph(self) -> Topology:
-        """UP nodes minus failed links — FaultManager.live_topology semantics."""
-        live = self.topo.subgraph([n for n in self.topo.nodes() if self.is_up(n)])
-        if self.link_up is not None:
-            for u, v in live.links():
-                if not self.link_up(u, v):
-                    live.remove_link(u, v)
-        return live
+    def _live_overlay(self) -> Topology:
+        """The current epoch's live overlay as a :class:`Topology`.
+
+        Without fault predicates that is the full topology itself.  With
+        them it is a copy — UP nodes minus failed links, the semantics of
+        :meth:`~repro.network.faults.FaultManager.live_topology` — built
+        on the first call of the epoch, which only a route reader makes.
+        """
+        if not self._fault_aware:
+            return self.topo
+        epoch = self._epoch_structure()
+        if epoch.live is None:
+            live = self.topo.subgraph([n for n in self.topo.nodes() if self.is_up(n)])
+            if self.link_up is not None:
+                for u, v in live.links():
+                    if not self.link_up(u, v):
+                        live.remove_link(u, v)
+            epoch.live = live
+        return epoch.live
 
     def live_router(self) -> Router:
         """Routing oracle over the live overlay.
 
         Falls back to the full-topology router when no fault predicates
         are installed (the two are identical then); otherwise built over
-        the epoch structure's live topology and dropped with it when the
-        liveness epoch moves.  The lazy :class:`Router` makes the
+        the epoch's live overlay on first use and dropped with it when
+        the liveness epoch moves.  The lazy :class:`Router` makes the
         per-epoch rebuild O(V+E) — fresh epochs only re-BFS the sources
-        that actually route afterwards.
+        that actually route afterwards.  Only a consumer that reads a
+        route calls this (:meth:`_route_reader`, :meth:`_flood_depth`
+        reads the overlay alone); a run under the paper's accounting
+        builds neither the overlay copy nor the router.
         """
         if not self._fault_aware:
             return self.router
-        epoch = self._epoch_structure()
-        if self._live_router is None:
-            self._live_router = Router(epoch.live)
-        return self._live_router
+        live = self._live_overlay()
+        epoch = self._epoch
+        if epoch.router is None:
+            epoch.router = Router(live)
+        return epoch.router
 
     def _hops_consumed(self) -> bool:
         """Does anything read a point-to-point send's hop count?
@@ -564,8 +615,16 @@ class Transport:
             or self._impair is not None
         )
 
+    def _route_reader(self, hops_consumed: bool) -> Optional[Router]:
+        """The live router when a point-to-point send reads a route from
+        it — a hop count, or the MEAN charge's mean path — else ``None``:
+        the FIXED charge reads neither."""
+        if hops_consumed or self.cost_model.unicast_mode is UnicastCostMode.MEAN:
+            return self.live_router()
+        return None
+
     def _live_hops(
-        self, router: Router, src: NodeId, dst: NodeId, consumed: bool
+        self, router: Optional[Router], src: NodeId, dst: NodeId, consumed: bool
     ) -> int:
         """Route length between two live nodes, ``UNREACHABLE`` if none.
 

@@ -30,9 +30,14 @@ from .ranking import PeerStats, RankingPolicy, make_ranking
 __all__ = ["ViewEntry", "ResourceView"]
 
 
-@dataclass
+@dataclass(slots=True)
 class ViewEntry:
-    """Belief about one remote node."""
+    """Belief about one remote node.
+
+    Slotted: one is allocated on every view update (40 000 while a
+    10 000-node system is built), and without a ``__dict__`` each is
+    about 50 bytes smaller.
+    """
 
     node: int
     availability: float      # believed queue headroom in seconds

@@ -337,6 +337,7 @@ class TestQueueFastPathEquivalence:
             )
             sides.append((sim, queue, monitor, completions, crossings))
 
+        admitted = []  # every task the fast queue took, in admission order
         for label, (op, arg) in enumerate(program):
             outcomes = []
             for sim, queue, monitor, _, _ in sides:
@@ -369,8 +370,18 @@ class TestQueueFastPathEquivalence:
             fast_q, ref_q = sides[0][1], sides[1][1]
             assert fast_q.busy_until == ref_q.busy_until
             assert fast_q.backlog() == ref_q.backlog()
-            assert ([t.label for t in fast_q.resident_tasks()]
+            resident = fast_q.resident_tasks()
+            assert ([t.label for t in resident]
                     == [t.label for t in ref_q.resident_tasks()])
+            assert len(fast_q) == len(ref_q) == len(resident)
+            if op == "admit" and outcomes[0] == "admitted":
+                admitted.append(resident[-1])
+            assert [t for t in admitted if t in fast_q] == resident
+            # residency is read from a head offset: the slots behind it
+            # hold nothing, and never outnumber the live entries
+            dead = fast_q._head
+            assert not any(fast_q._resident[:dead])
+            assert dead <= len(fast_q)
 
         for sim, _, _, _, _ in sides:
             sim.run()

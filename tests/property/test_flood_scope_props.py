@@ -10,10 +10,13 @@ restoring a link, a node joining through ``System.add_node``, a link
 added to the ``Topology`` directly.  PR 14 found a flood crossing a
 partition by accident; this looks for that class of bug on purpose, on
 the simulator's transport and on ``LiveTransport`` (which inherits the
-send path and must inherit its invalidation).
+send path and must inherit its invalidation).  After every change the
+epoch's component labels, member tuples and link counts — walked over the
+full overlay through the predicates, with no copy of it — must equal
+those of the live overlay built as a topology of its own.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.config import ExperimentConfig
@@ -78,6 +81,35 @@ def _expected(system, src, neighbors_only):
     return receivers, cost
 
 
+def _live_components(system):
+    """``(comp_of, members, links)`` of the live overlay, built the way
+    ``FaultManager.live_topology()`` builds it — an induced subgraph minus
+    failed links, then ``connected_components()`` — over the transport's
+    liveness predicate ``can_communicate``: a compromised node is out of
+    ``live_topology()`` but still sends and receives."""
+    faults, topo = system.faults, system.topo
+    live = topo.subgraph([n for n in topo.nodes() if faults.can_communicate(n)])
+    for u, v in live.links():
+        if not faults.link_up(u, v):
+            live.remove_link(u, v)
+    comps = live.connected_components()
+    comp_of = {n: ci for ci, comp in enumerate(comps) for n in comp}
+    members = [tuple(sorted(comp)) for comp in comps]
+    links = [sum(1 for u, _v in live.links() if u in comp) for comp in comps]
+    return comp_of, members, links
+
+
+def _check_epoch(system, label):
+    """The epoch's labels are the live overlay's, and under the paper's
+    accounting no flood made the transport copy the overlay."""
+    epoch = system.transport._epoch_structure()
+    comp_of, members, links = _live_components(system)
+    assert epoch.members == members, f"{label}: wrong component members"
+    assert epoch.comp_of == comp_of, f"{label}: wrong component labels"
+    assert epoch.links == links, f"{label}: wrong component link counts"
+    assert epoch.live is None and epoch.router is None, f"{label}: overlay copied"
+
+
 def _apply(system, op, next_id):
     """Apply one non-flood op; returns the next free node id."""
     faults, topo = system.faults, system.topo
@@ -112,6 +144,7 @@ def _check_interleaving(system, ops):
     for step, op in enumerate(ops):
         if op[0] != "flood":
             next_id = _apply(system, op, next_id)
+            _check_epoch(system, f"step {step}: {op[0]}")
             continue
         nodes = system.topo.nodes()
         src, neighbors_only = nodes[op[1] % len(nodes)], op[2]
@@ -125,13 +158,20 @@ def _check_interleaving(system, ops):
         )
 
 
+#: crashing the mesh's four edge midpoints leaves five one-node components,
+#: whose labels must still come in smallest-id order
+_SINGLETONS = [("crash", 1), ("crash", 3), ("crash", 5), ("crash", 7), ("flood", 4, False)]
+
+
 class TestFloodScopeTracksTheOverlay:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_ops, min_size=1, max_size=30))
+    @example(_SINGLETONS)
     def test_simulator_transport(self, ops):
         _check_interleaving(_sim_system(), ops)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(_ops, min_size=1, max_size=30))
+    @example(_SINGLETONS)
     def test_live_transport_inproc(self, ops):
         _check_interleaving(_live_system(), ops)

@@ -5,10 +5,14 @@ them at tier-1 cost.  The torus has a closed-form hop distance, so the
 lazy router is checked at 2500 nodes against an analytic oracle instead
 of the eager all-pairs baseline (which takes seconds there — that gap is
 the whole point of the lazy rewrite).  A flood fan-out and one short
-end-to-end REALTOR cell prove the tier is live all the way up the stack.
+end-to-end REALTOR cell prove the tier is live all the way up the stack,
+and the hot cell pins what a run routes and what a node costs in memory.
 """
 
 from __future__ import annotations
+
+import gc
+import tracemalloc
 
 import pytest
 
@@ -141,8 +145,9 @@ def outcome(system) -> dict:
     }
 
 
-#: ``outcome`` of ``hot_cell`` under each hop-count consumer, recorded on
-#: the commit before demand-driven routing
+#: ``outcome`` of ``hot_cell`` under each route reader, recorded on the
+#: commit before demand-driven routing (``mean``: on the commit before the
+#: live overlay was built on demand)
 HOT_CELL_BEFORE = {
     "hops": (
         dict(unicast_cost="hops"),
@@ -152,6 +157,19 @@ HOT_CELL_BEFORE = {
             "messages_total": 1591773.0,
             "messages_by_kind": {"ADMIT_REP": 216.0, "ADMIT_REQ": 216.0,
                                  "HELP": 1590000.0, "PLEDGE": 1341.0},
+            "response_time_mean": 2.698694552571149,
+            "sent": 2091, "delivered": 3045, "dropped": 0,
+        },
+    ),
+    "mean": (
+        dict(unicast_cost="mean"),
+        {
+            "generated": 4740, "admitted_local": 4523, "admitted_migrated": 184,
+            "rejected": 33, "completed": 2038, "lost": 0,
+            "messages_total": 1634342.7370948377,
+            "messages_by_kind": {"ADMIT_REP": 5402.1608643457175,
+                                 "ADMIT_REQ": 5402.1608643457175,
+                                 "HELP": 1590000.0, "PLEDGE": 33538.41536614635},
             "response_time_mean": 2.698694552571149,
             "sent": 2091, "delivered": 3045, "dropped": 0,
         },
@@ -186,7 +204,8 @@ HOT_CELL_BEFORE = {
 class TestDemandDrivenRoutingAt2500:
     def test_default_config_never_computes_a_bfs_row(self):
         """Fixed charge, zero latency, no impairments: ~2000 unicasts and
-        ~800 HELP floods, and neither router is asked for a distance."""
+        ~800 HELP floods, no distance asked of the full-overlay router,
+        and neither the live-overlay copy nor a router over it built."""
         system = build_system(hot_cell())
         system.run()
         result = system.result()
@@ -195,7 +214,8 @@ class TestDemandDrivenRoutingAt2500:
         transport = system.transport
         assert transport.sent_messages == 2091
         assert transport.router.rows_computed == 0
-        assert transport.live_router().rows_computed == 0
+        epoch = transport._epoch
+        assert epoch is not None and epoch.live is None and epoch.router is None
         # HELP floods read the link count off the epoch, not a per-source
         # receiver tuple
         assert not transport._flood_cache
@@ -206,4 +226,29 @@ class TestDemandDrivenRoutingAt2500:
         system = build_system(hot_cell(**overrides))
         system.run()
         assert outcome(system) == before
-        assert system.transport.live_router().rows_computed > 0
+        epoch = system.transport._epoch
+        assert epoch.live is not None and epoch.router is not None
+        assert epoch.router.rows_computed > 0
+
+
+class TestBoundedMemoryAt2500:
+    #: bytes a node may hold after the build and 2 s of the hot cell; the
+    #: commit before the demand-driven live overlay, the list-backed work
+    #: queue and slotted view entries read about 7 000
+    CEILING = 6400
+
+    def test_a_node_costs_under_the_ceiling(self):
+        # first-use allocations (lazy imports, caches) are not per-node cost
+        build_system(ExperimentConfig(topology="torus", nodes=16, horizon=2.0)).run()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            system = build_system(hot_cell())
+            system.run(until=2.0)
+            gc.collect()
+            per_node = (tracemalloc.get_traced_memory()[0] - before) / NODES
+        finally:
+            tracemalloc.stop()
+        assert system.result().admitted_migrated > 0  # discovery ran
+        assert per_node < self.CEILING, f"{per_node:.0f} B per node"
