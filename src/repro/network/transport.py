@@ -66,19 +66,16 @@ class _EpochStructure:
     by every send until the next epoch: the live overlay's
     connected-component labelling, each component's sorted member tuple
     and link count, in :meth:`Topology.connected_components` order
-    (largest first, then smallest id).  They are labelled by walking the
-    full overlay through the liveness and link predicates, so no copy of
-    it is made.  Per-source work inside an epoch collapses to a dict
-    lookup plus one receiver-tuple build per flooding source and scope
-    (``Transport._flood_cache`` for the whole overlay,
+    (largest first, then smallest id), walked over the full overlay
+    through the predicates.  Per-source work inside an epoch collapses to
+    a dict lookup plus one receiver-tuple build per flooding source and
+    scope (``Transport._flood_cache`` for the whole overlay,
     ``Transport._scope_cache`` for direct neighbours — both dropped with
     the epoch); the per-message BFS/component scan that made 2.5k-node
     floods quadratic is gone.  ``comp_of`` doubles as the reachability
-    oracle of unicasts whose hop count nothing consumes.
-
-    ``live`` (the live overlay as a :class:`Topology` of its own) and
-    ``router`` (a :class:`Router` over it) stay ``None`` until something
-    reads a route: see :meth:`Transport.live_router`.
+    oracle of unicasts whose hop count nothing consumes.  ``live`` and
+    ``router`` stay ``None`` until a route is read
+    (:meth:`Transport.live_router`).
     """
 
     __slots__ = ("key", "comp_of", "members", "links", "live", "router")
@@ -587,10 +584,8 @@ class Transport:
         the epoch's live overlay on first use and dropped with it when
         the liveness epoch moves.  The lazy :class:`Router` makes the
         per-epoch rebuild O(V+E) — fresh epochs only re-BFS the sources
-        that actually route afterwards.  Only a consumer that reads a
-        route calls this (:meth:`_route_reader`, :meth:`_flood_depth`
-        reads the overlay alone); a run under the paper's accounting
-        builds neither the overlay copy nor the router.
+        that actually route afterwards.  Called only when a route is read
+        (:meth:`_route_reader`), so the paper's accounting builds neither.
         """
         if not self._fault_aware:
             return self.router
