@@ -25,7 +25,9 @@ the import-isolation test pins that ``import repro.core`` never pulls in
 This module owns the two leaf types both environments share:
 :class:`Priority` (intra-timestamp ordering bands; re-exported by
 :mod:`repro.sim.events`) and :class:`Delivery` (the handler-facing
-message record; re-exported by :mod:`repro.network.transport`).
+message record; re-exported by :mod:`repro.network.transport`), plus
+the :func:`quiet` marker a callback carries to tell the live scheduler
+it need not wake for it.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from typing import (
     NamedTuple,
     Optional,
     Protocol,
+    TypeVar,
     runtime_checkable,
 )
 
@@ -45,6 +48,8 @@ __all__ = [
     "NodeId",
     "Priority",
     "Delivery",
+    "quiet",
+    "is_quiet",
     "TimerHandle",
     "PeriodicHandle",
     "TraceAPI",
@@ -100,6 +105,29 @@ class Delivery(NamedTuple):
     payload: Any
     sent_at: float
     delivered_at: float
+
+
+_F = TypeVar("_F", bound=Callable[..., Any])
+
+
+def quiet(fn: _F) -> _F:
+    """Mark ``fn`` as a *quiet* callback; returns ``fn`` itself.
+
+    The contract a quiet callback keeps: it only changes state that
+    later events read, it sends nothing, and it takes its instant from
+    its schedule, never from the clock.  Running it later — but before
+    anything due after it — can therefore only be seen on the wall
+    clock.  The simulator ignores the mark; the live scheduler does not
+    wake for a quiet event and runs it in the batch of its next wake,
+    still in ``(time, priority, seq)`` order.
+    """
+    fn.quiet = True  # type: ignore[attr-defined]
+    return fn
+
+
+def is_quiet(fn: Callable[..., Any]) -> bool:
+    """Whether ``fn`` (a function or a method bound from one) is :func:`quiet`."""
+    return getattr(fn, "quiet", False) is True
 
 
 @runtime_checkable
@@ -161,6 +189,12 @@ class SchedulerAPI(Protocol):
     ``streams`` yields named :class:`numpy.random.Generator` instances
     with the common-random-numbers layout of
     :class:`repro.sim.rng.RandomStreams`.
+
+    Both run every event in ``(time, priority, seq)`` order.  The
+    simulator runs each at its instant; the live scheduler wakes only
+    for events that are not :func:`quiet` and runs a quiet one in the
+    batch of its next wake, so a quiet callback reads its instant from
+    its schedule (``Event.time``), not from ``now``.
     """
 
     trace: TraceAPI

@@ -142,10 +142,14 @@ class PeriodicTimer:
     def _fire(self) -> None:
         if self._stopped:
             return
+        # Chain on the instant this firing was due, not on the clock: the
+        # same float in the simulator, and on the live scheduler a late
+        # firing does not push every later one back.
+        due = self._event.time
         self.fn()
         if not self._stopped:
-            self._event = self.sim.after(
-                self._next_gap(), self._fire, priority=self.priority
+            self._event = self.sim.at(
+                due + self._next_gap(), self._fire, priority=self.priority
             )
 
     def stop(self) -> None:
@@ -267,13 +271,14 @@ class RoundDriver:
         if self._live == 0:
             self._event = None
             return
+        due = self._event.time  # the next round chains on it, as a timer's
         for cell in self._members:
             fn = cell[0]
             if fn is not None:
                 fn()
         if self._live > 0:
-            self._event = self.sim.after(
-                self.interval, self._fire, priority=self.priority
+            self._event = self.sim.at(
+                due + self.interval, self._fire, priority=self.priority
             )
         else:
             self._event = None
@@ -283,8 +288,9 @@ class Agenda:
     """The event agenda and timers both schedulers share.
 
     Everything here is clock-agnostic: it reads the subclass's ``now``
-    only through ``after`` (which :class:`PeriodicTimer` and
-    :class:`RoundDriver` call).  A subclass supplies ``now``, ``at``,
+    only through ``after``, which :class:`PeriodicTimer` and
+    :class:`RoundDriver` call to arm; they re-arm with ``at``, on the
+    instant the firing was due.  A subclass supplies ``now``, ``at``,
     ``after`` and ``run``, and brackets its run loop with
     :meth:`_begin_run` / :meth:`_end_run`.
 

@@ -18,6 +18,7 @@ timerfd and again on the ``loop.call_at`` fallback.
 import asyncio
 import os
 import statistics
+import time
 
 import pytest
 
@@ -171,6 +172,41 @@ class TestExecution:
 
         a, b = go(run())
         assert len(a) == len(b) >= 2  # one round drives both members
+
+    def test_late_firings_keep_the_simulators_round_count(self):
+        # Each firing holds the CPU for 1.2 intervals, so every later one
+        # runs late.  Re-armed from the clock, each lateness would push
+        # every later round back; chained on the due instants, both
+        # helpers catch up and fire as often as on the simulated clock.
+        def install(sched, busy_s):
+            ticks = {"private": [], "round": []}
+
+            def tick(name):
+                due = len(ticks[name]) + 1.0
+                ticks[name].append(sched.now - due)
+                stop = time.perf_counter() + busy_s
+                while time.perf_counter() < stop:
+                    pass
+
+            sched.periodic(1.0, lambda: tick("private"))
+            sched.shared_periodic(1.0, lambda: tick("round"))
+            return ticks
+
+        reference = Simulator()
+        expected = install(reference, 0.0)
+        reference.run(until=12.5)
+
+        async def run():
+            sim = LiveScheduler(time_scale=1000.0)  # an interval is 1 ms wall
+            ticks = install(sim, 1.2e-3)
+            await sim.run(until=12.5)
+            return ticks
+
+        ticks = go(run())
+        for name in ("private", "round"):
+            assert len(ticks[name]) == len(expected[name]) == 12
+            assert all(late >= 0.0 for late in ticks[name])
+            assert all(late > 0.2 for late in ticks[name][2:])
 
     def test_finalizers_run_once_when_run_returns(self):
         async def run():

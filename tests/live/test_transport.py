@@ -19,6 +19,9 @@ from repro.live.transport import LiveTransport
 from repro.network import generators
 from repro.network.faults import FaultManager
 from repro.network.transport import CostModel, Transport, UnicastCostMode
+from repro.node.host import Host
+from repro.node.resources import ResourcePool
+from repro.node.task import Task, TaskOutcome, TaskStatus
 from repro.sim.kernel import Simulator
 
 
@@ -190,6 +193,39 @@ class TestWireDelay:
         t, got, on_agenda = go(run())
         assert on_agenda == 1 and got == []
         assert t.node_task_count == 0 and t.dropped_messages == 1
+
+
+class TestDatagramObserver:
+    def test_a_handler_sees_a_due_completion_the_run_slept_through(self):
+        # A completion is quiet: the scheduler sleeps toward the loud event
+        # at t=60 past it.  A datagram's handler runs outside the agenda,
+        # so the endpoint must first run it: the handler sees the task
+        # done and its extra resource (what demand_means draws) released.
+        async def run():
+            sim = LiveScheduler(time_scale=1.0)
+            t = LiveTransport(sim, generators.full_mesh(2), backend="udp", latency=0.0)
+            await t.start()
+            host = Host(sim, 1, capacity=100.0, pool=ResourcePool.of(gpu=1.0))
+            task = Task(size=0.01, arrival_time=0.0, origin=1, demand={"gpu": 1.0})
+            assert host.try_accept(task, TaskOutcome.LOCAL) == 0.01
+            seen = []
+
+            def handler(_delivery):
+                seen.append((task.status, host.pool.available("gpu"), sim.wakeups))
+                sim.stop()
+
+            t.register(1, "PROBE", handler)
+            sim.at(60.0, lambda: None)
+            running = asyncio.create_task(sim.run())
+            await asyncio.sleep(0.05)  # 50 virtual ms: the completion is due
+            assert t.unicast(0, 1, "PROBE", None) is True
+            await asyncio.wait_for(running, 5.0)
+            await t.aclose()
+            return seen, task
+
+        seen, task = go(run())
+        assert seen == [(TaskStatus.COMPLETED, 1.0, 0)]  # no wake ran it
+        assert task.completed_time == 0.01
 
 
 class TestScopeAndLiveness:

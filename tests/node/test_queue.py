@@ -1,7 +1,10 @@
 """Unit tests for the work queue."""
 
+import asyncio
+
 import pytest
 
+from repro.live.scheduler import LiveScheduler
 from repro.node.queue import QueueFull, WorkQueue
 from repro.node.task import Task, TaskOutcome, TaskStatus
 from repro.sim.kernel import Simulator
@@ -83,6 +86,20 @@ class TestAdmission:
         assert t.status is TaskStatus.COMPLETED
         assert t.completed_time == 5.0
         assert q.completed_count == 1
+
+    def test_a_late_completion_records_its_instant(self, manual_clock):
+        # A completion is quiet: the live scheduler runs it in the batch
+        # of its next wake, here the loud event at 3.0, yet the task
+        # finished at the instant its queue scheduled.
+        sim = LiveScheduler(time_scale=100.0)
+        ran_at = []
+        q = WorkQueue(sim, 100.0, on_complete=lambda _t: ran_at.append(sim.now))
+        t = admitted(Task(size=1.5, arrival_time=0.0, origin=0))
+        assert q.admit(t) == 1.5
+        sim.at(3.0, lambda: None)
+        asyncio.run(sim.run(until=4.0))
+        assert ran_at and ran_at[0] >= 3.0
+        assert t.completed_time == 1.5 and t.response_time == 1.5
 
     def test_counters(self):
         sim = Simulator()
