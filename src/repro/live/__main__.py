@@ -21,6 +21,7 @@ import math
 import sys
 
 from ..experiments.config import TOPOLOGIES
+from ..obs.config import ObsConfig
 from .runtime import LiveConfig, run_live
 from .transport import BACKENDS
 
@@ -112,10 +113,9 @@ def main(argv=None) -> int:
         latency=args.latency,
         drain_timeout=args.drain_timeout,
         progress_interval=args.progress,
+        obs=ObsConfig(record_series=not args.no_series),
     )
     report = asyncio.run(run_live(cfg))
-    if args.no_series:
-        report.pop("series", None)
     payload = json.dumps(report, indent=2, sort_keys=True, default=str)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

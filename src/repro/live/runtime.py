@@ -67,7 +67,8 @@ class LiveConfig(ExperimentConfig):
     (topology family, fleet, policy, retry budget, deadlines, extra
     resources, arrival process, ...) works live unchanged.  Times
     (``horizon``, ``arrival_rate``, ``obs.sample_interval``, ...) are in
-    *virtual* seconds.
+    *virtual* seconds, and the registry samples on the simulator's rule:
+    ``horizon / samples_target`` unless ``obs.sample_interval`` pins one.
     """
 
     # Inherited fields whose default differs live ---------------------------
@@ -80,8 +81,10 @@ class LiveConfig(ExperimentConfig):
     #: message, IP-multicast flood = 1 message
     fixed_unicast_cost: float = 1.0
     flood_cost_override: Optional[float] = 1.0
-    #: the live report always carries the sampled series
-    obs: Optional[ObsConfig] = ObsConfig(sample_interval=1.0, agent_stride=4)
+    #: the stock cadence, as a simulated run with observability on: a
+    #: run's series are bounded by ``samples_target``, not by its length
+    #: (the simulator's default is None, and a live run refuses obs off)
+    obs: Optional[ObsConfig] = ObsConfig()
 
     # Live-only fields --------------------------------------------------------
     #: virtual seconds per wall second (1 = real time)
@@ -231,6 +234,10 @@ class LiveRuntime:
             )
         wall0, cpu0 = perf_counter(), process_time()
         await self.sim.run(until=cfg.horizon)
+        # Every agenda event due by the horizon has run and none due after
+        # it, so the series close on the horizon's state, where a simulated
+        # run's close; the drain adds no sample.
+        self.system.registry.finish(at=cfg.horizon)
         # Graceful drain: in-flight negotiations settle through their own
         # timers/timeouts; keep the clock running in short slices until
         # nothing is outstanding or the drain budget is spent.
@@ -241,10 +248,9 @@ class LiveRuntime:
         self._wall_elapsed = perf_counter() - wall0
         self._cpu_elapsed = process_time() - cpu0
         self.drained = self.metrics.unsettled == 0
-        # Teardown: progress + sampling off, agents stopped, endpoints closed.
+        # Teardown: progress off, agents stopped, endpoints closed.
         if progress is not None:
             progress.stop()
-        self.system.registry.finish()
         for agent in self.system.agents.values():
             agent.stop()
         self.system.generator.stop()
@@ -289,7 +295,7 @@ class LiveRuntime:
         # and simulated reports share one vocabulary.
         rollup = ProtocolRollup()
         rollup.add(result)
-        return {
+        report = {
             "config": {
                 "nodes": cfg.num_nodes,
                 "topology": cfg.topology,
@@ -349,8 +355,11 @@ class LiveRuntime:
             },
             "drained": self.drained,
             "clean_shutdown": self.clean_shutdown,
-            "series": self.system.registry.to_payload(),
         }
+        # as System.result(): the flight recorder keeps its snapshots either way
+        if cfg.obs.record_series:
+            report["series"] = self.system.registry.to_payload()
+        return report
 
 
 async def run_live(cfg: LiveConfig) -> Dict[str, object]:

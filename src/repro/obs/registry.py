@@ -18,7 +18,10 @@ affordable at the 2.5k–10k-node tiers:
   eviction counters) are *strided* to every Nth tick.
 
 Sampling at ``Priority.SAMPLING`` (the highest band) means every tick
-observes post-event state at its timestamp, and because the registry
+observes post-event state at its timestamp.  A tick is stamped with the
+instant its round was due: the simulator's clock, and on the live
+scheduler, where a tick may run late but still runs before anything due
+after it, the instant whose state it reads.  Because the registry
 touches no RNG stream and emits no trace records, enabling it leaves
 the executed event sequence, the trace, and every core result field
 bit-identical — pinned by ``tests/obs/test_registry.py``.
@@ -255,9 +258,10 @@ class MetricsRegistry:
         ts.append(now, value)
         self.latest[name] = value
 
-    def sample(self, final: bool = False) -> None:
-        """Take one sample of everything, timestamped at ``sim.now``."""
-        now = self.sim.now
+    def sample(self, final: bool = False, at: Optional[float] = None) -> None:
+        """Take one sample of everything, timestamped at ``at`` (default
+        ``sim.now``)."""
+        now = self.sim.now if at is None else at
         self.ticks += 1
         self._last_sample_at = now
         for fn in self._samplers:
@@ -276,7 +280,9 @@ class MetricsRegistry:
             self._recorder.record_snapshot(now, dict(self.latest))
 
     def _tick(self) -> None:
-        self.sample(final=False)
+        # the simulator's clock reads the same float; a late live tick
+        # reads the state of this instant, so it is stamped with it
+        self.sample(at=self._membership.driver.due)
 
     def start(self) -> None:
         """Take the t=0 baseline and join the shared sampling round."""
@@ -287,27 +293,28 @@ class MetricsRegistry:
             self.interval, self._tick, priority=Priority.SAMPLING
         )
 
-    def finish(self) -> None:
+    def finish(self, at: Optional[float] = None) -> None:
         """Stop sampling (tracked cancel) and close the trajectories.
 
-        Idempotent.  Takes one final sample at the current clock unless
-        the last periodic tick already landed there (in which case only
-        the deep samplers that missed that tick run), so every series —
-        lean and strided alike — ends exactly at the end-of-run instant.
+        Idempotent.  Takes one final sample at ``at`` (default: the
+        current clock) unless the last periodic tick already landed there
+        (in which case only the deep samplers that missed that tick run),
+        so every series — lean and strided alike — ends exactly at the
+        end-of-run instant.
         """
         if self._finished:
             return
         self._finished = True
         if self._membership is not None and not self._membership.stopped:
             self._membership.stop()
-        if self._last_sample_at != self.sim.now:
-            self.sample(final=True)
+        now = self.sim.now if at is None else at
+        if self._last_sample_at != now:
+            self.sample(final=True, at=now)
             return
         # The cadence landed exactly on the end of run, so the lean
         # series already close at the horizon — but deep samplers whose
         # stride phase missed that last tick still need their closing
         # point (and the recorder a snapshot of the completed set).
-        now = self.sim.now
         ran_any = False
         for entry in self._deep_samplers:
             if entry[2] != self.ticks:

@@ -241,6 +241,15 @@ class RoundDriver:
         """Live member count (diagnostics)."""
         return self._live
 
+    @property
+    def due(self) -> Optional[float]:
+        """The instant of the round now firing (between rounds, the next).
+
+        A member that reads it takes its instant from the schedule — the
+        float the simulator's clock reads — even when a live round runs late.
+        """
+        return None if self._event is None else self._event.time
+
     def join(self, fn: Callable[[], Any]) -> RoundMembership:
         """Add ``fn`` to the round; it fires after every later boundary."""
         if self._live == 0 and self._event is None:

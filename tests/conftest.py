@@ -87,7 +87,9 @@ def manual_clock(monkeypatch):
 
     The run loop, the transport and its sockets stay the real ones; a run
     is CPU-bound and cannot fall behind its own clock, however slow the
-    machine (or an allocation tracer) makes it.
+    machine (or an allocation tracer) makes it — unless a handler calls
+    the fixture's value, ``stall(seconds)``, which lets that many wall
+    seconds pass as a handler holding the CPU would.
     """
     from repro.live import scheduler
 
@@ -111,3 +113,8 @@ def manual_clock(monkeypatch):
     monkeypatch.setattr(scheduler, "perf_counter", perf_counter)
     monkeypatch.setattr(scheduler, "_Timerfd", JumpTimer)
     monkeypatch.setattr(scheduler, "MARGIN", 0.0)
+
+    def stall(seconds: float) -> None:
+        wall[0] += seconds
+
+    return stall

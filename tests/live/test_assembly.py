@@ -20,6 +20,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import System, build_system, run_experiment
 from repro.live import LiveConfig, LiveRuntime
 from repro.network.impairments import ImpairmentConfig
+from repro.obs.config import ObsConfig
 from repro.protocols.base import ProtocolConfig
 from repro.workload.churn import ChurnConfig
 from repro.workload.fleet import FleetConfig
@@ -86,7 +87,7 @@ class TestParity:
             "nodes", "arrival_rate", "horizon", "seed",
             "fixed_unicast_cost", "flood_cost_override", "obs",
         }
-        assert live.obs.sample_interval == 1.0 and live.obs.agent_stride == 4
+        assert live.obs == ObsConfig()  # the stock cadence, not a live one
 
 
 DRAIN = dict(

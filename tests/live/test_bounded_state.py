@@ -12,6 +12,7 @@ every task is still resident at the drain — peak residency, not residue.)
 """
 
 import asyncio
+import dataclasses
 import gc
 import tracemalloc
 
@@ -19,8 +20,8 @@ import numpy as np
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import build_system
-from repro.live import LiveConfig
+from repro.experiments.runner import build_system, run_experiment
+from repro.live import LiveConfig, run_live
 from repro.live.runtime import LiveRuntime
 from repro.obs.config import ObsConfig
 
@@ -30,7 +31,7 @@ H = 10.0
 SLOPE_CEILING = 32.0
 
 
-def live_config(backend: str, horizon: float) -> LiveConfig:
+def live_config(backend: str, horizon: float, **overrides) -> LiveConfig:
     return LiveConfig(
         arrival_rate=100.0,
         task_mean=0.2,  # load 0.8 on the 25 nodes: resident work is stable
@@ -39,8 +40,7 @@ def live_config(backend: str, horizon: float) -> LiveConfig:
         time_scale=100.0,
         backend=backend,
         seed=3,
-        # one sample per run: the series are not what is measured here
-        obs=ObsConfig(sample_interval=horizon, agent_stride=4),
+        **overrides,
     )
 
 
@@ -135,7 +135,10 @@ def test_live_runtime_retains_one_sample_per_task(backend, manual_clock):
 
 def test_an_inproc_run_is_one_coroutine(manual_clock):
     # no task per node: the scheduler's run loop is all there is to interleave
-    rt = LiveRuntime(live_config("inproc", H))
+    # (one registry sample per run: the pins below were counted on it)
+    rt = LiveRuntime(live_config(
+        "inproc", H, obs=ObsConfig(sample_interval=H, agent_stride=4)
+    ))
     running = []
     rt.sim.at(H / 2, lambda: running.append(len(asyncio.all_tasks())))
     report = asyncio.run(rt.run())
@@ -148,6 +151,25 @@ def test_an_inproc_run_is_one_coroutine(manual_clock):
     # a task completion is quiet and rides the next wake: 1 937 waits
     # were resumed while the run woke for every event
     assert report["scheduler"]["wakeups"] == 1049
+
+
+def test_series_sample_a_simulated_twins_instants(manual_clock):
+    # The stock cadence is horizon / samples_target: a run four times as
+    # long takes as many samples, at the instants its simulated twin takes.
+    def from_baseline(payload: dict) -> dict:
+        # a per-kind message series starts at its kind's first send
+        return {n: s["t"] for n, s in payload["series"].items() if s["t"][0] == 0.0}
+
+    points = []
+    for horizon in (H, 4 * H):
+        cfg = live_config("inproc", horizon)
+        live = asyncio.run(run_live(cfg))["series"]
+        twin = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(ExperimentConfig)}
+        sim = run_experiment(ExperimentConfig(**twin)).series
+        assert from_baseline(live) == from_baseline(sim)
+        assert all(len(s["t"]) <= live["ticks"] for s in live["series"].values())
+        points.append({n: len(t) for n, t in from_baseline(live).items()})
+    assert points[0] == points[1]
 
 
 def test_simulator_retains_nothing_per_round():

@@ -5,12 +5,15 @@ import json
 
 import pytest
 
+import repro.live.__main__ as cli
 from repro.live import LiveConfig, run_live
 from repro.live.__main__ import main
 from repro.live.naming import NamingService
 from repro.live.runtime import LiveRuntime, _LiveMetrics
 from repro.live.scheduler import LiveScheduler
 from repro.node.task import Task, TaskOutcome, TaskStatus
+from repro.obs.config import ObsConfig
+from repro.obs.registry import MetricsRegistry
 
 
 def small_report(**overrides) -> dict:
@@ -85,6 +88,66 @@ class TestLiveRuntime:
             LiveConfig(arrival_rate=-1.0)
         with pytest.raises(ValueError):
             LiveConfig(backend="smoke-signals")
+
+
+class TestSeries:
+    """The registry's series on the live clock: whether the report carries
+    them, and at which instants they are sampled."""
+
+    def test_record_series_off_builds_no_payload(self, monkeypatch, capsys):
+        # --no-series is the config's record_series, as on a simulated
+        # run: the payload is never built, and the registry still samples
+        # into the flight recorder
+        def built(_registry):
+            raise AssertionError("the series payload was built")
+
+        monkeypatch.setattr(MetricsRegistry, "to_payload", built)
+        runtimes = []
+
+        async def run_live(cfg):
+            runtimes.append(LiveRuntime(cfg))
+            return await runtimes[-1].run()
+
+        monkeypatch.setattr(cli, "run_live", run_live)
+        assert main([
+            "--nodes", "9", "--rate", "40", "--duration", "5", "--time-scale", "200",
+            "--latency", "0", "--seed", "7", "--no-series",
+        ]) == 0
+        reports = [json.loads(capsys.readouterr().out)]
+        runtimes.append(LiveRuntime(LiveConfig(
+            nodes=9, arrival_rate=40.0, horizon=5.0, seed=7, time_scale=200.0,
+            latency=0.0, obs=ObsConfig(record_series=False),
+        )))
+        reports.append(asyncio.run(runtimes[-1].run()))
+        for rt, report in zip(runtimes, reports):
+            assert rt.cfg.obs == ObsConfig(record_series=False)
+            assert "series" not in report
+            assert rt.system.recorder.snapshots_seen > 0
+
+    def test_a_late_tick_samples_the_instant_it_was_due(self, manual_clock):
+        # A handler holds the CPU across two of the registry's due instants
+        # (one a virtual second here).  The ticks it delays run late, in
+        # the next batch, but before anything due after them: each must
+        # sample the state of the instant it was due, not the later clock.
+        cfg = LiveConfig(
+            nodes=9, arrival_rate=8.0, task_mean=1.0, horizon=48.0, seed=7,
+            time_scale=100.0,
+        )
+        rt = LiveRuntime(cfg)
+        hosts = list(rt.system.hosts.values())
+        ran = []  # (clock, every host's busy_until) as each later sample ran
+        rt.system.registry.add_sampler(
+            lambda _t: ran.append((rt.sim.now, [h.queue.busy_until for h in hosts]))
+        )
+        rt.sim.at(20.5, manual_clock, 2.0 / cfg.time_scale)  # two virtual seconds
+        track = asyncio.run(rt.run())["series"]["series"]["queue_backlog_total"]
+        t, v = track["t"][1:], track["v"][1:]  # after the t=0 baseline
+        assert t == [float(k) for k in range(1, 49)] and len(ran) == len(t)
+        late = [k for k, (clock, _) in enumerate(ran) if clock - t[k] > 0.1]
+        assert late == [20, 21]  # the ticks due at 21 and 22 ran at 22.5
+        for at, backlog, (_, busy_until) in zip(t, v, ran):
+            assert backlog == pytest.approx(sum(max(b - at, 0.0) for b in busy_until))
+        assert v[20] > 0.0 and v[21] > 0.0
 
 
 class TestTaskLifetime:
