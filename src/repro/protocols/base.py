@@ -209,8 +209,10 @@ class DiscoveryAgent:
         self.node_id = ctx.node_id
         self.pull, self.push, self.respond = pull, push, respond
         #: the level every part judges availability by: the HELP trigger,
-        #: trigger-1 pledges and the organizer's verdict on a pledge
-        self.threshold = cfg.threshold
+        #: trigger-1 pledges and the organizer's verdict on a pledge.  It is
+        #: the node's own monitor's level, which a heterogeneous fleet draws
+        #: per node (``ProtocolConfig.threshold`` otherwise)
+        self.threshold = ctx.host.monitor.threshold
         self.view = ResourceView(
             self.node_id, ttl=cfg.view_ttl, policy=make_ranking(cfg.ranking_policy)
         )

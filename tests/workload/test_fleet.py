@@ -123,3 +123,32 @@ class TestFleetSummary:
 
     def test_empty(self):
         assert fleet_summary([]) == {}
+
+
+class TestAgentThreshold:
+    """A node's agent judges availability at the threshold its monitor
+    crosses at, which a heterogeneous fleet draws per node."""
+
+    def test_agent_judges_by_its_nodes_drawn_threshold(self):
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.runner import build_system
+        from repro.node.task import Task
+
+        system = build_system(
+            ExperimentConfig(protocol="realtor", seed=3, fleet=FleetConfig.heterogeneous())
+        )
+        nid = max(
+            system.hosts,
+            key=lambda n: abs(system.hosts[n].monitor.threshold - 0.9),
+        )
+        host, agent = system.hosts[nid], system.agents[nid]
+        drawn = host.monitor.threshold
+        assert abs(drawn - 0.9) > 0.01
+        assert agent.threshold == drawn
+        assert agent.pledges.threshold == drawn
+        # an arrival that lands between the two levels: over the node's
+        # own threshold exactly when the drawn level is under 0.9
+        mid = (drawn + 0.9) / 2
+        task = Task(size=mid * host.queue.capacity, arrival_time=0.0, origin=nid)
+        assert agent.usage_with(task) == pytest.approx(mid)
+        assert agent.would_exceed_threshold(task) == (drawn < mid)
