@@ -24,7 +24,7 @@ from pathlib import Path
 from repro.experiments import ExperimentConfig, RunStore
 from repro.experiments.executor import execute_plan
 from repro.experiments.plan import sweep_plan
-from repro.metrics.export import load_series_jsonl
+from repro.obs.registry import load_series_jsonl
 from repro.obs.__main__ import main as obs_cli
 from repro.obs.config import ObsConfig
 from repro.obs.inspect import diff_report, load_runs, run_report, timeline_report

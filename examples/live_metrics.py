@@ -2,8 +2,8 @@
 """Instrumenting a run: time series, samplers and terminal charts.
 
 The figure harness reports end-of-run aggregates; this walk-through
-shows the *trajectory* instrumentation: a `Sampler` records per-node
-queue usage and REALTOR's adaptive HELP interval over time, and the
+shows the *trajectory* instrumentation: a `MetricsRegistry` sampler
+records mean queue usage and REALTOR's adaptive HELP interval over time, and the
 ASCII renderer draws them — watch the interval pin itself at
 Upper_limit as a load burst arrives, and release afterwards (the
 Algorithm H dynamics of the paper, live).
@@ -11,9 +11,11 @@ Algorithm H dynamics of the paper, live).
 Run:  python examples/live_metrics.py
 """
 
+import numpy as np
+
 from repro import paper_config, build_system
 from repro.analysis.ascii_chart import render
-from repro.metrics.series import Sampler
+from repro.obs.registry import MetricsRegistry
 
 
 def main() -> None:
@@ -23,8 +25,13 @@ def main() -> None:
 
     # burst: triple the arrival rate between t=600 and t=1200 by
     # injecting a second generator for that window
+    import itertools
+
     from repro.node.task import Task
     from repro.workload.arrivals import ArrivalGenerator, PoissonArrivals
+
+    # the system numbers its own tasks from 0; burst ids must not collide
+    burst_ids = itertools.count(10**9)
 
     def start_burst() -> None:
         burst = PoissonArrivals(8.0, system.sim.streams.stream("burst"))
@@ -34,6 +41,7 @@ def main() -> None:
                 size=float(system.sim.streams.stream("burst-sizes").exponential(5.0)),
                 arrival_time=system.sim.now,
                 origin=origin,
+                task_id=next(burst_ids),
             )
             system.coordinator.place_task(task)
 
@@ -42,19 +50,23 @@ def main() -> None:
 
     system.sim.at(600.0, start_burst)
 
-    sampler = Sampler(system.sim, interval=20.0)
-    usage = sampler.watch(
-        "mean-usage",
-        lambda: sum(h.usage() for h in system.hosts.values()) / len(system.hosts),
-    )
-    interval = sampler.watch(
-        "help-interval",
-        lambda: system.mean_help_interval() or 0.0,
-    )
-    staleness = sampler.watch("view-staleness", system.mean_view_staleness)
+    registry = MetricsRegistry(system.sim, interval=20.0)
 
+    def probe(now: float) -> None:
+        hosts = system.hosts.values()
+        registry.record(now, "mean-usage", sum(h.usage() for h in hosts) / len(hosts))
+        registry.record(now, "help-interval", system.mean_help_interval() or 0.0)
+        registry.record(now, "view-staleness", system.mean_view_staleness())
+
+    registry.add_sampler(probe)
+    registry.start()  # the t=0 sample, then one every 20 s
     system.run()
+    registry.finish()
     res = system.result()
+    usage, interval, staleness = (
+        registry.series[name]
+        for name in ("mean-usage", "help-interval", "view-staleness")
+    )
 
     xs = usage.times.tolist()
     print(render(
@@ -78,11 +90,14 @@ def main() -> None:
         x_label="t (s)", height=10,
     ))
     print()
+    # each sample holds until the next one: weight it by that span
+    t, v = usage.times, usage.values
+    time_averaged = float(np.dot(v[:-1], np.diff(t)) / (t[-1] - t[0]))
     print(
         f"run summary: P(admit)={res.admission_probability:.4f}, "
         f"messages={res.messages_total:,.0f}, "
-        f"peak usage={usage.max():.2f}, "
-        f"time-averaged usage={usage.time_average():.2f}"
+        f"peak usage={v.max():.2f}, "
+        f"time-averaged usage={time_averaged:.2f}"
     )
 
 

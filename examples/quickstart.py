@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import paper_config, run_experiment
-from repro.metrics.report import describe_result
+from repro.analysis.report import describe_result
 
 
 def main() -> None:

@@ -17,7 +17,7 @@ Run:  python examples/scaling_study.py
 """
 
 from repro import ExperimentConfig, run_experiment
-from repro.metrics.report import format_table
+from repro.analysis.report import format_table
 
 
 def main() -> None:

@@ -6,7 +6,7 @@ Doubles as the CI gate for the content-addressed run store
 
 1. run a tiny sweep into a fresh store — every cell is a miss,
 2. run the *same* sweep again — 100% cache hits, zero simulations, and
-   the ``save_sweep`` JSON of both passes is byte-identical,
+   the canonical JSON line of every result is identical between passes,
 3. widen the sweep by one arrival rate — only the new cells simulate,
 4. reopen the store in a new ``RunStore`` (as a restarted process would)
    and render a figure-style series straight from cached records.
@@ -22,7 +22,7 @@ import tempfile
 from pathlib import Path
 
 from repro.experiments import ExperimentConfig, RunStore, run_sweep
-from repro.metrics.export import save_sweep
+from repro.experiments.store import result_to_canonical_json
 
 PROTOCOLS = ["realtor", "push-1"]
 RATES = [2.0, 6.0]
@@ -39,7 +39,7 @@ def main(root: Path) -> None:
     assert stats["writes"] == len(PROTOCOLS) * len(RATES)
 
     # Pass 2: identical sweep, reopened store -> 100% cache hits and
-    # byte-identical exported results.
+    # byte-identical results.
     store2 = RunStore(root)
     second = run_sweep(PROTOCOLS, RATES, BASE, store=store2)
     stats2 = store2.stats()
@@ -47,10 +47,14 @@ def main(root: Path) -> None:
     assert stats2["misses"] == 0 and stats2["writes"] == 0
     assert stats2["hits"] == len(PROTOCOLS) * len(RATES)
 
-    a, b = root / "pass1.json", root / "pass2.json"
-    save_sweep(first, a)
-    save_sweep(second, b)
-    assert a.read_bytes() == b.read_bytes(), "store round-trip not byte-identical"
+    def lines(sweep):
+        return [
+            result_to_canonical_json(sweep[proto][rate])
+            for proto in PROTOCOLS
+            for rate in RATES
+        ]
+
+    assert lines(first) == lines(second), "store round-trip not byte-identical"
     print("pass 2 results byte-identical to pass 1")
 
     # Pass 3: widen the grid -> incremental re-execution, cached cells

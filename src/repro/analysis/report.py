@@ -8,11 +8,11 @@ them verbatim.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, List, Mapping, Optional, Sequence
 
-from .collector import RunResult
+from ..metrics.collector import RunResult
 
-__all__ = ["format_table", "figure_table", "format_series"]
+__all__ = ["describe_result", "figure_table", "format_table"]
 
 
 def format_table(
@@ -64,25 +64,6 @@ def figure_table(
             row.append(metric(rr) if rr is not None else "-")
         rows.append(row)
     return format_table([x_label, *protocols], rows, float_fmt=float_fmt)
-
-
-def format_series(
-    xs: Sequence[float],
-    named_series: Mapping[str, Sequence[float]],
-    *,
-    x_label: str = "x",
-    float_fmt: str = "{:.4g}",
-) -> str:
-    """Tabulate pre-extracted numeric series against a shared x axis."""
-    names = list(named_series.keys())
-    rows: List[List[object]] = []
-    for i, x in enumerate(xs):
-        row: List[object] = [x]
-        for name in names:
-            series = named_series[name]
-            row.append(series[i] if i < len(series) else "-")
-        rows.append(row)
-    return format_table([x_label, *names], rows, float_fmt=float_fmt)
 
 
 def describe_result(result: RunResult, label: Optional[str] = None) -> str:

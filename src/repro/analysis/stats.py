@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "batch_means_ci",
     "proportion_ci",
     "two_proportion_z",
-    "StreamingMean",
 ]
 
 # two-sided critical values for the normal approximation
@@ -139,35 +138,3 @@ def two_proportion_z(s1: int, n1: int, s2: int, n2: int) -> float:
         return 0.0
     return (p1 - p2) / math.sqrt(var)
 
-
-class StreamingMean:
-    """Numerically stable (Welford) streaming mean/variance accumulator."""
-
-    __slots__ = ("n", "_mean", "_m2")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, x: float) -> None:
-        self.n += 1
-        delta = x - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (x - self._mean)
-
-    def extend(self, xs: Iterable[float]) -> None:
-        for x in xs:
-            self.add(x)
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.n else 0.0
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)

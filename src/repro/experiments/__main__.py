@@ -26,7 +26,6 @@ import sys
 from typing import List
 
 from ..analysis.ascii_chart import render
-from ..metrics.export import save_sweep
 from ..obs.telemetry import ProgressReporter
 from .ablations import STUDIES, run_study
 from .figures import FIGURES, paper_sweep, run_figure
@@ -61,8 +60,6 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--parallel", action="store_true",
                         help="fan runs out over a process pool")
-    parser.add_argument("--save", metavar="PATH", default=None,
-                        help="write the figure sweep results to a JSON file")
     parser.add_argument("--store", metavar="DIR", default=None,
                         help="content-addressed run store: completed cells are "
                              "served from DIR and fresh cells persisted there, "
@@ -130,9 +127,6 @@ def main(argv: List[str] = None) -> int:
             print(render(result.xs, result.series, title=result.figure, x_label="lambda"))
         print()
 
-    if args.save and paper_sweep in sweeps:
-        path = save_sweep(sweeps[paper_sweep], args.save)
-        print(f"sweep results written to {path}")
     if store is not None:
         stats = store.stats()
         print(

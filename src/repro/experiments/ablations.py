@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 from typing import TYPE_CHECKING, Tuple, Union
 
+from ..analysis.report import format_table
 from ..metrics.collector import RunResult
-from ..metrics.report import format_table
 from ..protocols.base import ProtocolConfig
 from ..workload.churn import ChurnConfig
 from ..workload.fleet import FleetConfig

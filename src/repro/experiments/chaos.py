@@ -27,7 +27,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 import numpy as np
 
 from ..metrics.collector import RunResult
-from ..metrics.export import canonical_rate
 from ..network.impairments import ImpairmentConfig
 from ..network.routing import Router
 from ..network.topology import Topology
@@ -36,6 +35,7 @@ from .config import ExperimentConfig
 from .executor import execute_plan
 from .plan import ExperimentPlan, PlanCell
 from .runner import _attach_flight_dump, _build_topology, build_system, run_experiment
+from .store import canonical_rate
 
 if TYPE_CHECKING:  # pragma: no cover
     from .store import RunStore
@@ -210,7 +210,7 @@ def loss_sweep(
 
 def degradation_table(results: Dict[float, RunResult]) -> str:
     """Render a loss-rate sweep as the graceful-degradation table."""
-    from ..metrics.report import format_table
+    from ..analysis.report import format_table
 
     rows = []
     for rate in sorted(results):

@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
 
+from ..analysis.report import format_table
+from ..analysis.stats import SummaryStats, proportion_ci, summarize, two_proportion_z
 from ..metrics.collector import RunResult
-from ..metrics.export import canonical_rate
-from ..metrics.report import format_table
-from ..metrics.stats import SummaryStats, proportion_ci, summarize, two_proportion_z
 from .config import ExperimentConfig
 from .executor import execute_plan
 from .plan import confidence_plan
+from .store import canonical_rate
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.telemetry import ProgressReporter

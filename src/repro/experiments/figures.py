@@ -20,13 +20,12 @@ from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.curves import is_monotone, peak, relative_spread
-from ..metrics.export import canonical_rate
-from ..metrics.report import figure_table
+from ..analysis.report import figure_table
 from ..protocols.base import ProtocolConfig
 from ..protocols.registry import PAPER_PROTOCOLS
 from .ablations import METRICS
 from .config import PAPER_LAMBDAS, ExperimentConfig
-from .store import RunStore
+from .store import RunStore, canonical_rate
 from .sweep import SweepResults, run_sweep
 
 __all__ = [

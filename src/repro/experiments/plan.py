@@ -18,8 +18,8 @@ every driver (``run_sweep``, ``run_replications``, ``loss_sweep``, the
 ablations, ``confidence_sweep``) is now a thin plan builder.
 
 Arrival-rate keys are canonicalised exactly once, here, at expansion
-time (:func:`~repro.metrics.export.canonical_rate`), so store digests,
-result-dict lookups and CSV round-trips all agree on what ``3.0`` is.
+time (:func:`~repro.experiments.store.canonical_rate`), so store digests
+and result-dict lookups agree on what ``3.0`` is.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from typing import (
 )
 
 from ..metrics.collector import RunResult
-from ..metrics.export import canonical_rate
 from .config import ExperimentConfig
+from .store import canonical_rate
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chaos import ChaosSpec

@@ -39,12 +39,15 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..metrics.collector import RunResult
-from ..metrics.export import result_from_dict, result_to_dict
 
 __all__ = [
     "RunStore",
     "config_digest",
     "canonical_config_dict",
+    "canonical_rate",
+    "result_to_dict",
+    "result_from_dict",
+    "result_to_canonical_json",
     "STORE_FORMAT",
     "CODE_VERSION",
     "default_salt",
@@ -62,6 +65,81 @@ CODE_VERSION = "4"
 
 def default_salt() -> str:
     return f"{STORE_FORMAT}:code={CODE_VERSION}"
+
+
+def canonical_rate(value: float) -> float:
+    """The one canonical form of a float grid key (arrival/loss rates).
+
+    Sweep grids index results by float keys, and the same mathematical
+    point can arrive as ``3.0`` from a literal or ``3.0000000000000004``
+    from accumulated arithmetic.  Every layer that keys on a rate — the
+    plan builders, the sweep reducers, the run-store digests — routes
+    the key through here, so a lookup can never miss its own result.
+    Rounding to 12 decimal places erases accumulated binary noise (~4 ulp
+    at magnitude 1e3) while preserving every humanly distinguishable grid
+    point; ``repr`` of the result is stable under further round-trips
+    because Python floats print shortest-repr.
+    """
+    return round(float(value), 12)
+
+
+# RunResult codec ------------------------------------------------------------
+#
+# A stored result is plain, key-sorted JSON — no pickle, so shards are
+# portable, diffable and safe to load; a reloaded ``messages_by_kind``
+# holds equal values in sorted key order.
+
+#: RunResult fields serialised verbatim (order defines the JSON layout)
+_FIELDS = (
+    "params",
+    "horizon",
+    "generated",
+    "admitted_local",
+    "admitted_migrated",
+    "rejected",
+    "completed",
+    "lost",
+    "evacuations",
+    "evacuation_failures",
+    "messages_total",
+    "messages_by_kind",
+    "response_time_mean",
+    "help_interval_mean",
+    "extra",
+    "series",
+)
+
+#: fields absent from records written before they existed — loaded with a
+#: default instead of raising, so old stores keep reading
+_OPTIONAL_FIELDS: Dict[str, object] = {"series": None}
+
+
+def result_to_dict(result: RunResult) -> Dict[str, object]:
+    """A JSON-ready mapping of one run."""
+    return {name: getattr(result, name) for name in _FIELDS}
+
+
+def result_from_dict(data: Dict[str, object]) -> RunResult:
+    """Rebuild a :class:`RunResult` from :func:`result_to_dict` output."""
+    missing = [
+        name for name in _FIELDS if name not in data and name not in _OPTIONAL_FIELDS
+    ]
+    if missing:
+        raise ValueError(f"result record missing fields: {missing}")
+    kwargs = {
+        name: data.get(name, _OPTIONAL_FIELDS.get(name)) for name in _FIELDS
+    }
+    return RunResult(**kwargs)  # type: ignore[arg-type]
+
+
+def result_to_canonical_json(result: RunResult) -> str:
+    """One deterministic JSON line per run.
+
+    Key-sorted, separator-minimal — byte-identical for equal results, so
+    store shards diff cleanly and the resume smoke can compare runs by
+    string equality.
+    """
+    return json.dumps(result_to_dict(result), sort_keys=True, separators=(",", ":"))
 
 
 def canonical_config_dict(obj: object) -> object:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
 
 from ..metrics.collector import RunResult
-from ..metrics.stats import summarize
+from ..analysis.stats import summarize
 from .config import ExperimentConfig
 from .executor import execute_plan
 from .plan import replication_plan, sweep_plan
@@ -26,7 +26,7 @@ __all__ = ["run_sweep", "run_replications", "SweepResults"]
 
 #: results keyed [protocol][arrival_rate] -> RunResult (single seed) or
 #: list of RunResults (replications); rate keys are canonical
-#: (:func:`~repro.metrics.export.canonical_rate`)
+#: (:func:`~repro.experiments.store.canonical_rate`)
 SweepResults = Dict[str, Dict[float, RunResult]]
 
 

@@ -1,33 +1,5 @@
-"""Metrics: counters, time series, statistics, collection and reporting."""
+"""Metrics: the per-run collector and the :class:`RunResult` it freezes."""
 
-from .collector import MetricsCollector, RunResult
-from .counters import MessageCounters, TaskCounters
-from .report import describe_result, figure_table, format_series, format_table
-from .series import Sampler, TimeSeries
-from .stats import (
-    StreamingMean,
-    SummaryStats,
-    batch_means_ci,
-    proportion_ci,
-    summarize,
-    two_proportion_z,
-)
+from .collector import MessageCounters, MetricsCollector, RunResult, TaskCounters
 
-__all__ = [
-    "MetricsCollector",
-    "RunResult",
-    "MessageCounters",
-    "TaskCounters",
-    "describe_result",
-    "figure_table",
-    "format_series",
-    "format_table",
-    "Sampler",
-    "TimeSeries",
-    "StreamingMean",
-    "SummaryStats",
-    "batch_means_ci",
-    "proportion_ci",
-    "summarize",
-    "two_proportion_z",
-]
+__all__ = ["MetricsCollector", "RunResult", "MessageCounters", "TaskCounters"]

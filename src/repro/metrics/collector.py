@@ -1,9 +1,16 @@
-"""The per-run metrics hub.
+"""The per-run metrics hub: the one place a run's counts are made.
 
-One :class:`MetricsCollector` is created per simulation run.  It owns the
-message/task counters, is wired into the transport's ``on_cost`` hook and
-the migration coordinator's outcome reporting, and produces the final
-:class:`RunResult` record consumed by the figure harness.
+One :class:`MetricsCollector` is created per run.  It owns the message
+and task counters, is wired into the transport's ``on_cost`` hook and
+the migration coordinator's outcome reporting, and freezes them into the
+:class:`RunResult` record the figures, studies and run store consume.
+The observability registry only *samples* these counters; it counts
+nothing itself.
+
+The paper's overhead metric is a weighted message count: a flood costs
+``#links``, a unicast its hop count.  :class:`MessageCounters` keeps it
+per message kind (Fig 6's totals, Fig 7's cost per admitted task), and
+:class:`TaskCounters` the numerators and denominators of Figs 5 and 8.
 """
 
 from __future__ import annotations
@@ -12,9 +19,70 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..node.task import Task, TaskOutcome
-from .counters import MessageCounters, TaskCounters
 
-__all__ = ["MetricsCollector", "RunResult"]
+__all__ = ["MessageCounters", "MetricsCollector", "RunResult", "TaskCounters"]
+
+
+@dataclass
+class MessageCounters:
+    """Weighted message-cost accumulator keyed by message kind."""
+
+    by_kind: Dict[str, float] = field(default_factory=dict)
+
+    def add(self, kind: str, cost: float) -> None:
+        """Record one send of ``kind`` with weighted ``cost``."""
+        if cost < 0:
+            raise ValueError(f"negative message cost: {cost}")
+        self.by_kind[kind] = self.by_kind.get(kind, 0.0) + cost
+
+    def total(self) -> float:
+        """Total weighted message count across kinds (the Fig 6 y-axis)."""
+        return sum(self.by_kind.values())
+
+    def snapshot(self) -> Dict[str, float]:
+        return dict(self.by_kind)
+
+
+@dataclass
+class TaskCounters:
+    """Task-outcome accumulator — the numerators/denominators of Figs 5 & 8."""
+
+    generated: int = 0
+    admitted_local: int = 0
+    admitted_migrated: int = 0
+    rejected: int = 0
+    completed: int = 0
+    lost: int = 0
+    evacuations: int = 0
+    evacuation_failures: int = 0
+    migration_attempts: int = 0
+    migration_failures: int = 0
+
+    @property
+    def admitted(self) -> int:
+        return self.admitted_local + self.admitted_migrated
+
+    @property
+    def admission_probability(self) -> float:
+        """admitted / generated (Fig 5's y-axis); 0 when nothing generated."""
+        return self.admitted / self.generated if self.generated else 0.0
+
+    @property
+    def migration_rate(self) -> float:
+        """migrated / admitted (Fig 8's y-axis)."""
+        return self.admitted_migrated / self.admitted if self.admitted else 0.0
+
+    def check_conservation(self) -> None:
+        """Every generated task is admitted, rejected or still in flight.
+
+        Called at the end of every run; raises on accounting drift.
+        """
+        accounted = self.admitted + self.rejected
+        if accounted > self.generated:
+            raise AssertionError(
+                f"task accounting drift: admitted={self.admitted} "
+                f"rejected={self.rejected} > generated={self.generated}"
+            )
 
 
 @dataclass(frozen=True)

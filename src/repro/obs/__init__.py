@@ -18,9 +18,10 @@ inspectable after the fact and while they happen:
 * :mod:`repro.obs.telemetry` — live progress/ETA and per-protocol
   rolling summaries for long sweeps (``python -m repro.experiments
   --observe``);
-* :mod:`repro.obs.registry` — the run-wide metrics registry: counters,
-  gauges, histograms and vectorized node-state samplers recorded as
-  per-run time series on one shared kernel heap entry;
+* :mod:`repro.obs.registry` — the run-wide metrics registry: it samples
+  the collector's counts, histograms and vectorized node-state probes
+  into per-run time series on one shared kernel heap entry, and writes
+  a run's series as JSONL/CSV files;
 * :mod:`repro.obs.recorder` — the flight recorder: last-N event and
   registry-snapshot rings, dumped with cell identity on run exceptions;
 * :mod:`repro.obs.inspect` — survivability reports over a warm
@@ -31,13 +32,7 @@ inspectable after the fact and while they happen:
 from .config import ObsConfig
 from .profiler import KernelProfiler, ProfileReport
 from .recorder import FlightRecorder, cell_identity
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    install_run_probes,
-)
+from .registry import Histogram, MetricsRegistry, TimeSeries, install_run_probes
 from .sinks import CallbackSink, JsonLinesSink, NullSink, record_to_json
 from .spans import (
     HelpSpan,
@@ -61,9 +56,8 @@ __all__ = [
     "ProgressReporter",
     "ObsConfig",
     "MetricsRegistry",
-    "Counter",
-    "Gauge",
     "Histogram",
+    "TimeSeries",
     "install_run_probes",
     "FlightRecorder",
     "cell_identity",

@@ -22,7 +22,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from ..metrics.export import save_series_csv, save_series_jsonl
+from .registry import save_series_csv, save_series_jsonl
 from .inspect import (
     diff_report,
     load_runs,

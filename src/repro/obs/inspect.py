@@ -27,10 +27,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..analysis.ascii_chart import DENSITY, render, render_timeline
-from ..experiments.store import RunStore
+from ..analysis.report import format_table
+from ..experiments.store import RunStore, result_from_dict
 from ..metrics.collector import RunResult
-from ..metrics.export import result_from_dict
-from ..metrics.report import format_table
 from ..sim.trace import TraceRecord
 
 __all__ = [

@@ -92,7 +92,7 @@ class ProfileReport:
 
     def format(self, top: int = 10) -> str:
         """A two-table plain-text report (subsystems, then hot callbacks)."""
-        from ..metrics.report import format_table
+        from ..analysis.report import format_table
 
         total = self.total_seconds or 1e-12
         sub_rows = [

@@ -1,9 +1,10 @@
 """The run-wide metrics registry: survivability trajectories at scale.
 
-A :class:`MetricsRegistry` samples counters, gauges and histograms on a
-simulated-time cadence and records each as a
-:class:`~repro.metrics.series.TimeSeries`.  Two design rules keep it
-affordable at the 2.5k–10k-node tiers:
+A :class:`MetricsRegistry` samples a run's state on a simulated-time
+cadence and records each quantity as a :class:`TimeSeries`.  It counts
+nothing itself: the run's counts are made once, by the
+:class:`~repro.metrics.collector.MetricsCollector`, and the probes read
+them.  Two design rules keep it affordable at the 2.5k–10k-node tiers:
 
 * **One heap entry, not O(samples).**  The tick joins the kernel's
   shared :meth:`~repro.sim.kernel.Simulator.shared_periodic` round at
@@ -29,59 +30,75 @@ bit-identical — pinned by ``tests/obs/test_registry.py``.
 
 from __future__ import annotations
 
+import csv
+import json
 from bisect import bisect_right
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from pathlib import Path
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..metrics.series import TimeSeries
 from ..sim.events import Priority
 from ..sim.kernel import RoundMembership, Simulator
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "TimeSeries",
     "install_run_probes",
+    "load_series_jsonl",
+    "save_series_csv",
+    "save_series_jsonl",
     "REGISTRY_FORMAT",
+    "SERIES_FORMAT_TAG",
 ]
 
 REGISTRY_FORMAT = "repro-registry/1"
+SERIES_FORMAT_TAG = "repro-series/1"
 
 
-class Counter:
-    """Monotonic named counter; its cumulative value is sampled per tick."""
+class TimeSeries:
+    """Append-only (time, value) series backed by NumPy buffers."""
 
-    __slots__ = ("name", "value")
+    # slots: the registry appends to ~20 of these per sampling tick on the
+    # hot path; fixed attribute offsets keep that cheap
+    __slots__ = ("name", "_t", "_v", "_n")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str = "", initial_capacity: int = 256) -> None:
         self.name = name
-        self.value = 0.0
+        self._t = np.empty(initial_capacity, dtype=np.float64)
+        self._v = np.empty(initial_capacity, dtype=np.float64)
+        self._n = 0
 
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only move forward")
-        self.value += amount
+    def append(self, t: float, v: float) -> None:
+        if self._n == self._t.shape[0]:
+            # Explicit grow-and-copy: ``np.resize`` fills the tail by
+            # *repeating* the existing data, which silently duplicates
+            # samples into the uninitialised region if anything ever
+            # reads past ``_n``.  An empty buffer plus one copy keeps the
+            # tail garbage-but-unreachable, like a list's growth.
+            grown_t = np.empty(self._n * 2, dtype=np.float64)
+            grown_v = np.empty(self._n * 2, dtype=np.float64)
+            grown_t[: self._n] = self._t
+            grown_v[: self._n] = self._v
+            self._t = grown_t
+            self._v = grown_v
+        self._t[self._n] = t
+        self._v[self._n] = v
+        self._n += 1
 
+    def __len__(self) -> int:
+        return self._n
 
-class Gauge:
-    """Named point-in-time value, set directly or read from a probe."""
+    @property
+    def times(self) -> np.ndarray:
+        """View (not a copy) of the recorded sample times."""
+        return self._t[: self._n]
 
-    __slots__ = ("name", "value", "probe")
-
-    def __init__(self, name: str, probe: Optional[Callable[[], float]] = None) -> None:
-        self.name = name
-        self.value = 0.0
-        self.probe = probe
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def read(self) -> float:
-        if self.probe is not None:
-            self.value = float(self.probe())
-        return self.value
+    @property
+    def values(self) -> np.ndarray:
+        """View (not a copy) of the recorded sample values."""
+        return self._v[: self._n]
 
 
 class Histogram:
@@ -193,8 +210,6 @@ class MetricsRegistry:
         self.sim = sim
         self.interval = float(interval)
         self.series: Dict[str, TimeSeries] = {}
-        self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
         #: most recent sampled value per metric (feeds recorder snapshots)
         self.latest: Dict[str, float] = {}
@@ -208,18 +223,6 @@ class MetricsRegistry:
         self._finished = False
 
     # Metric construction ------------------------------------------------
-
-    def counter(self, name: str) -> Counter:
-        c = self.counters.get(name)
-        if c is None:
-            c = self.counters[name] = Counter(name)
-        return c
-
-    def gauge(self, name: str, probe: Optional[Callable[[], float]] = None) -> Gauge:
-        g = self.gauges.get(name)
-        if g is None:
-            g = self.gauges[name] = Gauge(name, probe)
-        return g
 
     def histogram(self, name: str, edges: Sequence[float]) -> Histogram:
         h = self.histograms.get(name)
@@ -271,11 +274,6 @@ class MetricsRegistry:
             if final or (tick - 1) % entry[1] == 0:
                 entry[0](now)
                 entry[2] = tick
-        record = self.record
-        for name, counter in self.counters.items():
-            record(now, name, counter.value)
-        for name, gauge in self.gauges.items():
-            record(now, name, gauge.read())
         if self._recorder is not None:
             self._recorder.record_snapshot(now, dict(self.latest))
 
@@ -491,3 +489,72 @@ def install_run_probes(
 
     registry.add_sampler(probe)
     registry.add_deep_sampler(probe_deep, stride=stride)
+
+
+# Series files ---------------------------------------------------------------
+#
+# One run's trajectories (a :meth:`MetricsRegistry.to_payload` dict, as
+# carried on ``RunResult.series``) as files: ``python -m repro.obs inspect
+# --jsonl/--csv`` writes them, and :func:`load_series_jsonl` reads the JSONL
+# form back without the store.
+
+
+def save_series_jsonl(payload: Dict[str, object], path: Union[str, Path]) -> Path:
+    """Write one run's trajectories as JSONL: a header line, then one
+    key-sorted line per metric (``{"metric":..., "t":[...], "v":[...]}``)."""
+    path = Path(path)
+    series = payload.get("series", {}) if payload else {}
+    with path.open("w") as fh:
+        header = {
+            "format": SERIES_FORMAT_TAG,
+            "interval": payload.get("interval") if payload else None,
+            "ticks": payload.get("ticks") if payload else None,
+            "metrics": sorted(series),
+        }
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+        for metric in sorted(series):
+            track = series[metric]
+            line = {"metric": metric, "t": list(track["t"]), "v": list(track["v"])}
+            fh.write(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n")
+    return path
+
+
+def load_series_jsonl(path: Union[str, Path]) -> Dict[str, object]:
+    """Read :func:`save_series_jsonl` output back into a payload-shaped dict."""
+    series: Dict[str, object] = {}
+    header: Dict[str, object] = {}
+    with Path(path).open() as fh:
+        first = fh.readline()
+        header = json.loads(first) if first.strip() else {}
+        if header.get("format") != SERIES_FORMAT_TAG:
+            raise ValueError(
+                f"not a {SERIES_FORMAT_TAG} file: {header.get('format')!r}"
+            )
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            rec = json.loads(line)
+            series[rec["metric"]] = {"t": rec["t"], "v": rec["v"]}
+    return {
+        "format": REGISTRY_FORMAT,
+        "interval": header.get("interval"),
+        "ticks": header.get("ticks"),
+        "series": series,
+        "histograms": {},
+    }
+
+
+def save_series_csv(payload: Dict[str, object], path: Union[str, Path]) -> Path:
+    """Write one run's trajectories as a flat ``metric,t,v`` CSV, rows
+    metric-sorted then time-ordered."""
+    path = Path(path)
+    series = payload.get("series", {}) if payload else {}
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("metric", "t", "v"))
+        for metric in sorted(series):
+            track = series[metric]
+            for t, v in zip(track["t"], track["v"]):
+                writer.writerow((metric, repr(float(t)), repr(float(v))))
+    return path

@@ -208,7 +208,7 @@ class ProgressReporter:
 
     def summary(self) -> str:
         """Final per-protocol rollup table."""
-        from ..metrics.report import format_table
+        from ..analysis.report import format_table
 
         # the ranking columns join the table only when some run produced
         # a ranking signal, keeping ranking-less sweep output unchanged

@@ -10,7 +10,7 @@ from repro.experiments.executor import (
 from repro.experiments.plan import sweep_plan
 from repro.experiments.store import RunStore
 from repro.experiments.sweep import run_sweep
-from repro.metrics.export import result_to_canonical_json
+from repro.experiments.store import result_to_canonical_json
 
 BASE = ExperimentConfig(horizon=120.0, arrival_rate=5.0)
 

@@ -11,7 +11,7 @@ from repro.experiments.plan import (
 )
 from repro.experiments.runner import run_experiment
 from repro.experiments.sweep import run_sweep
-from repro.metrics.export import canonical_rate, result_to_canonical_json
+from repro.experiments.store import canonical_rate, result_to_canonical_json
 
 BASE = ExperimentConfig(horizon=120.0, arrival_rate=5.0)
 

@@ -12,7 +12,7 @@ from repro.experiments.store import (
     config_digest,
     default_salt,
 )
-from repro.metrics.export import result_to_canonical_json
+from repro.experiments.store import result_to_canonical_json
 
 CFG = ExperimentConfig(horizon=100.0, arrival_rate=4.0)
 
@@ -48,7 +48,7 @@ class TestConfigDigest:
 
     def test_canonical_rates_collide_on_purpose(self):
         """3.0 and 3.0000000000000004 canonicalise to one digest upstream."""
-        from repro.metrics.export import canonical_rate
+        from repro.experiments.store import canonical_rate
 
         noisy = CFG.with_(arrival_rate=canonical_rate(3.0000000000000004))
         clean = CFG.with_(arrival_rate=3.0)

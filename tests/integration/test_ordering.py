@@ -80,12 +80,14 @@ class TestMessageBeforeArrival:
 
 class TestSamplingLast:
     def test_sampler_sees_post_event_state(self):
-        from repro.metrics.series import Sampler
+        from repro.obs.registry import MetricsRegistry
 
         sim = Simulator()
         host = Host(sim, 0, capacity=10.0)
-        sampler = Sampler(sim, interval=5.0)
-        series = sampler.watch("usage", host.usage)
+        registry = MetricsRegistry(sim, interval=5.0)
+        registry.add_sampler(lambda now: registry.record(now, "usage", host.usage()))
+        registry.start()
+        series = registry.series["usage"]
 
         def admit():
             host.accept(Task(size=5.0, arrival_time=sim.now, origin=0),

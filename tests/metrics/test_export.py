@@ -1,26 +1,53 @@
-"""Tests for JSON result serialisation."""
+"""Tests for result serialisation: the ``RunResult`` codec and the run
+store it feeds (``experiments/store.py``), and a run's series files
+(``obs/registry.py``)."""
 
 import json
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.sweep import run_sweep
-from repro.metrics.export import (
-    FORMAT_TAG,
-    load_sweep,
-    load_sweep_csv,
+from repro.experiments.store import (
+    STORE_FORMAT,
+    RunStore,
     result_from_dict,
     result_to_dict,
-    save_sweep,
-    save_sweep_csv,
 )
+from repro.experiments.sweep import run_sweep
+
+PROTOCOLS, RATES = ["realtor", "push-1"], [3.0, 7.0]
+BASE = ExperimentConfig(horizon=100.0)
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    base = ExperimentConfig(horizon=100.0)
-    return run_sweep(["realtor", "push-1"], [3.0, 7.0], base)
+def store_root(tmp_path_factory):
+    """A store holding the sweep below, written as it ran."""
+    return tmp_path_factory.mktemp("store")
+
+
+@pytest.fixture(scope="module")
+def sweep(store_root):
+    return run_sweep(PROTOCOLS, RATES, BASE, store=RunStore(store_root))
+
+
+@pytest.fixture(scope="module")
+def loaded(sweep, store_root):
+    """The same sweep served from a reopened store: zero simulation."""
+    store = RunStore(store_root)
+    results = run_sweep(PROTOCOLS, RATES, BASE, store=store)
+    assert store.stats()["misses"] == 0
+    return results
+
+
+@pytest.fixture(scope="module")
+def obs_result():
+    from repro.experiments.runner import run_experiment
+    from repro.obs.config import ObsConfig
+
+    cfg = ExperimentConfig(
+        horizon=30.0, obs=ObsConfig(samples_target=8, agent_stride=4)
+    )
+    return run_experiment(cfg)
 
 
 class TestRoundTrip:
@@ -41,97 +68,77 @@ class TestRoundTrip:
 
 
 class TestSweepFiles:
-    def test_save_load_round_trip(self, sweep, tmp_path):
-        path = save_sweep(sweep, tmp_path / "sweep.json")
-        loaded = load_sweep(path)
+    """A sweep persists as run-store shards and loads back from them."""
+
+    def test_save_load_round_trip(self, sweep, loaded):
         assert set(loaded) == {"realtor", "push-1"}
         assert set(loaded["realtor"]) == {3.0, 7.0}
         for proto in sweep:
             for rate in sweep[proto]:
                 assert loaded[proto][rate] == sweep[proto][rate]
 
-    def test_file_is_plain_json(self, sweep, tmp_path):
-        path = save_sweep(sweep, tmp_path / "sweep.json")
-        payload = json.loads(path.read_text())
-        assert payload["format"] == FORMAT_TAG
+    def test_file_is_plain_json(self, sweep, store_root):
+        RunStore(store_root).flush()
+        index = json.loads((store_root / "index.json").read_text())
+        assert index["format"] == STORE_FORMAT
+        lines = [
+            json.loads(line)
+            for shard in (store_root / "shards").glob("*.jsonl")
+            for line in shard.read_text().splitlines()
+        ]
+        assert len(lines) == len(PROTOCOLS) * len(RATES)
+        assert all(set(rec["result"]) == set(result_to_dict(sweep["realtor"][3.0]))
+                   for rec in lines)
 
     def test_wrong_format_rejected(self, tmp_path):
-        p = tmp_path / "bogus.json"
-        p.write_text(json.dumps({"format": "other", "results": {}}))
+        (tmp_path / "index.json").write_text(json.dumps({"format": "other"}))
         with pytest.raises(ValueError):
-            load_sweep(p)
+            RunStore(tmp_path)
 
-    def test_figures_work_on_loaded_sweep(self, sweep, tmp_path):
-        """A saved sweep can regenerate figure tables offline."""
+    def test_figures_work_on_loaded_sweep(self, loaded):
+        """A stored sweep regenerates figure tables offline."""
         from repro.experiments.figures import fig5_admission_probability
 
-        path = save_sweep(sweep, tmp_path / "sweep.json")
-        loaded = load_sweep(path)
         result = fig5_admission_probability(
             (3.0, 7.0), protocols=("realtor", "push-1"), raw=loaded
         )
         assert result.series["realtor"]  # projected from disk, no sim runs
 
     def test_save_is_byte_deterministic(self, sweep, tmp_path):
-        a = save_sweep(sweep, tmp_path / "a.json").read_bytes()
-        b = save_sweep(sweep, tmp_path / "b.json").read_bytes()
-        assert a == b
+        def shards(root):
+            store = RunStore(root)
+            for proto in PROTOCOLS:
+                for rate in RATES:
+                    cfg = BASE.with_(protocol=proto, arrival_rate=rate)
+                    store.put(store.digest(cfg), cfg, sweep[proto][rate])
+            return {p.name: p.read_bytes() for p in (root / "shards").glob("*")}
+
+        assert shards(tmp_path / "a") == shards(tmp_path / "b")
 
 
 class TestCsvRoundTrip:
-    def test_save_load_round_trip_equal(self, sweep, tmp_path):
-        path = save_sweep_csv(sweep, tmp_path / "sweep.csv")
-        loaded = load_sweep_csv(path)
-        assert set(loaded) == set(sweep)
-        for proto in sweep:
-            assert set(loaded[proto]) == set(sweep[proto])
-            for rate in sweep[proto]:
-                assert loaded[proto][rate] == sweep[proto][rate]
+    """Results reloaded from disk behave exactly like fresh ones."""
 
-    def test_messages_by_kind_key_order_deterministic(self, sweep, tmp_path):
-        """Both formats give a deterministic, equal-value key order.
-
-        The JSON file canonicalises (``sort_keys=True``): keys come back
-        sorted, independent of emission order.  The CSV keeps insertion
-        order exactly (keys are JSON-encoded per cell without sorting).
-        Either way two saves load identically.
-        """
+    def test_messages_by_kind_key_order_deterministic(self, sweep, loaded):
+        """The store canonicalises (``sort_keys=True``): keys come back
+        sorted, independent of emission order, with equal values."""
         original = sweep["realtor"][7.0]
         assert original.messages_by_kind  # the run really sent messages
-
-        from_json = load_sweep(save_sweep(sweep, tmp_path / "s.json"))
-        rebuilt = from_json["realtor"][7.0]
+        rebuilt = loaded["realtor"][7.0]
         assert list(rebuilt.messages_by_kind) == sorted(original.messages_by_kind)
         assert rebuilt.messages_by_kind == original.messages_by_kind
 
-        from_csv = load_sweep_csv(save_sweep_csv(sweep, tmp_path / "s.csv"))
-        assert (
-            list(from_csv["realtor"][7.0].messages_by_kind)
-            == list(original.messages_by_kind)
-        )
+    def test_csv_is_byte_deterministic(self, obs_result, tmp_path):
+        from repro.obs.registry import save_series_csv
 
-    def test_csv_is_byte_deterministic(self, sweep, tmp_path):
-        a = save_sweep_csv(sweep, tmp_path / "a.csv").read_bytes()
-        b = save_sweep_csv(sweep, tmp_path / "b.csv").read_bytes()
+        a = save_series_csv(obs_result.series, tmp_path / "a.csv").read_bytes()
+        b = save_series_csv(obs_result.series, tmp_path / "b.csv").read_bytes()
         assert a == b
 
-    def test_one_row_per_run_plus_header(self, sweep, tmp_path):
-        path = save_sweep_csv(sweep, tmp_path / "sweep.csv")
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("protocol,rate,")
-        assert len(lines) == 1 + sum(len(s) for s in sweep.values())
-
-    def test_wrong_header_rejected(self, tmp_path):
-        p = tmp_path / "bogus.csv"
-        p.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
-            load_sweep_csv(p)
-
-    def test_report_tables_render_from_loaded_csv(self, sweep, tmp_path):
+    def test_report_tables_render_from_loaded_csv(self, sweep, loaded):
         """report.py consumes reloaded results exactly like live ones."""
-        from repro.metrics.report import describe_result, figure_table
+        from repro.analysis.report import describe_result, figure_table
 
-        loaded = load_sweep_csv(save_sweep_csv(sweep, tmp_path / "s.csv"))
         live = figure_table(sweep, lambda r: r.admission_probability)
         offline = figure_table(loaded, lambda r: r.admission_probability)
         assert offline == live
@@ -142,16 +149,6 @@ class TestCsvRoundTrip:
 
 class TestSeriesField:
     """``RunResult.series`` through every serialisation path."""
-
-    @pytest.fixture(scope="class")
-    def obs_result(self):
-        from repro.experiments.runner import run_experiment
-        from repro.obs.config import ObsConfig
-
-        cfg = ExperimentConfig(
-            horizon=30.0, obs=ObsConfig(samples_target=8, agent_stride=4)
-        )
-        return run_experiment(cfg)
 
     def test_dict_round_trip_keeps_series(self, obs_result):
         rebuilt = result_from_dict(result_to_dict(obs_result))
@@ -168,44 +165,22 @@ class TestSeriesField:
         assert rebuilt.series is None
 
     def test_csv_round_trip_keeps_series(self, obs_result, tmp_path):
-        path = save_sweep_csv({"realtor": {5.0: obs_result}}, tmp_path / "s.csv")
-        loaded = load_sweep_csv(path)
-        assert loaded["realtor"][5.0] == obs_result
-
-    def test_legacy_csv_header_still_loads(self, sweep, tmp_path):
-        import csv as csv_mod
-
-        from repro.metrics.export import _CSV_HEADER, _CSV_HEADER_V1
-
-        path = save_sweep_csv(sweep, tmp_path / "old.csv")
-        rows = list(csv_mod.reader(path.open(newline="")))
-        assert rows[0] == list(_CSV_HEADER)
-        idx = rows[0].index("series")
-        legacy = [[c for i, c in enumerate(row) if i != idx] for row in rows]
-        assert legacy[0] == list(_CSV_HEADER_V1)
-        old = tmp_path / "v1.csv"
-        with old.open("w", newline="") as fh:
-            csv_mod.writer(fh).writerows(legacy)
-        loaded = load_sweep_csv(old)
-        assert loaded["realtor"][3.0].series is None
-        assert loaded["realtor"][3.0].generated == sweep["realtor"][3.0].generated
+        cfg = ExperimentConfig(horizon=30.0)
+        store = RunStore(tmp_path)
+        digest = store.digest(cfg)
+        store.put(digest, cfg, obs_result)
+        assert RunStore(tmp_path).get(digest) == obs_result
 
 
 class TestSeriesFiles:
     """The trajectory JSONL/CSV exporters behind ``--jsonl``/``--csv``."""
 
     @pytest.fixture(scope="class")
-    def payload(self):
-        from repro.experiments.runner import run_experiment
-        from repro.obs.config import ObsConfig
-
-        cfg = ExperimentConfig(
-            horizon=30.0, obs=ObsConfig(samples_target=8, agent_stride=4)
-        )
-        return run_experiment(cfg).series
+    def payload(self, obs_result):
+        return obs_result.series
 
     def test_jsonl_round_trip(self, payload, tmp_path):
-        from repro.metrics.export import load_series_jsonl, save_series_jsonl
+        from repro.obs.registry import load_series_jsonl, save_series_jsonl
 
         path = save_series_jsonl(payload, tmp_path / "series.jsonl")
         loaded = load_series_jsonl(path)
@@ -216,14 +191,14 @@ class TestSeriesFiles:
         assert loaded["ticks"] == payload["ticks"]
 
     def test_jsonl_is_byte_deterministic(self, payload, tmp_path):
-        from repro.metrics.export import save_series_jsonl
+        from repro.obs.registry import save_series_jsonl
 
         a = save_series_jsonl(payload, tmp_path / "a.jsonl")
         b = save_series_jsonl(payload, tmp_path / "b.jsonl")
         assert a.read_bytes() == b.read_bytes()
 
     def test_jsonl_wrong_format_rejected(self, tmp_path):
-        from repro.metrics.export import load_series_jsonl
+        from repro.obs.registry import load_series_jsonl
 
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"format":"something-else"}\n')
@@ -231,7 +206,7 @@ class TestSeriesFiles:
             load_series_jsonl(bad)
 
     def test_csv_rows_sorted_and_complete(self, payload, tmp_path):
-        from repro.metrics.export import save_series_csv
+        from repro.obs.registry import save_series_csv
 
         path = save_series_csv(payload, tmp_path / "series.csv")
         lines = path.read_text().splitlines()

@@ -1,12 +1,7 @@
 """Unit tests for table rendering."""
 
+from repro.analysis.report import describe_result, figure_table, format_table
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.report import (
-    describe_result,
-    figure_table,
-    format_series,
-    format_table,
-)
 from repro.node.task import Task, TaskOutcome
 
 
@@ -53,14 +48,6 @@ class TestFigureTable:
         assert "realtor" in lines[0] and "push-1" in lines[0]
         assert len(lines) == 4  # header + sep + 2 rates
         assert "-" in lines[3]  # missing push-1 point at rate 2
-
-
-class TestFormatSeries:
-    def test_shared_x_axis(self):
-        out = format_series([1.0, 2.0], {"a": [0.1, 0.2], "b": [0.3]})
-        lines = out.splitlines()
-        assert len(lines) == 4
-        assert "-" in lines[3]  # b has no second point
 
 
 class TestDescribeResult:

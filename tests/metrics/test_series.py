@@ -1,8 +1,8 @@
-"""Unit tests for time series and samplers."""
+"""Unit tests for the registry's time series and samplers."""
 
 import pytest
 
-from repro.metrics.series import Sampler, TimeSeries
+from repro.obs.registry import MetricsRegistry, TimeSeries
 from repro.sim.kernel import Simulator
 
 
@@ -14,39 +14,6 @@ class TestTimeSeries:
         assert len(ts) == 5
         assert ts.times.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert ts.values.tolist() == [0.0, 10.0, 20.0, 30.0, 40.0]
-
-    def test_mean_and_max(self):
-        ts = TimeSeries()
-        for t, v in [(0.0, 1.0), (1.0, 3.0)]:
-            ts.append(t, v)
-        assert ts.mean() == 2.0
-        assert ts.max() == 3.0
-
-    def test_empty_stats(self):
-        ts = TimeSeries()
-        assert ts.mean() == 0.0
-        assert ts.max() == 0.0
-        assert ts.time_average() == 0.0
-
-    def test_time_average_weights_by_duration(self):
-        ts = TimeSeries()
-        ts.append(0.0, 10.0)   # held for 9 time units
-        ts.append(9.0, 0.0)    # held for 1
-        ts.append(10.0, 0.0)
-        assert ts.time_average() == pytest.approx(9.0)
-
-    def test_window_half_open(self):
-        ts = TimeSeries()
-        for t in (0.0, 1.0, 2.0, 3.0):
-            ts.append(t, t)
-        times, values = ts.window(1.0, 3.0)
-        assert times.tolist() == [1.0, 2.0]
-
-    def test_crossings(self):
-        ts = TimeSeries()
-        for t, v in enumerate([0.1, 0.95, 0.5, 0.92, 0.3]):
-            ts.append(float(t), v)
-        assert ts.crossings(0.9) == 4
 
     def test_growth_preserves_data_across_many_doublings(self):
         # regression: np.resize fills the grown tail by *repeating* the
@@ -67,87 +34,59 @@ class TestTimeSeries:
         assert v.base is ts._v  # a view, not a copy
         assert ts.times.base is ts._t
 
-    def test_last(self):
-        ts = TimeSeries()
-        assert ts.last() == 0.0
-        ts.append(0.0, 3.0)
-        ts.append(1.0, 7.0)
-        assert ts.last() == 7.0
 
-    def test_percentile_accessors(self):
-        ts = TimeSeries()
-        for i in range(101):
-            ts.append(float(i), float(i))
-        assert ts.percentile(50.0) == pytest.approx(50.0)
-        assert ts.percentile(90.0) == pytest.approx(90.0)
-        p = ts.percentiles((50.0, 90.0, 100.0))
-        assert p.tolist() == pytest.approx([50.0, 90.0, 100.0])
-
-    def test_percentiles_empty(self):
-        ts = TimeSeries()
-        assert ts.percentile(50.0) == 0.0
-        assert ts.percentiles((10.0, 90.0)).tolist() == [0.0, 0.0]
+def sampled(sim, interval, name, probe):
+    """A started registry recording ``probe()`` as ``name`` every tick."""
+    reg = MetricsRegistry(sim, interval=interval)
+    reg.add_sampler(lambda now: reg.record(now, name, float(probe())))
+    reg.start()
+    return reg
 
 
 class TestSampler:
+    """``MetricsRegistry.add_sampler``: periodic probes on one shared round."""
+
     def test_periodic_sampling(self):
         sim = Simulator()
-        sampler = Sampler(sim, interval=10.0)
         counter = {"v": 0.0}
-        series = sampler.watch("v", lambda: counter["v"])
+        reg = sampled(sim, 10.0, "v", lambda: counter["v"])
         sim.at(15.0, lambda: counter.__setitem__("v", 7.0))
         sim.run(until=35.0)
-        # samples at t=0 (immediate), 10, 20, 30
+        series = reg.series["v"]
+        # samples at t=0 (start), 10, 20, 30
         assert series.times.tolist() == [0.0, 10.0, 20.0, 30.0]
         assert series.values.tolist() == [0.0, 0.0, 7.0, 7.0]
 
-    def test_duplicate_probe_rejected(self):
-        sim = Simulator()
-        sampler = Sampler(sim, interval=1.0)
-        sampler.watch("x", lambda: 0.0)
-        with pytest.raises(ValueError):
-            sampler.watch("x", lambda: 1.0)
-
     def test_stop_halts_sampling(self):
         sim = Simulator()
-        sampler = Sampler(sim, interval=1.0)
-        series = sampler.watch("x", lambda: 1.0)
-        sim.at(2.5, sampler.stop)
+        reg = sampled(sim, 1.0, "x", lambda: 1.0)
+        sim.at(2.5, reg.finish)
         sim.run(until=10.0)
-        assert len(series) == 3  # t=0, 1, 2
-
-    def test_get(self):
-        sim = Simulator()
-        sampler = Sampler(sim, interval=1.0)
-        series = sampler.watch("x", lambda: 0.0)
-        assert sampler.get("x") is series
-        assert sampler.get("missing") is None
+        # t=0, 1, 2 and the closing sample at 2.5
+        assert reg.series["x"].times.tolist() == [0.0, 1.0, 2.0, 2.5]
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
-            Sampler(Simulator(), interval=0.0)
+            MetricsRegistry(Simulator(), interval=0.0)
 
     def test_same_cadence_samplers_share_one_heap_entry(self):
-        # Sampler rides Simulator.shared_periodic: N same-cadence
-        # samplers must cost one agenda entry per tick, not N
+        # the registry rides Simulator.shared_periodic: N same-cadence
+        # registries must cost one agenda entry per tick, not N
         sim = Simulator()
-        samplers = [Sampler(sim, interval=5.0) for _ in range(4)]
-        for i, s in enumerate(samplers):
-            s.watch(f"x{i}", lambda: 1.0)
+        regs = [sampled(sim, 5.0, f"x{i}", lambda: 1.0) for i in range(4)]
         before = sim.events_executed
         sim.run(until=20.0)
         fired = sim.events_executed - before
         # ticks at 5, 10, 15, 20 -> 4 shared firings regardless of count
         assert fired == 4
-        for i, s in enumerate(samplers):
-            assert len(s.get(f"x{i}")) == 5  # watch-instant + 4 ticks
+        for i, reg in enumerate(regs):
+            assert len(reg.series[f"x{i}"]) == 5  # start + 4 ticks
 
     def test_stop_uses_tracked_cancellation(self):
         sim = Simulator()
-        sampler = Sampler(sim, interval=1.0)
-        sampler.watch("x", lambda: 1.0)
-        sampler.stop()
-        assert sampler._timer.stopped
-        before = len(sampler.get("x"))
+        reg = sampled(sim, 1.0, "x", lambda: 1.0)
+        reg.finish()
+        assert reg._membership.stopped
+        before = len(reg.series["x"])
         sim.run(until=10.0)
-        assert len(sampler.get("x")) == before  # no further samples
+        assert len(reg.series["x"]) == before  # no further samples

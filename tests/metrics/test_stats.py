@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.metrics.stats import (
-    StreamingMean,
+from repro.analysis.stats import (
     batch_means_ci,
     proportion_ci,
     summarize,
@@ -100,25 +99,3 @@ class TestTwoProportionZ:
     def test_validation(self):
         with pytest.raises(ValueError):
             two_proportion_z(1, 0, 1, 1)
-
-
-class TestStreamingMean:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(2)
-        xs = rng.normal(3.0, 2.0, size=500)
-        sm = StreamingMean()
-        sm.extend(xs)
-        assert sm.mean == pytest.approx(float(np.mean(xs)))
-        assert sm.variance == pytest.approx(float(np.var(xs, ddof=1)))
-        assert sm.std == pytest.approx(float(np.std(xs, ddof=1)))
-
-    def test_empty(self):
-        sm = StreamingMean()
-        assert sm.mean == 0.0
-        assert sm.variance == 0.0
-
-    def test_single(self):
-        sm = StreamingMean()
-        sm.add(5.0)
-        assert sm.mean == 5.0
-        assert sm.variance == 0.0

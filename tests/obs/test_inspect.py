@@ -11,7 +11,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import execute_plan
 from repro.experiments.plan import sweep_plan
 from repro.experiments.store import RunStore
-from repro.metrics.export import load_series_jsonl
+from repro.obs.registry import load_series_jsonl
 from repro.obs.__main__ import main as cli_main
 from repro.obs.config import ObsConfig
 from repro.obs.inspect import (

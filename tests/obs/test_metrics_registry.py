@@ -11,8 +11,6 @@ from repro.experiments.runner import build_system, run_experiment
 from repro.obs.config import ObsConfig
 from repro.obs.registry import (
     REGISTRY_FORMAT,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -30,21 +28,6 @@ BASE = dict(
 
 
 class TestPrimitives:
-    def test_counter_monotonic(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(2.0)
-        assert c.value == 3.0
-        with pytest.raises(ValueError):
-            c.inc(-1.0)
-
-    def test_gauge_set_and_probe(self):
-        g = Gauge("x")
-        g.set(4.0)
-        assert g.read() == 4.0
-        probed = Gauge("y", probe=lambda: 9.0)
-        assert probed.read() == 9.0
-
     def test_histogram_uniform_fast_path_matches_generic(self):
         uniform = Histogram("u", np.linspace(0.0, 1.0, 11))
         generic = Histogram("g", [0.0, 0.1, 0.25, 0.5, 0.75, 1.0])
