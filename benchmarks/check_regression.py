@@ -34,7 +34,7 @@ Seven gates, most against the committed ``BENCH_engine.json``:
 
 * **obs overhead gate** — runs the 2500-node single-run cell twice in
   this process, plain and with the metrics registry + flight recorder
-  installed (``ObsConfig()`` defaults: 64-sample cadence, vectorized
+  installed (``ObsConfig()``: 48-sample cadence, vectorized
   node-state probes, event/snapshot rings), and fails when the
   obs-enabled run+result phases are more than ``--obs-tolerance``
   (default 5%) slower.  Same-process interleaved ratio, so machine
@@ -559,7 +559,8 @@ def check_obs_overhead(
     import time
 
     from repro.experiments.runner import build_system
-    from repro.obs.config import ObsConfig
+    from repro.obs.config import SAMPLES_TARGET, ObsConfig
+    from repro.obs.registry import AGENT_STRIDE
 
     def run_plain() -> float:
         cfg = _scaling_cell_config(SCALING_GATE_NODES, OBS_GATE_HORIZON)
@@ -590,18 +591,17 @@ def check_obs_overhead(
     for _ in range(repeats):
         plain = min(plain, run_plain())
 
-    obs = ObsConfig()
-    cfg = _scaling_cell_config(SCALING_GATE_NODES, OBS_GATE_HORIZON, obs=obs)
+    cfg = _scaling_cell_config(SCALING_GATE_NODES, OBS_GATE_HORIZON, obs=ObsConfig())
     system = build_system(cfg)
     system.run(until=OBS_GATE_HORIZON / 2)  # mid-run: queues populated
     registry = system.registry
     lean = tick_cost(registry.sample, 1000)
     deep = tick_cost(lambda: registry.sample(final=True), 200)
 
-    # the per-run schedule: t=0 baseline + samples_target cadence ticks,
+    # the per-run schedule: t=0 baseline + SAMPLES_TARGET cadence ticks,
     # of which every stride-th (plus the final sample) runs the deep block
-    ticks = obs.samples_target + 1
-    deep_ticks = (ticks + obs.agent_stride - 1) // obs.agent_stride + 1
+    ticks = SAMPLES_TARGET + 1
+    deep_ticks = (ticks + AGENT_STRIDE - 1) // AGENT_STRIDE + 1
     projected = (ticks - deep_ticks) * lean + deep_ticks * deep
     budget = tolerance * plain
     ratio = 1.0 + projected / plain

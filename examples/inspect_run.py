@@ -32,7 +32,7 @@ from repro.obs.inspect import diff_report, load_runs, run_report, timeline_repor
 BASE = ExperimentConfig(
     horizon=120.0,
     seed=7,
-    obs=ObsConfig(samples_target=24, agent_stride=8),
+    obs=ObsConfig(),
 )
 RATES = [3.0, 6.0]
 

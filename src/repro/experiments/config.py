@@ -13,10 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
+import numpy as np
+
+from ..migration.policy import make_policy
 from ..network.impairments import ImpairmentConfig
 from ..network.transport import UnicastCostMode
 from ..obs.config import ObsConfig
 from ..protocols.base import ProtocolConfig
+from ..protocols.registry import is_protocol, protocol_names
 from ..workload.churn import ChurnConfig
 from ..workload.fleet import FleetConfig
 
@@ -31,6 +35,9 @@ TOPOLOGIES: Tuple[str, ...] = (
 )
 #: the unicast charging modes (``UnicastCostMode`` by value)
 UNICAST_COSTS: Tuple[str, ...] = tuple(mode.value for mode in UnicastCostMode)
+#: what a "random" policy spec needs to parse; the parsed policy is
+#: dropped, so nothing ever draws from it
+_PARSE_RNG = np.random.default_rng(0)
 
 
 @dataclass(frozen=True)
@@ -46,8 +53,7 @@ class ExperimentConfig:
     #: "poisson" (the paper) or "deterministic" (fixed-gap, round-robin
     #: origins — useful for exactly reproducible regression scenarios)
     arrival_process: str = "poisson"
-    task_mean: float = 5.0              # mean task size, seconds
-    size_dist: str = "exp"              # exp | fixed | uniform | pareto
+    task_mean: float = 5.0              # mean (exponential) task size, seconds
     cap_task_sizes: bool = True         # cap draws at queue capacity
     #: relative deadline = factor * size (None = best-effort, the paper's
     #: simulation; the QoS experiments use e.g. 10.0).  Deadline misses
@@ -89,8 +95,6 @@ class ExperimentConfig:
     #: square grid for mesh/torus and sizes the other families directly,
     #: so sweeps can say ``nodes=2500`` without factorising by hand.
     nodes: Optional[int] = None
-    #: target mean degree of the randomised families (random, scale-free)
-    topology_degree: int = 4
     #: edge-set seed of the randomised families.  Deliberately *separate*
     #: from the run ``seed``: replications across run seeds share one
     #: overlay (common random numbers), unless an experiment varies it.
@@ -147,14 +151,19 @@ class ExperimentConfig:
             raise ValueError("migration_retry_budget must be >= 0")
         if self.nodes is not None and self.nodes < 2:
             raise ValueError("nodes must be >= 2")
-        if self.topology_degree < 1:
-            raise ValueError("topology_degree must be >= 1")
         # Checked here, not first inside build_system: a typo in a plan
         # would otherwise surface in a pool worker after the rest ran.
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}; known: {TOPOLOGIES}")
         if self.unicast_cost not in UNICAST_COSTS:
             raise ValueError(f"unknown unicast_cost {self.unicast_cost!r}; known: {UNICAST_COSTS}")
+        if not is_protocol(self.protocol):
+            raise ValueError(f"unknown protocol {self.protocol!r}; known: {protocol_names()}")
+        make_policy(self.policy, all_nodes=(), rng=_PARSE_RNG)  # the runner's parse
+        if self.per_hop_latency < 0:
+            raise ValueError("per_hop_latency cannot be negative")
+        if self.fixed_unicast_cost < 0 or (self.flood_cost_override or 0.0) < 0:
+            raise ValueError("message costs cannot be negative")
 
     # Derived ------------------------------------------------------------
 

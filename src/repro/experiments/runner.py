@@ -46,7 +46,7 @@ from ..workload.arrivals import ArrivalGenerator, DeterministicArrivals, Poisson
 from ..workload.attack import AttackPlan
 from ..workload.churn import poisson_churn
 from ..workload.fleet import NodeParams, fleet_summary, node_params
-from ..workload.sizes import make_sampler
+from ..workload.sizes import ExponentialSizes
 from .config import ExperimentConfig
 
 __all__ = ["System", "assemble", "build_system", "run_experiment"]
@@ -65,9 +65,7 @@ def _build_topology(cfg: ExperimentConfig) -> Topology:
         return generators.binary_tree(max(1, n.bit_length() - 1))
     # mesh | torus by node count (most nearly square), random, scale-free;
     # ExperimentConfig already checked the name
-    return generators.scenario_topology(
-        kind, n, degree=cfg.topology_degree, seed=cfg.topology_seed
-    )
+    return generators.scenario_topology(kind, n, degree=4, seed=cfg.topology_seed)
 
 
 def _build_pool(cfg: ExperimentConfig, node_id: int, scale: float = 1.0):
@@ -441,10 +439,9 @@ def assemble(
     )
     faults.on_change(coordinator.handle_fault)
 
-    sizes = make_sampler(
-        cfg.size_dist,
+    sizes = ExponentialSizes(
+        cfg.task_mean,
         rng_streams.stream("sizes"),
-        mean=cfg.task_mean,
         cap=cfg.queue_capacity if cfg.cap_task_sizes else None,
     )
     if cfg.arrival_process == "deterministic":
@@ -488,9 +485,9 @@ def assemble(
 
     # Observability layer: built last so its probes see every component,
     # started so the t=0 baseline lands before any event fires.  The
-    # registry holds one shared-round heap entry at SAMPLING priority and
+    # registry holds one periodic heap entry at SAMPLING priority and
     # touches no RNG stream, so enabling it changes no behaviour.
-    if cfg.obs is not None and cfg.obs.enabled:
+    if cfg.obs is not None:
         registry = system.registry = MetricsRegistry(
             sim, interval=cfg.obs.effective_interval(cfg.horizon)
         )
@@ -502,13 +499,8 @@ def assemble(
             coordinator=coordinator,
             admissions=admissions.values(),
             agents=agents.values(),
-            stride=cfg.obs.agent_stride,
-            usage_bins=cfg.obs.usage_bins,
         )
-        recorder = system.recorder = FlightRecorder(
-            max_events=cfg.obs.max_flight_events,
-            max_snapshots=cfg.obs.max_flight_snapshots,
-        )
+        recorder = system.recorder = FlightRecorder()
         recorder.attach_tracer(sim.trace)
         registry.attach_recorder(recorder)
         registry.start()

@@ -56,7 +56,7 @@ __all__ = [
 STORE_FORMAT = "repro-runstore/1"
 
 #: bump on any change that alters run semantics for identical configs
-#: 2: ProtocolConfig gained synchronized_rounds (digest shape changed)
+#: 2: ProtocolConfig gained a shared-round flag (digest shape changed)
 #: 3: ExperimentConfig gained obs; RunResult gained series + cohort extras
 #: 4: ranking seam (ProtocolConfig.ranking_policy), fleet/churn axes on
 #:    ExperimentConfig, ranking/churn/fleet extras on RunResult

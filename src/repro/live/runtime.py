@@ -66,9 +66,9 @@ class LiveConfig(ExperimentConfig):
     Every inherited axis that is node, workload or migration logic
     (topology family, fleet, policy, retry budget, deadlines, extra
     resources, arrival process, ...) works live unchanged.  Times
-    (``horizon``, ``arrival_rate``, ``obs.sample_interval``, ...) are in
+    (``horizon``, ``arrival_rate``, ``progress_interval``, ...) are in
     *virtual* seconds, and the registry samples on the simulator's rule:
-    ``horizon / samples_target`` unless ``obs.sample_interval`` pins one.
+    :data:`~repro.obs.config.SAMPLES_TARGET` ticks per horizon.
     """
 
     # Inherited fields whose default differs live ---------------------------
@@ -82,7 +82,7 @@ class LiveConfig(ExperimentConfig):
     fixed_unicast_cost: float = 1.0
     flood_cost_override: Optional[float] = 1.0
     #: the stock cadence, as a simulated run with observability on: a
-    #: run's series are bounded by ``samples_target``, not by its length
+    #: run's series are bounded by ``SAMPLES_TARGET``, not by its length
     #: (the simulator's default is None, and a live run refuses obs off)
     obs: Optional[ObsConfig] = ObsConfig()
 
@@ -107,11 +107,15 @@ class LiveConfig(ExperimentConfig):
             raise ValueError("time_scale must be positive")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; known: {BACKENDS}")
+        if self.latency is not None and self.latency < 0:
+            raise ValueError("latency cannot be negative")
+        if self.progress_interval is not None and self.progress_interval <= 0:
+            raise ValueError("progress_interval must be positive")
         # Axes the live runtime cannot honour: refuse them by name rather
         # than run without them.  One endpoint is brought up per t=0 node.
         if self.churn is not None and self.churn.active:
             raise ValueError("churn: a live overlay cannot add endpoints mid-run")
-        if self.obs is None or not self.obs.enabled:
+        if self.obs is None:
             raise ValueError("obs: the live report is built on the run registry")
 
 
@@ -227,34 +231,35 @@ class LiveRuntime:
         """Generate load to the horizon, drain, shut down, report."""
         cfg = self.cfg
         await self.transport.start()
-        progress = None
-        if cfg.progress_interval is not None:
-            progress = self.sim.shared_periodic(
-                cfg.progress_interval, self._progress_line
-            )
-        wall0, cpu0 = perf_counter(), process_time()
-        await self.sim.run(until=cfg.horizon)
-        # Every agenda event due by the horizon has run and none due after
-        # it, so the series close on the horizon's state, where a simulated
-        # run's close; the drain adds no sample.
-        self.system.registry.finish(at=cfg.horizon)
-        # Graceful drain: in-flight negotiations settle through their own
-        # timers/timeouts; keep the clock running in short slices until
-        # nothing is outstanding or the drain budget is spent.
-        deadline = self.sim.now + cfg.drain_timeout
-        slice_ = max(cfg.drain_timeout / 20.0, 1e-3)
-        while self.metrics.unsettled > 0 and self.sim.now < deadline:
-            await self.sim.run(until=min(self.sim.now + slice_, deadline))
-        self._wall_elapsed = perf_counter() - wall0
-        self._cpu_elapsed = process_time() - cpu0
-        self.drained = self.metrics.unsettled == 0
-        # Teardown: progress off, agents stopped, endpoints closed.
-        if progress is not None:
-            progress.stop()
-        for agent in self.system.agents.values():
-            agent.stop()
-        self.system.generator.stop()
-        await self.transport.aclose()
+        try:
+            progress = None
+            if cfg.progress_interval is not None:
+                progress = self.sim.periodic(cfg.progress_interval, self._progress_line)
+            wall0, cpu0 = perf_counter(), process_time()
+            await self.sim.run(until=cfg.horizon)
+            # Every agenda event due by the horizon has run and none due
+            # after it, so the series close on the horizon's state, where a
+            # simulated run's close; the drain adds no sample.
+            self.system.registry.finish(at=cfg.horizon)
+            # Graceful drain: in-flight negotiations settle through their
+            # own timers/timeouts; keep the clock running in short slices
+            # until nothing is outstanding or the drain budget is spent.
+            deadline = self.sim.now + cfg.drain_timeout
+            slice_ = max(cfg.drain_timeout / 20.0, 1e-3)
+            while self.metrics.unsettled > 0 and self.sim.now < deadline:
+                await self.sim.run(until=min(self.sim.now + slice_, deadline))
+            self._wall_elapsed = perf_counter() - wall0
+            self._cpu_elapsed = process_time() - cpu0
+            self.drained = self.metrics.unsettled == 0
+            # Teardown: progress off, agents stopped ...
+            if progress is not None:
+                progress.stop()
+            for agent in self.system.agents.values():
+                agent.stop()
+            self.system.generator.stop()
+        finally:
+            # ... and the endpoints closed, also when a callback raised
+            await self.transport.aclose()
         self.clean_shutdown = (
             self.drained and self.transport.node_task_count == 0
         )

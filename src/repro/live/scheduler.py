@@ -30,9 +30,9 @@ against it.  The differences are exactly what "live" means:
 
 The agenda itself is *the kernel's*: the heap, the
 :class:`~repro.sim.events.Event` handles, tracked ``cancel`` with heap
-compaction, ``periodic`` / ``shared_periodic``, finalizers and ``stop``
-are inherited from :class:`~repro.sim.kernel.Agenda`, so a timer means
-one thing on both clocks.  This module holds only the list above.
+compaction, ``periodic``, finalizers and ``stop`` are inherited from
+:class:`~repro.sim.kernel.Agenda`, so a timer means one thing on both
+clocks.  This module holds only the list above.
 """
 
 from __future__ import annotations

@@ -9,58 +9,29 @@ in the run-store digest — without importing any sampling machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-__all__ = ["ObsConfig"]
+__all__ = ["ObsConfig", "SAMPLES_TARGET"]
+
+#: registry ticks per run: the cadence is ``horizon / SAMPLES_TARGET``, so
+#: every horizon gets the same trajectory resolution at the same relative
+#: cost
+SAMPLES_TARGET = 48
 
 
 @dataclass(frozen=True)
 class ObsConfig:
-    """Knobs of the per-run observability layer (``ExperimentConfig.obs``).
+    """The per-run observability layer (``ExperimentConfig.obs``).
 
     ``None`` on the experiment config means *off* — no registry, no
     recorder, no extra kernel events; that disabled path is
-    byte-identical to a build without this layer.  The default instance
-    enables both with a cadence scaled to the horizon.
+    byte-identical to a build without this layer.  An instance enables
+    both with a cadence scaled to the horizon.
     """
 
-    #: master switch; ``ObsConfig(enabled=False)`` behaves like ``obs=None``
-    enabled: bool = True
-    #: simulated seconds between registry samples; ``None`` derives
-    #: ``horizon / samples_target`` so every horizon gets the same
-    #: trajectory resolution at the same relative cost
-    sample_interval: Optional[float] = None
-    #: trajectory points per run when ``sample_interval`` is None
-    samples_target: int = 48
-    #: the deep probes whose cost scales with node count — queue-usage
-    #: distribution (p50/p90/max + histogram) and O(V) per-agent counter
-    #: sums (HELP retries, view evictions, negotiation timeouts) — run
-    #: every this-many ticks (plus the final sample); the lean vectorized
-    #: and O(1)-counter probes run every tick regardless
-    agent_stride: int = 32
-    #: flight-recorder ring sizes: last N trace records / registry snapshots
-    max_flight_events: int = 256
-    max_flight_snapshots: int = 8
-    #: bins of the accumulated queue-usage histogram over [0, 1]
-    usage_bins: int = 10
     #: attach the sampled trajectories to ``RunResult.series`` (turn off
     #: to keep store records small while still getting flight dumps)
     record_series: bool = True
 
-    def __post_init__(self) -> None:
-        if self.sample_interval is not None and self.sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
-        if self.samples_target < 2:
-            raise ValueError("samples_target must be >= 2")
-        if self.agent_stride < 1:
-            raise ValueError("agent_stride must be >= 1")
-        if self.max_flight_events < 1 or self.max_flight_snapshots < 1:
-            raise ValueError("flight recorder rings must hold >= 1 entry")
-        if self.usage_bins < 1:
-            raise ValueError("usage_bins must be >= 1")
-
     def effective_interval(self, horizon: float) -> float:
         """The sampling cadence for a run of ``horizon`` seconds."""
-        if self.sample_interval is not None:
-            return float(self.sample_interval)
-        return max(float(horizon) / self.samples_target, 1e-9)
+        return max(float(horizon) / SAMPLES_TARGET, 1e-9)

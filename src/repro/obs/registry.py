@@ -6,12 +6,11 @@ nothing itself: the run's counts are made once, by the
 :class:`~repro.metrics.collector.MetricsCollector`, and the probes read
 them.  Two design rules keep it affordable at the 2.5k–10k-node tiers:
 
-* **One heap entry, not O(samples).**  The tick joins the kernel's
-  shared :meth:`~repro.sim.kernel.Simulator.shared_periodic` round at
-  ``Priority.SAMPLING`` — the same timer-aggregation machinery the
-  synchronized protocol rounds use — so an enabled registry adds a
-  single self-rescheduling event regardless of cadence, and leaves
-  through the tracked-cancellation path at run end.
+* **One heap entry, not O(samples).**  The tick is one
+  :meth:`~repro.sim.kernel.Agenda.periodic` timer at
+  ``Priority.SAMPLING``, so an enabled registry adds a single
+  self-rescheduling event regardless of cadence, and leaves through the
+  tracked-cancellation path at run end.
 * **Vectorized probes.**  The per-node survivability quantities (queue
   depth distribution, busy/live/available node counts) are read straight
   off the :class:`~repro.node.state_arrays.NodeStateArrays` columns in a
@@ -20,12 +19,12 @@ them.  Two design rules keep it affordable at the 2.5k–10k-node tiers:
 
 Sampling at ``Priority.SAMPLING`` (the highest band) means every tick
 observes post-event state at its timestamp.  A tick is stamped with the
-instant its round was due: the simulator's clock, and on the live
+instant its timer was due: the simulator's clock, and on the live
 scheduler, where a tick may run late but still runs before anything due
 after it, the instant whose state it reads.  Because the registry
 touches no RNG stream and emits no trace records, enabling it leaves
 the executed event sequence, the trace, and every core result field
-bit-identical — pinned by ``tests/obs/test_registry.py``.
+bit-identical — pinned by ``tests/obs/test_metrics_registry.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 import numpy as np
 
 from ..sim.events import Priority
-from ..sim.kernel import RoundMembership, Simulator
+from ..sim.kernel import PeriodicTimer, Simulator
 
 __all__ = [
     "Histogram",
@@ -49,12 +48,17 @@ __all__ = [
     "load_series_jsonl",
     "save_series_csv",
     "save_series_jsonl",
+    "AGENT_STRIDE",
     "REGISTRY_FORMAT",
     "SERIES_FORMAT_TAG",
 ]
 
 REGISTRY_FORMAT = "repro-registry/1"
 SERIES_FORMAT_TAG = "repro-series/1"
+#: ticks between runs of the deep probes (:func:`install_run_probes`)
+AGENT_STRIDE = 32
+#: bins of the accumulated queue-usage histogram over [0, 1]
+USAGE_BINS = 10
 
 
 class TimeSeries:
@@ -217,7 +221,7 @@ class MetricsRegistry:
         self._samplers: List[Callable[[float], None]] = []
         #: [fn, stride, tick the sampler last ran on] triples
         self._deep_samplers: List[list] = []
-        self._membership: Optional[RoundMembership] = None
+        self._timer: Optional[PeriodicTimer] = None
         self._recorder = None
         self._last_sample_at: Optional[float] = None
         self._finished = False
@@ -280,14 +284,14 @@ class MetricsRegistry:
     def _tick(self) -> None:
         # the simulator's clock reads the same float; a late live tick
         # reads the state of this instant, so it is stamped with it
-        self.sample(at=self._membership.driver.due)
+        self.sample(at=self._timer.due)
 
     def start(self) -> None:
-        """Take the t=0 baseline and join the shared sampling round."""
-        if self._membership is not None:
+        """Take the t=0 baseline and start the sampling timer."""
+        if self._timer is not None:
             raise RuntimeError("registry already started")
         self.sample(final=False)
-        self._membership = self.sim.shared_periodic(
+        self._timer = self.sim.periodic(
             self.interval, self._tick, priority=Priority.SAMPLING
         )
 
@@ -303,8 +307,8 @@ class MetricsRegistry:
         if self._finished:
             return
         self._finished = True
-        if self._membership is not None and not self._membership.stopped:
-            self._membership.stop()
+        if self._timer is not None:
+            self._timer.stop()
         now = self.sim.now if at is None else at
         if self._last_sample_at != now:
             self.sample(final=True, at=now)
@@ -324,7 +328,7 @@ class MetricsRegistry:
 
     @property
     def started(self) -> bool:
-        return self._membership is not None
+        return self._timer is not None
 
     # Export -------------------------------------------------------------
 
@@ -367,8 +371,6 @@ def install_run_probes(
     coordinator=None,
     admissions: Iterable = (),
     agents: Iterable = (),
-    stride: int = 32,
-    usage_bins: int = 10,
 ) -> None:
     """Wire the standard survivability probes of one assembled system.
 
@@ -382,7 +384,7 @@ def install_run_probes(
       (sent/delivered/dropped) and per-kind weighted message costs.
       The column math runs in-place over preallocated scratch buffers,
       so a tick allocates nothing proportional to V.
-    * **deep, every ``stride``-th tick and at end of run** — the
+    * **deep, every :data:`AGENT_STRIDE`-th tick and at end of run** — the
       queue-usage distribution (p50/p90/max from one in-place sort,
       plus the accumulated usage histogram) and the O(V) per-agent
       hardening sums — HELP retries, view evictions, negotiation
@@ -390,15 +392,13 @@ def install_run_probes(
       count; the stride keeps the registry inside the <5% overhead
       budget on the 2500-node macro cell.
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     tasks = collector.tasks
     by_kind = collector.messages.by_kind
     helps = [a.help for a in agents if a.help is not None]
     views = [a.view for a in agents if hasattr(a, "view")]
     adms = [a for a in admissions if hasattr(a, "timeouts_fired")]
     usage_hist = registry.histogram(
-        "queue_usage", np.linspace(0.0, 1.0, usage_bins + 1)
+        "queue_usage", np.linspace(0.0, 1.0, USAGE_BINS + 1)
     )
     busy_until = state.busy_until
     capacity = state.capacity
@@ -488,7 +488,7 @@ def install_run_probes(
             )
 
     registry.add_sampler(probe)
-    registry.add_deep_sampler(probe_deep, stride=stride)
+    registry.add_deep_sampler(probe_deep, stride=AGENT_STRIDE)
 
 
 # Series files ---------------------------------------------------------------

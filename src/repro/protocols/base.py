@@ -107,15 +107,10 @@ class ProtocolConfig:
     #: with lossy-network impairments; the penalty still applies once per
     #: round.
     help_retry_budget: int = 0
-    #: Algorithm H hardening: multiplier on the response window per retry
-    help_retry_backoff: float = 2.0
     #: member-side community expiry when no refresh arrives (soft state)
     membership_ttl: float = 200.0
     #: optional hard expiry on view entries (None = paper behaviour)
     view_ttl: Optional[float] = None
-    #: minimum HELP interval floor (prevents a zero interval under
-    #: pathological beta; Algorithm H's guard "if interval - interval*beta > 0")
-    min_help_interval: float = 1e-3
     #: hard cap on community memberships per node; ``None`` = no hard cap.
     #: "Each host is free to join as many communities as it is able to
     #: without over-allocating its spare resources."
@@ -137,15 +132,6 @@ class ProtocolConfig:
     #: Dubey-Tokekar-style "composite").  Non-default policies turn on
     #: per-peer observation tracking in the view.
     ranking_policy: str = "headroom"
-    #: when True, fixed-period protocol timers (pure-PUSH advertisements,
-    #: gossip rounds) join one shared kernel round per interval —
-    #: :meth:`Simulator.shared_periodic
-    #: <repro.sim.kernel.Simulator.shared_periodic>` — instead of one
-    #: phase-staggered timer per node.  One heap entry per round instead
-    #: of V collapses the dominant timer traffic at the 10k-node tier.
-    #: Default False: the paper's hosts are deliberately unsynchronised,
-    #: and all published-figure traces stay bit-identical.
-    synchronized_rounds: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold < 1.0:
@@ -156,8 +142,8 @@ class ProtocolConfig:
             raise ValueError("alpha must be >=0, beta in [0,1)")
         if self.upper_limit < self.initial_help_interval:
             raise ValueError("upper_limit below initial interval")
-        if self.help_retry_budget < 0 or self.help_retry_backoff < 1.0:
-            raise ValueError("need help_retry_budget >= 0 and help_retry_backoff >= 1")
+        if self.help_retry_budget < 0:
+            raise ValueError("help_retry_budget must be >= 0")
         if self.scope not in ("neighbors", "network"):
             raise ValueError(f"scope must be 'neighbors' or 'network': {self.scope!r}")
         if self.ranking_policy not in ranking_names():
@@ -235,9 +221,7 @@ class DiscoveryAgent:
                 upper_limit=cfg.upper_limit,
                 response_timeout=cfg.response_timeout,
                 adaptive=not window,
-                min_interval=cfg.min_help_interval,
                 max_retries=cfg.help_retry_budget,
-                retry_backoff=cfg.help_retry_backoff,
                 owner=self.node_id,
             )
         #: Algorithm P, for either responder
@@ -277,14 +261,9 @@ class DiscoveryAgent:
             self.host.monitor.on_cross(self._on_cross)
 
     def _every(self, interval: float, fn: Callable[[], None]) -> PeriodicHandle:
-        """This node's periodic timer.  With ``synchronized_rounds`` every
-        agent joins one shared kernel event per round (agents start in node
-        order, so join order is the canonical node order); otherwise the
-        rounds are phase-staggered by node id so they do not all land on
-        the same instant — the paper's hosts are likewise unsynchronised.
-        The offset is deterministic."""
-        if self.config.synchronized_rounds:
-            return self.sim.shared_periodic(interval, fn)
+        """This node's periodic timer, phase-staggered by node id so the
+        rounds do not all land on the same instant — the paper's hosts are
+        likewise unsynchronised.  The offset is deterministic."""
         n = max(len(self.ctx.all_nodes), 1)
         return self.sim.periodic(interval, fn, phase=(self.node_id % n) / n * interval)
 

@@ -128,6 +128,11 @@ register_protocol("gossip", GossipAgent, "anti-entropy", "swim-like")
 register_protocol("gossip-5", lambda ctx: GossipAgent(ctx, interval=5.0))
 
 
+def is_protocol(name: str) -> bool:
+    """Whether ``name`` is a registered protocol, canonical or alias."""
+    return name.lower() in _CANONICAL
+
+
 def make_agent(name: str, ctx: ProtocolContext) -> DiscoveryAgent:
     """Instantiate the protocol ``name`` (canonical or alias) for ``ctx``."""
     key = _CANONICAL.get(name.lower())

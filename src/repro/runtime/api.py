@@ -146,13 +146,9 @@ class TimerHandle(Protocol):
 
 @runtime_checkable
 class PeriodicHandle(Protocol):
-    """A repeating schedule returned by ``periodic``/``shared_periodic``.
-
-    ``interval`` may be read by anyone; whether it is *assignable*
-    depends on the flavour (private timers adapt, shared rounds do not —
-    mirroring :class:`~repro.sim.kernel.PeriodicTimer` vs
-    :class:`~repro.sim.kernel.RoundMembership`).
-    """
+    """A repeating schedule returned by ``periodic``: the kernel's
+    :class:`~repro.sim.kernel.PeriodicTimer` on both clocks, whose
+    ``interval`` an adaptive protocol may reassign between firings."""
 
     @property
     def interval(self) -> float: ...
@@ -222,17 +218,6 @@ class SchedulerAPI(Protocol):
     def cancel(self, ev: Optional[TimerHandle]) -> None: ...
 
     def periodic(
-        self,
-        interval: float,
-        fn: Callable[[], Any],
-        *,
-        phase: float = 0.0,
-        jitter: float = 0.0,
-        jitter_stream: Optional[str] = None,
-        priority: int = Priority.DEFAULT,
-    ) -> PeriodicHandle: ...
-
-    def shared_periodic(
         self,
         interval: float,
         fn: Callable[[], Any],

@@ -2,8 +2,8 @@
 
 :class:`Agenda` is what a scheduler is on either clock: the event heap
 with its :class:`~repro.sim.events.Event` handles, tracked cancellation,
-the periodic and shared-round timers, finalizers, the random streams and
-an optional trace sink.  :class:`Simulator` adds the virtual clock and
+the periodic timer, finalizers, the random streams and an optional trace
+sink.  :class:`Simulator` adds the virtual clock and
 the run loop that jumps it; :class:`repro.live.scheduler.LiveScheduler`
 adds the wall clock and the run loop that waits for it.  Components
 interact with either through a small surface:
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from .events import _INF, Event, EventQueue, Priority
 from .rng import RandomStreams
@@ -61,8 +61,6 @@ __all__ = [
     "Agenda",
     "Simulator",
     "PeriodicTimer",
-    "RoundDriver",
-    "RoundMembership",
     "SimulationError",
 ]
 
@@ -95,7 +93,7 @@ class _Cohort:
 
 
 class PeriodicTimer:
-    """A self-rescheduling timer created by :meth:`Simulator.periodic`.
+    """A self-rescheduling timer created by :meth:`Agenda.periodic`.
 
     The callback runs every ``interval`` seconds until :meth:`stop` is
     called or the simulation horizon is reached.  The interval may be
@@ -103,10 +101,7 @@ class PeriodicTimer:
     protocols).
     """
 
-    __slots__ = (
-        "sim", "fn", "interval", "_event", "_stopped", "jitter_rng", "jitter",
-        "priority",
-    )
+    __slots__ = ("sim", "fn", "interval", "_event", "_stopped", "priority")
 
     def __init__(
         self,
@@ -115,8 +110,6 @@ class PeriodicTimer:
         fn: Callable[[], Any],
         *,
         phase: float = 0.0,
-        jitter: float = 0.0,
-        jitter_stream: Optional[str] = None,
         priority: int = Priority.DEFAULT,
     ) -> None:
         if interval <= 0:
@@ -124,20 +117,20 @@ class PeriodicTimer:
         self.sim = sim
         self.fn = fn
         self.interval = float(interval)
-        self.jitter = float(jitter)
-        self.jitter_rng = sim.streams.stream(jitter_stream) if jitter_stream else None
         self.priority = priority
         self._stopped = False
         self._event: Optional[Event] = sim.after(
-            phase + self._next_gap(), self._fire, priority=priority
+            phase + self.interval, self._fire, priority=priority
         )
 
-    def _next_gap(self) -> float:
-        gap = self.interval
-        if self.jitter > 0.0 and self.jitter_rng is not None:
-            gap += float(self.jitter_rng.uniform(-self.jitter, self.jitter))
-            gap = max(gap, 1e-9)
-        return gap
+    @property
+    def due(self) -> Optional[float]:
+        """The instant of the firing in progress (between firings, the next).
+
+        A callback that reads it takes its instant from the schedule — the
+        float the simulator's clock reads — even when a live firing runs late.
+        """
+        return None if self._event is None else self._event.time
 
     def _fire(self) -> None:
         if self._stopped:
@@ -149,7 +142,7 @@ class PeriodicTimer:
         self.fn()
         if not self._stopped:
             self._event = self.sim.at(
-                due + self._next_gap(), self._fire, priority=self.priority
+                due + self.interval, self._fire, priority=self.priority
             )
 
     def stop(self) -> None:
@@ -164,144 +157,14 @@ class PeriodicTimer:
         return self._stopped
 
 
-class RoundMembership:
-    """Handle returned by :meth:`RoundDriver.join` / ``shared_periodic``.
-
-    API-compatible with :class:`PeriodicTimer` for the lifecycle calls
-    protocols actually make (``stop()``, ``stopped``); the interval is
-    read-only — a member that needs to adapt its period must leave the
-    shared round and run a private timer.
-    """
-
-    __slots__ = ("driver", "_cell", "_stopped")
-
-    def __init__(self, driver: "RoundDriver", cell: List[Optional[Callable]]) -> None:
-        self.driver = driver
-        self._cell = cell
-        self._stopped = False
-
-    @property
-    def interval(self) -> float:
-        return self.driver.interval
-
-    def stop(self) -> None:
-        """Leave the round; the callback never fires again."""
-        if not self._stopped:
-            self._stopped = True
-            self._cell[0] = None
-            self.driver._note_leave()
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
-
-class RoundDriver:
-    """One kernel event per round shared by N same-interval members.
-
-    Per-node periodic timers are the dominant heap traffic of
-    synchronized protocol rounds at scale: 10k nodes on a 1 s period
-    push 10k heap entries per simulated second just to wake up.  A
-    round driver collapses that to a single self-rescheduling event;
-    members fire within the round in *join order* (callers join in node
-    order, making the canonical order explicit), which is exactly the
-    seq order N individual timers created in the same order would fire
-    in — so for phase-aligned timers the executed sequence is unchanged.
-
-    Members joining mid-run fire from the next shared round boundary
-    (the driver owns the round clock — that is the aggregation
-    contract).  Leaving is O(1) lazy; the member table compacts when
-    more than half the slots are dead.  A driver whose last member
-    leaves cancels its event and re-arms on the next join.
-    """
-
-    __slots__ = ("sim", "interval", "priority", "_members", "_live", "_event")
-
-    def __init__(
-        self,
-        sim: "Agenda",
-        interval: float,
-        *,
-        phase: float = 0.0,
-        priority: int = Priority.DEFAULT,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self.sim = sim
-        self.interval = float(interval)
-        self.priority = priority
-        self._members: List[List[Optional[Callable[[], Any]]]] = []
-        self._live = 0
-        self._event: Optional[Event] = sim.after(
-            phase + self.interval, self._fire, priority=priority
-        )
-
-    @property
-    def members(self) -> int:
-        """Live member count (diagnostics)."""
-        return self._live
-
-    @property
-    def due(self) -> Optional[float]:
-        """The instant of the round now firing (between rounds, the next).
-
-        A member that reads it takes its instant from the schedule — the
-        float the simulator's clock reads — even when a live round runs late.
-        """
-        return None if self._event is None else self._event.time
-
-    def join(self, fn: Callable[[], Any]) -> RoundMembership:
-        """Add ``fn`` to the round; it fires after every later boundary."""
-        if self._live == 0 and self._event is None:
-            # dormant driver: re-arm from now, like a fresh timer
-            self._event = self.sim.after(
-                self.interval, self._fire, priority=self.priority
-            )
-        # Each member lives in its own one-slot cell shared with the
-        # membership handle, so table compaction never invalidates a
-        # handle — stop() blanks the cell wherever it currently sits.
-        cell: List[Optional[Callable[[], Any]]] = [fn]
-        self._members.append(cell)
-        self._live += 1
-        return RoundMembership(self, cell)
-
-    def _note_leave(self) -> None:
-        self._live -= 1
-        if self._live == 0:
-            if self._event is not None:
-                self.sim.cancel(self._event)
-                self._event = None
-            self._members.clear()
-        elif len(self._members) > 8 and self._live * 2 < len(self._members):
-            # Join order is the canonical fire order; filtering preserves it.
-            self._members = [c for c in self._members if c[0] is not None]
-
-    def _fire(self) -> None:
-        if self._live == 0:
-            self._event = None
-            return
-        due = self._event.time  # the next round chains on it, as a timer's
-        for cell in self._members:
-            fn = cell[0]
-            if fn is not None:
-                fn()
-        if self._live > 0:
-            self._event = self.sim.at(
-                due + self.interval, self._fire, priority=self.priority
-            )
-        else:
-            self._event = None
-
-
 class Agenda:
     """The event agenda and timers both schedulers share.
 
     Everything here is clock-agnostic: it reads the subclass's ``now``
-    only through ``after``, which :class:`PeriodicTimer` and
-    :class:`RoundDriver` call to arm; they re-arm with ``at``, on the
-    instant the firing was due.  A subclass supplies ``now``, ``at``,
-    ``after`` and ``run``, and brackets its run loop with
-    :meth:`_begin_run` / :meth:`_end_run`.
+    only through ``after``, which :class:`PeriodicTimer` calls to arm; it
+    re-arms with ``at``, on the instant the firing was due.  A subclass
+    supplies ``now``, ``at``, ``after`` and ``run``, and brackets its run
+    loop with :meth:`_begin_run` / :meth:`_end_run`.
 
     Parameters
     ----------
@@ -320,8 +183,6 @@ class Agenda:
         self._stop_requested = False
         self._events_executed = 0
         self._finalizers: List[Callable[[], None]] = []
-        #: (interval, phase, priority) -> shared round driver
-        self._round_drivers: Dict[Tuple[float, float, int], RoundDriver] = {}
 
     @property
     def events_executed(self) -> int:
@@ -356,44 +217,10 @@ class Agenda:
         fn: Callable[[], Any],
         *,
         phase: float = 0.0,
-        jitter: float = 0.0,
-        jitter_stream: Optional[str] = None,
         priority: int = Priority.DEFAULT,
     ) -> PeriodicTimer:
         """Install a :class:`PeriodicTimer` firing every ``interval`` s."""
-        return PeriodicTimer(
-            self,
-            interval,
-            fn,
-            phase=phase,
-            jitter=jitter,
-            jitter_stream=jitter_stream,
-            priority=priority,
-        )
-
-    def shared_periodic(
-        self,
-        interval: float,
-        fn: Callable[[], Any],
-        *,
-        phase: float = 0.0,
-        priority: int = Priority.DEFAULT,
-    ) -> RoundMembership:
-        """Join ``fn`` to the shared :class:`RoundDriver` for this cadence.
-
-        All callers with the same ``(interval, phase, priority)`` share
-        one kernel event per round and fire in join order — the timer
-        aggregation that keeps synchronized protocol rounds at one heap
-        entry per round instead of one per node.  Unlike
-        :meth:`periodic` there is no jitter and no per-member interval
-        mutation; members needing either keep a private timer.
-        """
-        key = (float(interval), float(phase), priority)
-        driver = self._round_drivers.get(key)
-        if driver is None:
-            driver = RoundDriver(self, interval, phase=phase, priority=priority)
-            self._round_drivers[key] = driver
-        return driver.join(fn)
+        return PeriodicTimer(self, interval, fn, phase=phase, priority=priority)
 
     def cancel(self, ev: Optional[Event]) -> None:
         """Tracked cancel: O(1), exact live count, feeds heap compaction.

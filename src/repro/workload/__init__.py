@@ -1,4 +1,4 @@
-"""Workload: arrival processes, size samplers, attacks, churn."""
+"""Workload: arrival processes, task sizes, attacks, churn."""
 
 from .arrivals import (
     ArrivalGenerator,
@@ -9,14 +9,7 @@ from .arrivals import (
 )
 from .attack import AttackPlan, RandomFailures, RegionAttack, SweepAttack
 from .churn import ChurnEvent, ChurnSchedule, poisson_churn
-from .sizes import (
-    BoundedParetoSizes,
-    ExponentialSizes,
-    FixedSizes,
-    SizeSampler,
-    UniformSizes,
-    make_sampler,
-)
+from .sizes import ExponentialSizes
 
 __all__ = [
     "ArrivalGenerator",
@@ -31,10 +24,5 @@ __all__ = [
     "ChurnEvent",
     "ChurnSchedule",
     "poisson_churn",
-    "BoundedParetoSizes",
     "ExponentialSizes",
-    "FixedSizes",
-    "SizeSampler",
-    "UniformSizes",
-    "make_sampler",
 ]

@@ -1,43 +1,20 @@
-"""Task-size samplers.
+"""Task sizes.
 
 The paper: "We generate tasks with exponentially distributed lengths of
 a mean value ... Task lengths are defined in seconds with a mean value
-of 5."  Alternative distributions support sensitivity studies (the
-heavy-tailed sampler stresses the one-shot migration policy hardest:
-one huge task can defeat a candidate that honestly pledged headroom).
+of 5."
 """
 
 from __future__ import annotations
 
-import abc
 from typing import Optional
 
 import numpy as np
 
-__all__ = [
-    "SizeSampler",
-    "ExponentialSizes",
-    "FixedSizes",
-    "UniformSizes",
-    "BoundedParetoSizes",
-    "make_sampler",
-]
+__all__ = ["ExponentialSizes"]
 
 
-class SizeSampler(abc.ABC):
-    """Draws task CPU demands (seconds)."""
-
-    @abc.abstractmethod
-    def sample(self) -> float:
-        """A positive task size."""
-
-    @property
-    @abc.abstractmethod
-    def mean(self) -> float:
-        """Theoretical mean (used for load calculations in the harness)."""
-
-
-class ExponentialSizes(SizeSampler):
+class ExponentialSizes:
     """The paper's distribution: exponential, mean 5 s by default.
 
     ``cap`` optionally truncates by resampling (a task larger than a whole
@@ -59,6 +36,7 @@ class ExponentialSizes(SizeSampler):
         self.cap = cap
 
     def sample(self) -> float:
+        """A positive task size, in seconds."""
         while True:
             x = float(self.rng.exponential(self._mean))
             if x <= 0.0:
@@ -69,85 +47,3 @@ class ExponentialSizes(SizeSampler):
     @property
     def mean(self) -> float:
         return self._mean
-
-
-class FixedSizes(SizeSampler):
-    """Constant sizes (deterministic tests and worst-case analyses)."""
-
-    def __init__(self, size: float) -> None:
-        if size <= 0:
-            raise ValueError("size must be positive")
-        self.size = float(size)
-
-    def sample(self) -> float:
-        return self.size
-
-    @property
-    def mean(self) -> float:
-        return self.size
-
-
-class UniformSizes(SizeSampler):
-    """Uniform on [low, high]."""
-
-    def __init__(self, low: float, high: float, rng: np.random.Generator) -> None:
-        if not 0 < low <= high:
-            raise ValueError("need 0 < low <= high")
-        self.low, self.high = float(low), float(high)
-        self.rng = rng
-
-    def sample(self) -> float:
-        return float(self.rng.uniform(self.low, self.high))
-
-    @property
-    def mean(self) -> float:
-        return (self.low + self.high) / 2.0
-
-
-class BoundedParetoSizes(SizeSampler):
-    """Bounded Pareto — heavy-tailed sizes for the stress ablation."""
-
-    def __init__(
-        self,
-        shape: float,
-        low: float,
-        high: float,
-        rng: np.random.Generator,
-    ) -> None:
-        if shape <= 0 or not 0 < low < high:
-            raise ValueError("need shape > 0 and 0 < low < high")
-        self.shape, self.low, self.high = float(shape), float(low), float(high)
-        self.rng = rng
-
-    def sample(self) -> float:
-        # Inverse-CDF sampling of the bounded Pareto on [low, high].
-        a, lo, hi = self.shape, self.low, self.high
-        u = float(self.rng.uniform())
-        return float(
-            (-(u * hi**a - u * lo**a - hi**a) / (hi**a * lo**a)) ** (-1.0 / a)
-        )
-
-    @property
-    def mean(self) -> float:
-        a, lo, hi = self.shape, self.low, self.high
-        if a == 1.0:
-            import math
-
-            return lo * hi / (hi - lo) * math.log(hi / lo)
-        return (lo**a / (1 - (lo / hi) ** a)) * (a / (a - 1)) * (lo ** (1 - a) - hi ** (1 - a))
-
-
-def make_sampler(
-    spec: str, rng: np.random.Generator, *, mean: float = 5.0, cap: Optional[float] = None
-) -> SizeSampler:
-    """Parse a sampler spec: ``"exp"``, ``"fixed"``, ``"uniform"``, ``"pareto"``."""
-    s = spec.lower()
-    if s in ("exp", "exponential"):
-        return ExponentialSizes(mean, rng, cap=cap)
-    if s == "fixed":
-        return FixedSizes(mean)
-    if s == "uniform":
-        return UniformSizes(mean * 0.2, mean * 1.8, rng)
-    if s == "pareto":
-        return BoundedParetoSizes(1.5, mean * 0.2, mean * 20.0, rng)
-    raise ValueError(f"unknown size sampler: {spec!r}")

@@ -11,6 +11,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.runner import build_system
 from repro.protocols.base import ProtocolConfig
+from repro.protocols.registry import protocol_names
 
 
 class TestExperimentConfig:
@@ -65,6 +66,28 @@ class TestExperimentConfig:
         for mode in UNICAST_COSTS:
             system = build_system(ExperimentConfig(unicast_cost=mode))
             assert system.transport.cost_model.unicast_mode.value == mode
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("protocol", "realtr"),
+            ("policy", "one-shoot"),
+            ("per_hop_latency", -1.0),
+            ("fixed_unicast_cost", -4.0),
+            ("flood_cost_override", -1.0),
+        ],
+    )
+    def test_values_that_would_fail_later_fail_at_construction(self, field, value):
+        # not inside build_system (a pool worker), at the first send, or never
+        with pytest.raises(ValueError):
+            ExperimentConfig(**{field: value})
+
+    def test_accepted_names_are_the_builders(self):
+        # the registry's aliases and make_policy's grammar, nothing narrower
+        for protocol in ("REALTOR-100", "anti-entropy", "null", *protocol_names()):
+            ExperimentConfig(protocol=protocol)
+        for policy in ("oneshot", "3-try", "random", "random-2"):
+            build_system(ExperimentConfig(policy=policy))
 
     def test_paper_lambda_sweep(self):
         assert PAPER_LAMBDAS[0] == 1.0

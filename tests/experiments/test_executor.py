@@ -7,7 +7,7 @@ from repro.experiments.executor import (
     CellExecutionError,
     execute_plan,
 )
-from repro.experiments.plan import sweep_plan
+from repro.experiments.plan import ExperimentPlan, PlanCell
 from repro.experiments.store import RunStore
 from repro.experiments.sweep import run_sweep
 from repro.experiments.store import result_to_canonical_json
@@ -22,11 +22,23 @@ def _canonical_sweep(results):
     }
 
 
+def failing_sweep(protocols) -> ExperimentPlan:
+    """``sweep_plan(protocols, [3.0], BASE)`` with ExperimentConfig's
+    protocol check bypassed, so that an unknown name's cell reaches its
+    worker and raises there."""
+    cells = []
+    for proto in protocols:
+        cfg = BASE.with_(arrival_rate=3.0)
+        object.__setattr__(cfg, "protocol", proto)
+        cells.append(PlanCell(key=(proto, 3.0), config=cfg))
+    return ExperimentPlan("failing-sweep", tuple(cells))
+
+
 class TestFailurePropagation:
     """A raising worker must name its cell, not hang or silently drop."""
 
     def test_serial_failure_names_cell(self, tmp_path):
-        plan = sweep_plan(["realtor", "no-such-protocol"], [3.0], BASE)
+        plan = failing_sweep(["realtor", "no-such-protocol"])
         store = RunStore(tmp_path)
         with pytest.raises(CellExecutionError) as err:
             execute_plan(plan, store=store)
@@ -40,7 +52,7 @@ class TestFailurePropagation:
         assert good in store
 
     def test_parallel_failure_names_cell_and_keeps_completed(self, tmp_path):
-        plan = sweep_plan(["realtor", "no-such-protocol", "push-1"], [3.0], BASE)
+        plan = failing_sweep(["realtor", "no-such-protocol", "push-1"])
         store = RunStore(tmp_path)
         with pytest.raises(CellExecutionError) as err:
             execute_plan(plan, store=store, parallel=True, max_workers=2)
@@ -53,14 +65,14 @@ class TestFailurePropagation:
             assert digest in store
 
     def test_multiple_failures_counted(self):
-        plan = sweep_plan(["bogus-a", "bogus-b"], [3.0], BASE)
+        plan = failing_sweep(["bogus-a", "bogus-b"])
         with pytest.raises(CellExecutionError) as err:
             execute_plan(plan)
         assert len(err.value.failures) == 2
         assert "+1 more failed cell" in str(err.value)
 
     def test_error_carries_original_exception_text(self):
-        plan = sweep_plan(["no-such-protocol"], [3.0], BASE)
+        plan = failing_sweep(["no-such-protocol"])
         with pytest.raises(CellExecutionError) as err:
             execute_plan(plan)
         # the worker's exception class and message survive the pickle hop

@@ -23,7 +23,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system, run_experiment
 from repro.live import LiveConfig, run_live
 from repro.live.runtime import LiveRuntime
-from repro.obs.config import ObsConfig
 
 H = 10.0
 #: retained bytes per generated task: 8 for the sample, the rest headroom
@@ -135,10 +134,7 @@ def test_live_runtime_retains_one_sample_per_task(backend, manual_clock):
 
 def test_an_inproc_run_is_one_coroutine(manual_clock):
     # no task per node: the scheduler's run loop is all there is to interleave
-    # (one registry sample per run: the pins below were counted on it)
-    rt = LiveRuntime(live_config(
-        "inproc", H, obs=ObsConfig(sample_interval=H, agent_stride=4)
-    ))
+    rt = LiveRuntime(live_config("inproc", H))
     running = []
     rt.sim.at(H / 2, lambda: running.append(len(asyncio.all_tasks())))
     report = asyncio.run(rt.run())
@@ -150,11 +146,11 @@ def test_an_inproc_run_is_one_coroutine(manual_clock):
     assert report["tasks"]["admitted_migrated"] == 7
     # a task completion is quiet and rides the next wake: 1 937 waits
     # were resumed while the run woke for every event
-    assert report["scheduler"]["wakeups"] == 1049
+    assert report["scheduler"]["wakeups"] == 1095
 
 
 def test_series_sample_a_simulated_twins_instants(manual_clock):
-    # The stock cadence is horizon / samples_target: a run four times as
+    # The stock cadence is horizon / SAMPLES_TARGET: a run four times as
     # long takes as many samples, at the instants its simulated twin takes.
     def from_baseline(payload: dict) -> dict:
         # a per-kind message series starts at its kind's first send

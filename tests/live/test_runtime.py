@@ -1,11 +1,14 @@
 """LiveRuntime assembly + the ``python -m repro.live`` CLI."""
 
 import asyncio
+import dataclasses
 import json
 
 import pytest
 
 import repro.live.__main__ as cli
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_experiment
 from repro.live import LiveConfig, run_live
 from repro.live.__main__ import main
 from repro.live.naming import NamingService
@@ -88,6 +91,25 @@ class TestLiveRuntime:
             LiveConfig(arrival_rate=-1.0)
         with pytest.raises(ValueError):
             LiveConfig(backend="smoke-signals")
+        # not at run(), with the udp endpoints up, or at the first send
+        with pytest.raises(ValueError, match="progress_interval"):
+            LiveConfig(progress_interval=0.0)
+        with pytest.raises(ValueError, match="latency"):
+            LiveConfig(latency=-0.001)
+
+    def test_a_raising_callback_propagates_and_closes_the_endpoints(self):
+        rt = LiveRuntime(LiveConfig(
+            nodes=9, arrival_rate=40.0, horizon=5.0, seed=7, time_scale=200.0,
+            backend="udp",
+        ))
+
+        def boom():
+            raise RuntimeError("callback failure")
+
+        rt.sim.at(2.5, boom)
+        with pytest.raises(RuntimeError, match="callback failure"):
+            asyncio.run(rt.run())
+        assert rt.transport.node_task_count == 0
 
 
 class TestSeries:
@@ -143,6 +165,9 @@ class TestSeries:
         track = asyncio.run(rt.run())["series"]["series"]["queue_backlog_total"]
         t, v = track["t"][1:], track["v"][1:]  # after the t=0 baseline
         assert t == [float(k) for k in range(1, 49)] and len(ran) == len(t)
+        twin = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(ExperimentConfig)}
+        sim = run_experiment(ExperimentConfig(**twin)).series["series"]
+        assert t == sim["queue_backlog_total"]["t"][1:]  # the twin's instants
         late = [k for k, (clock, _) in enumerate(ran) if clock - t[k] > 0.1]
         assert late == [20, 21]  # the ticks due at 21 and 22 ran at 22.5
         for at, backlog, (_, busy_until) in zip(t, v, ran):

@@ -161,25 +161,13 @@ class TestExecution:
         assert len(ticks) >= 3  # nominal 5; lateness may shave the tail
         assert all(t >= 1.0 for t in ticks)
 
-    def test_shared_periodic_coalesces_same_cadence(self):
-        async def run():
-            sim = LiveScheduler(time_scale=1000.0)
-            a, b = [], []
-            sim.shared_periodic(1.0, lambda: a.append(1))
-            sim.shared_periodic(1.0, lambda: b.append(1))
-            await sim.run(until=4.5)
-            return a, b
-
-        a, b = go(run())
-        assert len(a) == len(b) >= 2  # one round drives both members
-
     def test_late_firings_keep_the_simulators_round_count(self):
         # Each firing holds the CPU for 1.2 intervals, so every later one
         # runs late.  Re-armed from the clock, each lateness would push
         # every later round back; chained on the due instants, both
-        # helpers catch up and fire as often as on the simulated clock.
+        # timers catch up and fire as often as on the simulated clock.
         def install(sched, busy_s):
-            ticks = {"private": [], "round": []}
+            ticks = {"first": [], "second": []}
 
             def tick(name):
                 due = len(ticks[name]) + 1.0
@@ -188,8 +176,8 @@ class TestExecution:
                 while time.perf_counter() < stop:
                     pass
 
-            sched.periodic(1.0, lambda: tick("private"))
-            sched.shared_periodic(1.0, lambda: tick("round"))
+            sched.periodic(1.0, lambda: tick("first"))
+            sched.periodic(1.0, lambda: tick("second"))
             return ticks
 
         reference = Simulator()
@@ -203,7 +191,7 @@ class TestExecution:
             return ticks
 
         ticks = go(run())
-        for name in ("private", "round"):
+        for name in ("first", "second"):
             assert len(ticks[name]) == len(expected[name]) == 12
             assert all(late >= 0.0 for late in ticks[name])
             assert all(late > 0.2 for late in ticks[name][2:])

@@ -44,9 +44,7 @@ def obs_result():
     from repro.experiments.runner import run_experiment
     from repro.obs.config import ObsConfig
 
-    cfg = ExperimentConfig(
-        horizon=30.0, obs=ObsConfig(samples_target=8, agent_stride=4)
-    )
+    cfg = ExperimentConfig(horizon=30.0, obs=ObsConfig())
     return run_experiment(cfg)
 
 

@@ -69,16 +69,16 @@ class TestSampler:
         with pytest.raises(ValueError):
             MetricsRegistry(Simulator(), interval=0.0)
 
-    def test_same_cadence_samplers_share_one_heap_entry(self):
-        # the registry rides Simulator.shared_periodic: N same-cadence
-        # registries must cost one agenda entry per tick, not N
+    def test_each_registry_is_one_heap_entry(self):
+        # the registry ticks on one periodic timer: one agenda entry per
+        # registry, however many series it keeps
         sim = Simulator()
         regs = [sampled(sim, 5.0, f"x{i}", lambda: 1.0) for i in range(4)]
+        assert len(sim.queue) == 4
         before = sim.events_executed
         sim.run(until=20.0)
-        fired = sim.events_executed - before
-        # ticks at 5, 10, 15, 20 -> 4 shared firings regardless of count
-        assert fired == 4
+        # ticks at 5, 10, 15, 20 -> 4 firings per registry
+        assert sim.events_executed - before == 16
         for i, reg in enumerate(regs):
             assert len(reg.series[f"x{i}"]) == 5  # start + 4 ticks
 
@@ -86,7 +86,7 @@ class TestSampler:
         sim = Simulator()
         reg = sampled(sim, 1.0, "x", lambda: 1.0)
         reg.finish()
-        assert reg._membership.stopped
+        assert reg._timer.stopped
         before = len(reg.series["x"])
         sim.run(until=10.0)
         assert len(reg.series["x"]) == before  # no further samples

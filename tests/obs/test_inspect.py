@@ -31,7 +31,7 @@ BASE = ExperimentConfig(
     arrival_rate=3.0,
     horizon=30.0,
     seed=7,
-    obs=ObsConfig(samples_target=8, agent_stride=4),
+    obs=ObsConfig(),
 )
 
 

@@ -8,8 +8,9 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system, run_experiment
-from repro.obs.config import ObsConfig
+from repro.obs.config import SAMPLES_TARGET, ObsConfig
 from repro.obs.registry import (
+    AGENT_STRIDE,
     REGISTRY_FORMAT,
     Histogram,
     MetricsRegistry,
@@ -202,21 +203,12 @@ class TestRunIntegration:
         d_on["params"].pop("obs", None)
         assert d_off == d_on
 
-    def test_disabled_obs_config_behaves_like_none(self):
-        r_none = run_experiment(ExperimentConfig(**BASE))
-        r_disabled = run_experiment(
-            ExperimentConfig(**BASE, obs=ObsConfig(enabled=False))
-        )
-        assert r_disabled.series is None
-        assert r_none.generated == r_disabled.generated
-        assert r_none.admission_probability == r_disabled.admission_probability
-
     def test_series_payload_shape(self):
-        obs = ObsConfig(samples_target=16, agent_stride=4)
-        result = run_experiment(ExperimentConfig(**BASE, obs=obs))
+        result = run_experiment(ExperimentConfig(**BASE, obs=ObsConfig()))
         payload = result.series
         assert payload["format"] == REGISTRY_FORMAT
-        assert payload["ticks"] == 17  # t=0 baseline + 16 cadence ticks
+        ticks = SAMPLES_TARGET + 1
+        assert payload["ticks"] == ticks  # t=0 baseline + the cadence ticks
         series = payload["series"]
         for name in (
             "nodes_live",
@@ -230,12 +222,12 @@ class TestRunIntegration:
             "messages_sent",
             "messages_delivered",
         ):
-            assert len(series[name]["t"]) == 17, name
+            assert len(series[name]["t"]) == ticks, name
             assert series[name]["t"][-1] == BASE["horizon"], name
         # deep series are strided but still close at the horizon
         for name in ("queue_usage_p50", "queue_usage_p90", "queue_usage_max"):
             assert series[name]["t"][-1] == BASE["horizon"], name
-            assert len(series[name]["t"]) < 17, name
+            assert len(series[name]["t"]) < ticks, name
         # trajectories are consistent with the terminal counters
         assert series["tasks_generated"]["v"][-1] == result.generated
         assert series["tasks_completed"]["v"][-1] == result.completed
@@ -245,15 +237,15 @@ class TestRunIntegration:
         json.dumps(payload)  # JSON-clean end to end
 
     def test_usage_histogram_accumulates_on_deep_ticks(self):
-        obs = ObsConfig(samples_target=16, agent_stride=4)
-        cfg = ExperimentConfig(**BASE, obs=obs)
+        cfg = ExperimentConfig(**BASE, obs=ObsConfig())
         system = build_system(cfg)
         system.run()
         result = system.result()
         hist = result.series["histograms"]["queue_usage"]
-        # deep ticks: 1, 5, 9, 13, 17 (stride 4 over 17 ticks) — the
-        # final tick (17) already matches the stride phase
-        deep_ticks = 5
+        # deep ticks: 1 and 33 (stride 32 over 49 ticks), then the closing
+        # sample, since the final tick (49) misses the stride phase
+        assert (SAMPLES_TARGET, AGENT_STRIDE) == (48, 32)
+        deep_ticks = 3
         assert sum(hist["counts"]) == BASE["nodes"] * deep_ticks
 
     def test_record_series_off_keeps_flight_recorder(self):

@@ -33,7 +33,7 @@ from repro.network import generators
 from repro.network.transport import Transport
 from repro.runtime.api import Priority, quiet
 from repro.sim.events import Event
-from repro.sim.kernel import Agenda, PeriodicTimer, RoundMembership, Simulator
+from repro.sim.kernel import Agenda, PeriodicTimer, Simulator
 
 
 @pytest.fixture(
@@ -132,17 +132,14 @@ def test_cancel_heavy_load_compacts_the_heap(sched):
 
 def test_periodic_helpers_are_the_kernels(sched):
     ticks = []
-    private = sched.periodic(1.0, lambda: ticks.append("private"))
-    a = sched.shared_periodic(1.0, lambda: ticks.append("a"))
-    b = sched.shared_periodic(1.0, lambda: ticks.append("b"))
-    assert type(private) is PeriodicTimer
-    assert type(a) is type(b) is RoundMembership and a.driver is b.driver
-    assert len(sched.queue) == 2  # one entry for the timer, one for the round
+    a = sched.periodic(1.0, lambda: ticks.append(("a", a.due)))
+    b = sched.periodic(1.0, lambda: ticks.append(("b", b.due)))
+    assert type(a) is type(b) is PeriodicTimer
+    assert len(sched.queue) == 2  # one entry per timer
     drive(sched, 3.5)
-    assert "private" in ticks and ticks.count("a") == ticks.count("b") >= 1
-    rounds = [t for t in ticks if t != "private"]
-    assert rounds[:2] == ["a", "b"]  # members fire in join order
-    for handle in (private, a, b):
+    # same-instant firings run in creation order, each reading its due instant
+    assert ticks == [(name, t) for t in (1.0, 2.0, 3.0) for name in ("a", "b")]
+    for handle in (a, b):
         handle.stop()
     assert len(sched.queue) == heap_entries(sched)[1] == 0  # tracked cancels
 

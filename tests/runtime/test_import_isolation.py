@@ -88,6 +88,4 @@ def test_simulator_still_implements_seam():
     assert isinstance(handle, TimerHandle)
     timer = sim.periodic(1.0, lambda: None)
     assert isinstance(timer, PeriodicHandle)
-    shared = sim.shared_periodic(1.0, lambda: None)
-    assert isinstance(shared, PeriodicHandle)
     assert hasattr(sim, "now") and hasattr(sim, "trace") and hasattr(sim, "streams")

@@ -83,8 +83,8 @@ def test_the_walk_sees_the_send_path_where_it_belongs():
 
 #: the agenda: functions only ``sim/kernel.py`` may define, identifiers
 #: only it may mention
-_AGENDA_FUNCTIONS = {"cancel", "periodic", "shared_periodic", "add_finalizer"}
-_AGENDA_NAMES = {"heappush", "RoundDriver"}
+_AGENDA_FUNCTIONS = {"cancel", "periodic", "add_finalizer"}
+_AGENDA_NAMES = {"heappush", "PeriodicTimer"}
 
 
 def test_live_scheduler_has_no_agenda_of_its_own():

@@ -540,71 +540,6 @@ class TestFinalizerSemantics:
         assert not sim._finalizers
 
 
-class TestRoundDriver:
-    def test_members_fire_in_join_order_once_per_round(self):
-        sim = Simulator()
-        order = []
-        sim.shared_periodic(1.0, lambda: order.append("a"))
-        sim.shared_periodic(1.0, lambda: order.append("b"))
-        sim.run(until=2.5)
-        assert order == ["a", "b", "a", "b"]
-
-    def test_one_heap_entry_per_round(self):
-        sim = Simulator()
-        for i in range(100):
-            sim.shared_periodic(1.0, lambda: None)
-        # one driver event, not one hundred timer events
-        assert len(sim.queue) == 1
-
-    def test_distinct_cadences_get_distinct_drivers(self):
-        sim = Simulator()
-        ticks = {"fast": 0, "slow": 0}
-
-        def bump(key):
-            ticks[key] += 1
-
-        sim.shared_periodic(1.0, lambda: bump("fast"))
-        sim.shared_periodic(2.0, lambda: bump("slow"))
-        sim.run(until=4.5)
-        assert ticks == {"fast": 4, "slow": 2}
-
-    def test_stop_removes_member_and_last_leave_cancels_event(self):
-        sim = Simulator()
-        fired = []
-        m1 = sim.shared_periodic(1.0, lambda: fired.append(1))
-        m2 = sim.shared_periodic(1.0, lambda: fired.append(2))
-        sim.run(until=1.5)
-        assert fired == [1, 2]
-        m1.stop()
-        assert m1.stopped and not m2.stopped
-        sim.run(until=2.5)
-        assert fired == [1, 2, 2]
-        m2.stop()
-        assert len(sim.queue) == 0  # driver event cancelled with last member
-        sim.run(until=10.0)
-        assert fired == [1, 2, 2]
-
-    def test_rejoin_after_dormancy_rearms(self):
-        sim = Simulator()
-        fired = []
-        m = sim.shared_periodic(1.0, lambda: fired.append("x"))
-        m.stop()
-        sim.run(until=3.0)
-        assert fired == []
-        sim.shared_periodic(1.0, lambda: fired.append("y"))
-        sim.run(until=5.5)
-        assert fired == ["y", "y"]  # rearmed from t=3 -> fires at 4, 5
-
-    def test_member_table_compacts_under_churn(self):
-        sim = Simulator()
-        members = [sim.shared_periodic(1.0, lambda: None) for _ in range(64)]
-        for m in members[:60]:
-            m.stop()
-        driver = next(iter(sim._round_drivers.values()))
-        assert driver.members == 4
-        assert len(driver._members) < 64  # dead cells filtered
-
-
 class TestHeapCompaction:
     def test_compaction_mid_run_keeps_kernel_loop_alive(self):
         """compact() rebuilds in place; the run loop's heap alias must

@@ -1,15 +1,9 @@
-"""Unit tests for task-size samplers."""
+"""Unit tests for the task-size sampler."""
 
 import numpy as np
 import pytest
 
-from repro.workload.sizes import (
-    BoundedParetoSizes,
-    ExponentialSizes,
-    FixedSizes,
-    UniformSizes,
-    make_sampler,
-)
+from repro.workload.sizes import ExponentialSizes
 
 
 class TestExponential:
@@ -32,71 +26,3 @@ class TestExponential:
             ExponentialSizes(0.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             ExponentialSizes(1.0, np.random.default_rng(0), cap=0.0)
-
-
-class TestFixed:
-    def test_constant(self):
-        s = FixedSizes(3.0)
-        assert {s.sample() for _ in range(10)} == {3.0}
-        assert s.mean == 3.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FixedSizes(-1.0)
-
-
-class TestUniform:
-    def test_bounds_and_mean(self):
-        s = UniformSizes(2.0, 8.0, np.random.default_rng(0))
-        xs = [s.sample() for _ in range(3000)]
-        assert all(2.0 <= x <= 8.0 for x in xs)
-        assert np.mean(xs) == pytest.approx(5.0, rel=0.05)
-        assert s.mean == 5.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            UniformSizes(5.0, 3.0, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            UniformSizes(0.0, 3.0, np.random.default_rng(0))
-
-
-class TestBoundedPareto:
-    def test_bounds_respected(self):
-        s = BoundedParetoSizes(1.5, 1.0, 100.0, np.random.default_rng(0))
-        assert all(1.0 <= s.sample() <= 100.0 for _ in range(3000))
-
-    def test_empirical_mean_near_theoretical(self):
-        s = BoundedParetoSizes(2.5, 1.0, 50.0, np.random.default_rng(1))
-        xs = [s.sample() for _ in range(20000)]
-        assert np.mean(xs) == pytest.approx(s.mean, rel=0.05)
-
-    def test_heavy_tail_vs_uniform(self):
-        s = BoundedParetoSizes(1.2, 1.0, 100.0, np.random.default_rng(2))
-        xs = sorted(s.sample() for _ in range(5000))
-        # the top percentile carries disproportionate mass
-        top = sum(xs[-50:])
-        assert top / sum(xs) > 0.1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BoundedParetoSizes(0.0, 1.0, 10.0, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            BoundedParetoSizes(1.5, 10.0, 1.0, np.random.default_rng(0))
-
-
-class TestMakeSampler:
-    def test_specs(self):
-        rng = np.random.default_rng(0)
-        assert isinstance(make_sampler("exp", rng), ExponentialSizes)
-        assert isinstance(make_sampler("exponential", rng), ExponentialSizes)
-        assert isinstance(make_sampler("fixed", rng), FixedSizes)
-        assert isinstance(make_sampler("uniform", rng), UniformSizes)
-        assert isinstance(make_sampler("pareto", rng), BoundedParetoSizes)
-
-    def test_unknown_spec(self):
-        with pytest.raises(ValueError):
-            make_sampler("zipf", np.random.default_rng(0))
-
-    def test_mean_forwarded(self):
-        s = make_sampler("fixed", np.random.default_rng(0), mean=7.0)
-        assert s.sample() == 7.0
