@@ -8,8 +8,8 @@ attack (common random numbers).
 
 from repro.experiments.ablations import run_study
 from repro.experiments.config import paper_config
-from repro.experiments.runner import build_system
-from repro.workload.attack import SweepAttack
+from repro.experiments.runner import run_experiment
+from repro.workload.attack import AttackConfig
 
 from conftest import BENCH_HORIZON
 
@@ -17,17 +17,11 @@ HORIZON = min(BENCH_HORIZON, 2_000.0)
 
 
 def run_attacked(protocol: str, victims: int = 6, seed: int = 11):
+    attack = AttackConfig(
+        kind="sweep", start=HORIZON * 0.25, dwell=HORIZON * 0.05, victims=victims
+    )
     cfg = paper_config(protocol, 4.0, horizon=HORIZON, seed=seed)
-    system = build_system(cfg)
-    SweepAttack(
-        system.topo.nodes(),
-        start=HORIZON * 0.25,
-        dwell=HORIZON * 0.05,
-        victims=victims,
-        rng=system.sim.streams.stream("attack"),
-    ).plan().install(system.faults)
-    system.run()
-    return system.result()
+    return run_experiment(cfg.with_(attack=attack))
 
 
 def test_a4_severity_sweep(benchmark):

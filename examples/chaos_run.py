@@ -20,32 +20,26 @@ chaos smoke test:
 Run:  python examples/chaos_run.py
 """
 
-from repro.experiments.chaos import (
-    ChaosSpec,
-    degradation_table,
-    loss_sweep,
-    make_attack,
-)
+from repro.experiments.chaos import degradation_table, loss_sweep
 from repro.experiments.config import paper_config
 from repro.experiments.runner import build_system
 from repro.network.impairments import ImpairmentConfig
-
-SPEC = ChaosSpec(attack="sweep", start=40.0, dwell=25.0, victims=4)
+from repro.workload.attack import AttackConfig
 
 
 def _attacked_run(cfg):
-    """Build, arm the seeded attack, run, return (system, result)."""
+    """Build (the seeded attack armed), run, return (system, result)."""
     system = build_system(cfg)
-    plan = make_attack(cfg, SPEC)
-    if plan is not None:
-        plan.install(system.faults)
     system.run()
     return system, system.result()
 
 
 def main() -> None:
     base = paper_config("realtor", arrival_rate=8.0, horizon=250.0, seed=7)
-    base = base.with_(trace=True)
+    base = base.with_(
+        trace=True,
+        attack=AttackConfig(kind="sweep", start=40.0, dwell=25.0, victims=4),
+    )
 
     print("=== 1. disabled impairments are byte-identical ===")
     plain_sys, plain_res = _attacked_run(base)
@@ -67,7 +61,7 @@ def main() -> None:
         impairments=ImpairmentConfig(jitter=0.005, duplicate_rate=0.01),
     )
     rates = (0.0, 0.02, 0.05, 0.10, 0.20)
-    results = loss_sweep(hardened, rates, spec=SPEC)
+    results = loss_sweep(hardened, rates)
     for rate, res in results.items():
         drops = res.extra.get("impairment_dropped", 0.0)
         recoveries = res.extra["help_retries"] + res.extra["migration_fallbacks"]
@@ -86,7 +80,7 @@ def main() -> None:
     print()
 
     print("=== 3. serial == parallel sweep ===")
-    par = loss_sweep(hardened, rates, spec=SPEC, parallel=True, max_workers=2)
+    par = loss_sweep(hardened, rates, parallel=True, max_workers=2)
     assert par == results
     print(f"{len(rates)} loss rates identical across serial and process-pool runs")
 

@@ -13,32 +13,26 @@ Run:  python examples/survivability_attack.py
 
 from repro import paper_config
 from repro.experiments.runner import build_system
-from repro.workload.attack import SweepAttack
+from repro.workload.attack import AttackConfig
 
 
 def run_under_attack(protocol: str, victims: int = 6, seed: int = 11):
+    attack = AttackConfig(kind="sweep", start=500.0, dwell=150.0, victims=victims)
     cfg = paper_config(protocol, arrival_rate=4.0, horizon=2_000.0, seed=seed)
-    system = build_system(cfg)
-    attack = SweepAttack(
-        system.topo.nodes(),
-        start=500.0,
-        dwell=150.0,
-        victims=victims,
-        rng=system.sim.streams.stream("attack"),
-    )
-    plan = attack.plan()
-    plan.install(system.faults)
+    system = build_system(cfg.with_(attack=attack))
     system.run()
-    return system, plan
+    return system
 
 
 def main() -> None:
     for protocol in ("realtor", "pull-100"):
-        system, plan = run_under_attack(protocol)
+        system = run_under_attack(protocol)
+        history = system.faults.history
         res = system.result()
         evac_ok = res.evacuations - res.evacuation_failures
         print(f"--- {protocol} ---")
-        print(f"attack plan: {len(plan)} transitions over nodes {plan.nodes_touched}")
+        print(f"attack: {len(history)} fault transitions over nodes "
+              f"{sorted({event.node for event in history})}")
         print(f"admission probability : {res.admission_probability:.4f}")
         print(f"evacuations attempted : {res.evacuations}")
         if res.evacuations:

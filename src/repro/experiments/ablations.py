@@ -7,7 +7,7 @@ Each study isolates one choice, holding the paper workload fixed.
 
 A study is a row of :data:`STUDIES`: its default parameters (the swept
 axis first), a cell builder that enumerates the axis as ``(key,
-config[, chaos-spec])`` items, and the columns of its table.
+config)`` items, and the columns of its table.
 :func:`run_study` is the one executor: it expands the items with
 :func:`~repro.experiments.plan.grid_plan` and runs them through the
 shared :func:`~repro.experiments.executor.execute_plan` — so every study
@@ -25,9 +25,9 @@ from typing import TYPE_CHECKING, Tuple, Union
 from ..analysis.report import format_table
 from ..metrics.collector import RunResult
 from ..protocols.base import ProtocolConfig
+from ..workload.attack import AttackConfig
 from ..workload.churn import ChurnConfig
 from ..workload.fleet import FleetConfig
-from .chaos import ChaosSpec
 from .config import ExperimentConfig, paper_config
 from .executor import execute_plan
 from .plan import grid_plan
@@ -94,7 +94,7 @@ class Study:
     ``cells`` is the study's definition: its keyword defaults are the
     study's parameters (the swept axis first), its docstring the
     rationale, and called with the parameters it yields the ``(key,
-    config[, spec])`` items.  A plain table has one row per cell: the
+    config)`` items.  A plain table has one row per cell: the
     leading ``len(labels)`` components of the cell key, then one
     :data:`METRICS` column per name in ``columns``.  With ``pivot`` set
     the cells are keyed ``(series, rate)`` and the table has one row per
@@ -198,19 +198,12 @@ def _a4_cells(victims_list=(0, 2, 5, 10), arrival_rate=4.0, horizon=2_000.0,
     An attacker compromises ``victims`` nodes in sequence (dwell time
     each); components evacuate via the discovery protocol.  Reported:
     admission probability, evacuation success rate, tasks lost.
-
-    Attack randomness draws from the kernel's named "attack" stream
-    (``rng_stream="kernel"``), the seeding this study has always used.
     """
     cfg = paper_config(protocol, arrival_rate, seed=seed, horizon=horizon)
     for victims in victims_list:
-        spec = None
-        if victims > 0:
-            spec = ChaosSpec(
-                attack="sweep", start=horizon * 0.25, dwell=dwell,
-                victims=victims, rng_stream="kernel",
-            )
-        yield victims, cfg, spec
+        yield victims, cfg.with_(attack=AttackConfig(
+            kind="sweep", start=horizon * 0.25, dwell=dwell, victims=victims,
+        ) if victims > 0 else None)
 
 
 def _a5_cells(policies=("one-shot", "2-try", "3-try", "random"), arrival_rate=7.0,

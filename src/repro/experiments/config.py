@@ -21,6 +21,7 @@ from ..network.transport import UnicastCostMode
 from ..obs.config import ObsConfig
 from ..protocols.base import ProtocolConfig
 from ..protocols.registry import is_protocol, protocol_names
+from ..workload.attack import AttackConfig
 from ..workload.churn import ChurnConfig
 from ..workload.fleet import FleetConfig
 
@@ -84,6 +85,12 @@ class ExperimentConfig:
     #: named substream and installed by the runner; ``None`` (default) or
     #: zero rates keep the static paper overlay — byte-identical.
     churn: Optional[ChurnConfig] = None
+
+    # Attack ----------------------------------------------------------------
+    #: a sweep / region / random-failure attack materialised from the
+    #: kernel's ``"attack"`` named substream and installed by the runner
+    #: after churn; ``None`` (default) keeps every node up — byte-identical.
+    attack: Optional[AttackConfig] = None
 
     # Topology ----------------------------------------------------------------
     #: one of :data:`TOPOLOGIES`
@@ -164,6 +171,9 @@ class ExperimentConfig:
             raise ValueError("per_hop_latency cannot be negative")
         if self.fixed_unicast_cost < 0 or (self.flood_cost_override or 0.0) < 0:
             raise ValueError("message costs cannot be negative")
+        if self.attack is not None and self.attack.epicentre >= self.num_nodes:
+            raise ValueError(f"attack epicentre {self.attack.epicentre} is not one of "
+                             f"the {self.num_nodes} nodes")
 
     # Derived ------------------------------------------------------------
 

@@ -71,12 +71,8 @@ class CellExecutionError(RuntimeError):
 
 
 def run_cell(cell: PlanCell) -> RunResult:
-    """Execute one cell: plain run, or its chaos spec's attack scenario."""
-    if cell.spec is None:
-        return run_experiment(cell.config)
-    from .chaos import run_spec  # local import; chaos builds plans itself
-
-    return run_spec(cell.config, cell.spec)
+    """Execute one cell (the pool's entry point)."""
+    return run_experiment(cell.config)
 
 
 class _CellOutcome(NamedTuple):
@@ -119,7 +115,7 @@ def execute_plan(
 
     for i, cell in enumerate(cells):
         if store is not None:
-            digests[i] = store.digest(cell.config, cell.spec)
+            digests[i] = store.digest(cell.config)
             if not force:
                 cached = store.get(digests[i])
                 if cached is not None:
@@ -139,12 +135,7 @@ def execute_plan(
             return
         results[outcome.index] = outcome.result
         if store is not None:
-            store.put(
-                digests[outcome.index],
-                cells[outcome.index].config,
-                outcome.result,
-                spec=cells[outcome.index].spec,
-            )
+            store.put(digests[outcome.index], cells[outcome.index].config, outcome.result)
         if progress is not None:
             progress.update(cells[outcome.index].config, outcome.result)
 

@@ -4,8 +4,7 @@ The paper's evaluation is one big grid — (protocol × λ × seed ×
 fault-scenario) — and every driver in this package used to hand-roll its
 own fan-out loop over it.  An :class:`ExperimentPlan` makes the grid a
 value instead: a frozen, ordered tuple of :class:`PlanCell`\\ s (each one
-fully-specified run, optionally carrying a
-:class:`~repro.experiments.chaos.ChaosSpec` attack rider) plus a reducer
+fully-specified run, its attack included as ``config.attack``) plus a reducer
 that shapes the flat result list back into whatever the driver's callers
 expect (``SweepResults`` nested dicts, replication lists, ablation
 tables).
@@ -34,15 +33,11 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    TYPE_CHECKING,
 )
 
 from ..metrics.collector import RunResult
 from .config import ExperimentConfig
 from .store import canonical_rate
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .chaos import ChaosSpec
 
 __all__ = [
     "PlanCell",
@@ -51,9 +46,6 @@ __all__ = [
     "replication_plan",
     "grid_plan",
     "confidence_plan",
-    "ranking_plan",
-    "churn_plan",
-    "fleet_plan",
 ]
 
 #: shapes a flat, plan-ordered result list into the driver's output
@@ -66,15 +58,12 @@ class PlanCell:
 
     ``key`` is the cell's identity *within its plan* (e.g. ``(protocol,
     rate)`` for a sweep, ``(seed,)`` for replications) — reducers index
-    by it.  ``spec`` optionally rides an attack/chaos scenario along;
-    ``None`` means a plain :func:`~repro.experiments.runner.run_experiment`.
-    Cells are plain frozen dataclasses: picklable for process pools and
-    canonically serialisable for store digests.
+    by it.  Cells are plain frozen dataclasses: picklable for process
+    pools and canonically serialisable for store digests.
     """
 
     key: Tuple[object, ...]
     config: ExperimentConfig
-    spec: Optional["ChaosSpec"] = None
 
 
 @dataclass(frozen=True)
@@ -163,28 +152,18 @@ def replication_plan(
 
 def grid_plan(
     name: str,
-    items: Iterable[Tuple[object, ...]],
+    items: Iterable[Tuple[object, ExperimentConfig]],
 ) -> ExperimentPlan:
-    """A free-form grid: ``(key, config)`` or ``(key, config, spec)`` items.
+    """A free-form grid of ``(key, config)`` items.
 
     The ablations use this — each study enumerates its own axis (α/β
     pairs, thresholds, topologies, attack severities...) and reduces to
     a ``{key: RunResult}`` mapping in item order.
     """
-    cells: List[PlanCell] = []
-    for item in items:
-        if len(item) == 2:
-            key, config = item  # type: ignore[misc]
-            spec = None
-        else:
-            key, config, spec = item  # type: ignore[misc]
-        cells.append(
-            PlanCell(
-                key=key if isinstance(key, tuple) else (key,),
-                config=config,
-                spec=spec,
-            )
-        )
+    cells = tuple(
+        PlanCell(key=key if isinstance(key, tuple) else (key,), config=config)
+        for key, config in items
+    )
 
     def reduce(plan: ExperimentPlan, results: Sequence[RunResult]) -> object:
         out: Dict[object, RunResult] = {}
@@ -193,80 +172,7 @@ def grid_plan(
             out[key] = res
         return out
 
-    return ExperimentPlan(name, tuple(cells), reduce)
-
-
-def ranking_plan(
-    policies: Sequence[str],
-    rates: Sequence[float],
-    base: ExperimentConfig,
-) -> ExperimentPlan:
-    """The (ranking policy × rate) grid under one protocol.
-
-    Every cell shares ``base``'s seed (common random numbers), so curve
-    differences are *ranking* effects: same arrivals, same sizes, same
-    fleet and churn draws — only the candidate ordering changes.
-    Reduces to ``[policy][rate] -> RunResult``.
-    """
-    policies = list(policies)
-    if not policies:
-        raise ValueError("no ranking policies given")
-    cells = tuple(
-        PlanCell(
-            key=(policy, rate),
-            config=base.with_(
-                protocol_config=base.protocol_config.with_(ranking_policy=policy),
-                arrival_rate=rate,
-            ),
-        )
-        for policy in policies
-        for rate in (canonical_rate(r) for r in rates)
-    )
-
-    def reduce(plan: ExperimentPlan, results: Sequence[RunResult]) -> object:
-        out: Dict[str, Dict[float, RunResult]] = {p: {} for p in policies}
-        for cell, res in zip(plan.cells, results):
-            policy, rate = cell.key
-            out[policy][rate] = res
-        return out
-
-    return ExperimentPlan("ranking", cells, reduce)
-
-
-def churn_plan(
-    churn_configs: Sequence[Tuple[object, object]],
-    base: ExperimentConfig,
-) -> ExperimentPlan:
-    """A sweep over churn intensities: ``(key, ChurnConfig)`` pairs.
-
-    Reduces to ``{key: RunResult}`` in item order.  ``None`` as a config
-    runs the static overlay (the no-churn control point).
-    """
-    items = list(churn_configs)
-    if not items:
-        raise ValueError("no churn configs given")
-    return grid_plan(
-        "churn",
-        [(key, base.with_(churn=cc)) for key, cc in items],
-    )
-
-
-def fleet_plan(
-    fleets: Sequence[Tuple[object, object]],
-    base: ExperimentConfig,
-) -> ExperimentPlan:
-    """A sweep over fleet mixes: ``(key, FleetConfig)`` pairs.
-
-    Reduces to ``{key: RunResult}`` in item order.  ``None`` as a fleet
-    runs the uniform paper fleet (the homogeneous control point).
-    """
-    items = list(fleets)
-    if not items:
-        raise ValueError("no fleets given")
-    return grid_plan(
-        "fleet",
-        [(key, base.with_(fleet=fc)) for key, fc in items],
-    )
+    return ExperimentPlan(name, cells, reduce)
 
 
 def confidence_plan(

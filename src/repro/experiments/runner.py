@@ -43,7 +43,6 @@ from ..protocols.registry import make_agent
 from ..sim.kernel import Simulator
 from ..sim.trace import Tracer
 from ..workload.arrivals import ArrivalGenerator, DeterministicArrivals, PoissonArrivals
-from ..workload.attack import AttackPlan
 from ..workload.churn import poisson_churn
 from ..workload.fleet import NodeParams, fleet_summary, node_params
 from ..workload.sizes import ExponentialSizes
@@ -58,11 +57,12 @@ def _build_topology(cfg: ExperimentConfig) -> Topology:
         return generators.mesh(cfg.rows, cfg.cols)
     if cfg.nodes is None and kind == "torus":
         return generators.torus(cfg.rows, cfg.cols)
-    sized = {"ring": generators.ring, "star": generators.star, "full": generators.full_mesh}
+    sized = {
+        "ring": generators.ring, "star": generators.star,
+        "full": generators.full_mesh, "tree": generators.heap_tree,
+    }
     if kind in sized:
         return sized[kind](n)
-    if kind == "tree":
-        return generators.binary_tree(max(1, n.bit_length() - 1))
     # mesh | torus by node count (most nearly square), random, scale-free;
     # ExperimentConfig already checked the name
     return generators.scenario_topology(kind, n, degree=4, seed=cfg.topology_seed)
@@ -515,6 +515,11 @@ def assemble(
     if cfg.churn is not None and cfg.churn.active:
         _install_churn(system)
 
+    # The attack schedule, last: drawn from the kernel's named "attack"
+    # substream against the t=0 overlay and installed as fault events.
+    if cfg.attack is not None:
+        cfg.attack.plan(topo, cfg.horizon, sim.streams.stream("attack")).install(faults)
+
     return system
 
 
@@ -564,20 +569,13 @@ def _install_churn(system: System) -> None:
     schedule.install(system.sim, on_join, on_leave)
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    attack: Optional[AttackPlan] = None,
-    *,
-    profile=None,
-) -> RunResult:
-    """Build, optionally arm an attack plan, run to the horizon, summarise.
+def run_experiment(cfg: ExperimentConfig, *, profile=None) -> RunResult:
+    """Build, run to the horizon, summarise.
 
     Pass ``profile=KernelProfiler()`` to attribute the run's wall time
     per subsystem; inspect ``profile.report()`` afterwards.
     """
     system = build_system(cfg)
-    if attack is not None:
-        attack.install(system.faults)
     try:
         system.run(profile=profile)
     except Exception as exc:

@@ -3,8 +3,7 @@
 Every :class:`~repro.experiments.plan.PlanCell` hashes to a stable
 digest over its *inputs* — the canonically-serialised
 :class:`~repro.experiments.config.ExperimentConfig` (nested frozen
-dataclasses included), the optional
-:class:`~repro.experiments.chaos.ChaosSpec`, and a code-version salt.
+dataclasses included, its attack among them) and a code-version salt.
 The executor consults the store before running a cell and persists each
 finished :class:`~repro.metrics.collector.RunResult` immediately, so:
 
@@ -60,7 +59,9 @@ STORE_FORMAT = "repro-runstore/1"
 #: 3: ExperimentConfig gained obs; RunResult gained series + cohort extras
 #: 4: ranking seam (ProtocolConfig.ranking_policy), fleet/churn axes on
 #:    ExperimentConfig, ranking/churn/fleet extras on RunResult
-CODE_VERSION = "4"
+#: 5: the attack is ExperimentConfig.attack (no separate spec in the
+#:    digest); a "tree" overlay has exactly num_nodes nodes
+CODE_VERSION = "5"
 
 
 def default_salt() -> str:
@@ -169,15 +170,9 @@ def canonical_config_dict(obj: object) -> object:
     raise TypeError(f"cannot canonicalise {type(obj).__name__!r} for digesting")
 
 
-def config_digest(
-    config: object, spec: Optional[object] = None, *, salt: Optional[str] = None
-) -> str:
-    """SHA-256 of the canonical (config, spec, salt) triple."""
-    payload = {
-        "config": canonical_config_dict(config),
-        "spec": canonical_config_dict(spec) if spec is not None else None,
-    }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def config_digest(config: object, *, salt: Optional[str] = None) -> str:
+    """SHA-256 of the salt and the canonical config."""
+    text = json.dumps(canonical_config_dict(config), sort_keys=True, separators=(",", ":"))
     h = hashlib.sha256()
     h.update((salt if salt is not None else default_salt()).encode("utf-8"))
     h.update(b"\x00")
@@ -263,9 +258,9 @@ class RunStore:
     def __contains__(self, digest: str) -> bool:
         return digest in self._records
 
-    def digest(self, config: object, spec: Optional[object] = None) -> str:
-        """The digest this store would file (config, spec) under."""
-        return config_digest(config, spec, salt=self.salt)
+    def digest(self, config: object) -> str:
+        """The digest this store would file ``config`` under."""
+        return config_digest(config, salt=self.salt)
 
     def get(self, digest: str) -> Optional[RunResult]:
         """The stored result, or ``None`` (counted as hit/miss)."""
@@ -281,7 +276,7 @@ class RunStore:
         return result
 
     def get_record(self, digest: str) -> Optional[Dict[str, object]]:
-        """The raw stored record (config + spec + result), uncounted."""
+        """The raw stored record (config + result), uncounted."""
         return self._records.get(digest)
 
     def digests(self) -> List[str]:
@@ -294,18 +289,11 @@ class RunStore:
         for digest in sorted(self._records):
             yield digest, self._records[digest]
 
-    def put(
-        self,
-        digest: str,
-        config: object,
-        result: RunResult,
-        spec: Optional[object] = None,
-    ) -> None:
+    def put(self, digest: str, config: object, result: RunResult) -> None:
         """Persist one finished cell (append-only; last record wins)."""
         record: Dict[str, object] = {
             "digest": digest,
             "config": canonical_config_dict(config),
-            "spec": canonical_config_dict(spec) if spec is not None else None,
             "result": result_to_dict(result),
         }
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))

@@ -20,6 +20,7 @@ __all__ = [
     "ring",
     "star",
     "full_mesh",
+    "heap_tree",
     "binary_tree",
     "random_regularish",
     "preferential_attachment",
@@ -93,17 +94,21 @@ def full_mesh(n: int) -> Topology:
     return topo
 
 
+def heap_tree(n: int) -> Topology:
+    """Binary tree of ``n >= 1`` nodes in heap order: node ``i`` links to ``(i-1)//2``."""
+    if n < 1:
+        raise ValueError("tree needs n >= 1")
+    topo = Topology(nodes=range(n))
+    for i in range(1, n):
+        topo.add_link((i - 1) // 2, i)
+    return topo
+
+
 def binary_tree(depth: int) -> Topology:
     """Complete binary tree of given depth (root = 0, ``2**(depth+1)-1`` nodes)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    n = 2 ** (depth + 1) - 1
-    topo = Topology(nodes=range(n))
-    for i in range(n):
-        for child in (2 * i + 1, 2 * i + 2):
-            if child < n:
-                topo.add_link(i, child)
-    return topo
+    return heap_tree(2 ** (depth + 1) - 1)
 
 
 def random_regularish(

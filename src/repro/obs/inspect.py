@@ -1,7 +1,7 @@
 """RunStore inspection: survivability reports with zero simulation.
 
 The content-addressed :class:`~repro.experiments.store.RunStore` already
-holds everything the paper's figures need — configs, specs, results and
+holds everything the paper's figures need — configs, results and
 (for obs-enabled runs) the sampled trajectories on ``RunResult.series``.
 This module turns a warm store into reports without running a single
 event:
@@ -54,11 +54,10 @@ TASK_FLOW_METRICS = ("tasks_generated", "tasks_admitted", "tasks_completed")
 
 @dataclass(frozen=True)
 class RunEntry:
-    """One stored run: digest plus the record's three parts, typed."""
+    """One stored run: digest plus the record's two parts, typed."""
 
     digest: str
     config: Dict[str, object]
-    spec: Optional[Dict[str, object]]
     result: RunResult
 
     @property
@@ -116,11 +115,6 @@ def load_runs(store: Union[RunStore, str, Path]) -> List[RunEntry]:
             RunEntry(
                 digest=digest,
                 config=dict(record.get("config") or {}),
-                spec=(
-                    dict(record["spec"])
-                    if isinstance(record.get("spec"), dict)
-                    else None
-                ),
                 result=result,
             )
         )

@@ -7,7 +7,7 @@ from .arrivals import (
     PoissonArrivals,
     TraceArrivals,
 )
-from .attack import AttackPlan, RandomFailures, RegionAttack, SweepAttack
+from .attack import AttackConfig, AttackPlan, RandomFailures, RegionAttack, SweepAttack
 from .churn import ChurnEvent, ChurnSchedule, poisson_churn
 from .sizes import ExponentialSizes
 
@@ -17,6 +17,7 @@ __all__ = [
     "DeterministicArrivals",
     "PoissonArrivals",
     "TraceArrivals",
+    "AttackConfig",
     "AttackPlan",
     "RandomFailures",
     "RegionAttack",

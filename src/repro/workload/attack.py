@@ -15,6 +15,12 @@ crash) transitions against the fault manager:
 
 Every schedule is computed up front from a seeded stream, so attack runs
 are exactly reproducible.
+
+:class:`AttackConfig` is the declarative knob on
+:class:`~repro.experiments.config.ExperimentConfig`: when set, the
+runner materialises it against the overlay from the kernel's named
+``"attack"`` RNG substream and installs the plan on the fault manager,
+on either runtime.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ import numpy as np
 
 from ..network.faults import FaultManager
 from ..network.routing import Router
+from ..network.topology import Topology
 
-__all__ = ["SweepAttack", "RegionAttack", "RandomFailures", "AttackPlan"]
+__all__ = ["AttackConfig", "SweepAttack", "RegionAttack", "RandomFailures", "AttackPlan"]
 
 
 @dataclass(frozen=True)
@@ -65,6 +72,62 @@ class AttackPlan:
 
     def __len__(self) -> int:
         return len(self.transitions)
+
+
+@dataclass(frozen=True)
+class AttackConfig:
+    """Declarative attack axis for an experiment (all seeded).
+
+    ``kind`` picks the generator; each reads only its own fields:
+    ``sweep`` (``start``, ``dwell``, ``victims`` — clamped to the node
+    count), ``region`` (``epicentre``, ``radius``, ``start``,
+    ``duration``) and ``random`` (``mtbf``, ``mttr`` over the horizon).
+    """
+
+    kind: str = "sweep"
+    start: float = 100.0
+    dwell: float = 50.0
+    victims: int = 5
+    epicentre: int = 0
+    radius: int = 1
+    duration: float = 100.0
+    mtbf: float = 400.0
+    mttr: float = 50.0
+
+    def __post_init__(self) -> None:
+        # the generators' own checks, made here so a bad cell fails at
+        # construction rather than inside a pool worker
+        if self.kind not in ("sweep", "region", "random"):
+            raise ValueError(f"unknown attack kind: {self.kind!r}")
+        if self.dwell <= 0 or self.victims < 1:
+            raise ValueError("need dwell > 0 and victims >= 1")
+        if self.epicentre < 0 or self.radius < 0 or self.duration <= 0:
+            raise ValueError("need epicentre >= 0, radius >= 0 and duration > 0")
+        if self.mtbf <= 0 or self.mttr <= 0:
+            raise ValueError("mtbf and mttr must be positive")
+
+    def plan(self, topo: Topology, horizon: float, rng: np.random.Generator) -> AttackPlan:
+        """Expand the attack against a concrete overlay."""
+        nodes = topo.nodes()
+        if self.kind == "sweep":
+            return SweepAttack(
+                nodes,
+                start=self.start,
+                dwell=self.dwell,
+                victims=min(self.victims, len(nodes)),
+                rng=rng,
+            ).plan()
+        if self.kind == "region":
+            return RegionAttack(
+                Router(topo),
+                self.epicentre,
+                radius=self.radius,
+                start=self.start,
+                duration=self.duration,
+            ).plan()
+        return RandomFailures(
+            nodes, horizon=horizon, mtbf=self.mtbf, mttr=self.mttr, rng=rng
+        ).plan()
 
 
 class SweepAttack:

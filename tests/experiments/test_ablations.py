@@ -154,7 +154,7 @@ class TestStudiesTable:
         study = STUDIES[key]
         plan = grid_plan(study.plan, study.cells(**study.params))
         assert [
-            [plan.name, list(cell.key), config_digest(cell.config, cell.spec)]
+            [plan.name, list(cell.key), config_digest(cell.config)]
             for cell in plan.cells
         ] == self.RECORDED[key]
 

@@ -9,8 +9,8 @@ Three contracts pinned here:
 * **churn determinism** — the schedule comes from the kernel's named
   ``"churn"`` substream, so identical configs produce identical results
   whether cells run serially in one process or across a process pool;
-* **ranking grid** — the (policy × rate) plan reduces to the ablation
-  shape and each cell self-describes its policy.
+* **ranking grid** — a (policy × rate) grid plan reduces to the
+  ablation shape and each cell self-describes its policy.
 """
 
 import dataclasses
@@ -18,7 +18,7 @@ import hashlib
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import execute_plan
-from repro.experiments.plan import churn_plan, fleet_plan, ranking_plan
+from repro.experiments.plan import grid_plan
 from repro.experiments.runner import build_system, run_experiment
 from repro.protocols.base import ProtocolConfig
 from repro.workload.churn import ChurnConfig
@@ -86,12 +86,13 @@ class TestChurnDeterminism:
         assert a == b
 
     def test_serial_and_parallel_execution_agree(self):
-        plan = churn_plan(
+        base = CHURN_CFG.with_(horizon=80.0)
+        plan = grid_plan(
+            "churn",
             [
-                ("calm", ChurnConfig(join_rate=0.02, leave_rate=0.01)),
-                ("stormy", ChurnConfig(join_rate=0.08, leave_rate=0.06)),
+                ("calm", base.with_(churn=ChurnConfig(join_rate=0.02, leave_rate=0.01))),
+                ("stormy", base.with_(churn=ChurnConfig(join_rate=0.08, leave_rate=0.06))),
             ],
-            CHURN_CFG.with_(horizon=80.0),
         )
         serial = execute_plan(plan)
         parallel = execute_plan(plan, parallel=True, max_workers=2)
@@ -120,20 +121,28 @@ class TestChurnDeterminism:
 
 class TestRankingGrid:
     def test_ranking_plan_reduces_to_policy_rate_grid(self):
-        plan = ranking_plan(
-            ["headroom", "composite"], [6.0, 9.0], BASE.with_(trace=False)
-        )
+        base = BASE.with_(trace=False)
+        plan = grid_plan("ranking", [
+            ((policy, rate), base.with_(
+                protocol_config=base.protocol_config.with_(ranking_policy=policy),
+                arrival_rate=rate,
+            ))
+            for policy in ("headroom", "composite")
+            for rate in (6.0, 9.0)
+        ])
         results = plan.reduce(execute_plan(plan))
-        assert set(results) == {"headroom", "composite"}
-        for policy, by_rate in results.items():
-            assert set(by_rate) == {6.0, 9.0}
-            for res in by_rate.values():
-                assert res.params["ranking"] == policy
+        assert list(results) == [
+            ("headroom", 6.0), ("headroom", 9.0), ("composite", 6.0), ("composite", 9.0),
+        ]
+        for (policy, rate), res in results.items():
+            assert res.params["ranking"] == policy
+            assert res.params["lambda"] == rate
 
     def test_fleet_plan_control_point_is_uniform(self):
-        plan = fleet_plan(
-            [("uniform", None), ("hetero", FleetConfig.heterogeneous())],
-            BASE.with_(trace=False, horizon=60.0),
+        base = BASE.with_(trace=False, horizon=60.0)
+        plan = grid_plan(
+            "fleet",
+            [("uniform", base), ("hetero", base.with_(fleet=FleetConfig.heterogeneous()))],
         )
         results = plan.reduce(execute_plan(plan))
         assert "fleet_capacity_cv" not in results["uniform"].extra

@@ -12,6 +12,7 @@ from repro.experiments.config import (
 from repro.experiments.runner import build_system
 from repro.protocols.base import ProtocolConfig
 from repro.protocols.registry import protocol_names
+from repro.workload.attack import AttackConfig
 
 
 class TestExperimentConfig:
@@ -58,7 +59,7 @@ class TestExperimentConfig:
         # the accepted names are exactly the ones the builder dispatches on
         for name in TOPOLOGIES:
             topo = build_system(ExperimentConfig(topology=name, nodes=16)).topo
-            assert len(topo.nodes()) >= 15, name
+            assert len(topo.nodes()) == 16, name
 
     def test_unknown_unicast_cost_fails_at_construction(self):
         with pytest.raises(ValueError, match="unicast_cost"):
@@ -81,6 +82,26 @@ class TestExperimentConfig:
         # not inside build_system (a pool worker), at the first send, or never
         with pytest.raises(ValueError):
             ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "attack",
+        [
+            dict(dwell=0.0),
+            dict(victims=0),
+            dict(kind="region", radius=-1),
+            dict(kind="random", mtbf=-1.0),
+            dict(kind="flood"),
+        ],
+        ids=["dwell", "victims", "radius", "mtbf", "kind"],
+    )
+    def test_an_attack_that_would_fail_later_fails_at_construction(self, attack):
+        with pytest.raises(ValueError):
+            AttackConfig(**attack)
+
+    def test_an_attack_epicentre_must_be_a_node(self):
+        build_system(ExperimentConfig(attack=AttackConfig(kind="region", epicentre=24)))
+        with pytest.raises(ValueError, match="epicentre"):
+            ExperimentConfig(attack=AttackConfig(kind="region", epicentre=99))
 
     def test_accepted_names_are_the_builders(self):
         # the registry's aliases and make_policy's grammar, nothing narrower

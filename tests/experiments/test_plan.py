@@ -27,7 +27,7 @@ class TestSweepPlan:
             proto, rate = cell.key
             assert cell.config.protocol == proto
             assert cell.config.arrival_rate == rate
-            assert cell.spec is None
+            assert cell.config.attack is None
 
     def test_rates_canonicalised_at_expansion(self):
         noisy = 3.0000000000000004
@@ -72,16 +72,18 @@ class TestReplicationPlan:
 
 class TestGridPlan:
     def test_two_and_three_tuple_items(self):
-        from repro.experiments.chaos import ChaosSpec
+        """A cell is ``(key, config)``; the attack rides on the config,
+        and a third item (the old attack rider) is refused."""
+        from repro.workload.attack import AttackConfig
 
-        spec = ChaosSpec(victims=2)
-        plan = grid_plan(
-            "g", [("a", BASE), (("b", 1), BASE.with_(seed=2), spec)]
-        )
+        attacked = BASE.with_(seed=2, attack=AttackConfig(victims=2))
+        plan = grid_plan("g", [("a", BASE), (("b", 1), attacked)])
         assert plan.cells[0].key == ("a",)
-        assert plan.cells[0].spec is None
+        assert plan.cells[0].config.attack is None
         assert plan.cells[1].key == ("b", 1)
-        assert plan.cells[1].spec is spec
+        assert plan.cells[1].config is attacked
+        with pytest.raises(ValueError):
+            grid_plan("g", [("a", BASE, AttackConfig(victims=2))])
 
     def test_reduce_unwraps_scalar_keys(self):
         plan = grid_plan("g", [("a", BASE), (("b", 1), BASE)])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import TOPOLOGIES, ExperimentConfig
 from repro.experiments.runner import build_system, run_experiment
 from repro.node.task import Task
 from repro.protocols.base import ProtocolConfig
@@ -44,6 +44,14 @@ class TestBuildSystem:
         assert build_system(short(topology="ring")).topo.num_links == 25
         with pytest.raises(ValueError):
             build_system(short(topology="moebius"))
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    @pytest.mark.parametrize("size", [dict(), dict(nodes=12)], ids=["5x5", "nodes=12"])
+    def test_every_family_builds_num_nodes(self, topology, size):
+        cfg = short(topology=topology, **size)
+        topo = build_system(cfg).topo
+        assert topo.nodes() == list(range(cfg.num_nodes))
+        assert topo.is_connected()
 
     def test_unknown_cost_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -142,11 +150,15 @@ class TestRunExperiment:
         assert res.admission_probability < 0.95
 
     def test_attack_plan_installs(self):
-        from repro.workload.attack import AttackPlan
+        from repro.workload.attack import AttackConfig
 
-        plan = AttackPlan(((50.0, "crash", 0),))
-        res = run_experiment(short(horizon=300.0, arrival_rate=8.0), attack=plan)
-        assert res.lost >= 0  # ran to completion with the fault active
+        attack = AttackConfig(kind="region", epicentre=0, radius=0, start=50.0)
+        system = build_system(short(horizon=300.0, arrival_rate=8.0, attack=attack))
+        system.run(until=60.0)
+        assert not system.faults.is_up(0)  # the one-node region is down
+        system.run()
+        assert system.faults.is_up(0)  # and back after its 100 s outage
+        assert system.result().evacuations > 0
 
     def test_system_run_returns_now(self):
         s = build_system(short())

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.experiments.chaos import ChaosSpec
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.store import (
@@ -37,10 +36,13 @@ class TestConfigDigest:
         assert config_digest(tweaked) != config_digest(CFG)
 
     def test_spec_part_of_identity(self):
-        assert config_digest(CFG, ChaosSpec(victims=2)) != config_digest(CFG)
-        assert config_digest(CFG, ChaosSpec(victims=2)) != config_digest(
-            CFG, ChaosSpec(victims=3)
-        )
+        """The attack scenario is part of the config, so of its digest."""
+        from repro.workload.attack import AttackConfig
+
+        two = CFG.with_(attack=AttackConfig(victims=2))
+        assert config_digest(two) != config_digest(CFG)
+        assert config_digest(two) != config_digest(CFG.with_(attack=AttackConfig(victims=3)))
+        assert config_digest(CFG.with_(attack=None)) == config_digest(CFG)
 
     def test_salt_invalidates(self):
         assert config_digest(CFG) == config_digest(CFG, salt=default_salt())

@@ -5,42 +5,35 @@ import pytest
 from repro.experiments.config import paper_config
 from repro.experiments.runner import build_system
 from repro.network.faults import NodeState
-from repro.workload.attack import RandomFailures, RegionAttack, SweepAttack
+from repro.workload.attack import AttackConfig, RandomFailures
 
 
 def run_with_attack(protocol="realtor", victims=4, rate=4.0, horizon=800.0,
                     dwell=100.0, seed=3):
-    cfg = paper_config(protocol, rate, horizon=horizon, seed=seed)
+    attack = AttackConfig(kind="sweep", start=horizon * 0.25, dwell=dwell, victims=victims)
+    cfg = paper_config(protocol, rate, horizon=horizon, seed=seed).with_(attack=attack)
     system = build_system(cfg)
-    plan = SweepAttack(
-        system.topo.nodes(),
-        start=horizon * 0.25,
-        dwell=dwell,
-        victims=victims,
-        rng=system.sim.streams.stream("attack"),
-    ).plan()
-    plan.install(system.faults)
     system.run()
-    return system, plan
+    return system
 
 
 class TestSweepAttackSurvivability:
     def test_components_evacuate_under_attack(self):
-        system, _ = run_with_attack()
+        system = run_with_attack()
         res = system.result()
         assert res.evacuations > 0
         # most evacuations succeed on a lightly loaded system
         assert res.evacuation_failures <= res.evacuations * 0.5
 
     def test_evacuated_components_land_on_safe_nodes(self):
-        system, plan = run_with_attack(victims=2, horizon=600.0)
+        system = run_with_attack(victims=2, horizon=600.0)
         migrations = system.sim.trace.select("evacuation")
         # tracing is off by default; use the metric instead
         res = system.result()
         assert res.evacuations >= 0  # pipeline exercised without errors
 
     def test_system_recovers_after_attack_ends(self):
-        system, plan = run_with_attack(victims=3, horizon=1200.0, dwell=50.0)
+        system = run_with_attack(victims=3, horizon=1200.0, dwell=50.0)
         assert all(
             system.faults.is_up(n) for n in system.topo.nodes()
         )  # every victim recovered
@@ -76,14 +69,11 @@ class TestSweepAttackSurvivability:
 
 class TestRegionAttack:
     def test_partition_survival(self):
-        cfg = paper_config("realtor", 4.0, horizon=600.0, seed=5)
+        attack = AttackConfig(
+            kind="region", epicentre=12, radius=1, start=150.0, duration=100.0
+        )
+        cfg = paper_config("realtor", 4.0, horizon=600.0, seed=5).with_(attack=attack)
         system = build_system(cfg)
-        from repro.network.routing import Router
-
-        RegionAttack(
-            Router(system.topo), epicentre=12, radius=1, start=150.0,
-            duration=100.0,
-        ).plan().install(system.faults)
         system.run()
         res = system.result()
         # the other 20 nodes keep the service alive

@@ -17,6 +17,7 @@ from repro.live.scheduler import LiveScheduler
 from repro.node.task import Task, TaskOutcome, TaskStatus
 from repro.obs.config import ObsConfig
 from repro.obs.registry import MetricsRegistry
+from repro.workload.attack import AttackConfig
 
 
 def small_report(**overrides) -> dict:
@@ -110,6 +111,19 @@ class TestLiveRuntime:
         with pytest.raises(RuntimeError, match="callback failure"):
             asyncio.run(rt.run())
         assert rt.transport.node_task_count == 0
+
+    def test_an_attack_runs_live(self, manual_clock):
+        # assemble installs cfg.attack on the live clock as on the
+        # simulator's: the sweep's victims evacuate, the run drains clean
+        rt = LiveRuntime(LiveConfig(
+            nodes=9, arrival_rate=1.4, horizon=300.0, seed=11,
+            attack=AttackConfig(kind="sweep", start=60.0, dwell=40.0, victims=4),
+        ))
+        report = asyncio.run(rt.run())
+        compromised = {e.node for e in rt.system.faults.history}
+        assert len(compromised) == 4
+        assert rt.metrics.tasks.evacuations > 0
+        assert report["drained"] and report["clean_shutdown"]
 
 
 class TestSeries:

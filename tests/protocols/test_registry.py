@@ -16,7 +16,7 @@ from repro.protocols.registry import (
     protocol_names,
     register_protocol,
 )
-from repro.workload.attack import SweepAttack
+from repro.workload.attack import AttackConfig
 
 
 class TestRegistry:
@@ -59,15 +59,11 @@ class TestRegistry:
 def _pinned_run(protocol: str, attacked: bool):
     """(trace sha256, events executed, RunResult sha256) of one short run."""
     cfg = ExperimentConfig(
-        protocol=protocol, arrival_rate=8.0, horizon=120.0, seed=7, trace=True
+        protocol=protocol, arrival_rate=8.0, horizon=120.0, seed=7, trace=True,
+        # compromised nodes exercise every `safe` branch of the handlers
+        attack=AttackConfig(start=20.0, dwell=10.0, victims=6) if attacked else None,
     )
     system = build_system(cfg)
-    if attacked:
-        # compromised nodes exercise every `safe` branch of the handlers
-        SweepAttack(
-            system.topo.nodes(), start=20.0, dwell=10.0, victims=6,
-            rng=system.sim.streams.stream("attack"),
-        ).plan().install(system.faults)
     system.run()
     trace = hashlib.sha256()
     for rec in system.sim.trace.records:

@@ -17,17 +17,18 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.chaos import ChaosSpec, loss_sweep, make_attack
+from repro.experiments.chaos import loss_sweep
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system
 from repro.network.impairments import ImpairmentConfig
+from repro.workload.attack import AttackConfig
 
 IMPAIRED = ImpairmentConfig(
     loss_rate=0.05, jitter=0.002, duplicate_rate=0.02, reorder_rate=0.02
 )
 
 
-def _chaos_run(spec: ChaosSpec, *, seed: int = 5, impairments=IMPAIRED):
+def _chaos_run(attack, *, seed: int = 5, impairments=IMPAIRED):
     cfg = ExperimentConfig(
         protocol="realtor",
         arrival_rate=8.0,
@@ -36,11 +37,9 @@ def _chaos_run(spec: ChaosSpec, *, seed: int = 5, impairments=IMPAIRED):
         trace=True,
         impairments=impairments,
         migration_retry_budget=1,
+        attack=attack,
     )
     system = build_system(cfg)
-    plan = make_attack(cfg, spec)
-    if plan is not None:
-        plan.install(system.faults)
     system.run()
     trace = [
         (rec.time, rec.category, tuple(sorted(rec.payload.items())))
@@ -56,23 +55,25 @@ def _fields(res):
 class TestImpairedAttackDeterminism:
     @pytest.mark.parametrize("attack", ["none", "sweep", "region", "random"])
     def test_bit_identical_per_attack_type(self, attack):
-        spec = ChaosSpec(attack=attack, start=20.0, dwell=15.0, victims=5,
-                         duration=40.0, mtbf=120.0, mttr=20.0)
-        trace_a, result_a, _ = _chaos_run(spec)
-        trace_b, result_b, _ = _chaos_run(spec)
+        scenario = None if attack == "none" else AttackConfig(
+            kind=attack, start=20.0, dwell=15.0, victims=5, duration=40.0,
+            mtbf=120.0, mttr=20.0,
+        )
+        trace_a, result_a, _ = _chaos_run(scenario)
+        trace_b, result_b, _ = _chaos_run(scenario)
         assert len(trace_a) == len(trace_b)
         for i, (rec_a, rec_b) in enumerate(zip(trace_a, trace_b)):
             assert rec_a == rec_b, f"{attack}: trace diverges at record {i}"
         assert _fields(result_a) == _fields(result_b)
 
     def test_different_seeds_diverge(self):
-        spec = ChaosSpec(attack="sweep", start=20.0)
-        trace_a, _, _ = _chaos_run(spec, seed=5)
-        trace_b, _, _ = _chaos_run(spec, seed=6)
+        scenario = AttackConfig(kind="sweep", start=20.0)
+        trace_a, _, _ = _chaos_run(scenario, seed=5)
+        trace_b, _, _ = _chaos_run(scenario, seed=6)
         assert trace_a != trace_b
 
     def test_impairments_actually_fired(self):
-        _, result, system = _chaos_run(ChaosSpec(attack="sweep", start=20.0))
+        _, result, system = _chaos_run(AttackConfig(kind="sweep", start=20.0))
         assert system.transport.impairments is not None
         assert result.extra["impairment_deliveries"] > 0
         assert result.extra["impairment_dropped"] > 0
@@ -80,10 +81,10 @@ class TestImpairedAttackDeterminism:
 
 class TestDisabledImpairmentsIdentity:
     def test_disabled_config_equals_no_config(self):
-        spec = ChaosSpec(attack="sweep", start=20.0)
-        trace_none, result_none, _ = _chaos_run(spec, impairments=None)
+        scenario = AttackConfig(kind="sweep", start=20.0)
+        trace_none, result_none, _ = _chaos_run(scenario, impairments=None)
         trace_off, result_off, system = _chaos_run(
-            spec, impairments=ImpairmentConfig()
+            scenario, impairments=ImpairmentConfig()
         )
         assert system.transport.impairments is None  # never installed
         assert trace_none == trace_off
@@ -94,12 +95,12 @@ class TestDisabledImpairmentsIdentity:
 class TestChaosSweepEquivalence:
     def test_loss_sweep_serial_vs_parallel(self):
         base = ExperimentConfig(
-            protocol="realtor", arrival_rate=6.0, horizon=100.0, seed=3
+            protocol="realtor", arrival_rate=6.0, horizon=100.0, seed=3,
+            attack=AttackConfig(kind="sweep", start=20.0, dwell=15.0, victims=4),
         )
-        spec = ChaosSpec(attack="sweep", start=20.0, dwell=15.0, victims=4)
         rates = (0.0, 0.05, 0.15)
-        serial = loss_sweep(base, rates, spec=spec, parallel=False)
-        parallel = loss_sweep(base, rates, spec=spec, parallel=True, max_workers=2)
+        serial = loss_sweep(base, rates, parallel=False)
+        parallel = loss_sweep(base, rates, parallel=True, max_workers=2)
         assert set(serial) == set(parallel)
         for rate in rates:
             assert _fields(serial[rate]) == _fields(parallel[rate]), (

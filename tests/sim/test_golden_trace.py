@@ -84,7 +84,7 @@ class TestFaultScenarioDeterminism:
 
     @staticmethod
     def _attacked_run(seed: int = 5):
-        from repro.workload.attack import SweepAttack
+        from repro.workload.attack import AttackConfig
 
         cfg = ExperimentConfig(
             protocol="realtor",
@@ -92,13 +92,9 @@ class TestFaultScenarioDeterminism:
             horizon=150.0,
             seed=seed,
             trace=True,
+            attack=AttackConfig(kind="sweep", start=20.0, dwell=10.0, victims=6),
         )
         system = build_system(cfg)
-        attack = SweepAttack(
-            list(range(25)), start=20.0, dwell=10.0, victims=6,
-            rng=system.sim.streams.stream("attack"),
-        )
-        attack.plan().install(system.faults)
         system.run()
         trace = [
             (rec.time, rec.category, tuple(sorted(rec.payload.items())))
