@@ -110,13 +110,17 @@ def check_churn_run() -> dict:
     assert discovered, f"no joiner was discovered via the protocol: {seen_by}"
 
     # Graceful leaves drain through evacuation: every departed node ends
-    # down, and every admission decision still settled (no task simply
-    # vanished with its host).
+    # down, some of its work moved to a live host, and every admission
+    # decision still settled (no task simply vanished with its host).
     up = set(system.faults.up_nodes())
     left = [rec.payload["node"] for rec in system.sim.trace.records
             if rec.category == "leave"]
     assert len(left) == system.churn_leaves
     assert not (set(left) & up), "a departed node is still up"
+    assert result.evacuations > result.evacuation_failures, (
+        f"no graceful leave moved work: {result.evacuation_failures} of "
+        f"{result.evacuations} evacuations failed"
+    )
     assert result.generated == result.admitted + result.rejected, (
         "some task never reached an admission decision"
     )
@@ -124,7 +128,9 @@ def check_churn_run() -> dict:
     assert extra["fleet_speed_cv"] > 0.0, "fleet did not materialise"
     print(
         f"{extra['churn_joins']:.0f} joins ({len(discovered)} discovered via "
-        f"protocol), {extra['churn_leaves']:.0f} leaves drained, "
+        f"protocol), {extra['churn_leaves']:.0f} leaves drained "
+        f"({result.evacuations} evacuations, "
+        f"{result.evacuation_failures} failed), "
         f"{extra['churn_skipped']:.0f} skipped; "
         f"{extra['nodes_final']:.0f} nodes at horizon; "
         f"fleet speed cv {extra['fleet_speed_cv']:.3f}"

@@ -61,7 +61,8 @@ STORE_FORMAT = "repro-runstore/1"
 #:    ExperimentConfig, ranking/churn/fleet extras on RunResult
 #: 5: the attack is ExperimentConfig.attack (no separate spec in the
 #:    digest); a "tree" overlay has exactly num_nodes nodes
-CODE_VERSION = "5"
+#: 6: evacuations settle through the placement chain; a task is admitted once
+CODE_VERSION = "6"
 
 
 def default_salt() -> str:

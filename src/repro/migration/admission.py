@@ -84,17 +84,10 @@ class AdmissionControl:
         self.reply_timeout = reply_timeout
         #: whether this node may take on new work (false while compromised)
         self.accepting = accepting if accepting is not None else (lambda: True)
-        self._pending: Dict[int, Callable[[bool], None]] = {}
+        self._pending: Dict[int, Callable[[str], None]] = {}
         self._timeouts: Dict[int, "TimerHandle"] = {}
         self.requests_received = 0
         self.requests_granted = 0
-        #: why the most recent negotiation resolved, readable from inside
-        #: the callback: "granted" | "refused" (explicit denial) |
-        #: "timeout" (candidate silent) | "unreachable" (request
-        #: undeliverable).  Lets the migration layer distinguish a live
-        #: refusal from a silent candidate without widening the
-        #: ``callback(granted)`` signature.
-        self.last_reason: Optional[str] = None
         self.timeouts_fired = 0
         transport.register(self.node_id, KIND_ADMIT_REQ, self._on_request)
         transport.register(self.node_id, KIND_ADMIT_REP, self._on_reply)
@@ -106,36 +99,38 @@ class AdmissionControl:
         task: Task,
         candidate: int,
         outcome: TaskOutcome,
-        callback: Callable[[bool], None],
+        callback: Callable[[str], None],
     ) -> None:
-        """Ask ``candidate`` to admit ``task``; ``callback(granted)`` fires
+        """Ask ``candidate`` to admit ``task``; ``callback(reason)`` fires
         exactly once — on the reply, on an undeliverable request, or on
-        timeout."""
+        timeout.  ``reason`` is "granted", "refused" (explicit denial),
+        "timeout" (candidate silent) or "unreachable" (request
+        undeliverable), so the caller can tell a live refusal from a
+        silent candidate."""
         nid = next(_negotiation_ids)
         req = AdmitRequest(nid, self.node_id, task, outcome)
         self._pending[nid] = callback
         sent = self.transport.unicast(self.node_id, candidate, KIND_ADMIT_REQ, req)
         if not sent:
             # Candidate unreachable/dead — fail fast (cost already charged).
-            self._resolve(nid, False, "unreachable")
+            self._resolve(nid, "unreachable")
             return
         self._timeouts[nid] = self.sim.after(self.reply_timeout, self._on_timeout, nid)
 
     def _on_timeout(self, negotiation_id: int) -> None:
         self._timeouts.pop(negotiation_id, None)
         self.timeouts_fired += 1
-        self._resolve(negotiation_id, False, "timeout")
+        self._resolve(negotiation_id, "timeout")
 
     def _on_reply(self, delivery: Delivery) -> None:
         rep: AdmitReply = delivery.payload
         self.sim.cancel(self._timeouts.pop(rep.negotiation_id, None))
-        self._resolve(rep.negotiation_id, rep.granted, "granted" if rep.granted else "refused")
+        self._resolve(rep.negotiation_id, "granted" if rep.granted else "refused")
 
-    def _resolve(self, negotiation_id: int, granted: bool, reason: str) -> None:
+    def _resolve(self, negotiation_id: int, reason: str) -> None:
         callback = self._pending.pop(negotiation_id, None)
         if callback is not None:
-            self.last_reason = reason
-            callback(granted)
+            callback(reason)
 
     # Responder side ---------------------------------------------------------
 
@@ -154,9 +149,13 @@ class AdmissionControl:
         """Speculative admission: reserve now or refuse."""
         if not self.accepting():
             return False  # compromised/unsafe node refuses new work
-        if task.status is TaskStatus.REJECTED:
-            # the request outlived its requester's reply_timeout: enqueuing
-            # a settled task would leave a resident that never completes
+        if task.status is not TaskStatus.CREATED:
+            # A task is admitted once.  A duplicated request, or a retry
+            # after a grant whose reply was lost, finds it QUEUED (or
+            # COMPLETED) elsewhere; a request that outlived its
+            # requester's reply_timeout finds it REJECTED.  Admitting it
+            # again would put one task in two queues, or a settled one in
+            # a queue it never leaves.
             return False
         if self.host.try_accept(task, outcome) is None:
             return False

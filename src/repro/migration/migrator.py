@@ -123,12 +123,9 @@ class MigrationCoordinator:
         self._try_remote(task, outcome=TaskOutcome.MIGRATED)
 
     def _try_remote(self, task: Task, outcome: TaskOutcome) -> None:
-        agent = self.agents[task.origin]
-        ranked = agent.candidates(task)
-        attempts = self.policy.select(task, ranked)
-        self._attempt_chain(
-            task, list(attempts), 0, outcome, {"budget": self.silent_retry_budget}
-        )
+        ranked = self.agents[task.origin].candidates(task)
+        attempts = list(self.policy.select(task, ranked))
+        self._attempt_chain(task, attempts, 0, outcome, self.silent_retry_budget)
 
     def _attempt_chain(
         self,
@@ -136,15 +133,12 @@ class MigrationCoordinator:
         attempts: List[int],
         idx: int,
         outcome: TaskOutcome,
-        state: Optional[Dict[str, int]] = None,
+        budget: int,
     ) -> None:
-        if state is None:
-            state = {"budget": self.silent_retry_budget}
         if idx >= len(attempts):
             self._give_up(task, outcome)
             return
         candidate = attempts[idx]
-        admission = self.admissions[task.origin]
         trace = self.sim.trace
         if trace.enabled:
             # Span correlation: the task id groups the try chain; the
@@ -158,14 +152,14 @@ class MigrationCoordinator:
                 attempt=idx,
             )
 
-        def _done(granted: bool) -> None:
-            success = granted
+        def _done(reason: str) -> None:
+            granted = reason == "granted"
             if outcome is TaskOutcome.MIGRATED:
-                self.metrics.migration_attempt(success)
+                self.metrics.migration_attempt(granted)
             # Feed the origin view's observation side-table (no-op under
             # the default headroom policy) and the ranking scorecard.
-            reason = admission.last_reason or ("granted" if granted else "refused")
-            self.agents[task.origin].view.observe_outcome(candidate, reason)
+            view = self.agents[task.origin].view
+            view.observe_outcome(candidate, reason)
             if idx == 0:
                 self.first_choice_attempts += 1
                 if not granted:
@@ -174,66 +168,75 @@ class MigrationCoordinator:
                 self.placements_granted += 1
                 self.fallback_depth_sum += idx
                 # The responder already reserved and admitted the task.
-                self.metrics.task_admitted(task)
-                if outcome is TaskOutcome.EVACUATED:
-                    self.metrics.evacuation(task, True)
-                self.sim.trace.emit(
-                    self.sim.now,
-                    "migration",
-                    task=task.task_id,
-                    src=task.origin,
-                    dst=candidate,
-                    outcome=outcome.value,
-                )
-            else:
+                self._book_admission(task, outcome)
+                if outcome is TaskOutcome.MIGRATED:
+                    self.sim.trace.emit(
+                        self.sim.now, "migration", task=task.task_id,
+                        src=task.origin, dst=candidate, outcome=outcome.value,
+                    )
+                else:
+                    self.sim.trace.emit(
+                        self.sim.now, "evacuation",
+                        task=task.task_id, src=task.origin, dst=candidate,
+                    )
+                return
+            if outcome is TaskOutcome.MIGRATED:
                 # Stale view: drop the failed candidate so an immediate
-                # retry (k-try policy) does not repeat it.
-                self.agents[task.origin].view.forget(candidate)
-                # Silent failure (timeout/unreachable) on the final planned
-                # attempt: spend retry budget on the next-ranked untried
-                # candidate.  An explicit refusal never falls back — the
-                # policy already bounded how many refusals to absorb.
-                if (
-                    state["budget"] > 0
-                    and idx + 1 >= len(attempts)
-                    and admission.last_reason in ("timeout", "unreachable")
-                ):
-                    fallback = self._next_candidate(task, tried=attempts)
-                    if fallback is not None:
-                        state["budget"] -= 1
-                        self.silent_fallbacks += 1
-                        attempts.append(fallback)
-                        self.sim.trace.emit(
-                            self.sim.now,
-                            "silent-fallback",
-                            task=task.task_id,
-                            src=task.origin,
-                            dst=fallback,
-                            silent=candidate,
-                        )
-                self._attempt_chain(task, attempts, idx + 1, outcome, state)
+                # retry (k-try policy) does not repeat it.  A refused
+                # evacuation leaves the compromised node's view as the
+                # attack found it: the evacuations still queued behind it
+                # rank from the same pre-attack view.
+                view.forget(candidate)
+            # Silent failure (timeout/unreachable) on the final planned
+            # attempt: spend retry budget on the next-ranked untried
+            # candidate.  An explicit refusal never falls back — the
+            # policy already bounded how many refusals to absorb.
+            if (
+                budget > 0
+                and idx + 1 >= len(attempts)
+                and reason in ("timeout", "unreachable")
+            ):
+                untried = self.agents[task.origin].candidates(task, exclude=tuple(attempts))
+                if untried:
+                    fallback = untried[0]
+                    self.silent_fallbacks += 1
+                    attempts.append(fallback)
+                    self.sim.trace.emit(
+                        self.sim.now,
+                        "silent-fallback",
+                        task=task.task_id,
+                        src=task.origin,
+                        dst=fallback,
+                        silent=candidate,
+                    )
+                    self._attempt_chain(task, attempts, idx + 1, outcome, budget - 1)
+                    return
+            self._attempt_chain(task, attempts, idx + 1, outcome, budget)
 
-        admission.negotiate(task, candidate, outcome, _done)
+        self.admissions[task.origin].negotiate(task, candidate, outcome, _done)
 
-    def _next_candidate(self, task: Task, tried: List[int]) -> Optional[int]:
-        """Best-ranked candidate not yet attempted (for silent fallback)."""
-        ranked = self.agents[task.origin].candidates(task, exclude=tuple(tried))
-        return ranked[0] if ranked else None
+    def _book_admission(self, task: Task, outcome: TaskOutcome) -> None:
+        if outcome is TaskOutcome.MIGRATED:
+            self.metrics.task_admitted(task)
+        else:
+            # An evacuated task was counted admitted at its first
+            # placement: moving it is an evacuation, not a second admission.
+            self.metrics.evacuation(task, True)
 
     def _give_up(self, task: Task, outcome: TaskOutcome) -> None:
         if task.status in (TaskStatus.QUEUED, TaskStatus.COMPLETED):
             # Orphaned grant: a responder reserved and admitted the task
-            # but its grant reply was lost in the network, so the origin
-            # timed out and exhausted its chain while the task was (or
-            # is) genuinely running remotely.  Settle it as the admission
-            # the lost reply never confirmed — rejecting (let alone
-            # crashing on) a task that completed elsewhere corrupts the
-            # books.  Unreachable on a perfect network: replies only
-            # disappear under loss impairments or mid-negotiation faults.
+            # but its grant reply was lost in the network (or found its
+            # requester down), so the origin timed out and exhausted its
+            # chain while the task was (or is) genuinely running remotely.
+            # Settle it as the admission the lost reply never confirmed —
+            # rejecting (let alone crashing on) a task that completed
+            # elsewhere corrupts the books.  A withdrawn task is CREATED
+            # again, so the test holds for evacuations too.  Unreachable
+            # on a perfect network: replies only disappear under loss
+            # impairments or mid-negotiation faults.
             self.orphaned_grants += 1
-            self.metrics.task_admitted(task)
-            if outcome is TaskOutcome.EVACUATED:
-                self.metrics.evacuation(task, True)
+            self._book_admission(task, outcome)
             self.sim.trace.emit(
                 self.sim.now,
                 "orphaned-grant",
@@ -246,11 +249,16 @@ class MigrationCoordinator:
             # Admitted on a lost grant, then lost to a crash before the
             # origin gave up — the queue drop already accounted it.
             return
-        task.mark_rejected()
-        self.metrics.task_rejected(task)
-        if outcome is TaskOutcome.EVACUATED:
+        if outcome is TaskOutcome.MIGRATED:
+            task.mark_rejected()
+            self.metrics.task_rejected(task)
+            record = "rejection"
+        else:
+            task.mark_lost()
             self.metrics.evacuation(task, False)
-        self.sim.trace.emit(self.sim.now, "rejection", task=task.task_id, src=task.origin)
+            self.metrics.task_lost(task)
+            record = "evacuation-lost"
+        self.sim.trace.emit(self.sim.now, record, task=task.task_id, src=task.origin)
 
     def ranking_stats(self) -> Dict[str, float]:
         """Ranking-quality scorecard for the run summary / telemetry."""
@@ -293,58 +301,6 @@ class MigrationCoordinator:
             # Withdrawn tasks re-enter the placement pipeline from this
             # node, bypassing local admission (the node is compromised).
             task.origin = node
-            # The task was already counted admitted at first placement; an
-            # evacuation re-admission must not double-count, so route the
-            # accounting through the dedicated evacuation path.
-            self._evacuate_one(task)
-
-    def _evacuate_one(self, task: Task) -> None:
-        agent = self.agents[task.origin]
-        ranked = agent.candidates(task)
-        attempts = self.policy.select(task, ranked)
-        if not attempts:
-            task.mark_lost()
-            self.metrics.evacuation(task, False)
-            self.metrics.task_lost(task)
-            self.sim.trace.emit(
-                self.sim.now, "evacuation-lost", task=task.task_id, src=task.origin
-            )
-            return
-        candidate = attempts[0]
-        admission = self.admissions[task.origin]
-        trace = self.sim.trace
-        if trace.enabled:
-            trace.emit(
-                self.sim.now,
-                "candidate-try",
-                task=task.task_id,
-                src=task.origin,
-                dst=candidate,
-                attempt=0,
-            )
-
-        def _done(granted: bool) -> None:
-            reason = admission.last_reason or ("granted" if granted else "refused")
-            self.agents[task.origin].view.observe_outcome(candidate, reason)
-            self.first_choice_attempts += 1
-            if granted:
-                self.placements_granted += 1
-                self.metrics.evacuation(task, True)
-                self.sim.trace.emit(
-                    self.sim.now,
-                    "evacuation",
-                    task=task.task_id,
-                    src=task.origin,
-                    dst=candidate,
-                )
-            else:
-                self.first_choice_failures += 1
-                task.mark_lost()
-                self.metrics.evacuation(task, False)
-                self.metrics.task_lost(task)
-                self.sim.trace.emit(
-                    self.sim.now, "evacuation-lost",
-                    task=task.task_id, src=task.origin,
-                )
-
-        admission.negotiate(task, candidate, TaskOutcome.EVACUATED, _done)
+            # The task was already counted admitted at first placement:
+            # the chain settles it as an evacuation, not a second admission.
+            self._try_remote(task, TaskOutcome.EVACUATED)

@@ -199,7 +199,9 @@ class WorkQueue:
         # Quiet: a completion sends nothing and takes its instant from its
         # event, so the live scheduler need not wake for it.
         if task.status is not TaskStatus.QUEUED:
-            return  # dropped (node crash) before completion
+            # drop_all and remove cancel their events, so this task was settled
+            # behind the queue's back; skipping it would strand the host's queue
+            raise RuntimeError(f"task {task.task_id} completes in state {task.status.value}")
         resident = self._resident
         head = self._head
         # Completions fire in admission order (completion times are

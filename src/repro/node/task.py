@@ -104,7 +104,7 @@ class Task:
     # Lifecycle transitions -----------------------------------------------
 
     def mark_admitted(self, node: int, time: float, outcome: TaskOutcome) -> None:
-        if self.status not in (TaskStatus.CREATED, TaskStatus.QUEUED):
+        if self.status is not TaskStatus.CREATED:
             raise RuntimeError(f"cannot admit task in state {self.status}")
         self.status = TaskStatus.QUEUED
         self.admitted_at = node

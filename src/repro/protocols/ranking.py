@@ -20,7 +20,7 @@ asks for them* (``needs_stats``):
 * **usage trajectory** — an exponentially-weighted slope of the believed
   usage fraction, updated on every view refresh;
 * **admission reliability** — grant / refusal / timeout counts fed by the
-  migration coordinator from ``AdmissionControl.last_reason``.
+  migration coordinator from each negotiation's reason.
 
 The default ``headroom`` policy ignores all of this and reproduces the
 pre-seam ordering bit-for-bit: sort by most headroom, then freshest, then
@@ -99,7 +99,7 @@ class PeerStats:
         self.usage_samples += 1
 
     def observe_outcome(self, reason: str) -> None:
-        """Record one admission outcome (an ``AdmissionControl.last_reason``)."""
+        """Record one admission outcome (a negotiation callback's reason)."""
         if reason == "granted":
             self.grants += 1
         elif reason == "refused":

@@ -120,8 +120,9 @@ class ResourceView:
         self._stats_for(node).observe_latency(rtt)
 
     def observe_outcome(self, node: int, reason: str) -> None:
-        """Record one admission outcome — an ``AdmissionControl.last_reason``
-        value (``granted``/``refused``/``timeout``/``unreachable``).
+        """Record one admission outcome — the reason an
+        ``AdmissionControl.negotiate`` callback receives
+        (``granted``/``refused``/``timeout``/``unreachable``).
         No-op unless the active policy tracks stats."""
         if not self.track_stats or node == self.owner:
             return

@@ -36,7 +36,7 @@ class TestGrant:
         t = task()
         acs[0].negotiate(t, 1, TaskOutcome.MIGRATED, outcomes.append)
         sim.run(until=1.0)
-        assert outcomes == [True]
+        assert outcomes == ["granted"]
         assert t.status is TaskStatus.QUEUED
         assert t.admitted_at == 1
         assert t.outcome is TaskOutcome.MIGRATED
@@ -50,7 +50,7 @@ class TestGrant:
         t = task(size=5.0)
         acs[0].negotiate(t, 1, TaskOutcome.MIGRATED, outcomes.append)
         sim.run(until=1.0)
-        assert outcomes == [False]
+        assert outcomes == ["refused"]
         assert t.status is TaskStatus.CREATED  # caller decides what next
 
     def test_concurrent_requests_cannot_overcommit(self):
@@ -60,14 +60,14 @@ class TestGrant:
         acs[0].negotiate(t1, 1, TaskOutcome.MIGRATED, outcomes.append)
         acs[2].negotiate(t2, 1, TaskOutcome.MIGRATED, outcomes.append)
         sim.run(until=1.0)
-        assert sorted(outcomes) == [False, True]
+        assert sorted(outcomes) == ["granted", "refused"]
         assert hosts[1].queue.work_admitted == 6.0  # exactly one admitted
 
     def test_grant_rate_statistics(self):
         sim, hosts, acs, _ = build(capacity=10.0)
         hosts[1].accept(task(size=9.0, origin=1), TaskOutcome.LOCAL)
-        acs[0].negotiate(task(size=5.0), 1, TaskOutcome.MIGRATED, lambda g: None)
-        acs[0].negotiate(task(size=0.5), 1, TaskOutcome.MIGRATED, lambda g: None)
+        acs[0].negotiate(task(size=5.0), 1, TaskOutcome.MIGRATED, lambda reason: None)
+        acs[0].negotiate(task(size=0.5), 1, TaskOutcome.MIGRATED, lambda reason: None)
         sim.run(until=1.0)
         assert acs[1].requests_received == 2
         assert acs[1].grant_rate == pytest.approx(0.5)
@@ -82,7 +82,7 @@ class TestGrant:
             n: AdmissionControl(sim, tr, hosts[n], on_request_observed=seen.append)
             for n in topo.nodes()
         }
-        acs[0].negotiate(task(), 1, TaskOutcome.MIGRATED, lambda g: None)
+        acs[0].negotiate(task(), 1, TaskOutcome.MIGRATED, lambda reason: None)
         sim.run(until=1.0)
         assert seen == [True]
 
@@ -94,7 +94,7 @@ class TestFailureModes:
         outcomes = []
         acs[0].negotiate(task(), 1, TaskOutcome.MIGRATED, outcomes.append)
         sim.run(until=1.0)
-        assert outcomes == [False]
+        assert outcomes == ["unreachable"]
 
     def test_timeout_resolves_false(self):
         sim, hosts, acs, faults = build(with_faults=True)
@@ -108,7 +108,7 @@ class TestFailureModes:
         acs[0]._pending[999] = outcomes.append
         acs[0]._timeouts[999] = sim.after(acs[0].reply_timeout, acs[0]._on_timeout, 999)
         sim.run(until=10.0)
-        assert outcomes == [False]
+        assert outcomes == ["timeout"]
 
     def test_request_for_a_task_its_requester_gave_up_on_is_refused(self):
         # A request delivered after the requester's timeout (a stalled
@@ -121,16 +121,29 @@ class TestFailureModes:
         acs[0].negotiate(t, 1, TaskOutcome.MIGRATED, outcomes.append)
         t.mark_rejected()  # MigrationCoordinator._give_up, on the timeout
         sim.run(until=1.0)
-        assert outcomes == [False]
+        assert outcomes == ["refused"]
         assert len(hosts[1].queue) == 0 and acs[1].requests_granted == 0
         assert t.status is TaskStatus.REJECTED
+
+    def test_request_for_an_admitted_task_is_refused(self):
+        # A duplicated request, or a retry after a grant whose reply was
+        # lost, names a task already QUEUED elsewhere: a task is admitted
+        # once, so it never lands on a second host.
+        sim, hosts, acs, _ = build()
+        t = task()
+        hosts[2].accept(t, TaskOutcome.LOCAL)
+        outcomes = []
+        acs[0].negotiate(t, 1, TaskOutcome.MIGRATED, outcomes.append)
+        sim.run(until=1.0)
+        assert outcomes == ["refused"]
+        assert len(hosts[1].queue) == 0 and t.admitted_at == 2
 
     def test_callback_fires_exactly_once(self):
         sim, hosts, acs, _ = build()
         outcomes = []
         acs[0].negotiate(task(), 1, TaskOutcome.MIGRATED, outcomes.append)
         sim.run(until=10.0)  # reply AND the timeout window both elapse
-        assert outcomes == [True]
+        assert outcomes == ["granted"]
 
     def test_reply_timeout_validation(self):
         sim, hosts, _, _ = build()

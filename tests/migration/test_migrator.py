@@ -1,11 +1,16 @@
 """Integration-grade tests for the migration coordinator."""
 
+from collections import Counter
+
 import pytest
 
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, paper_config
 from repro.experiments.runner import build_system
+from repro.network.impairments import ImpairmentConfig
 from repro.node.task import Task, TaskOutcome, TaskStatus
 from repro.protocols.base import ProtocolConfig
+from repro.workload.attack import AttackConfig
+from repro.workload.churn import ChurnConfig
 
 
 def small_system(**overrides):
@@ -26,6 +31,16 @@ def place(system, size, origin):
     t = Task(size=size, arrival_time=system.sim.now, origin=origin)
     system.coordinator.place_task(t)
     return t
+
+
+def assert_resident_once(system):
+    """Every queue resident is QUEUED, and on one host only."""
+    hosts_of = Counter()
+    for host in system.hosts.values():
+        for t in host.queue.resident_tasks():
+            assert t.status is TaskStatus.QUEUED, (host.node_id, t.task_id, t.status)
+            hosts_of[t.task_id] += 1
+    assert [tid for tid, n in hosts_of.items() if n > 1] == []
 
 
 class TestPlacement:
@@ -295,3 +310,58 @@ class TestOrphanedGrants:
         system = build_system(cfg)
         system.run()
         assert system.coordinator.orphaned_grants == 0
+
+
+class TestAdmitOnce:
+    """A duplicated ADMIT_REQ, or a silent-fallback retry after a grant
+    whose reply was lost, must not admit a task a second time: the second
+    copy lands on another host (or twice in one queue), and when one copy
+    completes the other is a non-QUEUED head that strands its host."""
+
+    @pytest.mark.parametrize(
+        "impairments",
+        [ImpairmentConfig(duplicate_rate=0.05), ImpairmentConfig(loss_rate=0.1)],
+        ids=["duplicate", "loss"],
+    )
+    def test_impaired_run_admits_each_task_once(self, impairments):
+        cfg = ExperimentConfig(
+            protocol="realtor",
+            arrival_rate=8.0,
+            horizon=150.0,
+            seed=5,
+            migration_retry_budget=1,
+            impairments=impairments,
+        )
+        s = build_system(cfg)
+        s.run()
+        assert_resident_once(s)
+        s.metrics.tasks.check_conservation()
+
+
+class TestEvacuationSettlesOnce:
+    """An evacuation runs the placement chain, so a granted evacuation
+    whose reply never returns settles as an orphaned grant instead of a
+    loss of a task the responder is running."""
+
+    def test_graceful_leaves_move_work(self):
+        # a graceful leaver is down before its replies return
+        cfg = paper_config("realtor", 6.0, horizon=600.0, seed=1).with_(
+            churn=ChurnConfig(join_rate=0.02, leave_rate=0.02)
+        )
+        s = build_system(cfg)
+        s.run()
+        m = s.metrics.tasks
+        assert m.evacuation_failures < m.evacuations
+        assert s.coordinator.orphaned_grants > 0
+        assert_resident_once(s)
+
+    def test_lossy_attack_keeps_granted_evacuations(self):
+        cfg = paper_config("realtor", 8.0, horizon=250.0, seed=10).with_(
+            attack=AttackConfig(kind="sweep", start=40.0, dwell=25.0, victims=4),
+            impairments=ImpairmentConfig(loss_rate=0.1),
+        )
+        s = build_system(cfg)
+        s.run()
+        m = s.metrics.tasks
+        assert m.evacuation_failures < m.evacuations
+        assert_resident_once(s)

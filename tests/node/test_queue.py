@@ -135,6 +135,19 @@ class TestDropAll:
         assert done == []
         assert q.completed_count == 0
 
+    def test_completion_of_a_task_settled_elsewhere_raises(self):
+        # drop_all and remove cancel their events, so a resident that is
+        # no longer QUEUED when its completion fires was settled behind the
+        # queue's back; returning quietly left a dead head that swallowed
+        # every later completion on the host.
+        sim = Simulator()
+        q = WorkQueue(sim, 100.0)
+        task = admitted(Task(size=5.0, arrival_time=0.0, origin=0))
+        q.admit(task)
+        task.mark_lost()
+        with pytest.raises(RuntimeError, match=f"task {task.task_id} .*rejected"):
+            sim.run()
+
 
 class TestRemove:
     def test_remove_unstarted_task_compacts(self):

@@ -54,6 +54,13 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             t.mark_admitted(1, 2.0, TaskOutcome.MIGRATED)
 
+    def test_cannot_admit_twice(self):
+        t = Task(size=1.0, arrival_time=0.0, origin=0)
+        t.mark_admitted(0, 0.0, TaskOutcome.LOCAL)
+        with pytest.raises(RuntimeError):
+            t.mark_admitted(1, 0.5, TaskOutcome.MIGRATED)
+        assert t.admitted_at == 0
+
     def test_reject(self):
         t = Task(size=1.0, arrival_time=0.0, origin=0)
         t.mark_rejected()
