@@ -301,6 +301,4 @@ class MigrationCoordinator:
             # Withdrawn tasks re-enter the placement pipeline from this
             # node, bypassing local admission (the node is compromised).
             task.origin = node
-            # The task was already counted admitted at first placement:
-            # the chain settles it as an evacuation, not a second admission.
             self._try_remote(task, TaskOutcome.EVACUATED)

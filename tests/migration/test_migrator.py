@@ -34,10 +34,12 @@ def place(system, size, origin):
 
 
 def assert_resident_once(system):
-    """Every queue resident is QUEUED, and on one host only."""
+    """Every queue resident is QUEUED, indexed, and on one host only."""
     hosts_of = Counter()
     for host in system.hosts.values():
-        for t in host.queue.resident_tasks():
+        residents = host.queue.resident_tasks()
+        assert len(host.queue) == len(residents), host.node_id
+        for t in residents:
             assert t.status is TaskStatus.QUEUED, (host.node_id, t.task_id, t.status)
             hosts_of[t.task_id] += 1
     assert [tid for tid, n in hosts_of.items() if n > 1] == []
@@ -343,25 +345,24 @@ class TestEvacuationSettlesOnce:
     whose reply never returns settles as an orphaned grant instead of a
     loss of a task the responder is running."""
 
-    def test_graceful_leaves_move_work(self):
-        # a graceful leaver is down before its replies return
-        cfg = paper_config("realtor", 6.0, horizon=600.0, seed=1).with_(
-            churn=ChurnConfig(join_rate=0.02, leave_rate=0.02)
-        )
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # a graceful leaver is down before its replies return
+            paper_config("realtor", 6.0, horizon=600.0, seed=1).with_(
+                churn=ChurnConfig(join_rate=0.02, leave_rate=0.02)
+            ),
+            paper_config("realtor", 8.0, horizon=250.0, seed=10).with_(
+                attack=AttackConfig(kind="sweep", start=40.0, dwell=25.0, victims=4),
+                impairments=ImpairmentConfig(loss_rate=0.1),
+            ),
+        ],
+        ids=["graceful-churn", "lossy-attack"],
+    )
+    def test_granted_evacuations_are_kept(self, cfg):
         s = build_system(cfg)
         s.run()
         m = s.metrics.tasks
         assert m.evacuation_failures < m.evacuations
         assert s.coordinator.orphaned_grants > 0
-        assert_resident_once(s)
-
-    def test_lossy_attack_keeps_granted_evacuations(self):
-        cfg = paper_config("realtor", 8.0, horizon=250.0, seed=10).with_(
-            attack=AttackConfig(kind="sweep", start=40.0, dwell=25.0, victims=4),
-            impairments=ImpairmentConfig(loss_rate=0.1),
-        )
-        s = build_system(cfg)
-        s.run()
-        m = s.metrics.tasks
-        assert m.evacuation_failures < m.evacuations
         assert_resident_once(s)
