@@ -107,7 +107,7 @@ def bench_queue_admission_throughput(n: int = 10_000) -> int:
     for _ in range(n):
         t = Task(size=0.5, arrival_time=0.0, origin=0)
         t.mark_admitted(0, 0.0, TaskOutcome.LOCAL)
-        q.admit(t)
+        q.try_admit(t)
     sim.run()
     return q.completed_count
 
@@ -127,7 +127,7 @@ def bench_queue_steady_state(n: int = 20_000) -> int:
         if q.fits(0.5):
             t = Task(size=0.5, arrival_time=sim.now, origin=0)
             t.mark_admitted(0, sim.now, TaskOutcome.LOCAL)
-            q.admit(t)
+            q.try_admit(t)
         count[0] += 1
         if count[0] < n:
             sim.after(0.4, arrive)
@@ -151,8 +151,7 @@ def bench_monitor_churn(n: int = 20_000) -> int:
 
     def arrive() -> None:
         t = Task(size=0.5, arrival_time=sim.now, origin=0)
-        if host.can_accept(t):
-            host.accept(t, TaskOutcome.LOCAL)
+        host.try_accept(t, TaskOutcome.LOCAL)
         count[0] += 1
         if count[0] < n:
             sim.after(0.45, arrive)

@@ -60,7 +60,7 @@ def test_queue_admission_throughput(benchmark):
         for i in range(10_000):
             t = Task(size=0.5, arrival_time=0.0, origin=0)
             t.mark_admitted(0, 0.0, TaskOutcome.LOCAL)
-            q.admit(t)
+            q.try_admit(t)
         sim.run()
         return q.completed_count
 
@@ -85,7 +85,7 @@ def test_queue_steady_state_throughput(benchmark):
             if q.fits(0.5):
                 t = Task(size=0.5, arrival_time=sim.now, origin=0)
                 t.mark_admitted(0, sim.now, TaskOutcome.LOCAL)
-                q.admit(t)
+                q.try_admit(t)
             count[0] += 1
             if count[0] < 20_000:
                 sim.after(0.4, arrive)
@@ -110,8 +110,7 @@ def test_monitor_churn_throughput(benchmark):
 
         def arrive():
             t = Task(size=0.5, arrival_time=sim.now, origin=0)
-            if host.can_accept(t):
-                host.accept(t, TaskOutcome.LOCAL)
+            host.try_accept(t, TaskOutcome.LOCAL)
             count[0] += 1
             if count[0] < 20_000:
                 sim.after(0.45, arrive)

@@ -27,31 +27,21 @@ charged, dropped on faults and delivered asynchronously like everything
 else.  A crashed gateway is replaced lazily: the next live lowest-id
 member takes over (gateway identity is *derived*, not elected state —
 keeping the protocol stateless in the paper's sense).
+
+This module holds the group layout; the agent is
+:class:`repro.protocols.hierarchy.HierarchicalRealtorAgent`, the
+``realtor-hier`` rows of :data:`repro.protocols.registry.PROTOCOLS`.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..network.topology import Topology
-from ..runtime.api import Delivery
-from ..protocols.base import DiscoveryAgent, ProtocolContext
-from ..protocols.registry import PROTOCOLS, register_protocol
-from .messages import Help, Pledge
 
-__all__ = [
-    "partition_groups",
-    "GroupDirectory",
-    "HierarchicalRealtorAgent",
-    "KIND_ESCALATE",
-    "KIND_REMOTE_HELP",
-    "KIND_REMOTE_PLEDGE",
-]
-
-KIND_ESCALATE = "ESCALATE"
-KIND_REMOTE_HELP = "REMOTE_HELP"
-KIND_REMOTE_PLEDGE = "REMOTE_PLEDGE"
+__all__ = ["partition_groups", "GroupDirectory"]
 
 
 def partition_groups(topo: Topology, group_size: int) -> List[List[int]]:
@@ -102,6 +92,20 @@ class GroupDirectory:
     def from_topology(cls, topo: Topology, group_size: int) -> "GroupDirectory":
         return cls(partition_groups(topo, group_size))
 
+    @classmethod
+    def of(cls, topo: Topology, group_size: int) -> "GroupDirectory":
+        """The directory every agent on overlay ``topo`` shares.
+
+        One per (overlay, group size), so a churn joiner's adoption
+        reaches every agent of its system.  It is held weakly by the
+        overlay object and dies with it.
+        """
+        by_size = _DIRECTORIES.setdefault(topo, {})
+        directory = by_size.get(group_size)
+        if directory is None:
+            directory = by_size[group_size] = cls.from_topology(topo, group_size)
+        return directory
+
     def group_of(self, node: int) -> int:
         return self._group_of[node]
 
@@ -147,144 +151,8 @@ class GroupDirectory:
         return len(self.groups)
 
 
-class HierarchicalRealtorAgent(DiscoveryAgent):
-    """REALTOR's parts plus the Section 7 inter-group escalation level."""
-
-    def __init__(self, ctx: ProtocolContext, directory: GroupDirectory) -> None:
-        super().__init__(ctx, *PROTOCOLS["realtor"].parts)
-        self.directory = directory
-        self.help.on_timeout = self._escalate
-        self.escalations = 0
-        self.remote_helps = 0
-        self.remote_pledges = 0
-
-    # Level-1 dissemination is group-scoped -------------------------------
-
-    def flood(self, kind: str, payload: object) -> List[int]:
-        """HELP stays inside the neighbour group (level 1)."""
-        members = [m for m in self.directory.members(self.node_id)
-                   if m != self.node_id]
-        return self.transport.multicast(self.node_id, members, kind, payload)
-
-    def _prime_scope(self, hosts) -> List[int]:
-        """Level-1 knowledge is group-scoped too."""
-        return [
-            nid for nid in self.directory.members(self.node_id)
-            if nid != self.node_id and nid in hosts
-        ]
-
-    # Level-2: escalation ----------------------------------------------------
-
-    def start(self) -> None:
-        super().start()
-        self.transport.register(self.node_id, KIND_ESCALATE, self._on_escalate)
-        self.transport.register(self.node_id, KIND_REMOTE_HELP, self._on_remote_help)
-        self.transport.register(
-            self.node_id, KIND_REMOTE_PLEDGE, self._on_remote_pledge
-        )
-
-    def _my_gateway(self) -> Optional[int]:
-        return self.directory.gateway(
-            self.directory.group_of(self.node_id), self.transport.is_up
-        )
-
-    def _escalate(self) -> None:
-        """The local HELP round failed: go up a level."""
-        gateway = self._my_gateway()
-        if gateway is None:
-            return
-        self.escalations += 1
-        msg = Help(
-            organizer=self.node_id,
-            members=self.community.size(),
-            demand=self._pending_demand,
-            sent_at=self.sim.now,
-        )
-        if gateway == self.node_id:
-            self._relay_remote_help(msg)
-        else:
-            self.transport.unicast(self.node_id, gateway, KIND_ESCALATE, msg)
-
-    def _on_escalate(self, delivery: Delivery) -> None:
-        """Gateway duty: relay a member's failed search to peer gateways."""
-        self._relay_remote_help(delivery.payload)
-
-    def _relay_remote_help(self, help_msg: Help) -> None:
-        peers = [
-            gw
-            for gw in self.directory.gateways(self.transport.is_up)
-            if gw != self.node_id
-        ]
-        if peers:
-            self.remote_helps += 1
-            self.transport.multicast(self.node_id, peers, KIND_REMOTE_HELP, help_msg)
-
-    def _on_remote_help(self, delivery: Delivery) -> None:
-        """Gateway duty: answer with this group's best-known candidate."""
-        help_msg: Help = delivery.payload
-        best = self.view.best(self.sim.now, min_availability=help_msg.demand)
-        if best is None:
-            # fall back to offering ourselves when we qualify
-            snap = self.host.snapshot()
-            if self.safe and snap.available and snap.headroom >= help_msg.demand:
-                self._send_pledge(help_msg.organizer, kind=KIND_REMOTE_PLEDGE)
-            return
-        # forward the best candidate's availability on its behalf (the
-        # gateway vouches with the freshest information it holds)
-        pledge = Pledge(
-            pledger=best.node,
-            availability=best.availability,
-            usage=best.usage,
-            communities=0,
-            grant_probability=0.5,
-            sent_at=best.timestamp,
-        )
-        self.transport.unicast(
-            self.node_id, help_msg.organizer, KIND_REMOTE_PLEDGE, pledge
-        )
-
-    def _on_remote_pledge(self, delivery: Delivery) -> None:
-        pledge = delivery.payload
-        self.remote_pledges += 1
-        available = pledge.usage < self.threshold
-        self.view.update(
-            pledge.pledger, pledge.availability, pledge.usage, available, pledge.sent_at
-        )
-        self.help.on_pledge(
-            found_node=pledge.availability >= self._pending_demand and available
-        )
-
-    def stats(self) -> Dict[str, float]:
-        base = super().stats()
-        base.update(
-            escalations=float(self.escalations),
-            remote_helps=float(self.remote_helps),
-            remote_pledges=float(self.remote_pledges),
-        )
-        return base
-
-
-def make_hierarchical_factory(group_size: int):
-    """A registry-compatible factory with a shared per-topology directory.
-
-    Agents created against the same transport share one
-    :class:`GroupDirectory`, so the partition is computed once.
-    """
-    directories: Dict[int, GroupDirectory] = {}
-
-    def factory(ctx: ProtocolContext) -> HierarchicalRealtorAgent:
-        key = id(ctx.transport.topo)
-        directory = directories.get(key)
-        if directory is None:
-            directory = GroupDirectory.from_topology(ctx.transport.topo, group_size)
-            directories[key] = directory
-        # a node created after the initial partition (churn join) is
-        # adopted into its neighbours' group
-        directory.adopt(ctx.host.node_id, ctx.transport.topo)
-        return HierarchicalRealtorAgent(ctx, directory)
-
-    return factory
-
-
-register_protocol("realtor-hier", make_hierarchical_factory(9), "hierarchical")
-register_protocol("realtor-hier-25", make_hierarchical_factory(25))
+#: each live overlay's directories by group size; an overlay's entry goes
+#: when the overlay object does, so no run sees another run's layout
+_DIRECTORIES: "weakref.WeakKeyDictionary[Topology, Dict[int, GroupDirectory]]" = (
+    weakref.WeakKeyDictionary()
+)

@@ -116,7 +116,6 @@ class MigrationCoordinator:
         # including arrivals that are still admitted locally.
         agent.notify_task_arrival(task)
         # try_accept performs the fit test and the admission in one pass
-        # (the seed's can_accept + accept pair derived the backlog twice).
         if host.try_accept(task, TaskOutcome.LOCAL) is not None:
             self.metrics.task_admitted(task)
             return

@@ -2,7 +2,7 @@
 
 from .host import Host
 from .monitor import ThresholdMonitor
-from .queue import QueueFull, WorkQueue
+from .queue import WorkQueue
 from .resources import (
     BANDWIDTH,
     CPU,
@@ -16,7 +16,6 @@ from .task import Task, TaskOutcome, TaskStatus
 __all__ = [
     "Host",
     "ThresholdMonitor",
-    "QueueFull",
     "WorkQueue",
     "BANDWIDTH",
     "CPU",

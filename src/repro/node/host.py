@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, NamedTuple, Optional, TYPE_CHECKING
 
 from .monitor import ThresholdMonitor
-from .queue import QueueFull, WorkQueue
+from .queue import WorkQueue
 from .resources import ResourcePool
 from .task import Task, TaskOutcome
 
@@ -79,7 +79,6 @@ class Host:
         self._user_on_complete = on_complete
         #: tasks whose extra resources are still held, for release on completion
         self._held: Dict[int, Dict[str, float]] = {}
-        self.rejected_here = 0
 
     def bind_state(self, arrays) -> None:
         """Mirror this host's queue/monitor state into shared arrays.
@@ -95,45 +94,12 @@ class Host:
 
     # Local admission -----------------------------------------------------
 
-    def can_accept(self, task: Task) -> bool:
-        """Admission test: queue headroom and (if present) pool fit."""
-        if not self.queue.fits(task.size):
-            return False
-        if self.pool is not None and task.demand and not self.pool.fits(task.demand):
-            return False
-        return True
-
-    def accept(self, task: Task, outcome: TaskOutcome) -> float:
-        """Admit ``task``; returns its completion time.
-
-        Raises :class:`~repro.node.queue.QueueFull` (or
-        ``InsufficientResources``) on failure — callers should test
-        :meth:`can_accept` first; the raise protects against TOCTOU bugs in
-        protocol code.
-        """
-        if self.pool is not None and task.demand:
-            self.pool.allocate(task.demand)
-            self._held[task.task_id] = dict(task.demand)
-        try:
-            completion = self.queue.admit(task)
-        except QueueFull:
-            if task.task_id in self._held:
-                self.pool.release(self._held.pop(task.task_id))  # type: ignore[union-attr]
-            self.rejected_here += 1
-            raise
-        task.mark_admitted(self.node_id, self.sim.now, outcome)
-        self.monitor.notify_change()
-        return completion
-
     def try_accept(self, task: Task, outcome: TaskOutcome) -> Optional[float]:
-        """Single-pass admission: returns the completion time or ``None``.
+        """Admit ``task`` if it fits: returns its completion time, or
+        ``None`` when the queue (or, if present, the pool) has no room.
 
-        Equivalent to the ``can_accept()`` + ``accept()`` pair but with
-        one queue fit test instead of two (and no exception on the miss
-        path), so the per-arrival hot chain does not re-derive the backlog.
-        A refusal here is a plain miss: it does not count toward
-        ``rejected_here`` (which tracks :meth:`accept` raises, i.e. callers
-        that skipped the check).
+        One queue fit test and no exception on the miss path, so the
+        per-arrival hot chain does not re-derive the backlog.
         """
         if self.pool is not None and task.demand:
             if not self.pool.fits(task.demand):

@@ -43,14 +43,10 @@ from .task import Task, TaskStatus
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.api import SchedulerAPI
 
-__all__ = ["WorkQueue", "QueueFull"]
+__all__ = ["WorkQueue"]
 
 # entry layout: [completion_time, task, admission_seq, completion_event]
 _COMPLETION, _TASK, _SEQ, _EVENT = range(4)
-
-
-class QueueFull(RuntimeError):
-    """Raised by :meth:`WorkQueue.admit` when the task does not fit."""
 
 
 class WorkQueue:
@@ -149,28 +145,12 @@ class WorkQueue:
 
     # Mutation -----------------------------------------------------------------
 
-    def admit(self, task: Task) -> float:
-        """Enqueue ``task``; returns its completion time.
-
-        Raises :class:`QueueFull` when the task does not fit — callers must
-        check :meth:`fits` (or catch) and route the task to migration.
-        """
-        completion = self.try_admit(task)
-        if completion is None:
-            now = self.sim.now
-            raise QueueFull(
-                f"task {task.task_id} (size {task.size:.3g}) exceeds headroom "
-                f"{self.headroom(now):.3g}"
-            )
-        return completion
-
     def try_admit(self, task: Task) -> Optional[float]:
         """Single-pass admission: one fit test, then enqueue.
 
         Returns the completion time, or ``None`` when the task does not
         fit.  This is the hot path behind :meth:`Host.try_accept
-        <repro.node.host.Host.try_accept>`; :meth:`admit` is the raising
-        wrapper.
+        <repro.node.host.Host.try_accept>`.
         """
         now = self.sim.now
         busy = self.busy_until

@@ -8,7 +8,6 @@ from .registry import (
     Protocol,
     make_agent,
     protocol_names,
-    register_protocol,
 )
 from .view import ResourceView, ViewEntry
 
@@ -21,7 +20,6 @@ __all__ = [
     "Protocol",
     "make_agent",
     "protocol_names",
-    "register_protocol",
     "ResourceView",
     "ViewEntry",
 ]

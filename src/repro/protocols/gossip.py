@@ -22,7 +22,7 @@ terms) but its per-message cost is a single unicast, not a flood.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..runtime.api import Delivery
 from .base import DiscoveryAgent, ProtocolContext
@@ -47,14 +47,14 @@ class Digest:
 class GossipAgent(DiscoveryAgent):
     """Push-pull anti-entropy over the neighbour graph."""
 
-    #: default gossip period, seconds (memberlist's default is 1 s)
-    DEFAULT_INTERVAL = 1.0
     #: no row part, but its digests fill the view, so it is primed like a row
     learns = True
 
-    def __init__(self, ctx: ProtocolContext, interval: Optional[float] = None) -> None:
-        super().__init__(ctx)
-        self.interval = interval if interval is not None else self.DEFAULT_INTERVAL
+    def __init__(self, ctx: ProtocolContext, *parts: str, interval: float = 1.0) -> None:
+        """``interval`` is the gossip period in seconds (memberlist's
+        default is 1 s)."""
+        super().__init__(ctx, *parts)
+        self.interval = interval
         if self.interval <= 0:
             raise ValueError("gossip interval must be positive")
         self.rounds = 0

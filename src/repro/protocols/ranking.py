@@ -5,9 +5,10 @@ headroom*.  That is one policy among several: Dubey & Tokekar's
 efficient-peer identification ranks peers by observed responsiveness and
 reliability instead, arguing that the "biggest believed queue" is often
 the stalest belief.  This module extracts ranking from
-:meth:`repro.protocols.view.ResourceView.candidates` into a registry of
-:class:`RankingPolicy` objects so experiments can swap the ordering
-without touching the belief store or the migration path.
+:meth:`repro.protocols.view.ResourceView.candidates` into
+:data:`RANKINGS`, a table of :class:`RankingPolicy` classes, so
+experiments can swap the ordering without touching the belief store or
+the migration path.
 
 Observations
 ------------
@@ -37,7 +38,7 @@ run and golden traces stay byte-stable under any policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple, Type
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (view imports us)
     from .view import ViewEntry
@@ -49,7 +50,7 @@ __all__ = [
     "LatencyPolicy",
     "ReliabilityPolicy",
     "CompositePolicy",
-    "register_ranking",
+    "RANKINGS",
     "make_ranking",
     "ranking_names",
 ]
@@ -258,36 +259,27 @@ class CompositePolicy(RankingPolicy):
         return pool
 
 
-# Registry -----------------------------------------------------------------
-
-_POLICIES: Dict[str, Callable[[], RankingPolicy]] = {}
-
-
-def register_ranking(name: str, factory: Callable[[], RankingPolicy]) -> None:
-    """Register a policy factory under ``name`` (last registration wins)."""
-    _POLICIES[name] = factory
+#: every ranking policy by the name ``ProtocolConfig.ranking_policy`` holds
+RANKINGS: Dict[str, Type[RankingPolicy]] = {
+    policy.name: policy
+    for policy in (HeadroomPolicy, LatencyPolicy, ReliabilityPolicy, CompositePolicy)
+}
 
 
 def make_ranking(name: str) -> RankingPolicy:
-    """Instantiate the policy registered under ``name``.
+    """Instantiate the policy named ``name``.
 
     Raises ``ValueError`` with the known names on a typo so config errors
     surface at build time, not mid-run.
     """
     try:
-        factory = _POLICIES[name]
+        policy = RANKINGS[name]
     except KeyError:
         raise ValueError(
             f"unknown ranking policy {name!r}; known: {ranking_names()}"
         ) from None
-    return factory()
+    return policy()
 
 
 def ranking_names() -> List[str]:
-    return sorted(_POLICIES)
-
-
-register_ranking("headroom", HeadroomPolicy)
-register_ranking("latency", LatencyPolicy)
-register_ranking("reliability", ReliabilityPolicy)
-register_ranking("composite", CompositePolicy)
+    return sorted(RANKINGS)

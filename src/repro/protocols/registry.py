@@ -1,36 +1,34 @@
-"""The protocol table — name → the parts its agent is built from.
+"""The protocol table — name → the agent and the parts it is built from.
 
 Experiments select protocols by the curve names used in the paper's
-figures.  The paper's protocols, the fixed-window variant and the
-no-discovery floor are rows of :data:`PROTOCOLS`: each names a pull
-trigger, a push trigger and a responder (see :mod:`repro.protocols.base`)
-and :class:`~repro.protocols.base.DiscoveryAgent` builds exactly those.
+figures.  Every protocol is a row of :data:`PROTOCOLS`: each names a pull
+trigger, a push trigger and a responder (see :mod:`repro.protocols.base`),
+the agent class that builds them and that class's keyword arguments.
+The paper's protocols, the fixed-window variant and the no-discovery
+floor are plain :class:`~repro.protocols.base.DiscoveryAgent` rows;
+gossip and the Section 7 hierarchy are rows of their own subclasses.
 Aliases map both taxonomy names ("pure-push") and curve labels
-("push-1") to the same row.  Agents beyond the rows — gossip and the
-Section 7 hierarchy — are subclasses registered by factory.
+("push-1") to the same row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Mapping, Tuple, Type
 
 from .base import DiscoveryAgent, ProtocolContext
 from .gossip import GossipAgent
+from .hierarchy import HierarchicalRealtorAgent
 
 __all__ = [
     "Protocol",
     "PROTOCOLS",
+    "alias_table",
+    "is_protocol",
     "make_agent",
     "protocol_names",
     "PAPER_PROTOCOLS",
-    "register_protocol",
 ]
-
-Factory = Callable[[ProtocolContext], DiscoveryAgent]
-
-_REGISTRY: Dict[str, Factory] = {}
-_CANONICAL: Dict[str, str] = {}
 
 #: the five curves of Figures 5-8, in the paper's legend order
 PAPER_PROTOCOLS: List[str] = ["pull-.9", "push-1", "push-.9", "pull-100", "realtor"]
@@ -38,14 +36,18 @@ PAPER_PROTOCOLS: List[str] = ["pull-.9", "push-1", "push-.9", "pull-100", "realt
 
 @dataclass(frozen=True)
 class Protocol:
-    """One row: a protocol as the paper defines it, by its parts."""
+    """One row: a protocol as the paper defines it, by its parts, and the
+    agent class that builds them."""
 
-    name: str  #: registry key and figure label, e.g. ``"push-1"``
+    name: str  #: table key and figure label, e.g. ``"push-1"``
     aliases: Tuple[str, ...]
     doc: str  #: what the paper (or this reproduction) says it is
     pull: str = "none"
     push: str = "none"
     respond: str = "none"
+    #: the agent class built from the parts, and its keyword arguments
+    cls: Type[DiscoveryAgent] = DiscoveryAgent
+    kwargs: Mapping[str, object] = field(default_factory=dict)
 
     @property
     def parts(self) -> Tuple[str, str, str]:
@@ -53,10 +55,10 @@ class Protocol:
 
     def agent(self, ctx: ProtocolContext) -> DiscoveryAgent:
         """This row's agent for one node."""
-        return DiscoveryAgent(ctx, *self.parts)
+        return self.cls(ctx, *self.parts, **self.kwargs)
 
 
-PROTOCOLS: Dict[str, Protocol] = {row.name: row for row in (
+_ROWS = (
     Protocol(
         "pull-.9", ("pure-pull", "pull"),
         "Pure PULL: \"each host solicits PLEDGE from its community members whenever "
@@ -105,49 +107,69 @@ PROTOCOLS: Dict[str, Protocol] = {row.name: row for row in (
         "No discovery: a node never communicates or learns, and tasks that do not "
         "fit locally are rejected — the floor that measures migration itself.",
     ),
-)}
+    Protocol(
+        "gossip", ("anti-entropy", "swim-like"),
+        "Push-pull anti-entropy (not in the paper): every second a node swaps its "
+        "whole view with one random neighbour, as SWIM-family membership protocols "
+        "do.  Load-oblivious like a push, but each message is one unicast.",
+        cls=GossipAgent,
+    ),
+    Protocol(
+        "gossip-5", (),
+        "Gossip with a 5 s exchange period.",
+        cls=GossipAgent, kwargs={"interval": 5.0},
+    ),
+    Protocol(
+        "realtor-hier", ("hierarchical",),
+        "The Section 7 future work, \"inter-neighbor-group resource discovery\": "
+        "REALTOR scoped to neighbour groups of about 9 nodes, with a failed HELP "
+        "round escalated through the group gateways.",
+        pull="adaptive", respond="community",
+        cls=HierarchicalRealtorAgent, kwargs={"group_size": 9},
+    ),
+    Protocol(
+        "realtor-hier-25", (),
+        "The hierarchy with neighbour groups of about 25 nodes.",
+        pull="adaptive", respond="community",
+        cls=HierarchicalRealtorAgent, kwargs={"group_size": 25},
+    ),
+)
+PROTOCOLS: Dict[str, Protocol] = {row.name: row for row in _ROWS}
 
 
-def register_protocol(canonical: str, factory: Factory, *aliases: str) -> None:
-    """Register a protocol factory under its canonical name and aliases."""
-    key = canonical.lower()
-    if key in _REGISTRY:
-        raise ValueError(f"protocol already registered: {canonical}")
-    _REGISTRY[key] = factory
-    _CANONICAL[key] = key
-    for alias in aliases:
-        a = alias.lower()
-        if a in _CANONICAL:
-            raise ValueError(f"alias already registered: {alias}")
-        _CANONICAL[a] = key
+def alias_table(rows: Iterable[Protocol]) -> Dict[str, str]:
+    """Every name and alias of ``rows``, lower-cased, → its row's name.
+
+    Raises ``ValueError`` when two rows share a name or an alias.
+    """
+    table: Dict[str, str] = {}
+    for row in rows:
+        for name in (row.name, *row.aliases):
+            key = name.lower()
+            if key in table:
+                raise ValueError(f"protocol name used twice: {name}")
+            table[key] = row.name
+    return table
 
 
-for _row in PROTOCOLS.values():
-    register_protocol(_row.name, _row.agent, *_row.aliases)
-register_protocol("gossip", GossipAgent, "anti-entropy", "swim-like")
-register_protocol("gossip-5", lambda ctx: GossipAgent(ctx, interval=5.0))
+_NAMES = alias_table(_ROWS)
 
 
 def is_protocol(name: str) -> bool:
-    """Whether ``name`` is a registered protocol, canonical or alias."""
-    return name.lower() in _CANONICAL
+    """Whether ``name`` is a protocol, canonical or alias."""
+    return name.lower() in _NAMES
 
 
 def make_agent(name: str, ctx: ProtocolContext) -> DiscoveryAgent:
     """Instantiate the protocol ``name`` (canonical or alias) for ``ctx``."""
-    key = _CANONICAL.get(name.lower())
+    key = _NAMES.get(name.lower())
     if key is None:
         raise KeyError(
-            f"unknown protocol {name!r}; known: {sorted(_CANONICAL)}"
+            f"unknown protocol {name!r}; known: {sorted(_NAMES)}"
         )
-    return _REGISTRY[key](ctx)
+    return PROTOCOLS[key].agent(ctx)
 
 
 def protocol_names() -> List[str]:
     """All canonical protocol names."""
-    return sorted(_REGISTRY)
-
-
-# The Section 7 hierarchy registers realtor-hier*.  Imported last: it
-# subclasses DiscoveryAgent, so it may itself be what is importing this.
-from ..core import hierarchy  # noqa: E402,F401
+    return sorted(PROTOCOLS)

@@ -3,8 +3,8 @@
 The paper: "The task arrival forms a Poisson process with a rate of
 lambda" and "the generated task is given to a node randomly selected
 from Node 0 through Node 24".  :class:`PoissonArrivals` reproduces this;
-deterministic and trace-driven processes support tests and what-if
-studies.
+:class:`DeterministicArrivals` (fixed gaps, round-robin origins) is
+``ExperimentConfig.arrival_process="deterministic"``, for tests.
 
 An arrival process is a pull-style iterator over ``(time, node)`` pairs
 driven by the generator component, which re-schedules itself through the
@@ -14,8 +14,7 @@ rates can be changed mid-run (the attack scenarios do).
 
 from __future__ import annotations
 
-import abc
-from typing import Callable, Iterator, List, Optional, Sequence, TYPE_CHECKING, Tuple
+from typing import Callable, List, Optional, Sequence, TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -24,30 +23,16 @@ from ..runtime.api import Priority
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.api import SchedulerAPI
 
-__all__ = [
-    "ArrivalProcess",
-    "PoissonArrivals",
-    "DeterministicArrivals",
-    "TraceArrivals",
-    "ArrivalGenerator",
-]
+__all__ = ["PoissonArrivals", "DeterministicArrivals", "ArrivalGenerator"]
 
 
-class ArrivalProcess(abc.ABC):
-    """Produces inter-arrival gaps and origin nodes."""
+class PoissonArrivals:
+    """Poisson process at ``rate`` tasks/s, uniform random origin.
 
-    @abc.abstractmethod
-    def next_gap(self) -> float:
-        """Seconds until the next arrival (> 0)."""
-
-    @abc.abstractmethod
-    def next_origin(self, live_nodes: Sequence[int]) -> Optional[int]:
-        """Node the arrival lands on, drawn from ``live_nodes``; ``None``
-        drops the arrival (no live node)."""
-
-
-class PoissonArrivals(ArrivalProcess):
-    """Poisson process at ``rate`` tasks/s, uniform random origin."""
+    ``next_gap`` is the seconds until the next arrival; ``next_origin``
+    the node it lands on, drawn from ``live_nodes`` (``None`` drops the
+    arrival: no node is live).
+    """
 
     def __init__(self, rate: float, rng: np.random.Generator) -> None:
         if rate <= 0:
@@ -64,7 +49,7 @@ class PoissonArrivals(ArrivalProcess):
         return int(live_nodes[int(self.rng.integers(len(live_nodes)))])
 
 
-class DeterministicArrivals(ArrivalProcess):
+class DeterministicArrivals:
     """Fixed-gap arrivals cycling round-robin over live nodes (tests)."""
 
     def __init__(self, gap: float) -> None:
@@ -84,42 +69,6 @@ class DeterministicArrivals(ArrivalProcess):
         return int(node)
 
 
-class TraceArrivals(ArrivalProcess):
-    """Replay an explicit ``[(gap, origin), ...]`` trace.
-
-    Origins outside the live set are redirected to the nearest live id
-    (deterministic), mirroring how an external client would re-resolve a
-    dead endpoint.
-    """
-
-    def __init__(self, trace: Sequence[Tuple[float, int]]) -> None:
-        if not trace:
-            raise ValueError("empty trace")
-        for gap, _ in trace:
-            if gap <= 0:
-                raise ValueError("trace gaps must be positive")
-        self._trace: Iterator[Tuple[float, int]] = iter(list(trace))
-        self._pending_origin: Optional[int] = None
-        self.exhausted = False
-
-    def next_gap(self) -> float:
-        try:
-            gap, origin = next(self._trace)
-        except StopIteration:
-            self.exhausted = True
-            return float("inf")
-        self._pending_origin = origin
-        return gap
-
-    def next_origin(self, live_nodes: Sequence[int]) -> Optional[int]:
-        if self._pending_origin is None or not live_nodes:
-            return None
-        want = self._pending_origin
-        if want in live_nodes:
-            return want
-        return min(live_nodes, key=lambda n: (abs(n - want), n))
-
-
 class ArrivalGenerator:
     """Kernel-driven arrival pump.
 
@@ -132,7 +81,7 @@ class ArrivalGenerator:
     def __init__(
         self,
         sim: "SchedulerAPI",
-        process: ArrivalProcess,
+        process: Union[PoissonArrivals, DeterministicArrivals],
         emit: Callable[[int], None],
         live_nodes: Callable[[], List[int]],
         *,
@@ -157,10 +106,7 @@ class ArrivalGenerator:
         self._schedule_next()
 
     def _schedule_next(self) -> None:
-        gap = self.process.next_gap()
-        if gap == float("inf"):
-            return  # trace exhausted
-        t = self._next_time + gap
+        t = self._next_time + self.process.next_gap()
         if self.until is not None and t > self.until:
             return
         self._next_time = t

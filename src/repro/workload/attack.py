@@ -6,27 +6,26 @@ resources become unavailable, and resident components must migrate to
 safe locations.  The injector produces timed compromise/recover (and
 crash) transitions against the fault manager:
 
-* :class:`SweepAttack` — an attacker walks the network, compromising one
-  node at a time for a dwell period (localised external attack);
-* :class:`RegionAttack` — all nodes within a hop radius of a target go
-  down simultaneously (e.g. a subnet-level DoS);
-* :class:`RandomFailures` — memoryless crash/recover churn (malfunction
-  rather than attack).
+* ``sweep`` — an attacker walks the network, compromising one node at a
+  time for a dwell period (localised external attack);
+* ``region`` — all nodes within a hop radius of a target go down
+  simultaneously (e.g. a subnet-level DoS);
+* ``random`` — memoryless crash/recover churn (malfunction rather than
+  attack), stressing the protocols' statelessness claim.
 
-Every schedule is computed up front from a seeded stream, so attack runs
-are exactly reproducible.
-
-:class:`AttackConfig` is the declarative knob on
-:class:`~repro.experiments.config.ExperimentConfig`: when set, the
-runner materialises it against the overlay from the kernel's named
-``"attack"`` RNG substream and installs the plan on the fault manager,
-on either runtime.
+:class:`AttackConfig` is the one description of an attack, the
+declarative knob on :class:`~repro.experiments.config.ExperimentConfig`:
+when set, the runner expands it with :meth:`AttackConfig.plan` against
+the overlay, from the kernel's named ``"attack"`` RNG substream, and
+installs the resulting :class:`AttackPlan` on the fault manager, on
+either runtime.  Every schedule is computed up front from that seeded
+stream, so attack runs are exactly reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from ..network.faults import FaultManager
 from ..network.routing import Router
 from ..network.topology import Topology
 
-__all__ = ["AttackConfig", "SweepAttack", "RegionAttack", "RandomFailures", "AttackPlan"]
+__all__ = ["AttackConfig", "AttackPlan"]
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ class AttackPlan:
 class AttackConfig:
     """Declarative attack axis for an experiment (all seeded).
 
-    ``kind`` picks the generator; each reads only its own fields:
+    ``kind`` picks the schedule; each reads only its own fields:
     ``sweep`` (``start``, ``dwell``, ``victims`` — clamped to the node
     count), ``region`` (``epicentre``, ``radius``, ``start``,
     ``duration``) and ``random`` (``mtbf``, ``mttr`` over the horizon).
@@ -95,8 +94,8 @@ class AttackConfig:
     mttr: float = 50.0
 
     def __post_init__(self) -> None:
-        # the generators' own checks, made here so a bad cell fails at
-        # construction rather than inside a pool worker
+        # checked here so a bad cell fails at construction rather than
+        # inside a pool worker
         if self.kind not in ("sweep", "region", "random"):
             raise ValueError(f"unknown attack kind: {self.kind!r}")
         if self.dwell <= 0 or self.victims < 1:
@@ -108,129 +107,30 @@ class AttackConfig:
 
     def plan(self, topo: Topology, horizon: float, rng: np.random.Generator) -> AttackPlan:
         """Expand the attack against a concrete overlay."""
-        nodes = topo.nodes()
+        transitions: List[Tuple[float, str, int]] = []
         if self.kind == "sweep":
-            return SweepAttack(
-                nodes,
-                start=self.start,
-                dwell=self.dwell,
-                victims=min(self.victims, len(nodes)),
-                rng=rng,
-            ).plan()
-        if self.kind == "region":
-            return RegionAttack(
-                Router(topo),
-                self.epicentre,
-                radius=self.radius,
-                start=self.start,
-                duration=self.duration,
-            ).plan()
-        return RandomFailures(
-            nodes, horizon=horizon, mtbf=self.mtbf, mttr=self.mttr, rng=rng
-        ).plan()
-
-
-class SweepAttack:
-    """Attacker compromises one node at a time, moving every ``dwell`` s.
-
-    The victim order is a seeded random permutation (an attacker probing
-    for the critical component — exactly the adversary location-elusive
-    migration is designed to defeat).
-    """
-
-    def __init__(
-        self,
-        nodes: Sequence[int],
-        *,
-        start: float,
-        dwell: float,
-        victims: int,
-        rng: np.random.Generator,
-        recover: bool = True,
-    ) -> None:
-        if dwell <= 0 or victims < 1:
-            raise ValueError("need dwell > 0 and victims >= 1")
-        if victims > len(nodes):
-            raise ValueError("more victims than nodes")
-        self.start = start
-        self.dwell = dwell
-        order = list(rng.permutation(list(nodes))[:victims])
-        self.victims = [int(v) for v in order]
-        self.recover = recover
-
-    def plan(self) -> AttackPlan:
-        transitions: List[Tuple[float, str, int]] = []
-        t = self.start
-        for victim in self.victims:
-            transitions.append((t, "compromise", victim))
-            if self.recover:
-                transitions.append((t + self.dwell, "recover", victim))
-            t += self.dwell
-        return AttackPlan(tuple(transitions))
-
-
-class RegionAttack:
-    """Simultaneously take down every node within ``radius`` hops of the
-    epicentre for ``duration`` seconds."""
-
-    def __init__(
-        self,
-        router: Router,
-        epicentre: int,
-        *,
-        radius: int,
-        start: float,
-        duration: float,
-    ) -> None:
-        if radius < 0 or duration <= 0:
-            raise ValueError("need radius >= 0 and duration > 0")
-        self.start = start
-        self.duration = duration
-        self.victims = sorted(set(router.within(epicentre, radius)) | {epicentre})
-
-    def plan(self) -> AttackPlan:
-        transitions: List[Tuple[float, str, int]] = []
-        for victim in self.victims:
-            transitions.append((self.start, "compromise", victim))
-            transitions.append((self.start + self.duration, "recover", victim))
-        return AttackPlan(tuple(transitions))
-
-
-class RandomFailures:
-    """Memoryless crash/recover churn over the horizon.
-
-    Each node independently crashes at rate ``mtbf⁻¹`` and recovers after
-    an exponential repair time of mean ``mttr`` — classic availability
-    churn, stressing the protocols' statelessness claim.
-    """
-
-    def __init__(
-        self,
-        nodes: Sequence[int],
-        *,
-        horizon: float,
-        mtbf: float,
-        mttr: float,
-        rng: np.random.Generator,
-    ) -> None:
-        if mtbf <= 0 or mttr <= 0 or horizon <= 0:
-            raise ValueError("mtbf, mttr, horizon must be positive")
-        self.nodes = list(nodes)
-        self.horizon = horizon
-        self.mtbf = mtbf
-        self.mttr = mttr
-        self.rng = rng
-
-    def plan(self) -> AttackPlan:
-        transitions: List[Tuple[float, str, int]] = []
-        for node in self.nodes:
-            t = float(self.rng.exponential(self.mtbf))
-            while t < self.horizon:
-                transitions.append((t, "crash", int(node)))
-                repair = float(self.rng.exponential(self.mttr))
-                if t + repair >= self.horizon:
-                    break
-                transitions.append((t + repair, "recover", int(node)))
-                t = t + repair + float(self.rng.exponential(self.mtbf))
-        transitions.sort(key=lambda x: (x[0], x[2]))
+            # a seeded victim order: an attacker probing for the critical
+            # component, the adversary location-elusive migration defeats
+            t = self.start
+            for victim in rng.permutation(topo.nodes())[: self.victims]:
+                transitions.append((t, "compromise", int(victim)))
+                transitions.append((t + self.dwell, "recover", int(victim)))
+                t += self.dwell
+        elif self.kind == "region":
+            ring = set(Router(topo).within(self.epicentre, self.radius))
+            for victim in sorted(ring | {self.epicentre}):
+                transitions.append((self.start, "compromise", victim))
+                transitions.append((self.start + self.duration, "recover", victim))
+        else:
+            # per node: up for Exp(mtbf), down for Exp(mttr), until the horizon
+            for node in topo.nodes():
+                t = float(rng.exponential(self.mtbf))
+                while t < horizon:
+                    transitions.append((t, "crash", int(node)))
+                    repair = float(rng.exponential(self.mttr))
+                    if t + repair >= horizon:
+                        break
+                    transitions.append((t + repair, "recover", int(node)))
+                    t = t + repair + float(rng.exponential(self.mtbf))
+            transitions.sort(key=lambda x: (x[0], x[2]))
         return AttackPlan(tuple(transitions))

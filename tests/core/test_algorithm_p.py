@@ -13,7 +13,7 @@ def build(threshold=0.9, usage=0.0):
     host = Host(sim, 0, capacity=100.0, threshold=threshold)
     if usage > 0:
         t = Task(size=usage * 100.0, arrival_time=0.0, origin=0)
-        host.accept(t, TaskOutcome.LOCAL)
+        host.try_accept(t, TaskOutcome.LOCAL)
     return sim, host, PledgePolicy(host, threshold)
 
 

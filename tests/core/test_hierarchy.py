@@ -1,16 +1,16 @@
 """Tests for the inter-community (Section 7) extension."""
 
+import gc
+
 import pytest
 
-from repro.core.hierarchy import (
-    GroupDirectory,
-    HierarchicalRealtorAgent,
-    partition_groups,
-)
+from repro.core.hierarchy import GroupDirectory, partition_groups
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import build_system
+from repro.experiments.runner import build_system, run_experiment
+from repro.experiments.store import result_to_canonical_json
 from repro.network.generators import mesh, paper_topology
 from repro.node.task import Task, TaskOutcome
+from repro.protocols.hierarchy import HierarchicalRealtorAgent
 
 
 class TestPartition:
@@ -104,7 +104,7 @@ class TestHierarchicalAgent:
         agent = system.agents[0]
         host = system.hosts[0]
         big = Task(size=95.0, arrival_time=0.0, origin=0)
-        host.accept(big, TaskOutcome.LOCAL)
+        host.try_accept(big, TaskOutcome.LOCAL)
         agent.notify_task_arrival(Task(size=5.0, arrival_time=0.0, origin=0))
         system.sim.run(until=0.5)
         # only group members learned about node 0's community
@@ -119,7 +119,7 @@ class TestHierarchicalAgent:
         group = agent.directory.members(0)
         # saturate the whole group so the local round fails
         for nid in group:
-            system.hosts[nid].accept(
+            system.hosts[nid].try_accept(
                 Task(size=95.0, arrival_time=0.0, origin=nid), TaskOutcome.LOCAL
             )
         agent.notify_task_arrival(Task(size=5.0, arrival_time=0.0, origin=0))
@@ -194,3 +194,26 @@ class TestChurnWithHierarchy:
         # the newcomer belongs to node 0's group and can find its gateway
         assert 100 in agent.directory.members(0)
         system.metrics.tasks.check_conservation()
+
+
+class TestDirectoryLifetime:
+    """The group layout belongs to one system: a later run never sees it."""
+
+    @staticmethod
+    def cell(side):
+        return ExperimentConfig(
+            protocol="realtor-hier", arrival_rate=0.3 * side * side,
+            rows=side, cols=side, horizon=200.0, seed=1,
+        )
+
+    def test_no_directory_outlives_its_run(self):
+        run_experiment(self.cell(3))
+        gc.collect()
+        assert not [o for o in gc.get_objects() if isinstance(o, GroupDirectory)]
+
+    def test_a_run_does_not_depend_on_earlier_runs(self):
+        first = run_experiment(self.cell(5))
+        run_experiment(self.cell(3))
+        gc.collect()
+        again = run_experiment(self.cell(5))
+        assert result_to_canonical_json(again) == result_to_canonical_json(first)

@@ -32,7 +32,7 @@ def build_cluster(n_rows=3, n_cols=3, config=None, seed=1):
 
 def fill(sim, host, usage):
     t = Task(size=usage * host.queue.capacity, arrival_time=sim.now, origin=host.node_id)
-    host.accept(t, TaskOutcome.LOCAL)
+    host.try_accept(t, TaskOutcome.LOCAL)
     return t
 
 

@@ -1,7 +1,9 @@
 """The seams the benchmark harness (``bench/``) hooks into.
 
 ``bench/trace.py`` wraps ``MetricsCollector.on_cost`` through the class
-dict, ``bench/workloads.py`` types a run's result as
+dict and the discovery entry points of every ``DiscoveryAgent`` subclass
+it can walk after importing ``repro.protocols.registry``,
+``bench/workloads.py`` types a run's result as
 ``repro.metrics.collector.RunResult``, and its live workload wraps the
 collector's ``task_admitted`` / ``task_rejected`` / ``task_lost`` on the
 instance to time every settlement.  Moving any of them breaks the
@@ -9,6 +11,8 @@ benchmark rather than a test, so they are pinned here.
 """
 
 import asyncio
+import subprocess
+import sys
 from collections import Counter
 
 from repro.experiments.config import ExperimentConfig
@@ -48,3 +52,17 @@ def test_instance_hooks_see_every_task_settle_once(manual_clock):
     assert tasks["generated"] > 0 and tasks["admitted_migrated"] > 0
     assert len(settled) == tasks["generated"]
     assert set(settled.values()) == {1}
+
+
+def test_registry_import_loads_every_agent_class():
+    # a fresh interpreter: the test process has loaded every module already
+    code = (
+        "from repro.protocols import registry\n"
+        "from repro.protocols.base import DiscoveryAgent\n"
+        "print(sorted(c.__name__ for c in DiscoveryAgent.__subclasses__()))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['GossipAgent', 'HierarchicalRealtorAgent']"

@@ -19,12 +19,12 @@ class TestCompletionBeforeArrival:
     def test_arrival_at_completion_instant_sees_freed_space(self):
         sim = Simulator()
         host = Host(sim, 0, capacity=10.0)
-        host.accept(Task(size=10.0, arrival_time=0.0, origin=0), TaskOutcome.LOCAL)
+        host.try_accept(Task(size=10.0, arrival_time=0.0, origin=0), TaskOutcome.LOCAL)
         outcomes = []
 
         def arrival():
             t = Task(size=10.0, arrival_time=sim.now, origin=0)
-            outcomes.append(host.can_accept(t))
+            outcomes.append(host.try_accept(t, TaskOutcome.LOCAL) is not None)
 
         # completion fires at t=10 with STATE priority; the arrival at
         # the same instant (ARRIVAL priority) must see an empty queue
@@ -35,12 +35,12 @@ class TestCompletionBeforeArrival:
     def test_arrival_just_before_completion_sees_full_queue(self):
         sim = Simulator()
         host = Host(sim, 0, capacity=10.0)
-        host.accept(Task(size=10.0, arrival_time=0.0, origin=0), TaskOutcome.LOCAL)
+        host.try_accept(Task(size=10.0, arrival_time=0.0, origin=0), TaskOutcome.LOCAL)
         outcomes = []
 
         def arrival():
             t = Task(size=10.0, arrival_time=sim.now, origin=0)
-            outcomes.append(host.can_accept(t))
+            outcomes.append(host.try_accept(t, TaskOutcome.LOCAL) is not None)
 
         sim.at(10.0 - 1e-6, arrival, priority=Priority.ARRIVAL)
         sim.run()
@@ -90,7 +90,7 @@ class TestSamplingLast:
         series = registry.series["usage"]
 
         def admit():
-            host.accept(Task(size=5.0, arrival_time=sim.now, origin=0),
+            host.try_accept(Task(size=5.0, arrival_time=sim.now, origin=0),
                         TaskOutcome.LOCAL)
 
         sim.at(5.0, admit, priority=Priority.ARRIVAL)

@@ -5,7 +5,7 @@ import pytest
 from repro.experiments.config import paper_config
 from repro.experiments.runner import build_system
 from repro.network.faults import NodeState
-from repro.workload.attack import AttackConfig, RandomFailures
+from repro.workload.attack import AttackConfig
 
 
 def run_with_attack(protocol="realtor", victims=4, rate=4.0, horizon=800.0,
@@ -58,7 +58,7 @@ class TestSweepAttackSurvivability:
         from repro.node.task import Task, TaskOutcome
 
         big = Task(size=95.0, arrival_time=0.0, origin=12)
-        system.hosts[12].accept(big, TaskOutcome.LOCAL)
+        system.hosts[12].try_accept(big, TaskOutcome.LOCAL)
         system.agents[12].notify_task_arrival(
             Task(size=5.0, arrival_time=0.0, origin=12)
         )
@@ -85,10 +85,9 @@ class TestRandomFailures:
     def test_crash_churn_loses_bounded_work(self):
         cfg = paper_config("realtor", 3.0, horizon=800.0, seed=9)
         system = build_system(cfg)
-        RandomFailures(
-            system.topo.nodes(), horizon=800.0, mtbf=400.0, mttr=50.0,
-            rng=system.sim.streams.stream("failures"),
-        ).plan().install(system.faults)
+        AttackConfig(kind="random", mtbf=400.0, mttr=50.0).plan(
+            system.topo, 800.0, system.sim.streams.stream("failures"),
+        ).install(system.faults)
         system.run()
         res = system.result()
         assert res.lost > 0                    # crashes really cost work

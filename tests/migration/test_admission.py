@@ -45,7 +45,7 @@ class TestGrant:
 
     def test_full_candidate_denies(self):
         sim, hosts, acs, _ = build(capacity=10.0)
-        hosts[1].accept(task(size=9.0, origin=1), TaskOutcome.LOCAL)
+        hosts[1].try_accept(task(size=9.0, origin=1), TaskOutcome.LOCAL)
         outcomes = []
         t = task(size=5.0)
         acs[0].negotiate(t, 1, TaskOutcome.MIGRATED, outcomes.append)
@@ -65,7 +65,7 @@ class TestGrant:
 
     def test_grant_rate_statistics(self):
         sim, hosts, acs, _ = build(capacity=10.0)
-        hosts[1].accept(task(size=9.0, origin=1), TaskOutcome.LOCAL)
+        hosts[1].try_accept(task(size=9.0, origin=1), TaskOutcome.LOCAL)
         acs[0].negotiate(task(size=5.0), 1, TaskOutcome.MIGRATED, lambda reason: None)
         acs[0].negotiate(task(size=0.5), 1, TaskOutcome.MIGRATED, lambda reason: None)
         sim.run(until=1.0)
@@ -131,7 +131,7 @@ class TestFailureModes:
         # once, so it never lands on a second host.
         sim, hosts, acs, _ = build()
         t = task()
-        hosts[2].accept(t, TaskOutcome.LOCAL)
+        hosts[2].try_accept(t, TaskOutcome.LOCAL)
         outcomes = []
         acs[0].negotiate(t, 1, TaskOutcome.MIGRATED, outcomes.append)
         sim.run(until=1.0)

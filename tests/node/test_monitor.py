@@ -20,7 +20,7 @@ def build(threshold=0.9, capacity=100.0, hysteresis=0.0):
 def admit(sim, q, m, size):
     t = Task(size=size, arrival_time=sim.now, origin=0)
     t.mark_admitted(0, sim.now, TaskOutcome.LOCAL)
-    q.admit(t)
+    q.try_admit(t)
     m.notify_change()
     return t
 

@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro.live.scheduler import LiveScheduler
-from repro.node.queue import QueueFull, WorkQueue
+from repro.node.queue import WorkQueue
 from repro.node.task import Task, TaskOutcome, TaskStatus
 from repro.sim.kernel import Simulator
 
@@ -26,15 +26,15 @@ class TestBacklog:
     def test_backlog_rises_with_admissions(self):
         sim = Simulator()
         q = WorkQueue(sim, 100.0)
-        q.admit(admitted(Task(size=10.0, arrival_time=0.0, origin=0)))
-        q.admit(admitted(Task(size=5.0, arrival_time=0.0, origin=0)))
+        q.try_admit(admitted(Task(size=10.0, arrival_time=0.0, origin=0)))
+        q.try_admit(admitted(Task(size=5.0, arrival_time=0.0, origin=0)))
         assert q.backlog() == 15.0
         assert q.usage() == pytest.approx(0.15)
 
     def test_backlog_decays_at_unit_rate(self):
         sim = Simulator()
         q = WorkQueue(sim, 100.0)
-        q.admit(admitted(Task(size=10.0, arrival_time=0.0, origin=0)))
+        q.try_admit(admitted(Task(size=10.0, arrival_time=0.0, origin=0)))
         sim.run(until=4.0)
         assert q.backlog() == pytest.approx(6.0)
         sim.run(until=20.0)
@@ -43,16 +43,16 @@ class TestBacklog:
     def test_completion_time_fifo(self):
         sim = Simulator()
         q = WorkQueue(sim, 100.0)
-        c1 = q.admit(admitted(Task(size=3.0, arrival_time=0.0, origin=0)))
-        c2 = q.admit(admitted(Task(size=4.0, arrival_time=0.0, origin=0)))
+        c1 = q.try_admit(admitted(Task(size=3.0, arrival_time=0.0, origin=0)))
+        c2 = q.try_admit(admitted(Task(size=4.0, arrival_time=0.0, origin=0)))
         assert (c1, c2) == (3.0, 7.0)
 
     def test_idle_gap_resets_busy_until(self):
         sim = Simulator()
         q = WorkQueue(sim, 100.0)
-        q.admit(admitted(Task(size=2.0, arrival_time=0.0, origin=0)))
+        q.try_admit(admitted(Task(size=2.0, arrival_time=0.0, origin=0)))
         sim.run(until=10.0)
-        c = q.admit(admitted(Task(size=3.0, arrival_time=10.0, origin=0)))
+        c = q.try_admit(admitted(Task(size=3.0, arrival_time=10.0, origin=0)))
         assert c == 13.0
 
     def test_rejects_nonpositive_capacity(self):
@@ -64,23 +64,22 @@ class TestAdmission:
     def test_fits_is_paper_test(self):
         sim = Simulator()
         q = WorkQueue(sim, 100.0)
-        q.admit(admitted(Task(size=96.0, arrival_time=0.0, origin=0)))
+        q.try_admit(admitted(Task(size=96.0, arrival_time=0.0, origin=0)))
         assert q.fits(4.0)
         assert not q.fits(4.1)
 
     def test_overfull_admission_raises(self):
         sim = Simulator()
         q = WorkQueue(sim, 10.0)
-        q.admit(admitted(Task(size=8.0, arrival_time=0.0, origin=0)))
-        with pytest.raises(QueueFull):
-            q.admit(admitted(Task(size=3.0, arrival_time=0.0, origin=0)))
+        q.try_admit(admitted(Task(size=8.0, arrival_time=0.0, origin=0)))
+        assert q.try_admit(admitted(Task(size=3.0, arrival_time=0.0, origin=0))) is None
 
     def test_completion_marks_task_and_fires_callback(self):
         sim = Simulator()
         done = []
         q = WorkQueue(sim, 100.0, on_complete=done.append)
         t = admitted(Task(size=5.0, arrival_time=0.0, origin=0))
-        q.admit(t)
+        q.try_admit(t)
         sim.run()
         assert done == [t]
         assert t.status is TaskStatus.COMPLETED
@@ -95,7 +94,7 @@ class TestAdmission:
         ran_at = []
         q = WorkQueue(sim, 100.0, on_complete=lambda _t: ran_at.append(sim.now))
         t = admitted(Task(size=1.5, arrival_time=0.0, origin=0))
-        assert q.admit(t) == 1.5
+        assert q.try_admit(t) == 1.5
         sim.at(3.0, lambda: None)
         asyncio.run(sim.run(until=4.0))
         assert ran_at and ran_at[0] >= 3.0
@@ -105,7 +104,7 @@ class TestAdmission:
         sim = Simulator()
         q = WorkQueue(sim, 100.0)
         for size in (2.0, 3.0):
-            q.admit(admitted(Task(size=size, arrival_time=0.0, origin=0)))
+            q.try_admit(admitted(Task(size=size, arrival_time=0.0, origin=0)))
         assert q.admitted_count == 2
         assert q.work_admitted == 5.0
         assert len(q) == 2
@@ -119,7 +118,7 @@ class TestDropAll:
         q = WorkQueue(sim, 100.0)
         tasks = [admitted(Task(size=5.0, arrival_time=0.0, origin=0)) for _ in range(3)]
         for t in tasks:
-            q.admit(t)
+            q.try_admit(t)
         lost = q.drop_all()
         assert lost == tasks
         assert all(t.outcome is TaskOutcome.LOST for t in tasks)
@@ -129,7 +128,7 @@ class TestDropAll:
         sim = Simulator()
         done = []
         q = WorkQueue(sim, 100.0, on_complete=done.append)
-        q.admit(admitted(Task(size=5.0, arrival_time=0.0, origin=0)))
+        q.try_admit(admitted(Task(size=5.0, arrival_time=0.0, origin=0)))
         q.drop_all()
         sim.run()
         assert done == []
@@ -143,7 +142,7 @@ class TestDropAll:
         sim = Simulator()
         q = WorkQueue(sim, 100.0)
         task = admitted(Task(size=5.0, arrival_time=0.0, origin=0))
-        q.admit(task)
+        q.try_admit(task)
         task.mark_lost()
         with pytest.raises(RuntimeError, match=f"task {task.task_id} .*rejected"):
             sim.run()
@@ -157,7 +156,7 @@ class TestRemove:
         t2 = admitted(Task(size=6.0, arrival_time=0.0, origin=0))
         t3 = admitted(Task(size=2.0, arrival_time=0.0, origin=0))
         for t in (t1, t2, t3):
-            q.admit(t)
+            q.try_admit(t)
         q.remove(t2)
         assert q.backlog() == 6.0
         assert t2.status is TaskStatus.CREATED
@@ -170,7 +169,7 @@ class TestRemove:
         sim = Simulator()
         q = WorkQueue(sim, 100.0)
         head = admitted(Task(size=10.0, arrival_time=0.0, origin=0))
-        q.admit(head)
+        q.try_admit(head)
         sim.run(until=3.0)
         with pytest.raises(ValueError):
             q.remove(head)
@@ -179,7 +178,7 @@ class TestRemove:
         sim = Simulator()
         q = WorkQueue(sim, 100.0)
         head = admitted(Task(size=10.0, arrival_time=0.0, origin=0))
-        q.admit(head)
+        q.try_admit(head)
         q.remove(head)  # zero execution so far
         assert q.backlog() == 0.0
 
@@ -197,7 +196,7 @@ class TestRemove:
         t2 = admitted(Task(size=6.0, arrival_time=0.0, origin=0))
         t3 = admitted(Task(size=2.0, arrival_time=0.0, origin=0))
         for t in (t1, t2, t3):
-            q.admit(t)
+            q.try_admit(t)
         q.remove(t2)
         sim.run()
         assert done == [t1, t3]
@@ -208,8 +207,8 @@ class TestRemove:
         q = WorkQueue(sim, 100.0)
         head = admitted(Task(size=10.0, arrival_time=0.0, origin=0))
         tail = admitted(Task(size=4.0, arrival_time=0.0, origin=0))
-        q.admit(head)
-        q.admit(tail)
+        q.try_admit(head)
+        q.try_admit(tail)
         sim.run(until=5.0)  # head half done
         q.remove(tail)
         sim.run()
@@ -228,14 +227,14 @@ class TestRemove:
         dst = WorkQueue(sim, 100.0)
         blocker = admitted(Task(size=6.0, arrival_time=0.0, origin=0))
         task = admitted(Task(size=4.0, arrival_time=0.0, origin=0))
-        src.admit(blocker)
-        src.admit(task)  # would complete at t=10 on src
+        src.try_admit(blocker)
+        src.try_admit(task)  # would complete at t=10 on src
         src.remove(task)
         # Re-placement happens later and behind a longer backlog.
         sim.run(until=2.0)
-        dst.admit(admitted(Task(size=12.0, arrival_time=2.0, origin=0)))
+        dst.try_admit(admitted(Task(size=12.0, arrival_time=2.0, origin=0)))
         task.mark_admitted(1, 2.0, TaskOutcome.MIGRATED)
-        c = dst.admit(task)
+        c = dst.try_admit(task)
         assert c == 18.0
         sim.run()
         assert task.completed_time == 18.0  # not the stale t=10 on src
@@ -247,7 +246,7 @@ class TestFastPathApi:
     def test_try_admit_returns_none_on_miss_without_mutation(self):
         sim = Simulator()
         q = WorkQueue(sim, 10.0)
-        q.admit(admitted(Task(size=8.0, arrival_time=0.0, origin=0)))
+        q.try_admit(admitted(Task(size=8.0, arrival_time=0.0, origin=0)))
         before = (q.busy_until, q.admitted_count, q.work_admitted, len(q))
         t = admitted(Task(size=3.0, arrival_time=0.0, origin=0))
         assert q.try_admit(t) is None
@@ -266,7 +265,7 @@ class TestFastPathApi:
         q = WorkQueue(sim, 100.0)
         t = admitted(Task(size=5.0, arrival_time=0.0, origin=0))
         other = Task(size=1.0, arrival_time=0.0, origin=0)
-        q.admit(t)
+        q.try_admit(t)
         assert t in q
         assert other not in q
         sim.run()

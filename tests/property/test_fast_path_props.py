@@ -205,7 +205,7 @@ class _ReferenceQueue:
     def __len__(self):
         return len(self._resident)
 
-    def admit(self, task):
+    def try_admit(self, task):  # callers test fits() first
         now = self.sim.now
         start = max(self.busy_until, now)
         completion = start + task.size
@@ -343,7 +343,7 @@ class TestQueueFastPathEquivalence:
             for sim, queue, monitor, _, _ in sides:
                 if op == "admit":
                     if queue.fits(arg):
-                        queue.admit(_fresh_task(sim, label, arg))
+                        queue.try_admit(_fresh_task(sim, label, arg))
                         monitor.notify_change()
                         outcomes.append("admitted")
                     else:

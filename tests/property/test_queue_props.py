@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.node.queue import QueueFull, WorkQueue
+from repro.node.queue import WorkQueue
 from repro.node.task import Task, TaskOutcome, TaskStatus
 from repro.sim.kernel import Simulator
 
@@ -22,7 +22,7 @@ class TestWorkQueueProperties:
             t = Task(size=size, arrival_time=sim.now, origin=0)
             if q.fits(size):
                 t.mark_admitted(0, sim.now, TaskOutcome.LOCAL)
-                q.admit(t)
+                q.try_admit(t)
             assert q.backlog() <= q.capacity + 1e-9
 
     @given(st.lists(st.tuples(sizes, gaps), max_size=50))
@@ -37,7 +37,7 @@ class TestWorkQueueProperties:
             if q.fits(size):
                 t = Task(size=size, arrival_time=sim.now, origin=0)
                 t.mark_admitted(0, sim.now, TaskOutcome.LOCAL)
-                q.admit(t)
+                q.try_admit(t)
                 admitted += 1
         sim.run(until=sim.now + 200.0)
         assert len(done) == admitted
@@ -53,7 +53,7 @@ class TestWorkQueueProperties:
             sim.run(until=sim.now + gap)
             t = Task(size=size, arrival_time=sim.now, origin=0)
             t.mark_admitted(0, sim.now, TaskOutcome.LOCAL)
-            c = q.admit(t)
+            c = q.try_admit(t)
             expected_completions.append((t, c))
         sim.run(until=sim.now + 1e6)
         for t, c in expected_completions:
@@ -74,7 +74,7 @@ class TestWorkQueueProperties:
         for size in task_sizes:
             t = Task(size=size, arrival_time=0.0, origin=0)
             t.mark_admitted(0, 0.0, TaskOutcome.LOCAL)
-            q.admit(t)
+            q.try_admit(t)
             tasks.append(t)
         # withdraw a random non-head subset
         removable = tasks[1:]

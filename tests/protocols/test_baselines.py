@@ -30,7 +30,7 @@ def build_cluster(protocol, config=None, rows=3, cols=3):
 
 def fill(sim, host, usage):
     t = Task(size=usage * host.queue.capacity, arrival_time=sim.now, origin=host.node_id)
-    host.accept(t, TaskOutcome.LOCAL)
+    host.try_accept(t, TaskOutcome.LOCAL)
 
 
 def arrive(sim, agent, size=5.0):

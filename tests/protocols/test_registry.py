@@ -12,9 +12,10 @@ from repro.protocols.base import ProtocolConfig
 from repro.protocols.registry import (
     PAPER_PROTOCOLS,
     PROTOCOLS,
+    Protocol,
+    alias_table,
     make_agent,
     protocol_names,
-    register_protocol,
 )
 from repro.workload.attack import AttackConfig
 
@@ -47,8 +48,11 @@ class TestRegistry:
             make_agent("gossipd", make_context(0))
 
     def test_duplicate_registration_rejected(self):
+        realtor = PROTOCOLS["realtor"]
         with pytest.raises(ValueError):
-            register_protocol("realtor", lambda ctx: None)
+            alias_table([realtor, Protocol("realtor", (), "a second realtor")])
+        with pytest.raises(ValueError):
+            alias_table([realtor, Protocol("realtor-2", ("REALTOR-100",), "")])
 
     def test_protocol_names_sorted(self):
         names = protocol_names()
@@ -80,7 +84,7 @@ def _pinned_run(protocol: str, attacked: bool):
     )
 
 
-#: every registered protocol, plain, and the six rows with parts under
+#: every protocol row, plain, and the six rows with parts under
 #: attack: a handler change that moves any message, trace record or
 #: metric fails here
 PINNED_RUNS = {
@@ -235,7 +239,7 @@ class TestSharedBehaviour:
         agent = make_agent("realtor", ctx)
         from repro.node.task import TaskOutcome
 
-        ctx.host.accept(make_task(size=88.0), TaskOutcome.LOCAL)
+        ctx.host.try_accept(make_task(size=88.0), TaskOutcome.LOCAL)
         assert agent.would_exceed_threshold(make_task(size=5.0))
         assert not agent.would_exceed_threshold(make_task(size=1.0))
 

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.kernel import Simulator
-from repro.workload.arrivals import (
-    ArrivalGenerator,
-    DeterministicArrivals,
-    PoissonArrivals,
-    TraceArrivals,
-)
+from repro.workload.arrivals import ArrivalGenerator, DeterministicArrivals, PoissonArrivals
 
 
 class TestPoisson:
@@ -46,32 +41,6 @@ class TestDeterministic:
     def test_gap_validation(self):
         with pytest.raises(ValueError):
             DeterministicArrivals(0.0)
-
-
-class TestTrace:
-    def test_replays_in_order(self):
-        proc = TraceArrivals([(1.0, 3), (2.0, 7)])
-        assert proc.next_gap() == 1.0
-        assert proc.next_origin([3, 7]) == 3
-        assert proc.next_gap() == 2.0
-        assert proc.next_origin([3, 7]) == 7
-
-    def test_exhaustion(self):
-        proc = TraceArrivals([(1.0, 0)])
-        proc.next_gap()
-        assert proc.next_gap() == float("inf")
-        assert proc.exhausted
-
-    def test_dead_origin_redirected(self):
-        proc = TraceArrivals([(1.0, 5)])
-        proc.next_gap()
-        assert proc.next_origin([4, 9]) == 4  # nearest live id
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TraceArrivals([])
-        with pytest.raises(ValueError):
-            TraceArrivals([(0.0, 1)])
 
 
 class TestGenerator:

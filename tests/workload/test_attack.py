@@ -4,51 +4,39 @@ import numpy as np
 import pytest
 
 from repro.network.faults import FaultManager, NodeState
-from repro.network.generators import paper_topology
-from repro.network.routing import Router
+from repro.network.generators import mesh, paper_topology
 from repro.sim.kernel import Simulator
-from repro.workload.attack import (
-    AttackPlan,
-    RandomFailures,
-    RegionAttack,
-    SweepAttack,
-)
+from repro.workload.attack import AttackConfig, AttackPlan
+
+
+def plan(kind="sweep", horizon=1000.0, nodes=25, seed=0, **fields):
+    topo = paper_topology() if nodes == 25 else mesh(1, nodes)
+    return AttackConfig(kind=kind, **fields).plan(topo, horizon, np.random.default_rng(seed))
 
 
 class TestSweepAttack:
-    def make(self, victims=3, recover=True):
-        return SweepAttack(
-            range(25),
-            start=100.0,
-            dwell=50.0,
-            victims=victims,
-            rng=np.random.default_rng(0),
-            recover=recover,
-        )
+    def make(self, victims=3):
+        return plan(start=100.0, dwell=50.0, victims=victims)
 
     def test_plan_structure(self):
-        plan = self.make(victims=3).plan()
+        plan = self.make(victims=3)
         assert len(plan) == 6  # compromise + recover per victim
         times = [t for t, _, _ in plan.transitions]
         assert times[0] == 100.0
 
     def test_sequential_dwell(self):
-        plan = self.make(victims=2).plan()
+        plan = self.make(victims=2)
         comps = [(t, n) for t, a, n in plan.transitions if a == "compromise"]
         assert comps[1][0] - comps[0][0] == 50.0
 
-    def test_no_recover_mode(self):
-        plan = self.make(victims=2, recover=False).plan()
-        assert all(a == "compromise" for _, a, _ in plan.transitions)
-
     def test_distinct_victims(self):
-        plan = self.make(victims=10).plan()
+        plan = self.make(victims=10)
         assert len(plan.nodes_touched) == 10
 
     def test_installs_on_fault_manager(self):
         sim = Simulator()
         faults = FaultManager(sim, paper_topology())
-        plan = self.make(victims=2).plan()
+        plan = self.make(victims=2)
         plan.install(faults)
         sim.run(until=120.0)
         compromised = [n for n in range(25) if faults.is_compromised(n)]
@@ -58,74 +46,62 @@ class TestSweepAttack:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SweepAttack(range(5), start=0.0, dwell=0.0, victims=1,
-                        rng=np.random.default_rng(0))
+            AttackConfig(kind="sweep", dwell=0.0)
         with pytest.raises(ValueError):
-            SweepAttack(range(5), start=0.0, dwell=1.0, victims=9,
-                        rng=np.random.default_rng(0))
+            AttackConfig(kind="sweep", victims=0)
+        # more victims than nodes: every node, once
+        assert len(plan(nodes=5, victims=9).nodes_touched) == 5
 
 
 class TestRegionAttack:
     def test_victims_within_radius(self):
-        router = Router(paper_topology())
-        attack = RegionAttack(router, epicentre=12, radius=1,
-                              start=10.0, duration=5.0)
-        assert attack.victims == [7, 11, 12, 13, 17]
+        attack = plan("region", epicentre=12, radius=1, start=10.0, duration=5.0)
+        assert attack.nodes_touched == [7, 11, 12, 13, 17]
 
     def test_radius_zero_only_epicentre(self):
-        router = Router(paper_topology())
-        attack = RegionAttack(router, epicentre=0, radius=0,
-                              start=0.0, duration=1.0)
-        assert attack.victims == [0]
+        attack = plan("region", epicentre=0, radius=0, start=0.0, duration=1.0)
+        assert attack.nodes_touched == [0]
 
     def test_simultaneous_compromise_and_recovery(self):
         sim = Simulator()
         topo = paper_topology()
         faults = FaultManager(sim, topo)
-        RegionAttack(Router(topo), 12, radius=1, start=10.0,
-                     duration=5.0).plan().install(faults)
+        plan("region", epicentre=12, radius=1, start=10.0, duration=5.0).install(faults)
         sim.run(until=12.0)
         assert sum(not faults.is_up(n) for n in topo.nodes()) == 5
         sim.run(until=20.0)
         assert all(faults.is_up(n) for n in topo.nodes())
 
     def test_validation(self):
-        router = Router(paper_topology())
         with pytest.raises(ValueError):
-            RegionAttack(router, 0, radius=-1, start=0.0, duration=1.0)
+            AttackConfig(kind="region", radius=-1)
+        with pytest.raises(ValueError):
+            AttackConfig(kind="region", duration=0.0)
 
 
 class TestRandomFailures:
     def test_plan_is_sorted_and_bounded(self):
-        plan = RandomFailures(
-            range(10), horizon=1000.0, mtbf=100.0, mttr=20.0,
-            rng=np.random.default_rng(0),
-        ).plan()
-        times = [t for t, _, _ in plan.transitions]
+        attack = plan("random", nodes=10, mtbf=100.0, mttr=20.0)
+        times = [t for t, _, _ in attack.transitions]
         assert times == sorted(times)
         assert all(t < 1000.0 for t in times)
-        assert len(plan) > 0
+        assert len(attack) > 0
 
     def test_crash_recover_alternate_per_node(self):
-        plan = RandomFailures(
-            [0], horizon=10_000.0, mtbf=100.0, mttr=10.0,
-            rng=np.random.default_rng(1),
-        ).plan()
-        actions = [a for _, a, n in plan.transitions if n == 0]
+        attack = plan("random", horizon=10_000.0, nodes=1, seed=1, mtbf=100.0, mttr=10.0)
+        actions = [a for _, a, n in attack.transitions if n == 0]
         for prev, cur in zip(actions, actions[1:]):
             assert prev != cur  # crash, recover, crash, ...
 
     def test_deterministic(self):
-        mk = lambda: RandomFailures(
-            range(5), horizon=500.0, mtbf=50.0, mttr=10.0,
-            rng=np.random.default_rng(7),
-        ).plan()
+        mk = lambda: plan("random", horizon=500.0, nodes=5, seed=7, mtbf=50.0, mttr=10.0)
         assert mk().transitions == mk().transitions
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RandomFailures(range(2), horizon=0.0, mtbf=1.0, mttr=1.0,
-                           rng=np.random.default_rng(0))
+            AttackConfig(kind="random", mtbf=0.0)
+        with pytest.raises(ValueError):
+            AttackConfig(kind="random", mttr=-1.0)
 
 
 class TestAttackPlan:
@@ -176,3 +152,44 @@ class TestOverlappingPlans:
         assert faults.state(0) is NodeState.CRASHED
         sim.run(until=7.0)
         assert faults.is_up(0)
+
+
+class TestPinnedPlans:
+    """One plan per kind with the stock fields on the 5x5 mesh, drawn as a
+    seed-1 run draws it: from the kernel's ``"attack"`` stream."""
+
+    PLANS = {
+        ("sweep", 1000.0): (
+            (100.0, "compromise", 1), (150.0, "recover", 1),
+            (150.0, "compromise", 14), (200.0, "recover", 14),
+            (200.0, "compromise", 0), (250.0, "recover", 0),
+            (250.0, "compromise", 5), (300.0, "recover", 5),
+            (300.0, "compromise", 6), (350.0, "recover", 6),
+        ),
+        ("region", 1000.0): (
+            (100.0, "compromise", 0), (200.0, "recover", 0),
+            (100.0, "compromise", 1), (200.0, "recover", 1),
+            (100.0, "compromise", 5), (200.0, "recover", 5),
+        ),
+        ("random", 100.0): (
+            (8.212523677312639, "crash", 13),
+            (13.364514535553539, "crash", 24),
+            (16.3572899512791, "recover", 13),
+            (18.156076007680795, "crash", 17),
+            (57.6425899338499, "crash", 9),
+            (59.22941095269554, "recover", 9),
+            (60.16091934624867, "recover", 24),
+            (64.2003830841333, "crash", 12),
+            (70.14575856378164, "crash", 6),
+            (77.63938149758116, "recover", 6),
+            (88.33246441366171, "recover", 17),
+            (88.69772331976328, "crash", 3),
+            (93.84747214682663, "crash", 7),
+        ),
+    }
+
+    @pytest.mark.parametrize("kind, horizon", list(PLANS))
+    def test_plan_is_pinned(self, kind, horizon):
+        rng = Simulator(seed=1).streams.stream("attack")
+        attack = AttackConfig(kind=kind).plan(mesh(5, 5), horizon, rng)
+        assert attack.transitions == self.PLANS[kind, horizon]
