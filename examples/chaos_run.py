@@ -8,11 +8,11 @@ protocol-hardening layer absorbing it:
 1. sanity: a run with impairments constructed-but-disabled is
    byte-identical (trace and result) to one without the chaos path at
    all, and plans no impairment verdicts;
-2. a loss-rate sweep (0-20%) under a seeded sweep attack, with HELP
-   retry/backoff and silent-migration fallback enabled, printing the
-   graceful-degradation table;
-3. determinism: the same sweep through a process pool returns identical
-   results.
+2. study B5: a loss-rate sweep (0-20%) under a seeded sweep attack,
+   with HELP retry/backoff and silent-migration fallback enabled,
+   printing the graceful-degradation table;
+3. determinism: the same study through a process pool returns
+   identical results.
 
 The script asserts its own invariants as it goes, so CI runs it as the
 chaos smoke test:
@@ -20,7 +20,7 @@ chaos smoke test:
 Run:  python examples/chaos_run.py
 """
 
-from repro.experiments.chaos import degradation_table, loss_sweep
+from repro.experiments.ablations import run_study
 from repro.experiments.config import paper_config
 from repro.experiments.runner import build_system
 from repro.network.impairments import ImpairmentConfig
@@ -53,15 +53,9 @@ def main() -> None:
         f"P(admit)={plain_res.admission_probability:.3f}, zero impairment drops\n"
     )
 
-    print("=== 2. loss-rate sweep with hardening enabled ===")
-    hardened = base.with_(
-        trace=False,
-        protocol_config=base.protocol_config.with_(help_retry_budget=2),
-        migration_retry_budget=2,
-        impairments=ImpairmentConfig(jitter=0.005, duplicate_rate=0.01),
-    )
-    rates = (0.0, 0.02, 0.05, 0.10, 0.20)
-    results = loss_sweep(hardened, rates)
+    print("=== 2. loss-rate sweep with hardening enabled (study B5) ===")
+    study = run_study("b5")
+    results = study.raw
     for rate, res in results.items():
         drops = res.extra.get("impairment_dropped", 0.0)
         recoveries = res.extra["help_retries"] + res.extra["migration_fallbacks"]
@@ -70,19 +64,19 @@ def main() -> None:
             # must be seen fighting back
             assert drops > 0, f"no drops at loss={rate}"
             assert recoveries > 0, f"no retries/fallbacks at loss={rate}"
-    worst = results[max(rates)]
+    worst = results[max(results)]
     clean = results[0.0]
     # graceful degradation, not collapse: 20% per-link loss costs
     # admission probability, but the system keeps placing tasks
     assert worst.admission_probability <= clean.admission_probability + 0.05
     assert worst.admission_probability > 0.2
-    print(degradation_table(results))
+    print(study.summary())
     print()
 
     print("=== 3. serial == parallel sweep ===")
-    par = loss_sweep(hardened, rates, parallel=True, max_workers=2)
-    assert par == results
-    print(f"{len(rates)} loss rates identical across serial and process-pool runs")
+    par = run_study("b5", parallel=True)
+    assert par.raw == results
+    print(f"{len(results)} loss rates identical across serial and process-pool runs")
 
 
 if __name__ == "__main__":

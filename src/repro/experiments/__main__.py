@@ -5,7 +5,7 @@ Usage::
     python -m repro.experiments fig5 [--horizon 10000] [--seed 1] [--parallel]
     python -m repro.experiments fig6 fig7 fig8 fig9
     python -m repro.experiments all --horizon 2000
-    python -m repro.experiments ablations               # studies A1-A8, B1-B4
+    python -m repro.experiments ablations               # studies A1-A8, B1-B5
     python -m repro.experiments a1 b4 --horizon 500 --parallel
     python -m repro.experiments all --store runs/       # resumable; re-run
     python -m repro.experiments all --store runs/       # ...is 100% cache hits

@@ -1,4 +1,4 @@
-"""Ablation studies (A1-A8, B1-B4 in DESIGN.md) as one table.
+"""Ablation studies (A1-A8, B1-B5 in DESIGN.md) as one table.
 
 The paper leaves several design choices open ("the value of alpha and
 beta are subject to the local resource manager"; the membership scope;
@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Mapping, Optional
 from typing import TYPE_CHECKING, Tuple, Union
 
 from ..analysis.report import format_table
 from ..metrics.collector import RunResult
+from ..network.impairments import ImpairmentConfig
 from ..protocols.base import ProtocolConfig
 from ..workload.attack import AttackConfig
 from ..workload.churn import ChurnConfig
@@ -31,6 +32,7 @@ from ..workload.fleet import FleetConfig
 from .config import ExperimentConfig, paper_config
 from .executor import execute_plan
 from .plan import grid_plan
+from .store import canonical_rate
 
 if TYPE_CHECKING:  # pragma: no cover
     from .store import RunStore
@@ -84,6 +86,9 @@ METRICS: Dict[str, Callable[[RunResult], object]] = {
         if r.evacuations else 1.0
     ),
     "tasks-lost": lambda r: r.lost,
+    "msgs-dropped": lambda r: r.extra.get("impairment_dropped", 0.0),
+    "help-retries": lambda r: r.extra.get("help_retries", 0.0),
+    "fallbacks": lambda r: r.extra.get("migration_fallbacks", 0.0),
 }
 
 
@@ -122,18 +127,18 @@ class Study:
         return {name: p.default for name, p in signature.parameters.items()}
 
     def table(
-        self, keys: Sequence[tuple], results: Sequence[RunResult]
+        self, results: Mapping[tuple, RunResult]
     ) -> Tuple[List[str], List[List[object]]]:
-        """Headers and rows for plan-ordered ``keys`` / ``results``."""
+        """Headers and rows for results keyed by cell, in cell order."""
         if not self.pivot:
             shown = len(self.labels)
             return [*self.labels, *self.columns], [
                 [*key[:shown], *(METRICS[c](res) for c in self.columns)]
-                for key, res in zip(keys, results)
+                for key, res in results.items()
             ]
-        series = dict.fromkeys(key[0] for key in keys)
+        series = dict.fromkeys(key[0] for key in results)
         by_rate: Dict[object, List[object]] = {}
-        for (_, rate), res in zip(keys, results):
+        for (_, rate), res in results.items():
             by_rate.setdefault(rate, [rate]).extend(
                 METRICS[metric](res) for _, metric in self.pivot
             )
@@ -353,6 +358,31 @@ def _b4_title(p: Mapping[str, object]) -> str:
             f"churn={p['churn_rate']:g}/s)")
 
 
+def _b5_cells(loss_rates=(0.0, 0.02, 0.05, 0.10, 0.20), arrival_rate=8.0,
+              horizon=250.0, seed=7, protocol="realtor", retry_budget=2):
+    """B5: graceful degradation — per-link message loss under a sweep attack.
+
+    The survivability studies attack *nodes*; this one also attacks
+    *messages*.  The same seeded sweep attack (4 victims from t=40 s,
+    25 s each) runs on a network that jitters and duplicates deliveries,
+    across per-link loss rates from a clean baseline to a harsh 20%,
+    with the hardening knobs on: HELP retry/backoff and silent-migration
+    fallback (``retry_budget`` each).  Admission should degrade
+    gracefully, not collapse, while the dropped-message, HELP-retry and
+    fallback columns show the protocol layer fighting back.
+    """
+    base = paper_config(protocol, arrival_rate, seed=seed, horizon=horizon)
+    base = base.with_(
+        attack=AttackConfig(kind="sweep", start=40.0, dwell=25.0, victims=4),
+        protocol_config=base.protocol_config.with_(help_retry_budget=retry_budget),
+        migration_retry_budget=retry_budget,
+    )
+    for loss in map(canonical_rate, loss_rates):
+        yield loss, base.with_(impairments=ImpairmentConfig(
+            loss_rate=loss, jitter=0.005, duplicate_rate=0.01,
+        ))
+
+
 _DISCOVERY = ("P(admit)", "mig-rate", "messages", "msg/task")
 
 STUDIES: Dict[str, Study] = {s.key: s for s in (
@@ -395,6 +425,11 @@ STUDIES: Dict[str, Study] = {s.key: s for s in (
           _b3_cells, ("latency-s",), ("P(admit)", "mig-rate", "response-mean")),
     Study("b4", "B4-ranking", _b4_title, _b4_cells, ("policy",),
           ("P(admit)", "mig-rate", "msg/task", "misrank", "fb-depth")),
+    Study("b5", "B5-message-loss",
+          "B5 message loss under a sweep attack (lambda={arrival_rate:g}, "
+          "retry budget {retry_budget})",
+          _b5_cells, ("loss",),
+          ("P(admit)", "tasks-lost", "msgs-dropped", "help-retries", "fallbacks")),
 )}
 
 
@@ -416,7 +451,8 @@ def run_study(
     params = {**defaults, **overrides}
     plan = grid_plan(study.plan, study.cells(**params))
     results = execute_plan(plan, store=store, parallel=parallel, force=force)
-    headers, rows = study.table(plan.keys(), results)
+    headers, rows = study.table(results)
     title = study.title
     title = title(params) if callable(title) else title.format(**params)
-    return AblationResult(title, headers, rows, plan.reduce(results))
+    raw = {key[0] if len(key) == 1 else key: res for key, res in results.items()}
+    return AblationResult(title, headers, rows, raw)

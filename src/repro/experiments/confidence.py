@@ -18,7 +18,7 @@ from ..analysis.stats import SummaryStats, proportion_ci, summarize, two_proport
 from ..metrics.collector import RunResult
 from .config import ExperimentConfig
 from .executor import execute_plan
-from .plan import confidence_plan
+from .plan import grid_plan
 from .store import canonical_rate
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,26 +66,30 @@ def confidence_sweep(
     all points at once, and with a ``store`` each replicated cell caches
     and resumes independently.
     """
-    seeds = list(seeds)
-    plan = confidence_plan(protocols, rates, base, seeds)
+    seeds = [int(seed) for seed in seeds]
+    if not seeds:
+        raise ValueError("no seeds given")
+    rates = [canonical_rate(rate) for rate in rates]
     results = execute_plan(
-        plan,
+        grid_plan("confidence", (
+            ((proto, rate, seed),
+             base.with_(protocol=proto, arrival_rate=rate, seed=seed))
+            for proto in protocols for rate in rates for seed in seeds
+        )),
         store=store,
         force=force,
         parallel=parallel,
         max_workers=max_workers,
         progress=progress,
     )
-    by_cell = iter(results)
     out: Dict[str, Dict[float, PointEstimate]] = {}
     for proto in protocols:
         out[proto] = {}
         for rate in rates:
-            runs = [next(by_cell) for _ in seeds]
-            rate_c = canonical_rate(rate)
-            out[proto][rate_c] = PointEstimate(
+            runs = [results[proto, rate, seed] for seed in seeds]
+            out[proto][rate] = PointEstimate(
                 protocol=proto,
-                arrival_rate=rate_c,
+                arrival_rate=rate,
                 summary=summarize([metric(r) for r in runs]),
                 pooled_successes=sum(r.admitted for r in runs),
                 pooled_trials=sum(r.generated for r in runs),

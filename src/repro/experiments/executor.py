@@ -1,13 +1,13 @@
 """The one executor every experiment driver runs through.
 
 :func:`execute_plan` takes an :class:`~repro.experiments.plan.ExperimentPlan`
-and returns its results in plan order, with four orthogonal behaviours
-composed on top of the bare cell loop:
+and returns its results keyed by cell key, in cell order, with four
+orthogonal behaviours composed on top of the bare cell loop:
 
 * **serial / process-pool dispatch** — runs are single-threaded pure
   Python, so processes are the right fan-out; chunked ``pool.map`` keeps
   results in submission order, so serial and parallel execution return
-  identical lists (pinned by the golden-trace equivalence tests).
+  identical mappings (pinned by the golden-trace equivalence tests).
 * **store consultation** — with a :class:`~repro.experiments.store.RunStore`,
   each cell's digest is checked first; hits skip simulation entirely and
   misses are persisted the moment they finish.  An interrupted sweep
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, NamedTuple, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..metrics.collector import RunResult
 from .plan import ExperimentPlan, PlanCell
@@ -106,8 +106,8 @@ def execute_plan(
     parallel: bool = False,
     max_workers: Optional[int] = None,
     progress: Optional["ProgressReporter"] = None,
-) -> List[RunResult]:
-    """Run ``plan`` and return results in cell order (see module docs)."""
+) -> Dict[Tuple[object, ...], RunResult]:
+    """Run ``plan``; results keyed by cell key, in cell order (see module docs)."""
     cells = plan.cells
     results: List[Optional[RunResult]] = [None] * len(cells)
     digests: List[Optional[str]] = [None] * len(cells)
@@ -161,4 +161,4 @@ def execute_plan(
         store.flush()
     if failures:
         raise CellExecutionError(failures, dumps=failure_dumps)
-    return results  # type: ignore[return-value]
+    return {cell.key: res for cell, res in zip(cells, results)}

@@ -75,7 +75,7 @@ def canonical_rate(value: float) -> float:
     Sweep grids index results by float keys, and the same mathematical
     point can arrive as ``3.0`` from a literal or ``3.0000000000000004``
     from accumulated arithmetic.  Every layer that keys on a rate — the
-    plan builders, the sweep reducers, the run-store digests — routes
+    plan builders, the drivers' result lookups, the run-store digests — routes
     the key through here, so a lookup can never miss its own result.
     Rounding to 12 decimal places erases accumulated binary noise (~4 ulp
     at magnitude 1e3) while preserving every humanly distinguishable grid
@@ -275,10 +275,6 @@ class RunStore:
             result = result_from_dict(dict(record["result"]))  # type: ignore[arg-type]
             self._results[digest] = result
         return result
-
-    def get_record(self, digest: str) -> Optional[Dict[str, object]]:
-        """The raw stored record (config + result), uncounted."""
-        return self._records.get(digest)
 
     def digests(self) -> List[str]:
         """Every stored digest, sorted (stable iteration for inspectors)."""

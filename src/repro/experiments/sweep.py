@@ -1,32 +1,30 @@
-"""Parameter sweeps over (protocol, arrival rate, seed).
+"""Parameter sweeps over (protocol, arrival rate).
 
-Both drivers here are thin plan builders: they expand to an
-:class:`~repro.experiments.plan.ExperimentPlan` and hand it to the
-shared :func:`~repro.experiments.executor.execute_plan`, which supplies
-serial/process-pool dispatch, live telemetry, and — when a
-:class:`~repro.experiments.store.RunStore` is passed — content-addressed
-caching with checkpoint/resume.
+:func:`run_sweep` expands to one :func:`~repro.experiments.plan.sweep_plan`
+and hands it to the shared :func:`~repro.experiments.executor.execute_plan`,
+which supplies serial/process-pool dispatch, live telemetry, and — when
+a :class:`~repro.experiments.store.RunStore` is passed — content-addressed
+caching with checkpoint/resume.  Replications across seeds are
+:func:`~repro.experiments.confidence.confidence_sweep`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, Optional, Sequence, TYPE_CHECKING
 
 from ..metrics.collector import RunResult
-from ..analysis.stats import summarize
 from .config import ExperimentConfig
 from .executor import execute_plan
-from .plan import replication_plan, sweep_plan
+from .plan import sweep_plan
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.telemetry import ProgressReporter
     from .store import RunStore
 
-__all__ = ["run_sweep", "run_replications", "SweepResults"]
+__all__ = ["run_sweep", "SweepResults"]
 
-#: results keyed [protocol][arrival_rate] -> RunResult (single seed) or
-#: list of RunResults (replications); rate keys are canonical
-#: (:func:`~repro.experiments.store.canonical_rate`)
+#: results keyed [protocol][arrival_rate] -> RunResult; rate keys are
+#: canonical (:func:`~repro.experiments.store.canonical_rate`)
 SweepResults = Dict[str, Dict[float, RunResult]]
 
 
@@ -55,40 +53,15 @@ def run_sweep(
     persisted as they finish, and ``force`` re-runs everything while
     refreshing the store.
     """
-    plan = sweep_plan(protocols, rates, base)
     results = execute_plan(
-        plan,
+        sweep_plan(protocols, rates, base),
         store=store,
         force=force,
         parallel=parallel,
         max_workers=max_workers,
         progress=progress,
     )
-    return plan.reduce(results)  # type: ignore[return-value]
-
-
-def run_replications(
-    cfg: ExperimentConfig,
-    seeds: Iterable[int],
-    *,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
-    progress: Optional["ProgressReporter"] = None,
-    store: Optional["RunStore"] = None,
-    force: bool = False,
-) -> List[RunResult]:
-    """Independent replications of one configuration across seeds."""
-    plan = replication_plan(cfg, seeds)
-    return execute_plan(
-        plan,
-        store=store,
-        force=force,
-        parallel=parallel,
-        max_workers=max_workers,
-        progress=progress,
-    )
-
-
-def replication_summary(results: Sequence[RunResult], confidence: float = 0.95):
-    """Admission-probability summary across replications (mean ± hw)."""
-    return summarize([r.admission_probability for r in results], confidence)
+    out: SweepResults = {proto: {} for proto in protocols}
+    for (proto, rate), res in results.items():
+        out[proto][rate] = res
+    return out

@@ -99,9 +99,6 @@ class FaultManager:
         """
         return self._states.get(node) is not NodeState.CRASHED
 
-    def is_compromised(self, node: NodeId) -> bool:
-        return self._states.get(node) is NodeState.COMPROMISED
-
     def up_nodes(self) -> List[NodeId]:
         """Sorted ids of fully-operational nodes (amortised O(1)).
 
@@ -197,25 +194,6 @@ class FaultManager:
         self.sim.trace.emit(self.sim.now, "fault", node=node, state=state.value)
         for fn in self._observers:
             fn(node, state)
-
-    # Scheduling helpers ------------------------------------------------------
-
-    def schedule_crash(self, time: float, node: NodeId) -> None:
-        self.sim.at(time, self.crash, node)
-
-    def schedule_compromise(self, time: float, node: NodeId) -> None:
-        self.sim.at(time, self.compromise, node)
-
-    def schedule_recover(self, time: float, node: NodeId) -> None:
-        self.sim.at(time, self.recover, node)
-
-    def schedule_window(
-        self, start: float, end: float, node: NodeId,
-        state: NodeState = NodeState.COMPROMISED,
-    ) -> None:
-        """Schedule one refcounted down-window ``[start, end)``."""
-        self.sim.at(start, self.hold_down, node, state)
-        self.sim.at(end, self.release_down, node)
 
     # Observation ---------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 Multi-hour sweeps used to be silent until the final table.  A
 :class:`ProgressReporter` threaded into
-:func:`repro.experiments.sweep.run_sweep` (or ``run_replications``)
+:func:`repro.experiments.sweep.run_sweep` (or ``confidence_sweep``)
 prints one line per completed run — runs done / total, elapsed, ETA —
 plus per-protocol rolling summaries of message rate and loss rate, the
 two quantities the paper's figures track.  ``python -m repro.experiments

@@ -132,7 +132,7 @@ class TestRankingAblation:
 class TestStudiesTable:
     """Every row of STUDIES, at its default axis."""
 
-    #: the 83 default-parameter (plan, key, digest) triples that stores
+    #: the 88 default-parameter (plan, key, digest) triples that stores
     #: written so far are keyed by; a moved digest orphans their records
     RECORDED = json.loads(
         (Path(__file__).parent / "data" / "study_digests.json").read_text()
@@ -140,7 +140,8 @@ class TestStudiesTable:
 
     def test_rows_are_well_formed(self):
         assert list(STUDIES) == [
-            "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "b1", "b2", "b3", "b4",
+            "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8",
+            "b1", "b2", "b3", "b4", "b5",
         ]
         for key, study in STUDIES.items():
             assert study.key == key

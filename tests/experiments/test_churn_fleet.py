@@ -96,8 +96,9 @@ class TestChurnDeterminism:
         )
         serial = execute_plan(plan)
         parallel = execute_plan(plan, parallel=True, max_workers=2)
-        assert [dataclasses.asdict(r) for r in serial] == [
-            dataclasses.asdict(r) for r in parallel
+        assert list(serial) == list(parallel)
+        assert [dataclasses.asdict(r) for r in serial.values()] == [
+            dataclasses.asdict(r) for r in parallel.values()
         ]
 
     def test_churn_accounting_balances(self):
@@ -130,7 +131,7 @@ class TestRankingGrid:
             for policy in ("headroom", "composite")
             for rate in (6.0, 9.0)
         ])
-        results = plan.reduce(execute_plan(plan))
+        results = execute_plan(plan)
         assert list(results) == [
             ("headroom", 6.0), ("headroom", 9.0), ("composite", 6.0), ("composite", 9.0),
         ]
@@ -144,6 +145,6 @@ class TestRankingGrid:
             "fleet",
             [("uniform", base), ("hetero", base.with_(fleet=FleetConfig.heterogeneous()))],
         )
-        results = plan.reduce(execute_plan(plan))
-        assert "fleet_capacity_cv" not in results["uniform"].extra
-        assert results["hetero"].extra["fleet_capacity_cv"] > 0.0
+        results = execute_plan(plan)
+        assert "fleet_capacity_cv" not in results["uniform",].extra
+        assert results["hetero",].extra["fleet_capacity_cv"] > 0.0

@@ -86,7 +86,9 @@ class TestCli:
 
     def test_ablations_expands(self):
         targets = cli.expand_targets(["ablations"])
-        assert set(targets) == {"a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "b1", "b2", "b3", "b4"}
+        assert set(targets) == {
+            "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "b1", "b2", "b3", "b4", "b5",
+        }
 
     def test_expand_targets_mixes_and_rejects(self):
         assert cli.expand_targets(["A5", "fig9", "b4"]) == ["a5", "fig9", "b4"]
@@ -114,4 +116,4 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli.main(["--help"])
         out = " ".join(capsys.readouterr().out.split())
-        assert "a1 a2 a3 a4 a5 a6 a7 a8 b1 b2 b3 b4 | all | ablations" in out
+        assert "a1 a2 a3 a4 a5 a6 a7 a8 b1 b2 b3 b4 b5 | all | ablations" in out

@@ -2,13 +2,10 @@
 
 import pytest
 
+from repro.experiments.confidence import confidence_sweep
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.plan import (
-    confidence_plan,
-    grid_plan,
-    replication_plan,
-    sweep_plan,
-)
+from repro.experiments.executor import execute_plan
+from repro.experiments.plan import ExperimentPlan, PlanCell, grid_plan, sweep_plan
 from repro.experiments.runner import run_experiment
 from repro.experiments.sweep import run_sweep
 from repro.experiments.store import canonical_rate, result_to_canonical_json
@@ -19,7 +16,7 @@ BASE = ExperimentConfig(horizon=120.0, arrival_rate=5.0)
 class TestSweepPlan:
     def test_expansion_order_is_protocol_major(self):
         plan = sweep_plan(["realtor", "push-1"], [2.0, 6.0], BASE)
-        assert plan.keys() == [
+        assert [cell.key for cell in plan] == [
             ("realtor", 2.0), ("realtor", 6.0),
             ("push-1", 2.0), ("push-1", 6.0),
         ]
@@ -36,15 +33,23 @@ class TestSweepPlan:
         assert plan.cells[0].config.arrival_rate == 3.0
 
     def test_reduce_shapes_sweep_results(self):
-        plan = sweep_plan(["realtor", "push-1"], [2.0], BASE)
-        fake = [object(), object()]
-        out = plan.reduce(fake)
-        assert out == {"realtor": {2.0: fake[0]}, "push-1": {2.0: fake[1]}}
+        """``execute_plan`` keys results by cell, in cell order, and
+        ``run_sweep`` nests them ``[protocol][rate]``."""
+        base = BASE.with_(horizon=40.0)
+        plan = sweep_plan(["realtor", "push-1"], [2.0], base)
+        results = execute_plan(plan)
+        assert list(results) == [("realtor", 2.0), ("push-1", 2.0)]
+        assert run_sweep(["realtor", "push-1"], [2.0], base) == {
+            "realtor": {2.0: results["realtor", 2.0]},
+            "push-1": {2.0: results["push-1", 2.0]},
+        }
 
     def test_reduce_rejects_wrong_cardinality(self):
-        plan = sweep_plan(["realtor"], [2.0, 6.0], BASE)
-        with pytest.raises(ValueError):
-            plan.reduce([object()])
+        """A rate given twice (``5`` and ``5.0`` are one canonical rate)
+        is refused at construction instead of simulated twice and kept
+        once."""
+        with pytest.raises(ValueError, match=r"duplicate cell key \('realtor', 5.0\)"):
+            sweep_plan(["realtor"], [5, 5.0], BASE)
 
     def test_matches_handrolled_fanout(self):
         """The refactor pin: plan-executed sweeps equal the inline loops."""
@@ -60,14 +65,18 @@ class TestSweepPlan:
 
 
 class TestReplicationPlan:
+    """Replications are the seed axis of ``confidence_sweep``'s grid."""
+
     def test_one_cell_per_seed(self):
-        plan = replication_plan(BASE, seeds=[3, 1, 2])
-        assert plan.keys() == [(3,), (1,), (2,)]
-        assert [c.config.seed for c in plan] == [3, 1, 2]
+        est = confidence_sweep(
+            ["realtor"], [5.0], BASE.with_(horizon=40.0), seeds=[3, 1, 2]
+        )["realtor"][5.0]
+        assert [r.params["seed"] for r in est.runs] == [3, 1, 2]
+        assert est.summary.n == 3
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
-            replication_plan(BASE, seeds=[])
+            confidence_sweep(["realtor"], [5.0], BASE, seeds=[])
 
 
 class TestGridPlan:
@@ -86,22 +95,34 @@ class TestGridPlan:
             grid_plan("g", [("a", BASE, AttackConfig(victims=2))])
 
     def test_reduce_unwraps_scalar_keys(self):
-        plan = grid_plan("g", [("a", BASE), (("b", 1), BASE)])
-        out = plan.reduce([1, 2])
-        assert out == {"a": 1, ("b", 1): 2}
+        """A scalar key and its 1-tuple are one cell key: given twice,
+        the plan refuses them, whichever way each was spelled."""
+        with pytest.raises(ValueError, match="duplicate cell key"):
+            grid_plan("x", [(1, BASE), (1, BASE.with_(seed=2))])
+        with pytest.raises(ValueError, match=r"plan 'x' .* \('a',\)"):
+            grid_plan("x", [("a", BASE), (("a",), BASE)])
+        with pytest.raises(ValueError, match="duplicate cell key"):
+            ExperimentPlan("x", (PlanCell((1,), BASE), PlanCell((1,), BASE)))
 
 
 class TestConfidencePlan:
     def test_full_grid(self):
-        plan = confidence_plan(["realtor", "push-1"], [2.0, 6.0], BASE, [1, 2])
-        assert len(plan) == 8
-        assert plan.cells[0].key == ("realtor", 2.0, 1)
-        assert plan.cells[-1].key == ("push-1", 6.0, 2)
-        assert plan.cells[-1].config.seed == 2
+        """The (protocol × rate × seed) grid is one plan: every cell is
+        keyed, and each point groups its own seeds' runs."""
+        out = confidence_sweep(
+            ["realtor", "push-1"], [2.0, 6.0], BASE.with_(horizon=40.0), seeds=[1, 2]
+        )
+        assert {p: list(pts) for p, pts in out.items()} == {
+            "realtor": [2.0, 6.0], "push-1": [2.0, 6.0],
+        }
+        last = out["push-1"][6.0]
+        assert [r.params["seed"] for r in last.runs] == [1, 2]
+        assert all(r.params["protocol"] == "push-1" for r in last.runs)
+        assert all(r.params["lambda"] == 6.0 for r in last.runs)
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
-            confidence_plan(["realtor"], [2.0], BASE, [])
+            confidence_sweep(["realtor"], [2.0], BASE, seeds=[])
 
 
 class TestCanonicalRate:

@@ -2,12 +2,9 @@
 
 import pytest
 
+from repro.experiments.confidence import confidence_sweep
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.sweep import (
-    replication_summary,
-    run_replications,
-    run_sweep,
-)
+from repro.experiments.sweep import run_sweep
 
 
 BASE = ExperimentConfig(horizon=150.0, arrival_rate=5.0)
@@ -43,17 +40,20 @@ class TestRunSweep:
 
 
 class TestReplications:
+    """Replications of one configuration: ``confidence_sweep`` at one point."""
+
     def test_seeds_produce_independent_runs(self):
-        runs = run_replications(BASE.with_(arrival_rate=7.0), seeds=[1, 2, 3])
+        runs = confidence_sweep(["realtor"], [7.0], BASE, seeds=[1, 2, 3])[
+            "realtor"][7.0].runs
         assert len(runs) == 3
         assert len({r.generated for r in runs}) > 1
 
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValueError):
-            run_replications(BASE, seeds=[])
+            confidence_sweep(["realtor"], [5.0], BASE, seeds=[])
 
     def test_summary_over_replications(self):
-        runs = run_replications(BASE.with_(arrival_rate=7.0), seeds=range(4))
-        s = replication_summary(runs)
+        s = confidence_sweep(["realtor"], [7.0], BASE, seeds=range(4))[
+            "realtor"][7.0].summary
         assert s.n == 4
         assert 0.5 < s.mean <= 1.0

@@ -57,8 +57,8 @@ class TestGossipUnderChurn:
         )
         system = build_system(cfg)
         for t, node in ((50.0, 3), (100.0, 7), (150.0, 11)):
-            system.faults.schedule_crash(t, node)
-            system.faults.schedule_recover(t + 40.0, node)
+            system.sim.at(t, system.faults.crash, node)
+            system.sim.at(t + 40.0, system.faults.recover, node)
         system.run()
         res = system.result()
         assert res.admission_probability > 0.9
@@ -76,7 +76,7 @@ class TestHierarchyUnderAttack:
         agent0 = system.agents[0]
         gi = agent0.directory.group_of(0)
         gateway = agent0.directory.gateway(gi)
-        system.faults.schedule_compromise(50.0, gateway)
+        system.sim.at(50.0, system.faults.compromise, gateway)
         system.run()
         res = system.result()
         # the system keeps running and keeps admitting
@@ -92,7 +92,7 @@ class TestHierarchyUnderAttack:
         directory = system.agents[0].directory
         for gi in range(len(directory)):
             for node in directory.groups[gi]:
-                system.faults.schedule_compromise(50.0, node)
+                system.sim.at(50.0, system.faults.compromise, node)
         system.run()  # must not raise: gateway lookup returns None
         system.metrics.tasks.check_conservation()
 

@@ -99,8 +99,8 @@ class TestRandomFailures:
         # scratch: pledge traffic resumes within one help round
         cfg = paper_config("realtor", 7.0, horizon=400.0, seed=4)
         system = build_system(cfg)
-        system.faults.schedule_crash(100.0, 12)
-        system.faults.schedule_recover(150.0, 12)
+        system.sim.at(100.0, system.faults.crash, 12)
+        system.sim.at(150.0, system.faults.recover, 12)
         system.run()
         agent = system.agents[12]
         # view survives or rebuilds; the node continues to operate

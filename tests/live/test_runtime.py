@@ -198,9 +198,10 @@ class TestTaskLifetime:
         rt = LiveRuntime(cfg)
         faults = rt.system.faults
         for i, node in enumerate((4, 1, 7, 3)):  # compromised: they evacuate
-            faults.schedule_window(60.0 + 40.0 * i, 80.0 + 40.0 * i, node)
-        faults.schedule_crash(230.0, 5)  # crashed: its residents are lost
-        faults.schedule_recover(240.0, 5)
+            rt.sim.at(60.0 + 40.0 * i, faults.hold_down, node)
+            rt.sim.at(80.0 + 40.0 * i, faults.release_down, node)
+        rt.sim.at(230.0, faults.crash, 5)  # crashed: its residents are lost
+        rt.sim.at(240.0, faults.recover, 5)
 
         first, seen = {}, []
         settle, admitted = rt.metrics._settle, rt.metrics.task_admitted
@@ -247,7 +248,8 @@ class TestTaskLifetime:
         cfg = LiveConfig(nodes=9, arrival_rate=1.4, horizon=300.0, seed=11)
         rt = LiveRuntime(cfg)
         for i, node in enumerate((4, 1, 7, 3)):
-            rt.system.faults.schedule_window(60.0 + 40.0 * i, 80.0 + 40.0 * i, node)
+            rt.sim.at(60.0 + 40.0 * i, rt.system.faults.hold_down, node)
+            rt.sim.at(80.0 + 40.0 * i, rt.system.faults.release_down, node)
         moves, evacuation = [], rt.metrics.evacuation
 
         def checked_evacuation(task, success):

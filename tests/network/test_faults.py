@@ -7,6 +7,12 @@ from repro.network.generators import mesh, paper_topology
 from repro.sim.kernel import Simulator
 
 
+def _window(sim, faults, start, end, node):
+    """One refcounted down-window ``[start, end)`` on ``node``."""
+    sim.at(start, faults.hold_down, node)
+    sim.at(end, faults.release_down, node)
+
+
 @pytest.fixture
 def fm():
     sim = Simulator()
@@ -31,7 +37,7 @@ class TestTransitions:
     def test_compromise_marks_not_up(self, fm):
         _, faults = fm
         faults.compromise(4)
-        assert faults.is_compromised(4)
+        assert faults.state(4) is NodeState.COMPROMISED
         assert not faults.is_up(4)
 
     def test_redundant_transition_is_noop(self, fm):
@@ -67,8 +73,8 @@ class TestTransitions:
 
     def test_scheduled_transitions(self, fm):
         sim, faults = fm
-        faults.schedule_crash(10.0, 1)
-        faults.schedule_recover(20.0, 1)
+        sim.at(10.0, faults.crash, 1)
+        sim.at(20.0, faults.recover, 1)
         sim.run(until=15.0)
         assert not faults.is_up(1)
         sim.run(until=25.0)
@@ -128,7 +134,7 @@ class TestDownWindows:
     def test_hold_and_release(self, fm):
         _, faults = fm
         faults.hold_down(3)
-        assert faults.is_compromised(3)
+        assert faults.state(3) is NodeState.COMPROMISED
         assert faults.holds(3) == 1
         faults.release_down(3)
         assert faults.is_up(3)
@@ -159,17 +165,17 @@ class TestDownWindows:
 
     def test_schedule_window(self, fm):
         sim, faults = fm
-        faults.schedule_window(1.0, 3.0, 4)
+        _window(sim, faults, 1.0, 3.0, 4)
         sim.run(until=2.0)
-        assert faults.is_compromised(4)
+        assert faults.state(4) is NodeState.COMPROMISED
         sim.run(until=5.0)
         assert faults.is_up(4)
 
     def test_overlapping_scheduled_windows(self, fm):
         # [1, 4) and [2, 6): node must stay down through t=4
         sim, faults = fm
-        faults.schedule_window(1.0, 4.0, 4)
-        faults.schedule_window(2.0, 6.0, 4)
+        _window(sim, faults, 1.0, 4.0, 4)
+        _window(sim, faults, 2.0, 6.0, 4)
         sim.run(until=5.0)
         assert not faults.is_up(4)
         sim.run(until=7.0)

@@ -30,12 +30,7 @@ class TestFaultInjection:
         )
         system = build_system(cfg)
         for time, action, node in actions:
-            if action == "crash":
-                system.faults.schedule_crash(time, node)
-            elif action == "compromise":
-                system.faults.schedule_compromise(time, node)
-            else:
-                system.faults.schedule_recover(time, node)
+            system.sim.at(time, getattr(system.faults, action), node)
         system.run()
         res = system.result()
         # generated tasks are admitted or rejected; lost <= admitted
@@ -51,7 +46,7 @@ class TestFaultInjection:
         )
         system = build_system(cfg)
         for time, action, node in actions:
-            getattr(system.faults, f"schedule_{action}")(time, node)
+            system.sim.at(time, getattr(system.faults, action), node)
         system.run()
         for nid, host in system.hosts.items():
             if system.faults.state(nid).value == "crashed":
@@ -67,7 +62,7 @@ class TestFaultInjection:
         sim = Simulator()
         faults = FaultManager(sim, mesh(3, 3))
         for time, action, node in actions:
-            getattr(faults, f"schedule_{action}")(time, node)
+            sim.at(time, getattr(faults, action), node)
         sim.run()
         for node in range(9):
             state = faults.state(node)

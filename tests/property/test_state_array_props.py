@@ -136,7 +136,7 @@ class TestSystemWideMirror:
         state = system.state
         assert state is not None
         for time, action, node in actions:
-            getattr(system.faults, f"schedule_{action}")(time, node)
+            system.sim.at(time, getattr(system.faults, action), node)
         system.run()
         now = system.sim.now
         backlog, usage, headroom, available = state.snapshot_columns(now)

@@ -7,8 +7,8 @@ the determinism contract of :mod:`tests.sim.test_golden_trace`:
 * identical seeds => bit-identical traces and results, for every attack
   type with impairments enabled,
 * a disabled impairment config is indistinguishable from none at all,
-* the loss sweep returns identical results serially and through the
-  process pool.
+* the loss sweep (study B5) returns identical results serially and
+  through the process pool.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.chaos import loss_sweep
+from repro.experiments.ablations import run_study
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system
 from repro.network.impairments import ImpairmentConfig
@@ -94,15 +94,13 @@ class TestDisabledImpairmentsIdentity:
 
 class TestChaosSweepEquivalence:
     def test_loss_sweep_serial_vs_parallel(self):
-        base = ExperimentConfig(
-            protocol="realtor", arrival_rate=6.0, horizon=100.0, seed=3,
-            attack=AttackConfig(kind="sweep", start=20.0, dwell=15.0, victims=4),
+        params = dict(
+            loss_rates=(0.0, 0.05, 0.15), arrival_rate=6.0, horizon=100.0, seed=3,
         )
-        rates = (0.0, 0.05, 0.15)
-        serial = loss_sweep(base, rates, parallel=False)
-        parallel = loss_sweep(base, rates, parallel=True, max_workers=2)
-        assert set(serial) == set(parallel)
-        for rate in rates:
+        serial = run_study("b5", parallel=False, **params).raw
+        parallel = run_study("b5", parallel=True, **params).raw
+        assert list(serial) == list(parallel) == [0.0, 0.05, 0.15]
+        for rate in serial:
             assert _fields(serial[rate]) == _fields(parallel[rate]), (
                 f"loss={rate} differs serial vs parallel"
             )

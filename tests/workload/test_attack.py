@@ -39,7 +39,9 @@ class TestSweepAttack:
         plan = self.make(victims=2)
         plan.install(faults)
         sim.run(until=120.0)
-        compromised = [n for n in range(25) if faults.is_compromised(n)]
+        compromised = [
+            n for n in range(25) if faults.state(n) is NodeState.COMPROMISED
+        ]
         assert len(compromised) == 1  # first victim active, not yet recovered
         sim.run(until=1000.0)
         assert all(faults.is_up(n) for n in range(25))
