@@ -14,10 +14,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 LIVE = ["-m", "repro.live", "--nodes", "25", "--rate", "5", "--duration", "800",
         "--time-scale", "400", "--no-series"]  # the benchmark's load: messages flow
-# these re-run fig9, figs 5-8 and A3 at long horizons: nothing new, twice the time
-SKIP = {"agile_cluster.py", "protocol_comparison.py", "scaling_study.py"}
+# left out for time: long re-runs of fig9, figs 5-8 and A3, then three adding <= 1 line each
+SKIP = {"agile_cluster.py", "protocol_comparison.py", "scaling_study.py",
+        "dynamic_overlay.py", "live_metrics.py", "store_resume.py"}
 ARGS = {"churn_fleet_run.py": ["{tmp}/churn.json"], "inspect_run.py": ["{tmp}/i", "{tmp}/i.txt"],
-        "observe_run.py": ["{tmp}/o.jsonl"], "store_resume.py": ["{tmp}/r"]}
+        "observe_run.py": ["{tmp}/o.jsonl"]}
 COMMANDS = [
     ["-m", "repro.experiments", "all", "--horizon", "60", "--store", "{tmp}/s", "--chart",
      "--observe"],
