@@ -57,7 +57,9 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument("--horizon", type=float, default=None,
                         help="simulated seconds per run (default: each row's own; "
                              "10000 for Figures 5-8)")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed of every run (default: each row's own; "
+                             "1 for the figures)")
     parser.add_argument("--parallel", action="store_true",
                         help="fan runs out over a process pool")
     parser.add_argument("--store", metavar="DIR", default=None,
@@ -91,8 +93,10 @@ def main(argv: List[str] = None) -> int:
         parser.error("--resume/--force need --store DIR")
     store = RunStore(args.store) if args.store else None
 
-    # every row keeps its own default horizon unless one is given
+    # every row keeps its own default horizon and seed unless one is given
     horizon = {} if args.horizon is None else {"horizon": args.horizon}
+    seed = {} if args.seed is None else {"seed": args.seed}
+    figure_seed = seed.get("seed", 1)
     run = dict(parallel=args.parallel, store=store, force=args.force)
 
     failed = False
@@ -107,7 +111,7 @@ def main(argv: List[str] = None) -> int:
         progress = ProgressReporter(total=len(row.protocols) * len(row.rates))
         sweeps[paper_sweep] = paper_sweep(
             list(row.rates), row.protocols, args.horizon or row.horizon,
-            args.seed, None, progress=progress, **run,
+            figure_seed, None, progress=progress, **run,
         )
         print(progress.summary(), file=sys.stderr)
 
@@ -115,12 +119,12 @@ def main(argv: List[str] = None) -> int:
         if target in FIGURES:
             source = FIGURES[target].cells
             result = run_figure(
-                target, seed=args.seed, raw=sweeps.get(source), **horizon, **run
+                target, seed=figure_seed, raw=sweeps.get(source), **horizon, **run
             )
             sweeps.setdefault(source, result.raw)
             failed |= not result.all_passed
         else:
-            result = run_study(target, seed=args.seed, **horizon, **run)
+            result = run_study(target, **seed, **horizon, **run)
         print(result.summary())
         if args.chart and target in FIGURES:
             print()

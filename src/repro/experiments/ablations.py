@@ -359,7 +359,7 @@ def _b4_title(p: Mapping[str, object]) -> str:
 
 
 def _b5_cells(loss_rates=(0.0, 0.02, 0.05, 0.10, 0.20), arrival_rate=8.0,
-              horizon=250.0, seed=7, protocol="realtor", retry_budget=2):
+              horizon=250.0, seed=7, protocol="realtor"):
     """B5: graceful degradation — per-link message loss under a sweep attack.
 
     The survivability studies attack *nodes*; this one also attacks
@@ -367,15 +367,15 @@ def _b5_cells(loss_rates=(0.0, 0.02, 0.05, 0.10, 0.20), arrival_rate=8.0,
     25 s each) runs on a network that jitters and duplicates deliveries,
     across per-link loss rates from a clean baseline to a harsh 20%,
     with the hardening knobs on: HELP retry/backoff and silent-migration
-    fallback (``retry_budget`` each).  Admission should degrade
+    fallback (budget 2 each).  Admission should degrade
     gracefully, not collapse, while the dropped-message, HELP-retry and
     fallback columns show the protocol layer fighting back.
     """
     base = paper_config(protocol, arrival_rate, seed=seed, horizon=horizon)
     base = base.with_(
         attack=AttackConfig(kind="sweep", start=40.0, dwell=25.0, victims=4),
-        protocol_config=base.protocol_config.with_(help_retry_budget=retry_budget),
-        migration_retry_budget=retry_budget,
+        protocol_config=base.protocol_config.with_(help_retry_budget=2),
+        migration_retry_budget=2,
     )
     for loss in map(canonical_rate, loss_rates):
         yield loss, base.with_(impairments=ImpairmentConfig(
@@ -427,7 +427,7 @@ STUDIES: Dict[str, Study] = {s.key: s for s in (
           ("P(admit)", "mig-rate", "msg/task", "misrank", "fb-depth")),
     Study("b5", "B5-message-loss",
           "B5 message loss under a sweep attack (lambda={arrival_rate:g}, "
-          "retry budget {retry_budget})",
+          "retry budgets 2)",
           _b5_cells, ("loss",),
           ("P(admit)", "tasks-lost", "msgs-dropped", "help-retries", "fallbacks")),
 )}

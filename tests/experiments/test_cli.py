@@ -112,6 +112,22 @@ class TestCli:
         assert cli.main(argv + ["--force"]) == 0
         assert "4 written" in capsys.readouterr().err
 
+    def test_studies_keep_their_own_seed_unless_one_is_given(self, capsys,
+                                                              monkeypatch):
+        # B5's default seed is 7; only an explicit --seed may replace it
+        from repro.experiments import ablations as ab
+
+        seen = []
+
+        def tiny(key, **kw):
+            seen.append(kw)
+            return ab.run_study(key, loss_rates=(0.0,), horizon=50.0)
+
+        monkeypatch.setattr(cli, "run_study", tiny)
+        assert cli.main(["b5"]) == 0
+        assert cli.main(["b5", "--seed", "3"]) == 0
+        assert "seed" not in seen[0] and seen[1]["seed"] == 3
+
     def test_help_lists_every_study(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["--help"])

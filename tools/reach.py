@@ -3,8 +3,8 @@
 
 ``python tools/reach.py [--unreached]`` runs each of ``COMMANDS`` serially (pool
 workers are not traced) under a stdlib ``sys.settrace`` tracer and prints the
-share of named functions under ``src/repro`` entered, and of their executable
-body lines run; ``--unreached`` also lists the functions never entered.
+share of named functions under ``src/repro`` entered and of their executable body
+lines run; ``--unreached`` lists those never entered.  Needs Python 3.11.
 """
 
 import inspect, json, os, runpy, subprocess, sys, tempfile, time
@@ -51,7 +51,7 @@ def trace(out: str, argv: list) -> None:
     try:
         (runpy.run_module(argv[1], run_name="__main__", alter_sys=True) if argv[0] == "-m"
          else runpy.run_path(argv[0], run_name="__main__"))
-    except SystemExit:
+    except SystemExit:  # a failed check still ran its code; any other exception fails
         pass
     finally:
         sys.settrace(None)
@@ -79,8 +79,8 @@ def main(unreached: bool) -> None:
             subprocess.run([sys.executable, __file__, "--trace", out,
                             *(arg.format(tmp=tmp) for arg in command)],
                            env={**os.environ, "PYTHONPATH": str(SRC)}, cwd=tmp,
-                           stdout=subprocess.DEVNULL)
-            first, lines = json.loads(Path(out).read_text())  # missing: the child crashed
+                           stdout=subprocess.DEVNULL, check=True)
+            first, lines = json.loads(Path(out).read_text())
             entered |= set(map(tuple, first))
             ran |= set(map(tuple, lines))
             print(f"{time.perf_counter() - start:6.1f} s  {' '.join(command)}", file=sys.stderr)
