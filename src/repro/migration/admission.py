@@ -161,10 +161,3 @@ class AdmissionControl:
             return False
         task.migrations += 1
         return True
-
-    @property
-    def grant_rate(self) -> float:
-        """Observed fraction of remote requests granted (diagnostics)."""
-        if self.requests_received == 0:
-            return 0.0
-        return self.requests_granted / self.requests_received

@@ -11,7 +11,7 @@ from .generators import (
     star,
     torus,
 )
-from .routing import Router, bfs_distances, shortest_path
+from .routing import Router, bfs_distances
 from .topology import Link, NodeId, Topology
 from .transport import CostModel, Delivery, Transport, UnicastCostMode
 
@@ -29,7 +29,6 @@ __all__ = [
     "torus",
     "Router",
     "bfs_distances",
-    "shortest_path",
     "Link",
     "NodeId",
     "Topology",

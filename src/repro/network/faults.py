@@ -167,8 +167,8 @@ class FaultManager:
         return self._holds.get(node, 0)
 
     def fail_link(self, u: NodeId, v: NodeId) -> None:
-        """Remove a link from the live overlay (kept in ``topo``; routing
-        sees the removal through :meth:`live_topology`)."""
+        """Remove a link from the live overlay (kept in ``topo``; the
+        transport sees the removal through :meth:`link_up`)."""
         if not self.topo.has_link(u, v):
             raise KeyError(f"no such link: {(u, v)}")
         self._down_links.add((u, v) if u <= v else (v, u))
@@ -199,14 +199,6 @@ class FaultManager:
 
     def on_change(self, fn: Callable[[NodeId, NodeState], None]) -> None:
         self._observers.append(fn)
-
-    def live_topology(self) -> Topology:
-        """Topology induced by UP nodes minus failed links."""
-        sub = self.topo.subgraph(self.up_nodes())
-        for u, v in list(sub.links()):
-            if not self.link_up(u, v):
-                sub.remove_link(u, v)
-        return sub
 
     def downtime_fraction(self, horizon: float, node: Optional[NodeId] = None) -> float:
         """Fraction of ``[0, horizon]`` the node (or mean over all nodes)

@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from .routing import bfs_distances
 from .topology import Topology
 
 __all__ = [
@@ -151,7 +152,7 @@ def random_regularish(
             else:
                 ok = False
                 break
-        if ok and topo.is_connected():
+        if ok and len(bfs_distances(topo, 0)) == n:
             return topo
     raise RuntimeError(
         f"failed to build a connected degree-{degree} graph on {n} nodes "

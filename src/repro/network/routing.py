@@ -14,9 +14,9 @@ Two oracles live here:
   per-source distance rows are computed on demand (a numpy-backed BFS
   frontier expansion) and cached.  Building a Router costs O(V+E), not
   O(V·(V+E)) — the property that makes per-liveness-epoch routers viable
-  on 2.5k–10k-node overlays.  Network-wide aggregates (mean shortest
-  path, diameter) are computed in one all-sources sweep the first time
-  they are asked for, without materialising the O(V²) matrix.
+  on 2.5k–10k-node overlays.  The mean shortest path is computed in one
+  all-sources sweep the first time it is asked for, without
+  materialising the O(V²) matrix.
 * :class:`EagerRouter` — the original all-pairs oracle, kept as the
   executable specification.  It precomputes the dense distance matrix on
   first query; property tests pin the lazy Router observationally
@@ -27,13 +27,13 @@ Two oracles live here:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from .topology import NodeId, Topology
 
-__all__ = ["Router", "EagerRouter", "bfs_distances", "shortest_path"]
+__all__ = ["Router", "EagerRouter", "bfs_distances"]
 
 UNREACHABLE = -1
 
@@ -58,30 +58,6 @@ def bfs_distances(topo: Topology, source: NodeId) -> Dict[NodeId, int]:
                 dist[nxt] = d
                 dq.append(nxt)
     return dist
-
-
-def shortest_path(topo: Topology, source: NodeId, dest: NodeId) -> Optional[List[NodeId]]:
-    """One shortest node path ``source..dest`` (deterministic: smallest-id
-    predecessor wins), or ``None`` if unreachable."""
-    if not topo.has_node(source) or not topo.has_node(dest):
-        raise KeyError("endpoint not in topology")
-    if source == dest:
-        return [source]
-    parent: Dict[NodeId, NodeId] = {source: source}
-    dq = deque([source])
-    while dq:
-        cur = dq.popleft()
-        for nxt in topo.neighbors(cur):  # sorted => deterministic parents
-            if nxt not in parent:
-                parent[nxt] = cur
-                if nxt == dest:
-                    path = [dest]
-                    while path[-1] != source:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                dq.append(nxt)
-    return None
 
 
 class Router:
@@ -110,7 +86,6 @@ class Router:
         #: the destination's row; a second miss computes their own
         self._missed_sources: set = set()
         self._mean_path: Optional[float] = None
-        self._diameter: Optional[int] = None
         #: BFS rows computed since construction, across topology versions
         #: and including the discarded rows of large aggregate sweeps.  A
         #: :meth:`distance` miss computes one row (the destination's, or
@@ -147,7 +122,6 @@ class Router:
         self._rows = {}
         self._missed_sources = set()
         self._mean_path = None
-        self._diameter = None
         self._version = self.topo.version
 
     def _bfs_row(self, src_idx: int) -> np.ndarray:
@@ -186,7 +160,7 @@ class Router:
         return row
 
     def _aggregate_sweep(self) -> None:
-        """One pass over all sources: mean shortest path and diameter.
+        """One pass over all sources: the mean shortest path.
 
         Rows are memoised along the way only on small topologies (see
         ``_ROW_CACHE_SWEEP_LIMIT``); large sweeps accumulate the sums and
@@ -196,12 +170,10 @@ class Router:
         n = len(self._nodes)
         if n == 0:
             self._mean_path = 0.0
-            self._diameter = 0
             return
         keep = n <= _ROW_CACHE_SWEEP_LIMIT
         total = 0
         pairs = 0
-        widest = 0
         for i in range(n):
             row = self._row(i) if keep else self._rows.get(i)
             if row is None:
@@ -210,9 +182,7 @@ class Router:
             if reach.size:
                 total += int(reach.sum())
                 pairs += int(reach.size)
-                widest = max(widest, int(reach.max()))
         self._mean_path = total / pairs if pairs else 0.0
-        self._diameter = widest
 
     # Queries ----------------------------------------------------------------
 
@@ -242,9 +212,6 @@ class Router:
             self._missed_sources.add(src_idx)
         return int(self._row(dst_idx)[src_idx])
 
-    def reachable(self, source: NodeId, dest: NodeId) -> bool:
-        return self.distance(source, dest) >= 0
-
     def mean_shortest_path(self) -> float:
         """Mean hop count over all reachable ordered node pairs.
 
@@ -257,29 +224,6 @@ class Router:
             self._aggregate_sweep()
         return self._mean_path  # type: ignore[return-value]
 
-    def eccentricity(self, source: NodeId) -> int:
-        """Greatest distance from ``source`` to any reachable node."""
-        self._refresh()
-        row = self._row(self._index[source])
-        reachable = row[row >= 0]
-        return int(reachable.max()) if reachable.size else 0
-
-    def diameter(self) -> int:
-        """Greatest finite pairwise distance."""
-        self._refresh()
-        if self._diameter is None:
-            self._aggregate_sweep()
-        return self._diameter  # type: ignore[return-value]
-
-    def distances_from(self, source: NodeId) -> Dict[NodeId, int]:
-        """Hop distances from ``source`` to each *reachable* node."""
-        self._refresh()
-        row = self._row(self._index[source])
-        nodes = self._nodes
-        return {
-            nodes[i]: int(d) for i, d in enumerate(row) if d >= 0
-        }
-
     def within(self, source: NodeId, hops: int) -> List[NodeId]:
         """Nodes within ``hops`` of ``source`` (excluding ``source``)."""
         self._refresh()
@@ -289,22 +233,6 @@ class Router:
             nodes[i]
             for i in np.flatnonzero((row > 0) & (row <= hops))
         ]
-
-    def matrix(self) -> Tuple[List[NodeId], np.ndarray]:
-        """``(sorted node list, distance matrix)`` — a copy, safe to mutate.
-
-        Materialises every row; O(V²) memory by definition, so callers
-        wanting network-wide aggregates on large graphs should prefer
-        :meth:`mean_shortest_path` / :meth:`diameter`, which sweep without
-        storing.
-        """
-        self._refresh()
-        n = len(self._nodes)
-        mat = np.empty((n, n), dtype=np.int32)
-        for i in range(n):
-            row = self._rows.get(i)
-            mat[i] = row if row is not None else self._bfs_row(i)
-        return list(self._nodes), mat
 
 
 class EagerRouter:
@@ -349,40 +277,11 @@ class EagerRouter:
         except KeyError:
             raise KeyError("endpoint not in topology") from None
 
-    def reachable(self, source: NodeId, dest: NodeId) -> bool:
-        return self.distance(source, dest) >= 0
-
     def mean_shortest_path(self) -> float:
         self._refresh()
         return self._mean_path
 
-    def eccentricity(self, source: NodeId) -> int:
-        self._refresh()
-        row = self._matrix[self._index[source]]
-        reachable = row[row >= 0]
-        return int(reachable.max()) if reachable.size else 0
-
-    def diameter(self) -> int:
-        self._refresh()
-        finite = self._matrix[self._matrix >= 0]
-        return int(finite.max()) if finite.size else 0
-
-    def distances_from(self, source: NodeId) -> Dict[NodeId, int]:
-        self._refresh()
-        row = self._matrix[self._index[source]]
-        return {
-            nid: int(row[i])
-            for nid, i in self._index.items()
-            if row[i] >= 0
-        }
-
     def within(self, source: NodeId, hops: int) -> List[NodeId]:
-        return sorted(
-            nid
-            for nid, d in self.distances_from(source).items()
-            if 0 < d <= hops
-        )
-
-    def matrix(self) -> Tuple[List[NodeId], np.ndarray]:
         self._refresh()
-        return self.topo.nodes(), self._matrix.copy()
+        row = self._matrix[self._index[source]]
+        return sorted(nid for nid, i in self._index.items() if 0 < row[i] <= hops)

@@ -14,7 +14,7 @@ the routing results against networkx instead.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 __all__ = ["Topology", "NodeId", "Link"]
 
@@ -138,29 +138,6 @@ class Topology:
         keep_set = set(keep)
         links = [(u, v) for (u, v) in self._links if u in keep_set and v in keep_set]
         return Topology(keep_set & set(self._adj), links)
-
-    def connected_components(self) -> List[FrozenSet[NodeId]]:
-        """Connected components, each as a frozenset, largest first."""
-        seen: Set[NodeId] = set()
-        comps: List[FrozenSet[NodeId]] = []
-        for start in self.nodes():
-            if start in seen:
-                continue
-            frontier = [start]
-            comp = {start}
-            while frontier:
-                cur = frontier.pop()
-                for nxt in self._adj[cur]:
-                    if nxt not in comp:
-                        comp.add(nxt)
-                        frontier.append(nxt)
-            seen |= comp
-            comps.append(frozenset(comp))
-        comps.sort(key=lambda c: (-len(c), min(c)))
-        return comps
-
-    def is_connected(self) -> bool:
-        return self.num_nodes > 0 and len(self.connected_components()) == 1
 
     def __contains__(self, n: NodeId) -> bool:
         return n in self._adj

@@ -65,8 +65,8 @@ class _EpochStructure:
     Built once per ``(topology version, liveness version)`` key and shared
     by every send until the next epoch: the live overlay's
     connected-component labelling, each component's sorted member tuple
-    and link count, in :meth:`Topology.connected_components` order
-    (largest first, then smallest id), walked over the full overlay
+    and link count, largest component first (ties by smallest id),
+    walked over the full overlay
     through the predicates.  Per-source work inside an epoch collapses to
     a dict lookup plus one receiver-tuple build per flooding source and
     scope (``Transport._flood_cache`` for the whole overlay,
@@ -211,8 +211,7 @@ class Transport:
         "all links up".  The fault model's
         :meth:`~repro.network.faults.FaultManager.link_up` supplies the
         real one so ``fail_link`` severs floods and unicasts (the live
-        overlay is the one of
-        :meth:`~repro.network.faults.FaultManager.live_topology`).
+        overlay is the UP nodes minus the failed links).
     liveness_version:
         Callable returning a counter that moves whenever ``is_up`` or
         ``link_up`` would answer differently (the fault model's
@@ -329,7 +328,11 @@ class Transport:
         self._handlers.setdefault(node, {})[kind] = handler
 
     def unregister(self, node: NodeId) -> None:
-        """Drop all handlers of ``node`` (called when a node crashes)."""
+        """Drop all handlers of ``node``.
+
+        No product path calls it (a crashed node is silenced by the fault
+        model's predicates); tests use it to silence a live node.
+        """
         self._handlers.pop(node, None)
 
     # Sending -----------------------------------------------------------
@@ -560,9 +563,8 @@ class Transport:
         """The current epoch's live overlay as a :class:`Topology`.
 
         Without fault predicates that is the full topology itself.  With
-        them it is a copy — UP nodes minus failed links, the semantics of
-        :meth:`~repro.network.faults.FaultManager.live_topology` — built
-        on the first call of the epoch, which only a route reader makes.
+        them it is a copy — UP nodes minus failed links — built on the
+        first call of the epoch, which only a route reader makes.
         """
         if not self._fault_aware:
             return self.topo

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 __all__ = ["ResourceKind", "ResourceSpec", "ResourcePool", "CPU", "BANDWIDTH", "SECURITY"]
 
@@ -89,12 +89,6 @@ class ResourcePool:
             return spec.capacity
         return spec.capacity - self._used[name]
 
-    def usage_fraction(self, name: str) -> float:
-        spec = self._spec(name)
-        if spec.kind is ResourceKind.LEVEL or spec.capacity == 0:
-            return 0.0
-        return self._used[name] / spec.capacity
-
     def availability_vector(self) -> Dict[str, float]:
         """Name → available amount (what a PLEDGE advertises)."""
         return {name: self.available(name) for name in self.specs}
@@ -138,13 +132,6 @@ class ResourcePool:
                     f"over-release of {name}: used={self._used[name]}, releasing {amount}"
                 )
             self._used[name] = max(new, 0.0)
-
-    def set_level(self, name: str, level: float) -> None:
-        """Change a LEVEL resource (e.g. security downgrade under attack)."""
-        spec = self._spec(name)
-        if spec.kind is not ResourceKind.LEVEL:
-            raise ValueError(f"{name} is not a level resource")
-        self.specs[name] = ResourceSpec(name, level, ResourceKind.LEVEL)
 
     def _spec(self, name: str) -> ResourceSpec:
         spec = self.specs.get(name)

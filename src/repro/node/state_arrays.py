@@ -1,8 +1,8 @@
 """Shared numpy mirrors of per-node scalar state.
 
-A single large run spends its time asking the same three questions about
-thousands of nodes at once: *what is your backlog*, *are you available*,
-and *when will you cross DOWN*.  The scalar objects (:class:`WorkQueue
+A single large run spends its time asking the same questions about
+thousands of nodes at once: *what is your backlog* and *are you
+available*.  The scalar objects (:class:`WorkQueue
 <repro.node.queue.WorkQueue>`, :class:`ThresholdMonitor
 <repro.node.monitor.ThresholdMonitor>`, :class:`FaultManager
 <repro.network.faults.FaultManager>`) answer them one node at a time
@@ -25,21 +25,15 @@ The analytic identities mirrored here are exactly the scalar ones:
 * ``backlog(t)   = max(0, busy_until - t)``            (queue)
 * ``usage(t)     = min(backlog / capacity, 1)``        (queue)
 * ``available(t) = up & (usage < threshold)``          (monitor + faults)
-* ``cross(t)     = max(busy_until - (threshold - hysteresis) * capacity,
-  t) + 1e-9``                                          (monitor)
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 __all__ = ["NodeStateArrays"]
-
-#: matches ThresholdMonitor._cross_time's float-fuzz epsilon exactly
-_CROSS_EPS = 1e-9
-
 
 class NodeStateArrays:
     """Column-vector mirror of per-node queue/monitor/liveness state.
@@ -99,26 +93,6 @@ class NodeStateArrays:
     def headroom(self, now: float) -> np.ndarray:
         """Seconds of work each queue can still accept."""
         return self.capacity - self.backlog(now)
-
-    def available_mask(self, now: float) -> np.ndarray:
-        """Algorithm P's instantaneous test per node, masked by liveness."""
-        return self.up & (self.usage(now) < self.threshold)
-
-    def available_nodes(self, now: float) -> List[int]:
-        """Ids of live nodes below threshold, in canonical slot order."""
-        mask = self.available_mask(now)
-        ids = self.ids
-        return [ids[i] for i in np.flatnonzero(mask)]
-
-    def cross_times(self, now: float) -> np.ndarray:
-        """Analytic DOWN-crossing instant per node.
-
-        Bit-for-bit the scalar ``ThresholdMonitor._cross_time`` formula —
-        same clamp, same ``1e-9`` fuzz guard — evaluated for every slot
-        in one pass.
-        """
-        target = (self.threshold - self.hysteresis) * self.capacity
-        return np.maximum(self.busy_until - target, now) + _CROSS_EPS
 
     def snapshot_columns(
         self, now: float

@@ -6,9 +6,8 @@ The simulation's only windows used to be the in-memory
 :class:`~repro.metrics.collector.RunResult`.  This package makes runs
 inspectable after the fact and while they happen:
 
-* :mod:`repro.obs.sinks` — streaming sinks for ``Tracer.add_sink``:
-  JSONL files (buffered, rotating, summary footer), NDJSON callbacks,
-  and a counting null sink;
+* :mod:`repro.obs.sinks` — the streaming JSONL file sink for
+  ``Tracer.add_sink`` (buffered, rotating, summary footer);
 * :mod:`repro.obs.profiler` — wall-time/event-count attribution per
   callback and per subsystem, fed by the kernel's one run loop
   (``Simulator.run(profile=...)``, cohort dispatches included);
@@ -33,7 +32,7 @@ from .config import ObsConfig
 from .profiler import KernelProfiler, ProfileReport
 from .recorder import FlightRecorder, cell_identity
 from .registry import Histogram, MetricsRegistry, TimeSeries, install_run_probes
-from .sinks import CallbackSink, JsonLinesSink, NullSink, record_to_json
+from .sinks import JsonLinesSink, record_to_json
 from .spans import (
     HelpSpan,
     PlacementSpan,
@@ -43,9 +42,7 @@ from .spans import (
 from .telemetry import ProgressReporter
 
 __all__ = [
-    "CallbackSink",
     "JsonLinesSink",
-    "NullSink",
     "record_to_json",
     "KernelProfiler",
     "ProfileReport",

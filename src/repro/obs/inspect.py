@@ -466,14 +466,20 @@ def timeline_report(
 
 def load_trace_jsonl(path: Union[str, Path]) -> List[TraceRecord]:
     """Parse a :class:`~repro.obs.sinks.JsonLinesSink` file back into
-    records, skipping the format header and summary footer lines."""
+    records, skipping the format header and summary footer lines.
+
+    A line that is not JSON raises ``ValueError`` naming ``path:line``.
+    """
     records: List[TraceRecord] = []
     with Path(path).open() as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: not a trace record ({exc})") from None
             if "c" not in obj:  # header/footer metadata line
                 continue
             records.append(

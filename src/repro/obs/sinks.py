@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..sim.trace import TraceRecord
 
-__all__ = ["JsonLinesSink", "CallbackSink", "NullSink", "record_to_json", "TRACE_FORMAT"]
+__all__ = ["JsonLinesSink", "record_to_json", "TRACE_FORMAT"]
 
 TRACE_FORMAT = "repro-trace/1"
 
@@ -139,36 +139,3 @@ class JsonLinesSink:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-
-class CallbackSink:
-    """NDJSON-over-callback: serialises each record and hands the line on.
-
-    The glue for shipping traces anywhere that speaks lines — a socket, a
-    log pipeline, a test assertion::
-
-        lines = []
-        tracer.add_sink(CallbackSink(lines.append))
-    """
-
-    def __init__(self, fn: Callable[[str], None]) -> None:
-        self.fn = fn
-        self.records_written = 0
-
-    def __call__(self, rec: TraceRecord) -> None:
-        self.fn(record_to_json(rec))
-        self.records_written += 1
-
-
-class NullSink:
-    """Counts records and drops them.
-
-    Two uses: measuring sink-dispatch overhead in isolation, and keeping
-    the sink-streaming-past-cap accounting (a tracer with any sink keeps
-    constructing records past ``limit``) without paying for storage.
-    """
-
-    def __init__(self) -> None:
-        self.records_seen = 0
-
-    def __call__(self, rec: TraceRecord) -> None:
-        self.records_seen += 1

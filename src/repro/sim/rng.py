@@ -17,7 +17,7 @@ the same generator regardless of creation order.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -74,48 +74,6 @@ class RandomStreams:
             self._streams[name] = gen
             return gen
 
-    def fresh(self, name: str) -> np.random.Generator:
-        """Return a *new* generator for ``name`` with its initial state.
-
-        Useful in tests that need to replay a stream from the start.
-        """
-        ss = np.random.SeedSequence(derive_seed(self.seed, name))
-        return np.random.default_rng(ss)
-
-    def spawn(self, name: str, count: int) -> list:
-        """Create ``count`` indexed child streams ``name[i]``.
-
-        Used for per-node jitter streams: ``rs.spawn("node", 25)``.
-        """
-        return [self.stream(f"{name}[{i}]") for i in range(count)]
-
-    def names(self) -> Iterable[str]:
-        """Names of streams created so far (for diagnostics)."""
-        return tuple(self._streams)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"RandomStreams(seed={self.seed}, streams={sorted(self._streams)})"
 
-
-def exponential_bounded(
-    rng: np.random.Generator,
-    mean: float,
-    low: float = 0.0,
-    high: Optional[float] = None,
-) -> float:
-    """Draw an exponential variate truncated to ``[low, high]`` by rejection.
-
-    Task sizes in the paper are exponential with mean 5 s; a node queue is
-    100 s, so an unbounded draw could exceed the whole queue.  Benchmarks
-    that want the paper's exact model pass ``high=None`` (no truncation).
-    """
-    if mean <= 0:
-        raise ValueError("mean must be positive")
-    if high is not None and high <= low:
-        raise ValueError("high must exceed low")
-    for _ in range(10_000):
-        x = float(rng.exponential(mean))
-        if x >= low and (high is None or x <= high):
-            return x
-    # Mean far outside the window — fall back to clipping rather than spin.
-    return min(max(float(rng.exponential(mean)), low), high if high is not None else float("inf"))

@@ -9,8 +9,7 @@ Streaming sinks
 ---------------
 :meth:`Tracer.add_sink` attaches a callable that receives every record as
 it is emitted.  Sinks are how traces outlive the process (see
-:mod:`repro.obs.sinks` for the JSONL file sink, the NDJSON callback sink
-and the null sink).  The contract between the in-memory store and the
+:mod:`repro.obs.sinks` for the JSONL file sink).  The contract between the in-memory store and the
 sinks is:
 
 * the in-memory ``records`` list is capped at ``limit`` — once full,
@@ -26,9 +25,8 @@ and is what the JSONL sink writes as its footer via :meth:`close_sinks`.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 __all__ = ["Tracer", "TraceRecord"]
 
@@ -164,29 +162,6 @@ class Tracer:
             "limit": self.limit,
             "categories": self.categories_seen(),
         }
-
-    def between(self, t0: float, t1: float) -> Iterator[TraceRecord]:
-        """Records with ``t0 <= time < t1`` in emission order."""
-        return (r for r in self.records if t0 <= r.time < t1)
-
-    def pairs(self, first: str, second: str) -> List[Tuple[TraceRecord, TraceRecord]]:
-        """Greedy in-order pairing of ``first`` records with later ``second`` s.
-
-        Used by protocol tests to check request/response causality.
-        """
-        out: List[Tuple[TraceRecord, TraceRecord]] = []
-        pending: deque = deque()
-        for rec in self.records:
-            if rec.category == first:
-                pending.append(rec)
-            elif rec.category == second and pending:
-                out.append((pending.popleft(), rec))
-        return out
-
-    def clear(self) -> None:
-        self.records.clear()
-        self._index.clear()
-        self.dropped = 0
 
     def __len__(self) -> int:
         return len(self.records)

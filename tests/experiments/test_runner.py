@@ -7,6 +7,7 @@ from repro.experiments.runner import build_system, run_experiment
 from repro.node.task import Task
 from repro.protocols.base import ProtocolConfig
 from repro.workload.fleet import FleetConfig
+from tests.oracles import is_connected
 
 
 def short(**overrides):
@@ -51,7 +52,7 @@ class TestBuildSystem:
         cfg = short(topology=topology, **size)
         topo = build_system(cfg).topo
         assert topo.nodes() == list(range(cfg.num_nodes))
-        assert topo.is_connected()
+        assert is_connected(topo)
 
     def test_unknown_cost_mode_rejected(self):
         with pytest.raises(ValueError):

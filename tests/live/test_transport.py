@@ -23,6 +23,7 @@ from repro.node.host import Host
 from repro.node.resources import ResourcePool
 from repro.node.task import Task, TaskOutcome, TaskStatus
 from repro.sim.kernel import Simulator
+from tests.oracles import is_connected, live_topology
 
 
 #: Section 6's LAN accounting: a switched unicast and an IP multicast
@@ -411,7 +412,7 @@ class TestDifferential:
         expected, arrived, partitioned = [], [], False
         for epoch in fault_epochs(reference.topo):
             epoch(faults)
-            partitioned |= not faults.live_topology().is_connected()
+            partitioned |= not is_connected(live_topology(faults))
             expected.append(probe(reference, charges))
             sim.run()
             arrived.append(

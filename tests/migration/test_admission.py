@@ -70,7 +70,7 @@ class TestGrant:
         acs[0].negotiate(task(size=0.5), 1, TaskOutcome.MIGRATED, lambda reason: None)
         sim.run(until=1.0)
         assert acs[1].requests_received == 2
-        assert acs[1].grant_rate == pytest.approx(0.5)
+        assert acs[1].requests_granted == 1
 
     def test_observer_sees_decisions(self):
         seen = []

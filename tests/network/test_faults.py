@@ -5,6 +5,7 @@ import pytest
 from repro.network.faults import FaultManager, NodeState
 from repro.network.generators import mesh, paper_topology
 from repro.sim.kernel import Simulator
+from tests.oracles import live_topology
 
 
 def _window(sim, faults, start, end, node):
@@ -101,7 +102,7 @@ class TestLinks:
         faults = FaultManager(sim, mesh(1, 4))
         faults.crash(1)
         faults.fail_link(2, 3)
-        live = faults.live_topology()
+        live = live_topology(faults)
         assert live.nodes() == [0, 2, 3]
         assert live.links() == []
 

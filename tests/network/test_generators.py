@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.network import generators as g
+from tests.oracles import is_connected
 
 
 class TestMesh:
@@ -25,7 +26,7 @@ class TestMesh:
         assert t.degree(12) == 4          # centre
 
     def test_mesh_connected(self):
-        assert g.mesh(4, 6).is_connected()
+        assert is_connected(g.mesh(4, 6))
 
     def test_mesh_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -36,7 +37,7 @@ class TestOtherShapes:
     def test_torus_uniform_degree_4(self):
         t = g.torus(4, 4)
         assert all(t.degree(n) == 4 for n in t.nodes())
-        assert t.is_connected()
+        assert is_connected(t)
 
     def test_torus_rejects_small(self):
         with pytest.raises(ValueError):
@@ -65,7 +66,7 @@ class TestOtherShapes:
         t = g.binary_tree(3)
         assert t.num_nodes == 15
         assert t.num_links == 14
-        assert t.is_connected()
+        assert is_connected(t)
 
     def test_binary_tree_depth_zero(self):
         t = g.binary_tree(0)
@@ -77,7 +78,7 @@ class TestRandomRegularish:
         rng = np.random.default_rng(0)
         t = g.random_regularish(20, 4, rng)
         assert t.num_nodes == 20
-        assert t.is_connected()
+        assert is_connected(t)
         assert all(t.degree(n) == 4 for n in t.nodes())
 
     def test_parity_validation(self):
@@ -98,7 +99,7 @@ class TestPreferentialAttachment:
     def test_connected_with_degree_floor(self):
         t = g.preferential_attachment(50, 2, np.random.default_rng(0))
         assert t.num_nodes == 50
-        assert t.is_connected()
+        assert is_connected(t)
         assert min(t.degree(v) for v in t.nodes()) >= 2
 
     def test_edge_count_formula(self):
@@ -149,7 +150,7 @@ class TestScenarioTopology:
         for kind in g.SCENARIO_KINDS:
             t = g.scenario_topology(kind, 36, seed=2)
             assert t.num_nodes == 36
-            assert t.is_connected()
+            assert is_connected(t)
 
     def test_seed_pins_randomised_families(self):
         for kind in ("random", "scale-free"):

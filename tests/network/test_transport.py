@@ -13,6 +13,7 @@ from repro.network.generators import (
 from repro.network.routing import Router
 from repro.network.transport import CostModel, Transport, UnicastCostMode
 from repro.sim.kernel import Simulator
+from tests.oracles import live_topology
 
 
 def make(sim=None, topo=None, **kwargs):
@@ -374,7 +375,7 @@ class TestDemandDrivenRouting:
         full = Router(topo)
         fixed = mode is UnicastCostMode.FIXED
         for _ in fault_epochs(topo, faults, np.random.default_rng(5)):
-            live = Router(faults.live_topology())
+            live = Router(live_topology(faults))
             for src in topo.nodes():
                 for dst in topo.nodes():
                     before = (tr.sent_messages, tr.dropped_messages, len(costs))

@@ -36,7 +36,7 @@ class TestConsumable:
         pool = ResourcePool.of(bandwidth=10.0)
         pool.allocate({"bandwidth": 4.0})
         assert pool.available("bandwidth") == 6.0
-        assert pool.usage_fraction("bandwidth") == pytest.approx(0.4)
+        assert pool.used("bandwidth") == 4.0
         pool.release({"bandwidth": 4.0})
         assert pool.available("bandwidth") == 10.0
 
@@ -80,23 +80,13 @@ class TestLevel:
         pool.allocate({"security": 2.0})
         pool.allocate({"security": 2.0})
         assert pool.available("security") == 3.0
-        assert pool.usage_fraction("security") == 0.0
+        assert pool.used("security") == 0.0
 
     def test_release_ignores_levels(self):
         pool = self.level_pool(3.0)
         pool.allocate({"security": 1.0})
         pool.release({"security": 1.0})  # no error, no effect
         assert pool.available("security") == 3.0
-
-    def test_set_level_downgrade(self):
-        pool = self.level_pool(3.0)
-        pool.set_level("security", 1.0)
-        assert not pool.fits({"security": 2.0})
-
-    def test_set_level_on_consumable_rejected(self):
-        pool = ResourcePool.of(cpu=1.0)
-        with pytest.raises(ValueError):
-            pool.set_level("cpu", 0.5)
 
     def test_mixed_demand(self):
         pool = ResourcePool.of(bandwidth=10.0)

@@ -14,6 +14,7 @@ from repro.experiments.store import RunStore
 from repro.obs.registry import load_series_jsonl
 from repro.obs.__main__ import main as cli_main
 from repro.obs.config import ObsConfig
+from repro.obs.sinks import JsonLinesSink
 from repro.obs.inspect import (
     diff_report,
     load_runs,
@@ -22,6 +23,7 @@ from repro.obs.inspect import (
     summarize,
     timeline_report,
 )
+from repro.sim.trace import Tracer
 
 
 BASE = ExperimentConfig(
@@ -181,6 +183,31 @@ class TestCli:
     def test_timeline_without_inputs_exits_2(self, capsys):
         assert cli_main(["timeline"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @staticmethod
+    def _write_trace(path):
+        tracer = Tracer()
+        tracer.add_sink(JsonLinesSink(path))
+        tracer.emit(0.0, "help-sent", node=0, help_id=1)
+        tracer.emit(0.5, "pledge-recv", node=0, help_id=1, pledger=3)
+        tracer.emit(1.0, "candidate-try", task=9, src=0, dst=3)
+        tracer.emit(1.5, "migration", task=9, dst=3)
+        tracer.close_sinks()
+
+    def test_timeline_trace_subcommand(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        self._write_trace(path)
+        assert cli_main(["timeline", "--trace", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "4 records, 1 HELP span(s), 1 placement span(s)" in out
+
+    def test_timeline_trace_bad_line_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        self._write_trace(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines[:2], "not json", *lines[2:]]) + "\n")
+        assert cli_main(["timeline", "--trace", str(path)]) == 2
+        assert f"error: {path}:3: " in capsys.readouterr().err
 
 
 class TestZeroSimulation:

@@ -4,13 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.sinks import (
-    TRACE_FORMAT,
-    CallbackSink,
-    JsonLinesSink,
-    NullSink,
-    record_to_json,
-)
+from repro.obs.sinks import TRACE_FORMAT, JsonLinesSink, record_to_json
 from repro.sim.trace import TraceRecord, Tracer
 
 
@@ -118,21 +112,6 @@ class TestJsonLinesSink:
             "categories": {"x": 3},
         }
         assert footer["records_written"] == 10
-
-
-class TestOtherSinks:
-    def test_callback_sink_hands_on_ndjson(self):
-        lines = []
-        sink = CallbackSink(lines.append)
-        sink(TraceRecord(2.0, "ev", {"k": 1}))
-        assert sink.records_written == 1
-        assert json.loads(lines[0]) == {"c": "ev", "p": {"k": 1}, "t": 2.0}
-
-    def test_null_sink_counts_only(self):
-        sink = NullSink()
-        sink(TraceRecord(0.0, "x"))
-        sink(TraceRecord(1.0, "y"))
-        assert sink.records_seen == 2
 
 
 class TestGoldenTraceFile:

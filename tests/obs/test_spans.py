@@ -4,6 +4,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system
 from repro.obs.spans import build_help_spans, build_placement_spans
 from repro.sim.trace import Tracer
+from tests.oracles import trace_pairs
 
 
 def tracer_with(*events):
@@ -131,7 +132,7 @@ class TestPairsEquivalence:
             (3.0, "help-sent", {"node": 1, "help_id": 1}),
             (3.9, "pledge-recv", {"node": 1, "pledger": 4, "help_id": 1}),
         )
-        pair_latencies = [b.time - a.time for a, b in t.pairs("help-sent", "pledge-recv")]
+        pair_latencies = [b.time - a.time for a, b in trace_pairs(t, "help-sent", "pledge-recv")]
         span_latencies = [
             p.latency for s in build_help_spans(t) for p in s.pledges
         ]

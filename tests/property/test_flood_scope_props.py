@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system
 from repro.live.runtime import LiveConfig, LiveRuntime
+from tests.oracles import connected_components
 
 _index = st.integers(min_value=0, max_value=10_000)
 
@@ -83,16 +84,16 @@ def _expected(system, src, neighbors_only):
 
 def _live_components(system):
     """``(comp_of, members, links)`` of the live overlay, built the way
-    ``FaultManager.live_topology()`` builds it — an induced subgraph minus
-    failed links, then ``connected_components()`` — over the transport's
+    ``tests.oracles.live_topology`` builds it — an induced subgraph minus
+    failed links, then ``connected_components`` — over the transport's
     liveness predicate ``can_communicate``: a compromised node is out of
-    ``live_topology()`` but still sends and receives."""
+    ``live_topology`` but still sends and receives."""
     faults, topo = system.faults, system.topo
     live = topo.subgraph([n for n in topo.nodes() if faults.can_communicate(n)])
     for u, v in live.links():
         if not faults.link_up(u, v):
             live.remove_link(u, v)
-    comps = live.connected_components()
+    comps = connected_components(live)
     comp_of = {n: ci for ci, comp in enumerate(comps) for n in comp}
     members = [tuple(sorted(comp)) for comp in comps]
     links = [sum(1 for u, _v in live.links() if u in comp) for comp in comps]

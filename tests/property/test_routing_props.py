@@ -5,8 +5,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.routing import Router, bfs_distances, shortest_path
+from repro.network.routing import Router, bfs_distances
 from repro.network.topology import Topology
+from tests.oracles import shortest_path
 
 
 @st.composite

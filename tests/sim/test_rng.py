@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim.rng import RandomStreams, derive_seed
-from repro.sim.rng import exponential_bounded
 
 
 class TestDeriveSeed:
@@ -45,52 +44,3 @@ class TestRandomStreams:
         rs2 = RandomStreams(seed=5)
         v2 = float(rs2.stream("signal").random())
         assert v1 == v2
-
-    def test_fresh_replays_from_start(self):
-        rs = RandomStreams(seed=7)
-        first = float(rs.stream("s").random())
-        rs.stream("s").random(100)
-        replay = float(rs.fresh("s").random())
-        assert first == replay
-
-    def test_spawn_creates_indexed_streams(self):
-        rs = RandomStreams(seed=3)
-        children = rs.spawn("node", 4)
-        assert len(children) == 4
-        values = [float(c.random()) for c in children]
-        assert len(set(values)) == 4
-
-    def test_names_lists_created(self):
-        rs = RandomStreams(seed=0)
-        rs.stream("b")
-        rs.stream("a")
-        assert set(rs.names()) == {"a", "b"}
-
-
-class TestExponentialBounded:
-    def test_respects_bounds(self):
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            x = exponential_bounded(rng, mean=5.0, low=1.0, high=10.0)
-            assert 1.0 <= x <= 10.0
-
-    def test_rejects_bad_mean(self):
-        import numpy as np
-
-        with pytest.raises(ValueError):
-            exponential_bounded(np.random.default_rng(0), mean=0.0)
-
-    def test_rejects_inverted_bounds(self):
-        import numpy as np
-
-        with pytest.raises(ValueError):
-            exponential_bounded(np.random.default_rng(0), mean=5.0, low=5.0, high=1.0)
-
-    def test_unbounded_matches_exponential_mean(self):
-        import numpy as np
-
-        rng = np.random.default_rng(1)
-        xs = [exponential_bounded(rng, mean=5.0) for _ in range(3000)]
-        assert 4.5 < sum(xs) / len(xs) < 5.5

@@ -28,6 +28,11 @@ COMMANDS = [
     LIVE, [*LIVE, "--backend", "udp"],
     *([str(path), *ARGS.get(path.name, [])] for path in sorted(ROOT.glob("examples/*.py"))
       if path.name not in SKIP),
+    # the other obs subcommands, over files the commands above wrote ({tmp}/i has series)
+    ["-m", "repro.obs", "timeline", "--trace", "{tmp}/o.jsonl"],
+    ["-m", "repro.obs", "diff", "--store", "{tmp}/s", "#0", "#1"],
+    ["-m", "repro.obs", "inspect", "--store", "{tmp}/i", "--run", "#0", "--jsonl",
+     "{tmp}/r.jsonl", "--csv", "{tmp}/r.csv"],
 ]
 
 def lines_of(code) -> set:
