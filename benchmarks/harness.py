@@ -108,7 +108,9 @@ def bench_queue_admission_throughput(n: int = 10_000) -> int:
         t = Task(size=0.5, arrival_time=0.0, origin=0)
         t.mark_admitted(0, 0.0, TaskOutcome.LOCAL)
         q.try_admit(t)
-    sim.run()
+    # completions are retired when the queue is read: run the clock past
+    # the last one (every task is 0.5 s of work, admitted at t=0)
+    sim.run(until=0.5 * n)
     return q.completed_count
 
 
@@ -133,7 +135,8 @@ def bench_queue_steady_state(n: int = 20_000) -> int:
             sim.after(0.4, arrive)
 
     arrive()
-    sim.run()
+    # past the last arrival by a full queue, so every admitted task is due
+    sim.run(until=0.4 * n + q.capacity)
     return q.completed_count
 
 

@@ -61,7 +61,9 @@ def test_queue_admission_throughput(benchmark):
             t = Task(size=0.5, arrival_time=0.0, origin=0)
             t.mark_admitted(0, 0.0, TaskOutcome.LOCAL)
             q.try_admit(t)
-        sim.run()
+        # completions are retired when the queue is read: run the clock past
+        # the last one (every task is 0.5 s of work, admitted at t=0)
+        sim.run(until=0.5 * 10_000)
         return q.completed_count
 
     assert benchmark(run_queue) == 10_000
@@ -91,7 +93,8 @@ def test_queue_steady_state_throughput(benchmark):
                 sim.after(0.4, arrive)
 
         arrive()
-        sim.run()
+        # past the last arrival by a full queue, so every admitted task is due
+        sim.run(until=0.4 * 20_000 + q.capacity)
         return q.completed_count
 
     assert benchmark(run_steady) == bench_queue_steady_state()

@@ -24,6 +24,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
 from ..metrics.collector import MetricsCollector, RunResult
 from ..migration.admission import AdmissionControl
 from ..migration.migrator import MigrationCoordinator
@@ -154,6 +156,22 @@ class System:
             until=until if until is not None else self.cfg.horizon, profile=profile
         )
 
+    def settle(self, now: Optional[float] = None) -> None:
+        """Retire every task due by ``now`` (default: the clock) on every
+        host, so the completion counts read as of that instant.
+
+        Queues retire lazily, when they are next touched; a result or a
+        sample that reads the counts calls this first.  The mirrored
+        ``next_completion`` column names the t=0 hosts with a task due,
+        so a registry tick does not call 10 000 queues to find a few.
+        """
+        t = self.sim.now if now is None else now
+        state, hosts = self.state, self.hosts
+        for slot in np.flatnonzero(state.next_completion <= t):
+            hosts[state.ids[slot]].queue.retire(t)
+        for joiner in self.all_nodes[len(state.ids):]:  # no slot to mirror into
+            hosts[joiner].queue.retire(t)
+
     def _build_node(self, node_id: int) -> None:
         """The full per-node stack, for a t=0 node and a joiner alike.
 
@@ -273,6 +291,7 @@ class System:
         )
 
     def result(self) -> RunResult:
+        self.settle()
         # actual wire traffic, next to the paper's weighted accounting:
         # the weighted totals charge every flood #links (the paper's
         # proxy), while these count real deliveries — what the
@@ -499,6 +518,7 @@ def assemble(
             coordinator=coordinator,
             admissions=admissions.values(),
             agents=agents.values(),
+            settle=system.settle,
         )
         recorder = system.recorder = FlightRecorder()
         recorder.attach_tracer(sim.trace)

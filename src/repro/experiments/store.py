@@ -62,7 +62,9 @@ STORE_FORMAT = "repro-runstore/1"
 #: 5: the attack is ExperimentConfig.attack (no separate spec in the
 #:    digest); a "tree" overlay has exactly num_nodes nodes
 #: 6: evacuations settle through the placement chain; a task is admitted once
-CODE_VERSION = "6"
+#: 7: completions are retired by their queue, not run as events (the
+#:    cohort extras and response_time_mean's last bits move)
+CODE_VERSION = "7"
 
 
 def default_salt() -> str:

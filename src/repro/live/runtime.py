@@ -286,6 +286,7 @@ class LiveRuntime:
 
     def report(self) -> Dict[str, object]:
         """JSON-ready run summary (the CLI prints / uploads this)."""
+        self.system.settle()  # the counts and bindings of every task now due
         cfg = self.cfg
         t = self.metrics.tasks
         admitted = t.admitted_local + t.admitted_migrated

@@ -12,14 +12,13 @@ against it.  The differences are exactly what "live" means:
   real time, larger values compress a long virtual horizon into a short
   wall run (the live-vs-sim equivalence tests use this).
 * **Waits are armed, not spun.**  ``run`` sleeps toward the earliest
-  event that needs the wall clock — the first that is not
-  :func:`~repro.runtime.api.quiet` — on a one-shot ``timerfd`` the loop
-  watches, armed :data:`MARGIN` early (the margin is spun) and re-armed
-  only by an earlier insert that is not quiet.  A quiet event (a task
-  completion) runs in the batch of the next wake, in
-  ``(time, priority, seq)`` order; with only quiet events pending the
-  wait is toward the heap head, so none starves.  Loop timers round
-  *up* to whole milliseconds: they are the fallback only.
+  event on a one-shot ``timerfd`` the loop watches, armed
+  :data:`MARGIN` early (the margin is spun) and re-armed only by an
+  earlier insert.  A task completion is no event at all: the queue
+  retires it when it is next read (:meth:`WorkQueue.retire
+  <repro.node.queue.WorkQueue.retire>`), so the scheduler never wakes
+  for one.  Loop timers round *up* to whole milliseconds: they are the
+  fallback only.
 * **The past is unreachable.**  ``at()`` with a deadline already behind
   the clock cannot raise — the moment has passed; the event fires as
   soon as possible instead and ``late_events`` counts the clamp.
@@ -45,7 +44,7 @@ from math import inf
 from time import perf_counter
 from typing import Any, Callable, Optional
 
-from ..runtime.api import Priority, is_quiet
+from ..runtime.api import Priority
 from ..sim.events import Event
 from ..sim.kernel import Agenda
 from ..sim.trace import Tracer
@@ -190,7 +189,7 @@ class LiveScheduler(Agenda):
         self, time: float, fn: Callable[..., Any], args: tuple, priority: int
     ) -> Event:
         ev = super()._push(time, fn, args, priority)
-        if time < self._armed and not is_quiet(fn):
+        if time < self._armed:
             self._wake()  # run() is asleep toward something later: re-arm
         return ev
 
@@ -241,12 +240,9 @@ class LiveScheduler(Agenda):
                 now = self.now
                 if now >= horizon:
                     break
-                # Sleep toward the first event that is not quiet (the heap
-                # head when all are) or the horizon, MARGIN short: spinning
-                # it spends a wake-up's lateness before the deadline.
-                head = queue.peek_time(is_quiet)
-                if head is None:
-                    head = queue.peek_time()
+                # Sleep toward the next event or the horizon, MARGIN short:
+                # spinning it spends a wake-up's lateness before the deadline.
+                head = queue.peek_time()
                 target = horizon if head is None else min(head, horizon)
                 wall = (target - now) / scale - MARGIN
                 if wall <= 0:
@@ -263,20 +259,6 @@ class LiveScheduler(Agenda):
             alarm.close()
             self._end_run()
         return self.now
-
-    def catch_up(self) -> None:
-        """Run the due quiet events at the head of the agenda, up to the
-        first event that is not quiet.
-
-        For a handler the agenda does not run (a ``udp`` datagram): it
-        then sees the state a run that woke for each quiet event would
-        show it — a completed task, its extra resources released.
-        """
-        now = self.now
-        pop = self.queue.pop_until
-        while (ev := pop(now, is_quiet)) is not None:
-            ev.fn(*ev.args)
-            self._events_executed += 1
 
     def _wake(self) -> None:
         """End :meth:`run`'s current wait, if it is in one."""

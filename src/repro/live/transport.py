@@ -29,11 +29,9 @@ a surviving delivery crosses, in two interchangeable backends:
   and silently break settlement, so the envelope carries only a token
   and object identity is preserved in-process.  A delay the send path
   asks for (per-hop latency, impairment jitter, a duplicate's offset)
-  is an agenda event ahead of the ``sendto``.  A datagram's handler is
-  the one handler the agenda does not run, so the endpoint first runs
-  the due quiet events the scheduler has not woken for
-  (:meth:`LiveScheduler.catch_up
-  <repro.live.scheduler.LiveScheduler.catch_up>`).
+  is an agenda event ahead of the ``sendto``.  A datagram's handler
+  runs outside the agenda; what it reads through a ``Host`` retires the
+  tasks due by the live clock first, as on ``inproc``.
 """
 
 from __future__ import annotations
@@ -75,9 +73,6 @@ class _NodeEndpoint(asyncio.DatagramProtocol):
             # Duplicate or forged datagram: no payload to deliver.
             self.ref.dropped_messages += 1
             return
-        # the one handler the agenda does not run: let it see the
-        # completions the scheduler has not woken for yet
-        self.ref.sim.catch_up()
         self.ref._deliver(src, self.node, kind, payload, sent_at)
 
 

@@ -16,6 +16,7 @@ per message kind (Fig 6's totals, Fig 7's cost per admitted task), and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import fsum
 from typing import Dict, Optional
 
 from ..node.task import Task, TaskOutcome
@@ -140,7 +141,11 @@ class MetricsCollector:
     def __init__(self) -> None:
         self.messages = MessageCounters()
         self.tasks = TaskCounters()
-        self._response_sum = 0.0
+        #: response-time sum per completing node.  A queue retires its
+        #: tasks in FIFO order whenever it is read, so how retirements on
+        #: different nodes interleave depends on who reads when (an
+        #: observability tick, say); each node's own sum does not.
+        self._response_sums: Dict[int, float] = {}
         self._response_n = 0
         self.extra: Dict[str, float] = {}
         #: QoS accounting for deadline-carrying tasks
@@ -173,7 +178,8 @@ class MetricsCollector:
         self.tasks.completed += 1
         rt = task.response_time
         if rt is not None:
-            self._response_sum += rt
+            node = task.admitted_at
+            self._response_sums[node] = self._response_sums.get(node, 0.0) + rt
             self._response_n += 1
         if task.relative_deadline is not None:
             if task.met_deadline:
@@ -198,7 +204,10 @@ class MetricsCollector:
 
     @property
     def response_time_mean(self) -> float:
-        return self._response_sum / self._response_n if self._response_n else 0.0
+        if not self._response_n:
+            return 0.0
+        # fsum: exact, so the nodes' sums add up alike in any order
+        return fsum(self._response_sums.values()) / self._response_n
 
     @property
     def deadline_miss_rate(self) -> float:

@@ -102,6 +102,8 @@ class Host:
         per-arrival hot chain does not re-derive the backlog.
         """
         if self.pool is not None and task.demand:
+            # finished tasks release their extra resources before the test
+            self.queue.retire()
             if not self.pool.fits(task.demand):
                 return None
             self.pool.allocate(task.demand)
@@ -161,6 +163,7 @@ class Host:
         """Full multi-resource availability (cpu = headroom seconds)."""
         vec = {"cpu": self.availability()}
         if self.pool is not None:
+            self.queue.retire()  # release what finished tasks held
             vec.update(self.pool.availability_vector())
         return vec
 

@@ -88,12 +88,11 @@ class ThresholdMonitor:
     def bind_state(self, arrays, slot: int) -> None:
         """Mirror the monitor constants and threshold side into ``arrays``.
 
-        ``threshold``/``hysteresis`` are written once (they are
-        immutable); the last-known side writes through on every flip so
-        ``arrays.below[slot]`` always equals :attr:`below`.
+        ``threshold`` is written once (it is immutable); the last-known
+        side writes through on every flip so ``arrays.below[slot]``
+        always equals :attr:`below`.
         """
         arrays.threshold[slot] = self.threshold
-        arrays.hysteresis[slot] = self.hysteresis
         arrays.below[slot] = self._below
         self._mirror = arrays.below
         self._mirror_slot = slot

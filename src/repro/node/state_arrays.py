@@ -11,8 +11,9 @@ dominates cohort-wide operations like priming protocol views or taking an
 availability census.
 
 :class:`NodeStateArrays` keeps column vectors of the scalar state —
-``busy_until``, ``capacity``, threshold targets, the last-known
-threshold side, and liveness — maintained by *write-through* from the
+``busy_until``, ``capacity``, each queue's next completion instant,
+threshold targets, the last-known threshold side, and liveness —
+maintained by *write-through* from the
 scalar owners (the queue and monitor mutate their slot on every state
 change; the fault manager flips ``up`` on every transition).  The scalar
 objects remain the source of truth and the only mutators; the arrays are
@@ -48,8 +49,8 @@ class NodeStateArrays:
         "index",
         "busy_until",
         "capacity",
+        "next_completion",
         "threshold",
-        "hysteresis",
         "below",
         "up",
     )
@@ -64,10 +65,11 @@ class NodeStateArrays:
         self.busy_until = np.zeros(n, dtype=np.float64)
         #: queue capacity in seconds; ones until a queue binds its slot
         self.capacity = np.ones(n, dtype=np.float64)
+        #: completion instant of each queue's head task (inf: none
+        #: resident), so the queues with a task due are found in one pass
+        self.next_completion = np.full(n, np.inf)
         #: monitor availability threshold; ones (never crossed) until bound
         self.threshold = np.ones(n, dtype=np.float64)
-        #: monitor hysteresis dead band
-        self.hysteresis = np.zeros(n, dtype=np.float64)
         #: last-known threshold side (ThresholdMonitor._below)
         self.below = np.ones(n, dtype=bool)
         #: FaultManager.is_up per node

@@ -371,6 +371,7 @@ def install_run_probes(
     coordinator=None,
     admissions: Iterable = (),
     agents: Iterable = (),
+    settle: Callable[[float], None],
 ) -> None:
     """Wire the standard survivability probes of one assembled system.
 
@@ -383,7 +384,9 @@ def install_run_probes(
       completed/rejected/lost), transport message counters
       (sent/delivered/dropped) and per-kind weighted message costs.
       The column math runs in-place over preallocated scratch buffers,
-      so a tick allocates nothing proportional to V.
+      so a tick allocates nothing proportional to V.  ``settle(now)``
+      retires the tasks due by the tick first (queues retire lazily),
+      so the completed count is the tick's.
     * **deep, every :data:`AGENT_STRIDE`-th tick and at end of run** — the
       queue-usage distribution (p50/p90/max from one in-place sort,
       plus the accumulated usage histogram) and the O(V) per-agent
@@ -435,6 +438,7 @@ def install_run_probes(
             "tasks_admitted",
             float(tasks.admitted_local + tasks.admitted_migrated),
         )
+        settle(now)
         record(now, "tasks_completed", float(tasks.completed))
         record(now, "tasks_rejected", float(tasks.rejected))
         record(now, "tasks_lost", float(tasks.lost))

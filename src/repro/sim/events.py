@@ -169,54 +169,25 @@ class EventQueue:
         """Remove and return the earliest live event, or ``None`` if empty."""
         return self.pop_until(None)
 
-    def pop_until(
-        self,
-        limit: Optional[float],
-        only: Optional[Callable[[Callable[..., Any]], bool]] = None,
-    ) -> Optional[Event]:
+    def pop_until(self, limit: Optional[float]) -> Optional[Event]:
         """Pop the earliest live event with ``time <= limit``.
 
         Returns ``None`` when the agenda is empty or the next live event
-        lies beyond ``limit`` (which is left on the heap) — or, given
-        ``only``, when ``only(event.fn)`` is false for it.  The kernel's
+        lies beyond ``limit`` (which is left on the heap).  The kernel's
         hot loop inlines this; the live scheduler calls it.
         """
         self._drop_cancelled_head()
         heap = self._heap
         if not heap or (limit is not None and heap[0][0] > limit):
             return None
-        if only is not None and not only(heap[0][3].fn):
-            return None
         self._live -= 1
         return heappop(heap)[3]
 
-    def peek_time(
-        self, skip: Optional[Callable[[Callable[..., Any]], bool]] = None
-    ) -> Optional[float]:
-        """Time of the earliest live event without removing it.
-
-        With ``skip``, of the earliest live event whose callback ``skip``
-        does not match (``None`` when there is none).  A best-first walk
-        of the heap from its root: it visits only the cancelled or
-        skipped entries ordered ahead of the answer, plus their children.
-        """
+    def peek_time(self) -> Optional[float]:
+        """Time of the earliest live event without removing it."""
         self._drop_cancelled_head()
         heap = self._heap
-        if not heap:
-            return None
-        if skip is None:
-            return heap[0][0]
-        n = len(heap)
-        frontier = [(heap[0][0], 0)]
-        while frontier:
-            time, i = heappop(frontier)
-            ev = heap[i][3]
-            if not ev._cancelled and not skip(ev.fn):
-                return time
-            for child in (2 * i + 1, 2 * i + 2):
-                if child < n:
-                    heappush(frontier, (heap[child][0], child))
-        return None
+        return heap[0][0] if heap else None
 
     def cancel_event(self, ev: Event) -> None:
         """Cancel ``ev`` with bookkeeping (preferred over ``ev.cancel()``).

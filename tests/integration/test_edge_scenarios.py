@@ -140,6 +140,7 @@ class TestRejectionPressureRelief:
         system.sim.at(150.0, system.generator.stop)
         system.run()
         system.sim.run(until=800.0)
+        system.settle()
         assert all(h.queue.backlog() == 0.0 for h in system.hosts.values())
         m = system.metrics.tasks
         assert m.completed == m.admitted

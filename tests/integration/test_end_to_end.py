@@ -59,6 +59,7 @@ class TestPaperSetting:
         assert res.admitted_migrated > 0
         # completions catch up once arrivals stop
         system.sim.run(until=600.0)
+        system.settle()
         assert system.metrics.tasks.completed == res.admitted
 
     def test_response_time_grows_with_load(self):

@@ -226,6 +226,7 @@ class TestTaskLifetime:
             assert set(rt.metrics._settled_ids) == resident
             assert len(rt.naming) == 9 + len(resident)
             await rt.sim.run(until=max(h.queue.busy_until for h in hosts) + 0.01)
+            rt.system.settle()
             return report
 
         report = asyncio.run(go())

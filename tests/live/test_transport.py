@@ -198,10 +198,11 @@ class TestWireDelay:
 
 class TestDatagramObserver:
     def test_a_handler_sees_a_due_completion_the_run_slept_through(self):
-        # A completion is quiet: the scheduler sleeps toward the loud event
-        # at t=60 past it.  A datagram's handler runs outside the agenda,
-        # so the endpoint must first run it: the handler sees the task
-        # done and its extra resource (what demand_means draws) released.
+        # A completion is no event: the scheduler sleeps toward the event
+        # at t=60 past it.  A datagram's handler runs outside the agenda;
+        # reading through the host retires what is due by the live clock,
+        # so it sees the task done and its extra resource (what
+        # demand_means draws) released.
         async def run():
             sim = LiveScheduler(time_scale=1.0)
             t = LiveTransport(sim, generators.full_mesh(2), backend="udp", latency=0.0)
@@ -212,7 +213,8 @@ class TestDatagramObserver:
             seen = []
 
             def handler(_delivery):
-                seen.append((task.status, host.pool.available("gpu"), sim.wakeups))
+                gpu = host.availability_vector()["gpu"]
+                seen.append((task.status, gpu, sim.wakeups))
                 sim.stop()
 
             t.register(1, "PROBE", handler)

@@ -42,7 +42,8 @@ class TestLocalAdmission:
         sim, host = make(on_complete=done.append)
         t = task(3.0)
         host.try_accept(t, TaskOutcome.LOCAL)
-        sim.run()
+        sim.run(until=10.0)
+        assert host.evacuable_tasks() == []
         assert done == [t]
 
     def test_outcome_recorded(self):
@@ -116,8 +117,8 @@ class TestMultiResource:
         t = task(5.0, demand={"bandwidth": 4.0})
         host.try_accept(t, TaskOutcome.LOCAL)
         assert host.pool.available("bandwidth") == 6.0
-        sim.run()
-        assert host.pool.available("bandwidth") == 10.0
+        sim.run(until=10.0)
+        assert host.availability_vector()["bandwidth"] == 10.0
 
     def test_insufficient_demand_blocks_accept(self):
         sim, host = make(pool=ResourcePool.of(bandwidth=3.0))

@@ -80,15 +80,15 @@ class TestAdmission:
         q = WorkQueue(sim, 100.0, on_complete=done.append)
         t = admitted(Task(size=5.0, arrival_time=0.0, origin=0))
         q.try_admit(t)
-        sim.run()
+        sim.run(until=10.0)
+        assert q.completed_count == 1
         assert done == [t]
         assert t.status is TaskStatus.COMPLETED
         assert t.completed_time == 5.0
-        assert q.completed_count == 1
 
     def test_a_late_completion_records_its_instant(self, manual_clock):
-        # A completion is quiet: the live scheduler runs it in the batch
-        # of its next wake, here the loud event at 3.0, yet the task
+        # A completion is no event: the queue retires the task when it is
+        # next read, here after the live clock passed 4.0, yet the task
         # finished at the instant its queue scheduled.
         sim = LiveScheduler(time_scale=100.0)
         ran_at = []
@@ -97,7 +97,9 @@ class TestAdmission:
         assert q.try_admit(t) == 1.5
         sim.at(3.0, lambda: None)
         asyncio.run(sim.run(until=4.0))
-        assert ran_at and ran_at[0] >= 3.0
+        assert ran_at == []  # nothing read the queue yet
+        assert len(q) == 0
+        assert ran_at[0] >= 4.0
         assert t.completed_time == 1.5 and t.response_time == 1.5
 
     def test_counters(self):
@@ -108,7 +110,7 @@ class TestAdmission:
         assert q.admitted_count == 2
         assert q.work_admitted == 5.0
         assert len(q) == 2
-        sim.run()
+        sim.run(until=10.0)
         assert len(q) == 0
 
 
@@ -130,22 +132,23 @@ class TestDropAll:
         q = WorkQueue(sim, 100.0, on_complete=done.append)
         q.try_admit(admitted(Task(size=5.0, arrival_time=0.0, origin=0)))
         q.drop_all()
-        sim.run()
-        assert done == []
+        sim.run(until=10.0)
         assert q.completed_count == 0
+        assert done == []
 
     def test_completion_of_a_task_settled_elsewhere_raises(self):
-        # drop_all and remove cancel their events, so a resident that is
-        # no longer QUEUED when its completion fires was settled behind the
-        # queue's back; returning quietly left a dead head that swallowed
-        # every later completion on the host.
+        # drop_all and remove take their tasks out of the queue, so a
+        # resident that is no longer QUEUED when it is retired was settled
+        # behind the queue's back; skipping it would leave a dead head
+        # that swallowed every later completion on the host.
         sim = Simulator()
         q = WorkQueue(sim, 100.0)
         task = admitted(Task(size=5.0, arrival_time=0.0, origin=0))
         q.try_admit(task)
         task.mark_lost()
+        sim.run(until=10.0)
         with pytest.raises(RuntimeError, match=f"task {task.task_id} .*rejected"):
-            sim.run()
+            len(q)
 
 
 class TestRemove:
@@ -160,7 +163,8 @@ class TestRemove:
         q.remove(t2)
         assert q.backlog() == 6.0
         assert t2.status is TaskStatus.CREATED
-        sim.run()
+        sim.run(until=20.0)
+        assert len(q) == 0
         # remaining tasks complete, earlier than originally
         assert t1.completed_time == 4.0
         assert t3.completed_time == 6.0
@@ -198,9 +202,9 @@ class TestRemove:
         for t in (t1, t2, t3):
             q.try_admit(t)
         q.remove(t2)
-        sim.run()
-        assert done == [t1, t3]
+        sim.run(until=20.0)
         assert q.completed_count == 2
+        assert done == [t1, t3]
 
     def test_running_head_preserved_across_remove(self):
         sim = Simulator()
@@ -211,16 +215,18 @@ class TestRemove:
         q.try_admit(tail)
         sim.run(until=5.0)  # head half done
         q.remove(tail)
-        sim.run()
+        sim.run(until=20.0)
+        assert len(q) == 0
         assert head.completed_time == 10.0  # not restarted
 
     def test_removed_task_readmitted_elsewhere_uses_new_schedule(self):
-        """Regression: withdrawal must cancel the original completion event.
+        """Regression: withdrawal must forget the original completion.
 
-        The seed left it live; when the evacuated task was re-admitted on
-        another node, the stale event on the *old* queue fired first (the
-        task was QUEUED again, satisfying the status guard) and completed
-        it at the old, earlier time — the work effectively ran twice.
+        The seed left its completion event live; when the evacuated task
+        was re-admitted on another node, the stale event on the *old*
+        queue fired first (the task was QUEUED again, satisfying the
+        status guard) and completed it at the old, earlier time — the
+        work effectively ran twice.
         """
         sim = Simulator()
         src = WorkQueue(sim, 100.0)
@@ -236,10 +242,10 @@ class TestRemove:
         task.mark_admitted(1, 2.0, TaskOutcome.MIGRATED)
         c = dst.try_admit(task)
         assert c == 18.0
-        sim.run()
-        assert task.completed_time == 18.0  # not the stale t=10 on src
+        sim.run(until=30.0)
         assert src.completed_count == 1  # just the blocker
         assert dst.completed_count == 2
+        assert task.completed_time == 18.0  # not the stale t=10 on src
 
 
 class TestFastPathApi:
@@ -257,7 +263,8 @@ class TestFastPathApi:
         q = WorkQueue(sim, 100.0)
         t = admitted(Task(size=5.0, arrival_time=0.0, origin=0))
         assert q.try_admit(t) == 5.0
-        sim.run()
+        sim.run(until=10.0)
+        assert len(q) == 0
         assert t.status is TaskStatus.COMPLETED
 
     def test_contains_tracks_residency(self):
@@ -268,5 +275,5 @@ class TestFastPathApi:
         q.try_admit(t)
         assert t in q
         assert other not in q
-        sim.run()
+        sim.run(until=10.0)
         assert t not in q

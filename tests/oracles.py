@@ -2,10 +2,10 @@
 
 None of these run in a simulation: the product labels components with
 ``Transport``'s epoch structure, builds its live overlay in
-``Transport._live_overlay`` and charges hop counts through ``Router``.
-They are the plain, obviously-correct versions the tests use as oracles
-and as assertions ("the overlay is connected", "a PLEDGE followed every
-HELP").
+``Transport._live_overlay``, charges hop counts through ``Router`` and
+retires finished tasks lazily in ``WorkQueue``.  They are the plain,
+obviously-correct versions the tests use as oracles and as assertions
+("the overlay is connected", "a PLEDGE followed every HELP").
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.network.faults import FaultManager
 from repro.network.topology import NodeId, Topology
+from repro.node.task import TaskStatus
+from repro.runtime.api import Priority
 from repro.sim.trace import TraceRecord, Tracer
 
 
@@ -87,3 +89,82 @@ def trace_pairs(tracer: Tracer, first: str, second: str) -> List[Tuple[TraceReco
         elif rec.category == second and pending:
             out.append((pending.popleft(), rec))
     return out
+
+
+class EventPerTaskQueue:
+    """A work queue that schedules one ``Priority.STATE`` completion event
+    per admitted task: what ``WorkQueue`` retires lazily, run eagerly.
+
+    ``remove`` cancels and reschedules the events it shifts and
+    ``drop_all`` cancels outright, so no event outlives its task.  Enough
+    of ``WorkQueue``'s surface for a ``Host`` and its monitor.
+    """
+
+    def __init__(self, sim, capacity: float, on_complete=None) -> None:
+        self.sim, self.capacity, self.on_complete = sim, float(capacity), on_complete
+        self.busy_until = 0.0
+        self.completed_count = 0
+        self._resident: list = []  # [completion, task, event]
+
+    def retire(self, now=None) -> None:
+        """Nothing to retire: every completion is an event of its own."""
+
+    def backlog(self, now=None) -> float:
+        return max(0.0, self.busy_until - (self.sim.now if now is None else now))
+
+    def usage(self, now=None) -> float:
+        return min(self.backlog(now) / self.capacity, 1.0)
+
+    def headroom(self, now=None) -> float:
+        return self.capacity - self.backlog(now)
+
+    def resident_tasks(self) -> list:
+        return [task for _, task, _ in self._resident]
+
+    def __len__(self) -> int:
+        return len(self._resident)
+
+    def __contains__(self, task) -> bool:
+        return any(t is task for t in self.resident_tasks())
+
+    def try_admit(self, task):
+        now = self.sim.now
+        completion = max(self.busy_until, now) + task.size
+        if completion - now > self.capacity + 1e-12:
+            return None
+        self.busy_until = completion
+        entry = [completion, task, None]
+        entry[2] = self.sim.at(completion, self._complete, entry, priority=Priority.STATE)
+        self._resident.append(entry)
+        return completion
+
+    def _complete(self, entry) -> None:
+        self._resident = [e for e in self._resident if e is not entry]
+        entry[1].mark_completed(self.sim.now)
+        self.completed_count += 1
+        if self.on_complete is not None:
+            self.on_complete(entry[1])
+
+    def drop_all(self) -> list:
+        lost = self.resident_tasks()
+        for _, task, event in self._resident:
+            self.sim.cancel(event)
+            task.mark_lost()
+        self._resident = []
+        self.busy_until = self.sim.now
+        return lost
+
+    def remove(self, task) -> None:
+        at = next(i for i, e in enumerate(self._resident) if e[1] is task)
+        now = self.sim.now
+        if at == 0 and now - (self._resident[0][0] - task.size) > 1e-12:
+            raise ValueError(f"task {task.task_id} already started")
+        self.sim.cancel(self._resident.pop(at)[2])
+        for entry in self._resident[at:]:
+            self.sim.cancel(entry[2])
+            entry[0] -= task.size
+            entry[2] = self.sim.at(
+                max(entry[0], now), self._complete, entry, priority=Priority.STATE
+            )
+        self.busy_until -= task.size
+        task.status = TaskStatus.CREATED

@@ -4,7 +4,7 @@ Three structures carry the fast path: the tuple-keyed event heap (pop
 order must stay the exact ``(time, priority, seq)`` ordering, FIFO within
 full ties), the per-source flood-structure cache in the transport (must
 be invalidated by topology *and* liveness changes, never serve stale
-receiver sets), and the node layer's seq-guarded work queue plus
+receiver sets), and the node layer's lazily retiring work queue plus
 lazily-invalidated threshold monitor (must be observationally equivalent
 to the seed's list-rebuild queue and cancel-always monitor under any
 admit/advance/remove/crash interleaving).
@@ -166,7 +166,7 @@ class TestFloodCacheCoherence:
 
 
 # --------------------------------------------------------------------------
-# Node-layer equivalence: seq-guarded queue vs the seed list-rebuild queue
+# Node-layer equivalence: lazily retiring queue vs the seed list-rebuild queue
 # --------------------------------------------------------------------------
 
 class _ReferenceQueue:
@@ -326,8 +326,8 @@ class TestQueueFastPathEquivalence:
             completions, crossings = [], []
             queue = make_queue(
                 sim, capacity,
-                on_complete=lambda t, log=completions, s=sim:
-                    log.append((t.label, s.now)),
+                on_complete=lambda t, log=completions:
+                    log.append((t.label, t.completed_time)),
             )
             make_mon = (ThresholdMonitor if make_queue is WorkQueue
                         else _ReferenceMonitor)
@@ -383,8 +383,9 @@ class TestQueueFastPathEquivalence:
             assert not any(fast_q._resident[:dead])
             assert dead <= len(fast_q)
 
-        for sim, _, _, _, _ in sides:
-            sim.run()
+        for sim, queue, _, _, _ in sides:
+            sim.run(until=sim.now + 2 * capacity)
+            assert len(queue) == 0
         (_, fast_q, fast_m, fast_done, fast_cross) = sides[0]
         (_, ref_q, ref_m, ref_done, ref_cross) = sides[1]
         assert fast_done == ref_done, "completion order/time diverged"

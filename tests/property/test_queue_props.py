@@ -40,7 +40,8 @@ class TestWorkQueueProperties:
                 q.try_admit(t)
                 admitted += 1
         sim.run(until=sim.now + 200.0)
-        assert len(done) == admitted
+        assert len(q) == 0
+        assert len(done) == admitted == q.completed_count
         assert q.backlog() == 0.0
 
     @given(st.lists(st.tuples(sizes, gaps), max_size=50))
@@ -56,6 +57,7 @@ class TestWorkQueueProperties:
             c = q.try_admit(t)
             expected_completions.append((t, c))
         sim.run(until=sim.now + 1e6)
+        assert len(q) == 0
         for t, c in expected_completions:
             assert t.completed_time == c
         comps = [c for _, c in expected_completions]
@@ -82,6 +84,7 @@ class TestWorkQueueProperties:
         for t in removable[:k]:
             q.remove(t)
         sim.run(until=sum(task_sizes) + 10.0)
+        assert len(q) == 0
         completed = [t for t in tasks if t.status is TaskStatus.COMPLETED]
         assert len(completed) == len(tasks) - k
         assert len(done) == len(tasks) - k

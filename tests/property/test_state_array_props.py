@@ -59,6 +59,12 @@ def _build(capacities, hysteresis):
     return sim, arrays, queues, monitors
 
 
+def _head_completion(q):
+    """The queue's head entry's completion instant, retired or not (inf: empty)."""
+    resident, head = q._resident, q._head
+    return resident[head][0] if head < len(resident) else float("inf")
+
+
 def _assert_mirror_exact(sim, arrays, queues, monitors):
     """Every vectorized query == the scalar answer, bit for bit."""
     now = sim.now
@@ -69,6 +75,7 @@ def _assert_mirror_exact(sim, arrays, queues, monitors):
     for i in range(N_NODES):
         q, m = queues[i], monitors[i]
         assert arrays.busy_until[i] == q.busy_until
+        assert arrays.next_completion[i] == _head_completion(q)
         assert backlog[i] == q.backlog(now)
         assert usage[i] == q.usage(now)
         assert headroom[i] == q.headroom(now)
@@ -135,11 +142,14 @@ class TestSystemWideMirror:
             system.sim.at(time, getattr(system.faults, action), node)
         system.run()
         now = system.sim.now
+        system.settle()
+        assert not (state.next_completion <= now).any()  # nothing left due
         backlog, usage, headroom, available = state.snapshot_columns(now)
         for nid, host in system.hosts.items():
             i = state.slot(nid)
             snap = host.snapshot()
             assert state.busy_until[i] == host.queue.busy_until
+            assert state.next_completion[i] == _head_completion(host.queue)
             assert backlog[i] == snap.backlog
             assert usage[i] == snap.usage
             assert headroom[i] == snap.headroom

@@ -46,6 +46,7 @@ class TestSystemInvariants:
         assert res.completed <= res.admitted
         # run long past the horizon: all admitted work finishes
         system.sim.run(until=60.0 + 20 * cfg.queue_capacity)
+        system.settle()
         assert system.metrics.tasks.completed == res.admitted
 
     @given(configs)

@@ -90,88 +90,88 @@ def _pinned_run(protocol: str, attacked: bool):
 PINNED_RUNS = {
     ('gossip', False): (
         '8513e901dca6d4a2ec18cead1f2bc0bed477360520ebe1ba0b0fd630f1452023',
-        10518,
+        10002,
         'c5bd52e3357c0ae21e495f226a2bd06b096e9c7635b96cb2d2ea6b7931653d9a',
     ),
     ('gossip-5', False): (
         '3b46b8eacd96e8ee6ddf00e858be93bc09437fe03575232f38abfdcfa00f1b23',
-        3323,
+        2807,
         '65bd9bc105755198c7eb1dcdfeb419131b3f01df999e1a4e84bbd1e0cdd4b819',
     ),
     ('none', False): (
         '5c151665558ba52b7d193f09ddfdf7442bc9a634b7d4e5a5612d1aa164fdaf54',
-        1535,
-        'ee361d13e41749be68d6eed80424004c72aca8c2fc268456ab5caa6176c8ea18',
+        1003,
+        'ed9a35ea0acc4200179c09e6d1691b561554c21d564f9814024ca8ff9f5ccd82',
     ),
     ('pull-.9', False): (
         '89747f284afd470dbf3943f348cb4b5bb18821d53b31743558bf76bc6ede9fa6',
-        2394,
-        'a01d45aa6f341079c600a3a52d0ed8ab34df94437c436b93873cbe2bb4447f5d',
+        1878,
+        '6be5e14e304d97ff558a4836a60f9bc3197777ff938679498d76873f13ed2730',
     ),
     ('pull-100', False): (
         'e791b026b7bd0622ca4515817e1bb671c105624d1d43ff722a2bc991a36ad503',
-        2259,
-        '9a3df0224dacc5524a0e8a3d481eb5ddf80dfbca9a6539f4cd7e7c384ee91b18',
+        1742,
+        '50a4ee0647f02c96a19b07e5f148330e8a68b30ba623f4e82260acbbfd4a7ac4',
     ),
     ('pull-100-fixed', False): (
         'eaa703e01df1d7e6139800841bbca11da05535bdaba5040067803dc4bb90bb0e',
-        1693,
-        'eb7bf38d32b006d09304fb1a850bec2b76a93f8b7132d4d139108dd0af8e4d0b',
+        1174,
+        '5a95d493e9c1e4f85ff8cf9c71a4db216511bac7ed6af3b6beadb6e88150ce4d',
     ),
     ('push-.9', False): (
         'a2a5950fc034e16fa5eda20ef5d4358a64cdb62e15161c038d60a0a68ce727af',
-        1903,
-        '9092adf67e53aa40cdac4f6cc17c3a0fa3a12aa95631296911bb58de138ca836',
+        1384,
+        '7cb07a2f69bb8ee6552abc9831b63f21a84ae4a6a967ce3ae867f36a05770ba0',
     ),
     ('push-1', False): (
         '3079f9dfeda38b1b0bb60881ff5bb1df13bf4fd840a9fca2e3f5bc9faee98c1a',
-        14071,
-        'e693a79ecf1b037de2511a5fa2e36123e39d3811832a9c76743e360ce6d914dd',
+        13562,
+        '19f79ab23c247246c4ab44f05bbf215e63ebe5bccbcdf9c7998858e9ce3a5a01',
     ),
     ('realtor', False): (
         '1ec74dab90564aa977c45340d07b6f3cf3ea20d179761a74caf3233ec761b34f',
-        2389,
-        'aa50fa658979d9ae750b99538ee68d2b253eccebbdd02c7cbf72544fc0ac3a9e',
+        1873,
+        '1e8c926118434cfd7900a5bd2565bfe971da22d79517f152bbebe9b93c5f8762',
     ),
     ('realtor-hier', False): (
         '0f62c6883888727be2de58bd84d41fd3478e39e2023428ca8e703d4011db1702',
-        3332,
-        'bd160a0867875dab887b3902cc9f18f996528e2558fe0ca689f1f3b4a043f1f9',
+        2818,
+        'bff49dc71a2b45bb557d6470ff3121a6c5e3211110da1368b11313be85d3692a',
     ),
     ('realtor-hier-25', False): (
         '36644b7799e3fde8cece817887fbcf05ccae7f46807e3a4dc27d9c13358f861a',
-        7631,
-        '36fe888b91b28f7d4b7da75ee9a0ce81aa029af55afaf36bceed0cc817146258',
+        7119,
+        '22d1cb7c8d3ab3fc3f5275177b1e9b8a5ce0bced280e719afb490b46788cac33',
     ),
     ('pull-.9', True): (
         '3ed96495ed7e78a8de85e7fbbad9e20b628319bf635d39da94167bf81bdfd2a5',
-        2611,
-        '4a9ee497950e29ca5cac015f49e5f934c176906bd7d998f9e6bf4ca812e2ba25',
+        2102,
+        'cecda54409753af0979573f3798dde01648e67f44d8e9067744c86c93c56879a',
     ),
     ('push-1', True): (
         '8e17d1b71dff682e4dc64b094de28841107673402bc57d065e83bd5bdab16958',
-        14006,
-        'e737e8a3074dc0a678bff0c89159db2b82985e312a99a7385ec2af78c67e3b4c',
+        13497,
+        '1d5e9714f4423a5153bae55db8ac400ce30b75d83a38b34d207676351fd96bdb',
     ),
     ('push-.9', True): (
         '81078ee62eb311e1142158d79f68934d255628f825fd86fb5639b5069bcb581b',
-        2110,
-        '683cbce2bb45c274c50ad7b7674aa0530d13686037393a54644b2c3f0a0b5846',
+        1605,
+        'ab51f667dc3963742ac0d12025a4277f892802f1e006922b5d117adc6397a48b',
     ),
     ('pull-100', True): (
         '174e79813e3e7830f1b99544545d9f29eecc1322d7d27f4397655de30781f3dc',
-        2518,
-        '4c469f4c389ae0c0d1fdad26a41f748ff58d4540c96c1ba8997076eec1c710bc',
+        2009,
+        '8f690d0074a0069a219ab1b8482323dd81b355d2af9cc6b74a8e0578e7c444d2',
     ),
     ('pull-100-fixed', True): (
         '5616f479635bd7c84a9e87d8056d1ee4c520f64be6092a9f82e3e0bcfc93e86d',
-        1877,
-        '64c12d64e40bc80dc8bfd45784a2361210a3e5d02c9cd9180669aec9cffbc1a9',
+        1370,
+        '80c36725e62afc61939be7e8585ef242b0e8a671fc04b8f91f3c070e94c8c86a',
     ),
     ('realtor', True): (
         '1c7326a6058d394b29be777338db296e5eb532dbb95ba46ec1a0b918fe73c15f',
-        2692,
-        '0e93d7648eb24ceb333dc16e98bcbd1ca6765ebdf711aa1147c5cf9710a5f97e',
+        2183,
+        '5c218c8f23e1c4ad58b7364cd0b60f3c780aa8f8e4d5a5493a66a0b45b18e8e5',
     ),
 }
 

@@ -9,9 +9,7 @@ its own file: the jumping clock and the cohort loop in ``tests/sim/``,
 the late clamp and the armed waits in ``tests/live/test_scheduler.py``.
 
 The live cases run at ``time_scale=1000`` and assert on order and
-counts only, never on wall time.  A :func:`~repro.runtime.api.quiet`
-event keeps its place in that order on both clocks; the live one only
-does not wake for it.
+counts only, never on wall time.
 
 A message is an agenda event on both clocks as well — ``Transport``
 posts ``_deliver`` through ``sim.after`` and ``LiveTransport``'s
@@ -20,7 +18,6 @@ last cases here hold a delivery to the contract a timer is held to.
 """
 
 import asyncio
-import random
 
 import pytest
 
@@ -31,7 +28,7 @@ from repro.live.scheduler import LiveScheduler
 from repro.live.transport import LiveTransport
 from repro.network import generators
 from repro.network.transport import Transport
-from repro.runtime.api import Priority, quiet
+from repro.runtime.api import Priority
 from repro.sim.events import Event
 from repro.sim.kernel import Agenda, PeriodicTimer, Simulator
 
@@ -66,37 +63,6 @@ def test_fires_in_time_priority_seq_order(sched):
     sched.at(0.1, order.append, "third")
     drive(sched, 1.0)
     assert order == ["first", "second", "third", "later instant"]
-
-
-def test_quiet_events_keep_their_turn_and_wake_nothing(sched, manual_clock):
-    # Random instants on a coarse grid, so quiet and loud events tie; a
-    # quiet one may run late on the wall clock, never out of turn.
-    rng = random.Random(11)
-    order, expected = [], []
-
-    @quiet
-    def hushed(tag):
-        order.append(tag)
-
-    def loud(tag):
-        order.append(tag)
-
-    loud_instants = set()
-    for i in range(60):
-        t = rng.randrange(1, 40) / 16
-        priority = rng.choice((Priority.STATE, Priority.MESSAGE, Priority.ARRIVAL))
-        is_quiet = rng.random() < 0.6
-        ev = sched.at(t, hushed if is_quiet else loud, i, priority=priority)
-        expected.append((ev.time, ev.priority, ev.seq, i))
-        if not is_quiet:
-            loud_instants.add(t)
-    # the last instant is loud and ends the run: no wait beyond it
-    sched.at(2.5, sched.stop, priority=Priority.SAMPLING)
-    loud_instants.add(2.5)
-    drive(sched)
-    assert order == [i for *_key, i in sorted(expected)]
-    if isinstance(sched, LiveScheduler):
-        assert sched.wakeups == len(loud_instants)
 
 
 def test_cancel_is_tracked_and_idempotent(sched):

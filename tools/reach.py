@@ -56,8 +56,9 @@ def trace(out: str, argv: list) -> None:
     try:
         (runpy.run_module(argv[1], run_name="__main__", alter_sys=True) if argv[0] == "-m"
          else runpy.run_path(argv[0], run_name="__main__"))
-    except SystemExit:  # a failed check still ran its code; any other exception fails
-        pass
+    except SystemExit as exc:  # a failed shape check (exit 1) still ran its code
+        if exc.code not in (None, 0, 1):
+            raise  # a usage or input error: the command did not run
     finally:
         sys.settrace(None)
         mine = {code: left for code, left in todo.items() if left is not None}
