@@ -15,8 +15,7 @@ admission/migration (:mod:`repro.migration`), workload and attack generators
 (:mod:`repro.workload`), the experiment harness regenerating every
 figure of the paper (:mod:`repro.experiments`; Section 6's 20-host
 testbed is one of its plan cells), and the live runtime running the
-same system on a wall clock with the Agile Objects naming service
-(:mod:`repro.live`).
+same system on a wall clock (:mod:`repro.live`).
 
 Quickstart
 ----------

@@ -5,14 +5,13 @@ from these parts by :class:`repro.protocols.base.DiscoveryAgent`."""
 
 from .algorithm_h import HelpScheduler
 from .algorithm_p import PledgePolicy
-from .community import Community, MemberRecord, MembershipTable
+from .community import Community, MembershipTable
 from .messages import KIND_ADV, KIND_HELP, KIND_PLEDGE, Advertisement, Help, Pledge
 
 __all__ = [
     "HelpScheduler",
     "PledgePolicy",
     "Community",
-    "MemberRecord",
     "MembershipTable",
     "KIND_ADV",
     "KIND_HELP",

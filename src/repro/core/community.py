@@ -8,7 +8,7 @@ the interval between two consecutive refresh messages."
 Two bookkeeping structures:
 
 * :class:`Community` — the *organizer's* side: the PLEDGE list, each
-  member tagged with its last report.  Members that stop responding to
+  member tagged with its last pledge time.  Members that stop responding to
   refreshes (HELPs) "de facto leave" — expressed as a refresh round: a
   HELP opens a new round; members that have not pledged within the
   soft-state window are swept.
@@ -26,34 +26,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .messages import Pledge
-
-__all__ = ["MemberRecord", "Community", "MembershipTable"]
-
-
-@dataclass
-class MemberRecord:
-    """Organizer-side knowledge about one community member."""
-
-    node: int
-    joined_at: float
-    last_pledge_at: float
-    availability: float
-    usage: float
-    available: bool
-    grant_probability: float
-
-    def staleness(self, now: float) -> float:
-        return max(0.0, now - self.last_pledge_at)
+__all__ = ["Community", "MembershipTable"]
 
 
 class Community:
-    """The organizer's PLEDGE list.
+    """The organizer's PLEDGE list: each member's last pledge time.
+
+    What a member reported lives in the organizer's
+    :class:`~repro.protocols.view.ResourceView`; the community only
+    decides who is still a member.
 
     Parameters
     ----------
-    organizer:
-        Node id owning the community.
     member_ttl:
         Seconds of pledge silence after which a member is swept.  This is
         the soft-state window: in the paper membership lapses when a
@@ -61,79 +45,32 @@ class Community:
         must cover at least one ``Upper_limit``.
     """
 
-    def __init__(self, organizer: int, member_ttl: float = 200.0) -> None:
+    def __init__(self, member_ttl: float = 200.0) -> None:
         if member_ttl <= 0:
             raise ValueError("member_ttl must be positive")
-        self.organizer = organizer
         self.member_ttl = float(member_ttl)
-        self._members: Dict[int, MemberRecord] = {}
-        self.refreshes_sent = 0
-        self.total_joins = 0
-
-    # Organizer events -----------------------------------------------------
+        #: member id -> time of its last PLEDGE
+        self.members: Dict[int, float] = {}
 
     def note_refresh(self, now: float) -> List[int]:
         """A HELP (refresh) went out: sweep silent members.
 
         Returns the ids of members dropped in this sweep.
         """
-        self.refreshes_sent += 1
-        dropped = [
-            nid for nid, rec in self._members.items() if rec.staleness(now) > self.member_ttl
-        ]
+        members = self.members
+        dropped = [nid for nid, last in members.items() if now - last > self.member_ttl]
         for nid in dropped:
-            del self._members[nid]
+            del members[nid]
         return dropped
 
-    def on_pledge(self, pledge: Pledge, now: float) -> bool:
-        """Record a PLEDGE; returns ``True`` if this is a new member."""
-        rec = self._members.get(pledge.pledger)
-        is_new = rec is None
-        if is_new:
-            self.total_joins += 1
-            self._members[pledge.pledger] = MemberRecord(
-                node=pledge.pledger,
-                joined_at=now,
-                last_pledge_at=now,
-                availability=pledge.availability,
-                usage=pledge.usage,
-                available=pledge.usage < 1.0 and pledge.availability > 0.0,
-                grant_probability=pledge.grant_probability,
-            )
-        else:
-            assert rec is not None
-            rec.last_pledge_at = now
-            rec.availability = pledge.availability
-            rec.usage = pledge.usage
-            rec.grant_probability = pledge.grant_probability
+    def on_pledge(self, node: int, now: float) -> bool:
+        """Record a PLEDGE from ``node``; ``True`` if it is a new member."""
+        is_new = node not in self.members
+        self.members[node] = now
         return is_new
 
-    def mark_available(self, node: int, available: bool) -> None:
-        """Set the below-threshold verdict for a member (crossing pledges)."""
-        rec = self._members.get(node)
-        if rec is not None:
-            rec.available = available
-
-    def drop(self, node: int) -> None:
-        """Explicit removal (e.g. the member crashed or declined admission)."""
-        self._members.pop(node, None)
-
-    # Queries --------------------------------------------------------------
-
-    def members(self) -> List[int]:
-        return sorted(self._members)
-
-    def record(self, node: int) -> Optional[MemberRecord]:
-        return self._members.get(node)
-
     def size(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, node: int) -> bool:
-        return node in self._members
-
-    def __len__(self) -> int:
-        return len(self._members)
+        return len(self.members)
 
 
 @dataclass

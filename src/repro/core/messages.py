@@ -71,16 +71,6 @@ class Pledge:
         if not 0.0 <= self.grant_probability <= 1.0:
             raise ValueError(f"grant probability out of range: {self.grant_probability}")
 
-    @property
-    def available(self) -> bool:
-        """Whether the pledger was below its threshold when it pledged.
-
-        Encoded implicitly: Algorithm P sends availability reports on both
-        threshold crossings; a report with zero headroom after an upward
-        crossing means "stop counting on me".
-        """
-        return self.availability > 0.0
-
 
 @dataclass(frozen=True)
 class Advertisement:

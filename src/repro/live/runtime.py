@@ -12,10 +12,6 @@ What this module adds, because it only makes sense live:
 * :class:`LiveConfig` — :class:`~repro.experiments.config.ExperimentConfig`
   plus the five live-only fields, with the defaults that differ live
   and the axes the live runtime cannot honour rejected by name;
-* the Agile Objects :class:`~repro.live.naming.NamingService`, the
-  runtime's name service — every node registers itself
-  at startup, and a task's binding lives as long as the task: registered
-  at its admission, unregistered when it completes or is lost;
 * per-task **settlement latency** (arrival to admission/rejection, wall
   milliseconds) in a :class:`~repro.obs.registry.Histogram` of the
   run's :class:`~repro.obs.registry.MetricsRegistry` plus an exact 8-byte
@@ -33,7 +29,7 @@ from array import array
 from dataclasses import dataclass
 from functools import partial
 from time import perf_counter, process_time
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 import numpy as np
 
@@ -46,7 +42,6 @@ from ..obs.registry import Histogram
 from ..obs.telemetry import ProtocolRollup
 from ..sim.trace import Tracer
 
-from .naming import NamingService
 from .scheduler import LiveScheduler
 from .transport import BACKENDS, LiveTransport
 
@@ -128,52 +123,34 @@ class _LiveMetrics(MetricsCollector):
     virtual clock is the wall clock times ``time_scale``, so the wall
     latency is the task's virtual age divided by the scale.
 
-    Everything else kept for a task — its ``task/<id>`` binding in
-    ``naming``, its id — lasts from admission to completion or loss.
+    The only other thing kept for a task, its id, lasts from admission
+    to completion or loss.
     """
 
-    def __init__(self, sim: LiveScheduler, naming: NamingService) -> None:
+    def __init__(self, sim: LiveScheduler) -> None:
         super().__init__()
         self._sim = sim
-        self._naming = naming
         #: exact settlement latencies, wall ms (report percentiles): one
         #: unboxed double per task, the runtime's only per-task residue
         self.latencies_ms = array("d")
         #: the same, binned; the runtime files it in the run registry
         self.latency_hist = Histogram("settlement_latency_ms", LATENCY_EDGES_MS)
-        #: binding name of every task that can still settle again:
-        #: admitted and neither completed nor lost
-        self._settled_ids: Dict[int, str] = {}
+        #: id of every task that can still settle again: admitted and
+        #: neither completed nor lost
+        self._settled_ids: Set[int] = set()
 
     def _settle(self, task: Task) -> None:
         ms = (self._sim.now - task.arrival_time) * 1000.0 / self._sim.time_scale
         self.latencies_ms.append(ms)
         self.latency_hist.observe(ms)
 
-    def _leave(self, task: Task) -> bool:
-        """End ``task``'s residency; False if it never was admitted."""
-        name = self._settled_ids.pop(task.task_id, None)
-        if name is not None:
-            self._naming.unregister(name)
-        return name is not None
-
     def task_admitted(self, task: Task) -> None:
         super().task_admitted(task)  # raises on an outcome that admits nothing
-        name = self._settled_ids.get(task.task_id)
-        if name is None:
+        if task.task_id not in self._settled_ids:
             self._settle(task)
-            if task.status is not TaskStatus.QUEUED:
-                return  # an orphaned grant, confirmed after the task completed
-            name = self._settled_ids[task.task_id] = f"task/{task.task_id}"
-        self._naming.register(name, task.admitted_at)
-
-    def evacuation(self, task: Task, success: bool) -> None:
-        super().evacuation(task, success)
-        name = self._settled_ids.get(task.task_id)
-        if success and name is not None:
-            # a granted evacuation moves a resident task without passing
-            # through task_admitted: its binding follows it
-            self._naming.register(name, task.admitted_at)
+            # an orphaned grant confirmed after its task completed is no resident
+            if task.status is TaskStatus.QUEUED:
+                self._settled_ids.add(task.task_id)
 
     def task_rejected(self, task: Task) -> None:
         self._settle(task)  # terminal, and only ever a first decision
@@ -181,12 +158,14 @@ class _LiveMetrics(MetricsCollector):
 
     def task_lost(self, task: Task) -> None:
         # an admitted task lost to a crash keeps its first decision's latency
-        if not self._leave(task):
+        if task.task_id in self._settled_ids:
+            self._settled_ids.remove(task.task_id)
+        else:
             self._settle(task)
         super().task_lost(task)
 
     def task_completed(self, task: Task) -> None:
-        self._leave(task)
+        self._settled_ids.discard(task.task_id)
         super().task_completed(task)
 
     @property
@@ -203,10 +182,7 @@ class LiveRuntime:
         self.sim = LiveScheduler(
             seed=cfg.seed, trace=Tracer(enabled=cfg.trace), time_scale=cfg.time_scale
         )
-        # Name service promotion: every node registers itself; the
-        # collector binds each admitted task for as long as it is resident.
-        self.naming = NamingService(self.sim)
-        self.metrics = _LiveMetrics(self.sim, self.naming)
+        self.metrics = _LiveMetrics(self.sim)
         self.system = assemble(
             cfg,
             self.sim,
@@ -217,9 +193,6 @@ class LiveRuntime:
         self.coordinator = self.system.coordinator
         hist = self.metrics.latency_hist
         self.system.registry.histograms[hist.name] = hist
-
-        for nid in self.system.hosts:
-            self.naming.register(f"node/{nid}", nid)
 
         self._wall_elapsed = self._cpu_elapsed = 0.0
         self.clean_shutdown = False
@@ -286,7 +259,7 @@ class LiveRuntime:
 
     def report(self) -> Dict[str, object]:
         """JSON-ready run summary (the CLI prints / uploads this)."""
-        self.system.settle()  # the counts and bindings of every task now due
+        self.system.settle()  # the counts of every task now due
         cfg = self.cfg
         t = self.metrics.tasks
         admitted = t.admitted_local + t.admitted_migrated
@@ -347,11 +320,6 @@ class LiveRuntime:
                 "sent": self.transport.sent_messages,
                 "delivered": self.transport.delivered_messages,
                 "dropped": self.transport.dropped_messages,
-            },
-            "naming": {
-                "bindings": len(self.naming),
-                "lookups": self.naming.lookups,
-                "updates": self.naming.updates,
             },
             "scheduler": {
                 "events_executed": self.sim.events_executed,

@@ -7,10 +7,10 @@ callback's name with the cohort's event count — and feeds this
 profiler, which attributes the time two ways:
 
 * **per callback** — the scheduled function's qualified name
-  (``Transport._deliver``, ``WorkQueue._complete_head``, …), the event
+  (``Transport._deliver``, ``ArrivalGenerator._fire``, …), the event
   categories of a run;
 * **per subsystem** — the callback's module mapped onto the
-  architectural layers (``queue``, ``monitor``, ``transport``,
+  architectural layers (``node``, ``monitor``, ``transport``,
   ``protocol``, ``migration``, ``workload``, ``kernel``, …).
 
 Agenda management (heap pops, clock updates — everything between
@@ -35,7 +35,6 @@ __all__ = ["KernelProfiler", "ProfileReport", "subsystem_of"]
 
 #: module-prefix → subsystem, longest (most specific) prefix wins
 _SUBSYSTEM_PREFIXES: Tuple[Tuple[str, str], ...] = (
-    ("repro.node.queue", "queue"),
     ("repro.node.monitor", "monitor"),
     ("repro.node", "node"),
     ("repro.network.transport", "transport"),

@@ -229,7 +229,7 @@ class DiscoveryAgent:
         self.community: Optional[Community] = None
         self.memberships: Optional[MembershipTable] = None
         if respond == "community":
-            self.community = Community(self.node_id, member_ttl=cfg.membership_ttl)
+            self.community = Community(member_ttl=cfg.membership_ttl)
             self.memberships = MembershipTable(
                 self.node_id, membership_ttl=cfg.membership_ttl
             )
@@ -376,8 +376,7 @@ class DiscoveryAgent:
             )
         available = pledge.usage < self.threshold
         if self.community is not None:
-            self.community.on_pledge(pledge, now)
-            self.community.mark_available(pledge.pledger, available)
+            self.community.on_pledge(pledge.pledger, now)
         self.view.observe_latency(pledge.pledger, now - pledge.sent_at)
         self.view.update(
             pledge.pledger, pledge.availability, pledge.usage, available, pledge.sent_at

@@ -3,73 +3,53 @@
 import pytest
 
 from repro.core.community import Community, MembershipTable
-from repro.core.messages import Pledge
-
-
-def pledge(node, availability=50.0, usage=0.5, t=0.0, communities=1):
-    return Pledge(
-        pledger=node,
-        availability=availability,
-        usage=usage,
-        communities=communities,
-        grant_probability=0.5,
-        sent_at=t,
-    )
 
 
 class TestCommunity:
     def test_pledge_joins(self):
-        c = Community(organizer=0)
-        assert c.on_pledge(pledge(1), now=0.0)
-        assert c.members() == [1]
-        assert c.total_joins == 1
+        c = Community()
+        assert c.on_pledge(1, now=0.0)
+        assert c.members == {1: 0.0}
 
     def test_repledge_updates_not_joins(self):
-        c = Community(organizer=0)
-        c.on_pledge(pledge(1, availability=50.0), now=0.0)
-        is_new = c.on_pledge(pledge(1, availability=20.0), now=5.0)
-        assert not is_new
-        assert c.total_joins == 1
-        rec = c.record(1)
-        assert rec.availability == 20.0
-        assert rec.last_pledge_at == 5.0
+        c = Community()
+        c.on_pledge(1, now=0.0)
+        assert not c.on_pledge(1, now=5.0)
+        assert c.members == {1: 5.0}
 
     def test_refresh_sweeps_silent_members(self):
-        c = Community(organizer=0, member_ttl=10.0)
-        c.on_pledge(pledge(1), now=0.0)
-        c.on_pledge(pledge(2), now=8.0)
+        c = Community(member_ttl=10.0)
+        c.on_pledge(1, now=0.0)
+        c.on_pledge(2, now=8.0)
         dropped = c.note_refresh(now=11.0)
         assert dropped == [1]
-        assert c.members() == [2]
+        assert list(c.members) == [2]
 
     def test_refresh_keeps_fresh_members(self):
-        c = Community(organizer=0, member_ttl=10.0)
-        c.on_pledge(pledge(1), now=0.0)
+        c = Community(member_ttl=10.0)
+        c.on_pledge(1, now=0.0)
         assert c.note_refresh(now=5.0) == []
-        assert 1 in c
-
-    def test_mark_available(self):
-        c = Community(organizer=0)
-        c.on_pledge(pledge(1), now=0.0)
-        c.mark_available(1, False)
-        assert c.record(1).available is False
-        c.mark_available(99, True)  # unknown member: no-op
+        assert 1 in c.members
 
     def test_drop(self):
-        c = Community(organizer=0)
-        c.on_pledge(pledge(1), now=0.0)
-        c.drop(1)
+        # the sweep is the only way out; a swept member pledging again rejoins
+        c = Community(member_ttl=10.0)
+        c.on_pledge(1, now=0.0)
+        assert c.note_refresh(now=11.0) == [1]
         assert c.size() == 0
-        c.drop(1)  # idempotent
+        assert c.note_refresh(now=12.0) == []
+        assert c.on_pledge(1, now=12.0)
 
     def test_ttl_validation(self):
         with pytest.raises(ValueError):
-            Community(organizer=0, member_ttl=0.0)
+            Community(member_ttl=0.0)
 
     def test_staleness(self):
-        c = Community(organizer=0)
-        c.on_pledge(pledge(1), now=2.0)
-        assert c.record(1).staleness(10.0) == 8.0
+        # a member is exactly member_ttl stale before the sweep takes it
+        c = Community(member_ttl=8.0)
+        c.on_pledge(1, now=2.0)
+        assert c.note_refresh(now=10.0) == []
+        assert c.note_refresh(now=10.5) == [1]
 
 
 class TestMembershipTable:

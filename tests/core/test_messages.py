@@ -35,10 +35,6 @@ class TestPledge:
         base.update(kw)
         return Pledge(**base)
 
-    def test_available_flag(self):
-        assert self.make(availability=10.0).available
-        assert not self.make(availability=0.0).available
-
     def test_usage_range_validated(self):
         with pytest.raises(ValueError):
             self.make(usage=1.5)

@@ -63,14 +63,17 @@ class TestExecution:
         assert heavy < light - 0.05
 
     def test_components_registered_with_naming(self, manual_clock):
-        # run live on the testbed's config, every node and every admitted
-        # component registers its location with the naming service once
+        # run live on the testbed's config, the runtime keeps the id of
+        # every component still resident at the drain, and no other
         exp = {f.name: getattr(TESTBED, f.name) for f in fields(TESTBED) if f.name != "obs"}
         cfg = LiveConfig(**{**exp, "arrival_rate": 2.0, "horizon": 50.0, "time_scale": 100.0})
         rt = LiveRuntime(cfg)
         report = asyncio.run(rt.run())
         assert report["config"]["nodes"] == 20 and report["drained"]
-        assert report["naming"]["updates"] == 20 + report["tasks"]["admitted"]
+        resident = {
+            t.task_id for h in rt.system.hosts.values() for t in h.queue.resident_tasks()
+        }
+        assert resident and rt.metrics._settled_ids == resident
 
     def test_multicast_messages_cheap(self, fig9):
         # on the LAN a HELP flood is one message, not one per link

@@ -64,7 +64,7 @@ class TestSweepAttackSurvivability:
         )
         system.sim.run(until=2.0)
         # node 7 (compromised, idle) must not be in 12's community
-        assert 7 not in system.agents[12].community
+        assert 7 not in system.agents[12].community.members
 
 
 class TestRegionAttack:

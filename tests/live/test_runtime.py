@@ -9,9 +9,8 @@ import pytest
 import repro.live.__main__ as cli
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.live import LiveConfig, run_live
+from repro.live import LiveConfig
 from repro.live.__main__ import main
-from repro.live.naming import NamingService
 from repro.live.runtime import LiveRuntime, _LiveMetrics
 from repro.live.scheduler import LiveScheduler
 from repro.node.task import Task, TaskOutcome, TaskStatus
@@ -20,24 +19,18 @@ from repro.obs.registry import MetricsRegistry
 from repro.workload.attack import AttackConfig
 
 
-def small_report(**overrides) -> dict:
-    base = dict(
-        nodes=9,
-        arrival_rate=40.0,
-        horizon=5.0,
-        seed=7,
-        time_scale=200.0,
-        latency=0.0,
-        drain_timeout=30.0,
-    )
-    base.update(overrides)
-    return asyncio.run(run_live(LiveConfig(**base)))
-
-
 class TestLiveRuntime:
     @pytest.fixture(scope="class")
-    def report(self):
-        return small_report()
+    def run(self):
+        rt = LiveRuntime(LiveConfig(
+            nodes=9, arrival_rate=40.0, horizon=5.0, seed=7, time_scale=200.0,
+            latency=0.0, drain_timeout=30.0,
+        ))
+        return rt, asyncio.run(rt.run())
+
+    @pytest.fixture(scope="class")
+    def report(self, run):
+        return run[1]
 
     def test_report_structure(self, report):
         for key in (
@@ -48,7 +41,6 @@ class TestLiveRuntime:
             "latency_ms",
             "throughput",
             "messages",
-            "naming",
             "scheduler",
             "drained",
             "clean_shutdown",
@@ -66,16 +58,18 @@ class TestLiveRuntime:
         assert sched["timer"] in ("timerfd", "call_at")
         assert sched["wakeups"] > 0
 
-    def test_naming_service_is_live(self, report):
-        # every node registers at startup and every admission registers
-        # the task's location — the cluster naming layer, promoted — but a
-        # binding lives only as long as its task: what is bound at the
-        # drain is the nodes plus the tasks still resident
+    def test_naming_service_is_live(self, run):
+        # a task's id is kept only while the task is resident: what is
+        # kept at the drain is the ids of the tasks still resident
+        rt, report = run
         tasks = report["tasks"]
         resident = tasks["admitted"] - tasks["completed"] - tasks["lost"]
         assert tasks["completed"] > 0
-        assert report["naming"]["bindings"] == 9 + resident
-        assert report["naming"]["updates"] >= tasks["admitted"]
+        assert len(rt.metrics._settled_ids) == resident
+        assert rt.metrics._settled_ids == {
+            t.task_id for h in rt.system.hosts.values()
+            for t in h.queue.resident_tasks()
+        }
 
     def test_metrics_registry_sampled_series(self, report):
         # install_run_probes + MetricsRegistry run unchanged over the
@@ -223,8 +217,7 @@ class TestTaskLifetime:
             hosts = rt.system.hosts.values()
             resident = {t.task_id for h in hosts for t in h.queue.resident_tasks()}
             # at the drain the set holds the resident ids and only them ...
-            assert set(rt.metrics._settled_ids) == resident
-            assert len(rt.naming) == 9 + len(resident)
+            assert rt.metrics._settled_ids == resident
             await rt.sim.run(until=max(h.queue.busy_until for h in hosts) + 0.01)
             rt.system.settle()
             return report
@@ -241,11 +234,11 @@ class TestTaskLifetime:
         assert list(rt.metrics.latencies_ms) == list(first.values())
         # ... and every id has left once its task completed
         assert all(t.status is TaskStatus.COMPLETED for t in evacuated)
-        assert not rt.metrics._settled_ids and len(rt.naming) == 9
+        assert not rt.metrics._settled_ids
 
     def test_a_granted_evacuation_rebinds_the_task(self, manual_clock):
         # an evacuation re-admits a resident task without task_admitted;
-        # its binding must follow it to the host that granted
+        # its id stays kept while it runs on the host that granted
         cfg = LiveConfig(nodes=9, arrival_rate=1.4, horizon=300.0, seed=11)
         rt = LiveRuntime(cfg)
         for i, node in enumerate((4, 1, 7, 3)):
@@ -257,38 +250,35 @@ class TestTaskLifetime:
             evacuation(task, success)
             if success:
                 hosts = rt.system.hosts.values()
-                resident = sum(len(h.queue.resident_tasks()) for h in hosts)
-                bound = rt.naming.true_location(f"task/{task.task_id}")
-                moves.append((task.origin, task.admitted_at, bound,
-                              len(rt.naming) - 9 - resident))
+                resident = {t.task_id for h in hosts for t in h.queue.resident_tasks()}
+                moves.append((task.origin, task.admitted_at,
+                              task.task_id in rt.metrics._settled_ids,
+                              rt.metrics._settled_ids == resident))
 
         rt.metrics.evacuation = checked_evacuation
         assert asyncio.run(rt.run())["drained"]
         assert moves
-        for left, new, bound, unaccounted in moves:
-            assert bound == new != left and unaccounted == 0
+        for left, new, kept, exact in moves:
+            assert new != left and kept and exact
 
     def test_a_resettlement_keeps_the_latency_of_the_first_decision(self):
-        sim = LiveScheduler()
-        naming = NamingService(sim)
-        metrics = _LiveMetrics(sim, naming)
+        metrics = _LiveMetrics(LiveScheduler())
         task = Task(size=1.0, arrival_time=0.0, origin=0)
         metrics.task_generated()
         task.mark_admitted(2, 0.0, TaskOutcome.MIGRATED)
         metrics.task_admitted(task)
-        assert (naming.lookup(f"task/{task.task_id}"), metrics.unsettled) == (2, 0)
-        task.mark_lost()  # its host crashed: a second settlement
+        assert (metrics._settled_ids, metrics.unsettled) == ({task.task_id}, 0)
+        metrics.task_admitted(task)  # a re-admission settles nothing new
+        task.mark_lost()  # its host crashed: a further settlement
         metrics.task_lost(task)
         assert len(metrics.latencies_ms) == metrics.latency_hist.total() == 1
         assert metrics.unsettled == 0 and metrics.tasks.lost == 1
-        assert len(naming) == 0 and not metrics._settled_ids
+        assert not metrics._settled_ids
 
     def test_an_orphaned_grant_confirmed_after_completion_binds_nothing(self):
         # the responder admitted and ran the task while the grant was lost;
         # the origin's give-up confirms an admission that is already over
-        sim = LiveScheduler()
-        naming = NamingService(sim)
-        metrics = _LiveMetrics(sim, naming)
+        metrics = _LiveMetrics(LiveScheduler())
         task = Task(size=1.0, arrival_time=0.0, origin=0)
         metrics.task_generated()
         task.mark_admitted(1, 0.0, TaskOutcome.MIGRATED)
@@ -297,7 +287,18 @@ class TestTaskLifetime:
         assert metrics.unsettled == 1
         metrics.task_admitted(task)
         assert metrics.unsettled == 0 and len(metrics.latencies_ms) == 1
-        assert len(naming) == 0 and not metrics._settled_ids
+        assert not metrics._settled_ids
+
+    def test_a_task_lost_before_its_decision_settles_once(self):
+        # lost in flight (its negotiation's responder crashed): the loss
+        # is its first and only settlement, and no id was ever kept
+        metrics = _LiveMetrics(LiveScheduler())
+        task = Task(size=1.0, arrival_time=0.0, origin=0)
+        metrics.task_generated()
+        task.mark_lost()
+        metrics.task_lost(task)
+        assert metrics.unsettled == 0 and len(metrics.latencies_ms) == 1
+        assert metrics.tasks.lost == 1 and not metrics._settled_ids
 
 
 class TestCli:

@@ -8,7 +8,7 @@ from repro.sim.kernel import Simulator
 
 class TestSubsystemMapping:
     def test_architectural_layers(self):
-        assert subsystem_of("repro.node.queue") == "queue"
+        assert subsystem_of("repro.node.queue") == "node"
         assert subsystem_of("repro.node.monitor") == "monitor"
         assert subsystem_of("repro.node.host") == "node"
         assert subsystem_of("repro.network.transport") == "transport"

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.community import Community, MembershipTable
-from repro.core.messages import Pledge
 from repro.protocols.view import ResourceView
 
 node_ids = st.integers(0, 30)
@@ -51,40 +50,32 @@ class TestViewProperties:
         assert all(e.node != 5 for e in view.candidates(now=2000.0))
 
 
-pledge_events = st.lists(
-    st.tuples(node_ids, timestamps, availabilities), max_size=80
-)
+pledge_events = st.lists(st.tuples(node_ids, timestamps), max_size=80)
 
 
 class TestCommunityProperties:
     @given(pledge_events, st.floats(min_value=1.0, max_value=100.0))
     def test_members_always_within_ttl_after_refresh(self, events, ttl):
-        c = Community(organizer=99, member_ttl=ttl)
+        c = Community(member_ttl=ttl)
         events = sorted(events, key=lambda e: e[1])
         now = 0.0
-        for node, ts, avail in events:
+        for node, ts in events:
             now = ts
-            c.on_pledge(
-                Pledge(pledger=node, availability=avail, usage=0.5,
-                       communities=0, grant_probability=0.5, sent_at=ts),
-                now=ts,
-            )
+            c.on_pledge(node, now=ts)
         c.note_refresh(now)
-        for member in c.members():
-            assert c.record(member).staleness(now) <= ttl
+        for last in c.members.values():
+            assert now - last <= ttl
 
     @given(pledge_events)
     def test_member_count_bounded_by_distinct_pledgers(self, events):
-        c = Community(organizer=99)
-        for node, ts, avail in sorted(events, key=lambda e: e[1]):
-            c.on_pledge(
-                Pledge(pledger=node, availability=avail, usage=0.5,
-                       communities=0, grant_probability=0.5, sent_at=ts),
-                now=ts,
-            )
-        distinct = len({n for n, _, _ in events})
+        c = Community()
+        joins = sum(
+            c.on_pledge(node, now=ts)
+            for node, ts in sorted(events, key=lambda e: e[1])
+        )
+        distinct = len({n for n, _ in events})
         assert c.size() <= distinct
-        assert c.total_joins == distinct
+        assert joins == distinct
 
 
 class TestMembershipProperties:
