@@ -340,9 +340,6 @@ class System:
         self.metrics.extra["cohort_batched_events"] = float(
             cohort_stats["batched_events"]
         )
-        self.metrics.extra["cohort_batched_share"] = float(
-            cohort_stats["batched_share"]
-        )
         series_payload = None
         if self.registry is not None:
             self.registry.finish()
@@ -351,7 +348,6 @@ class System:
                 series_payload["cohorts"] = {
                     "cohorts": cohort_stats["cohorts"],
                     "batched_events": cohort_stats["batched_events"],
-                    "batched_share": cohort_stats["batched_share"],
                     "size_histogram": {
                         str(size): count
                         for size, count in cohort_stats["size_histogram"].items()

@@ -64,7 +64,8 @@ STORE_FORMAT = "repro-runstore/1"
 #: 6: evacuations settle through the placement chain; a task is admitted once
 #: 7: completions are retired by their queue, not run as events (the
 #:    cohort extras and response_time_mean's last bits move)
-CODE_VERSION = "7"
+#: 8: RunResult.extra loses cohort_batched_share
+CODE_VERSION = "8"
 
 
 def default_salt() -> str:

@@ -333,8 +333,7 @@ def run_report(
         lines.append(
             "cohort batching: "
             f"{extra.get('cohort_batched_events', 0.0):.0f} events in "
-            f"{extra.get('cohorts', 0.0):.0f} cohorts "
-            f"({extra.get('cohort_batched_share', 0.0):.1%} of all events)"
+            f"{extra.get('cohorts', 0.0):.0f} cohorts"
         )
     arrays = entry.series_arrays()
     if not arrays:

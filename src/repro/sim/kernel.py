@@ -439,17 +439,12 @@ class Simulator(Agenda):
         """Batched-dispatch accounting.
 
         Returns cumulative counts since construction: how many cohorts
-        were drained, how many events they covered, that count as a
-        share of all executed events (0.0 before anything runs), and a
+        were drained, how many events they covered, and a
         ``{cohort size -> occurrences}`` histogram.
         """
-        executed = self._events_executed
         return {
             "cohorts": self._cohorts,
             "batched_events": self._batched_events,
-            "batched_share": (
-                self._batched_events / executed if executed else 0.0
-            ),
             "size_histogram": dict(sorted(self._cohort_sizes.items())),
         }
 

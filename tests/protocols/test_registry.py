@@ -91,87 +91,87 @@ PINNED_RUNS = {
     ('gossip', False): (
         '8513e901dca6d4a2ec18cead1f2bc0bed477360520ebe1ba0b0fd630f1452023',
         10002,
-        'c5bd52e3357c0ae21e495f226a2bd06b096e9c7635b96cb2d2ea6b7931653d9a',
+        'edacc778f593c1fb82469ee76774115b879ebd4cae914ee46e4a8672b094576b',
     ),
     ('gossip-5', False): (
         '3b46b8eacd96e8ee6ddf00e858be93bc09437fe03575232f38abfdcfa00f1b23',
         2807,
-        '65bd9bc105755198c7eb1dcdfeb419131b3f01df999e1a4e84bbd1e0cdd4b819',
+        '4d8105a75d196e2ec95294a4e3a30abbcbba0c4bebdc13391fc83daac558e7ec',
     ),
     ('none', False): (
         '5c151665558ba52b7d193f09ddfdf7442bc9a634b7d4e5a5612d1aa164fdaf54',
         1003,
-        'ed9a35ea0acc4200179c09e6d1691b561554c21d564f9814024ca8ff9f5ccd82',
+        '90c7c46f48bfb370142aa1650ab428cfee13f1f8831e7e02c0d386760f6089b8',
     ),
     ('pull-.9', False): (
         '89747f284afd470dbf3943f348cb4b5bb18821d53b31743558bf76bc6ede9fa6',
         1878,
-        '6be5e14e304d97ff558a4836a60f9bc3197777ff938679498d76873f13ed2730',
+        '2f96c9da887ee2d304fc3f47835325b15218785fe62fc475b8c8c82cfe553f96',
     ),
     ('pull-100', False): (
         'e791b026b7bd0622ca4515817e1bb671c105624d1d43ff722a2bc991a36ad503',
         1742,
-        '50a4ee0647f02c96a19b07e5f148330e8a68b30ba623f4e82260acbbfd4a7ac4',
+        '8a134843b41158bd42c6a163c2f234e9fe1f3d26c08af1a13d827252160b01ac',
     ),
     ('pull-100-fixed', False): (
         'eaa703e01df1d7e6139800841bbca11da05535bdaba5040067803dc4bb90bb0e',
         1174,
-        '5a95d493e9c1e4f85ff8cf9c71a4db216511bac7ed6af3b6beadb6e88150ce4d',
+        'd40931414aa2c226aa915ad250e85bf3067dbf9cbd7b94e4eedcdd94cfe410ae',
     ),
     ('push-.9', False): (
         'a2a5950fc034e16fa5eda20ef5d4358a64cdb62e15161c038d60a0a68ce727af',
         1384,
-        '7cb07a2f69bb8ee6552abc9831b63f21a84ae4a6a967ce3ae867f36a05770ba0',
+        'c1661388a8e26da9b02b747ce4efa066d23efc0f095aea70c2ad932e1d215c42',
     ),
     ('push-1', False): (
         '3079f9dfeda38b1b0bb60881ff5bb1df13bf4fd840a9fca2e3f5bc9faee98c1a',
         13562,
-        '19f79ab23c247246c4ab44f05bbf215e63ebe5bccbcdf9c7998858e9ce3a5a01',
+        '68b67310d4fc8d95c9ffc63cea50bfa6801fd809256d7c1cb46c2a52a17f61ed',
     ),
     ('realtor', False): (
         '1ec74dab90564aa977c45340d07b6f3cf3ea20d179761a74caf3233ec761b34f',
         1873,
-        '1e8c926118434cfd7900a5bd2565bfe971da22d79517f152bbebe9b93c5f8762',
+        '4884afd51512a8bbcb62b57b3828c2e48c8e7faaf973057f705c9d774ebb17f1',
     ),
     ('realtor-hier', False): (
         '0f62c6883888727be2de58bd84d41fd3478e39e2023428ca8e703d4011db1702',
         2818,
-        'bff49dc71a2b45bb557d6470ff3121a6c5e3211110da1368b11313be85d3692a',
+        '90cb353b586520f0f512a201f2744eee8d61b3f333a7cdee6c41baa0120d9625',
     ),
     ('realtor-hier-25', False): (
         '36644b7799e3fde8cece817887fbcf05ccae7f46807e3a4dc27d9c13358f861a',
         7119,
-        '22d1cb7c8d3ab3fc3f5275177b1e9b8a5ce0bced280e719afb490b46788cac33',
+        '0d08a0cec8ba5c553851dd9af733bb1f5be5d2ea153cc89bc65c278e56d1353e',
     ),
     ('pull-.9', True): (
         '3ed96495ed7e78a8de85e7fbbad9e20b628319bf635d39da94167bf81bdfd2a5',
         2102,
-        'cecda54409753af0979573f3798dde01648e67f44d8e9067744c86c93c56879a',
+        '95282be7965615ec3f887234ebd97dc28630a69b3fc291ad4556d07eca70e316',
     ),
     ('push-1', True): (
         '8e17d1b71dff682e4dc64b094de28841107673402bc57d065e83bd5bdab16958',
         13497,
-        '1d5e9714f4423a5153bae55db8ac400ce30b75d83a38b34d207676351fd96bdb',
+        'cf7eb2c4e962511a2c3d7f1ccac9aefbe671a1cdf5a81e40f36084671ced9bd0',
     ),
     ('push-.9', True): (
         '81078ee62eb311e1142158d79f68934d255628f825fd86fb5639b5069bcb581b',
         1605,
-        'ab51f667dc3963742ac0d12025a4277f892802f1e006922b5d117adc6397a48b',
+        'eef8c0cd335b4db20f9b3e9e6de3a52fc063c3b86ea373d03522324806152b8b',
     ),
     ('pull-100', True): (
         '174e79813e3e7830f1b99544545d9f29eecc1322d7d27f4397655de30781f3dc',
         2009,
-        '8f690d0074a0069a219ab1b8482323dd81b355d2af9cc6b74a8e0578e7c444d2',
+        '56475e2fc3d08134c81800e4710776f7d9bae496a938cca81c99c4530a822a19',
     ),
     ('pull-100-fixed', True): (
         '5616f479635bd7c84a9e87d8056d1ee4c520f64be6092a9f82e3e0bcfc93e86d',
         1370,
-        '80c36725e62afc61939be7e8585ef242b0e8a671fc04b8f91f3c070e94c8c86a',
+        '0b79879fdcc3f411167670fb9da831f38a53d2d82cb44b7237a3ca230c06b723',
     ),
     ('realtor', True): (
         '1c7326a6058d394b29be777338db296e5eb532dbb95ba46ec1a0b918fe73c15f',
         2183,
-        '5c218c8f23e1c4ad58b7364cd0b60f3c780aa8f8e4d5a5493a66a0b45b18e8e5',
+        '0980d59b74aca58fbc6d5c5b6a39d8be72a2d8f7cb7db7b65e4f4d3bc2ef7e89',
     ),
 }
 

@@ -591,14 +591,12 @@ class TestCohortStats:
             sum(s * c for s, c in stats["size_histogram"].items())
             == stats["batched_events"]
         )
-        assert stats["batched_share"] == pytest.approx(8 / 9)
         assert sim.events_executed == 9
 
     def test_stats_zero_before_any_run(self):
         stats = Simulator().cohort_stats()
         assert stats["cohorts"] == 0
         assert stats["batched_events"] == 0
-        assert stats["batched_share"] == 0.0
         assert stats["size_histogram"] == {}
 
     def test_stats_zero_with_batching_disabled(self):
@@ -635,7 +633,5 @@ class TestCohortStats:
         assert result.extra["cohort_batched_events"] == float(
             stats["batched_events"]
         )
-        assert result.extra["cohort_batched_share"] == pytest.approx(
-            stats["batched_share"]
-        )
+        assert "cohort_batched_share" not in result.extra
         assert stats["batched_events"] > 0  # the tier really batches
