@@ -150,6 +150,8 @@ def bench_monitor_churn(n: int = 20_000) -> int:
     """
     sim = Simulator()
     host = Host(sim, 0, capacity=100.0, threshold=0.9)
+    # a listening row's monitor: without one it returns at once
+    host.monitor.on_cross(lambda direction, usage: None)
     count = [0]
 
     def arrive() -> None:

@@ -109,6 +109,8 @@ def test_monitor_churn_throughput(benchmark):
     def run_churn():
         sim = Simulator()
         host = Host(sim, 0, capacity=100.0, threshold=0.9)
+        # a listening row's monitor: without one it returns at once
+        host.monitor.on_cross(lambda direction, usage: None)
         count = [0]
 
         def arrive():

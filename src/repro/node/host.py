@@ -81,7 +81,7 @@ class Host:
         self._held: Dict[int, Dict[str, float]] = {}
 
     def bind_state(self, arrays) -> None:
-        """Mirror this host's queue/monitor state into shared arrays.
+        """Mirror this host's queue state and threshold into shared arrays.
 
         Wires the write-through slots of a :class:`NodeStateArrays
         <repro.node.state_arrays.NodeStateArrays>` for this node so
@@ -90,7 +90,7 @@ class Host:
         """
         slot = arrays.slot(self.node_id)
         self.queue.bind_state(arrays, slot)
-        self.monitor.bind_state(arrays, slot)
+        arrays.threshold[slot] = self.monitor.threshold
 
     # Local admission -----------------------------------------------------
 

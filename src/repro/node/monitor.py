@@ -12,6 +12,11 @@ point in time between events.  :class:`ThresholdMonitor` computes it
 analytically from the queue's ``busy_until`` and keeps at most one pending
 crossing event.
 
+Crossings exist only where someone listens: a monitor without an
+:meth:`~ThresholdMonitor.on_cross` listener (every row but ``push-.9``,
+``realtor`` and ``realtor-hier*``) tracks no side, schedules no crossing
+and traces none.
+
 Fast path (lazy invalidation): a queue mutation can only push the analytic
 crossing *later* (admissions grow ``busy_until``) or *earlier*
 (withdrawals).  Only the earlier case needs a cancel+reschedule; when the
@@ -50,66 +55,33 @@ class ThresholdMonitor:
     threshold:
         Usage fraction in (0, 1); the node is *available* (will pledge)
         while ``usage < threshold``.
-    hysteresis:
-        Optional dead band: after a crossing, the opposite crossing fires
-        only once usage moves ``hysteresis`` past the threshold.  The
-        paper's protocols use 0; the ablation A2 explores small bands to
-        damp the PLEDGE churn behind the Figure 7 peak.
 
     Callers must invoke :meth:`notify_change` after every queue mutation
-    (the :class:`~repro.node.host.Host` does this).
+    (the :class:`~repro.node.host.Host` does this).  The monitor does
+    nothing until a listener registers.  Listeners register only in
+    ``DiscoveryAgent.start``, which the system builder calls on a fresh,
+    idle host, so the side starts below the threshold and is right from
+    the first listener on.
     """
 
     def __init__(
-        self,
-        sim: "SchedulerAPI",
-        queue: WorkQueue,
-        threshold: float,
-        hysteresis: float = 0.0,
+        self, sim: "SchedulerAPI", queue: WorkQueue, threshold: float
     ) -> None:
         if not 0.0 < threshold < 1.0:
             raise ValueError(f"threshold must be in (0,1), got {threshold}")
-        if hysteresis < 0 or threshold + hysteresis >= 1.0:
-            raise ValueError("invalid hysteresis")
         self.sim = sim
         self.queue = queue
         self.threshold = float(threshold)
-        self.hysteresis = float(hysteresis)
         self._listeners: List[Crossing] = []
-        self._below = self.queue.usage() < self.threshold
+        self._below = True  # the queue is empty (see the class docstring)
         self._pending: Optional["TimerHandle"] = None
-        self.crossings_up = 0
-        self.crossings_down = 0
-        # Optional write-through mirror of the threshold side into a
-        # NodeStateArrays column (see bind_state).
-        self._mirror = None
-        self._mirror_slot = -1
-
-    def bind_state(self, arrays, slot: int) -> None:
-        """Mirror the monitor constants and threshold side into ``arrays``.
-
-        ``threshold`` is written once (it is immutable); the last-known
-        side writes through on every flip so ``arrays.below[slot]``
-        always equals :attr:`below`.
-        """
-        arrays.threshold[slot] = self.threshold
-        arrays.below[slot] = self._below
-        self._mirror = arrays.below
-        self._mirror_slot = slot
-
-    def _set_below(self, below: bool) -> None:
-        self._below = below
-        if self._mirror is not None:
-            self._mirror[self._mirror_slot] = below
 
     # Queries ---------------------------------------------------------------
 
-    def usage(self) -> float:
-        return self.queue.usage()
-
     @property
     def below(self) -> bool:
-        """Whether the node currently counts as available (last known side)."""
+        """The last-known side: whether the node counted as available at
+        its last crossing (tracked only while a listener is registered)."""
         return self._below
 
     def available(self) -> bool:
@@ -129,23 +101,23 @@ class ThresholdMonitor:
 
         Fires an UP crossing immediately if the admission pushed usage over
         the threshold, then (re)schedules the analytic DOWN crossing.
+        Without a listener there is nothing to tell, so nothing is done.
         """
+        if not self._listeners:
+            return
         usage = self.queue.usage()
-        if self._below and usage >= self.threshold + self.hysteresis:
-            self._set_below(False)
-            self.crossings_up += 1
+        if self._below and usage >= self.threshold:
+            self._below = False
             self._fire(UP, usage)
-        elif not self._below and usage < self.threshold - self.hysteresis:
+        elif not self._below and usage < self.threshold:
             # Can happen via task withdrawal (evacuation), not decay.
-            self._set_below(True)
-            self.crossings_down += 1
+            self._below = True
             self._fire(DOWN, usage)
         self._reschedule_decay()
 
     def _cross_time(self) -> float:
         """Analytic instant the decaying backlog reaches the threshold."""
-        target_backlog = (self.threshold - self.hysteresis) * self.queue.capacity
-        cross_time = self.queue.busy_until - target_backlog
+        cross_time = self.queue.busy_until - self.threshold * self.queue.capacity
         # Guard against scheduling in the past due to float fuzz.
         now = self.sim.now
         if cross_time < now:
@@ -176,15 +148,14 @@ class ThresholdMonitor:
         usage = self.queue.usage()
         if self._below:
             return
-        if usage >= self.threshold - self.hysteresis:
+        if usage >= self.threshold:
             # Stale early fire: the queue refilled after this event was
             # scheduled.  Re-aim at the current analytic crossing.
             self._pending = self.sim.at(
                 self._cross_time(), self._decay_cross, priority=Priority.STATE
             )
             return
-        self._set_below(True)
-        self.crossings_down += 1
+        self._below = True
         self._fire(DOWN, usage)
 
     def _fire(self, direction: str, usage: float) -> None:

@@ -12,14 +12,14 @@ availability census.
 
 :class:`NodeStateArrays` keeps column vectors of the scalar state —
 ``busy_until``, ``capacity``, each queue's next completion instant,
-threshold targets, the last-known threshold side, and liveness —
-maintained by *write-through* from the
-scalar owners (the queue and monitor mutate their slot on every state
-change; the fault manager flips ``up`` on every transition).  The scalar
-objects remain the source of truth and the only mutators; the arrays are
-a read-optimised mirror, so every vectorized answer is observationally
-identical to looping the scalar queries — an equivalence pinned by the
-hypothesis property test in ``tests/property/test_state_array_props.py``.
+threshold targets and liveness — maintained by *write-through* from the
+scalar owners (the queue mutates its slot on every state change, the
+host writes its monitor's fixed threshold once, and the fault manager
+flips ``up`` on every transition).  The scalar objects remain the source
+of truth and the only mutators; the arrays are a read-optimised mirror,
+so every vectorized answer is observationally identical to looping the
+scalar queries — an equivalence pinned by the hypothesis property test
+in ``tests/property/test_state_array_props.py``.
 
 The analytic identities mirrored here are exactly the scalar ones:
 
@@ -51,7 +51,6 @@ class NodeStateArrays:
         "capacity",
         "next_completion",
         "threshold",
-        "below",
         "up",
     )
 
@@ -70,8 +69,6 @@ class NodeStateArrays:
         self.next_completion = np.full(n, np.inf)
         #: monitor availability threshold; ones (never crossed) until bound
         self.threshold = np.ones(n, dtype=np.float64)
-        #: last-known threshold side (ThresholdMonitor._below)
-        self.below = np.ones(n, dtype=bool)
         #: FaultManager.is_up per node
         self.up = np.ones(n, dtype=bool)
 
@@ -115,5 +112,5 @@ class NodeStateArrays:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<NodeStateArrays n={len(self.ids)} "
-            f"up={int(self.up.sum())} below={int(self.below.sum())}>"
+            f"up={int(self.up.sum())}>"
         )

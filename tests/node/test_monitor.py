@@ -6,12 +6,13 @@ from repro.node.monitor import ThresholdMonitor
 from repro.node.queue import WorkQueue
 from repro.node.task import Task, TaskOutcome
 from repro.sim.kernel import Simulator
+from repro.sim.trace import Tracer
 
 
-def build(threshold=0.9, capacity=100.0, hysteresis=0.0):
+def build(threshold=0.9, capacity=100.0):
     sim = Simulator()
     q = WorkQueue(sim, capacity)
-    m = ThresholdMonitor(sim, q, threshold, hysteresis)
+    m = ThresholdMonitor(sim, q, threshold)
     crossings = []
     m.on_cross(lambda d, u: crossings.append((sim.now, d)))
     return sim, q, m, crossings
@@ -25,6 +26,11 @@ def admit(sim, q, m, size):
     return t
 
 
+def crossing_records(sim):
+    return [r.payload["direction"] for r in sim.trace.records
+            if r.category == "threshold-cross"]
+
+
 class TestValidation:
     def test_threshold_bounds(self):
         sim = Simulator()
@@ -32,12 +38,6 @@ class TestValidation:
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 ThresholdMonitor(sim, q, bad)
-
-    def test_hysteresis_bounds(self):
-        sim = Simulator()
-        q = WorkQueue(sim, 10.0)
-        with pytest.raises(ValueError):
-            ThresholdMonitor(sim, q, 0.9, hysteresis=0.2)
 
 
 class TestUpwardCrossing:
@@ -60,11 +60,11 @@ class TestUpwardCrossing:
         assert [d for _, d in crossings] == ["up"]
 
     def test_crossing_counters(self):
-        sim, q, m, _ = build()
+        sim, q, m, crossings = build()
         admit(sim, q, m, 95.0)
         sim.run(until=50.0)
-        assert m.crossings_up == 1
-        assert m.crossings_down == 1
+        dirs = [d for _, d in crossings]
+        assert (dirs.count("up"), dirs.count("down")) == (1, 1)
 
 
 class TestDownwardCrossing:
@@ -97,6 +97,7 @@ class TestDownwardCrossing:
         sim.run(until=300.0)
         dirs = [d for _, d in crossings]
         assert dirs == ["up", "down", "up", "down"]
+        assert (dirs.count("up"), dirs.count("down")) == (2, 2)
 
     def test_instant_availability_matches_monitor(self):
         sim, q, m, _ = build()
@@ -118,16 +119,36 @@ class TestWithdrawalCrossing:
         assert [d for _, d in crossings] == ["up", "down"]
 
 
-class TestHysteresis:
-    def test_dead_band_suppresses_jitter(self):
-        sim, q, m, crossings = build(threshold=0.5, hysteresis=0.05)
-        admit(sim, q, m, 52.0)  # 0.52 < 0.55 -> no up crossing
-        assert crossings == []
-        admit(sim, q, m, 5.0)   # 0.57 >= 0.55 -> up
-        assert [d for _, d in crossings] == ["up"]
+class TestNoListener:
+    """A monitor nobody listens to does nothing: no decay event on the
+    agenda and no crossing in the trace."""
+
+    def build(self):
+        sim = Simulator(trace=Tracer())
+        q = WorkQueue(sim, 100.0)
+        return sim, q, ThresholdMonitor(sim, q, 0.9)
+
+    def test_over_threshold_admission_schedules_nothing(self):
+        sim, q, m = self.build()
+        admit(sim, q, m, 95.0)
+        assert len(sim.queue) == 0
+        sim.run(until=50.0)
+        assert sim.events_executed == 0
+        assert crossing_records(sim) == []
+
+    def test_listener_on_idle_queue_restores_crossings(self):
+        sim, q, m = self.build()
+        admit(sim, q, m, 50.0)
+        sim.run(until=60.0)  # drained: the queue is idle again
+        crossings = []
+        m.on_cross(lambda d, u: crossings.append((sim.now, d)))
+        admit(sim, q, m, 95.0)
+        assert len(sim.queue) == 1
         sim.run(until=100.0)
-        # down fires at backlog = 45 (threshold - hysteresis)
         assert [d for _, d in crossings] == ["up", "down"]
+        assert crossings[0][0] == 60.0
+        assert crossings[1][0] == pytest.approx(65.0, abs=1e-6)
+        assert crossing_records(sim) == ["up", "down"]
 
 
 class TestDetach:
