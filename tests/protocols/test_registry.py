@@ -89,33 +89,33 @@ def _pinned_run(protocol: str, attacked: bool):
 #: metric fails here
 PINNED_RUNS = {
     ('gossip', False): (
-        '8513e901dca6d4a2ec18cead1f2bc0bed477360520ebe1ba0b0fd630f1452023',
-        10002,
+        'f72032fef1191bcf18925a30eb96103040a5b67f0f4d5a3b6ea9511a58f8a785',
+        9928,
         'edacc778f593c1fb82469ee76774115b879ebd4cae914ee46e4a8672b094576b',
     ),
     ('gossip-5', False): (
-        '3b46b8eacd96e8ee6ddf00e858be93bc09437fe03575232f38abfdcfa00f1b23',
-        2807,
+        'd5c8a50b192f080cb263f691c926df64e17524dc61278b0543ef923ed71995c0',
+        2728,
         '4d8105a75d196e2ec95294a4e3a30abbcbba0c4bebdc13391fc83daac558e7ec',
     ),
     ('none', False): (
-        '5c151665558ba52b7d193f09ddfdf7442bc9a634b7d4e5a5612d1aa164fdaf54',
-        1003,
+        'dbea5cebc77171f56784cf88948641c8d44803362fed805c036a6c95f9da7faa',
+        940,
         '90c7c46f48bfb370142aa1650ab428cfee13f1f8831e7e02c0d386760f6089b8',
     ),
     ('pull-.9', False): (
-        '89747f284afd470dbf3943f348cb4b5bb18821d53b31743558bf76bc6ede9fa6',
-        1878,
+        'ba78910a8a3e2f3c912a39719f84768090ceda476018d9efe15a307925733998',
+        1802,
         '2f96c9da887ee2d304fc3f47835325b15218785fe62fc475b8c8c82cfe553f96',
     ),
     ('pull-100', False): (
-        'e791b026b7bd0622ca4515817e1bb671c105624d1d43ff722a2bc991a36ad503',
-        1742,
+        'f700c88d2c89c7f0c9afcdfd9760322430792a5ec749470f71c008c99e98289f',
+        1673,
         '8a134843b41158bd42c6a163c2f234e9fe1f3d26c08af1a13d827252160b01ac',
     ),
     ('pull-100-fixed', False): (
-        'eaa703e01df1d7e6139800841bbca11da05535bdaba5040067803dc4bb90bb0e',
-        1174,
+        '2ef21d41bb19c72a9c6fe2fd120d1e4bac48f317abfcafe39e3aa44433f7bcf0',
+        1097,
         'd40931414aa2c226aa915ad250e85bf3067dbf9cbd7b94e4eedcdd94cfe410ae',
     ),
     ('push-.9', False): (
@@ -124,8 +124,8 @@ PINNED_RUNS = {
         'c1661388a8e26da9b02b747ce4efa066d23efc0f095aea70c2ad932e1d215c42',
     ),
     ('push-1', False): (
-        '3079f9dfeda38b1b0bb60881ff5bb1df13bf4fd840a9fca2e3f5bc9faee98c1a',
-        13562,
+        '6686c317b22acd8c3ba06b264fdabfaa58aacd5d41458853ccc3e8abc290201f',
+        13490,
         '68b67310d4fc8d95c9ffc63cea50bfa6801fd809256d7c1cb46c2a52a17f61ed',
     ),
     ('realtor', False): (
@@ -144,13 +144,13 @@ PINNED_RUNS = {
         '0d08a0cec8ba5c553851dd9af733bb1f5be5d2ea153cc89bc65c278e56d1353e',
     ),
     ('pull-.9', True): (
-        '3ed96495ed7e78a8de85e7fbbad9e20b628319bf635d39da94167bf81bdfd2a5',
-        2102,
+        '7293beb12505a176e8af4a4ef32f321066e7b3a9c98f22d4de0df89ace47d0a3',
+        2009,
         '95282be7965615ec3f887234ebd97dc28630a69b3fc291ad4556d07eca70e316',
     ),
     ('push-1', True): (
-        '8e17d1b71dff682e4dc64b094de28841107673402bc57d065e83bd5bdab16958',
-        13497,
+        '0be327ec729019466df1bf96d26d4dfb96ec81bd163969da740e084971797907',
+        13410,
         'cf7eb2c4e962511a2c3d7f1ccac9aefbe671a1cdf5a81e40f36084671ced9bd0',
     ),
     ('push-.9', True): (
@@ -159,13 +159,13 @@ PINNED_RUNS = {
         'eef8c0cd335b4db20f9b3e9e6de3a52fc063c3b86ea373d03522324806152b8b',
     ),
     ('pull-100', True): (
-        '174e79813e3e7830f1b99544545d9f29eecc1322d7d27f4397655de30781f3dc',
-        2009,
+        '9d22747737038229f91e35c2f55d049b56d27cf588e0c8b36dfb1530f0f72329',
+        1916,
         '56475e2fc3d08134c81800e4710776f7d9bae496a938cca81c99c4530a822a19',
     ),
     ('pull-100-fixed', True): (
-        '5616f479635bd7c84a9e87d8056d1ee4c520f64be6092a9f82e3e0bcfc93e86d',
-        1370,
+        'f22e3090ce0eb12315e91980020d4b92360e6fe22104a80f5047e1dbc6f26003',
+        1275,
         '0b79879fdcc3f411167670fb9da831f38a53d2d82cb44b7237a3ca230c06b723',
     ),
     ('realtor', True): (
