@@ -2,12 +2,12 @@
 
 :class:`~repro.node.state_arrays.NodeStateArrays` is a write-through
 numpy mirror of ``WorkQueue``/``FaultManager`` state and each
-``ThresholdMonitor``'s threshold.  The contract is observational identity: after ANY sequence of
-admissions, withdrawals, crashes and time advances, every vectorized
-query must return bit-for-bit the value the scalar object would — same
-float ops in the same order, no tolerance.  Hypothesis drives random
-operation sequences against both representations and compares after
-every step.
+``ThresholdMonitor``'s threshold.  The contract is observational
+identity: after ANY sequence of admissions, withdrawals, crashes and
+time advances, every vectorized query must return bit-for-bit the value
+the scalar object would — same float ops in the same order, no
+tolerance.  Hypothesis drives random operation sequences against both
+representations and compares after every step.
 """
 
 from hypothesis import given, settings
