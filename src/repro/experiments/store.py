@@ -65,7 +65,8 @@ STORE_FORMAT = "repro-runstore/1"
 #: 7: completions are retired by their queue, not run as events (the
 #:    cohort extras and response_time_mean's last bits move)
 #: 8: RunResult.extra loses cohort_batched_share
-CODE_VERSION = "8"
+#: 9: the cohort extras count posted cohorts only
+CODE_VERSION = "9"
 
 
 def default_salt() -> str:

@@ -283,12 +283,9 @@ class Transport:
         #: the delivery primitive, resolved once so the fan-out loops bind
         #: locals and the simulator pays no call frame for the seam
         self._post, self._arrive, self._post_each = self._wire()
-        # Cohort fast path: a flood's deliveries share one (time,
-        # priority) key; registering the batch hook lets the kernel hand
-        # the whole same-instant run — pre-formed by the flood or
-        # discovered on the agenda — to _deliver_batch in one call.
-        # Guarded so a bare kernel without cohort support still works
-        # scalar-per-event.
+        # Cohort fast path: a fan-out posted with ``after_each`` reaches
+        # _deliver_batch in one call.  Guarded so a scheduler without
+        # cohort support delivers one event at a time.
         register = getattr(sim, "register_batch", None)
         if register is not None:
             register(self._deliver, self._deliver_batch)

@@ -20,31 +20,20 @@ sequences.  That property underpins the common-random-numbers comparison
 methodology used by the figure experiments and is asserted by property
 tests.
 
-Cohort batching (the single-run fast path): events sharing the full
-``(time, priority)`` key form a *cohort* and execute in seq order either
-way, so a component may register a batch hook for one of its callbacks
-(:meth:`Simulator.register_batch`) and receive a whole same-instant run
-of that callback's argument tuples in one call — one Python call for a
-10k-receiver flood instead of 10k loop iterations.  A cohort reaches the
-hook one of two ways.  The drain *discovers* it: the run loop pops an
-event of the callback and collects the consecutive same-key entries
-behind it.  Or the sender *pre-forms* it: :meth:`Simulator.after_each`
-posts ``n`` calls as one agenda entry, so a flood that holds its
-receivers in its hand costs one heap push and one pop instead of ``n``
-of each.  A pre-formed entry is indistinguishable from the ``n`` scalar
-events it stands for — it takes their ``n`` seqs, counts ``n`` toward
-``len(sim.queue)``, ``events_executed`` and the ``max_events`` budget
-(a budget ending inside it leaves the rest on the agenda under the
-original keys), and merges with adjacent entries exactly as they would.
-Only *consecutive* same-callback events are grouped, cancellations are
-honoured at drain time, and events a batch member schedules at the same
-instant carry later seqs (they run after the cohort, exactly as in the
-scalar path) — so the executed sequence, the trace, ``events_executed``
-and ``cohort_stats()`` are bit-identical to scalar execution.  That
-equivalence is pinned by ``tests/sim/test_cohort_batching.py`` against
-the scalar lockstep reference, ``set_cohort_batching(False)``, under
-which ``after_each`` is the ``n`` scalar pushes.  A profiled run is the
-same loop with a ``perf_counter`` bracket around each dispatch.
+Cohort batching (the single-run fast path): an event is one call unless
+its sender posted it whole.  :meth:`Simulator.after_each` posts ``n``
+calls of a callback with a batch hook (:meth:`Simulator.register_batch`)
+as one agenda entry, a *cohort*, which the run loop hands to the hook in
+one call — one heap push, one pop and one Python call for a
+10k-receiver flood.  The entry stands for its ``n`` scalar events: it
+takes their ``n`` seqs and counts ``n`` toward ``len(sim.queue)``,
+``events_executed`` and the ``max_events`` budget (a budget ending
+inside it leaves the rest on the agenda under the original keys), so the
+executed sequence, the trace and ``events_executed`` are bit-identical
+to the scalar reference, ``set_cohort_batching(False)``, under which
+``after_each`` is the ``n`` scalar pushes.  That equivalence is pinned
+by ``tests/sim/test_cohort_batching.py``.  A profiled run is the same
+loop with a ``perf_counter`` bracket around each dispatch.
 """
 
 from __future__ import annotations
@@ -70,17 +59,11 @@ class SimulationError(RuntimeError):
 
 
 class _Cohort:
-    """What the kernel knows about one batched callback.
+    """A batched callback: the ``Event.fn`` of a cohort's agenda entry,
+    whose ``Event.args`` is the list of argument tuples.
 
-    ``Simulator._batch_hooks`` maps the scalar callback ``fn`` to this
-    record — and the record to itself, because it is also the
-    ``Event.fn`` of a pre-formed cohort's agenda entry (whose
-    ``Event.args`` is then the list of argument tuples).  The run loop's
-    one ``hooks.get(ev.fn)`` probe therefore finds both kinds, tells a
-    pre-formed entry by ``hook is ev.fn``, and costs a callback without
-    a batch hook nothing new.  Pre-formed entries are the simulator's
-    own: only :meth:`Simulator.run` pops them (``EventQueue.pop`` would
-    count one event where the entry stands for n).
+    Only :meth:`Simulator.run` pops such entries (``EventQueue.pop``
+    would count one event where the entry stands for n).
     """
 
     __slots__ = ("fn", "batch_fn")
@@ -273,14 +256,11 @@ class Simulator(Agenda):
     def __init__(self, seed: int = 0, trace: Optional[Tracer] = None) -> None:
         super().__init__(seed, trace)
         self._now = 0.0
-        #: scalar callback -> its :class:`_Cohort`, and each ``_Cohort``
-        #: -> itself (see :meth:`register_batch`); an empty dict keeps the
-        #: hot loop's batching probe one falsy test
+        #: scalar callback -> its :class:`_Cohort`; read by ``after_each``
         self._batch_hooks: Dict[Any, _Cohort] = {}
         self._batching = True
-        # Cohort-batching accounting (see :meth:`cohort_stats`): updated
-        # once per *cohort* in the batched dispatch branch only, so the
-        # scalar path — and any run without batch hooks — pays nothing.
+        # Cohort accounting (see :meth:`cohort_stats`), updated once per
+        # dispatched cohort.
         self._cohorts = 0
         self._batched_events = 0
         self._cohort_sizes: Dict[int, int] = {}
@@ -331,12 +311,10 @@ class Simulator(Agenda):
 
         Means exactly ``for args in argsets: self.after(delay, fn, *args,
         priority=priority)`` less the handles — and *is* that loop when
-        ``fn`` has no batch hook or batching is off.  Otherwise the whole
-        pre-formed cohort goes on the agenda as one entry that stands for
-        its ``n`` events in every count the kernel keeps (see the module
-        docstring), so the sender pays one heap push and the run loop one
-        pop whatever ``n`` is.  No handle comes back: like the scalar
-        deliveries it replaces, nothing may cancel a member.
+        ``fn`` has no batch hook or batching is off.  Otherwise the calls
+        go on the agenda as one cohort entry (see the module docstring)
+        that the run loop hands to the hook whole.  No handle comes back:
+        nothing may cancel a member.
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")
@@ -360,12 +338,8 @@ class Simulator(Agenda):
         self, time: float, priority: int, seq: int, hook: _Cohort,
         argsets: List[tuple],
     ) -> None:
-        """One agenda entry for the events ``seq .. seq + len(argsets) - 1``.
-
-        A cohort of one is the scalar event itself, so a lone delivery
-        takes the scalar dispatch (and stays out of ``cohort_stats``)
-        exactly as if it had been pushed by ``after``.
-        """
+        """One agenda entry for the events ``seq .. seq + len(argsets) - 1``;
+        a cohort of one is the scalar event itself."""
         if len(argsets) == 1:
             ev = Event(time, priority, seq, hook.fn, argsets[0])
         else:
@@ -381,36 +355,21 @@ class Simulator(Agenda):
     ) -> None:
         """Install ``batch_fn`` as the cohort handler for callback ``fn``.
 
-        When the run loop pops an event whose callback equals ``fn`` and
-        the next agenda entries share its exact ``(time, priority)`` key
-        *and* callback, the whole consecutive run is drained in seq
-        order and handed to ``batch_fn`` as a list of argument tuples —
-        one call instead of N.  The contract on ``batch_fn``: it must be
-        observationally identical to ``for args in cohort: fn(*args)``,
-        re-checking any per-item guards (liveness, cancellation flags in
-        component state) exactly as the scalar body does, because
-        earlier items may mutate state later items depend on.
-
-        ``fn`` is matched by equality, so a bound method registers all
-        schedules of that method on that instance.  A sender that already
-        holds such a run posts it whole with :meth:`after_each`.
-
-        One structural requirement: events of ``fn`` must never be
-        *cancelled by a same-cohort member* — the cohort's arguments are
-        captured when the cohort is drained, so a cancellation landing
-        mid-batch (which the scalar pop loop would honour) cannot be
-        seen.  Cancellations from anywhere else are honoured exactly.
-        Message deliveries satisfy this trivially: nothing holds their
-        event handles.
+        :meth:`after_each` posts calls of ``fn`` (matched by equality, so
+        a bound method covers that method on that instance) as one entry,
+        which the run loop hands to ``batch_fn`` as a list of argument
+        tuples.  ``batch_fn`` must be observationally identical to ``for
+        args in cohort: fn(*args)``, re-checking per-item guards
+        (liveness, handler tables) as the scalar body does, because
+        earlier items may change state later items depend on.
         """
-        hook = _Cohort(fn, batch_fn)
-        self._batch_hooks[fn] = self._batch_hooks[hook] = hook
+        self._batch_hooks[fn] = _Cohort(fn, batch_fn)
 
     def set_cohort_batching(self, enabled: bool) -> None:
         """Force the scalar path (``False``) — the lockstep reference the
         equivalence tests compare the batched loop against.
 
-        Pre-formed cohorts already on the agenda become the scalar
+        Cohorts already on the agenda become the scalar
         events they stand for, under the seqs they hold, so the scalar
         loop never meets one.
         """
@@ -438,8 +397,8 @@ class Simulator(Agenda):
     def cohort_stats(self) -> Dict[str, Any]:
         """Batched-dispatch accounting.
 
-        Returns cumulative counts since construction: how many cohorts
-        were drained, how many events they covered, and a
+        Returns cumulative counts since construction: how many posted
+        cohorts were dispatched, how many events they covered, and a
         ``{cohort size -> occurrences}`` histogram.
         """
         return {
@@ -448,50 +407,8 @@ class Simulator(Agenda):
             "size_histogram": dict(sorted(self._cohort_sizes.items())),
         }
 
-    def _drain_cohort(self, entry: tuple, hook: _Cohort, budget) -> List[tuple]:
-        """Collect the consecutive same-``(time, priority, fn)`` cohort.
-
-        ``entry`` (already popped) leads the cohort; every following live
-        agenda entry with the identical key and an equal callback is
-        popped in seq order, up to ``budget`` items total.  A pre-formed
-        entry — leading or following — contributes all the events it
-        stands for, so a cohort is the same list whether the sender
-        posted it whole, event by event, or some of each.  Cancelled
-        records inside the run are discarded exactly as the scalar pop
-        loop would.
-        """
-        time, priority, _seq, ev = entry
-        queue = self.queue
-        heap = queue._heap
-        fn = hook.fn
-        cohort = self._open_cohort(entry, budget) if ev.fn is hook else [ev.args]
-        n = len(cohort)
-        while heap and n < budget:
-            top = heap[0]
-            if top[0] != time or top[1] != priority:
-                break
-            nxt = top[3]
-            if nxt._cancelled:
-                heappop(heap)
-                if queue._cancelled_pending > 0:
-                    queue._cancelled_pending -= 1
-                continue
-            if nxt.fn is hook:
-                heappop(heap)
-                queue._live -= 1
-                cohort += self._open_cohort(top, budget - n)
-                n = len(cohort)
-                continue
-            if nxt.fn != fn:
-                break
-            heappop(heap)
-            queue._live -= 1
-            cohort.append(nxt.args)
-            n += 1
-        return cohort
-
     def _open_cohort(self, entry: tuple, room) -> List[tuple]:
-        """The argument tuples of a popped pre-formed ``entry``.
+        """The argument tuples of a popped cohort ``entry``.
 
         The pop counted one event off ``len(queue)``; the entry stood
         for ``len(argsets)``.  When only ``room`` of them fit the
@@ -538,7 +455,6 @@ class Simulator(Agenda):
         # method-call path, pinned by the golden-trace tests.
         queue = self.queue
         heap = queue._heap
-        hooks = self._batch_hooks if self._batching else None
         record = profile.record if profile is not None else None
         executed = 0
         wall_start = perf_counter()
@@ -557,31 +473,23 @@ class Simulator(Agenda):
                 queue._live -= 1
                 ev = entry[3]
                 self._now = entry[0]
-                if hooks:
-                    hook = hooks.get(ev.fn)
-                    if hook is not None and (
-                        hook is ev.fn  # a pre-formed cohort (after_each)
-                        or (
-                            heap
-                            and heap[0][0] == entry[0]
-                            and heap[0][1] == entry[1]
-                        )
-                    ):
-                        cohort = self._drain_cohort(entry, hook, budget)
-                        n = len(cohort)
-                        if record is None:
-                            hook.batch_fn(cohort)
-                        else:
-                            t0 = perf_counter()
-                            hook.batch_fn(cohort)
-                            record(hook.fn, perf_counter() - t0, n)
-                        executed += n
-                        budget -= n
-                        self._cohorts += 1
-                        self._batched_events += n
-                        sizes = self._cohort_sizes
-                        sizes[n] = sizes.get(n, 0) + 1
-                        continue
+                if ev.fn.__class__ is _Cohort:
+                    hook = ev.fn
+                    cohort = self._open_cohort(entry, budget)
+                    n = len(cohort)
+                    if record is None:
+                        hook.batch_fn(cohort)
+                    else:
+                        t0 = perf_counter()
+                        hook.batch_fn(cohort)
+                        record(hook.fn, perf_counter() - t0, n)
+                    executed += n
+                    budget -= n
+                    self._cohorts += 1
+                    self._batched_events += n
+                    sizes = self._cohort_sizes
+                    sizes[n] = sizes.get(n, 0) + 1
+                    continue
                 if record is None:
                     ev.fn(*ev.args)
                 else:

@@ -1,20 +1,18 @@
 """Cohort batching: the vectorized single-run fast path stays bit-identical.
 
-The kernel may hand a consecutive same-``(time, priority)`` run of one
-callback's events to a registered batch hook (one Python call instead of
-N) — these tests pin that the batched execution is *observationally
-identical* to the scalar pop loop: same trace, same result fields, same
-``events_executed``, at the 2500-node scaling tier, with impairments on
-and off, and across serial/parallel sweep execution.  A profiled run is
-the same batched loop with a timing bracket per dispatch, so it is held
-to the same scalar reference and to the unprofiled run's cohort counts.
-
-A flood does not wait for the drain to discover its cohort: it posts its
-receivers as one pre-formed agenda entry (``Simulator.after_each``).
-That entry must be indistinguishable from the scalar events it stands
-for, and the same scalar reference pins it — in every count the kernel
-keeps, under a ``max_events`` budget that ends inside it, when a member
-crashes or unregisters a later one, and in ``cohort_stats()``.
+An event is one call unless its sender posted it whole: a flood posts
+its receivers as one agenda entry (``Simulator.after_each``), which the
+run loop hands to the callback's registered batch hook in one call.
+Same-key events scheduled one by one run one call each, in seq order,
+and a posted entry is never merged with its neighbours.  These tests pin
+that batched execution is *observationally identical* to the scalar
+reference, ``set_cohort_batching(False)``: same trace, same result
+fields, same ``events_executed``, at the 2500-node scaling tier, with
+impairments on and off, across serial/parallel sweep execution, under a
+``max_events`` budget that ends inside an entry, and when a member
+crashes or unregisters a later one.  A profiled run is the same loop
+with a timing bracket per dispatch, so it is held to the same scalar
+reference and to the unprofiled run's cohort counts.
 """
 
 from __future__ import annotations
@@ -198,7 +196,8 @@ class TestSweepEquivalence:
 
 
 class TestKernelCohortMechanics:
-    """Unit-level pins for the cohort drain itself."""
+    """Unit-level pins for the one dispatch rule: an event is one call
+    unless its sender posted it whole with ``after_each``."""
 
     def test_cohort_handled_in_one_batch_call(self):
         sim = Simulator()
@@ -209,12 +208,13 @@ class TestKernelCohortMechanics:
             scalar_calls.append(i)
 
         sim.register_batch(fn, lambda cohort: calls.append(list(cohort)))
-        for i in range(5):
-            sim.at(1.0, fn, i)
+        sim.after_each(1.0, fn, [(i,) for i in range(5)])
+        for i in range(5, 8):
+            sim.at(1.0, fn, i)  # same key, scheduled one by one
         sim.run()
         assert calls == [[(0,), (1,), (2,), (3,), (4,)]]
-        assert scalar_calls == []  # the batch hook replaced the scalar body
-        assert sim.events_executed == 5
+        assert scalar_calls == [5, 6, 7]  # one call each, in seq order
+        assert sim.events_executed == 8
 
     def test_lone_event_runs_scalar(self):
         sim = Simulator()
@@ -231,21 +231,21 @@ class TestKernelCohortMechanics:
         assert batched == []
 
     def test_priority_splits_cohorts(self):
+        """Two entries posted at one instant run in band order, each its
+        own call, like the scalar events they stand for."""
         sim = Simulator()
         calls = []
         fn = lambda i: None  # noqa: E731
         sim.register_batch(fn, lambda cohort: calls.append(list(cohort)))
-        sim.at(1.0, fn, 0, priority=Priority.STATE)
-        sim.at(1.0, fn, 1, priority=Priority.STATE)
-        sim.at(1.0, fn, 2, priority=Priority.MESSAGE)
-        sim.at(1.0, fn, 3, priority=Priority.MESSAGE)
+        sim.after_each(1.0, fn, [(2,), (3,)], priority=Priority.MESSAGE)
+        sim.after_each(1.0, fn, [(0,), (1,)], priority=Priority.STATE)
         sim.run()
         assert calls == [[(0,), (1,)], [(2,), (3,)]]
 
     def test_interleaved_callbacks_split_cohorts(self):
-        """Only *consecutive* same-callback runs group — an interleaved
-        other callback at the same instant splits the cohort, keeping
-        execution order exactly the scalar seq order."""
+        """Every agenda entry keeps its place in seq order: a posted
+        cohort, another callback and same-callback scalars at one instant
+        run exactly in the order they were scheduled."""
         sim = Simulator()
         order = []
 
@@ -256,29 +256,35 @@ class TestKernelCohortMechanics:
             order.append(("b", i))
 
         sim.register_batch(a, lambda cohort: order.append(("a-batch", list(cohort))))
-        sim.at(1.0, a, 0)
-        sim.at(1.0, a, 1)
+        sim.after_each(1.0, a, [(0,), (1,)])
         sim.at(1.0, b, 2)
         sim.at(1.0, a, 3)
         sim.at(1.0, a, 4)
+        sim.after_each(1.0, a, [(5,), (6,)])
         sim.run()
         assert order == [
             ("a-batch", [(0,), (1,)]),
             ("b", 2),
-            ("a-batch", [(3,), (4,)]),
+            ("a-scalar", 3),
+            ("a-scalar", 4),
+            ("a-batch", [(5,), (6,)]),
         ]
 
     def test_cancelled_events_skipped_at_drain(self):
+        """Scalar events of a batched callback are never grouped: the
+        live ones run one call each and cancelled ones not at all."""
         sim = Simulator()
-        seen = []
-        fn = lambda i: None  # noqa: E731
+        seen, scalar = [], []
+        fn = lambda i: scalar.append(i)  # noqa: E731
         sim.register_batch(fn, lambda cohort: seen.extend(cohort))
         events = [sim.at(1.0, fn, i) for i in range(6)]
-        sim.cancel(events[0])  # cohort leader cancelled
-        sim.cancel(events[3])  # mid-cohort cancelled
+        sim.cancel(events[0])
+        sim.cancel(events[3])
         sim.run()
-        assert seen == [(1,), (2,), (4,), (5,)]
+        assert scalar == [1, 2, 4, 5]
+        assert seen == []
         assert sim.events_executed == 4
+        assert sim.cohort_stats()["cohorts"] == 0
 
     def test_events_scheduled_by_batch_run_after_cohort(self):
         """Same-instant events created by a batch member carry later
@@ -298,8 +304,7 @@ class TestKernelCohortMechanics:
                 sim.at(sim.now, child, i)
 
         sim.register_batch(fn, batch)
-        sim.at(1.0, fn, 0)
-        sim.at(1.0, fn, 1)
+        sim.after_each(1.0, fn, [(0,), (1,)])
         sim.run()
         assert order == [
             ("batch", [(0,), (1,)]),
@@ -312,11 +317,14 @@ class TestKernelCohortMechanics:
         seen = []
         fn = lambda i: None  # noqa: E731
         sim.register_batch(fn, lambda cohort: seen.extend(cohort))
-        for i in range(10):
-            sim.at(1.0, fn, i)
+        sim.after_each(1.0, fn, [(i,) for i in range(10)])
         sim.run(max_events=4)
         assert seen == [(0,), (1,), (2,), (3,)]
         assert sim.events_executed == 4
+        assert len(sim.queue) == 6
+        sim.run()
+        assert seen == [(i,) for i in range(10)]
+        assert sim.events_executed == 10
 
     def test_toggle_forces_scalar_path(self):
         sim = Simulator()
@@ -327,8 +335,8 @@ class TestKernelCohortMechanics:
 
         sim.register_batch(fn, lambda cohort: batched.extend(cohort))
         sim.set_cohort_batching(False)
-        for i in range(3):
-            sim.at(1.0, fn, i)
+        sim.after_each(1.0, fn, [(0,), (1,), (2,)])
+        assert len(sim.queue._heap) == 3
         sim.run()
         assert scalar == [0, 1, 2]
         assert batched == []
@@ -426,8 +434,10 @@ class TestPreFormedCohort:
         assert len(sim.queue) == 0
 
     def test_budget_slices_match_the_scalar_reference(self):
-        """Slice by slice — counts, deliveries and ``cohort_stats()`` of a
-        two-flood instant cut every three events."""
+        """Slice by slice — counts and deliveries of a two-flood instant
+        cut every three events match the scalar reference; only the
+        posted floods count as cohorts, and each slice takes the part of
+        an entry that fits its budget."""
 
         def sliced(batching: bool, preformed: bool):
             sim, _faults, transport, received = _mesh_transport(batching)
@@ -446,9 +456,12 @@ class TestPreFormedCohort:
             return log, sim.cohort_stats()
 
         one_by_one = sliced(batching=True, preformed=False)
-        assert sliced(batching=True, preformed=True) == one_by_one
-        assert sliced(batching=False, preformed=True)[0] == one_by_one[0]
-        assert one_by_one[1]["size_histogram"] == {2: 1, 3: 2}
+        posted = sliced(batching=True, preformed=True)
+        scalar = sliced(batching=False, preformed=True)
+        assert posted[0] == one_by_one[0] == scalar[0]
+        assert one_by_one[1]["cohorts"] == scalar[1]["cohorts"] == 0
+        # 4 + 4 deliveries cut every three: 3 | 1 scalar + 2 | 2
+        assert posted[1]["size_histogram"] == {2: 2, 3: 1}
 
     @pytest.mark.parametrize("sabotage", ["crash", "unregister"])
     def test_member_silencing_a_later_member(self, sabotage):
@@ -479,8 +492,11 @@ class TestPreFormedCohort:
         assert run(batching=True) == run(batching=False) == ([7, 11, 17], 3, 1, 4)
 
     def test_merges_with_adjacent_deliveries_like_scalars(self):
-        """flood, unicast, flood at one instant: one cohort of nine,
-        whether the floods were posted whole or delivery by delivery."""
+        """flood, unicast, flood at one instant: the same nine deliveries
+        in the same order whether the floods were posted whole or
+        delivery by delivery — but a posted entry is never merged with
+        its neighbours: two cohorts of four around a scalar unicast, and
+        none at all when nothing was posted whole."""
 
         def run(preformed: bool):
             sim, _faults, transport, received = _mesh_transport()
@@ -501,8 +517,9 @@ class TestPreFormedCohort:
 
         whole, one_by_one = run(preformed=True), run(preformed=False)
         assert whole[0] == 3 and one_by_one[0] == 9
-        assert whole[1:] == one_by_one[1:]
-        assert whole[3]["size_histogram"] == {9: 1}
+        assert whole[1:3] == one_by_one[1:3]
+        assert whole[3]["size_histogram"] == {4: 2}
+        assert one_by_one[3]["cohorts"] == 0
 
     def test_switching_batching_off_scalarizes_the_agenda(self):
         """The scalar loop never meets a pre-formed entry: turning the
@@ -574,11 +591,11 @@ class TestCohortStats:
         sim = Simulator()
         fn = lambda i: None  # noqa: E731
         sim.register_batch(fn, lambda cohort: None)
-        for i in range(5):
-            sim.at(1.0, fn, i)   # one cohort of 5
-        for i in range(3):
-            sim.at(2.0, fn, i)   # one cohort of 3
-        sim.at(3.0, fn, 0)       # lone event: scalar, not a cohort
+        sim.after_each(1.0, fn, [(i,) for i in range(5)])  # one cohort of 5
+        sim.after_each(2.0, fn, [(i,) for i in range(3)])  # one cohort of 3
+        sim.after_each(3.0, fn, [(0,)])  # a posted one: the scalar event
+        for i in range(4):
+            sim.at(4.0, fn, i)  # scheduled one by one: four scalar calls
         sim.run()
         stats = sim.cohort_stats()
         assert stats["cohorts"] == 2
@@ -591,7 +608,7 @@ class TestCohortStats:
             sum(s * c for s, c in stats["size_histogram"].items())
             == stats["batched_events"]
         )
-        assert sim.events_executed == 9
+        assert sim.events_executed == 13
 
     def test_stats_zero_before_any_run(self):
         stats = Simulator().cohort_stats()
@@ -604,8 +621,7 @@ class TestCohortStats:
         sim.set_cohort_batching(False)
         fn = lambda i: None  # noqa: E731
         sim.register_batch(fn, lambda cohort: None)
-        for i in range(5):
-            sim.at(1.0, fn, i)
+        sim.after_each(1.0, fn, [(i,) for i in range(5)])
         sim.run()
         stats = sim.cohort_stats()
         assert stats["cohorts"] == 0
