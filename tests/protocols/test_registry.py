@@ -106,22 +106,22 @@ PINNED_RUNS = {
     ('pull-.9', False): (
         'ba78910a8a3e2f3c912a39719f84768090ceda476018d9efe15a307925733998',
         1802,
-        '2f96c9da887ee2d304fc3f47835325b15218785fe62fc475b8c8c82cfe553f96',
+        '231cd794937754a38500903b148b4fa1957fbe1dd17ed4e12048342eb674fb00',
     ),
     ('pull-100', False): (
         'f700c88d2c89c7f0c9afcdfd9760322430792a5ec749470f71c008c99e98289f',
         1673,
-        '8a134843b41158bd42c6a163c2f234e9fe1f3d26c08af1a13d827252160b01ac',
+        '3713f9c3265095a3f971868f2a15826d2c2b5f53c04a0814686be617dc71aac0',
     ),
     ('pull-100-fixed', False): (
         '2ef21d41bb19c72a9c6fe2fd120d1e4bac48f317abfcafe39e3aa44433f7bcf0',
         1097,
-        'd40931414aa2c226aa915ad250e85bf3067dbf9cbd7b94e4eedcdd94cfe410ae',
+        '131e6a269f23abf227e513e12b910739f4298065004d5957d06ac2118d2a2f83',
     ),
     ('push-.9', False): (
         'a2a5950fc034e16fa5eda20ef5d4358a64cdb62e15161c038d60a0a68ce727af',
         1384,
-        'c1661388a8e26da9b02b747ce4efa066d23efc0f095aea70c2ad932e1d215c42',
+        'a64efd95faab4273d6f91ae49330be97f495544d9f6b6d4f3a74be28c6ce1229',
     ),
     ('push-1', False): (
         '6686c317b22acd8c3ba06b264fdabfaa58aacd5d41458853ccc3e8abc290201f',
@@ -131,47 +131,47 @@ PINNED_RUNS = {
     ('realtor', False): (
         '1ec74dab90564aa977c45340d07b6f3cf3ea20d179761a74caf3233ec761b34f',
         1873,
-        '4884afd51512a8bbcb62b57b3828c2e48c8e7faaf973057f705c9d774ebb17f1',
+        'e71bb6d175449f9d303cc536fa2a53eb4e1edfccd7ed598087410a54f1eb2a02',
     ),
     ('realtor-hier', False): (
         '0f62c6883888727be2de58bd84d41fd3478e39e2023428ca8e703d4011db1702',
         2818,
-        '90cb353b586520f0f512a201f2744eee8d61b3f333a7cdee6c41baa0120d9625',
+        'a3e77b398c5c258acf318797539fbff08960fd6bf4f2ed1cd598c79d9e5ae68a',
     ),
     ('realtor-hier-25', False): (
         '36644b7799e3fde8cece817887fbcf05ccae7f46807e3a4dc27d9c13358f861a',
         7119,
-        '0d08a0cec8ba5c553851dd9af733bb1f5be5d2ea153cc89bc65c278e56d1353e',
+        '4844a1d91f5d65bfcd15254a7e567fc87a584ffbe967c18c3883d9dedd4305d3',
     ),
     ('pull-.9', True): (
         '7293beb12505a176e8af4a4ef32f321066e7b3a9c98f22d4de0df89ace47d0a3',
         2009,
-        '95282be7965615ec3f887234ebd97dc28630a69b3fc291ad4556d07eca70e316',
+        '31d222334e54885a7ed244fa1f890fa650f59b4b69a4e3969634240e281b9613',
     ),
     ('push-1', True): (
         '0be327ec729019466df1bf96d26d4dfb96ec81bd163969da740e084971797907',
         13410,
-        'cf7eb2c4e962511a2c3d7f1ccac9aefbe671a1cdf5a81e40f36084671ced9bd0',
+        '4665cb81bbbdfa236da544ae76186b0c817d10727b03fdcece0664e16471d840',
     ),
     ('push-.9', True): (
         '81078ee62eb311e1142158d79f68934d255628f825fd86fb5639b5069bcb581b',
         1605,
-        'eef8c0cd335b4db20f9b3e9e6de3a52fc063c3b86ea373d03522324806152b8b',
+        '184ef7c95160d9aa76254258c52d67817ed70427febef9b73b85b2e97fbe6b2f',
     ),
     ('pull-100', True): (
         '9d22747737038229f91e35c2f55d049b56d27cf588e0c8b36dfb1530f0f72329',
         1916,
-        '56475e2fc3d08134c81800e4710776f7d9bae496a938cca81c99c4530a822a19',
+        '5ff25801059787b2cd825e119d564330470323695608a3cb18e863ef9e72ed99',
     ),
     ('pull-100-fixed', True): (
         'f22e3090ce0eb12315e91980020d4b92360e6fe22104a80f5047e1dbc6f26003',
         1275,
-        '0b79879fdcc3f411167670fb9da831f38a53d2d82cb44b7237a3ca230c06b723',
+        'a5a98441a9ce7e117b338928f8ac00ce28cabb3fd81efc9bc69832f3b2fc66e5',
     ),
     ('realtor', True): (
         '1c7326a6058d394b29be777338db296e5eb532dbb95ba46ec1a0b918fe73c15f',
         2183,
-        '0980d59b74aca58fbc6d5c5b6a39d8be72a2d8f7cb7db7b65e4f4d3bc2ef7e89',
+        'a9e4ba39d54a7ddfe7e4aad18454385dd778f77c7a550c9ae82e3a717c86eaa6',
     ),
 }
 
