@@ -78,12 +78,6 @@ class ThresholdMonitor:
 
     # Queries ---------------------------------------------------------------
 
-    @property
-    def below(self) -> bool:
-        """The last-known side: whether the node counted as available at
-        its last crossing (tracked only while a listener is registered)."""
-        return self._below
-
     def available(self) -> bool:
         """Instantaneous availability test used by Algorithm P."""
         return self.queue.usage() < self.threshold

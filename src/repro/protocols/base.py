@@ -234,7 +234,6 @@ class DiscoveryAgent:
                 self.node_id, membership_ttl=cfg.membership_ttl
             )
         self.helps_sent = 0  # the ``every`` pull's HELPs (Algorithm H counts its own)
-        self.pledges_sent = 0  # trigger-1 pledges, one per answered HELP
         self.crossing_pledges_sent = 0
         self.advertisements_sent = 0
 
@@ -328,7 +327,6 @@ class DiscoveryAgent:
         if self.pledges.should_pledge_on_help():
             # Answer the solicitation regardless (Algorithm P trigger 1) …
             self._send_pledge(org, in_reply_to=help_msg.help_id)
-            self.pledges_sent += 1
             # … but only *join* (committing to crossing updates and
             # renewals) within the spare-resource membership budget.
             if memberships is not None and (org in memberships or self._may_join(help_msg)):
@@ -504,27 +502,6 @@ class DiscoveryAgent:
 
     def would_exceed_threshold(self, task: Task) -> bool:
         return self.usage_with(task) > self.threshold
-
-    # Introspection ----------------------------------------------------------
-
-    def stats(self) -> Dict[str, float]:
-        """Diagnostics of the state this agent's parts hold."""
-        stats = {"view_size": float(len(self.view))}
-        if self.help is not None:
-            stats.update(help_interval=self.help.interval, helps=float(self.help.helps_sent))
-        elif self.pull != "none":
-            stats["helps"] = float(self.helps_sent)
-        if self.pledges is not None:
-            stats["pledges"] = float(self.pledges_sent)
-        if self.push != "none":
-            stats["advertisements"] = float(self.advertisements_sent)
-        if self.community is not None:
-            stats.update(
-                community_size=float(self.community.size()),
-                memberships=float(self.memberships.count()),
-                crossing_pledges=float(self.crossing_pledges_sent),
-            )
-        return stats
 
     def __repr__(self) -> str:  # pragma: no cover
         parts = (self.pull, self.push, self.respond)

@@ -22,7 +22,7 @@ terms) but its per-message cost is a single unicast, not a flood.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..runtime.api import Delivery
 from .base import DiscoveryAgent, ProtocolContext
@@ -58,7 +58,6 @@ class GossipAgent(DiscoveryAgent):
         if self.interval <= 0:
             raise ValueError("gossip interval must be positive")
         self.rounds = 0
-        self.digests_merged = 0
 
     # Lifecycle ------------------------------------------------------------
 
@@ -116,7 +115,6 @@ class GossipAgent(DiscoveryAgent):
     def _merge(self, digest: Digest) -> None:
         for node, availability, usage, available, ts in digest.entries:
             self.view.update(node, availability, usage, available, ts)
-        self.digests_merged += 1
 
     def _on_gossip(self, delivery: Delivery) -> None:
         digest: Digest = delivery.payload
@@ -129,7 +127,3 @@ class GossipAgent(DiscoveryAgent):
     def _on_ack(self, delivery: Delivery) -> None:
         self._merge(delivery.payload)
 
-    def stats(self) -> Dict[str, float]:
-        base = super().stats()
-        base.update(rounds=float(self.rounds), merges=float(self.digests_merged))
-        return base

@@ -6,7 +6,7 @@ The design and the group layout are in :mod:`repro.core.hierarchy`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..core.hierarchy import GroupDirectory
 from ..core.messages import Help, Pledge
@@ -37,8 +37,6 @@ class HierarchicalRealtorAgent(DiscoveryAgent):
         self.directory.adopt(self.node_id, topo)
         self.help.on_timeout = self._escalate
         self.escalations = 0
-        self.remote_helps = 0
-        self.remote_pledges = 0
 
     # Level-1 dissemination is group-scoped -------------------------------
 
@@ -98,7 +96,6 @@ class HierarchicalRealtorAgent(DiscoveryAgent):
             if gw != self.node_id
         ]
         if peers:
-            self.remote_helps += 1
             self.transport.multicast(self.node_id, peers, KIND_REMOTE_HELP, help_msg)
 
     def _on_remote_help(self, delivery: Delivery) -> None:
@@ -127,7 +124,6 @@ class HierarchicalRealtorAgent(DiscoveryAgent):
 
     def _on_remote_pledge(self, delivery: Delivery) -> None:
         pledge = delivery.payload
-        self.remote_pledges += 1
         available = pledge.usage < self.threshold
         self.view.update(
             pledge.pledger, pledge.availability, pledge.usage, available, pledge.sent_at
@@ -136,11 +132,3 @@ class HierarchicalRealtorAgent(DiscoveryAgent):
             found_node=pledge.availability >= self._pending_demand and available
         )
 
-    def stats(self) -> Dict[str, float]:
-        base = super().stats()
-        base.update(
-            escalations=float(self.escalations),
-            remote_helps=float(self.remote_helps),
-            remote_pledges=float(self.remote_pledges),
-        )
-        return base

@@ -151,9 +151,17 @@ class TestHierarchicalAgent:
         assert hres.messages_total < fres.messages_total * 0.6
 
     def test_stats_include_escalations(self):
+        """One escalation per failed local round, counted from zero."""
         system = hier_system(horizon=50.0)
-        stats = system.agents[0].stats()
-        assert "escalations" in stats and "remote_pledges" in stats
+        assert {a.escalations for a in system.agents.values()} == {0}
+        agent = system.agents[0]
+        for nid in agent.directory.members(0):
+            system.hosts[nid].try_accept(
+                Task(size=95.0, arrival_time=0.0, origin=nid), TaskOutcome.LOCAL
+            )
+        agent.notify_task_arrival(Task(size=5.0, arrival_time=0.0, origin=0))
+        system.sim.run(until=10.0)
+        assert agent.escalations == agent.help.timeouts >= 1
 
     def test_gateway_failover_under_crash(self):
         system = hier_system(horizon=200.0)

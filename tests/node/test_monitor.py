@@ -45,13 +45,13 @@ class TestUpwardCrossing:
         sim, q, m, crossings = build()
         admit(sim, q, m, 95.0)
         assert crossings == [(0.0, "up")]
-        assert not m.below
+        assert not m.available()
 
     def test_admission_below_threshold_silent(self):
         sim, q, m, crossings = build()
         admit(sim, q, m, 50.0)
         assert crossings == []
-        assert m.below
+        assert m.available()
 
     def test_no_duplicate_up_crossings(self):
         sim, q, m, crossings = build()
@@ -77,7 +77,7 @@ class TestDownwardCrossing:
         t, d = crossings[1]
         assert d == "down"
         assert t == pytest.approx(5.0, abs=1e-6)
-        assert m.below
+        assert m.available()
 
     def test_rescheduled_by_new_admission(self):
         sim, q, m, crossings = build()
@@ -112,11 +112,11 @@ class TestWithdrawalCrossing:
         sim, q, m, crossings = build()
         t1 = admit(sim, q, m, 50.0)
         t2 = admit(sim, q, m, 45.0)
-        assert not m.below
+        assert [d for _, d in crossings] == ["up"]
         q.remove(t2)
         m.notify_change()
-        assert m.below
         assert [d for _, d in crossings] == ["up", "down"]
+        assert m.available()
 
 
 class TestNoListener:

@@ -58,12 +58,13 @@ class TestGossipAgent:
         assert min(sizes) == 24  # everyone knows everyone
 
     def test_rounds_and_merges_counted(self):
-        system = build_system(paper_config("gossip", 1.0, horizon=20.0))
+        system = build_system(
+            paper_config("gossip", 1.0, horizon=20.0).with_(prime_views=False)
+        )
         system.run()
         agent = system.agents[0]
-        stats = agent.stats()
-        assert stats["rounds"] >= 18
-        assert stats["merges"] > 0
+        assert agent.rounds >= 18
+        assert len(agent.view) > 0  # unprimed: only merged digests fill it
 
     def test_load_oblivious_cost(self):
         light = run_experiment(paper_config("gossip", 1.0, horizon=300.0))
