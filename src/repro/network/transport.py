@@ -408,11 +408,12 @@ class Transport:
         if self.on_cost is not None:
             self.on_cost(kind, cost)
         # Fan-out fast path: bound-method deliveries (no per-message
-        # closure).  The zero-latency, unimpaired case — the paper's —
-        # skips the depth lookups and posts its receivers as one
-        # pre-formed cohort: one agenda entry whatever the fan-out.
-        # Scheduling order — and therefore the event sequence — matches
-        # the generic path exactly.
+        # closure).  An unimpaired flood posts the receivers that arrive
+        # at one instant as one cohort — all of them at zero latency (the
+        # paper's case, which skips the depth lookups), one cohort per
+        # hop count otherwise.  Each cohort keeps receiver order and the
+        # flood's seqs stay one block, so the event sequence matches
+        # posting the deliveries one by one exactly.
         now = self.sim.now
         after = self._post
         deliver = self._arrive
@@ -439,10 +440,12 @@ class Transport:
                 Priority.MESSAGE,
             )
         else:
+            by_hops: Dict[int, List[tuple]] = {}
             for dst in receivers:
                 hops = 1 if depth is None else depth[dst]
-                after(latency * hops, deliver, src, dst, kind, payload, now,
-                      priority=Priority.MESSAGE)
+                by_hops.setdefault(hops, []).append((src, dst, kind, payload, now))
+            for hops, messages in by_hops.items():
+                self._post_each(latency * hops, deliver, messages, Priority.MESSAGE)
         return list(receivers)
 
     def _epoch_structure(self) -> _EpochStructure:

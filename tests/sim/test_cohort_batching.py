@@ -150,6 +150,21 @@ class TestBatchedEqualsScalar:
         _assert_identical(batched, scalar, f"network scope, slices={slice_events}")
 
 
+    @pytest.mark.parametrize("slice_events", [None, 97])
+    def test_latency_floods_bit_identical(self, slice_events):
+        """Per-hop latency: each flood posts one entry per hop count."""
+        cfg = dataclasses.replace(
+            _tier_config(nodes=400, horizon=2.0),
+            per_hop_latency=0.01,
+            protocol_config=ProtocolConfig(scope="network"),
+            prime_views=False,
+        )
+        batched = _traced_run(cfg, batching=True, slice_events=slice_events)
+        scalar = _traced_run(cfg, batching=False, slice_events=slice_events)
+        assert batched[2] > 5_000
+        _assert_identical(batched, scalar, f"latency floods, slices={slice_events}")
+
+
 class TestProfiledLockstep:
     def test_profiled_push_1_files_floods_under_deliver(self):
         """A pre-formed cohort reports under the callback it stands for,
@@ -379,6 +394,23 @@ class TestPreFormedCohort:
         assert sim.events_executed == 4
         assert len(sim.queue) == 0
         assert sim.cohort_stats()["size_histogram"] == {4: 1}
+
+    def test_latency_flood_is_one_entry_per_hop_count(self):
+        """With per-hop latency the receivers at one depth arrive at one
+        instant: the flood posts them as one entry each, nearest first,
+        in receiver order within a depth."""
+        sim, _faults, transport, received = _mesh_transport()
+        transport.per_hop_latency = 0.5
+        seq = sim.queue._next_seq
+        assert len(transport.flood(12, "adv", None)) == 24
+        assert len(sim.queue) == 24 and sim.queue._next_seq == seq + 24
+        assert sorted((e[0], len(e[3].args)) for e in sim.queue._heap) == [
+            (0.5, 4), (1.0, 8), (1.5, 8), (2.0, 4)
+        ]
+        sim.run()
+        assert [dst for _src, dst, _p in received][:4] == [7, 11, 13, 17]
+        assert sim.events_executed == 24
+        assert sim.cohort_stats()["size_histogram"] == {4: 2, 8: 2}
 
     def test_scalar_reference_schedules_the_scalar_events(self):
         sim, _faults, transport, _received = _mesh_transport(batching=False)
