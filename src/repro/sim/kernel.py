@@ -369,9 +369,9 @@ class Simulator(Agenda):
         """Force the scalar path (``False``) — the lockstep reference the
         equivalence tests compare the batched loop against.
 
-        Cohorts already on the agenda become the scalar
-        events they stand for, under the seqs they hold, so the scalar
-        loop never meets one.
+        Cohorts already on the agenda become the scalar events they
+        stand for, under the seqs they hold, so the scalar loop never
+        meets one.
         """
         self._batching = bool(enabled)
         if self._batching:
