@@ -52,8 +52,8 @@ Seven gates, most against the committed ``BENCH_engine.json``:
   single-run cell and fails when run-phase kernel throughput
   (events/sec, setup excluded) drops more than ``--tolerance`` below
   the committed ``single_run_events_per_second`` after machine-speed
-  normalisation.  This is the direct gate on the cohort-batching /
-  vectorized-state fast path.  The tier's hot macro cell (load 0.95,
+  normalisation.  This is the direct gate on the event loop's fast
+  path (grouped fan-out, vectorized node state).  The tier's hot macro cell (load 0.95,
   20 s queues: discovery traffic flows) is gated in the same row, with
   an exact ceiling on the BFS rows it computes (0: hop counts are
   computed only when something consumes them).
@@ -398,7 +398,7 @@ def check_events_throughput(
     ``single_run_events_per_second`` column measures: run-phase only,
     setup excluded) and fails when events/sec drops more than
     ``tolerance`` below the committed value after machine-speed
-    normalisation.  This is the gate on the cohort-batching fast path
+    normalisation.  This is the gate on the event loop's fast path
     itself — routing and flood gates would stay green if the event loop
     regressed, because they bypass most of it.
 

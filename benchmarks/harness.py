@@ -200,7 +200,7 @@ MACRO_CELL_NODES = (2500, 10_000)
 #: that even the 10k tier is sub-second post-fast-path
 SINGLE_RUN_HORIZON = 4.0
 
-#: Pre-cohort-batching macro-cell wall times (seconds) for the speedup
+#: Pre-fast-path macro-cell wall times (seconds) for the speedup
 #: column: the 10k entry is the committed PR-6 ``BENCH_engine.json``
 #: value, the 2500 entry was measured on the same container against the
 #: PR-6 tree with the identical cell config.  Same update rule as
@@ -304,7 +304,7 @@ def bench_scaling_cell(
 
     Setup (topology + hosts + protocol wiring) is excluded from the
     timing: the wall-clock and events/sec numbers measure the event loop
-    itself, which is what the cohort-batching fast path targets.
+    itself, which is what the event loop's fast path targets.
     ``rows_computed`` counts BFS rows over both routers (full overlay +
     live overlay): 0 unless something consumed a hop count.
     ``live_overlay_built`` is 1 when something read a route and the
@@ -353,7 +353,7 @@ def run_scaling_curve(*, smoke: bool, repeats: int) -> Dict[str, dict]:
     sweep cells then run at every ``MACRO_CELL_NODES`` tier (smoke: one
     at its top tier) to prove the tiers complete end to end, idle and
     hot (see :func:`_scaling_cell_config`); the idle speedup column
-    compares against the pre-cohort-batching wall times, the hot one
+    compares against the pre-fast-path wall times, the hot one
     against the tree before demand-driven routing.
     """
     tiers = [n for n in SCALING_NODES if not smoke or n <= 250]

@@ -148,9 +148,9 @@ class System:
         """Drive the kernel to the horizon.
 
         ``profile`` takes a :class:`~repro.obs.profiler.KernelProfiler`:
-        the kernel times each dispatch of the same cohort-batched loop,
-        and wall time and event counts land in the profiler, per
-        callback and subsystem.  The run is bit-identical either way.
+        the kernel times each dispatch of the same loop, and wall time
+        and event counts land in the profiler, per callback and
+        subsystem.  The run is bit-identical either way.
         """
         return self.sim.run(
             until=until if until is not None else self.cfg.horizon, profile=profile
@@ -334,25 +334,11 @@ class System:
         if self.transport.impairments is not None:
             for key, value in self.transport.impairments.counters().items():
                 self.metrics.extra[f"impairment_{key}"] = float(value)
-        # Fast-path visibility: what the cohort batcher dispatched.
-        cohort_stats = self.sim.cohort_stats()
-        self.metrics.extra["cohorts"] = float(cohort_stats["cohorts"])
-        self.metrics.extra["cohort_batched_events"] = float(
-            cohort_stats["batched_events"]
-        )
         series_payload = None
         if self.registry is not None:
             self.registry.finish()
             if self.cfg.obs is None or self.cfg.obs.record_series:
                 series_payload = self.registry.to_payload()
-                series_payload["cohorts"] = {
-                    "cohorts": cohort_stats["cohorts"],
-                    "batched_events": cohort_stats["batched_events"],
-                    "size_histogram": {
-                        str(size): count
-                        for size, count in cohort_stats["size_histogram"].items()
-                    },
-                }
         return self.metrics.result(
             self.cfg.params(),
             self.sim.now,

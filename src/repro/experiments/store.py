@@ -66,7 +66,8 @@ STORE_FORMAT = "repro-runstore/1"
 #:    cohort extras and response_time_mean's last bits move)
 #: 8: RunResult.extra loses cohort_batched_share
 #: 9: the cohort extras count posted cohorts only
-CODE_VERSION = "9"
+#: 10: RunResult.extra loses the cohort extras
+CODE_VERSION = "10"
 
 
 def default_salt() -> str:

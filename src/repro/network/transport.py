@@ -16,7 +16,11 @@ floods only reach the sender's connected component of the *live* overlay.
 Latency is configurable (per-hop seconds).  The paper's simulation treats
 dissemination as instantaneous relative to task times, so the default is
 zero latency — messages are still delivered via the event queue (never by
-synchronous call) so handler re-entrancy cannot occur.
+synchronous call) so handler re-entrancy cannot occur.  A flood or
+multicast posts the receivers that arrive at one instant as one agenda
+event (:meth:`Transport._post_group`), delivered in receiver order by
+one call: the same deliveries in the same order as one event each, at
+one heap push and pop per instant instead of per receiver.
 
 Hop counts are computed on demand.  A point-to-point send asks the router
 for a route length only when something consumes it — the ``HOPS`` charge,
@@ -283,12 +287,6 @@ class Transport:
         #: the delivery primitive, resolved once so the fan-out loops bind
         #: locals and the simulator pays no call frame for the seam
         self._post, self._arrive, self._post_each = self._wire()
-        # Cohort fast path: a fan-out posted with ``after_each`` reaches
-        # _deliver_batch in one call.  Guarded so a scheduler without
-        # cohort support delivers one event at a time.
-        register = getattr(sim, "register_batch", None)
-        if register is not None:
-            register(self._deliver, self._deliver_batch)
 
     def _wire(self) -> tuple:
         """``(post, arrive, post_each)``: how a surviving delivery leaves
@@ -296,25 +294,32 @@ class Transport:
 
         Every send ends in ``post(delay, arrive, src, dst, kind, payload,
         sent_at, priority=Priority.MESSAGE)`` or, for a fan-out whose
-        deliveries share one delay, in ``post_each(delay, arrive,
-        messages, Priority.MESSAGE)`` — the same posts in order, handed
-        over as one list of ``(src, dst, kind, payload, sent_at)``.
-        Here those are the scheduler's ``after`` and ``after_each``
-        running :meth:`_deliver`; a subclass with a real wire returns its
-        own, and whatever ``arrive`` puts on that wire must come back
-        through :meth:`_deliver`.
+        deliveries share one delay, in ``post_each(delay, messages)`` —
+        the same messages in order, as ``(src, dst, kind, payload,
+        sent_at)`` tuples.  Here ``post`` is the scheduler's ``after``
+        running :meth:`_deliver` and ``post_each`` is :meth:`_post_group`;
+        a subclass with a real wire returns its own, and whatever
+        ``arrive`` puts on that wire must come back through
+        :meth:`_deliver`.
         """
-        each = getattr(self.sim, "after_each", None)
-        return self.sim.after, self._deliver, each or self._post_one_by_one
+        return self.sim.after, self._deliver, self._post_group
 
-    def _post_one_by_one(
-        self, delay: float, arrive: Callable[..., None], messages: List[tuple],
-        priority: int,
-    ) -> None:
+    def _post_group(self, delay: float, messages: List[tuple]) -> None:
+        """``post_each`` of the simulator: the messages share one instant,
+        so they go on the agenda as one event that :meth:`_deliver_batch`
+        runs — one heap push, one pop and one call for a 10k-receiver
+        flood.  An empty fan-out posts nothing.
+        """
+        if messages:
+            self.sim.after(
+                delay, self._deliver_batch, messages, priority=Priority.MESSAGE
+            )
+
+    def _post_one_by_one(self, delay: float, messages: List[tuple]) -> None:
         """``post_each`` of a wire that carries one message at a time."""
-        post = self._post
+        post, arrive = self._post, self._arrive
         for message in messages:
-            post(delay, arrive, *message, priority=priority)
+            post(delay, arrive, *message, priority=Priority.MESSAGE)
 
     # Registration --------------------------------------------------------
 
@@ -407,45 +412,7 @@ class Transport:
             cost = float(links)
         if self.on_cost is not None:
             self.on_cost(kind, cost)
-        # Fan-out fast path: bound-method deliveries (no per-message
-        # closure).  An unimpaired flood posts the receivers that arrive
-        # at one instant as one cohort — all of them at zero latency (the
-        # paper's case, which skips the depth lookups), one cohort per
-        # hop count otherwise.  Each cohort keeps receiver order and the
-        # flood's seqs stay one block, so the event sequence matches
-        # posting the deliveries one by one exactly.
-        now = self.sim.now
-        after = self._post
-        deliver = self._arrive
-        latency = self.per_hop_latency
-        impair = self._impair
-        if impair is not None:
-            # Impaired fan-out: per-receiver loss/jitter/dup/reorder
-            # verdicts, drawn in deterministic (sorted-receiver) order.
-            plan = impair.plan
-            for dst in receivers:
-                hops = 1 if depth is None else depth[dst]
-                delays = plan(src, dst, hops)
-                if delays is None:
-                    self.dropped_messages += 1
-                    continue
-                base = latency * hops
-                for extra in delays:
-                    after(base + extra, deliver, src, dst, kind, payload, now,
-                          priority=Priority.MESSAGE)
-        elif latency == 0.0:
-            self._post_each(
-                0.0, deliver,
-                [(src, dst, kind, payload, now) for dst in receivers],
-                Priority.MESSAGE,
-            )
-        else:
-            by_hops: Dict[int, List[tuple]] = {}
-            for dst in receivers:
-                hops = 1 if depth is None else depth[dst]
-                by_hops.setdefault(hops, []).append((src, dst, kind, payload, now))
-            for hops, messages in by_hops.items():
-                self._post_each(latency * hops, deliver, messages, Priority.MESSAGE)
+        self._fan_out(src, kind, payload, receivers, depth)
         return list(receivers)
 
     def _epoch_structure(self) -> _EpochStructure:
@@ -541,19 +508,20 @@ class Transport:
         if not self.is_up(src):
             return []
         self.sent_messages += 1
-        receivers: List[NodeId] = []
+        hops: Dict[NodeId, int] = {}
         total = 0.0
         need_hops = self._hops_consumed()
         router = self._route_reader(need_hops)
         for dst in sorted(set(dests)):
             if dst == src or not self.topo.has_node(dst) or not self.is_up(dst):
                 continue
-            hops = self._live_hops(router, src, dst, need_hops)
-            if hops < 0:
+            route = self._live_hops(router, src, dst, need_hops)
+            if route < 0:
                 continue
-            total += self.cost_model.unicast_cost(router, src, dst, hops)
-            receivers.append(dst)
-            self._deliver_later(src, dst, kind, payload, hops)
+            total += self.cost_model.unicast_cost(router, src, dst, route)
+            hops[dst] = route
+        receivers = list(hops)
+        self._fan_out(src, kind, payload, receivers, hops)
         self._charge(kind, cost if cost is not None else total)
         return receivers
 
@@ -640,22 +608,56 @@ class Transport:
     def _deliver_later(
         self, src: NodeId, dst: NodeId, kind: str, payload: Any, hops: int
     ) -> None:
-        delay = self.per_hop_latency * max(hops, 0)
         if self._impair is not None:
-            delays = self._impair.plan(src, dst, hops)
-            if delays is None:
-                self.dropped_messages += 1
-                return  # lost in transit (cost already charged at send)
-            for extra in delays:
-                self._post(
-                    delay + extra, self._arrive, src, dst, kind, payload,
-                    self.sim.now, priority=Priority.MESSAGE,
-                )
+            self._fan_out(src, kind, payload, (dst,), {dst: hops})
             return
         self._post(
-            delay, self._arrive, src, dst, kind, payload, self.sim.now,
-            priority=Priority.MESSAGE,
+            self.per_hop_latency * max(hops, 0), self._arrive, src, dst, kind,
+            payload, self.sim.now, priority=Priority.MESSAGE,
         )
+
+    def _fan_out(
+        self, src: NodeId, kind: str, payload: Any, receivers: Iterable[NodeId],
+        hops: Optional[Dict[NodeId, int]],
+    ) -> None:
+        """Post one message from ``src`` to each of ``receivers``, in order.
+
+        ``hops`` maps each receiver to its route length (``None``: one
+        hop each).  Impaired, each receiver draws its own loss / jitter /
+        dup / reorder plan, in receiver order.  Unimpaired, the receivers
+        that arrive at one instant go out as one ``post_each`` — all of
+        them at zero latency (the paper's case, which reads no hop
+        count), one group per distinct delay otherwise.  A group keeps
+        receiver order and the deliveries of one instant run after
+        everything posted before them and before everything posted after,
+        so the event sequence is that of one post per receiver.
+        """
+        now = self.sim.now
+        latency = self.per_hop_latency
+        impair = self._impair
+        if impair is not None:
+            post, arrive, plan = self._post, self._arrive, impair.plan
+            for dst in receivers:
+                h = 1 if hops is None else hops[dst]
+                delays = plan(src, dst, h)
+                if delays is None:
+                    self.dropped_messages += 1  # lost in transit, cost charged
+                    continue
+                base = latency * h
+                for extra in delays:
+                    post(base + extra, arrive, src, dst, kind, payload, now,
+                         priority=Priority.MESSAGE)
+        elif latency == 0.0:
+            self._post_each(0.0, [(src, dst, kind, payload, now) for dst in receivers])
+        else:
+            by_delay: Dict[float, List[tuple]] = {}
+            for dst in receivers:
+                h = 1 if hops is None else hops[dst]
+                by_delay.setdefault(latency * h, []).append(
+                    (src, dst, kind, payload, now)
+                )
+            for delay, messages in by_delay.items():
+                self._post_each(delay, messages)
 
     def _deliver(
         self, src: NodeId, dst: NodeId, kind: str, payload: Any, sent_at: float
@@ -672,21 +674,21 @@ class Transport:
         self.delivered_messages += 1
         handler(Delivery(src, dst, kind, payload, sent_at, self.sim.now))
 
-    def _deliver_batch(self, cohort: List[tuple]) -> None:
-        """Cohort hook: a same-instant run of :meth:`_deliver` arguments.
+    def _deliver_batch(self, messages: List[tuple]) -> None:
+        """Event callback for a fan-out's same-instant group of arrivals.
 
-        Must be observationally identical to
-        ``for args in cohort: self._deliver(*args)``: liveness and the
-        handler table are re-consulted *per item* — a handler early in
-        the cohort may crash a later receiver or unregister its handlers
-        — and counters bump item by item.  Only the attribute loads
-        (predicate, handler table, clock) are hoisted; the clock cannot
-        move inside a cohort because ``run`` is not reentrant.
+        Observationally identical to ``for args in messages:
+        self._deliver(*args)``: liveness and the handler table are
+        re-consulted *per item* — a handler early in the group may crash
+        a later receiver or unregister its handlers — and counters bump
+        item by item.  Only the attribute loads (predicate, handler
+        table, clock) are hoisted; the clock cannot move inside one
+        event.
         """
         is_up = self.is_up
         by_node = self._handlers
         now = self.sim.now
-        for src, dst, kind, payload, sent_at in cohort:
+        for src, dst, kind, payload, sent_at in messages:
             if not is_up(dst):
                 self.dropped_messages += 1
                 continue

@@ -10,7 +10,7 @@ inspectable after the fact and while they happen:
   ``Tracer.add_sink`` (buffered, rotating, summary footer);
 * :mod:`repro.obs.profiler` — wall-time/event-count attribution per
   callback and per subsystem, fed by the kernel's one run loop
-  (``Simulator.run(profile=...)``, cohort dispatches included);
+  (``Simulator.run(profile=...)``);
 * :mod:`repro.obs.spans` — HELP→PLEDGE and placement/evacuation
   negotiation chains correlated into span records with latencies and
   hop counts;

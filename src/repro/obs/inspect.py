@@ -329,12 +329,6 @@ def run_report(
             f"{extra.get('churn_scheduled', 0.0):.0f} scheduled; "
             f"{extra.get('nodes_final', 0.0):.0f} nodes at horizon"
         )
-    if extra.get("cohorts", 0.0):
-        lines.append(
-            "cohort batching: "
-            f"{extra.get('cohort_batched_events', 0.0):.0f} events in "
-            f"{extra.get('cohorts', 0.0):.0f} cohorts"
-        )
     arrays = entry.series_arrays()
     if not arrays:
         lines.append("(no trajectory series recorded — run with cfg.obs set)")

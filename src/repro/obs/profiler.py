@@ -1,10 +1,8 @@
 """Kernel profiler — wall-time and event-count attribution.
 
 ``Simulator.run(profile=KernelProfiler())`` brackets every dispatch of
-its one run loop with ``perf_counter`` — a scalar callback, or a whole
-cohort handed to its batch hook and recorded under the scalar
-callback's name with the cohort's event count — and feeds this
-profiler, which attributes the time two ways:
+its one run loop with ``perf_counter`` — one event, one callback call —
+and feeds this profiler, which attributes the time two ways:
 
 * **per callback** — the scheduled function's qualified name
   (``Transport._deliver``, ``ArrivalGenerator._fire``, …), the event
@@ -19,8 +17,8 @@ reported as the named ``kernel`` category, so the report accounts for
 ~100% of the wall time spent inside :meth:`Simulator.run` (the
 acceptance bar is ≥95% into named categories).
 
-The profiled run is the run that ships: same loop, same cohort
-batching, bit-identical trace, result and ``cohort_stats()``.  Overhead:
+The profiled run is the run that ships: same loop, bit-identical trace
+and result.  Overhead:
 without a profiler the loop pays one ``record is None`` test per
 dispatch, which does not measure (guarded by
 ``benchmarks/check_regression.py``).
@@ -137,9 +135,9 @@ class KernelProfiler:
 
     # Kernel-facing ------------------------------------------------------
 
-    def record(self, fn: Callable, seconds: float, events: int = 1) -> None:
-        """Attribute one dispatch: ``events`` events of callback ``fn``
-        (one, or a cohort's worth) took ``seconds`` (kernel hot path)."""
+    def record(self, fn: Callable, seconds: float) -> None:
+        """Attribute one dispatch: an event of callback ``fn`` took
+        ``seconds`` (kernel hot path)."""
         func = getattr(fn, "__func__", fn)  # unwrap bound methods
         code = getattr(func, "__code__", None)
         key = id(code) if code is not None else id(func)
@@ -154,13 +152,13 @@ class KernelProfiler:
         if entry is None:
             entry = self.by_callback[callback] = ProfileEntry()
         entry.seconds += seconds
-        entry.events += events
+        entry.events += 1
         entry = self.by_subsystem.get(subsystem)
         if entry is None:
             entry = self.by_subsystem[subsystem] = ProfileEntry()
         entry.seconds += seconds
-        entry.events += events
-        self.events_executed += events
+        entry.events += 1
+        self.events_executed += 1
 
     def finish_run(self, wall_seconds: float) -> None:
         """Called once per profiled ``run``: fold in agenda overhead.

@@ -234,8 +234,6 @@ class DiscoveryAgent:
                 self.node_id, membership_ttl=cfg.membership_ttl
             )
         self.helps_sent = 0  # the ``every`` pull's HELPs (Algorithm H counts its own)
-        self.crossing_pledges_sent = 0
-        self.advertisements_sent = 0
 
     @property
     def learns(self) -> bool:
@@ -401,7 +399,6 @@ class DiscoveryAgent:
             available=snap.available if available is None else available,
             sent_at=self.sim.now,
         )
-        self.advertisements_sent += 1
         self.flood(KIND_ADV, adv)
 
     def _on_cross(self, direction: str, _usage: float) -> None:
@@ -415,7 +412,6 @@ class DiscoveryAgent:
         organizers = self.memberships.organizers(now)
         for org in organizers:
             self._send_pledge(org)
-            self.crossing_pledges_sent += 1
         self.sim.trace.emit(
             now, "crossing-pledge", node=self.node_id, direction=direction,
             organizers=len(organizers),

@@ -20,27 +20,17 @@ sequences.  That property underpins the common-random-numbers comparison
 methodology used by the figure experiments and is asserted by property
 tests.
 
-Cohort batching (the single-run fast path): an event is one call unless
-its sender posted it whole.  :meth:`Simulator.after_each` posts ``n``
-calls of a callback with a batch hook (:meth:`Simulator.register_batch`)
-as one agenda entry, a *cohort*, which the run loop hands to the hook in
-one call — one heap push, one pop and one Python call for a
-10k-receiver flood.  The entry stands for its ``n`` scalar events: it
-takes their ``n`` seqs and counts ``n`` toward ``len(sim.queue)``,
-``events_executed`` and the ``max_events`` budget (a budget ending
-inside it leaves the rest on the agenda under the original keys), so the
-executed sequence, the trace and ``events_executed`` are bit-identical
-to the scalar reference, ``set_cohort_batching(False)``, under which
-``after_each`` is the ``n`` scalar pushes.  That equivalence is pinned
-by ``tests/sim/test_cohort_batching.py``.  A profiled run is the same
-loop with a ``perf_counter`` bracket around each dispatch.
+Each event is one callback call — ``events_executed``, ``len(sim.queue)``
+and the ``max_events`` budget all count agenda events — and a profiled
+run is the same loop with a ``perf_counter`` bracket around each
+dispatch.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, List, Optional
 
 from .events import _INF, Event, EventQueue, Priority
 from .rng import RandomStreams
@@ -56,23 +46,6 @@ __all__ = [
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (scheduling in the past, re-running, …)."""
-
-
-class _Cohort:
-    """A batched callback: the ``Event.fn`` of a cohort's agenda entry,
-    whose ``Event.args`` is the list of argument tuples.
-
-    Only :meth:`Simulator.run` pops such entries (``EventQueue.pop``
-    would count one event where the entry stands for n).
-    """
-
-    __slots__ = ("fn", "batch_fn")
-
-    def __init__(
-        self, fn: Callable[..., Any], batch_fn: Callable[[List[tuple]], Any]
-    ) -> None:
-        self.fn = fn
-        self.batch_fn = batch_fn
 
 
 class PeriodicTimer:
@@ -256,14 +229,6 @@ class Simulator(Agenda):
     def __init__(self, seed: int = 0, trace: Optional[Tracer] = None) -> None:
         super().__init__(seed, trace)
         self._now = 0.0
-        #: scalar callback -> its :class:`_Cohort`; read by ``after_each``
-        self._batch_hooks: Dict[Any, _Cohort] = {}
-        self._batching = True
-        # Cohort accounting (see :meth:`cohort_stats`), updated once per
-        # dispatched cohort.
-        self._cohorts = 0
-        self._batched_events = 0
-        self._cohort_sizes: Dict[int, int] = {}
 
     # Clock ------------------------------------------------------------
 
@@ -298,131 +263,6 @@ class Simulator(Agenda):
             raise SimulationError(f"negative delay: {delay!r}")
         return self._push(self._now + delay, fn, args, priority)
 
-    # Cohort batching ----------------------------------------------------
-
-    def after_each(
-        self,
-        delay: float,
-        fn: Callable[..., Any],
-        argsets: Iterable[tuple],
-        priority: int = Priority.DEFAULT,
-    ) -> None:
-        """Schedule ``fn(*args)`` for every ``args`` of ``argsets``, in order.
-
-        Means exactly ``for args in argsets: self.after(delay, fn, *args,
-        priority=priority)`` less the handles — and *is* that loop when
-        ``fn`` has no batch hook or batching is off.  Otherwise the calls
-        go on the agenda as one cohort entry (see the module docstring)
-        that the run loop hands to the hook whole.  No handle comes back:
-        nothing may cancel a member.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay!r}")
-        time = self._now + delay
-        argsets = list(argsets)
-        hook = self._batch_hooks.get(fn) if self._batching else None
-        if hook is None:
-            for args in argsets:
-                self._push(time, fn, args, priority)
-            return
-        if not argsets:
-            return
-        if time != time or time == _INF:  # NaN / inf guard, as in _push
-            raise ValueError(f"non-finite event time: {time!r}")
-        queue = self.queue
-        seq = queue._next_seq
-        queue._next_seq = seq + len(argsets)
-        self._post_cohort(time, priority, seq, hook, argsets)
-
-    def _post_cohort(
-        self, time: float, priority: int, seq: int, hook: _Cohort,
-        argsets: List[tuple],
-    ) -> None:
-        """One agenda entry for the events ``seq .. seq + len(argsets) - 1``;
-        a cohort of one is the scalar event itself."""
-        if len(argsets) == 1:
-            ev = Event(time, priority, seq, hook.fn, argsets[0])
-        else:
-            ev = Event(time, priority, seq, hook, argsets)
-        queue = self.queue
-        heappush(queue._heap, (time, priority, seq, ev))
-        queue._live += len(argsets)
-
-    def register_batch(
-        self,
-        fn: Callable[..., Any],
-        batch_fn: Callable[[List[tuple]], Any],
-    ) -> None:
-        """Install ``batch_fn`` as the cohort handler for callback ``fn``.
-
-        :meth:`after_each` posts calls of ``fn`` (matched by equality, so
-        a bound method covers that method on that instance) as one entry,
-        which the run loop hands to ``batch_fn`` as a list of argument
-        tuples.  ``batch_fn`` must be observationally identical to ``for
-        args in cohort: fn(*args)``, re-checking per-item guards
-        (liveness, handler tables) as the scalar body does, because
-        earlier items may change state later items depend on.
-        """
-        self._batch_hooks[fn] = _Cohort(fn, batch_fn)
-
-    def set_cohort_batching(self, enabled: bool) -> None:
-        """Force the scalar path (``False``) — the lockstep reference the
-        equivalence tests compare the batched loop against.
-
-        Cohorts already on the agenda become the scalar events they
-        stand for, under the seqs they hold, so the scalar loop never
-        meets one.
-        """
-        self._batching = bool(enabled)
-        if self._batching:
-            return
-        heap = self.queue._heap
-        entries = []
-        for entry in heap:
-            time, priority, seq, ev = entry
-            if ev.fn.__class__ is _Cohort:
-                entries.extend(
-                    (time, priority, seq + i, Event(time, priority, seq + i, ev.fn.fn, args))
-                    for i, args in enumerate(ev.args)
-                )
-            else:
-                entries.append(entry)
-        heap[:] = entries  # in place: the run loop aliases the list
-        heapify(heap)
-
-    @property
-    def cohort_batching(self) -> bool:
-        return self._batching
-
-    def cohort_stats(self) -> Dict[str, Any]:
-        """Batched-dispatch accounting.
-
-        Returns cumulative counts since construction: how many posted
-        cohorts were dispatched, how many events they covered, and a
-        ``{cohort size -> occurrences}`` histogram.
-        """
-        return {
-            "cohorts": self._cohorts,
-            "batched_events": self._batched_events,
-            "size_histogram": dict(sorted(self._cohort_sizes.items())),
-        }
-
-    def _open_cohort(self, entry: tuple, room) -> List[tuple]:
-        """The argument tuples of a popped cohort ``entry``.
-
-        The pop counted one event off ``len(queue)``; the entry stood
-        for ``len(argsets)``.  When only ``room`` of them fit the
-        ``max_events`` budget the rest go back on the agenda under their
-        original keys, to be delivered by the next ``run``.
-        """
-        time, priority, seq, ev = entry
-        argsets = ev.args
-        self.queue._live -= len(argsets) - 1
-        if len(argsets) > room:
-            self._post_cohort(time, priority, seq + room, ev.fn, argsets[room:])
-            argsets = argsets[:room]
-        return argsets
-
     # Execution ----------------------------------------------------------
 
     def run(
@@ -438,11 +278,10 @@ class Simulator(Agenda):
         Returns the final clock value.
 
         ``profile`` takes a :class:`~repro.obs.profiler.KernelProfiler`
-        (duck-typed: ``record(fn, seconds, events)`` +
-        ``finish_run(wall)``).  It times this loop, not a copy of it:
-        each scalar dispatch and each cohort dispatch is bracketed with
-        ``perf_counter``, so the shares it reports are those of the run
-        that ships and the run itself is bit-identical either way.
+        (duck-typed: ``record(fn, seconds)`` + ``finish_run(wall)``).  It
+        times this loop, not a copy of it: each dispatch is bracketed
+        with ``perf_counter``, so the shares it reports are those of the
+        run that ships and the run itself is bit-identical either way.
         """
         if until is not None and until < self._now:
             raise SimulationError("until lies in the past")
@@ -459,7 +298,7 @@ class Simulator(Agenda):
         executed = 0
         wall_start = perf_counter()
         try:
-            while budget > 0 and not self._stop_requested:
+            while executed < budget and not self._stop_requested:
                 while heap and heap[0][3]._cancelled:
                     heappop(heap)
                     if queue._cancelled_pending > 0:
@@ -473,23 +312,6 @@ class Simulator(Agenda):
                 queue._live -= 1
                 ev = entry[3]
                 self._now = entry[0]
-                if ev.fn.__class__ is _Cohort:
-                    hook = ev.fn
-                    cohort = self._open_cohort(entry, budget)
-                    n = len(cohort)
-                    if record is None:
-                        hook.batch_fn(cohort)
-                    else:
-                        t0 = perf_counter()
-                        hook.batch_fn(cohort)
-                        record(hook.fn, perf_counter() - t0, n)
-                    executed += n
-                    budget -= n
-                    self._cohorts += 1
-                    self._batched_events += n
-                    sizes = self._cohort_sizes
-                    sizes[n] = sizes.get(n, 0) + 1
-                    continue
                 if record is None:
                     ev.fn(*ev.args)
                 else:
@@ -497,7 +319,6 @@ class Simulator(Agenda):
                     ev.fn(*ev.args)
                     record(ev.fn, perf_counter() - t0)
                 executed += 1
-                budget -= 1
             if until is not None and self._now < until and not self._stop_requested:
                 self._now = until
         finally:

@@ -36,6 +36,11 @@ def fill(sim, host, usage):
     return t
 
 
+def crossing_pledges(sim, node):
+    """PLEDGEs ``node`` sent to its organizers on threshold crossings."""
+    return sum(r.payload["organizers"] for r in sim.trace.select("crossing-pledge", node=node))
+
+
 def arrive(sim, agent, size=5.0):
     task = Task(size=size, arrival_time=sim.now, origin=agent.node_id)
     agent.notify_task_arrival(task)
@@ -114,7 +119,7 @@ class TestCrossingPledges:
         sim.run(until=2.0)
         after = sum(1 for k, _ in costs if k == KIND_PLEDGE)
         assert after > before
-        assert agents[1].crossing_pledges_sent >= 1
+        assert crossing_pledges(sim, 1) >= 1
         # organizer's view now marks node 1 unavailable
         assert agents[0].view.get(1).available is False
 
@@ -133,7 +138,7 @@ class TestCrossingPledges:
         # node 1 never saw a HELP, so crossing produces no pledges
         fill(sim, hosts[1], 0.95)
         sim.run(until=1.0)
-        assert agents[1].crossing_pledges_sent == 0
+        assert crossing_pledges(sim, 1) == 0
 
 
 class TestMembershipBudget:
@@ -199,7 +204,7 @@ class TestLifecycle:
         assert agent.help.interval > 0
         assert agent.community.size() == 0
         assert agent.memberships.count() == 0
-        assert agent.crossing_pledges_sent == 0
+        assert crossing_pledges(sim, 0) == 0
 
     def test_stop_cancels_help_timer(self):
         sim, _, _, hosts, agents, _ = build_cluster()

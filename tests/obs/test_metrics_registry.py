@@ -232,8 +232,6 @@ class TestRunIntegration:
         assert series["tasks_generated"]["v"][-1] == result.generated
         assert series["tasks_completed"]["v"][-1] == result.completed
         assert series["nodes_live"]["v"][0] == BASE["nodes"]
-        # cohort stats ride along (scalar runs batch nothing at 25 nodes)
-        assert payload["cohorts"]["batched_events"] >= 0
         json.dumps(payload)  # JSON-clean end to end
 
     def test_usage_histogram_accumulates_on_deep_ticks(self):

@@ -31,12 +31,12 @@ class TestRecord:
 
         prof.record(cb, 0.5)
         prof.record(cb, 0.25)
-        prof.record(cb, 0.25, 3)  # one dispatch of a three-event cohort
+        prof.record(cb, 0.25)
         rep = prof.report()
-        assert rep.events_executed == 5
+        assert rep.events_executed == 3
         (name, entry), = rep.by_callback.items()
         assert "cb" in name
-        assert entry.seconds == 1.0 and entry.events == 5
+        assert entry.seconds == 1.0 and entry.events == 3
 
     def test_bound_methods_share_one_entry(self):
         class Thing:
@@ -106,7 +106,6 @@ class TestProfiledRun:
         profiled = run_experiment(cfg, profile=KernelProfiler())
         import dataclasses
 
-        # the cohort* extras included: a profiled run batches the same
         assert dataclasses.asdict(profiled) == dataclasses.asdict(plain)
 
     def test_profile_respects_until_and_max_events(self):

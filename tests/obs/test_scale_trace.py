@@ -1,8 +1,8 @@
 """Byte-stable JSONL traces and span reconstruction at the 2500-node tier.
 
-The scaling tiers are where cohort batching actually fires, so these
-tests pin the observability contract at scale: identical runs stream
-byte-identical JSONL trace files (batching on), an obs-enabled run
+The scaling tiers are where floods deliver to large groups in one
+event, so these tests pin the observability contract at scale: identical
+runs stream byte-identical JSONL trace files, an obs-enabled run
 streams the same bytes as an obs-less one, and the file round-trips into
 records that reconstruct the same HELP/placement spans as the in-memory
 trace.
@@ -16,10 +16,11 @@ from repro.obs.config import ObsConfig
 from repro.obs.inspect import load_trace_jsonl
 from repro.obs.sinks import JsonLinesSink
 from repro.obs.spans import build_help_spans, build_placement_spans
+from tests.oracles import group_sizes
 
 
 def _tier_config(obs=None) -> ExperimentConfig:
-    # mirrors the cohort-batching tier cell: load against a small queue
+    # mirrors the grouped fan-out tier cell: load against a small queue
     # keeps HELP floods and migrations active from the first second
     return ExperimentConfig(
         protocol="realtor",
@@ -35,39 +36,39 @@ def _tier_config(obs=None) -> ExperimentConfig:
 
 
 def _traced_to_file(path, obs=None):
-    """Run the tier cell streaming its trace to ``path``; return the system."""
+    """Run the tier cell streaming its trace to ``path``; return the
+    system and the size of every group event its transport delivered."""
     system = build_system(_tier_config(obs=obs))
-    assert system.sim.cohort_batching
+    sizes = group_sizes(system.transport)
     system.sim.trace.add_sink(JsonLinesSink(path, buffer_records=4096))
     system.run()
     system.result()
     system.sim.trace.close_sinks()
-    return system
+    return system, sizes
 
 
 @pytest.fixture(scope="module")
 def baseline(tmp_path_factory):
     path = tmp_path_factory.mktemp("trace") / "baseline.jsonl"
-    system = _traced_to_file(path)
-    return path, system
+    system, sizes = _traced_to_file(path)
+    return path, system, sizes
 
 
 class TestByteStability:
     def test_repeat_run_streams_identical_bytes(self, baseline, tmp_path):
-        path_a, system = baseline
-        # the batched fast path must actually be exercising cohorts here,
-        # otherwise this tier proves nothing about batching
-        stats = system.sim.cohort_stats()
-        assert stats["cohorts"] > 100
-        assert stats["batched_events"] > 1000
+        path_a, _system, sizes = baseline
+        # floods must actually deliver in groups here, otherwise this
+        # tier proves nothing about grouped delivery
+        assert len(sizes) > 100
+        assert sum(sizes) > 1000
         path_b = tmp_path / "repeat.jsonl"
         _traced_to_file(path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_obs_enabled_run_streams_identical_bytes(self, baseline, tmp_path):
-        path_a, _ = baseline
+        path_a, _system, _sizes = baseline
         path_b = tmp_path / "obs.jsonl"
-        system = _traced_to_file(path_b, obs=ObsConfig())
+        system, _ = _traced_to_file(path_b, obs=ObsConfig())
         assert system.registry is not None  # obs really was on
         assert system.recorder.snapshots_seen > 0
         assert path_a.read_bytes() == path_b.read_bytes()
@@ -75,7 +76,7 @@ class TestByteStability:
 
 class TestSpanReconstruction:
     def test_file_round_trips_to_in_memory_records(self, baseline):
-        path, system = baseline
+        path, system, _sizes = baseline
         from_file = load_trace_jsonl(path)
         in_memory = list(system.sim.trace.records)
         assert len(from_file) == len(in_memory)
@@ -85,7 +86,7 @@ class TestSpanReconstruction:
             )
 
     def test_spans_rebuild_from_file(self, baseline):
-        path, system = baseline
+        path, system, _sizes = baseline
         records = load_trace_jsonl(path)
         helps = build_help_spans(records)
         places = build_placement_spans(records)

@@ -3,7 +3,8 @@
 None of these run in a simulation: the product labels components with
 ``Transport``'s epoch structure, builds its live overlay in
 ``Transport._live_overlay``, charges hop counts through ``Router`` and
-retires finished tasks lazily in ``WorkQueue``.  They are the plain,
+retires finished tasks lazily in ``WorkQueue`` and posts a fan-out's
+same-instant deliveries as one agenda event.  They are the plain,
 obviously-correct versions the tests use as oracles and as assertions
 ("the overlay is connected", "a PLEDGE followed every HELP").
 """
@@ -11,6 +12,7 @@ obviously-correct versions the tests use as oracles and as assertions
 from __future__ import annotations
 
 from collections import deque
+from functools import wraps
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.network.faults import FaultManager
@@ -168,3 +170,26 @@ class EventPerTaskQueue:
             )
         self.busy_until -= task.size
         task.status = TaskStatus.CREATED
+
+
+def post_one_by_one(transport) -> None:
+    """Rewire ``transport`` to post every fan-out delivery as an agenda
+    event of its own, as the live wire does: the reference a grouped
+    flood or multicast must be observationally identical to."""
+    transport._post_each = transport._post_one_by_one
+
+
+def group_sizes(transport) -> List[int]:
+    """A list that collects the size of every group event ``transport``
+    delivers from now on, as it runs (a profiler still files the events
+    under ``Transport._deliver_batch``)."""
+    sizes: List[int] = []
+    deliver = transport._deliver_batch
+
+    @wraps(deliver)
+    def counting(messages):
+        sizes.append(len(messages))
+        deliver(messages)
+
+    transport._deliver_batch = counting
+    return sizes

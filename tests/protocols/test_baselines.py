@@ -12,11 +12,23 @@ from repro.protocols.registry import make_agent
 from repro.sim.kernel import Simulator
 
 
+class FloodLog(Transport):
+    """A transport that also records the ``(src, kind)`` of every flood."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.floods = []
+
+    def flood(self, src, kind, payload, **kwargs):
+        self.floods.append((src, kind))
+        return super().flood(src, kind, payload, **kwargs)
+
+
 def build_cluster(protocol, config=None, rows=3, cols=3):
     sim = Simulator(seed=2)
     topo = mesh(rows, cols)
     costs = []
-    transport = Transport(sim, topo, on_cost=lambda k, c: costs.append((k, c)))
+    transport = FloodLog(sim, topo, on_cost=lambda k, c: costs.append((k, c)))
     cfg = config or ProtocolConfig(scope="network")
     hosts, agents = {}, {}
     for nid in topo.nodes():
@@ -96,7 +108,7 @@ class TestAdaptivePush:
         fill(sim, hosts[0], 0.95)   # up
         sim.run(until=20.0)         # drains below 0.9 -> down
         assert count(costs, KIND_ADV) == 2
-        assert agents[0].advertisements_sent == 2
+        assert agents[0].transport.floods == [(0, KIND_ADV)] * 2
 
     def test_up_crossing_marks_unavailable(self):
         sim, _, hosts, agents, _ = build_cluster("push-.9")
@@ -216,4 +228,4 @@ def test_stats_report_each_part(protocol, keys):
     assert count(costs, KIND_HELP) == ("helps" in keys)
     # every other node is idle, so each answers the one HELP once
     assert count(costs, KIND_PLEDGE) == (8 if "pledges" in keys else 0)
-    assert (agent.advertisements_sent >= 1) == ("advertisements" in keys)
+    assert ((0, KIND_ADV) in agent.transport.floods) == ("advertisements" in keys)

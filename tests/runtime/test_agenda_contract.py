@@ -5,16 +5,18 @@
 what a timer *means* — firing order, tracked cancellation, compaction,
 the periodic helpers, finalizers, ``stop`` — is asserted here over both
 classes instead of once per runtime.  What only one clock has stays in
-its own file: the jumping clock and the cohort loop in ``tests/sim/``,
+its own file: the jumping clock and the grouped fan-out in ``tests/sim/``,
 the late clamp and the armed waits in ``tests/live/test_scheduler.py``.
 
 The live cases run at ``time_scale=1000`` and assert on order and
 counts only, never on wall time.
 
 A message is an agenda event on both clocks as well — ``Transport``
-posts ``_deliver`` through ``sim.after`` and ``LiveTransport``'s
-``inproc`` wire is that same post, one ``latency`` further out — so the
-last cases here hold a delivery to the contract a timer is held to.
+posts ``_deliver`` through ``sim.after`` (a fan-out's same-instant
+receivers as one ``_deliver_batch`` event) and ``LiveTransport``'s
+``inproc`` wire is the one-message post, one ``latency`` further out —
+so the last cases here hold a delivery to the contract a timer is held
+to.
 """
 
 import asyncio
