@@ -91,87 +91,87 @@ PINNED_RUNS = {
     ('gossip', False): (
         'f72032fef1191bcf18925a30eb96103040a5b67f0f4d5a3b6ea9511a58f8a785',
         9928,
-        'edacc778f593c1fb82469ee76774115b879ebd4cae914ee46e4a8672b094576b',
+        '54a48b1a697474ecaee5557ed8a793729ccb57335f2a08725d87eb1da4b9f64f',
     ),
     ('gossip-5', False): (
         'd5c8a50b192f080cb263f691c926df64e17524dc61278b0543ef923ed71995c0',
         2728,
-        '4d8105a75d196e2ec95294a4e3a30abbcbba0c4bebdc13391fc83daac558e7ec',
+        '5cb058d09baa3aa327f1947f81e287e7931b00a0c2925adcf86e13052c656529',
     ),
     ('none', False): (
         'dbea5cebc77171f56784cf88948641c8d44803362fed805c036a6c95f9da7faa',
         940,
-        '90c7c46f48bfb370142aa1650ab428cfee13f1f8831e7e02c0d386760f6089b8',
+        'eab35a34494dff8350862c7dea5bf9114e7b40a4554e8b9ec2fa38bd6c9b5f05',
     ),
     ('pull-.9', False): (
         'ba78910a8a3e2f3c912a39719f84768090ceda476018d9efe15a307925733998',
-        1802,
-        '231cd794937754a38500903b148b4fa1957fbe1dd17ed4e12048342eb674fb00',
+        1510,
+        'cc488c7984b8d835c63399d305df64f266dd2edabf4961a9b98dfcb3b7e7c3a6',
     ),
     ('pull-100', False): (
         'f700c88d2c89c7f0c9afcdfd9760322430792a5ec749470f71c008c99e98289f',
-        1673,
-        '3713f9c3265095a3f971868f2a15826d2c2b5f53c04a0814686be617dc71aac0',
+        1432,
+        '23f616453ad5f764f459083a92259b5d3a3d7ecb3cd193e4992024deb216cc84',
     ),
     ('pull-100-fixed', False): (
         '2ef21d41bb19c72a9c6fe2fd120d1e4bac48f317abfcafe39e3aa44433f7bcf0',
-        1097,
-        '131e6a269f23abf227e513e12b910739f4298065004d5957d06ac2118d2a2f83',
+        1066,
+        '896c929beec8f8dfd1758ef253c17187d1bb6d8805b6bde26fcf663072585a23',
     ),
     ('push-.9', False): (
         'a2a5950fc034e16fa5eda20ef5d4358a64cdb62e15161c038d60a0a68ce727af',
-        1384,
-        'a64efd95faab4273d6f91ae49330be97f495544d9f6b6d4f3a74be28c6ce1229',
+        1190,
+        '2afa9e7e80620d9308025daca622fa2c6f6039427455b0d8fe3dcd5fa26dc46a',
     ),
     ('push-1', False): (
         '6686c317b22acd8c3ba06b264fdabfaa58aacd5d41458853ccc3e8abc290201f',
-        13490,
-        '68b67310d4fc8d95c9ffc63cea50bfa6801fd809256d7c1cb46c2a52a17f61ed',
+        6944,
+        '175e57e52de3e6ef1a63f465d140e9408e8df1c3246ddea3eb0acb4b8b54eac7',
     ),
     ('realtor', False): (
         '1ec74dab90564aa977c45340d07b6f3cf3ea20d179761a74caf3233ec761b34f',
-        1873,
-        'e71bb6d175449f9d303cc536fa2a53eb4e1edfccd7ed598087410a54f1eb2a02',
+        1619,
+        '68208a8da88d3fa4518b9ba1db6b4240aa2aaa01ea829a979f3246335ae92350',
     ),
     ('realtor-hier', False): (
         '0f62c6883888727be2de58bd84d41fd3478e39e2023428ca8e703d4011db1702',
-        2818,
-        'a3e77b398c5c258acf318797539fbff08960fd6bf4f2ed1cd598c79d9e5ae68a',
+        2097,
+        '1a0df6e5cc05a887ecfec5307952eb4f74b5aeb4ef2ba415069b90cb897a1eff',
     ),
     ('realtor-hier-25', False): (
         '36644b7799e3fde8cece817887fbcf05ccae7f46807e3a4dc27d9c13358f861a',
-        7119,
-        '4844a1d91f5d65bfcd15254a7e567fc87a584ffbe967c18c3883d9dedd4305d3',
+        4382,
+        'f2a510b8c66d1e0305d9e5f35d01627e1726b02e5ef8731a29660ffa1f14ea66',
     ),
     ('pull-.9', True): (
         '7293beb12505a176e8af4a4ef32f321066e7b3a9c98f22d4de0df89ace47d0a3',
-        2009,
-        '31d222334e54885a7ed244fa1f890fa650f59b4b69a4e3969634240e281b9613',
+        1697,
+        '0b99bb4ad972a44d8b6f268654b2a31714f3537f22caf7584ef3ccb3f7ffea34',
     ),
     ('push-1', True): (
         '0be327ec729019466df1bf96d26d4dfb96ec81bd163969da740e084971797907',
-        13410,
-        '4665cb81bbbdfa236da544ae76186b0c817d10727b03fdcece0664e16471d840',
+        7024,
+        '35f2aa7635b5d9b3d9bcb3e0988b6086275d8478fd1276dbae8d91a37fdd21cc',
     ),
     ('push-.9', True): (
         '81078ee62eb311e1142158d79f68934d255628f825fd86fb5639b5069bcb581b',
-        1605,
-        '184ef7c95160d9aa76254258c52d67817ed70427febef9b73b85b2e97fbe6b2f',
+        1369,
+        'f08a6a0a2419fa386b8eec62fb436656798aea39e7e7c86c8f0870f902601b28',
     ),
     ('pull-100', True): (
         '9d22747737038229f91e35c2f55d049b56d27cf588e0c8b36dfb1530f0f72329',
-        1916,
-        '5ff25801059787b2cd825e119d564330470323695608a3cb18e863ef9e72ed99',
+        1638,
+        '8940fe53a39d0f7bcdce17259a84e06d1ba146182db8d9a64630906a065a59b2',
     ),
     ('pull-100-fixed', True): (
         'f22e3090ce0eb12315e91980020d4b92360e6fe22104a80f5047e1dbc6f26003',
-        1275,
-        'a5a98441a9ce7e117b338928f8ac00ce28cabb3fd81efc9bc69832f3b2fc66e5',
+        1237,
+        '68622b0ae88451e0084e0b6393b4c13a6a4017aa981ce60a2a54548a5edc270a',
     ),
     ('realtor', True): (
         '1c7326a6058d394b29be777338db296e5eb532dbb95ba46ec1a0b918fe73c15f',
-        2183,
-        'a9e4ba39d54a7ddfe7e4aad18454385dd778f77c7a550c9ae82e3a717c86eaa6',
+        1886,
+        '73a5fbc948d00095c6bdaf17dcc4a19472b2c0be6a021a0394d5578f2858ccdd',
     ),
 }
 
