@@ -82,8 +82,10 @@ def make_context(sim, transport, make_host):
 @pytest.fixture
 def manual_clock(monkeypatch):
     """``LiveScheduler`` on a wall clock that moves only when ``run``
-    would have slept, by exactly the wait it armed (and by a nanosecond
-    per reading: time passes).  No margin is left to spin through.
+    would have slept, by the wait it armed (at least one ulp, so every
+    armed wait moves it).  Reading the clock does not move it, so a run's
+    figures do not depend on how often the code reads the time.  No
+    margin is left to spin through.
 
     The run loop, the transport and its sockets stay the real ones; a run
     is CPU-bound and cannot fall behind its own clock, however slow the
@@ -91,12 +93,13 @@ def manual_clock(monkeypatch):
     the fixture's value, ``stall(seconds)``, which lets that many wall
     seconds pass as a handler holding the CPU would.
     """
+    import math
+
     from repro.live import scheduler
 
     wall = [0.0]
 
     def perf_counter() -> float:
-        wall[0] += 1e-9
         return wall[0]
 
     class JumpTimer:  # the interface of scheduler._Timerfd
@@ -104,7 +107,7 @@ def manual_clock(monkeypatch):
             self._wake = wake
 
         def arm(self, seconds: float) -> None:
-            wall[0] += seconds
+            wall[0] = math.nextafter(wall[0] + seconds, math.inf)
             self._wake()
 
         def close(self) -> None:

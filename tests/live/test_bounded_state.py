@@ -137,15 +137,14 @@ def test_an_inproc_run_is_one_coroutine(manual_clock):
     report = asyncio.run(rt.run())
     assert running == [1]
     assert report["drained"] and report["clean_shutdown"]
-    # what the mailbox-task transport counted for this seed on this clock
-    assert report["messages"] == {"sent": 72, "delivered": 102, "dropped": 0}
+    # what this seed counts on this clock; reading it does not move it,
+    # so these figures do not depend on how often the code reads the time
+    assert report["messages"] == {"sent": 80, "delivered": 112, "dropped": 0}
     assert report["tasks"]["generated"] == 965
     assert report["tasks"]["admitted_migrated"] == 7
     # a task completion is no event and wakes nothing: 1 937 waits were
-    # resumed while the run woke for every event.  This clock ticks a
-    # nanosecond per reading, so the count moves with the readings a run
-    # takes (1 094 while each admission also read it to stamp a binding)
-    assert report["scheduler"]["wakeups"] == 1095
+    # resumed while the run woke for every event
+    assert report["scheduler"]["wakeups"] == 1069
 
 
 def test_series_sample_a_simulated_twins_instants(manual_clock):
