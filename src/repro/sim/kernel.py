@@ -273,9 +273,12 @@ class Simulator(Agenda):
     ) -> float:
         """Execute events until the agenda is empty or ``until`` is reached.
 
-        The clock is left at ``until`` (if given) even when the agenda
-        drains early, so post-run metric normalisation by horizon is exact.
-        Returns the final clock value.
+        When nothing is left due by ``until`` the clock is left at
+        ``until``, even when the agenda drains early, so post-run metric
+        normalisation by horizon is exact.  A run that ``max_events`` or
+        :meth:`stop` ends with events still due by ``until`` leaves the
+        clock at the last event it ran, so the next run fires them in
+        time order.  Returns the final clock value.
 
         ``profile`` takes a :class:`~repro.obs.profiler.KernelProfiler`
         (duck-typed: ``record(fn, seconds)`` + ``finish_run(wall)``).  It
@@ -320,7 +323,9 @@ class Simulator(Agenda):
                     record(ev.fn, perf_counter() - t0)
                 executed += 1
             if until is not None and self._now < until and not self._stop_requested:
-                self._now = until
+                head = queue.peek_time()
+                if head is None or head > until:  # nothing left due by then
+                    self._now = until
         finally:
             if profile is not None:
                 profile.finish_run(perf_counter() - wall_start)

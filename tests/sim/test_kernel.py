@@ -38,6 +38,24 @@ class TestClock:
         sim.run(until=20.0)
         assert fired == ["early", "late"]
 
+    def test_a_budget_ending_the_run_leaves_the_clock_at_the_last_event(self):
+        """The clock jumps to ``until`` only when nothing is left due by
+        then: events a budget left behind fire in time order next run."""
+        sim = Simulator()
+        fired = []
+        for t in (1.0, 2.0, 3.0):
+            sim.at(t, lambda: fired.append(sim.now))
+        assert sim.run(until=10.0, max_events=1) == 1.0
+        assert sim.run(until=10.0) == 10.0
+        assert fired == [1.0, 2.0, 3.0]
+
+    def test_stop_leaves_the_clock_at_the_stopping_event(self):
+        sim = Simulator()
+        sim.at(1.0, sim.stop)
+        sim.at(2.0, lambda: None)
+        assert sim.run(until=10.0) == 1.0
+        assert sim.run(until=10.0) == 10.0
+
     def test_cannot_schedule_in_past(self):
         sim = Simulator()
         sim.at(5.0, lambda: sim.at(1.0, lambda: None))
