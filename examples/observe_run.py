@@ -69,8 +69,8 @@ def main(trace_path: str = "observe_trace.jsonl") -> None:
     #    event is in the report — and the latency floods arrived as
     #    group events, fewer of them than the messages they delivered
     assert report.events_executed == system.sim.events_executed
-    groups = report.by_callback["Transport._deliver_batch"].events
-    assert 0 < groups < system.transport.delivered_messages
+    deliveries = report.by_callback["Transport._deliver"].events
+    assert 0 < deliveries < system.transport.delivered_messages
     print(report.format(top=8))
     print()
 

@@ -6,12 +6,14 @@ unicast travels, what an impairment engine does to it, what it costs and
 which handler finally runs are all decided by the inherited code — the
 same code the simulator runs — so the two runtimes cannot disagree about
 a partitioned overlay or a lossy link.  This module keeps only the wire
-a surviving delivery crosses, in two interchangeable backends:
+a surviving delivery crosses (``Transport._post``, its one override),
+in two interchangeable backends:
 
 * ``inproc`` — the wire is the scheduler's agenda, as in the simulator:
-  every delivery is one event, due after the delay the send path asked
-  for plus ``latency`` (Section 6's switched-Ethernet one-way delay, 0.2
-  virtual ms unless given), whose callback is the inherited ``_deliver``.
+  every post (a flood's same-instant receivers, or one message) is one
+  event, due after the delay the send path asked for plus ``latency``
+  (Section 6's switched-Ethernet one-way delay, 0.2 virtual ms unless
+  given), whose callback is the inherited ``_deliver``.
   The default: no serialisation, no sockets and no task besides the one
   running the scheduler, so per-receiver FIFO and same-instant order are
   the agenda's ``(time, priority, seq)`` key and a handler that raises
@@ -19,7 +21,8 @@ a surviving delivery crosses, in two interchangeable backends:
   an event: a handler never runs in its sender's stack.
 * ``udp`` — every node binds a real UDP datagram endpoint on the
   loopback interface; a pickled envelope crosses the kernel socket
-  layer while the payload object rides a per-message side table.
+  layer while the payload object rides a per-message side table.  A
+  datagram carries one message, because that is the wire.
   Exercises a genuine wire (socket scheduling, kernel buffering)
   while staying single-machine.  The side table is deliberate, not a
   shortcut: the paper's admission protocol settles a migration by the
@@ -29,7 +32,7 @@ a surviving delivery crosses, in two interchangeable backends:
   and silently break settlement, so the envelope carries only a token
   and object identity is preserved in-process.  A delay the send path
   asks for (per-hop latency, impairment jitter, a duplicate's offset)
-  is an agenda event ahead of the ``sendto``.  A datagram's handler
+  is an agenda event ahead of the ``sendto`` calls.  A datagram's handler
   runs outside the agenda; what it reads through a ``Host`` retires the
   tasks due by the live clock first, as on ``inproc``.
 """
@@ -38,10 +41,10 @@ from __future__ import annotations
 
 import asyncio
 import pickle
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from ..network.topology import NodeId, Topology
-from ..network.transport import Transport
+from ..network.transport import Priority, Transport
 
 from .scheduler import LiveScheduler
 
@@ -73,7 +76,7 @@ class _NodeEndpoint(asyncio.DatagramProtocol):
             # Duplicate or forged datagram: no payload to deliver.
             self.ref.dropped_messages += 1
             return
-        self.ref._deliver(src, self.node, kind, payload, sent_at)
+        self.ref._deliver([(src, self.node, kind, payload, sent_at)])
 
 
 class LiveTransport(Transport):
@@ -100,7 +103,6 @@ class LiveTransport(Transport):
     ) -> None:
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
-        # read by _wire(), which the inherited constructor calls
         self.backend = backend
         self.latency = LAN_LATENCY if latency is None else float(latency)
         super().__init__(sim, topo, **transport_kwargs)
@@ -160,39 +162,32 @@ class LiveTransport(Transport):
 
     # The wire -----------------------------------------------------------
 
-    def _wire(self) -> tuple:
-        # every live message is its own agenda event or datagram, so a
-        # fan-out is posted message by message
-        arrive = self._deliver if self.backend == "inproc" else self._sendto
-        return self._post_on_wire, arrive, self._post_one_by_one
-
-    def _post_on_wire(
-        self, delay: float, arrive: Callable[..., None], *message: Any, priority: int
-    ) -> None:
-        """``sim.after``: ``inproc`` adds the wire's latency to the delay,
-        a ``udp`` send with no delay needs no scheduler."""
+    def _post(self, delay: float, messages: List[tuple]) -> None:
+        """``inproc`` posts the messages as one agenda event, the wire's
+        latency added to the delay; ``udp`` sends them now, or from an
+        agenda event ``delay`` from now."""
         if self.backend == "inproc":
-            delay += self.latency
+            super()._post(delay + self.latency, messages)
         elif delay <= 0:
-            arrive(*message)
-            return
-        self.sim.after(delay, arrive, *message, priority=priority)
+            self._sendto(messages)
+        else:
+            self.sim.after(delay, self._sendto, messages, priority=Priority.MESSAGE)
 
-    def _sendto(
-        self, src: NodeId, dst: NodeId, kind: str, payload: Any, sent_at: float
-    ) -> None:
-        """Send one datagram; the far side's endpoint calls ``_deliver``."""
-        endpoint = self._endpoints.get(dst)
-        sender = self._endpoints.get(src)
-        if endpoint is None or sender is None:
-            self.dropped_messages += 1
-            return
-        token = self._next_token
-        self._next_token += 1
-        try:
-            data = pickle.dumps((src, kind, token, sent_at))
-        except Exception:
-            self.dropped_messages += 1
-            return
-        self._payloads[token] = payload
-        sender[0].sendto(data, endpoint[1])
+    def _sendto(self, messages: List[tuple]) -> None:
+        """One datagram per message; the far endpoint calls ``_deliver``."""
+        endpoints = self._endpoints
+        for src, dst, kind, payload, sent_at in messages:
+            endpoint = endpoints.get(dst)
+            sender = endpoints.get(src)
+            if endpoint is None or sender is None:
+                self.dropped_messages += 1
+                continue
+            token = self._next_token
+            self._next_token += 1
+            try:
+                data = pickle.dumps((src, kind, token, sent_at))
+            except Exception:
+                self.dropped_messages += 1
+                continue
+            self._payloads[token] = payload
+            sender[0].sendto(data, endpoint[1])

@@ -16,11 +16,11 @@ floods only reach the sender's connected component of the *live* overlay.
 Latency is configurable (per-hop seconds).  The paper's simulation treats
 dissemination as instantaneous relative to task times, so the default is
 zero latency — messages are still delivered via the event queue (never by
-synchronous call) so handler re-entrancy cannot occur.  A flood or
-multicast posts the receivers that arrive at one instant as one agenda
-event (:meth:`Transport._post_group`), delivered in receiver order by
-one call: the same deliveries in the same order as one event each, at
-one heap push and pop per instant instead of per receiver.
+synchronous call) so handler re-entrancy cannot occur.  Every send ends
+in :meth:`Transport._post`, which puts the messages that arrive at one
+instant on the agenda as one event that :meth:`Transport._deliver` runs
+in receiver order: the same deliveries in the same order as one event
+each, at one heap push and pop per instant instead of per receiver.
 
 Hop counts are computed on demand.  A point-to-point send asks the router
 for a route length only when something consumes it — the ``HOPS`` charge,
@@ -284,42 +284,16 @@ class Transport:
         self.sent_messages = 0
         self.delivered_messages = 0
         self.dropped_messages = 0
-        #: the delivery primitive, resolved once so the fan-out loops bind
-        #: locals and the simulator pays no call frame for the seam
-        self._post, self._arrive, self._post_each = self._wire()
 
-    def _wire(self) -> tuple:
-        """``(post, arrive, post_each)``: how a surviving delivery leaves
-        the transport.
-
-        Every send ends in ``post(delay, arrive, src, dst, kind, payload,
-        sent_at, priority=Priority.MESSAGE)`` or, for a fan-out whose
-        deliveries share one delay, in ``post_each(delay, messages)`` —
-        the same messages in order, as ``(src, dst, kind, payload,
-        sent_at)`` tuples.  Here ``post`` is the scheduler's ``after``
-        running :meth:`_deliver` and ``post_each`` is :meth:`_post_group`;
-        a subclass with a real wire returns its own, and whatever
-        ``arrive`` puts on that wire must come back through
-        :meth:`_deliver`.
+    def _post(self, delay: float, messages: List[tuple]) -> None:
+        """Every send ends here: ``messages`` are ``(src, dst, kind,
+        payload, sent_at)`` tuples, in receiver order, that arrive
+        ``delay`` from now, as one agenda event that :meth:`_deliver` runs
+        — one heap push, one pop and one call for a 10k-receiver flood.
+        A subclass with a real wire overrides this method alone; what it
+        puts on that wire must come back through :meth:`_deliver`.
         """
-        return self.sim.after, self._deliver, self._post_group
-
-    def _post_group(self, delay: float, messages: List[tuple]) -> None:
-        """``post_each`` of the simulator: the messages share one instant,
-        so they go on the agenda as one event that :meth:`_deliver_batch`
-        runs — one heap push, one pop and one call for a 10k-receiver
-        flood.  An empty fan-out posts nothing.
-        """
-        if messages:
-            self.sim.after(
-                delay, self._deliver_batch, messages, priority=Priority.MESSAGE
-            )
-
-    def _post_one_by_one(self, delay: float, messages: List[tuple]) -> None:
-        """``post_each`` of a wire that carries one message at a time."""
-        post, arrive = self._post, self._arrive
-        for message in messages:
-            post(delay, arrive, *message, priority=Priority.MESSAGE)
+        self.sim.after(delay, self._deliver, messages, priority=Priority.MESSAGE)
 
     # Registration --------------------------------------------------------
 
@@ -374,7 +348,7 @@ class Transport:
             self.dropped_messages += 1
             return False
         self._charge(kind, self.cost_model.unicast_cost(router, src, dst, hops))
-        self._deliver_later(src, dst, kind, payload, hops)
+        self._fan_out(src, kind, payload, (dst,), {dst: hops})
         return True
 
     def flood(
@@ -605,17 +579,6 @@ class Transport:
         if self.on_cost is not None:
             self.on_cost(kind, cost)
 
-    def _deliver_later(
-        self, src: NodeId, dst: NodeId, kind: str, payload: Any, hops: int
-    ) -> None:
-        if self._impair is not None:
-            self._fan_out(src, kind, payload, (dst,), {dst: hops})
-            return
-        self._post(
-            self.per_hop_latency * max(hops, 0), self._arrive, src, dst, kind,
-            payload, self.sim.now, priority=Priority.MESSAGE,
-        )
-
     def _fan_out(
         self, src: NodeId, kind: str, payload: Any, receivers: Iterable[NodeId],
         hops: Optional[Dict[NodeId, int]],
@@ -624,10 +587,11 @@ class Transport:
 
         ``hops`` maps each receiver to its route length (``None``: one
         hop each).  Impaired, each receiver draws its own loss / jitter /
-        dup / reorder plan, in receiver order.  Unimpaired, the receivers
-        that arrive at one instant go out as one ``post_each`` — all of
-        them at zero latency (the paper's case, which reads no hop
-        count), one group per distinct delay otherwise.  A group keeps
+        dup / reorder plan, in receiver order, and each planned copy is a
+        :meth:`_post` of its own.  Unimpaired, the receivers that arrive
+        at one instant are one ``_post`` — all of them at zero latency
+        (the paper's case, which reads no hop count), one per distinct
+        delay otherwise; an empty fan-out posts nothing.  A post keeps
         receiver order and the deliveries of one instant run after
         everything posted before them and before everything posted after,
         so the event sequence is that of one post per receiver.
@@ -636,7 +600,7 @@ class Transport:
         latency = self.per_hop_latency
         impair = self._impair
         if impair is not None:
-            post, arrive, plan = self._post, self._arrive, impair.plan
+            post, plan = self._post, impair.plan
             for dst in receivers:
                 h = 1 if hops is None else hops[dst]
                 delays = plan(src, dst, h)
@@ -645,10 +609,11 @@ class Transport:
                     continue
                 base = latency * h
                 for extra in delays:
-                    post(base + extra, arrive, src, dst, kind, payload, now,
-                         priority=Priority.MESSAGE)
+                    post(base + extra, [(src, dst, kind, payload, now)])
         elif latency == 0.0:
-            self._post_each(0.0, [(src, dst, kind, payload, now) for dst in receivers])
+            messages = [(src, dst, kind, payload, now) for dst in receivers]
+            if messages:
+                self._post(0.0, messages)
         else:
             by_delay: Dict[float, List[tuple]] = {}
             for dst in receivers:
@@ -657,33 +622,17 @@ class Transport:
                     (src, dst, kind, payload, now)
                 )
             for delay, messages in by_delay.items():
-                self._post_each(delay, messages)
+                self._post(delay, messages)
 
-    def _deliver(
-        self, src: NodeId, dst: NodeId, kind: str, payload: Any, sent_at: float
-    ) -> None:
-        """Event callback for one message arrival (liveness re-checked)."""
-        if not self.is_up(dst):
-            self.dropped_messages += 1
-            return
-        handlers = self._handlers.get(dst)
-        handler = handlers.get(kind) if handlers is not None else None
-        if handler is None:
-            self.dropped_messages += 1
-            return
-        self.delivered_messages += 1
-        handler(Delivery(src, dst, kind, payload, sent_at, self.sim.now))
+    def _deliver(self, messages: List[tuple]) -> None:
+        """Event callback for the messages one :meth:`_post` put on the wire.
 
-    def _deliver_batch(self, messages: List[tuple]) -> None:
-        """Event callback for a fan-out's same-instant group of arrivals.
-
-        Observationally identical to ``for args in messages:
-        self._deliver(*args)``: liveness and the handler table are
-        re-consulted *per item* — a handler early in the group may crash
-        a later receiver or unregister its handlers — and counters bump
-        item by item.  Only the attribute loads (predicate, handler
-        table, clock) are hoisted; the clock cannot move inside one
-        event.
+        Liveness and the handler table are re-consulted *per message* — a
+        handler early in the list may crash a later receiver or
+        unregister its handlers — and counters bump message by message,
+        as one event per message would.  Only the attribute loads
+        (predicate, handler table, clock) are hoisted: every message of
+        one post is stamped with the instant its event runs.
         """
         is_up = self.is_up
         by_node = self._handlers

@@ -23,6 +23,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system, run_experiment
 from repro.live import LiveConfig, run_live
 from repro.live.runtime import LiveRuntime
+from tests.oracles import group_sizes, post_one_by_one
 
 H = 10.0
 #: retained bytes per generated task: 8 for the sample, the rest headroom
@@ -145,6 +146,29 @@ def test_an_inproc_run_is_one_coroutine(manual_clock):
     # a task completion is no event and wakes nothing: 1 937 waits were
     # resumed while the run woke for every event
     assert report["scheduler"]["wakeups"] == 1069
+
+
+def test_an_inproc_flood_is_one_event_as_in_the_simulator(manual_clock):
+    # the same run with every message posted as an event of its own: the
+    # grouped post changes the event count and nothing else
+    def run(grouped: bool) -> tuple:
+        rt = LiveRuntime(live_config("inproc", H))
+        if grouped:
+            sizes = group_sizes(rt.transport)
+        else:
+            post_one_by_one(rt.transport)
+            sizes = []
+        report = asyncio.run(rt.run())
+        seen = (
+            report["messages"], report["tasks"], report["latency_ms"]["count"],
+            report["scheduler"]["wakeups"],
+        )
+        return seen, report["scheduler"]["events_executed"], sizes
+
+    grouped, reference = run(grouped=True), run(grouped=False)
+    assert grouped[0] == reference[0]
+    assert reference[2] == [] and max(grouped[2]) > 1
+    assert reference[1] - grouped[1] == sum(n - 1 for n in grouped[2])
 
 
 def test_series_sample_a_simulated_twins_instants(manual_clock):

@@ -59,8 +59,9 @@ class TestByteStability:
         path_a, _system, sizes = baseline
         # floods must actually deliver in groups here, otherwise this
         # tier proves nothing about grouped delivery
-        assert len(sizes) > 100
-        assert sum(sizes) > 1000
+        groups = [n for n in sizes if n > 1]  # a unicast is a post of one
+        assert len(groups) > 100
+        assert sum(groups) > 1000
         path_b = tmp_path / "repeat.jsonl"
         _traced_to_file(path_b)
         assert path_a.read_bytes() == path_b.read_bytes()

@@ -2,11 +2,12 @@
 
 None of these run in a simulation: the product labels components with
 ``Transport``'s epoch structure, builds its live overlay in
-``Transport._live_overlay``, charges hop counts through ``Router`` and
+``Transport._live_overlay``, charges hop counts through ``Router``,
 retires finished tasks lazily in ``WorkQueue`` and posts a fan-out's
-same-instant deliveries as one agenda event.  They are the plain,
-obviously-correct versions the tests use as oracles and as assertions
-("the overlay is connected", "a PLEDGE followed every HELP").
+same-instant deliveries as one agenda event (``Transport._post``).  They
+are the plain, obviously-correct versions the tests use as oracles and
+as assertions ("the overlay is connected", "a PLEDGE followed every
+HELP").
 """
 
 from __future__ import annotations
@@ -173,23 +174,29 @@ class EventPerTaskQueue:
 
 
 def post_one_by_one(transport) -> None:
-    """Rewire ``transport`` to post every fan-out delivery as an agenda
-    event of its own, as the live wire does: the reference a grouped
-    flood or multicast must be observationally identical to."""
-    transport._post_each = transport._post_one_by_one
+    """Rewire ``transport`` to post every message as an agenda event (or
+    datagram) of its own: the reference a post of many messages must be
+    observationally identical to."""
+    post = transport._post
+
+    def one_by_one(delay, messages):
+        for message in messages:
+            post(delay, [message])
+
+    transport._post = one_by_one
 
 
 def group_sizes(transport) -> List[int]:
-    """A list that collects the size of every group event ``transport``
-    delivers from now on, as it runs (a profiler still files the events
-    under ``Transport._deliver_batch``)."""
+    """A list that collects the number of messages of every ``_deliver``
+    call ``transport`` makes from now on, as it runs (a profiler still
+    files the events under ``Transport._deliver``)."""
     sizes: List[int] = []
-    deliver = transport._deliver_batch
+    deliver = transport._deliver
 
     @wraps(deliver)
     def counting(messages):
         sizes.append(len(messages))
         deliver(messages)
 
-    transport._deliver_batch = counting
+    transport._deliver = counting
     return sizes

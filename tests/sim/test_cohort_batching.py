@@ -1,19 +1,20 @@
 """Grouped fan-out: a flood's same-instant deliveries are one agenda event.
 
-The kernel runs one call per event.  ``Transport`` posts the receivers
-of a flood or multicast that arrive at one instant as one ordinary
-event (``Transport._post_group``), whose callback ``_deliver_batch``
-delivers them in receiver order, re-checking liveness and the handler
-table per item.  These tests pin that grouping is *observationally
-identical* to the live wire's reference, one event per delivery
-(``Transport._post_one_by_one``): same trace, same result fields, with
-``events_executed`` lower by exactly the sum of (group size - 1) — at
-the 2500-node scaling tier, with impairments on and off, with per-hop
-latency, under ``max_events`` slices (which count agenda events, so a
-group is never split), across serial/parallel sweep execution, and when
-a member crashes or unregisters a later one.  A profiled run is the
-same loop with a timing bracket per dispatch, so it is held to the same
-reference.
+The kernel runs one call per event.  Every send ends in
+``Transport._post(delay, messages)``, which puts the receivers of a
+flood or multicast that arrive at one instant on the agenda as one
+ordinary event; its callback ``Transport._deliver`` delivers them in
+receiver order, re-checking liveness and the handler table per message.
+A unicast is the same post with one message.  These tests pin that
+grouping is *observationally identical* to the reference that posts
+one event per delivery (``tests.oracles.post_one_by_one``): same trace,
+same result fields, with ``events_executed`` lower by exactly the sum
+of (group size - 1) — at the 2500-node scaling tier, with impairments
+on and off, with per-hop latency, under ``max_events`` slices (which
+count agenda events, so a group is never split), across serial/parallel
+sweep execution, and when a member crashes or unregisters a later one.
+A profiled run is the same loop with a timing bracket per dispatch, so
+it is held to the same reference.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.network.faults import FaultManager
 from repro.network.generators import paper_topology
 from repro.network.impairments import ImpairmentConfig
 from repro.network.transport import Transport
-from repro.obs.profiler import KernelProfiler, ProfileEntry
+from repro.obs.profiler import KernelProfiler
 from repro.protocols.base import ProtocolConfig
 from repro.sim.events import Priority
 from repro.sim.kernel import SimulationError, Simulator
@@ -179,22 +180,27 @@ class TestBatchedEqualsScalar:
 
 class TestProfiledLockstep:
     def test_profiled_push_1_files_floods_under_deliver(self):
-        """A group event reports under ``Transport._deliver_batch``, one
-        event per group; with the one-by-one ``_deliver`` events that
-        accounts for every delivery."""
+        """Every post is one event filed under ``Transport._deliver``; the
+        messages those events carry account for every delivery."""
         system = build_system(paper_config("push-1", 6.0, seed=4, horizon=40.0))
-        sizes = group_sizes(system.transport)
+        transport = system.transport
+        sizes = group_sizes(transport)
+        posts = []
+        post = transport._post
+
+        def counting_post(delay, messages):
+            posts.append(delay)
+            post(delay, messages)
+
+        transport._post = counting_post
         profile = KernelProfiler()
         system.run(profile=profile)
         assert profile.events_executed == system.sim.events_executed
-        transport = system.transport
-        groups = profile.by_callback["Transport._deliver_batch"]
-        assert groups.events == len(sizes) > 0
-        assert groups.seconds > 0.0
-        singles = profile.by_callback.get("Transport._deliver", ProfileEntry())
-        assert singles.events + sum(sizes) == (
-            transport.delivered_messages + transport.dropped_messages
-        )
+        deliveries = profile.by_callback["Transport._deliver"]
+        assert deliveries.events == len(posts) == len(sizes)
+        assert deliveries.seconds > 0.0
+        assert max(sizes) > 1
+        assert sum(sizes) == transport.delivered_messages + transport.dropped_messages
 
     def test_profiled_run_bit_identical_to_plain(self):
         """The profiler brackets the loop's dispatches; what that loop
@@ -255,17 +261,15 @@ class TestKernelCohortMechanics:
     transport posted them as one."""
 
     def test_cohort_handled_in_one_batch_call(self):
-        """A flood's group is one ``_deliver_batch`` call; deliveries
-        scheduled one by one at the same key run one call each, in seq
-        order, after it."""
+        """A flood's group is one ``_deliver`` call; deliveries posted one
+        by one at the same key run one call each, in seq order, after it."""
         sim, _faults, transport, received = _mesh_transport()
         sizes = group_sizes(transport)
         transport.flood(12, "adv", "f", neighbors_only=True)
         for dst in (7, 11):
-            sim.after(0.0, transport._deliver, 0, dst, "adv", "s", 0.0,
-                      priority=Priority.MESSAGE)
+            transport._post(0.0, [(0, dst, "adv", "s", 0.0)])
         sim.run()
-        assert sizes == [4]
+        assert sizes == [4, 1, 1]
         assert received == [
             (12, 7, "f"), (12, 11, "f"), (12, 13, "f"), (12, 17, "f"),
             (0, 7, "s"), (0, 11, "s"),
@@ -273,14 +277,16 @@ class TestKernelCohortMechanics:
         assert sim.events_executed == 3
 
     def test_lone_event_runs_scalar(self):
-        """A unicast is one ``_deliver`` event, never a group."""
+        """A unicast is one ``_deliver`` event carrying one message."""
         sim, _faults, transport, received = _mesh_transport()
         sizes = group_sizes(transport)
         transport.unicast(0, 1, "adv", "u")
-        assert [e[3].fn for e in sim.queue._heap] == [transport._deliver]
+        (_time, priority, _seq, ev), = sim.queue._heap
+        assert ev.fn == transport._deliver and priority == Priority.MESSAGE
+        assert ev.args == ([(0, 1, "adv", "u", 0.0)],)
         sim.run()
         assert received == [(0, 1, "u")]
-        assert sizes == []
+        assert sizes == [1]
         assert sim.events_executed == 1
 
     def test_priority_splits_cohorts(self):
@@ -377,7 +383,7 @@ class TestPreFormedCohort:
         assert len(sim.queue) == len(sim.queue._heap) == 1
         assert sim.queue._next_seq == seq + 1
         (_time, priority, _seq, ev), = sim.queue._heap
-        assert ev.fn == transport._deliver_batch and priority == Priority.MESSAGE
+        assert ev.fn == transport._deliver and priority == Priority.MESSAGE
         assert [dst for _src, dst, *_rest in ev.args[0]] == [7, 11, 13, 17]
         sim.run()
         assert [dst for _src, dst, _p in received] == [7, 11, 13, 17]
@@ -440,11 +446,11 @@ class TestPreFormedCohort:
         sim, _faults, transport, _received = _mesh_transport()
         messages = [(0, 1, "adv", None, 0.0)]
         with pytest.raises(SimulationError):
-            transport._post_group(-1.0, messages)
+            transport._post(-1.0, messages)
         with pytest.raises(ValueError):
-            transport._post_group(float("nan"), messages)
+            transport._post(float("nan"), messages)
         with pytest.raises(ValueError):
-            transport._post_group(float("inf"), messages)
+            transport._post(float("inf"), messages)
         assert len(sim.queue) == len(sim.queue._heap) == 0
         assert sim.queue._next_seq == 0
 
