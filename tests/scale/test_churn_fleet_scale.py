@@ -25,8 +25,8 @@ CFG = ExperimentConfig(
     protocol="realtor",
     topology="torus",
     nodes=NODES,
-    arrival_rate=250.0,  # offered load 0.5 at task mean 5
-    horizon=5.0,
+    arrival_rate=500.0,  # offered load 1.0 at task mean 5: queues cross
+    horizon=10.0,  # their thresholds and HELP rounds run from t ~ 4
     seed=13,
     trace=True,
     fleet=FleetConfig.heterogeneous(),
@@ -57,10 +57,13 @@ class TestHeterogeneousChurnAt2500:
         assert grouped[0] == reference[0]
         assert grouped[1] == reference[1]
         assert reference[2] - grouped[2] == sum(n - 1 for n in grouped[3])
-        # the scenario must actually exercise both axes, not vacuously pass
+        # the scenario must actually exercise both axes and grouped
+        # delivery, not vacuously pass
         extra = grouped[1]["extra"]
         assert extra["churn_scheduled"] > 0
         assert extra["fleet_speed_cv"] > 0.0
+        assert grouped[1]["messages_by_kind"]
+        assert max(grouped[3]) > 1
 
     def test_fleet_materialisation_is_node_keyed(self):
         """Fleet draws come from per-node substreams: the same node gets
