@@ -11,12 +11,12 @@ the late clamp and the armed waits in ``tests/live/test_scheduler.py``.
 The live cases run at ``time_scale=1000`` and assert on order and
 counts only, never on wall time.
 
-A message is an agenda event on both clocks as well — ``Transport``
-posts ``_deliver`` through ``sim.after`` (a fan-out's same-instant
-receivers as one ``_deliver_batch`` event) and ``LiveTransport``'s
-``inproc`` wire is the one-message post, one ``latency`` further out —
-so the last cases here hold a delivery to the contract a timer is held
-to.
+A message is an agenda event on both clocks as well — every send ends
+in ``Transport._post``, which posts ``_deliver`` through ``sim.after``
+(a fan-out's same-instant receivers as one event, a unicast as an event
+of one message), and ``LiveTransport``'s ``inproc`` wire is the same
+post, one ``latency`` further out — so the last cases here hold a
+delivery to the contract a timer is held to.
 """
 
 import asyncio
