@@ -51,9 +51,6 @@ class ExperimentConfig:
 
     # Workload --------------------------------------------------------------
     arrival_rate: float = 5.0           # lambda, tasks/s system-wide
-    #: "poisson" (the paper) or "deterministic" (fixed-gap, round-robin
-    #: origins — useful for exactly reproducible regression scenarios)
-    arrival_process: str = "poisson"
     task_mean: float = 5.0              # mean (exponential) task size, seconds
     cap_task_sizes: bool = True         # cap draws at queue capacity
     #: relative deadline = factor * size (None = best-effort, the paper's
@@ -102,10 +99,6 @@ class ExperimentConfig:
     #: square grid for mesh/torus and sizes the other families directly,
     #: so sweeps can say ``nodes=2500`` without factorising by hand.
     nodes: Optional[int] = None
-    #: edge-set seed of the randomised families.  Deliberately *separate*
-    #: from the run ``seed``: replications across run seeds share one
-    #: overlay (common random numbers), unless an experiment varies it.
-    topology_seed: int = 0
 
     # Transport accounting ------------------------------------------------------
     unicast_cost: str = "fixed"         # one of UNICAST_COSTS (paper: fixed 4)
@@ -152,8 +145,6 @@ class ExperimentConfig:
             raise ValueError("secure tasks need security_levels")
         if self.deadline_factor is not None and self.deadline_factor <= 0:
             raise ValueError("deadline_factor must be positive")
-        if self.arrival_process not in ("poisson", "deterministic"):
-            raise ValueError(f"unknown arrival process: {self.arrival_process!r}")
         if self.migration_retry_budget < 0:
             raise ValueError("migration_retry_budget must be >= 0")
         if self.nodes is not None and self.nodes < 2:

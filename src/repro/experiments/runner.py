@@ -44,7 +44,7 @@ from ..protocols.base import DiscoveryAgent, ProtocolContext
 from ..protocols.registry import make_agent
 from ..sim.kernel import Simulator
 from ..sim.trace import Tracer
-from ..workload.arrivals import ArrivalGenerator, DeterministicArrivals, PoissonArrivals
+from ..workload.arrivals import ArrivalGenerator, PoissonArrivals
 from ..workload.churn import poisson_churn
 from ..workload.fleet import NodeParams, fleet_summary, node_params
 from ..workload.sizes import ExponentialSizes
@@ -66,8 +66,10 @@ def _build_topology(cfg: ExperimentConfig) -> Topology:
     if kind in sized:
         return sized[kind](n)
     # mesh | torus by node count (most nearly square), random, scale-free;
-    # ExperimentConfig already checked the name
-    return generators.scenario_topology(kind, n, degree=4, seed=cfg.topology_seed)
+    # ExperimentConfig already checked the name.  The randomised families
+    # draw their edges from a constant seed, not the run's: replications
+    # across run seeds share one overlay (common random numbers).
+    return generators.scenario_topology(kind, n, degree=4, seed=0)
 
 
 def _build_pool(cfg: ExperimentConfig, node_id: int, scale: float = 1.0):
@@ -445,10 +447,7 @@ def assemble(
         rng_streams.stream("sizes"),
         cap=cfg.queue_capacity if cfg.cap_task_sizes else None,
     )
-    if cfg.arrival_process == "deterministic":
-        arrivals: object = DeterministicArrivals(gap=1.0 / cfg.arrival_rate)
-    else:
-        arrivals = PoissonArrivals(cfg.arrival_rate, rng_streams.stream("arrivals"))
+    arrivals = PoissonArrivals(cfg.arrival_rate, rng_streams.stream("arrivals"))
 
     demand_rng = rng_streams.stream("demands")
     demand_means = dict(cfg.demand_means)

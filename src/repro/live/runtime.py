@@ -60,9 +60,9 @@ class LiveConfig(ExperimentConfig):
 
     Every inherited axis that is node, workload or migration logic
     (topology family, fleet, policy, retry budget, deadlines, extra
-    resources, arrival process, ...) works live unchanged.  Times
-    (``horizon``, ``arrival_rate``, ``progress_interval``, ...) are in
-    *virtual* seconds, and the registry samples on the simulator's rule:
+    resources, ...) works live unchanged.  Times (``horizon``,
+    ``arrival_rate``, ``progress_interval``, ...) are in *virtual*
+    seconds, and the registry samples on the simulator's rule:
     :data:`~repro.obs.config.SAMPLES_TARGET` ticks per horizon.
     """
 

@@ -39,7 +39,7 @@ The live overlay is built on demand too.  The epoch labels components by
 walking the full overlay through the liveness and link predicates; the
 live overlay as a :class:`Topology` of its own (a copy of every up node
 and up link) and the router over it are made only for a consumer that
-reads a route: the HOPS or MEAN charge, per-hop latency, an impairment
+reads a route: the HOPS charge, per-hop latency, an impairment
 engine, or the per-receiver depths of a whole-overlay flood.  Under the
 paper's accounting a run builds neither.
 """
@@ -131,12 +131,10 @@ class UnicastCostMode(str, Enum):
     """How a unicast message is charged.
 
     ``HOPS``  — exact shortest-path hop count (our default; most faithful).
-    ``MEAN``  — network mean shortest path (recomputed on topology change).
     ``FIXED`` — a constant supplied by the experiment (the paper uses 4).
     """
 
     HOPS = "hops"
-    MEAN = "mean"
     FIXED = "fixed"
 
 
@@ -147,9 +145,9 @@ class CostModel:
     ``flood_cost_override`` lets Figure 9's testbed model IP multicast
     on a LAN (one wire message regardless of group size).
 
-    Only ``HOPS`` reads a route length; ``FIXED`` and ``MEAN`` price a
-    unicast without one, and ``FIXED`` reads no router at all (it may be
-    ``None``), which is what lets :class:`Transport` skip routing — and
+    Only ``HOPS`` reads a route length; ``FIXED`` prices a unicast
+    without one and reads no router at all (it may be ``None``), which
+    is what lets :class:`Transport` skip routing — and
     the live-overlay copy a router needs — under the paper's fixed charge.
     """
 
@@ -165,12 +163,10 @@ class CostModel:
 
         ``hops`` is the route length when the caller already holds it
         (:class:`Transport` does); without it HOPS mode asks ``router``.
-        FIXED and MEAN never read a hop count.
+        FIXED never reads a hop count.
         """
         if self.unicast_mode is UnicastCostMode.FIXED:
             return self.fixed_unicast_cost
-        if self.unicast_mode is UnicastCostMode.MEAN:
-            return router.mean_shortest_path()
         if hops is None:
             hops = router.distance(src, dst)
         return float(max(hops, 0))
@@ -189,8 +185,6 @@ class CostModel:
         """
         if self.unicast_mode is UnicastCostMode.FIXED:
             return self.fixed_unicast_cost
-        if self.unicast_mode is UnicastCostMode.MEAN:
-            return router.mean_shortest_path()
         if hops >= 0:
             return float(max(hops, 1))
         return max(router.mean_shortest_path(), 1.0)
@@ -329,15 +323,15 @@ class Transport:
         if not self.is_up(dst):
             # Dead destination: the packets still traverse the (full)
             # overlay toward it until dropped; charge the attempted route
-            # through the cost model's mode switch (FIXED and MEAN never
-            # read ``hops``).
+            # through the cost model's mode switch (FIXED never reads
+            # ``hops``).
             hops = self.router.distance(src, dst) if need_hops else UNREACHABLE
             self._charge(
                 kind, self.cost_model.dead_unicast_cost(self.router, src, dst, hops)
             )
             self.dropped_messages += 1
             return False
-        router = self._route_reader(need_hops)
+        router = self.live_router() if need_hops else None
         hops = self._live_hops(router, src, dst, need_hops)
         if hops < 0:
             # Live but unreachable (partition / failed links): same
@@ -485,7 +479,7 @@ class Transport:
         hops: Dict[NodeId, int] = {}
         total = 0.0
         need_hops = self._hops_consumed()
-        router = self._route_reader(need_hops)
+        router = self.live_router() if need_hops else None
         for dst in sorted(set(dests)):
             if dst == src or not self.topo.has_node(dst) or not self.is_up(dst):
                 continue
@@ -529,7 +523,7 @@ class Transport:
         the liveness epoch moves.  The lazy :class:`Router` makes the
         per-epoch rebuild O(V+E) — fresh epochs only re-BFS the sources
         that actually route afterwards.  Called only when a route is read
-        (:meth:`_route_reader`), so the paper's accounting builds neither.
+        (:meth:`_hops_consumed`), so the paper's accounting builds neither.
         """
         if not self._fault_aware:
             return self.router
@@ -553,14 +547,6 @@ class Transport:
             or self.per_hop_latency != 0.0
             or self._impair is not None
         )
-
-    def _route_reader(self, hops_consumed: bool) -> Optional[Router]:
-        """The live router when a point-to-point send reads a route from
-        it — a hop count, or the MEAN charge's mean path — else ``None``:
-        the FIXED charge reads neither."""
-        if hops_consumed or self.cost_model.unicast_mode is UnicastCostMode.MEAN:
-            return self.live_router()
-        return None
 
     def _live_hops(
         self, router: Optional[Router], src: NodeId, dst: NodeId, consumed: bool

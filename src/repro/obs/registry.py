@@ -390,15 +390,14 @@ def install_run_probes(
     * **deep, every :data:`AGENT_STRIDE`-th tick and at end of run** — the
       queue-usage distribution (p50/p90/max from one in-place sort,
       plus the accumulated usage histogram) and the O(V) per-agent
-      hardening sums — HELP retries, view evictions, negotiation
-      timeouts.  These are the probes whose cost scales with node
-      count; the stride keeps the registry inside the <5% overhead
-      budget on the 2500-node macro cell.
+      hardening sums — HELP retries and negotiation timeouts.  These
+      are the probes whose cost scales with node count; the stride
+      keeps the registry inside the <5% overhead budget on the
+      2500-node macro cell.
     """
     tasks = collector.tasks
     by_kind = collector.messages.by_kind
     helps = [a.help for a in agents if a.help is not None]
-    views = [a.view for a in agents if hasattr(a, "view")]
     adms = [a for a in admissions if hasattr(a, "timeouts_fired")]
     usage_hist = registry.histogram(
         "queue_usage", np.linspace(0.0, 1.0, USAGE_BINS + 1)
@@ -473,16 +472,10 @@ def install_run_probes(
         record(now, "queue_usage_max", float(usage[n - 1]))
         usage_hist.accumulate(usage)
         # listcomps, not genexprs: sum() over a materialised list runs
-        # measurably faster, and these three loops are the block's cost
+        # measurably faster, and these two loops are the block's cost
         if helps:
             record(
                 now, "help_retries", float(sum([h.retries for h in helps]))
-            )
-        if views:
-            record(
-                now,
-                "view_evictions",
-                float(sum([v.evictions for v in views])),
             )
         if adms:
             record(

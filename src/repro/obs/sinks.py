@@ -44,21 +44,15 @@ def record_to_json(rec: TraceRecord) -> str:
 
 
 class JsonLinesSink:
-    """Buffered JSONL file sink with optional size-based rotation.
+    """Buffered JSONL file sink.
 
     Parameters
     ----------
     path:
-        Destination file.  The active file is always ``path``; on
-        rotation it is renamed to ``path.1``, ``path.2``, … and a fresh
-        ``path`` is opened.
+        Destination file.
     buffer_records:
         Lines held in memory between writes (amortises syscalls on
         flood-heavy runs).
-    rotate_bytes:
-        When given, rotate once the active file exceeds this size
-        (checked at flush granularity).  ``None`` disables rotation —
-        required for byte-stable golden traces.
     """
 
     def __init__(
@@ -66,19 +60,13 @@ class JsonLinesSink:
         path: Union[str, Path],
         *,
         buffer_records: int = 256,
-        rotate_bytes: Optional[int] = None,
     ) -> None:
         if buffer_records < 1:
             raise ValueError("buffer_records must be >= 1")
-        if rotate_bytes is not None and rotate_bytes <= 0:
-            raise ValueError("rotate_bytes must be positive")
         self.path = Path(path)
         self.buffer_records = int(buffer_records)
-        self.rotate_bytes = rotate_bytes
         self.records_written = 0
-        self.rotations = 0
         self._buffer: List[str] = []
-        self._bytes_written = 0
         self._closed = False
         self._fh = self.path.open("w", encoding="utf-8")
         self._write_line(json.dumps({"format": TRACE_FORMAT}, sort_keys=True))
@@ -94,17 +82,13 @@ class JsonLinesSink:
             self.flush()
 
     def flush(self) -> None:
-        """Drain the line buffer to disk; rotate if over the size cap."""
+        """Drain the line buffer to disk."""
         if self._closed:
             return
         if self._buffer:
-            chunk = "\n".join(self._buffer) + "\n"
-            self._fh.write(chunk)
-            self._bytes_written += len(chunk)
+            self._fh.write("\n".join(self._buffer) + "\n")
             self._buffer.clear()
         self._fh.flush()
-        if self.rotate_bytes is not None and self._bytes_written >= self.rotate_bytes:
-            self._rotate()
 
     def close(self, summary: Optional[Dict[str, Any]] = None) -> None:
         """Flush, append the footer (tracer summary) and close.  Idempotent."""
@@ -123,15 +107,6 @@ class JsonLinesSink:
 
     def _write_line(self, line: str) -> None:
         self._fh.write(line + "\n")
-        self._bytes_written += len(line) + 1
-
-    def _rotate(self) -> None:
-        self._fh.close()
-        self.rotations += 1
-        self.path.rename(self.path.with_name(f"{self.path.name}.{self.rotations}"))
-        self._fh = self.path.open("w", encoding="utf-8")
-        self._bytes_written = 0
-        self._write_line(json.dumps({"format": TRACE_FORMAT}, sort_keys=True))
 
     def __enter__(self) -> "JsonLinesSink":
         return self

@@ -109,17 +109,6 @@ class ProtocolConfig:
     help_retry_budget: int = 0
     #: member-side community expiry when no refresh arrives (soft state)
     membership_ttl: float = 200.0
-    #: optional hard expiry on view entries (None = paper behaviour)
-    view_ttl: Optional[float] = None
-    #: hard cap on community memberships per node; ``None`` = no hard cap.
-    #: "Each host is free to join as many communities as it is able to
-    #: without over-allocating its spare resources."
-    max_memberships: Optional[int] = None
-    #: when True, the join cap is derived from spare resources: a node may
-    #: hold at most ``floor(headroom / demand)`` memberships (each
-    #: membership is an implicit promise of one component's worth of
-    #: capacity); a hard ``max_memberships`` additionally clamps it.
-    dynamic_membership: bool = False
     #: dissemination scope: "neighbors" restricts HELP/ADV delivery to
     #: direct topology neighbours (the paper's Section 5 assumption);
     #: "network" floods the whole overlay.  Message-cost accounting is
@@ -199,9 +188,7 @@ class DiscoveryAgent:
         #: the node's own monitor's level, which a heterogeneous fleet draws
         #: per node (``ProtocolConfig.threshold`` otherwise)
         self.threshold = ctx.host.monitor.threshold
-        self.view = ResourceView(
-            self.node_id, ttl=cfg.view_ttl, policy=make_ranking(cfg.ranking_policy)
-        )
+        self.view = ResourceView(self.node_id, policy=make_ranking(cfg.ranking_policy))
         self._started = False
         #: the periodic timer of a ``periodic`` push (or a subclass's rounds)
         self._timer: Optional[PeriodicHandle] = None
@@ -323,28 +310,18 @@ class DiscoveryAgent:
             return  # a compromised node must not attract new work
         memberships = self.memberships
         if self.pledges.should_pledge_on_help():
-            # Answer the solicitation regardless (Algorithm P trigger 1) …
+            # Answer the solicitation (Algorithm P trigger 1) and join:
+            # "each host is free to join as many communities as it is
+            # able to".  A new join first drops the communities gone silent.
             self._send_pledge(org, in_reply_to=help_msg.help_id)
-            # … but only *join* (committing to crossing updates and
-            # renewals) within the spare-resource membership budget.
-            if memberships is not None and (org in memberships or self._may_join(help_msg)):
+            if memberships is not None:
+                if org not in memberships:
+                    memberships.expire(self.sim.now)
                 memberships.on_help(org, self.sim.now)
         elif memberships is not None and org in memberships:
             # A known community is alive; renew so a transient overload
             # does not silently drop the membership.
             memberships.on_help(org, self.sim.now)
-
-    def _may_join(self, help_msg: Help) -> bool:
-        """Join cap: "as many communities as it is able to without
-        over-allocating its spare resources" — each membership implicitly
-        promises one component of the organizer's demand size."""
-        current = self.memberships.count(self.sim.now)
-        cap = self.config.max_memberships
-        if self.config.dynamic_membership:
-            demand = max(help_msg.demand, 1e-6)
-            dynamic_cap = int(self.host.availability() // demand)
-            cap = dynamic_cap if cap is None else min(cap, dynamic_cap)
-        return cap is None or current < cap
 
     def _send_pledge(self, organizer: int, in_reply_to: int = -1, kind: str = KIND_PLEDGE) -> None:
         communities = 0 if self.memberships is None else self.memberships.count()

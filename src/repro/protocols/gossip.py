@@ -98,7 +98,7 @@ class GossipAgent(DiscoveryAgent):
                 self.sim.now,
             )
         ]
-        for entry in self.view.fresh_entries(self.sim.now):
+        for entry in self.view.entries():
             entries.append(
                 (
                     entry.node,

@@ -53,16 +53,15 @@ class ViewEntry:
 
 
 class ResourceView:
-    """Belief store with freshness-aware, policy-ranked candidates.
+    """Belief store with policy-ranked candidates.
+
+    A belief is kept until newer information about the same node
+    overwrites it (the paper's behaviour): the view never expires one.
 
     Parameters
     ----------
     owner:
         The node this view belongs to (never a candidate for itself).
-    ttl:
-        Optional hard expiry in seconds; entries older than this are
-        ignored by :meth:`candidates`.  ``None`` (paper behaviour) keeps
-        beliefs until overwritten.
     policy:
         The :class:`~repro.protocols.ranking.RankingPolicy` ordering
         candidates.  ``None`` selects the default ``headroom`` policy
@@ -72,22 +71,19 @@ class ResourceView:
     def __init__(
         self,
         owner: int,
-        ttl: Optional[float] = None,
         policy: Optional[RankingPolicy] = None,
     ) -> None:
         self.owner = owner
-        self.ttl = ttl
         self.policy = policy if policy is not None else make_ranking("headroom")
         #: observation side-table maintenance is gated on the policy so
         #: the default headroom path allocates nothing new
         self.track_stats = self.policy.needs_stats
         self._entries: Dict[int, ViewEntry] = {}
         #: per-peer observations; keyed by node id and deliberately kept
-        #: across forget/evict — reliability history outlives any one
-        #: belief snapshot
+        #: across forget — reliability history outlives any one belief
+        #: snapshot
         self._stats: Dict[int, PeerStats] = {}
         self.updates = 0
-        self.evictions = 0
 
     # Updates ---------------------------------------------------------------
 
@@ -142,24 +138,6 @@ class ResourceView:
     def forget(self, node: int) -> None:
         self._entries.pop(node, None)
 
-    def evict_stale(self, now: float) -> int:
-        """Drop entries older than ``ttl`` (soft-state expiry).
-
-        ``fresh_entries`` already *filters* stale beliefs out of candidate
-        ranking; eviction additionally removes them from the store, so
-        ``known_nodes``/``view_size`` reflect only live soft state and a
-        node silenced by an attack eventually vanishes from every view
-        rather than lingering as a permanently-stale ghost.  No-op when
-        ``ttl`` is ``None`` (paper behaviour).  Returns the count evicted.
-        """
-        if self.ttl is None:
-            return 0
-        stale = [n for n, e in self._entries.items() if e.staleness(now) > self.ttl]
-        for node in stale:
-            del self._entries[node]
-        self.evictions += len(stale)
-        return len(stale)
-
     def clear(self) -> None:
         self._entries.clear()
 
@@ -177,11 +155,9 @@ class ResourceView:
     def __contains__(self, node: int) -> bool:
         return node in self._entries
 
-    def fresh_entries(self, now: float) -> List[ViewEntry]:
-        """Entries within TTL (all entries when TTL is None)."""
-        if self.ttl is None:
-            return list(self._entries.values())
-        return [e for e in self._entries.values() if e.staleness(now) <= self.ttl]
+    def entries(self) -> List[ViewEntry]:
+        """Every belief held, in insertion order."""
+        return list(self._entries.values())
 
     def candidates(
         self,
@@ -201,10 +177,9 @@ class ResourceView:
         """
         banned = set(exclude)
         banned.add(self.owner)
-        self.evict_stale(now)
         pool = [
             e
-            for e in self.fresh_entries(now)
+            for e in self._entries.values()
             if e.node not in banned
             and e.available
             and e.availability >= min_availability

@@ -1,10 +1,8 @@
-"""Arrival processes.
+"""The arrival process and the generator that drives it.
 
 The paper: "The task arrival forms a Poisson process with a rate of
 lambda" and "the generated task is given to a node randomly selected
-from Node 0 through Node 24".  :class:`PoissonArrivals` reproduces this;
-:class:`DeterministicArrivals` (fixed gaps, round-robin origins) is
-``ExperimentConfig.arrival_process="deterministic"``, for tests.
+from Node 0 through Node 24".  :class:`PoissonArrivals` reproduces this.
 
 An arrival process is a pull-style iterator over ``(time, node)`` pairs
 driven by the generator component, which re-schedules itself through the
@@ -14,7 +12,7 @@ rates can be changed mid-run (the attack scenarios do).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, TYPE_CHECKING, Union
+from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -23,7 +21,7 @@ from ..runtime.api import Priority
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.api import SchedulerAPI
 
-__all__ = ["PoissonArrivals", "DeterministicArrivals", "ArrivalGenerator"]
+__all__ = ["PoissonArrivals", "ArrivalGenerator"]
 
 
 class PoissonArrivals:
@@ -49,26 +47,6 @@ class PoissonArrivals:
         return int(live_nodes[int(self.rng.integers(len(live_nodes)))])
 
 
-class DeterministicArrivals:
-    """Fixed-gap arrivals cycling round-robin over live nodes (tests)."""
-
-    def __init__(self, gap: float) -> None:
-        if gap <= 0:
-            raise ValueError("gap must be positive")
-        self.gap = float(gap)
-        self._i = 0
-
-    def next_gap(self) -> float:
-        return self.gap
-
-    def next_origin(self, live_nodes: Sequence[int]) -> Optional[int]:
-        if not live_nodes:
-            return None
-        node = live_nodes[self._i % len(live_nodes)]
-        self._i += 1
-        return int(node)
-
-
 class ArrivalGenerator:
     """Kernel-driven arrival pump.
 
@@ -81,7 +59,7 @@ class ArrivalGenerator:
     def __init__(
         self,
         sim: "SchedulerAPI",
-        process: Union[PoissonArrivals, DeterministicArrivals],
+        process: PoissonArrivals,
         emit: Callable[[int], None],
         live_nodes: Callable[[], List[int]],
         *,

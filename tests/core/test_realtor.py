@@ -141,28 +141,6 @@ class TestCrossingPledges:
         assert crossing_pledges(sim, 1) == 0
 
 
-class TestMembershipBudget:
-    def test_hard_cap_limits_joins(self):
-        cfg = ProtocolConfig(scope="network", max_memberships=2)
-        sim, topo, _, hosts, agents, _ = build_cluster(config=cfg)
-        # three different organizers solicit
-        for org in (0, 1, 2):
-            fill(sim, hosts[org], 0.95)
-            arrive(sim, agents[org])
-            sim.run(until=sim.now + 2.0)
-        assert agents[8].memberships.count() <= 2
-
-    def test_dynamic_budget_scales_with_headroom(self):
-        cfg = ProtocolConfig(scope="network", dynamic_membership=True)
-        sim, topo, _, hosts, agents, _ = build_cluster(config=cfg)
-        fill(sim, hosts[8], 0.80)   # 20s headroom; demand 15 -> cap 1
-        for org in (0, 1):
-            fill(sim, hosts[org], 0.95)
-            arrive(sim, agents[org], size=15.0)
-            sim.run(until=sim.now + 2.0)
-        assert agents[8].memberships.count() <= 1
-
-
 class TestAlgorithmHIntegration:
     def test_interval_shrinks_when_resources_found(self):
         sim, _, _, hosts, agents, _ = build_cluster()

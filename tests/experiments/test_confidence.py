@@ -45,18 +45,3 @@ class TestConfidenceSweep:
         assert "realtor" in text and "pull-100" in text
         assert "±" in text
 
-
-class TestDeterministicArrivals:
-    def test_runner_supports_deterministic(self):
-        from repro.experiments.runner import run_experiment
-
-        cfg = ExperimentConfig(
-            arrival_process="deterministic", arrival_rate=2.0, horizon=100.0
-        )
-        res = run_experiment(cfg)
-        # exactly one task per 0.5 s, minus the boundary
-        assert abs(res.generated - 200) <= 1
-
-    def test_unknown_process_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(arrival_process="bursty")

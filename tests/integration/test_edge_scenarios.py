@@ -1,37 +1,11 @@
 """Edge-scenario integration tests: behaviours at the seams between
-features (TTL'd views, gossip under churn, hierarchy under attack,
+features (gossip under churn, hierarchy under attack,
 multicast to dead receivers)."""
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig, paper_config
-from repro.experiments.runner import build_system, run_experiment
-from repro.protocols.base import ProtocolConfig
-
-
-class TestViewTtl:
-    def test_ttl_expires_unrefreshed_beliefs(self):
-        cfg = paper_config(
-            "pull-100", 2.0, horizon=400.0,
-            protocol_config=ProtocolConfig(view_ttl=50.0),
-        )
-        system = build_system(cfg)
-        system.run()
-        # at light load nothing ever triggers a HELP, so the primed
-        # beliefs (t=0) have long expired: no candidates anywhere
-        agent = system.agents[12]
-        assert agent.view.candidates(system.sim.now) == []
-
-    def test_ttl_views_still_work_under_load(self):
-        base = paper_config("realtor", 7.0, horizon=400.0)
-        with_ttl = base.with_(
-            protocol_config=ProtocolConfig(view_ttl=30.0)
-        )
-        a = run_experiment(base)
-        b = run_experiment(with_ttl)
-        # fresh-enough traffic keeps TTL'd views populated; effectiveness
-        # stays in the same band
-        assert abs(a.admission_probability - b.admission_probability) < 0.03
+from repro.experiments.runner import build_system
 
 
 class TestGossipUnderChurn:

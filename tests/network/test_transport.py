@@ -51,14 +51,6 @@ class TestUnicast:
         tr.unicast(0, 1, "x", None)
         assert costs == [("x", 4.0)]  # paper's PLEDGE charge
 
-    def test_mean_cost_mode(self):
-        sim, _, tr, costs = make(
-            cost_model=CostModel(unicast_mode=UnicastCostMode.MEAN)
-        )
-        tr.register(1, "x", lambda d: None)
-        tr.unicast(0, 1, "x", None)
-        assert costs[0][1] == pytest.approx(10.0 / 3.0)
-
     def test_unknown_destination_raises(self):
         _, _, tr, _ = make()
         with pytest.raises(KeyError):
@@ -237,22 +229,6 @@ class TestDeadDestinationCost:
         assert not tr.unicast(0, 3, "x", None)
         assert costs == [("x", 3.0)]  # full-route hop count toward the corpse
 
-    def test_mean_mode_charges_mean(self):
-        sim = Simulator()
-        topo = paper_topology()
-        faults = FaultManager(sim, topo)
-        costs = []
-        tr = Transport(
-            sim, topo,
-            is_up=faults.can_communicate,
-            liveness_version=lambda: faults.version,
-            cost_model=CostModel(unicast_mode=UnicastCostMode.MEAN),
-            on_cost=lambda k, c: costs.append(c),
-        )
-        faults.crash(24)
-        assert not tr.unicast(0, 24, "x", None)
-        assert costs == [pytest.approx(10.0 / 3.0)]  # not a flat 1
-
     def test_fixed_mode_charges_fixed(self):
         sim = Simulator()
         topo = paper_topology()
@@ -360,20 +336,19 @@ def fault_epochs(topo, faults, rng):
 
 
 class TestDemandDrivenRouting:
-    """FIXED / MEAN unicasts consume no hop count, so they answer
-    reachability from the epoch's component labels; the decision, the
-    counters and the charge must equal what the live router's distance
-    would have produced."""
+    """FIXED unicasts consume no hop count, so they answer reachability
+    from the epoch's component labels; the decision, the counters and the
+    charge must equal what the live router's distance would have
+    produced."""
 
     @pytest.mark.parametrize("family", sorted(OVERLAYS))
-    @pytest.mark.parametrize("mode", [UnicastCostMode.FIXED, UnicastCostMode.MEAN])
-    def test_unicast_matches_router_decision_across_epochs(self, family, mode):
+    def test_unicast_matches_router_decision_across_epochs(self, family):
         sim, topo, faults, tr, costs = make_faulty(
             OVERLAYS[family](),
-            cost_model=CostModel(unicast_mode=mode, fixed_unicast_cost=4.0),
+            cost_model=CostModel(
+                unicast_mode=UnicastCostMode.FIXED, fixed_unicast_cost=4.0
+            ),
         )
-        full = Router(topo)
-        fixed = mode is UnicastCostMode.FIXED
         for _ in fault_epochs(topo, faults, np.random.default_rng(5)):
             live = Router(live_topology(faults))
             for src in topo.nodes():
@@ -390,13 +365,10 @@ class TestDemandDrivenRouting:
                     assert after == (
                         before[0] + 1, before[1] + (not reachable), before[2] + 1
                     )
-                    priced_on = full if dead else live
-                    expected = 4.0 if fixed else priced_on.mean_shortest_path()
-                    assert costs[-1] == ("x", expected)
-            if fixed:
-                # reachability never touched either router
-                assert tr.router.rows_computed == 0
-                assert tr.live_router().rows_computed == 0
+                    assert costs[-1] == ("x", 4.0)
+            # reachability never touched either router
+            assert tr.router.rows_computed == 0
+            assert tr.live_router().rows_computed == 0
 
     @pytest.mark.parametrize("family", sorted(OVERLAYS))
     def test_neighbors_only_flood_charge_is_the_component_link_count(self, family):

@@ -52,26 +52,6 @@ class TestJsonLinesSink:
         assert '"c":"x"' in path.read_text()
         sink.close()
 
-    def test_rotation_renames_active_file(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        sink = JsonLinesSink(path, buffer_records=1, rotate_bytes=100)
-        for i in range(20):
-            sink(TraceRecord(float(i), "rotated-category-padding"))
-        sink.close()
-        assert sink.rotations >= 1
-        rotated = tmp_path / "trace.jsonl.1"
-        assert rotated.exists()
-        # every segment starts with the format header
-        for p in [path, rotated]:
-            first = json.loads(p.read_text().splitlines()[0])
-            assert first["format"] == TRACE_FORMAT
-        # no record lost across segments
-        total = 0
-        for p in sorted(tmp_path.glob("trace.jsonl*")):
-            for line in p.read_text().splitlines():
-                total += "c" in json.loads(line)
-        assert total == 20
-
     def test_close_idempotent(self, tmp_path):
         sink = JsonLinesSink(tmp_path / "t.jsonl", buffer_records=1)
         sink(TraceRecord(0.0, "x"))
@@ -90,8 +70,6 @@ class TestJsonLinesSink:
     def test_invalid_parameters(self, tmp_path):
         with pytest.raises(ValueError):
             JsonLinesSink(tmp_path / "t.jsonl", buffer_records=0)
-        with pytest.raises(ValueError):
-            JsonLinesSink(tmp_path / "t.jsonl", rotate_bytes=0)
 
     def test_streams_past_tracer_cap_with_footer_accounting(self, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -96,13 +96,6 @@ class TestCandidates:
 
 
 class TestTtl:
-    def test_expired_entries_not_candidates(self):
-        v = ResourceView(owner=0, ttl=10.0)
-        fill(v, 1, t=0.0)
-        fill(v, 2, t=95.0)
-        out = v.candidates(now=100.0)
-        assert [e.node for e in out] == [2]
-
     def test_no_ttl_keeps_forever(self):
         v = ResourceView(owner=0)
         fill(v, 1, t=0.0)
@@ -130,33 +123,3 @@ class TestStaleness:
         fill(v, 1)
         fill(v, 1, t=1.0)
         assert v.updates == 2
-
-
-class TestEviction:
-    def test_evict_stale_removes_entries(self):
-        v = ResourceView(owner=0, ttl=10.0)
-        fill(v, 1, t=0.0)
-        fill(v, 2, t=95.0)
-        assert v.evict_stale(now=100.0) == 1
-        assert v.known_nodes() == [2]
-        assert v.evictions == 1
-
-    def test_candidates_evicts_as_side_effect(self):
-        # soft-state expiry: the ghost leaves the store, not just the ranking
-        v = ResourceView(owner=0, ttl=10.0)
-        fill(v, 1, t=0.0)
-        assert v.candidates(now=100.0) == []
-        assert len(v) == 0
-
-    def test_refresh_resets_the_clock(self):
-        v = ResourceView(owner=0, ttl=10.0)
-        fill(v, 1, t=0.0)
-        fill(v, 1, t=95.0)  # refreshed just in time
-        assert v.evict_stale(now=100.0) == 0
-        assert v.known_nodes() == [1]
-
-    def test_no_ttl_never_evicts(self):
-        v = ResourceView(owner=0)
-        fill(v, 1, t=0.0)
-        assert v.evict_stale(now=1e9) == 0
-        assert len(v) == 1

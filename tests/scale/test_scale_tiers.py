@@ -102,7 +102,6 @@ class TestEndToEndCellAt2500:
             protocol="realtor",
             topology="scale-free",
             nodes=500,
-            topology_seed=3,
             arrival_rate=50.0,
             horizon=5.0,
             seed=1,
@@ -147,8 +146,7 @@ def outcome(system) -> dict:
 
 
 #: ``outcome`` of ``hot_cell`` under each route reader, recorded on the
-#: commit before demand-driven routing (``mean``: on the commit before the
-#: live overlay was built on demand); ``response_time_mean`` re-recorded
+#: commit before demand-driven routing; ``response_time_mean`` re-recorded
 #: once completions were summed per node, which moved its last bits
 HOT_CELL_BEFORE = {
     "hops": (
@@ -159,19 +157,6 @@ HOT_CELL_BEFORE = {
             "messages_total": 1591773.0,
             "messages_by_kind": {"ADMIT_REP": 216.0, "ADMIT_REQ": 216.0,
                                  "HELP": 1590000.0, "PLEDGE": 1341.0},
-            "response_time_mean": 2.698694552571153,
-            "sent": 2091, "delivered": 3045, "dropped": 0,
-        },
-    ),
-    "mean": (
-        dict(unicast_cost="mean"),
-        {
-            "generated": 4740, "admitted_local": 4523, "admitted_migrated": 184,
-            "rejected": 33, "completed": 2038, "lost": 0,
-            "messages_total": 1634342.7370948377,
-            "messages_by_kind": {"ADMIT_REP": 5402.1608643457175,
-                                 "ADMIT_REQ": 5402.1608643457175,
-                                 "HELP": 1590000.0, "PLEDGE": 33538.41536614635},
             "response_time_mean": 2.698694552571153,
             "sent": 2091, "delivered": 3045, "dropped": 0,
         },

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.kernel import Simulator
-from repro.workload.arrivals import ArrivalGenerator, DeterministicArrivals, PoissonArrivals
+from repro.workload.arrivals import ArrivalGenerator, PoissonArrivals
 
 
 class TestPoisson:
@@ -31,16 +31,21 @@ class TestPoisson:
             PoissonArrivals(0.0, np.random.default_rng(0))
 
 
-class TestDeterministic:
-    def test_fixed_gap_round_robin(self):
-        proc = DeterministicArrivals(gap=2.0)
-        assert proc.next_gap() == 2.0
-        origins = [proc.next_origin([10, 20, 30]) for _ in range(5)]
-        assert origins == [10, 20, 30, 10, 20]
+class FixedGap:
+    """Arrivals every ``gap`` seconds, cycling round-robin over live nodes."""
 
-    def test_gap_validation(self):
-        with pytest.raises(ValueError):
-            DeterministicArrivals(0.0)
+    def __init__(self, gap):
+        self.gap = gap
+        self._i = 0
+
+    def next_gap(self):
+        return self.gap
+
+    def next_origin(self, live_nodes):
+        if not live_nodes:
+            return None
+        self._i += 1
+        return live_nodes[(self._i - 1) % len(live_nodes)]
 
 
 class TestGenerator:
@@ -49,7 +54,7 @@ class TestGenerator:
         emitted = []
         gen = ArrivalGenerator(
             sim,
-            DeterministicArrivals(gap=1.0),
+            FixedGap(1.0),
             emitted.append,
             lambda: [0, 1],
             until=5.5,
@@ -62,7 +67,7 @@ class TestGenerator:
         sim = Simulator(seed=0)
         emitted = []
         gen = ArrivalGenerator(
-            sim, DeterministicArrivals(1.0), emitted.append, lambda: [0]
+            sim, FixedGap(1.0), emitted.append, lambda: [0]
         )
         sim.at(3.5, gen.stop)
         sim.run(until=10.0)
@@ -71,7 +76,7 @@ class TestGenerator:
     def test_no_live_nodes_counted_dropped(self):
         sim = Simulator(seed=0)
         gen = ArrivalGenerator(
-            sim, DeterministicArrivals(1.0), lambda o: None, lambda: [],
+            sim, FixedGap(1.0), lambda o: None, lambda: [],
             until=3.5,
         )
         sim.run(until=10.0)
