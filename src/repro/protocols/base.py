@@ -133,6 +133,11 @@ class ProtocolConfig:
             raise ValueError("upper_limit below initial interval")
         if self.help_retry_budget < 0:
             raise ValueError("help_retry_budget must be >= 0")
+        # Checked here, not first when a realtor agent is built: that may
+        # be in a pool worker after the other cells ran, and a row that
+        # builds no Algorithm H or membership table would run silently.
+        if self.response_timeout <= 0 or self.membership_ttl <= 0:
+            raise ValueError("response_timeout and membership_ttl must be positive")
         if self.scope not in ("neighbors", "network"):
             raise ValueError(f"scope must be 'neighbors' or 'network': {self.scope!r}")
         if self.ranking_policy not in ranking_names():

@@ -197,6 +197,16 @@ class TestProtocolConfig:
         assert cfg.upper_limit == 100.0
         assert cfg.scope == "neighbors"
 
+    @pytest.mark.parametrize(
+        "field, value", [("response_timeout", 0.0), ("membership_ttl", -1.0)]
+    )
+    def test_timeouts_must_be_positive(self, field, value):
+        # rejected here, not first when a realtor agent is built (maybe in
+        # a pool worker after the other cells ran); a push-1 cell, which
+        # builds neither Algorithm H nor a membership table, would run
+        with pytest.raises(ValueError, match=field):
+            ProtocolConfig(**{field: value})
+
     def test_with_copy(self):
         cfg = ProtocolConfig()
         other = cfg.with_(threshold=0.5)
