@@ -1,5 +1,7 @@
 """Unit tests for experiment configuration."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.config import (
@@ -13,6 +15,44 @@ from repro.experiments.runner import build_system
 from repro.protocols.base import ProtocolConfig
 from repro.protocols.registry import protocol_names
 from repro.workload.attack import AttackConfig
+
+
+#: every value a run can be given: a new setting shows up as an edit here
+SETTABLE = {
+    "ExperimentConfig": [
+        "arrival_rate", "attack", "cap_task_sizes", "churn", "cols",
+        "deadline_factor", "demand_means", "extra_resources",
+        "fixed_unicast_cost", "fleet", "flood_cost_override", "horizon",
+        "impairments", "migration_retry_budget", "nodes", "obs",
+        "per_hop_latency", "policy", "prime_views", "protocol",
+        "protocol_config", "queue_capacity", "rows", "secure_task_fraction",
+        "security_levels", "seed", "task_mean", "topology", "trace",
+        "unicast_cost",
+    ],
+    "ProtocolConfig": [
+        "alpha", "beta", "help_retry_budget", "initial_help_interval",
+        "membership_ttl", "push_interval", "ranking_policy",
+        "response_timeout", "scope", "threshold", "upper_limit",
+    ],
+    "LiveConfig": [
+        "backend", "drain_timeout", "latency", "progress_interval", "time_scale",
+    ],
+    "UNICAST_COSTS": ["fixed", "hops"],
+}
+
+
+def test_the_settable_surface_is_pinned():
+    from repro.live.runtime import LiveConfig
+
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert {
+        "ExperimentConfig": sorted(names(ExperimentConfig)),
+        "ProtocolConfig": sorted(names(ProtocolConfig)),
+        "LiveConfig": sorted(names(LiveConfig) - names(ExperimentConfig)),
+        "UNICAST_COSTS": sorted(UNICAST_COSTS),
+    } == SETTABLE
 
 
 class TestExperimentConfig:
