@@ -147,8 +147,8 @@ class CostModel:
 
     Only ``HOPS`` reads a route length; ``FIXED`` prices a unicast
     without one and reads no router at all (it may be ``None``), which
-    is what lets :class:`Transport` skip routing — and
-    the live-overlay copy a router needs — under the paper's fixed charge.
+    is what lets :class:`Transport` skip routing — and the live-overlay
+    copy a router needs — under the paper's fixed charge.
     """
 
     unicast_mode: UnicastCostMode = UnicastCostMode.HOPS
