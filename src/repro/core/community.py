@@ -91,6 +91,23 @@ class MembershipTable:
             raise ValueError("a node does not join its own community")
         self._joined[organizer] = now
 
+    def renew(self, organizer: int, now: float) -> bool:
+        """A HELP refresh from a community this node need not rejoin:
+        renew the membership if it is still live, end it if the organizer
+        has been silent past ``membership_ttl``.  ``True`` if renewed.
+
+        O(1): reads only this organizer's last refresh, so a lapsed
+        membership ends here instead of being revived by a late HELP.
+        """
+        last = self._joined.get(organizer)
+        if last is None:
+            return False
+        if now - last > self.membership_ttl:
+            del self._joined[organizer]
+            return False
+        self._joined[organizer] = now
+        return True
+
     def leave(self, organizer: int) -> None:
         self._joined.pop(organizer, None)
 
@@ -111,7 +128,9 @@ class MembershipTable:
 
     def count(self, now: Optional[float] = None) -> int:
         """The PLEDGE field 'number of communities of which it is a member'."""
-        return len(self.organizers(now))
+        if now is not None:
+            self.expire(now)
+        return len(self._joined)
 
     def __contains__(self, organizer: int) -> bool:
         return organizer in self._joined

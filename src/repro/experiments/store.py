@@ -67,7 +67,9 @@ STORE_FORMAT = "repro-runstore/1"
 #: 8: RunResult.extra loses cohort_batched_share
 #: 9: the cohort extras count posted cohorts only
 #: 10: RunResult.extra loses the cohort extras
-CODE_VERSION = "10"
+#: 11: a HELP a member does not pledge to ends a lapsed membership
+#:     instead of renewing it (cells past ``membership_ttl`` move)
+CODE_VERSION = "11"
 
 
 def default_salt() -> str:

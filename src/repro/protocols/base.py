@@ -323,10 +323,11 @@ class DiscoveryAgent:
                 if org not in memberships:
                     memberships.expire(self.sim.now)
                 memberships.on_help(org, self.sim.now)
-        elif memberships is not None and org in memberships:
+        elif memberships is not None:
             # A known community is alive; renew so a transient overload
-            # does not silently drop the membership.
-            memberships.on_help(org, self.sim.now)
+            # does not silently drop the membership — unless it already
+            # lapsed, which a late HELP must not revive.
+            memberships.renew(org, self.sim.now)
 
     def _send_pledge(self, organizer: int, in_reply_to: int = -1, kind: str = KIND_PLEDGE) -> None:
         communities = 0 if self.memberships is None else self.memberships.count()

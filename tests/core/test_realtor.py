@@ -170,6 +170,25 @@ class TestAlgorithmHIntegration:
         assert ranked.index(2) < ranked.index(1)
 
 
+class TestMembershipLapse:
+    def test_a_lapsed_membership_ends_instead_of_renewing(self):
+        """A HELP a member does not pledge to renews a live membership;
+        past ``membership_ttl`` of organizer silence it ends it instead."""
+        sim, _, _, hosts, agents, _ = build_cluster(
+            config=ProtocolConfig(scope="network", membership_ttl=2.0)
+        )
+        fill(sim, hosts[0], 0.95)
+        arrive(sim, agents[0])  # HELP at t=0: every idle node joins
+        sim.run(until=1.0)
+        assert 0 in agents[1].memberships and 0 in agents[2].memberships
+        fill(sim, hosts[1], 0.99)  # node 1 stops pledging
+        sim.run(until=5.0)
+        arrive(sim, agents[0])  # the next HELP, 5 s after the last
+        sim.run(until=6.0)
+        assert 0 not in agents[1].memberships  # lapsed at t=2, not revived
+        assert 0 in agents[2].memberships  # pledged again: rejoined
+
+
 class TestLifecycle:
     def test_double_start_rejected(self):
         sim, _, _, _, agents, _ = build_cluster()
