@@ -1,105 +1,55 @@
-"""End-to-end tests for the fleet/churn/ranking experiment axes.
-
-Three contracts pinned here:
-
-* **default equivalence** — explicitly asking for the defaults (headroom
-  ranking, an all-default fleet, a zero-rate churn config) produces a
-  byte-identical event trace to not asking at all, so the new axes are
-  provably inert until opted into;
-* **churn determinism** — the schedule comes from the kernel's named
-  ``"churn"`` substream, so identical configs produce identical results
-  whether cells run serially in one process or across a process pool;
-* **ranking grid** — a (policy × rate) grid plan reduces to the
-  ablation shape and each cell self-describes its policy.
+"""The fleet, churn and ranking axes end to end: asked-for defaults are
+inert, churn is deterministic serially and through a pool (rows of
+:mod:`tests.contracts`), and a (policy x rate) grid reduces to the
+ablation shape.
 """
 
-import dataclasses
 import hashlib
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import execute_plan
 from repro.experiments.plan import grid_plan
 from repro.experiments.runner import build_system, run_experiment
-from repro.protocols.base import ProtocolConfig
-from repro.workload.churn import ChurnConfig
 from repro.workload.fleet import FleetConfig
+from tests.contracts import CELLS, check, observe
 
-
-def _trace_hash(cfg: ExperimentConfig) -> str:
-    system = build_system(cfg)
-    system.run()
-    h = hashlib.sha256()
-    for rec in system.sim.trace.records:
-        h.update(
-            repr((rec.time, rec.category, tuple(sorted(rec.payload.items()))))
-            .encode()
-        )
-    return h.hexdigest()
-
-
-BASE = ExperimentConfig(
-    protocol="realtor", arrival_rate=8.0, horizon=120.0, seed=7, trace=True
-)
+BASE = CELLS["defaults"]
+CHURN_CFG = CELLS["churn"].with_(trace=False)
 
 
 class TestDefaultEquivalence:
     def test_explicit_defaults_are_byte_identical_to_implicit(self):
-        explicit = BASE.with_(
-            protocol_config=ProtocolConfig(ranking_policy="headroom"),
-            fleet=FleetConfig(),          # every axis None: uniform fleet
-            churn=ChurnConfig(),          # zero rates: inactive
-        )
-        assert _trace_hash(explicit) == _trace_hash(BASE)
+        implicit, explicit = check("defaults.explicit")
+        assert implicit.records and explicit.result.params["fleet"] == "custom"
 
     def test_inactive_churn_installs_nothing(self):
-        system = build_system(BASE.with_(churn=ChurnConfig()))
-        system.run()
-        assert "churn_scheduled" not in system.result().extra
+        assert "churn_scheduled" not in observe("defaults", "explicit_defaults").result.extra
 
     def test_pinned_pre_seam_hash(self):
         """The exact trace hash of this scenario measured before the
         ranking seam / fleet / churn axes landed — the refactor must
         never move it."""
-        cfg = ExperimentConfig(
+        system = build_system(ExperimentConfig(
             protocol="realtor", arrival_rate=12.0, horizon=90.0,
             seed=20260808, trace=True,
-        )
-        assert _trace_hash(cfg) == (
+        ))
+        system.run()
+        h = hashlib.sha256()
+        for rec in system.sim.trace.records:
+            h.update(repr((rec.time, rec.category, tuple(sorted(rec.payload.items())))).encode())
+        assert h.hexdigest() == (
             "fbc36e92329cb4d51229a4880af404cd9656795eeeb49889eda310904ffcbaa1"
         )
 
 
-CHURN_CFG = ExperimentConfig(
-    protocol="realtor",
-    arrival_rate=10.0,
-    horizon=120.0,
-    seed=42,
-    fleet=FleetConfig.heterogeneous(),
-    churn=ChurnConfig(join_rate=0.05, leave_rate=0.03),
-)
-
-
 class TestChurnDeterminism:
     def test_repeat_runs_identical(self):
-        a = dataclasses.asdict(run_experiment(CHURN_CFG))
-        b = dataclasses.asdict(run_experiment(CHURN_CFG))
-        assert a == b
+        run, _again = check("churn.again")
+        assert run.result.extra["churn_joins"] + run.result.extra["churn_leaves"] > 0
 
     def test_serial_and_parallel_execution_agree(self):
-        base = CHURN_CFG.with_(horizon=80.0)
-        plan = grid_plan(
-            "churn",
-            [
-                ("calm", base.with_(churn=ChurnConfig(join_rate=0.02, leave_rate=0.01))),
-                ("stormy", base.with_(churn=ChurnConfig(join_rate=0.08, leave_rate=0.06))),
-            ],
-        )
-        serial = execute_plan(plan)
-        parallel = execute_plan(plan, parallel=True, max_workers=2)
-        assert list(serial) == list(parallel)
-        assert [dataclasses.asdict(r) for r in serial.values()] == [
-            dataclasses.asdict(r) for r in parallel.values()
-        ]
+        serial, _parallel = check("churn-grid.parallel")
+        assert [key for key, _ in serial.result] == [("calm",), ("stormy",)]
 
     def test_churn_accounting_balances(self):
         extra = run_experiment(CHURN_CFG).extra

@@ -1,181 +1,77 @@
 """Grouped fan-out: a flood's same-instant deliveries are one agenda event.
 
-The kernel runs one call per event.  Every send ends in
-``Transport._post(delay, messages)``, which puts the receivers of a
-flood or multicast that arrive at one instant on the agenda as one
-ordinary event; its callback ``Transport._deliver`` delivers them in
-receiver order, re-checking liveness and the handler table per message.
-A unicast is the same post with one message.  These tests pin that
-grouping is *observationally identical* to the reference that posts
-one event per delivery (``tests.oracles.post_one_by_one``): same trace,
-same result fields, with ``events_executed`` lower by exactly the sum
-of (group size - 1) — at the 2500-node scaling tier, with impairments
-on and off, with per-hop latency, under ``max_events`` slices (which
-count agenda events, so a group is never split), across serial/parallel
-sweep execution, and when a member crashes or unregisters a later one.
-A profiled run is the same loop with a timing bracket per dispatch, so
-it is held to the same reference.
+Every send ends in ``Transport._post(delay, messages)``, which puts the
+receivers of a flood or multicast that arrive at one instant on the
+agenda as one event; ``Transport._deliver`` delivers them in receiver
+order, re-checking liveness and the handler table per message.  Grouping
+must be observationally identical to posting one event per delivery
+(``tests.oracles.post_one_by_one``), with ``events_executed`` lower by
+the sum of (group size - 1): the ``grouped`` rows of
+:mod:`tests.contracts` check that at the 2 500-node tier, impaired,
+network-wide, with per-hop latency, under ``max_events`` slices and
+profiled.  The unit tests below pin the mechanics.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from repro.experiments.config import ExperimentConfig, paper_config
+from repro.experiments.config import paper_config
 from repro.experiments.runner import build_system
-from repro.experiments.sweep import run_sweep
 from repro.network.faults import FaultManager
 from repro.network.generators import paper_topology
-from repro.network.impairments import ImpairmentConfig
 from repro.network.transport import Transport
 from repro.obs.profiler import KernelProfiler
-from repro.protocols.base import ProtocolConfig
 from repro.sim.events import Priority
 from repro.sim.kernel import SimulationError, Simulator
+from tests.contracts import check, observe
 from tests.oracles import group_sizes, post_one_by_one
-
-#: after every other event of an instant
-_LAST = 1 << 30
-
-
-def _tier_config(
-    nodes: int = 2500, *, impaired: bool = False, horizon: float = 4.0
-) -> ExperimentConfig:
-    """A top-tier cell kept short enough for tier-1 runtime.
-
-    Load against a small queue keeps threshold crossings, HELP floods
-    and migrations active from the first second, so the trace witnesses
-    the grouped fan-out thousands of times.
-    """
-    return ExperimentConfig(
-        protocol="realtor",
-        topology="torus",
-        nodes=nodes,
-        arrival_rate=0.3 * nodes,
-        queue_capacity=12.0,
-        horizon=horizon,
-        seed=11,
-        trace=True,
-        impairments=(
-            ImpairmentConfig(loss_rate=0.02, jitter=0.001) if impaired else None
-        ),
-    )
-
-
-def _traced_run(
-    cfg: ExperimentConfig, *, grouped: bool, profile=None, slice_events=None
-):
-    """One traced run -> (trace, result, events_executed, group sizes).
-
-    ``grouped=False`` is the reference: one event per delivery.  With
-    ``slice_events`` the run is cut into ``max_events`` slices up to a
-    stop event after everything else at the horizon.
-    """
-    system = build_system(cfg)
-    sim = system.sim
-    if grouped:
-        sizes = group_sizes(system.transport)
-    else:
-        post_one_by_one(system.transport)
-        sizes = []
-    if slice_events is None:
-        system.run(profile=profile)
-    else:
-        sim.at(cfg.horizon, sim.stop, priority=_LAST)
-        while (sim.queue.peek_time() or cfg.horizon + 1) <= cfg.horizon:
-            before = sim.events_executed
-            sim.run(max_events=slice_events)
-            stopped = sim.now == cfg.horizon
-            # max_events counts agenda events: a slice runs whole groups
-            assert stopped or sim.events_executed - before == slice_events
-    trace = [
-        (rec.time, rec.category, tuple(sorted(rec.payload.items())))
-        for rec in system.sim.trace.records
-    ]
-    result = dataclasses.asdict(system.result())
-    return trace, result, sim.events_executed, sizes
-
-
-def _assert_identical(grouped, reference, label: str) -> None:
-    trace_g, result_g, executed_g, sizes = grouped
-    trace_r, result_r, executed_r, ref_sizes = reference
-    assert ref_sizes == [], f"{label}: the reference ran a group"
-    assert len(trace_g) == len(trace_r), f"{label}: trace length differs"
-    for i, (rec_g, rec_r) in enumerate(zip(trace_g, trace_r)):
-        assert rec_g == rec_r, f"{label}: trace diverges at record {i}"
-    assert result_g == result_r, f"{label}: result fields differ"
-    assert executed_r - executed_g == sum(n - 1 for n in sizes), (
-        f"{label}: events_executed is not the reference's less the grouped ones"
-    )
 
 
 class TestBatchedEqualsScalar:
     def test_2500_nodes_bit_identical(self):
-        cfg = _tier_config()
-        grouped = _traced_run(cfg, grouped=True)
-        reference = _traced_run(cfg, grouped=False)
-        assert reference[2] > 5_000  # the run is substantial
-        assert max(grouped[3]) > 1  # and groups deliveries
-        _assert_identical(grouped, reference, "clean 2500-node tier")
+        grouped, reference = check("torus-2500.one_by_one")
+        assert reference.events > 5_000  # the run is substantial
+        assert max(grouped.groups) > 1  # and groups deliveries
 
     def test_2500_nodes_impaired_bit_identical(self):
-        """Loss/jitter/dup verdicts draw per delivery in schedule order —
-        an impaired fan-out posts per receiver and must not reorder or
-        coalesce the draws."""
-        cfg = _tier_config(impaired=True)
-        grouped = _traced_run(cfg, grouped=True)
-        reference = _traced_run(cfg, grouped=False)
-        _assert_identical(grouped, reference, "impaired 2500-node tier")
+        """Loss, jitter and duplication verdicts draw per delivery in
+        schedule order: an impaired fan-out posts per receiver and must
+        not reorder or coalesce the draws."""
+        grouped, _reference = check("torus-2500-lossy.one_by_one")
+        assert grouped.result.extra["impairment_dropped"] > 0
 
     def test_impairments_actually_change_the_run(self):
-        clean = _traced_run(_tier_config(), grouped=True)[1]
-        lossy = _traced_run(_tier_config(impaired=True), grouped=True)[1]
-        assert clean != lossy
+        assert observe("torus-2500").result != observe("torus-2500-lossy").result
 
-    @pytest.mark.parametrize("slice_events", [None, 7])
-    def test_push_1_paper_cell_bit_identical(self, slice_events):
+    @pytest.mark.parametrize("row", ["push-1.one_by_one", "push-1.sliced"], ids=["None", "7"])
+    def test_push_1_paper_cell_bit_identical(self, row):
         """Figure 6's dominating curve: 25 nodes flooding once a second,
         every flood one agenda event."""
-        cfg = paper_config("push-1", 6.0, seed=4, horizon=40.0).with_(trace=True)
-        grouped = _traced_run(cfg, grouped=True, slice_events=slice_events)
-        reference = _traced_run(cfg, grouped=False, slice_events=slice_events)
-        assert reference[2] > 3_000
-        assert sum(n - 1 for n in grouped[3]) > 1_000
-        _assert_identical(grouped, reference, f"push-1 cell, slices={slice_events}")
+        grouped, reference = check(row)
+        assert reference.events > 3_000
+        assert sum(n - 1 for n in grouped.groups) > 1_000
 
-    @pytest.mark.parametrize("slice_events", [None, 997])
-    def test_2500_nodes_network_scope_bit_identical(self, slice_events):
-        """Whole-overlay floods: 2499 receivers behind one agenda event,
-        which a budget slice runs whole."""
-        cfg = dataclasses.replace(
-            _tier_config(horizon=0.5),
-            arrival_rate=250.0,
-            queue_capacity=6.0,
-            protocol_config=ProtocolConfig(scope="network"),
-            prime_views=False,  # 2500 x 2499 primed entries are the build
-        )
-        grouped = _traced_run(cfg, grouped=True, slice_events=slice_events)
-        reference = _traced_run(cfg, grouped=False, slice_events=slice_events)
-        assert reference[2] > 30_000
-        assert max(grouped[3]) == 2499
-        _assert_identical(grouped, reference, f"network scope, slices={slice_events}")
+    @pytest.mark.parametrize(
+        "row", ["network.one_by_one", "network.sliced"],
+        ids=["None", "997"],
+    )
+    def test_2500_nodes_network_scope_bit_identical(self, row):
+        """2 499 receivers behind one agenda event, which a budget slice
+        runs whole."""
+        grouped, reference = check(row)
+        assert reference.events > 30_000
+        assert max(grouped.groups) == 2499
 
-    @pytest.mark.parametrize("slice_events", [None, 97])
-    def test_latency_floods_bit_identical(self, slice_events):
+    @pytest.mark.parametrize(
+        "row", ["latency.one_by_one", "latency.sliced"],
+        ids=["None", "97"],
+    )
+    def test_latency_floods_bit_identical(self, row):
         """Per-hop latency: each flood posts one group per hop count."""
-        cfg = dataclasses.replace(
-            _tier_config(nodes=400, horizon=2.0),
-            per_hop_latency=0.01,
-            protocol_config=ProtocolConfig(scope="network"),
-            prime_views=False,
-        )
-        grouped = _traced_run(cfg, grouped=True, slice_events=slice_events)
-        reference = _traced_run(cfg, grouped=False, slice_events=slice_events)
-        assert reference[2] > 5_000
-        assert max(grouped[3]) > 1
-        _assert_identical(grouped, reference, f"latency floods, slices={slice_events}")
+        grouped, reference = check(row)
+        assert reference.events > 5_000
+        assert max(grouped.groups) > 1
 
 
 class TestProfiledLockstep:
@@ -205,30 +101,14 @@ class TestProfiledLockstep:
     def test_profiled_run_bit_identical_to_plain(self):
         """The profiler brackets the loop's dispatches; what that loop
         executes must still match the one-by-one reference exactly."""
-        cfg = _tier_config(nodes=250, horizon=10.0)
-        reference = _traced_run(cfg, grouped=False)
-        profile = KernelProfiler()
-        profiled = _traced_run(cfg, grouped=True, profile=profile)
-        _assert_identical(profiled, reference, "profiled grouped vs one by one")
-        assert profile.report().events_executed == profiled[2]
+        profiled, _reference = check("torus-250-s11.profiled")
+        assert profiled.facts["profiled_events"] == profiled.events
 
 
 class TestSweepEquivalence:
     def test_serial_vs_parallel_identical_at_2500_nodes(self):
-        base = ExperimentConfig(
-            topology="torus", nodes=2500, horizon=2.0, seed=3
-        )
-        protocols = ["realtor", "pure-push"]
-        rates = [125.0]
-        serial = run_sweep(protocols, rates, base, parallel=False)
-        parallel = run_sweep(
-            protocols, rates, base, parallel=True, max_workers=2
-        )
-        for proto in protocols:
-            for rate in rates:
-                assert dataclasses.asdict(serial[proto][rate]) == dataclasses.asdict(
-                    parallel[proto][rate]
-                ), f"{proto}@{rate} differs serial vs parallel"
+        serial, _parallel = check("torus-2500-sweep.parallel")
+        assert len(serial.result) == 2
 
 
 def _mesh_transport(grouped: bool = True):

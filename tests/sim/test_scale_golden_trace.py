@@ -1,121 +1,40 @@
-"""Golden-trace determinism at the 250-node scaling tier.
-
-The lazy Router, the epoch-scoped flood structure, and the shared
-node-list wiring exist to make the 2.5k-10k tiers tractable — but they
-ride the same code paths the 25-node paper runs use, so the determinism
-contract (same seed ⇒ bit-identical event sequence and metrics) must
-hold unchanged at scale.  These tests pin it at the 250-node tier: big
-enough to exercise the 10x25 torus factorisation, the lazy rows, and the
-epoch caches; small enough for tier-1 runtime.
+"""Golden-trace determinism at the 250-node tier: the 10x25 torus, the
+lazy router rows and the epoch caches under the same contract as the
+paper mesh, impairments on and off.  The rows are in
+:mod:`tests.contracts`.
 """
 
-from __future__ import annotations
-
-import dataclasses
-
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import build_system
-from repro.experiments.sweep import run_sweep
-from repro.network.impairments import ImpairmentConfig
-
-
-def _tier_config(seed: int = 7, *, impaired: bool = False) -> ExperimentConfig:
-    """One 250-node torus cell with the protocol machinery kept busy.
-
-    Load 1.5 against a deliberately small queue (12 s, not the paper's
-    100 s): within a 20-second horizon the backlog drift cannot reach a
-    100 s-queue threshold on 250 nodes, and an idle protocol emits *no*
-    trace records — the determinism assertions would pass vacuously.
-    The small queue keeps threshold crossings, HELP floods, pledges and
-    migrations happening from the first seconds, so the trace witnesses
-    thousands of protocol-ordered events per run.
-    """
-    return ExperimentConfig(
-        protocol="realtor",
-        topology="torus",
-        nodes=250,
-        arrival_rate=75.0,
-        queue_capacity=12.0,
-        horizon=20.0,
-        seed=seed,
-        trace=True,
-        impairments=(
-            ImpairmentConfig(loss_rate=0.02, jitter=0.001) if impaired else None
-        ),
-    )
-
-
-def _traced_run(cfg: ExperimentConfig):
-    system = build_system(cfg)
-    system.run()
-    trace = [
-        (rec.time, rec.category, tuple(sorted(rec.payload.items())))
-        for rec in system.sim.trace.records
-    ]
-    return trace, system.result(), system.sim.events_executed
-
-
-def _fields(res) -> dict:
-    return dataclasses.asdict(res)
+from tests.contracts import check, observe
 
 
 class TestScaleTierGoldenTrace:
     def test_same_seed_bit_identical_at_250_nodes(self):
-        trace_a, result_a, executed_a = _traced_run(_tier_config())
-        trace_b, result_b, executed_b = _traced_run(_tier_config())
-        assert executed_a == executed_b
-        assert len(trace_a) == len(trace_b)
-        for i, (rec_a, rec_b) in enumerate(zip(trace_a, trace_b)):
-            assert rec_a == rec_b, f"trace diverges at record {i}"
-        assert _fields(result_a) == _fields(result_b)
+        run, _again = check("torus-250.again")
+        assert run.events > 3_000
 
     def test_run_is_substantial_and_time_ordered(self):
-        trace, result, executed = _traced_run(_tier_config())
-        # over a thousand tasks across the 250-node overlay, with the
-        # protocol (not just the arrival process) visibly in the trace
-        assert result.generated > 1000
-        assert executed > 0
-        categories = {c for _, c, _ in trace}
-        assert "threshold-cross" in categories
-        assert "help-sent" in categories
-        times = [t for t, _, _ in trace]
+        # over a thousand tasks, with the protocol (not just the arrival
+        # process) visibly in the trace
+        run = observe("torus-250")
+        assert run.result.generated > 1000
+        assert {"threshold-cross", "help-sent"} <= {rec.category for rec in run.records}
+        times = [rec.time for rec in run.records]
         assert times == sorted(times)
 
     def test_different_seeds_diverge(self):
-        trace_a, _, _ = _traced_run(_tier_config(seed=7))
-        trace_b, _, _ = _traced_run(_tier_config(seed=8))
-        assert trace_a != trace_b
+        run, other = check("torus-250.other_seed")
+        assert run.records != other.records
 
     def test_impaired_runs_equally_deterministic(self):
-        """Loss + jitter draw from seeded streams; same seed, same trace."""
-        trace_a, result_a, _ = _traced_run(_tier_config(impaired=True))
-        trace_b, result_b, _ = _traced_run(_tier_config(impaired=True))
-        assert len(trace_a) == len(trace_b)
-        for i, (rec_a, rec_b) in enumerate(zip(trace_a, trace_b)):
-            assert rec_a == rec_b, f"impaired trace diverges at record {i}"
-        assert _fields(result_a) == _fields(result_b)
+        """Loss and jitter draw from seeded streams."""
+        lossy, _again = check("torus-250-lossy.again")
+        assert lossy.result.extra["impairment_dropped"] > 0
 
     def test_impairments_actually_change_the_run(self):
-        """The impaired tier is not silently running the perfect network."""
-        _, clean, _ = _traced_run(_tier_config())
-        _, lossy, _ = _traced_run(_tier_config(impaired=True))
-        assert _fields(clean) != _fields(lossy)
+        assert observe("torus-250").result != observe("torus-250-lossy").result
 
 
 class TestScaleTierSweepEquivalence:
     def test_serial_vs_parallel_identical_at_250_nodes(self):
-        base = ExperimentConfig(
-            topology="torus", nodes=250, horizon=20.0, seed=3
-        )
-        protocols = ["realtor", "pure-push"]
-        rates = [12.5, 25.0]
-        serial = run_sweep(protocols, rates, base, parallel=False)
-        parallel = run_sweep(
-            protocols, rates, base, parallel=True, max_workers=2
-        )
-        assert set(serial) == set(parallel)
-        for proto in protocols:
-            for rate in rates:
-                assert _fields(serial[proto][rate]) == _fields(
-                    parallel[proto][rate]
-                ), f"{proto}@{rate} differs serial vs parallel"
+        serial, _parallel = check("torus-250-sweep.parallel")
+        assert len(serial.result) == 4
