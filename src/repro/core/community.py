@@ -91,22 +91,18 @@ class MembershipTable:
             raise ValueError("a node does not join its own community")
         self._joined[organizer] = now
 
-    def renew(self, organizer: int, now: float) -> bool:
-        """A HELP refresh from a community this node need not rejoin:
-        renew the membership if it is still live, end it if the organizer
-        has been silent past ``membership_ttl``.  ``True`` if renewed.
-
-        O(1): reads only this organizer's last refresh, so a lapsed
-        membership ends here instead of being revived by a late HELP.
-        """
+    def renew(self, organizer: int, now: float) -> None:
+        """A HELP refresh from a community this node is already in: renew
+        the membership, or end it if the organizer has been silent past
+        ``membership_ttl`` (a late HELP must not revive it).  O(1): only
+        this organizer's last refresh is read."""
         last = self._joined.get(organizer)
         if last is None:
-            return False
+            return
         if now - last > self.membership_ttl:
             del self._joined[organizer]
-            return False
-        self._joined[organizer] = now
-        return True
+        else:
+            self._joined[organizer] = now
 
     def leave(self, organizer: int) -> None:
         self._joined.pop(organizer, None)

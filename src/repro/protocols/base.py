@@ -325,8 +325,7 @@ class DiscoveryAgent:
                 memberships.on_help(org, self.sim.now)
         elif memberships is not None:
             # A known community is alive; renew so a transient overload
-            # does not silently drop the membership — unless it already
-            # lapsed, which a late HELP must not revive.
+            # does not silently drop the membership.
             memberships.renew(org, self.sim.now)
 
     def _send_pledge(self, organizer: int, in_reply_to: int = -1, kind: str = KIND_PLEDGE) -> None:

@@ -69,9 +69,13 @@ class TestMembershipTable:
     def test_renew_ends_a_lapsed_membership(self):
         m = MembershipTable(owner=0, membership_ttl=10.0)
         m.on_help(5, now=0.0)
-        assert m.renew(5, now=9.0) and m.renew(5, now=19.0)
-        assert not m.renew(5, now=29.5) and 5 not in m
-        assert not m.renew(6, now=0.0) and 6 not in m
+        m.renew(5, now=9.0)
+        m.renew(5, now=19.0)
+        assert 5 in m  # renewed twice within the TTL
+        m.renew(5, now=29.5)
+        assert 5 not in m  # silent 10.5 s: ended, not revived
+        m.renew(6, now=0.0)
+        assert 6 not in m  # renewing never joins
 
     def test_own_community_rejected(self):
         m = MembershipTable(owner=0)
