@@ -208,7 +208,8 @@ def _parse(mode: str) -> Dict[str, Optional[int]]:
     return parts
 
 
-#: (cell, mode) -> its observation: one simulation per pair per process
+#: (cell, mode) -> its observation, shared by every test in the process on
+#: purpose: one simulation per pair.  Guards read observations, never write.
 _OBSERVED: Dict[Tuple[str, str], Observation] = {}
 
 
